@@ -9,9 +9,10 @@
 //!
 //! Storage is a small linear map of `version → Vec<(slot, value)>` with the
 //! per-version vectors recycled through a [`ScratchPool`]: at any moment
-//! only a handful of versions are live, appends are push-onto-Vec, and the
-//! slot ordering the committer needs is established by one sort at commit
-//! time instead of a B-tree node allocation per buffered output.
+//! only a handful of versions are live, appends are push-onto-Vec, and both
+//! the slot ordering the committer needs and replace-on-duplicate are
+//! established by one stable sort at commit time — instead of a B-tree node
+//! allocation, or a scan of everything buffered, per buffered output.
 
 use crate::arena::{AllocStats, ScratchPool};
 use tvs_sre::SpecVersion;
@@ -26,7 +27,7 @@ pub struct WaitBuffer<V> {
     pool: ScratchPool<(u64, V)>,
     /// Total values ever buffered (metrics).
     buffered: u64,
-    /// Total values discarded by aborts (metrics).
+    /// Total slots discarded by aborts (metrics).
     discarded: u64,
 }
 
@@ -55,9 +56,12 @@ impl<V> WaitBuffer<V> {
     }
 
     /// Buffer `value` produced under `version` for slot `slot` (e.g. block
-    /// index). A later value for the same (version, slot) replaces the
-    /// earlier one and returns the old value.
-    pub fn push(&mut self, version: SpecVersion, slot: u64, value: V) -> Option<V> {
+    /// index), in O(1). A later value for the same (version, slot) replaces
+    /// the earlier one — resolved when the version commits or aborts, which
+    /// is why, unlike a map's `insert`, this cannot hand the replaced value
+    /// back. The accessors below all count a slot once, however many
+    /// values were pushed for it.
+    pub fn push(&mut self, version: SpecVersion, slot: u64, value: V) {
         self.buffered += 1;
         let idx = match self.by_version.iter().position(|(v, _)| *v == version) {
             Some(i) => i,
@@ -67,22 +71,16 @@ impl<V> WaitBuffer<V> {
                 self.by_version.len() - 1
             }
         };
-        let vals = &mut self.by_version[idx].1;
-        if let Some(existing) = vals.iter_mut().find(|(s, _)| *s == slot) {
-            return Some(std::mem::replace(&mut existing.1, value));
-        }
-        vals.push((slot, value));
-        None
+        self.by_version[idx].1.push((slot, value));
     }
 
     /// Release all outputs of a committed version into `out`, ordered by
-    /// slot, recycling the internal storage. The zero-allocation twin of
-    /// [`Self::commit`].
+    /// slot and with only the last value pushed for each slot, recycling
+    /// the internal storage. The pooled twin of [`Self::commit`].
     pub fn commit_into(&mut self, version: SpecVersion, out: &mut Vec<(u64, V)>) {
         if let Some(i) = self.by_version.iter().position(|(v, _)| *v == version) {
             let (_, mut vals) = self.by_version.swap_remove(i);
-            // Slots are unique (push replaces in place), so unstable is fine.
-            vals.sort_unstable_by_key(|&(slot, _)| slot);
+            settle(&mut vals);
             out.append(&mut vals);
             self.pool.put(vals);
         }
@@ -96,11 +94,12 @@ impl<V> WaitBuffer<V> {
     }
 
     /// Reclaim (drop) all outputs of an aborted version; returns how many
-    /// were discarded.
+    /// slots were discarded.
     pub fn abort(&mut self, version: SpecVersion) -> usize {
         match self.by_version.iter().position(|(v, _)| *v == version) {
             Some(i) => {
-                let (_, vals) = self.by_version.swap_remove(i);
+                let (_, mut vals) = self.by_version.swap_remove(i);
+                settle(&mut vals);
                 let n = vals.len();
                 self.discarded += n as u64;
                 self.pool.put(vals);
@@ -110,24 +109,25 @@ impl<V> WaitBuffer<V> {
         }
     }
 
-    /// Number of values currently held for `version`.
+    /// Number of slots currently held for `version`.
     pub fn len_of(&self, version: SpecVersion) -> usize {
-        self.entry(version).map(|vals| vals.len()).unwrap_or(0)
+        self.slots_of(version).len()
     }
 
-    /// Slots currently buffered for `version`, ascending.
+    /// Slots currently buffered for `version`, ascending, each once.
     pub fn slots_of(&self, version: SpecVersion) -> Vec<u64> {
         let mut slots: Vec<u64> = self
             .entry(version)
             .map(|vals| vals.iter().map(|&(s, _)| s).collect())
             .unwrap_or_default();
         slots.sort_unstable();
+        slots.dedup();
         slots
     }
 
-    /// Total values currently held across versions.
+    /// Total slots currently held across versions.
     pub fn len(&self) -> usize {
-        self.by_version.iter().map(|(_, vals)| vals.len()).sum()
+        self.by_version.iter().map(|&(v, _)| self.len_of(v)).sum()
     }
 
     /// Whether the buffer is entirely empty.
@@ -149,6 +149,25 @@ impl<V> WaitBuffer<V> {
     pub fn reset_alloc_stats(&mut self) {
         self.pool.reset_stats();
     }
+}
+
+/// Order a version's buffered values by slot and resolve replacement: of
+/// the values pushed for one slot only the last survives. Values pushed in
+/// ascending slot order, each slot once, are left as they are.
+fn settle<V>(vals: &mut Vec<(u64, V)>) {
+    if vals.windows(2).all(|w| w[0].0 < w[1].0) {
+        return;
+    }
+    // Stable, so equal slots stay in push order; each run of equal slots
+    // then collapses onto its last-pushed value.
+    vals.sort_by_key(|&(slot, _)| slot);
+    vals.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            std::mem::swap(later, kept);
+        }
+        same
+    });
 }
 
 #[cfg(test)]
@@ -181,9 +200,37 @@ mod tests {
     #[test]
     fn replace_same_slot() {
         let mut b = WaitBuffer::new();
-        assert_eq!(b.push(1, 3, "old"), None);
-        assert_eq!(b.push(1, 3, "new"), Some("old"));
-        assert_eq!(b.commit(1), vec![(3, "new")]);
+        b.push(1, 3, "old");
+        b.push(1, 7, "other");
+        b.push(1, 3, "newer");
+        b.push(1, 3, "newest");
+        assert_eq!(b.slots_of(1), vec![3, 7]);
+        assert_eq!((b.len_of(1), b.len()), (2, 2));
+        assert_eq!(b.commit(1), vec![(3, "newest"), (7, "other")]);
+        // An abort counts a re-pushed slot once, too.
+        b.push(2, 3, "old");
+        b.push(2, 3, "new");
+        assert_eq!(b.abort(2), 1);
+        assert_eq!(b.stats(), (6, 1));
+    }
+
+    #[test]
+    fn replacement_survives_a_large_out_of_order_version() {
+        // Large enough that the stable sort takes its merge path, not the
+        // small-slice insertion sort.
+        let mut b = WaitBuffer::new();
+        for slot in (0..2_000u64).rev() {
+            b.push(1, slot, slot);
+        }
+        for slot in (0..2_000u64).step_by(3) {
+            b.push(1, slot, slot + 10_000);
+        }
+        let out = b.commit(1);
+        assert_eq!(out.len(), 2_000);
+        for (i, &(slot, v)) in out.iter().enumerate() {
+            assert_eq!(slot, i as u64);
+            assert_eq!(v, if slot % 3 == 0 { slot + 10_000 } else { slot });
+        }
     }
 
     #[test]

@@ -292,6 +292,12 @@ impl<T> SpeculationManager<T> {
         }
     }
 
+    /// Whether a predictor task is outstanding: a prediction was requested
+    /// and has neither been installed nor aborted yet.
+    pub fn awaiting_prediction(&self) -> bool {
+        matches!(self.phase, Phase::Pending { .. })
+    }
+
     /// The value under final validation, if the manager is between
     /// [`Self::on_final`] and [`Self::on_final_check_result`].
     pub fn pending_final(&self) -> Option<(SpecVersion, &T)> {

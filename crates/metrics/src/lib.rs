@@ -17,9 +17,10 @@
 //!    cache-line-aligned per-worker *shards* (`#[repr(align(64))]`, one
 //!    writer per shard in steady state, relaxed atomics), with one extra
 //!    *control* shard for writes made under the commit lock. Histograms
-//!    and gauges are written from single-threaded contexts (router,
-//!    scheduler under the commit lock), so their relaxed atomics never
-//!    bounce either.
+//!    and gauges are written by one thread at a time — whichever holds
+//!    the commit lock for its commit-path turn (the scheduler and the
+//!    speculation manager run inside that turn) — so their relaxed
+//!    atomics are never contended either.
 //! 3. **Deterministic in the simulator.** The discrete-event executor
 //!    drives the hub's ambient clock with [`MetricsHub::set_virtual_now`]
 //!    and takes snapshots on *virtual-time* tick boundaries
@@ -104,10 +105,12 @@ pub enum Counter {
     TimeCheckUs,
     /// Profiler: µs spent inside the commit path (scheduler/commit lock).
     TimeCommitUs,
-    /// Profiler: µs the router thread spent draining or waiting on the
-    /// commit ring.
+    /// Profiler: µs completion reports waited for the commit path, summed
+    /// per routed report from the task's `finished` stamp to the start of
+    /// the batch that routed it (threaded executor; the name dates from
+    /// when a router thread did the routing).
     TimeRouterWaitUs,
-    /// Completion reports rejected by the router's worker-epoch gate:
+    /// Completion reports rejected by the commit path's worker-epoch gate:
     /// the reporting worker had been quarantined (or the report was a
     /// duplicated-completion injection), so delivering it could
     /// double-commit.
@@ -197,7 +200,7 @@ pub enum Gauge {
     /// Circuit-breaker state: 0 = no breaker, 1 = closed, 2 = open,
     /// 3 = half-open.
     BreakerState = 0,
-    /// Commit-ring occupancy observed at the router's last drain.
+    /// Commit-ring occupancy observed at the last commit-path drain.
     RingOccupancy,
     /// Arena/pool heap allocations (from `AllocStats::heap_allocs`).
     AllocHeap,
@@ -258,7 +261,7 @@ pub enum Hist {
     CheckLatencyUs = 0,
     /// Block service time (task-body busy time), µs.
     BlockServiceUs,
-    /// Commit-ring occupancy sampled at each router drain.
+    /// Commit-ring occupancy sampled at each commit-path drain.
     RingOccupancy,
     /// Profiler: length of each uninterrupted worker run slice, µs.
     RunSliceUs,

@@ -22,8 +22,23 @@
 //! tolerance; failures roll the version back and promote the check's
 //! freshly-built tree; the final tree's check decides commit or natural
 //! recompute.
+//!
+//! The speculation manager sees its events in one canonical order, however
+//! the executor interleaves completions: basis events (reduce results) and
+//! the final tree queue up in `spec_events` while a verdict — the
+//! predictor's tree or an intermediate check's result — is outstanding, and
+//! are replayed once it is in. A prediction is therefore always installed
+//! before the basis event after the one that started it, a check's result
+//! is always digested before the next basis event, and the final tree never
+//! overtakes either. Which tree a run commits is a function of the input
+//! and the configuration alone — the same on the simulator and on any
+//! number of threads. Check *tasks* do not wait for their turn, only their
+//! results do: the check of the live version against a new reduce result is
+//! spawned the moment that result is in (`eager_check`), so the checks of a
+//! version that keeps passing still run side by side.
 
 use crate::config::{HuffmanConfig, PredictorKind};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use tvs_core::ladder::DegradationLevel;
 use tvs_core::{
@@ -202,6 +217,23 @@ struct Ckpt {
     detach: bool,
 }
 
+/// A speculation-manager input waiting its turn (see the module header).
+#[derive(Debug, Clone, Copy)]
+enum SpecEvent {
+    /// `n` reduce results are in (0 = the first block's count).
+    Basis(u64),
+    /// The final tree is built.
+    Final,
+}
+
+/// An intermediate check that has been spawned: `version` against the
+/// histogram of basis event `basis`, and its result once the task is back.
+struct CheckSlot {
+    version: SpecVersion,
+    basis: u64,
+    verdict: Option<(CheckResult, Arc<SpecTree>)>,
+}
+
 /// Minimum wall-clock gap between cadence-driven snapshot writes.
 const CKPT_WRITE_GAP: std::time::Duration = std::time::Duration::from_millis(20);
 
@@ -263,6 +295,15 @@ pub struct HuffmanWorkload {
     final_tree: Option<Arc<SpecTree>>,
 
     mgr: SpeculationManager<Arc<SpecTree>>,
+    /// Manager inputs held back until the outstanding verdict is in.
+    spec_events: VecDeque<SpecEvent>,
+    /// Basis of the event being dispatched: what a predictor or check
+    /// spawned by it snapshots, not whatever the reduce chain reached since.
+    spec_basis: u64,
+    /// Intermediate checks spawned and not yet shown to the manager.
+    checks: Vec<CheckSlot>,
+    /// The check `(version, basis)` whose result is the next manager input.
+    awaited_check: Option<(SpecVersion, u64)>,
     buffer: WaitBuffer<EncodeOut>,
     committed_version: Option<SpecVersion>,
     spec_path: Option<Path>,
@@ -332,6 +373,10 @@ impl HuffmanWorkload {
             reduce_inflight: false,
             final_tree: None,
             mgr,
+            spec_events: VecDeque::new(),
+            spec_basis: 0,
+            checks: Vec::new(),
+            awaited_check: None,
             buffer: WaitBuffer::new(),
             committed_version: None,
             spec_path: None,
@@ -689,15 +734,13 @@ impl HuffmanWorkload {
     }
 
     fn spawn_predictor(&mut self, ctx: &mut dyn SchedCtx, version: SpecVersion) {
-        // Snapshot: the newest cumulative histogram, or the first block's
-        // count for a step-0 (pre-reduce) prediction.
-        let (hist, basis) = if self.reduces_done == 0 {
-            (self.counts[0].as_ref().expect("first count").clone(), 0)
-        } else {
-            (
-                self.acc[self.reduces_done - 1].clone(),
-                self.reduces_done as u64,
-            )
+        // Snapshot: the cumulative histogram of the basis event that asked
+        // for the prediction, or the first block's count for a step-0
+        // (pre-reduce) prediction.
+        let basis = self.spec_basis;
+        let hist = match basis {
+            0 => self.counts[0].as_ref().expect("first count").clone(),
+            b => self.acc[b as usize - 1].clone(),
         };
         let kind = self.cfg.predictor;
         ctx.spawn(TaskSpec::predictor(
@@ -709,16 +752,54 @@ impl HuffmanWorkload {
         ));
     }
 
-    fn spawn_check(&mut self, ctx: &mut dyn SchedCtx, version: SpecVersion) {
-        let (_, tree) = self
-            .mgr
-            .active()
-            .expect("check only against an active speculation");
-        let spec_tree = tree.clone();
-        let basis = self.reduces_done as u64;
-        let hist = self.acc[self.reduces_done - 1].clone();
+    /// The manager wants `version` checked at the basis event being
+    /// dispatched: wait for that check's result, spawning the check first
+    /// unless [`Self::eager_check`] already has.
+    fn await_check(&mut self, ctx: &mut dyn SchedCtx, version: SpecVersion) {
+        let basis = self.spec_basis;
+        if !self
+            .checks
+            .iter()
+            .any(|c| (c.version, c.basis) == (version, basis))
+        {
+            let (_, tree) = self
+                .mgr
+                .active()
+                .expect("check only against an active speculation");
+            let tree = tree.clone();
+            self.spawn_check(ctx, version, tree, basis);
+        }
+        self.awaited_check = Some((version, basis));
+    }
+
+    /// Reduce result `basis` is in: if the live version is due a check
+    /// against it, start the check now rather than when the manager gets
+    /// to that basis event — it may still be waiting for an earlier verdict.
+    fn eager_check(&mut self, ctx: &mut dyn SchedCtx, basis: u64) {
+        let Some(path) = &self.spec_path else { return };
+        let (Some(version), tree) = (path.version, path.tree.clone()) else {
+            return;
+        };
+        if self.cfg.verification.should_check(basis, tree.basis) {
+            self.spawn_check(ctx, version, tree, basis);
+        }
+    }
+
+    fn spawn_check(
+        &mut self,
+        ctx: &mut dyn SchedCtx,
+        version: SpecVersion,
+        spec_tree: Arc<SpecTree>,
+        basis: u64,
+    ) {
+        let hist = self.acc[basis as usize - 1].clone();
         let tolerance = self.cfg.tolerance;
         let kind = self.cfg.predictor;
+        self.checks.push(CheckSlot {
+            version,
+            basis,
+            verdict: None,
+        });
         ctx.spawn(TaskSpec::check("check", 4096, basis, move |_| {
             let candidate = Arc::new(SpecTree::predict(kind, &hist, basis));
             let delta = relative_cost_delta(&spec_tree.lengths, &candidate.lengths, &hist);
@@ -809,6 +890,11 @@ impl HuffmanWorkload {
         n: usize,
     ) {
         for idx in lo..lo + n {
+            if self.done[idx].is_some() {
+                // Only the replay of a committed version meets blocks that
+                // are already out (see `on_version_lost`).
+                continue;
+            }
             let data = self.data[idx].as_ref().expect("arrived").clone();
             let table = tree.clone();
             // The output buffer travels into the task, comes back through
@@ -864,6 +950,32 @@ impl HuffmanWorkload {
         }
     }
 
+    /// A task of `version` was lost for good — it faulted, or its replica
+    /// votes never agreed — and the caller (executor or replication plane)
+    /// aborts the version right after this callback. A live version is
+    /// rolled back through the manager. The *committed* one has nothing to
+    /// roll back to: its delivered blocks are final, and the abort is about
+    /// to discard every task it still has out, so the blocks it has not
+    /// delivered are encoded again, with the same tree, by tasks that
+    /// carry no version.
+    fn on_version_lost(&mut self, ctx: &mut dyn SchedCtx, version: SpecVersion) {
+        if self.committed_version != Some(version) {
+            self.dispatch(ctx, move |mgr, out| {
+                mgr.on_external_abort_into(version, out)
+            });
+            // If that was the pending predictor, its verdict is in.
+            self.pump_speculation(ctx);
+        } else if self.spec_path.take().is_some() {
+            self.natural_path = Some(Path {
+                version: None,
+                tree: self.committed_tree.clone().expect("committed with a tree"),
+                next_block: 0,
+                offset_inflight: false,
+            });
+            self.pump_path(ctx, PathSel::Natural);
+        }
+    }
+
     fn finalize_block(&mut self, idx: usize, encoded: EncodedBlock, finished: Time) {
         if self.done[idx].is_some() {
             // Can only happen if both a committed-speculative and a natural
@@ -915,14 +1027,59 @@ impl HuffmanWorkload {
         self.actions_scratch = actions;
     }
 
+    /// Queue a manager input and deliver whatever is deliverable.
+    fn speculate(&mut self, ctx: &mut dyn SchedCtx, ev: SpecEvent) {
+        self.spec_events.push_back(ev);
+        self.pump_speculation(ctx);
+    }
+
+    /// Deliver the awaited check result if it is in, then queued manager
+    /// inputs, oldest first, until one of them leaves a verdict outstanding
+    /// (it asked for a predictor, or for a check that is not back yet).
+    /// Called again whenever a verdict may have come in.
+    fn pump_speculation(&mut self, ctx: &mut dyn SchedCtx) {
+        loop {
+            if let Some((version, basis)) = self.awaited_check {
+                let Some(i) = self
+                    .checks
+                    .iter()
+                    .position(|c| (c.version, c.basis) == (version, basis) && c.verdict.is_some())
+                else {
+                    break;
+                };
+                let (result, candidate) = self.checks.swap_remove(i).verdict.expect("is_some");
+                self.awaited_check = None;
+                self.dispatch(ctx, move |mgr, out| {
+                    mgr.on_check_result_into(version, result, Some((candidate, basis)), out)
+                });
+            } else if self.mgr.awaiting_prediction() {
+                break;
+            } else {
+                match self.spec_events.pop_front() {
+                    Some(SpecEvent::Basis(basis)) => {
+                        self.spec_basis = basis;
+                        self.dispatch(ctx, move |mgr, out| mgr.on_basis_into(basis, out));
+                    }
+                    Some(SpecEvent::Final) => {
+                        self.dispatch(ctx, |mgr, out| mgr.on_final_into(out));
+                    }
+                    None => break,
+                }
+            }
+        }
+    }
+
     fn handle_actions(&mut self, ctx: &mut dyn SchedCtx, actions: &mut Vec<Action>) {
         for a in actions.drain(..) {
             match a {
                 Action::StartPrediction { version } => self.spawn_predictor(ctx, version),
-                Action::SpawnCheck { version } => self.spawn_check(ctx, version),
+                Action::SpawnCheck { version } => self.await_check(ctx, version),
                 Action::Rollback { version } => {
                     ctx.abort_version(version);
                     self.buffer.abort(version);
+                    // Its checks are moot, the awaited one included.
+                    self.checks.retain(|c| c.version != version);
+                    self.awaited_check = self.awaited_check.filter(|&(v, _)| v != version);
                     if self
                         .spec_path
                         .as_ref()
@@ -1117,7 +1274,7 @@ impl Workload for HuffmanWorkload {
                 if self.cfg.speculates() && !self.first_count_seen {
                     self.first_count_seen = true;
                     if self.cfg.schedule.step == 0 && self.counts[0].is_some() {
-                        self.dispatch(ctx, |mgr, out| mgr.on_basis_into(0, out));
+                        self.speculate(ctx, SpecEvent::Basis(0));
                     }
                 }
                 // New counted blocks may unblock the active paths.
@@ -1131,10 +1288,10 @@ impl Workload for HuffmanWorkload {
                 self.acc.push(h);
                 self.reduces_done += 1;
                 self.reduce_inflight = false;
-                if self.cfg.speculates() && !self.mgr.is_done() && self.reduces_done < self.n_groups
-                {
+                if self.cfg.speculates() && self.reduces_done < self.n_groups {
                     let basis = self.reduces_done as u64;
-                    self.dispatch(ctx, move |mgr, out| mgr.on_basis_into(basis, out));
+                    self.eager_check(ctx, basis);
+                    self.speculate(ctx, SpecEvent::Basis(basis));
                 }
                 if self.reduces_done == self.n_groups {
                     self.spawn_tree(ctx);
@@ -1146,7 +1303,7 @@ impl Workload for HuffmanWorkload {
                 let tree = expect_payload::<Arc<SpecTree>>(done.output, "Arc<SpecTree>");
                 self.final_tree = Some(tree);
                 if self.cfg.speculates() {
-                    self.dispatch(ctx, |mgr, out| mgr.on_final_into(out));
+                    self.speculate(ctx, SpecEvent::Final);
                 } else {
                     self.dispatch(ctx, |_, out| out.push(Action::RecomputeNaturally));
                 }
@@ -1172,6 +1329,7 @@ impl Workload for HuffmanWorkload {
                     });
                     self.pump_path(ctx, PathSel::Spec);
                 }
+                self.pump_speculation(ctx);
             }
             "check" => {
                 let (version, result, candidate) =
@@ -1179,10 +1337,17 @@ impl Workload for HuffmanWorkload {
                         done.output,
                         "(version, CheckResult, Arc<SpecTree>)",
                     );
+                // Kept until the manager's turn comes to it; a check of a
+                // version rolled back meanwhile has no slot any more.
                 let basis = candidate.basis;
-                self.dispatch(ctx, move |mgr, out| {
-                    mgr.on_check_result_into(version, result, Some((candidate, basis)), out)
-                });
+                if let Some(slot) = self
+                    .checks
+                    .iter_mut()
+                    .find(|c| (c.version, c.basis) == (version, basis))
+                {
+                    slot.verdict = Some((result, candidate));
+                }
+                self.pump_speculation(ctx);
             }
             "final-check" => {
                 let (version, result) = expect_payload::<(SpecVersion, CheckResult)>(
@@ -1247,7 +1412,7 @@ impl Workload for HuffmanWorkload {
             // through the manager so the regular rollback actions clear the
             // path and wait buffer (the natural path re-covers the blocks).
             if let Some(v) = sdc.version {
-                self.dispatch(ctx, move |mgr, out| mgr.on_external_abort_into(v, out));
+                self.on_version_lost(ctx, v);
             }
         } else {
             // First divergence on this task: a silent corruption was
@@ -1265,7 +1430,7 @@ impl Workload for HuffmanWorkload {
         // the regular rollback actions clear the path and wait buffer.
         self.mgr.record_fault();
         if let Some(v) = fault.version {
-            self.dispatch(ctx, move |mgr, out| mgr.on_external_abort_into(v, out));
+            self.on_version_lost(ctx, v);
         }
     }
 
@@ -1506,6 +1671,156 @@ mod tests {
             "validation must reject corrupted trees: {s:?}"
         );
         decode_output(&res, &data);
+    }
+
+    /// Loses one task of a version the way the replication plane (replica
+    /// votes that never agree) or an executor (a faulted body) does — the
+    /// notice, then the abort — once, after the first completion at which
+    /// `when` names a version.
+    struct LoseVersion<F> {
+        inner: HuffmanWorkload,
+        when: F,
+        as_fault: bool,
+        lost: Option<SpecVersion>,
+    }
+
+    impl<F: FnMut(&HuffmanWorkload) -> Option<SpecVersion>> Workload for LoseVersion<F> {
+        fn on_input(&mut self, ctx: &mut dyn SchedCtx, block: InputBlock) {
+            self.inner.on_input(ctx, block);
+        }
+
+        fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
+            let (id, name, tag) = (done.id, done.name, done.tag);
+            self.inner.on_complete(ctx, done);
+            if self.lost.is_some() {
+                return;
+            }
+            let Some(v) = (self.when)(&self.inner) else {
+                return;
+            };
+            self.lost = Some(v);
+            let version = Some(v);
+            if self.as_fault {
+                let attempt = 0;
+                self.inner.on_fault(
+                    ctx,
+                    FaultNotice {
+                        id,
+                        name,
+                        version,
+                        tag,
+                        attempt,
+                    },
+                );
+            } else {
+                let unresolved = true;
+                self.inner.on_sdc(
+                    ctx,
+                    SdcNotice {
+                        id,
+                        name,
+                        version,
+                        unresolved,
+                    },
+                );
+            }
+            ctx.abort_version(v);
+        }
+
+        fn is_finished(&self) -> bool {
+            self.inner.is_finished()
+        }
+    }
+
+    /// The committed version, while it still owes blocks.
+    fn committed_with_blocks_out(w: &HuffmanWorkload) -> Option<SpecVersion> {
+        w.committed_version.filter(|_| w.blocks_done < w.n_blocks)
+    }
+
+    /// The version under its final check.
+    fn under_final_check(w: &HuffmanWorkload) -> Option<SpecVersion> {
+        w.mgr.pending_final().map(|(v, _)| v)
+    }
+
+    /// Runs `data` with one loss injected at `when`: on the simulator
+    /// (deterministic) and on two real workers fed everything at t = 0,
+    /// where a run that strands its blocks would hang — hence the timeout.
+    fn results_with_loss(
+        data: &[u8],
+        when: fn(&HuffmanWorkload) -> Option<SpecVersion>,
+        as_fault: bool,
+    ) -> Vec<PipelineResult> {
+        let cfg = small_cfg(DispatchPolicy::Balanced);
+        let lossy = || LoseVersion {
+            inner: HuffmanWorkload::new(cfg.clone(), data.len()),
+            when,
+            as_fault,
+            lost: None,
+        };
+        let sim = SimConfig {
+            platform: x86_smp(4),
+            policy: cfg.policy,
+            trace: false,
+        };
+        let rep = run(
+            lossy(),
+            &sim,
+            &HuffmanCost,
+            blocks_of(data, cfg.block_bytes, 0),
+        );
+        assert!(rep.workload.lost.is_some(), "the loss point was reached");
+        let mut results = vec![rep.workload.inner.result()];
+        // On real threads a run can be past the loss point before it gets
+        // there (everything encoded by the time the version commits).
+        let mut reached = 0;
+        for _ in 0..20 {
+            let inputs: Vec<(usize, Arc<[u8]>)> = data
+                .chunks(cfg.block_bytes)
+                .map(Arc::from)
+                .enumerate()
+                .collect();
+            let threaded = tvs_sre::exec::threaded::ThreadedConfig::new(2, cfg.policy);
+            let wl = lossy();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                let _ = tx.send(tvs_sre::exec::threaded::run(wl, &threaded, inputs).0);
+            });
+            let wl = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("the threaded run finishes instead of stranding blocks");
+            runner.join().expect("the runner thread exits cleanly");
+            reached += usize::from(wl.lost.is_some());
+            results.push(wl.inner.result());
+        }
+        assert!(reached > 0, "no threaded run reached the loss point");
+        results
+    }
+
+    #[test]
+    fn a_task_lost_after_commit_re_covers_the_blocks_still_out() {
+        // The abort that follows the notice discards every task the
+        // committed version still has out; nothing else would ever encode
+        // their blocks (parent: simulation deadlock, threaded hang).
+        let data = stationary_data(64 * 1024);
+        for as_fault in [false, true] {
+            for res in results_with_loss(&data, committed_with_blocks_out, as_fault) {
+                assert!(res.committed_version.is_some(), "commit is final");
+                decode_output(&res, &data);
+            }
+        }
+    }
+
+    #[test]
+    fn a_task_lost_under_the_final_check_falls_back_to_the_natural_path() {
+        let data = stationary_data(64 * 1024);
+        let serial = tvs_huffman::serial_encode(&data).unwrap();
+        for as_fault in [false, true] {
+            for res in results_with_loss(&data, under_final_check, as_fault) {
+                assert_eq!(res.committed_version, None);
+                assert_eq!(res.compressed_bits, serial.bit_len, "natural is optimal");
+                decode_output(&res, &data);
+            }
+        }
     }
 
     #[test]

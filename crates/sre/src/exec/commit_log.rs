@@ -1,12 +1,14 @@
-//! Lock-free commit log: the worker→router completion channel.
+//! Lock-free commit log: the completion channel from the worker that
+//! finished a task to whichever thread routes it.
 //!
-//! Until this module existed, finished tasks travelled from worker threads
-//! to the completion router over `std::sync::mpsc::sync_channel`, whose
-//! send and receive paths each take an internal mutex — so a short-task
-//! storm serialised every worker on one lock *before* the router even
-//! touched the commit lock. The [`CommitRing`] replaces it with a bounded
-//! multi-producer / single-consumer ring in the style of Vyukov's MPMC
-//! queue, restricted to one consumer:
+//! A finished task's report is pushed here and then routed by the thread
+//! that holds the commit lock (see [`super::threaded`]) — the pusher
+//! itself when the lock is free, the current holder otherwise. The
+//! [`CommitRing`] is a bounded multi-producer ring in the style of
+//! Vyukov's MPMC queue, restricted to **one consumer at a time**: the
+//! consumer role migrates between threads, and the commit lock that
+//! serialises them also orders one consumer's `head` store before the
+//! next one's load.
 //!
 //! * every slot carries an atomic **epoch** (`seq`): a slot with
 //!   `seq == pos` is free for the producer claiming ticket `pos`, a slot
@@ -14,24 +16,21 @@
 //!   the consumer's release stores `seq = pos + capacity` — handing the
 //!   slot to the producer one **lap** (epoch) later. Reclamation is thus
 //!   by epoch arithmetic, not by locks or deferred frees;
-//! * producers claim tickets with one CAS on `tail`; the consumer owns
-//!   `head` outright (no CAS on the pop path);
+//! * producers claim tickets with one CAS on `tail`; the consumer of the
+//!   moment owns `head` outright (no CAS on the pop path);
 //! * the crate is `forbid(unsafe_code)`, so slot *storage* is a
 //!   `Mutex<Option<T>>` — but the epoch protocol guarantees exactly one
 //!   thread touches a slot between two epoch transitions, so those mutexes
 //!   are uncontended by construction: `lock()` compiles to an uncontested
-//!   atomic exchange, never a futex wait. The coordination the old channel
-//!   did with a *shared* mutex happens here entirely on `seq`/`tail`.
+//!   atomic exchange, never a futex wait.
 //!
-//! The blocking receive is a Dekker-style park handshake (mirroring the
-//! worker parkers in [`super::threaded`]): the consumer publishes
-//! `parked = true` then re-checks the ring; producers publish a value then
-//! check `parked`. Both sides use `SeqCst`, so at least one observes the
-//! other and no wake-up is lost.
+//! Nothing here blocks or wakes anyone: there is no consumer to park. A
+//! push is one CAS plus one slot write, and [`CommitRing::is_empty`] lets
+//! a thread that just gave up the consumer role check — without taking it
+//! back — whether a report arrived meanwhile.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::thread::Thread;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::fault::lock_recover;
@@ -48,19 +47,8 @@ struct Slot<T> {
 pub enum PushError<T> {
     /// The ring is full (consumer a whole lap behind); value returned.
     Full(T),
-    /// The consumer closed the ring; value returned.
+    /// The ring was closed; value returned.
     Closed(T),
-}
-
-/// Outcome of a blocking pop.
-#[derive(Debug)]
-pub enum PopOutcome<T> {
-    /// A value was dequeued.
-    Item(T),
-    /// Every producer is gone and the ring is drained.
-    Disconnected,
-    /// The wait timed out with the ring still connected and empty.
-    TimedOut,
 }
 
 /// Counters describing ring traffic (observability + benches).
@@ -70,29 +58,21 @@ pub struct RingStats {
     pub pushes: u64,
     /// Push attempts that found the ring full and had to yield.
     pub full_retries: u64,
-    /// Times a producer unparked the sleeping consumer.
-    pub consumer_wakes: u64,
 }
 
-/// Bounded lock-free MPSC ring. See the module docs.
+/// Bounded lock-free multi-producer ring with one consumer at a time. See
+/// the module docs.
 pub struct CommitRing<T> {
     slots: Box<[Slot<T>]>,
     mask: u64,
     /// Next ticket to be claimed by a producer.
     tail: AtomicU64,
-    /// Next ticket to be consumed. Written only by the single consumer.
+    /// Next ticket to be consumed. Written only by the current consumer.
     head: AtomicU64,
-    /// Live producer handles; 0 + empty ring = disconnected.
-    producers: AtomicUsize,
-    /// Set by the consumer when it stops draining.
+    /// Set when the run stops draining.
     closed: AtomicBool,
-    /// The consumer's thread handle, for unparking.
-    consumer: OnceLock<Thread>,
-    /// Dekker flag: consumer is (about to be) parked.
-    consumer_parked: AtomicBool,
     pushes: AtomicU64,
     full_retries: AtomicU64,
-    consumer_wakes: AtomicU64,
 }
 
 impl<T> CommitRing<T> {
@@ -111,13 +91,9 @@ impl<T> CommitRing<T> {
             mask: cap as u64 - 1,
             tail: AtomicU64::new(0),
             head: AtomicU64::new(0),
-            producers: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
-            consumer: OnceLock::new(),
-            consumer_parked: AtomicBool::new(false),
             pushes: AtomicU64::new(0),
             full_retries: AtomicU64::new(0),
-            consumer_wakes: AtomicU64::new(0),
         }
     }
 
@@ -135,17 +111,20 @@ impl<T> CommitRing<T> {
             .wrapping_sub(self.head.load(Ordering::Relaxed))
     }
 
-    /// Register a producer. Dropping the handle deregisters it and wakes
-    /// the consumer so it can observe the disconnect.
-    pub fn producer(self: &std::sync::Arc<Self>) -> Producer<T> {
-        self.producers.fetch_add(1, Ordering::SeqCst);
-        Producer {
-            ring: std::sync::Arc::clone(self),
-        }
+    /// Whether nothing is published at the head ticket, i.e. [`Self::pop`]
+    /// would return `None`. Callable from any thread. While another thread
+    /// is consuming, the answer can be stale in either direction; that
+    /// consumer then owes its own check once it stops. With no consumer
+    /// active, a value whose push completed (SeqCst) before this call is
+    /// never missed.
+    pub fn is_empty(&self) -> bool {
+        let head = self.head.load(Ordering::SeqCst);
+        let slot = &self.slots[(head & self.mask) as usize];
+        slot.seq.load(Ordering::SeqCst) != head.wrapping_add(1)
     }
 
     /// Mark the ring closed: subsequent pushes fail with
-    /// [`PushError::Closed`]. Called by the consumer when it stops.
+    /// [`PushError::Closed`]. Called when the run stops draining.
     pub fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
     }
@@ -160,7 +139,6 @@ impl<T> CommitRing<T> {
         RingStats {
             pushes: self.pushes.load(Ordering::Relaxed),
             full_retries: self.full_retries.load(Ordering::Relaxed),
-            consumer_wakes: self.consumer_wakes.load(Ordering::Relaxed),
         }
     }
 
@@ -187,7 +165,6 @@ impl<T> CommitRing<T> {
                         *lock_recover(&slot.val) = Some(value);
                         slot.seq.store(tail.wrapping_add(1), Ordering::SeqCst);
                         self.pushes.fetch_add(1, Ordering::Relaxed);
-                        self.wake_consumer();
                         return Ok(());
                     }
                     Err(current) => tail = current,
@@ -203,10 +180,9 @@ impl<T> CommitRing<T> {
         }
     }
 
-    /// Enqueue with backpressure (the old channel's blocking send). Fails
-    /// only when the ring closes.
+    /// Enqueue with backpressure. Fails only when the ring closes.
     ///
-    /// A full ring means the consumer is a whole lap behind; on an
+    /// A full ring means consumption is a whole lap behind; on an
     /// oversubscribed machine pure `yield_now` spinning can still eat the
     /// producer's whole timeslice before the consumer runs, so after a few
     /// yields the backoff escalates to short sleeps that genuinely cede
@@ -232,7 +208,8 @@ impl<T> CommitRing<T> {
         }
     }
 
-    /// Non-blocking dequeue. **Single consumer only.**
+    /// Non-blocking dequeue. **One consumer at a time**: callers serialise
+    /// on a lock of their own (the commit lock in [`super::threaded`]).
     pub fn pop(&self) -> Option<T> {
         let head = self.head.load(Ordering::SeqCst);
         let slot = &self.slots[(head & self.mask) as usize];
@@ -247,87 +224,6 @@ impl<T> CommitRing<T> {
             .store(head.wrapping_add(self.slots.len() as u64), Ordering::SeqCst);
         self.head.store(head.wrapping_add(1), Ordering::SeqCst);
         value
-    }
-
-    /// Whether all producers have deregistered.
-    fn producers_gone(&self) -> bool {
-        self.producers.load(Ordering::SeqCst) == 0
-    }
-
-    /// Blocking dequeue with timeout. **Single consumer only.**
-    ///
-    /// Returns [`PopOutcome::Disconnected`] once every producer handle is
-    /// dropped *and* the ring is drained.
-    pub fn pop_wait(&self, timeout: Duration) -> PopOutcome<T> {
-        let _ = self.consumer.set(std::thread::current());
-        if let Some(v) = self.pop() {
-            return PopOutcome::Item(v);
-        }
-        if self.producers_gone() {
-            // Final race check: a producer may have published right before
-            // deregistering.
-            return match self.pop() {
-                Some(v) => PopOutcome::Item(v),
-                None => PopOutcome::Disconnected,
-            };
-        }
-        // Dekker handshake: publish parked, then re-check the ring; the
-        // producer publishes a value, then checks parked.
-        self.consumer_parked.store(true, Ordering::SeqCst);
-        if let Some(v) = self.pop() {
-            self.consumer_parked.store(false, Ordering::SeqCst);
-            return PopOutcome::Item(v);
-        }
-        if self.producers_gone() {
-            self.consumer_parked.store(false, Ordering::SeqCst);
-            return match self.pop() {
-                Some(v) => PopOutcome::Item(v),
-                None => PopOutcome::Disconnected,
-            };
-        }
-        std::thread::park_timeout(timeout);
-        self.consumer_parked.store(false, Ordering::SeqCst);
-        match self.pop() {
-            Some(v) => PopOutcome::Item(v),
-            None if self.producers_gone() => PopOutcome::Disconnected,
-            None => PopOutcome::TimedOut,
-        }
-    }
-
-    /// Unpark the consumer if it advertised itself parked.
-    fn wake_consumer(&self) {
-        // Cheap load first: while the consumer is actively draining, every
-        // push would otherwise do a SeqCst RMW on this shared line. The
-        // SeqCst load still pairs with the consumer's parked-store →
-        // re-check sequence, so no wake-up is lost.
-        if !self.consumer_parked.load(Ordering::SeqCst) {
-            return;
-        }
-        if self.consumer_parked.swap(false, Ordering::SeqCst) {
-            if let Some(t) = self.consumer.get() {
-                self.consumer_wakes.fetch_add(1, Ordering::Relaxed);
-                t.unpark();
-            }
-        }
-    }
-}
-
-/// A registered producer; dropping it deregisters and wakes the consumer.
-pub struct Producer<T> {
-    ring: std::sync::Arc<CommitRing<T>>,
-}
-
-impl<T> Producer<T> {
-    /// Blocking send with backpressure; `Err` only when the ring closed.
-    pub fn send(&self, value: T) -> Result<(), PushError<T>> {
-        self.ring.push(value)
-    }
-}
-
-impl<T> Drop for Producer<T> {
-    fn drop(&mut self) {
-        self.ring.producers.fetch_sub(1, Ordering::SeqCst);
-        self.ring.wake_consumer();
     }
 }
 
@@ -346,62 +242,45 @@ mod tests {
 
     #[test]
     fn fifo_within_a_single_producer() {
-        let r = Arc::new(CommitRing::with_capacity(8));
-        let p = r.producer();
+        let r = CommitRing::with_capacity(8);
+        assert!(r.is_empty());
         for i in 0..5 {
-            p.send(i).unwrap();
+            r.push(i).unwrap();
         }
+        assert!(!r.is_empty());
         for i in 0..5 {
             assert_eq!(r.pop(), Some(i));
         }
         assert_eq!(r.pop(), None);
+        assert!(r.is_empty());
     }
 
     #[test]
     fn full_ring_rejects_then_accepts_after_pop() {
-        let r: Arc<CommitRing<u32>> = Arc::new(CommitRing::with_capacity(2));
-        let p = r.producer();
-        p.send(1).unwrap();
-        p.send(2).unwrap();
+        let r: CommitRing<u32> = CommitRing::with_capacity(2);
+        r.push(1).unwrap();
+        r.push(2).unwrap();
         assert_eq!(r.try_push(3), Err(PushError::Full(3)));
         assert_eq!(r.pop(), Some(1));
-        p.send(3).unwrap();
+        r.push(3).unwrap();
         assert_eq!(r.pop(), Some(2));
         assert_eq!(r.pop(), Some(3));
     }
 
     #[test]
     fn closed_ring_fails_sends() {
-        let r: Arc<CommitRing<u32>> = Arc::new(CommitRing::with_capacity(4));
-        let p = r.producer();
+        let r: CommitRing<u32> = CommitRing::with_capacity(4);
         r.close();
-        assert!(matches!(p.send(7), Err(PushError::Closed(7))));
-    }
-
-    #[test]
-    fn disconnect_after_producers_drop_and_drain() {
-        let r: Arc<CommitRing<u32>> = Arc::new(CommitRing::with_capacity(4));
-        let p = r.producer();
-        p.send(9).unwrap();
-        drop(p);
-        match r.pop_wait(Duration::from_millis(10)) {
-            PopOutcome::Item(9) => {}
-            other => panic!("expected the drained item, got {other:?}"),
-        }
-        assert!(matches!(
-            r.pop_wait(Duration::from_millis(10)),
-            PopOutcome::Disconnected
-        ));
+        assert!(matches!(r.push(7), Err(PushError::Closed(7))));
     }
 
     #[test]
     fn epoch_reuse_across_many_laps() {
         // Wrap the 4-slot ring hundreds of times: the per-slot epoch
         // arithmetic must keep producer and consumer in lockstep.
-        let r = Arc::new(CommitRing::with_capacity(4));
-        let p = r.producer();
+        let r = CommitRing::with_capacity(4);
         for i in 0..1000u64 {
-            p.send(i).unwrap();
+            r.push(i).unwrap();
             assert_eq!(r.pop(), Some(i), "lap {}", i / 4);
         }
         assert_eq!(r.stats().pushes, 1000);
@@ -409,33 +288,53 @@ mod tests {
 
     #[test]
     fn mpsc_stress_delivers_every_value_exactly_once() {
+        // The consumer role migrates: several threads take turns popping,
+        // serialised by a mutex (as the commit lock does), while producers
+        // keep pushing through a ring small enough to wrap constantly.
         const PRODUCERS: usize = 4;
+        const CONSUMERS: usize = 3;
         const PER_PRODUCER: u64 = 5_000;
         let r: Arc<CommitRing<u64>> = Arc::new(CommitRing::with_capacity(16));
-        let handles: Vec<_> = (0..PRODUCERS)
+        let seen: Arc<Mutex<Vec<Vec<u64>>>> = Arc::new(Mutex::new(vec![Vec::new(); PRODUCERS]));
+        let producers: Vec<_> = (0..PRODUCERS)
             .map(|pid| {
-                let p = r.producer();
+                let r = Arc::clone(&r);
                 std::thread::spawn(move || {
                     for i in 0..PER_PRODUCER {
-                        p.send((pid as u64) << 32 | i).unwrap();
+                        r.push((pid as u64) << 32 | i).unwrap();
                     }
                 })
             })
             .collect();
-        let mut seen: Vec<Vec<u64>> = vec![Vec::new(); PRODUCERS];
-        loop {
-            match r.pop_wait(Duration::from_millis(50)) {
-                PopOutcome::Item(v) => seen[(v >> 32) as usize].push(v & 0xFFFF_FFFF),
-                PopOutcome::Disconnected => break,
-                PopOutcome::TimedOut => {}
-            }
-        }
-        for h in handles {
+        let total = PRODUCERS as u64 * PER_PRODUCER;
+        let consumers: Vec<_> = (0..CONSUMERS)
+            .map(|_| {
+                let (r, seen) = (Arc::clone(&r), Arc::clone(&seen));
+                std::thread::spawn(move || loop {
+                    // A short turn per lock hold, so the role really
+                    // alternates between the consumer threads.
+                    let mut seen = seen.lock().unwrap();
+                    for _ in 0..8 {
+                        match r.pop() {
+                            Some(v) => seen[(v >> 32) as usize].push(v & 0xFFFF_FFFF),
+                            None => break,
+                        }
+                    }
+                    if seen.iter().map(|s| s.len() as u64).sum::<u64>() == total {
+                        return;
+                    }
+                    drop(seen);
+                    std::thread::yield_now();
+                })
+            })
+            .collect();
+        for h in producers.into_iter().chain(consumers) {
             h.join().unwrap();
         }
-        for (pid, vals) in seen.iter().enumerate() {
+        assert!(r.is_empty());
+        for (pid, vals) in seen.lock().unwrap().iter().enumerate() {
             assert_eq!(vals.len() as u64, PER_PRODUCER, "producer {pid}");
-            // Per-producer FIFO survives the interleaving.
+            // Per-producer FIFO survives the interleaving and the hand-offs.
             assert!(vals.windows(2).all(|w| w[0] < w[1]), "producer {pid} order");
         }
     }

@@ -1,21 +1,23 @@
 //! Work-stealing thread-pool executor.
 //!
 //! Mirrors the paper's x86 SRE deployment — an input-feeder thread pushes
-//! blocks into the system, worker threads execute ready tasks, and a
-//! dedicated router thread plays the SuperTask role — but, unlike the
-//! original single-lock runtime (kept as [`super::baseline`]), nothing on
-//! the worker hot path takes the global scheduler lock:
+//! blocks into the system and worker threads execute ready tasks — but,
+//! unlike the original single-lock runtime (kept as [`super::baseline`]),
+//! no worker ever *waits* for the global scheduler lock, and there is no
+//! SuperTask thread: the SuperTask role is taken, turn by turn, by
+//! whichever thread holds the commit lock.
 //!
-//! * **Sharded dispatch.** A *dispatch pump*, run by whoever already holds
-//!   the commit lock (feeder on input, router on completion, or an idle
-//!   worker that `try_lock`s it — work conservation without ever blocking
-//!   a worker on the lock), batches [`Scheduler::dispatch_with`] pops out
-//!   of the central ready queue into per-worker *ready lanes* (bounded at
-//!   4× the worker count so policy decisions stay fresh). Pushes prefer
-//!   lanes whose workers are awake; workers pop their own lane from the
-//!   front and steal from other lanes' backs when theirs runs dry — tasks
-//!   here are coarse-grain (tens of µs to ms), so a `Mutex<VecDeque>` per
-//!   lane is plenty and keeps the crate `forbid(unsafe_code)`-clean.
+//! * **Sharded dispatch.** A *dispatch pump*, run at the end of every
+//!   commit-path turn, batches [`Scheduler::dispatch_with`] pops out of
+//!   the central ready queue into per-worker *ready lanes* (bounded at 4×
+//!   the worker count so policy decisions stay fresh). Pushes prefer lanes
+//!   whose workers are awake; workers pop their own lane from the front
+//!   and, when theirs runs dry, steal the *front* of another lane — the
+//!   entry the policy ranked first there (a check, a predictor, a chain's
+//!   next hop), which must not wait for a descheduled worker while thieves
+//!   take the work dispatched after it. Tasks here are
+//!   coarse-grain (tens of µs to ms), so a `Mutex<VecDeque>` per lane is
+//!   plenty and keeps the crate `forbid(unsafe_code)`-clean.
 //! * **Epoch-checked rollback.** Rollback stays O(1): [`Scheduler::
 //!   abort_version`] never chases entries already bound into lanes. Instead
 //!   every batch is stamped with the global abort epoch ([`AtomicU64`]); a
@@ -32,14 +34,31 @@
 //!   successful grab. A hot system never pays a syscall per task the way
 //!   the baseline's `notify_all` storm does, and an over-provisioned one
 //!   never turns queue depth into futex churn.
-//! * **Completion routing off the critical section.** Workers report
-//!   results over a bounded **lock-free commit log** — an epoch-reclaimed
-//!   MPSC ring ([`super::commit_log::CommitRing`]) — and a single router
-//!   thread drains it in batches, charges lanes, runs
-//!   `Workload::on_complete` and re-pumps. Reporting a completion costs
-//!   one CAS plus one uncontended slot write, so workload routing code
-//!   never blocks a worker and the dispatch pump never contends with the
-//!   completion drain.
+//! * **Completions routed where they finish (flat combining).** A worker
+//!   that finishes a task pushes its report onto a bounded **lock-free
+//!   commit log** ([`super::commit_log::CommitRing`]) and then `try_lock`s
+//!   the commit lock. Whoever holds that lock — this worker, another
+//!   worker, an idle worker about to park, the feeder after `on_input`,
+//!   the watchdog or the supervisor — takes a *turn* ([`turn`]): drain the
+//!   ring, run the worker-epoch gate, charge, complete, call
+//!   `Workload::on_complete`/`on_fault`, pump the lanes and evaluate run
+//!   completion. A successor on the DFG's critical path (reduce chain,
+//!   offset chain, check → rollback) is therefore spawned by the thread
+//!   that produced its input, without an OS scheduling round trip to a
+//!   router thread; and a failed `try_lock` costs the worker nothing, so
+//!   workload routing code still never blocks a worker.
+//!
+//!   *No report is stranded.* (1) A producer pushes, then `try_lock`s
+//!   ([`combine`]). (2) Every holder, after unlocking, re-checks the ring
+//!   and takes another turn if it is non-empty and the lock is still free
+//!   ([`turn`]'s `again`). Both sides put a `SeqCst` fence between their
+//!   write and their read (push → fence → `try_lock`; unlock → fence →
+//!   `is_empty`), so — Dekker again — either the producer finds the lock
+//!   free or the holder finds the report; if the lock was taken by a
+//!   *third* thread in between, the same argument applies to that holder,
+//!   and the last holder in the chain sees the report. (3) As a backstop
+//!   a worker re-checks the ring after publishing itself parked and does
+//!   not sleep while a report is visible: it goes round and `try_lock`s.
 //! * **Panic-isolated task bodies.** Every body runs under `catch_unwind`.
 //!   A panicking *speculative* task is treated exactly like a detected
 //!   misspeculation: its slot is reclaimed ([`Scheduler::fault`]), the
@@ -49,22 +68,25 @@
 //!   retried in place with bounded exponential backoff
 //!   ([`crate::RetryPolicy`]); only when retries are exhausted does the
 //!   run end — with a structured [`RunError`] from [`try_run`], never a
-//!   process abort. Poisoned locks are recovered, not propagated: one
-//!   caught panic must not wedge the runtime.
+//!   process abort. A panic inside a *workload callback* is caught on the
+//!   commit path itself (the lock is never poisoned by it) and fails the
+//!   run the same structured way. Poisoned locks are recovered, not
+//!   propagated: one caught panic must not wedge the runtime.
 //! * **Fault injection & watchdog.** A [`FaultInjector`]
 //!   (deterministically seeded, see `tvs-faults`) is consulted at the
 //!   task-body, completion and feeder sites, so chaos runs can exercise
 //!   the recovery paths on purpose; an optional watchdog thread cancels
-//!   tasks that exceed a deadline (signalling their abort flag and, for
-//!   speculative tasks, aborting their version so the speculation layer
-//!   restarts the work).
+//!   tasks that exceed a deadline (for speculative tasks, aborting their
+//!   version under the commit lock *before* raising their abort flag, so
+//!   the cut-short output is discarded however fast the worker routes it,
+//!   and the speculation layer restarts the work).
 //!
 //! The figure benches use the deterministic simulator instead; this
 //! executor exists to run the system end-to-end on real threads and to
 //! cross-validate outputs: both executors (and the baseline) run the *same*
 //! `Workload` implementations.
 
-use super::commit_log::{CommitRing, PopOutcome, Producer};
+use super::commit_log::CommitRing;
 use crate::fault::{self, RetryPolicy, RunError, SupervisorConfig, WatchdogConfig};
 use crate::metrics::RunMetrics;
 use crate::policy::DispatchPolicy;
@@ -72,8 +94,8 @@ use crate::sched::{CompletionOutcome, Dispatched, Scheduler};
 use crate::task::{Payload, SpecVersion, TaskClass, TaskCtx, TaskId, TaskSpec, Time};
 use crate::workload::{Completion, FaultNotice, InputBlock, SchedCtx, Workload};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 use tvs_faults::{FaultInjector, FaultKind, FaultSite};
 use tvs_metrics::{Counter, Gauge, Hist, MetricsHub};
@@ -138,11 +160,16 @@ struct WatchSlot {
     flagged: bool,
 }
 
-/// Lock-free-ish fabric shared by workers: ready lanes, parkers and the
-/// counters that let the pump and the policy observe lane state without the
-/// commit lock.
+/// Lock-free-ish fabric shared by workers: ready lanes, parkers, the commit
+/// log and the counters that let the pump and the policy observe lane state
+/// without the commit lock.
 struct Fabric {
     lanes: Vec<Mutex<VecDeque<Ready>>>,
+    /// Completion log: workers produce, the commit-lock holder consumes.
+    /// Bounded so a stalled commit path back-pressures workers instead of
+    /// buffering unboundedly; wide enough that a short-task storm rarely
+    /// spins on a full ring.
+    ring: CommitRing<Finished>,
     parkers: Vec<Parker>,
     /// Bumped by every version abort; lanes re-validate stale stamps.
     abort_epoch: AtomicU64,
@@ -157,15 +184,15 @@ struct Fabric {
     /// available_parallelism)`. Waking more than the hardware can run
     /// just converts queue depth into futex churn.
     target_awake: usize,
-    /// Yield-spin budget before parking (workers) or blocking (router).
-    /// Zero when the hardware has a single execution unit: there,
-    /// spinning only steals the quantum from the thread being waited on.
+    /// Yield-spin budget before a worker parks. Zero when the hardware has
+    /// a single execution unit: there, spinning only steals the quantum
+    /// from the thread being waited on.
     spin_limit: u32,
     /// Round-robin cursor for lane routing.
     next_lane: AtomicUsize,
     /// Per-lane worker incarnation. Completion reports are stamped with
-    /// the reporting incarnation's epoch; the router rejects reports whose
-    /// epoch no longer matches (the worker was quarantined), so a
+    /// the reporting incarnation's epoch; the commit path rejects reports
+    /// whose epoch no longer matches (the worker was quarantined), so a
     /// presumed-dead worker's straggling completions are re-fed instead of
     /// double-committed.
     worker_epoch: Vec<AtomicU64>,
@@ -186,8 +213,8 @@ struct Fabric {
     watch: Vec<Mutex<Option<WatchSlot>>>,
     watchdog_enabled: bool,
     /// Lifecycle event sink. Dispatch events go to the control ring (the
-    /// pump always runs under the commit lock, so that ring stays
-    /// single-writer); worker-side events go to each worker's own ring.
+    /// pump always runs under the commit lock, so that ring has one writer
+    /// at a time); worker-side events go to each worker's own ring.
     tracer: Tracer,
     /// Telemetry registry — *always* backed by a registry here (at least
     /// [`MetricsHub::internal`]): its sharded cells replace the bespoke
@@ -211,6 +238,7 @@ impl Fabric {
             .unwrap_or(workers);
         Fabric {
             lanes: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            ring: CommitRing::with_capacity((64 * workers).max(1024)),
             parkers: (0..workers)
                 .map(|_| Parker {
                     handle: Mutex::new(None),
@@ -278,9 +306,14 @@ impl Fabric {
         fault::lock_recover(&self.lanes[lane]).push_back(Ready { work, epoch });
     }
 
-    /// Take work for worker `me`: own lane front first (FCFS within the
-    /// lane), then steal from the back of the other lanes. The second
-    /// element is the victim lane when the task was stolen.
+    /// Take work for worker `me`: own lane front first, then the *front* of
+    /// another lane. A lane is filled in dispatch order, so its front is
+    /// what the policy ranked first — a check, a predictor, the next hop of
+    /// a chain — and a lane's own worker can be descheduled for
+    /// milliseconds: thieves that took the newest entry would let a check
+    /// wait behind every encode dispatched after it, for as long as that
+    /// worker stays off the CPU. The second element is the victim lane when
+    /// the task was stolen.
     fn grab(&self, me: usize) -> Option<(Ready, Option<usize>)> {
         if let Some(r) = fault::lock_recover(&self.lanes[me]).pop_front() {
             self.on_take(&r);
@@ -289,7 +322,7 @@ impl Fabric {
         let n = self.lanes.len();
         for off in 1..n {
             let victim = (me + off) % n;
-            if let Some(r) = fault::lock_recover(&self.lanes[victim]).pop_back() {
+            if let Some(r) = fault::lock_recover(&self.lanes[victim]).pop_front() {
                 self.on_take(&r);
                 return Some((r, Some(victim)));
             }
@@ -362,7 +395,7 @@ impl Fabric {
 }
 
 /// Scheduler + workload + run counters: everything behind the commit lock.
-/// Workers never touch this; only the feeder and the router do.
+/// Touched only during a commit-path [`turn`].
 struct Inner<W> {
     sched: Scheduler,
     workload: W,
@@ -376,6 +409,12 @@ struct Inner<W> {
     /// failing with this error. Shutdown proceeds through the normal done
     /// path so every thread still joins.
     failed: Option<RunError>,
+    /// Reports held back by an injected `DelayCompletion`, and
+    /// `DuplicateCompletion` echoes: routed with the next batch, after
+    /// everything that shared their own — the reordering is the fault.
+    delayed: Vec<Finished>,
+    /// The batch being routed (kept for its capacity between turns).
+    batch: Vec<Finished>,
 }
 
 /// How a worker's occupancy of a task ended.
@@ -389,9 +428,9 @@ enum BodyResult {
     Faulted { attempt: u32 },
 }
 
-/// A worker's report to the router, stamped with the reporting worker
-/// incarnation so the router's epoch gate can reject reports from
-/// quarantined workers (see [`Fabric::worker_epoch`]).
+/// A worker's report to the commit path, stamped with the reporting worker
+/// incarnation so the epoch gate can reject reports from quarantined
+/// workers (see [`Fabric::worker_epoch`]).
 struct Finished {
     id: TaskId,
     name: &'static str,
@@ -451,13 +490,294 @@ fn pump<W>(fabric: &Fabric, inner: &mut Inner<W>) -> bool {
     pushed
 }
 
-fn run_complete<W: Workload>(inner: &mut Inner<W>, now: Time) -> bool {
+fn run_complete<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> bool {
     let done = inner.failed.is_some()
         || (inner.workload.is_finished() && inner.input_done && inner.sched.is_idle());
     if done && inner.finished_at.is_none() {
-        inner.finished_at = Some(now);
+        inner.finished_at = Some(fabric.now());
     }
     done
+}
+
+/// Recover a task whose report cannot complete it — its body faulted, or
+/// the worker-epoch gate rejected the report — through the misspeculation
+/// path: reclaim the slot, tell the workload (whose speculation manager
+/// replays undo journals, and which re-spawns lost non-speculative work),
+/// then abort the version through the regular rollback. Returns the task's
+/// version, or `None` when it was no longer running ([`Scheduler::fault`]
+/// is idempotent, so an echo of an already-completed task is a pure
+/// rejection).
+fn recover<W: Workload>(
+    fabric: &Fabric,
+    inner: &mut Inner<W>,
+    f: &Finished,
+    attempt: u32,
+) -> Option<Option<SpecVersion>> {
+    let version = inner.sched.fault(f.id)?;
+    let Inner {
+        sched, workload, ..
+    } = inner;
+    let mut ctx = WsCtx {
+        sched,
+        abort_epoch: &fabric.abort_epoch,
+        now: f.finished,
+    };
+    workload.on_fault(
+        &mut ctx,
+        FaultNotice {
+            id: f.id,
+            name: f.name,
+            version,
+            tag: f.tag,
+            attempt,
+        },
+    );
+    if let Some(v) = version {
+        ctx.abort_version(v);
+    }
+    Some(version)
+}
+
+/// Route one batch of completion reports: held-back ones first, then up to
+/// 256 opportunistic lock-free pops, all under the caller's single
+/// commit-lock acquisition — on a short-task storm that amortises the
+/// lock/pump/wake cost across the backlog instead of paying it per task.
+/// Returns the stamp routing started at, `None` when nothing was pending.
+fn route<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> Option<Time> {
+    let mut batch = std::mem::take(&mut inner.batch);
+    batch.append(&mut inner.delayed);
+    while batch.len() < 256 {
+        match fabric.ring.pop() {
+            Some(f) => batch.push(f),
+            None => break,
+        }
+    }
+    if batch.is_empty() {
+        inner.batch = batch;
+        return None;
+    }
+    if fabric.hub.is_live() {
+        // Occupancy *after* the batch pops: what is still waiting behind
+        // this drain.
+        let occ = fabric.ring.occupancy();
+        fabric.hub.gauge_set(Gauge::RingOccupancy, occ);
+        fabric.hub.record(Hist::RingOccupancy, occ);
+    }
+    let route_from = fabric.now();
+    let mut waited_us = 0;
+    for f in batch.drain(..) {
+        // Worker-epoch gate: a report whose epoch no longer matches its
+        // lane's current incarnation comes from a quarantined worker (or
+        // is an injected duplicate echo). Reject it *before* any charging
+        // or completion routing — the dead incarnation's work must never
+        // double-commit — and recover the task through the fault path.
+        if f.epoch != fabric.worker_epoch[f.worker].load(Ordering::SeqCst) {
+            fabric.hub.add_control(Counter::StaleCompletionsRejected, 1);
+            recover(fabric, inner, &f, 0);
+            continue;
+        }
+        let mut echo = false;
+        if matches!(f.body, BodyResult::Ran(_)) {
+            match fabric.faults.draw(FaultSite::Completion) {
+                Some(FaultKind::DelayCompletion { .. }) => {
+                    inner.delayed.push(f);
+                    continue;
+                }
+                Some(FaultKind::DuplicateCompletion) => echo = true,
+                _ => {}
+            }
+        }
+        waited_us += route_from.saturating_sub(f.finished);
+        let busy = f.finished.saturating_sub(f.started);
+        match f.body {
+            BodyResult::Cancelled => {
+                inner.sched.cancel_bound(f.id);
+            }
+            BodyResult::Faulted { attempt } => {
+                inner.busy_us += busy;
+                inner.wasted_us += busy;
+                fabric.hub.add_control(Counter::BusyUs, busy);
+                fabric.hub.add_control(Counter::WastedUs, busy);
+                inner.sched.charge(f.class, busy);
+                if let Some(None) = recover(fabric, inner, &f, attempt) {
+                    inner.failed.get_or_insert(RunError::TaskFailed {
+                        name: f.name,
+                        id: f.id,
+                        attempts: attempt + 1,
+                    });
+                }
+            }
+            BodyResult::Ran(output) => {
+                inner.busy_us += busy;
+                fabric.hub.add_control(Counter::BusyUs, busy);
+                inner.sched.charge(f.class, busy);
+                match inner.sched.try_complete(f.id) {
+                    None => {}
+                    Some(CompletionOutcome::Discard) => {
+                        inner.discarded += 1;
+                        inner.wasted_us += busy;
+                        fabric.hub.add_control(Counter::WastedUs, busy);
+                    }
+                    Some(CompletionOutcome::Deliver) => {
+                        inner.delivered += 1;
+                        let Inner {
+                            sched, workload, ..
+                        } = inner;
+                        workload.on_complete(
+                            &mut WsCtx {
+                                sched,
+                                abort_epoch: &fabric.abort_epoch,
+                                now: f.finished,
+                            },
+                            Completion {
+                                id: f.id,
+                                name: f.name,
+                                version: f.version,
+                                tag: f.tag,
+                                started: f.started,
+                                finished: f.finished,
+                                output,
+                            },
+                        );
+                    }
+                }
+                if echo {
+                    // Deliver the completion a second time, stamped with an
+                    // epoch no incarnation ever holds: the duplicate flows
+                    // back through this loop and the worker-epoch gate
+                    // rejects it — exercising the same path that protects
+                    // against a quarantined worker's stragglers, instead of
+                    // quietly absorbing the echo in the scheduler.
+                    inner.delayed.push(Finished {
+                        epoch: u64::MAX,
+                        body: BodyResult::Faulted { attempt: 0 },
+                        ..f
+                    });
+                }
+            }
+        }
+    }
+    inner.batch = batch;
+    // How long completions waited for the commit path: per routed report,
+    // from the task's `finished` stamp to the start of its batch.
+    fabric.hub.add_control(Counter::TimeRouterWaitUs, waited_us);
+    Some(route_from)
+}
+
+/// What a commit-path [`turn`] — or a [`combine`] run of them — leaves for
+/// its caller.
+struct Turn {
+    /// The pump bound new work into the lanes.
+    pushed: bool,
+    /// µs this turn charged to `TimeCommitUs`; a worker moves its own
+    /// interval mark past them so no microsecond is charged twice.
+    commit_us: Time,
+    /// Reports are pending — held back, or published while this turn had
+    /// the lock: take another turn if the lock is still free.
+    again: bool,
+}
+
+/// One commit-path turn, by whoever holds the commit lock: run `entry`
+/// (the feeder's `on_input`, the watchdog's abort, … — nothing for a
+/// worker), route what the commit log holds, pump the lanes, evaluate run
+/// completion; then unlock, wake, and re-check the ring — the holder's half
+/// of the no-stranding argument in the module docs.
+///
+/// Control-ring trace events and control-shard gauges are only written
+/// from here, so they keep one writer at a time. A panicking workload
+/// callback is caught *inside* the lock hold: the lock is not poisoned,
+/// the run fails with a [`RunError`], and shutdown takes the normal path.
+fn turn<W: Workload>(
+    fabric: &Fabric,
+    mut guard: MutexGuard<'_, Inner<W>>,
+    entry: impl FnOnce(&mut Inner<W>),
+) -> Turn {
+    let inner = &mut *guard;
+    let routed = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        entry(&mut *inner);
+        route(fabric, &mut *inner)
+    })) {
+        Ok(routed) => routed,
+        Err(_) => {
+            inner.failed.get_or_insert(RunError::WorkerLost {
+                what: "workload callback",
+            });
+            None
+        }
+    };
+    let pushed = pump(fabric, inner);
+    // Held-back reports (injected delays and duplicate echoes) must flow
+    // through the gate before the run can end, or a last-batch echo would
+    // never exercise the reject path. One more turn drains them.
+    let held_back = !inner.delayed.is_empty();
+    let done = run_complete(fabric, inner) && !held_back;
+    drop(guard);
+    // Commit-path time: the whole routed batch under one lock acquisition
+    // (one add per batch, not per task).
+    let commit_us = routed.map_or(0, |from| {
+        let us = fabric.now().saturating_sub(from);
+        fabric.hub.add_control(Counter::TimeCommitUs, us);
+        us
+    });
+    if done {
+        fabric.done.store(true, Ordering::SeqCst);
+        // Close the ring so a worker spinning on a full ring (or racing a
+        // late push) fails fast instead of waiting for a drain that will
+        // not come.
+        fabric.ring.close();
+        fabric.wake_all();
+    } else if pushed {
+        fabric.wake_for_work();
+    }
+    // Unlock → fence → read the ring; pairs with push → fence → `try_lock`
+    // in [`combine`].
+    fence(Ordering::SeqCst);
+    Turn {
+        pushed,
+        commit_us,
+        again: !done && (held_back || !fabric.ring.is_empty()),
+    }
+}
+
+/// Flat combining: take commit-path turns for as long as reports are
+/// pending and the lock is free. Never waits for the lock — when it is
+/// busy, its holder re-checks the ring after unlocking. Called by a worker
+/// right after it pushed a report, and by an idle worker before it parks
+/// (work conservation: a dry spell refills the lanes without anyone else's
+/// help). Returns the turns' sum; `again` is left set only when reports
+/// were still pending and the lock was busy.
+fn combine<W: Workload>(fabric: &Fabric, commit: &Mutex<Inner<W>>) -> Turn {
+    let mut sum = Turn {
+        pushed: false,
+        commit_us: 0,
+        again: true,
+    };
+    fence(Ordering::SeqCst);
+    while sum.again {
+        let guard = match commit.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => break,
+        };
+        let t = turn(fabric, guard, |_| {});
+        sum.pushed |= t.pushed;
+        sum.commit_us += t.commit_us;
+        sum.again = t.again;
+    }
+    sum
+}
+
+/// Run `entry` under the commit lock (waiting for it) as part of a full
+/// [`turn`]: for the threads that bring their own work to the commit path
+/// — feeder, watchdog, supervisor.
+fn locked<W: Workload>(
+    fabric: &Fabric,
+    commit: &Mutex<Inner<W>>,
+    entry: impl FnOnce(&mut Inner<W>),
+) {
+    if turn(fabric, fault::lock_recover(commit), entry).again {
+        combine(fabric, commit);
+    }
 }
 
 /// One body attempt: act out any fault injected at the task-body site,
@@ -487,13 +807,12 @@ fn run_attempt(fabric: &Fabric, work: &mut Dispatched) -> std::thread::Result<Pa
 /// the lane's heartbeat and re-checks the lane's current epoch — an
 /// incarnation that lost its lane (it was presumed dead, then woke up)
 /// exits instead of racing its replacement, and its final report is
-/// rejected by the router's epoch gate.
-fn spawn_worker<W: Send + 'static>(
+/// rejected by the epoch gate.
+fn spawn_worker<W: Workload + Send + 'static>(
     me: usize,
     my_epoch: u64,
     fabric: Arc<Fabric>,
     commit: Arc<Mutex<Inner<W>>>,
-    tx: Producer<Finished>,
     retry: RetryPolicy,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
@@ -507,7 +826,9 @@ fn spawn_worker<W: Send + 'static>(
             // charged at the next grab, body time at task end and
             // park time around the futex nap — each boundary
             // reuses a stamp the loop already takes, so the only
-            // extra cost is one counter add per interval.
+            // extra cost is one counter add per interval. Time a
+            // commit-path turn charged to `TimeCommitUs` is kept
+            // out by moving `mark` past it.
             let mut mark = fabric.now();
             loop {
                 // Supervision bookkeeping costs one clock read plus two
@@ -564,9 +885,10 @@ fn spawn_worker<W: Send + 'static>(
                                 epoch: my_epoch,
                                 body: BodyResult::Cancelled,
                             };
-                            if tx.send(cancelled).is_err() {
+                            if fabric.ring.push(cancelled).is_err() {
                                 return;
                             }
+                            mark += combine(&fabric, &commit).commit_us;
                             continue;
                         }
                         let traced = fabric.tracer.is_enabled();
@@ -670,27 +992,27 @@ fn spawn_worker<W: Send + 'static>(
                             epoch: my_epoch,
                             body,
                         };
-                        if tx.send(report).is_err() {
+                        // Route it here and now if the commit lock is
+                        // free; otherwise its holder picks it up.
+                        if fabric.ring.push(report).is_err() {
                             return;
                         }
+                        mark += combine(&fabric, &commit).commit_us;
                     }
                     None => {
                         if fabric.done.load(Ordering::SeqCst) {
                             return;
                         }
-                        // Work conservation: refill the lanes
-                        // ourselves if the commit lock happens to be
-                        // free — a dry spell doesn't have to cost a
-                        // round trip through the router thread.
-                        if let Ok(mut guard) = commit.try_lock() {
-                            let pushed = pump(&fabric, &mut guard);
-                            drop(guard);
-                            if pushed {
-                                continue;
-                            }
+                        // Work conservation: take a commit-path turn
+                        // ourselves if the lock happens to be free —
+                        // route what is pending, refill the lanes.
+                        let turns = combine(&fabric, &commit);
+                        mark += turns.commit_us;
+                        if turns.pushed {
+                            continue;
                         }
-                        // Spin-then-park: a couple of yields lets
-                        // the feeder/router run and refill before we
+                        // Spin-then-park: a couple of yields lets the
+                        // feeder or a sibling's turn refill before we
                         // pay the (µs-scale) park/unpark futex trip.
                         if spins < fabric.spin_limit {
                             spins += 1;
@@ -705,9 +1027,15 @@ fn spawn_worker<W: Send + 'static>(
                         // SeqCst total order guarantees at least one
                         // side sees the other, so no wake-up is
                         // lost. The timeout is belt-and-braces only.
+                        // The ring re-check is the parker's part of
+                        // the no-stranding argument: never sleep on a
+                        // visible report — go round and `try_lock`
+                        // (if the lock is busy, its holder re-checks
+                        // the ring when it unlocks).
                         p.parked.store(true, Ordering::SeqCst);
                         fabric.parked_count.fetch_add(1, Ordering::SeqCst);
                         if fabric.in_lanes.load(Ordering::SeqCst) == 0
+                            && fabric.ring.is_empty()
                             && !fabric.done.load(Ordering::SeqCst)
                         {
                             let traced = fabric.tracer.is_enabled();
@@ -812,7 +1140,7 @@ where
 /// events land on the emitting worker's own ring. Timestamps are
 /// wall-clock µs from the tracer's epoch. A task-end's `discarded` flag
 /// reflects the abort flag at completion time — a task whose version is
-/// rolled back *after* it finishes but before the router routes it is
+/// rolled back *after* it finishes but before its report is routed is
 /// counted as wasted in [`RunMetrics`] but not flagged in the trace (the
 /// simulator's virtual trace is exact; this executor's is a per-task
 /// approximation).
@@ -886,12 +1214,12 @@ where
         wasted_us: 0,
         finished_at: None,
         failed: None,
+        delayed: Vec::new(),
+        batch: Vec::with_capacity(64),
     }));
 
-    {
-        let mut guard = fault::lock_recover(&commit);
-        let inner = &mut *guard;
-        let now = fabric.now();
+    let now = fabric.now();
+    locked(&fabric, &commit, |inner| {
         let Inner {
             sched, workload, ..
         } = inner;
@@ -900,37 +1228,15 @@ where
             abort_epoch: &fabric.abort_epoch,
             now,
         });
-        pump(&fabric, inner);
-    }
+    });
 
-    // Completion log: workers produce, the router consumes — a lock-free
-    // epoch-reclaimed ring (see [`super::commit_log`]) instead of a mutex
-    // channel, so reporting a completion never serialises workers on a
-    // shared lock. Bounded so a stalled router back-pressures workers
-    // instead of buffering unboundedly; wide enough that a short-task storm
-    // rarely spins on a full ring.
-    let ring: Arc<CommitRing<Finished>> =
-        Arc::new(CommitRing::with_capacity((64 * cfg.workers).max(1024)));
-
-    // Worker threads: grab from lanes, run, report. The commit lock is
-    // never *waited on* here — an idle worker may `try_lock` it to refill
-    // its own lanes (work conservation), but gives up instantly if the
-    // feeder or router holds it.
+    // Worker threads: grab from lanes, run, report, and route the report
+    // themselves when the commit lock is free. The lock is never *waited
+    // on* here — a worker only ever `try_lock`s it.
     let retry = cfg.retry;
     let workers: Vec<_> = (0..cfg.workers)
-        .map(|me| {
-            spawn_worker(
-                me,
-                0,
-                Arc::clone(&fabric),
-                Arc::clone(&commit),
-                ring.producer(),
-                retry,
-            )
-        })
+        .map(|me| spawn_worker(me, 0, Arc::clone(&fabric), Arc::clone(&commit), retry))
         .collect();
-    // Workers hold the only producer handles: when they exit, the ring
-    // disconnects and the router drains out.
 
     // Input feeder thread (the paper's first auxiliary thread).
     let feeder = {
@@ -940,8 +1246,8 @@ where
             .name("tvs-feeder".into())
             .spawn(move || {
                 for (index, data) in inputs {
-                    // A failing run stops consuming input: the router has
-                    // already initiated shutdown.
+                    // A failing run stops consuming input: shutdown has
+                    // already been initiated.
                     if fabric.done.load(Ordering::SeqCst) {
                         break;
                     }
@@ -949,327 +1255,38 @@ where
                         std::thread::sleep(Duration::from_micros(us));
                     }
                     let now = fabric.now();
-                    let mut guard = fault::lock_recover(&commit);
-                    let inner = &mut *guard;
+                    locked(&fabric, &commit, |inner| {
+                        let Inner {
+                            sched, workload, ..
+                        } = inner;
+                        workload.on_input(
+                            &mut WsCtx {
+                                sched,
+                                abort_epoch: &fabric.abort_epoch,
+                                now,
+                            },
+                            InputBlock {
+                                index,
+                                arrival: now,
+                                data,
+                            },
+                        );
+                    });
+                }
+                let now = fabric.now();
+                locked(&fabric, &commit, |inner| {
                     let Inner {
                         sched, workload, ..
                     } = inner;
-                    workload.on_input(
-                        &mut WsCtx {
-                            sched,
-                            abort_epoch: &fabric.abort_epoch,
-                            now,
-                        },
-                        InputBlock {
-                            index,
-                            arrival: now,
-                            data,
-                        },
-                    );
-                    let pushed = pump(&fabric, inner);
-                    drop(guard);
-                    if pushed {
-                        fabric.wake_for_work();
-                    }
-                }
-                let now = fabric.now();
-                let mut guard = fault::lock_recover(&commit);
-                let inner = &mut *guard;
-                let Inner {
-                    sched, workload, ..
-                } = inner;
-                workload.on_input_done(&mut WsCtx {
-                    sched,
-                    abort_epoch: &fabric.abort_epoch,
-                    now,
+                    workload.on_input_done(&mut WsCtx {
+                        sched,
+                        abort_epoch: &fabric.abort_epoch,
+                        now,
+                    });
+                    inner.input_done = true;
                 });
-                inner.input_done = true;
-                let pushed = pump(&fabric, inner);
-                let done = run_complete(inner, fabric.now());
-                drop(guard);
-                if done {
-                    fabric.done.store(true, Ordering::SeqCst);
-                    fabric.wake_all();
-                } else if pushed {
-                    fabric.wake_for_work();
-                }
             })
             .expect("failed to spawn feeder thread")
-    };
-
-    // Router thread (the paper's SuperTask role): the only place completion
-    // routing touches the commit lock, so `on_complete` never blocks a
-    // worker.
-    let router = {
-        let fabric = Arc::clone(&fabric);
-        let commit = Arc::clone(&commit);
-        let ring = Arc::clone(&ring);
-        std::thread::Builder::new()
-            .name("tvs-router".into())
-            .spawn(move || {
-                // Batch drain: opportunistic lock-free pops, all routed
-                // under a single commit-lock acquisition with one pump and
-                // one wake at the end. On a short-task storm this amortises
-                // the lock/pump/wake cost across the whole backlog instead
-                // of paying it per task — and since the pops never touch
-                // the commit lock, the dispatch pump (feeder or an idle
-                // worker) is free to run concurrently with the drain.
-                let mut batch: Vec<Finished> = Vec::with_capacity(64);
-                // Completions held back by an injected DelayCompletion;
-                // re-queued at the top of the next iteration, after
-                // whatever else arrived — the reordering is the fault.
-                let mut delayed: Vec<Finished> = Vec::new();
-                let mut idle = 0u32;
-                loop {
-                    batch.append(&mut delayed);
-                    while batch.len() < 256 {
-                        match ring.pop() {
-                            Some(f) => batch.push(f),
-                            None => break,
-                        }
-                    }
-                    if batch.is_empty() {
-                        // Spin-then-sleep: yield a few times before paying
-                        // the park/unpark futex trip — on a hot system the
-                        // next completion is only a task body away.
-                        if idle < 4 * fabric.spin_limit {
-                            idle += 1;
-                            std::thread::yield_now();
-                            continue;
-                        }
-                        let waited_from = fabric.now();
-                        let outcome = ring.pop_wait(Duration::from_millis(100));
-                        fabric.hub.add_control(
-                            Counter::TimeRouterWaitUs,
-                            fabric.now().saturating_sub(waited_from),
-                        );
-                        match outcome {
-                            PopOutcome::Item(f) => batch.push(f),
-                            PopOutcome::Disconnected => {
-                                ring.close();
-                                return;
-                            }
-                            PopOutcome::TimedOut => continue,
-                        }
-                    }
-                    idle = 0;
-                    if fabric.hub.is_live() {
-                        // Occupancy *after* the batch pops: what is still
-                        // waiting behind this drain.
-                        let occ = ring.occupancy();
-                        fabric.hub.gauge_set(Gauge::RingOccupancy, occ);
-                        fabric.hub.record(Hist::RingOccupancy, occ);
-                    }
-                    let route_from = fabric.now();
-                    let mut guard = fault::lock_recover(&commit);
-                    let inner = &mut *guard;
-                    for f in batch.drain(..) {
-                        // Worker-epoch gate: a report whose epoch no longer
-                        // matches its lane's current incarnation comes from
-                        // a quarantined worker (or is an injected duplicate
-                        // echo). Reject it *before* any charging or
-                        // completion routing — the dead incarnation's work
-                        // must never double-commit — and recover the task
-                        // through the regular fault path: reclaim its slot,
-                        // notify the workload (which re-spawns lost
-                        // non-speculative work) and abort its version. The
-                        // scheduler's `fault` is idempotent, so an echo of
-                        // an already-completed task is a pure rejection.
-                        let lane_epoch = fabric.worker_epoch[f.worker].load(Ordering::SeqCst);
-                        if f.epoch != lane_epoch {
-                            fabric.hub.add_control(Counter::StaleCompletionsRejected, 1);
-                            if let Some(vers) = inner.sched.fault(f.id) {
-                                let Inner {
-                                    sched, workload, ..
-                                } = inner;
-                                let mut ctx = WsCtx {
-                                    sched,
-                                    abort_epoch: &fabric.abort_epoch,
-                                    now: f.finished,
-                                };
-                                workload.on_fault(
-                                    &mut ctx,
-                                    FaultNotice {
-                                        id: f.id,
-                                        name: f.name,
-                                        version: vers,
-                                        tag: f.tag,
-                                        attempt: 0,
-                                    },
-                                );
-                                if let Some(v) = vers {
-                                    ctx.abort_version(v);
-                                }
-                            }
-                            continue;
-                        }
-                        let Finished {
-                            id,
-                            name,
-                            class,
-                            version,
-                            tag,
-                            started,
-                            finished,
-                            worker,
-                            epoch,
-                            body,
-                        } = f;
-                        match body {
-                            BodyResult::Cancelled => {
-                                inner.sched.cancel_bound(id);
-                            }
-                            BodyResult::Faulted { attempt } => {
-                                // Reuse the misspeculation path: reclaim the
-                                // slot, tell the workload (so its speculation
-                                // manager replays undo journals), then abort
-                                // the version through the regular rollback.
-                                let busy = finished.saturating_sub(started);
-                                inner.busy_us += busy;
-                                inner.wasted_us += busy;
-                                fabric.hub.add_control(Counter::BusyUs, busy);
-                                fabric.hub.add_control(Counter::WastedUs, busy);
-                                inner.sched.charge(class, busy);
-                                if let Some(vers) = inner.sched.fault(id) {
-                                    let Inner {
-                                        sched, workload, ..
-                                    } = inner;
-                                    let mut ctx = WsCtx {
-                                        sched,
-                                        abort_epoch: &fabric.abort_epoch,
-                                        now: finished,
-                                    };
-                                    workload.on_fault(
-                                        &mut ctx,
-                                        FaultNotice {
-                                            id,
-                                            name,
-                                            version: vers,
-                                            tag,
-                                            attempt,
-                                        },
-                                    );
-                                    match vers {
-                                        Some(v) => ctx.abort_version(v),
-                                        None => {
-                                            inner.failed.get_or_insert(RunError::TaskFailed {
-                                                name,
-                                                id,
-                                                attempts: attempt + 1,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                            BodyResult::Ran(output) => {
-                                let mut echo = false;
-                                match fabric.faults.draw(FaultSite::Completion) {
-                                    Some(FaultKind::DelayCompletion { .. }) => {
-                                        delayed.push(Finished {
-                                            id,
-                                            name,
-                                            class,
-                                            version,
-                                            tag,
-                                            started,
-                                            finished,
-                                            worker,
-                                            epoch,
-                                            body: BodyResult::Ran(output),
-                                        });
-                                        continue;
-                                    }
-                                    Some(FaultKind::DuplicateCompletion) => echo = true,
-                                    _ => {}
-                                }
-                                let busy = finished.saturating_sub(started);
-                                inner.busy_us += busy;
-                                fabric.hub.add_control(Counter::BusyUs, busy);
-                                inner.sched.charge(class, busy);
-                                match inner.sched.try_complete(id) {
-                                    None => {}
-                                    Some(CompletionOutcome::Discard) => {
-                                        inner.discarded += 1;
-                                        inner.wasted_us += busy;
-                                        fabric.hub.add_control(Counter::WastedUs, busy);
-                                    }
-                                    Some(CompletionOutcome::Deliver) => {
-                                        inner.delivered += 1;
-                                        let Inner {
-                                            sched, workload, ..
-                                        } = inner;
-                                        workload.on_complete(
-                                            &mut WsCtx {
-                                                sched,
-                                                abort_epoch: &fabric.abort_epoch,
-                                                now: finished,
-                                            },
-                                            Completion {
-                                                id,
-                                                name,
-                                                version,
-                                                tag,
-                                                started,
-                                                finished,
-                                                output,
-                                            },
-                                        );
-                                    }
-                                }
-                                if echo {
-                                    // Deliver the completion a second time,
-                                    // stamped with an epoch no incarnation
-                                    // ever holds: the duplicate flows back
-                                    // through this loop and the worker-epoch
-                                    // gate rejects it — exercising the same
-                                    // path that protects against a
-                                    // quarantined worker's stragglers,
-                                    // instead of quietly absorbing the echo
-                                    // in the scheduler.
-                                    delayed.push(Finished {
-                                        id,
-                                        name,
-                                        class,
-                                        version,
-                                        tag,
-                                        started,
-                                        finished,
-                                        worker,
-                                        epoch: u64::MAX,
-                                        body: BodyResult::Faulted { attempt: 0 },
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    let pushed = pump(&fabric, inner);
-                    // Held-back reports (injected delays and duplicate
-                    // echoes) must flow through the gate before the run can
-                    // end, or a last-batch echo would never exercise the
-                    // reject path. One more loop iteration drains them.
-                    let done = run_complete(inner, fabric.now()) && delayed.is_empty();
-                    drop(guard);
-                    // Commit-path time: the whole routed batch under one
-                    // lock acquisition (one add per batch, not per task).
-                    fabric.hub.add_control(
-                        Counter::TimeCommitUs,
-                        fabric.now().saturating_sub(route_from),
-                    );
-                    if done {
-                        fabric.done.store(true, Ordering::SeqCst);
-                        // Close the ring so a worker spinning on a full ring
-                        // (or racing a late send) fails fast instead of
-                        // waiting for a consumer that is gone.
-                        ring.close();
-                        fabric.wake_all();
-                        return;
-                    }
-                    if pushed {
-                        fabric.wake_for_work();
-                    }
-                }
-            })
-            .expect("failed to spawn router thread")
     };
 
     // Watchdog thread: polls the per-worker slots and cancels any task
@@ -1293,7 +1310,6 @@ where
                             continue;
                         }
                         s.flagged = true;
-                        TaskCtx::signal_abort(&s.flag);
                         fabric.hub.add_control(Counter::WatchdogCancels, 1);
                         if fabric.tracer.is_enabled() {
                             fabric.tracer.emit_control(EventKind::WatchdogCancel {
@@ -1302,17 +1318,24 @@ where
                                 ran_us: now.saturating_sub(s.started),
                             });
                         }
-                        let version = s.version;
+                        let (flag, version) = (Arc::clone(&s.flag), s.version);
                         drop(g);
-                        if let Some(v) = version {
-                            let mut guard = fault::lock_recover(&commit);
-                            let Inner { sched, .. } = &mut *guard;
-                            let mut ctx = WsCtx {
-                                sched,
-                                abort_epoch: &fabric.abort_epoch,
-                                now,
-                            };
-                            ctx.abort_version(v);
+                        // A speculative task is unstuck *under the commit
+                        // lock*, version first: the worker routes its own
+                        // report the moment the body returns, and a report
+                        // routed before the abort would deliver the cut-
+                        // short output instead of discarding it.
+                        match version {
+                            Some(v) => locked(&fabric, &commit, |inner| {
+                                WsCtx {
+                                    sched: &mut inner.sched,
+                                    abort_epoch: &fabric.abort_epoch,
+                                    now,
+                                }
+                                .abort_version(v);
+                                TaskCtx::signal_abort(&flag);
+                            }),
+                            None => TaskCtx::signal_abort(&flag),
                         }
                     }
                 }
@@ -1323,16 +1346,15 @@ where
     // Supervisor thread: polls the per-lane heartbeat clocks and recovers
     // lanes whose worker went dark — wedged in a body that ignores its
     // abort flag, or descheduled indefinitely. Quarantine bumps the lane's
-    // epoch (under the commit lock, so the router's gate and the bump are
+    // epoch (under the commit lock, so the epoch gate and the bump are
     // ordered), signals the old incarnation's running task, hands its
     // ready lane to the live workers, and respawns a replacement on the
     // fresh epoch. Any completion the quarantined incarnation still
-    // reports is rejected by the router's epoch gate and re-fed — never
+    // reports is rejected by the epoch gate and re-fed — never
     // double-committed.
     let supervisor = cfg.supervisor.map(|sv| {
         let fabric = Arc::clone(&fabric);
         let commit = Arc::clone(&commit);
-        let ring = Arc::clone(&ring);
         std::thread::Builder::new()
             .name("tvs-supervisor".into())
             .spawn(move || {
@@ -1348,26 +1370,27 @@ where
                             continue;
                         }
                         // Quarantine under the commit lock: the epoch bump
-                        // is ordered against the router's gate (which reads
-                        // epochs while routing under the same lock) and the
-                        // control-ring emissions stay single-writer.
-                        let guard = fault::lock_recover(&commit);
-                        let old = fabric.worker_epoch[me].fetch_add(1, Ordering::SeqCst);
-                        // Restart the clock so the replacement gets a full
-                        // timeout before it is judged.
-                        fabric.heartbeat[me].store(fabric.now(), Ordering::SeqCst);
-                        fabric.hub.add_control(Counter::WorkerRespawns, 1);
-                        if fabric.tracer.is_enabled() {
-                            fabric.tracer.emit_control(EventKind::WorkerQuarantine {
-                                worker: me as u32,
-                                epoch: old,
-                            });
-                            fabric.tracer.emit_control(EventKind::WorkerRespawn {
-                                worker: me as u32,
-                                epoch: old + 1,
-                            });
-                        }
-                        drop(guard);
+                        // is ordered against the gate (which reads epochs
+                        // while routing under the same lock) and the
+                        // control-ring emissions keep one writer at a time.
+                        let mut old = 0;
+                        locked(&fabric, &commit, |_| {
+                            old = fabric.worker_epoch[me].fetch_add(1, Ordering::SeqCst);
+                            // Restart the clock so the replacement gets a
+                            // full timeout before it is judged.
+                            fabric.heartbeat[me].store(fabric.now(), Ordering::SeqCst);
+                            fabric.hub.add_control(Counter::WorkerRespawns, 1);
+                            if fabric.tracer.is_enabled() {
+                                fabric.tracer.emit_control(EventKind::WorkerQuarantine {
+                                    worker: me as u32,
+                                    epoch: old,
+                                });
+                                fabric.tracer.emit_control(EventKind::WorkerRespawn {
+                                    worker: me as u32,
+                                    epoch: old + 1,
+                                });
+                            }
+                        });
                         // Unstick whatever the old incarnation is running:
                         // abort-aware bodies (and injected stalls) return
                         // early once the flag is up, after which the old
@@ -1382,7 +1405,6 @@ where
                             old + 1,
                             Arc::clone(&fabric),
                             Arc::clone(&commit),
-                            ring.producer(),
                             retry,
                         ));
                     }
@@ -1406,11 +1428,8 @@ where
             lost = lost.or(Some("worker"));
         }
     }
-    if router.join().is_err() {
-        lost = lost.or(Some("router"));
-    }
-    // Belt-and-braces: the router sets `done` on every exit path, but the
-    // watchdog must terminate even if the router was lost.
+    // Belt-and-braces: the turn that completes the run sets `done`, but the
+    // watchdog and supervisor must terminate even if every worker was lost.
     fabric.done.store(true, Ordering::SeqCst);
     if let Some(wd) = watchdog {
         if wd.join().is_err() {
@@ -1577,7 +1596,7 @@ mod tests {
     #[test]
     fn chained_spawning_from_completions() {
         // on_complete spawns a second-stage task: exercises re-entrant
-        // spawning through the router's pump.
+        // spawning through the commit-path pump.
         struct TwoStage {
             stage2_done: bool,
         }
@@ -1607,23 +1626,35 @@ mod tests {
 
     #[test]
     fn speculative_abort_under_threads() {
-        // A slow speculative task is aborted by a fast normal task; its
-        // output must be discarded, not delivered.
+        // A *running* speculative task is aborted by a normal task; its
+        // output must be discarded, not delivered. The normal task waits
+        // for the speculative one to start: its completion is routed the
+        // moment it finishes, and a rollback that beats the other worker
+        // to its lane would cancel the task instead of discarding it.
         struct SpecAbort {
             normal_done: bool,
             spec_delivered: bool,
         }
         impl Workload for SpecAbort {
             fn on_start(&mut self, ctx: &mut dyn SchedCtx) {
-                ctx.spawn(TaskSpec::speculative("spec", 0, 0, 1, 0, |ctx| {
-                    // Busy-wait until aborted or ~200ms cap.
+                let running = Arc::new(AtomicBool::new(false));
+                let started = Arc::clone(&running);
+                ctx.spawn(TaskSpec::speculative("spec", 0, 0, 1, 0, move |ctx| {
+                    started.store(true, Ordering::SeqCst);
+                    // Busy-wait until aborted or ~5 s cap.
                     let t0 = std::time::Instant::now();
-                    while !ctx.aborted() && t0.elapsed() < Duration::from_millis(200) {
+                    while !ctx.aborted() && t0.elapsed() < Duration::from_secs(5) {
                         std::thread::yield_now();
                     }
                     payload(ctx.aborted())
                 }));
-                ctx.spawn(TaskSpec::regular("normal", 0, 0, 0, |_| payload(())));
+                ctx.spawn(TaskSpec::regular("normal", 0, 0, 0, move |_| {
+                    let t0 = std::time::Instant::now();
+                    while !running.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(5) {
+                        std::thread::yield_now();
+                    }
+                    payload(())
+                }));
             }
             fn on_input(&mut self, _: &mut dyn SchedCtx, _: InputBlock) {}
             fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
@@ -1842,7 +1873,7 @@ mod tests {
     #[test]
     fn injected_panics_and_duplicates_recover_deterministically() {
         // Chaos smoke: inject panics at the task-body site and duplicated
-        // completions at the router, and require byte-identical results.
+        // completions on the commit path, and require byte-identical results.
         let blocks: Vec<(usize, Arc<[u8]>)> =
             (0..24).map(|i| (i, vec![i as u8; 50].into())).collect();
         let expect: u64 = (0..24u64).map(|i| i * 50).sum();

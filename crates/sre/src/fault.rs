@@ -29,9 +29,10 @@ pub enum RunError {
         /// Body attempts made (initial run + retries).
         attempts: u32,
     },
-    /// A runtime service thread (feeder, worker, router, watchdog) died
-    /// outside a task body — a runtime bug, but still reported as a value
-    /// so callers can fail their run instead of the process.
+    /// A runtime service thread (feeder, worker, watchdog, supervisor) died
+    /// outside a task body, or a workload callback panicked on the commit
+    /// path — a bug, but still reported as a value so callers can fail
+    /// their run instead of the process.
     WorkerLost {
         /// Which thread was lost.
         what: &'static str,
@@ -142,8 +143,8 @@ impl Default for WatchdogConfig {
 /// stamps a heartbeat clock each loop iteration, and a supervisor thread
 /// quarantines workers whose heartbeat goes stale — bumping their epoch so
 /// in-flight completion reports from the old incarnation are *rejected* at
-/// the router's gate instead of double-committed, reassigning their ready
-/// lane, and respawning a replacement on a fresh epoch.
+/// the commit path's epoch gate instead of double-committed, reassigning
+/// their ready lane, and respawning a replacement on a fresh epoch.
 ///
 /// False positives are safe by construction: a merely-slow worker whose
 /// epoch was bumped exits at its next loop iteration, and its straggling
@@ -267,8 +268,8 @@ mod tests {
             e.to_string(),
             "task 'count' (id 7) panicked on all 3 attempts"
         );
-        let w = RunError::WorkerLost { what: "router" };
-        assert!(w.to_string().contains("router"));
+        let w = RunError::WorkerLost { what: "feeder" };
+        assert!(w.to_string().contains("feeder"));
     }
 
     #[test]

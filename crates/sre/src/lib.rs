@@ -27,7 +27,8 @@
 //!   clock) used by every figure-regeneration bench;
 //! * [`exec::threaded`] — a real thread-pool executor running the same
 //!   workloads on wall-clock time, with sharded per-worker ready lanes,
-//!   work stealing and a dedicated completion-router thread (the
+//!   work stealing and completions routed by whichever thread holds the
+//!   commit lock — usually the worker that just finished the task (the
 //!   pre-sharding single-lock runtime survives as [`exec::baseline`] for
 //!   benchmarking);
 //! * [`metrics`] — per-task traces and aggregate counters shared by both.

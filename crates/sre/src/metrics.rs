@@ -77,7 +77,7 @@ pub struct RunMetrics {
     /// Total µs spent sleeping in jittered retry backoff (threaded
     /// executors only; the simulator retries instantaneously).
     pub retry_backoff_us: u64,
-    /// Completion reports rejected by the router's worker-epoch gate
+    /// Completion reports rejected by the commit path's worker-epoch gate
     /// (quarantined workers' in-flight reports and duplicated-completion
     /// injections — threaded executor only).
     pub stale_completions_rejected: u64,

@@ -12,8 +12,8 @@
 //! tasks of a version, so entries are indexed by version as well.
 
 use crate::policy::{DispatchPolicy, LaneLoads, QueueKind};
-use crate::task::{SpecVersion, TaskClass, TaskId};
-use std::collections::{BTreeMap, HashMap};
+use crate::task::{IdMap, SpecVersion, TaskClass, TaskId};
+use std::collections::BTreeMap;
 
 /// Orders ready tasks: deeper first, then FCFS (lower sequence number
 /// first). `BTreeMap` iteration is ascending, so depth is stored inverted.
@@ -52,7 +52,7 @@ pub struct ReadyQueue {
     control: BTreeMap<Rank, TaskId>,
     normal: BTreeMap<Rank, TaskId>,
     spec: BTreeMap<Rank, TaskId>,
-    index: HashMap<TaskId, IndexEntry>,
+    index: IdMap<IndexEntry>,
     seq: u64,
 }
 

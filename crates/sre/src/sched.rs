@@ -11,8 +11,8 @@
 
 use crate::policy::{DispatchPolicy, LaneLoads};
 use crate::queue::ReadyQueue;
-use crate::task::{SpecVersion, TaskClass, TaskCtx, TaskFn, TaskId, TaskSpec};
-use std::collections::{HashMap, HashSet};
+use crate::task::{IdMap, SpecVersion, TaskClass, TaskCtx, TaskFn, TaskId, TaskSpec};
+use std::collections::HashSet;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use tvs_metrics::{Counter, Gauge, Hist, MetricsHub};
@@ -89,8 +89,8 @@ struct Running {
 pub struct Scheduler {
     policy: DispatchPolicy,
     queue: ReadyQueue,
-    bodies: HashMap<TaskId, TaskSpec>,
-    running: HashMap<TaskId, Running>,
+    bodies: IdMap<TaskSpec>,
+    running: IdMap<Running>,
     aborted: HashSet<SpecVersion>,
     next_id: TaskId,
     stats: SchedStats,
@@ -112,8 +112,8 @@ impl Scheduler {
         Scheduler {
             policy,
             queue: ReadyQueue::new(),
-            bodies: HashMap::new(),
-            running: HashMap::new(),
+            bodies: IdMap::default(),
+            running: IdMap::default(),
             aborted: HashSet::new(),
             next_id: 1,
             stats: SchedStats::default(),

@@ -16,6 +16,31 @@ pub type Time = u64;
 /// Unique task identifier, assigned at spawn.
 pub type TaskId = u64;
 
+/// Hasher for the scheduler's [`TaskId`]-keyed maps, which are touched
+/// several times per task under the commit lock: one `fault::mix64` round
+/// instead of SipHash. Ids are handed out by the scheduler itself, never
+/// taken from outside input, so there is no collision flooding to defend
+/// against.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("IdHasher only hashes TaskId (u64) keys");
+    }
+    fn write_u64(&mut self, id: u64) {
+        self.0 = crate::fault::mix64(id);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by [`TaskId`] using [`IdHasher`]. Iteration order is
+/// as arbitrary as the default hasher's; nothing may depend on it.
+pub(crate) type IdMap<V> =
+    std::collections::HashMap<TaskId, V, std::hash::BuildHasherDefault<IdHasher>>;
+
 /// Monotonic speculation version; tasks tagged with an aborted version are
 /// destroyed (ready) or flagged (running) during rollback.
 pub type SpecVersion = u32;

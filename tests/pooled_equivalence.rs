@@ -82,9 +82,13 @@ fn run_engine_equivalence(seed: u64) {
         for _ in 0..rng.random_range(0..16usize) {
             let slot = rng.random_range(0..12u64);
             let val = rng.random::<u64>();
-            let pooled_old = buffer.push(version, slot, val);
-            let ref_old = ref_buf.insert(slot, val);
-            assert_eq!(pooled_old, ref_old, "seed {seed} round {round}");
+            buffer.push(version, slot, val);
+            ref_buf.insert(slot, val);
+            assert_eq!(
+                buffer.len_of(version),
+                ref_buf.len(),
+                "seed {seed} round {round}: a re-pushed slot must count once"
+            );
         }
 
         if rng.random() {

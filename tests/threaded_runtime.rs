@@ -3,11 +3,15 @@
 use std::sync::Arc;
 use tvs_huffman::{decode_exact, serial_encode, CodeTable};
 use tvs_iosim::Uniform;
+use tvs_metrics::{Counter, Hist, MetricsHub};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
-use tvs_pipelines::runner::run_huffman_threaded;
-use tvs_sre::exec::threaded::{run as run_threaded, ThreadedConfig};
-use tvs_sre::DispatchPolicy;
+use tvs_pipelines::runner::{run_huffman_sim, run_huffman_threaded, run_huffman_threaded_events};
+use tvs_sre::exec::threaded::{run as run_threaded, try_run, try_run_metered, ThreadedConfig};
+use tvs_sre::task::{payload, TaskSpec};
+use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
+use tvs_sre::{DispatchPolicy, RunError};
+use tvs_trace::{EventKind, Tracer};
 use tvs_workloads::FileKind;
 
 fn small_cfg(policy: DispatchPolicy) -> HuffmanConfig {
@@ -112,6 +116,39 @@ fn threaded_repeated_runs_converge_to_same_content() {
 }
 
 #[test]
+fn a_rolled_back_run_commits_the_simulators_tree_whatever_the_schedule() {
+    // Drifting input, every block due at t = 0, a check after every
+    // reduce: first-version checks, the promoted candidates' checks, the
+    // reduce chain and the final tree all race on real threads. The
+    // workload shows them to the speculation manager in one canonical
+    // order, so the committed stream is the simulator's, byte for byte.
+    let mut data = vec![b'x'; 128 * 1024];
+    data.extend((0..128 * 1024u32).map(|i| 128 + (i % 100) as u8));
+    let mut cfg = small_cfg(DispatchPolicy::Balanced);
+    cfg.verification = tvs_core::VerificationPolicy::Full;
+    cfg.schedule = tvs_core::SpeculationSchedule::with_step(1);
+    let at_once = Uniform {
+        gap_us: 0,
+        start_us: 0,
+    };
+    let sim = run_huffman_sim(&data, &cfg, &tvs_sre::x86_smp(8), &at_once);
+    assert!(sim.metrics.rollbacks > 0, "the input must mispredict");
+    for workers in [1, 2, 4, 8] {
+        for _ in 0..5 {
+            let out = run_huffman_threaded(&data, &cfg, workers, &at_once, 1);
+            assert_eq!(
+                out.result.spec_stats, sim.result.spec_stats,
+                "{workers} workers: the manager saw a different history"
+            );
+            assert!(
+                out.result.output == sim.result.output,
+                "{workers} workers: committed stream differs from the simulator's"
+            );
+        }
+    }
+}
+
+#[test]
 fn worker_counts_from_one_to_sixteen() {
     let data = tvs_workloads::generate(FileKind::Text, 64 * 1024, 24);
     for workers in [1usize, 2, 16] {
@@ -147,4 +184,147 @@ fn raw_executor_api_with_custom_feeder() {
     check_output(&data, &result);
     assert!(metrics.tasks_delivered > 0);
     assert!(metrics.busy_us > 0);
+}
+
+#[test]
+fn rollback_finds_first_version_work_still_outstanding() {
+    // 4 MB drifting input, every block due at t = 0: the prefix mispredicts
+    // and one rollback re-encodes the stream. Checks run at highest
+    // priority so that the failed one is *acted on* while most first-version
+    // encodes are still ready or running. If completions queue behind the
+    // workers instead of being routed where they finish, the rollback
+    // arrives after every first-version encode is done: nothing to delete,
+    // nothing to discard, exactly two encodes per block.
+    let data = tvs_workloads::generate_paper_sized(FileKind::Pdf, 7);
+    let cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
+    let n_blocks = data.len().div_ceil(cfg.block_bytes);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(2));
+    let (out, log) = run_huffman_threaded_events(
+        &data,
+        &cfg,
+        workers,
+        &Uniform {
+            gap_us: 0,
+            start_us: 0,
+        },
+        1,
+    );
+    assert!(out.metrics.rollbacks >= 1, "the input must mispredict");
+    assert_eq!(log.dropped, 0, "encode count needs the full event log");
+    let encodes = log
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::TaskStart { name: "encode", .. }))
+        .count();
+    let m = &out.metrics;
+    assert!(
+        m.tasks_deleted_ready + m.tasks_discarded > 0 || encodes < 2 * n_blocks,
+        "rollback came after all first-version work: {encodes} encodes for {n_blocks} blocks, \
+         {} deleted, {} discarded",
+        m.tasks_deleted_ready,
+        m.tasks_discarded
+    );
+}
+
+/// `len` tasks in one serial chain: each is spawned from the previous one's
+/// `on_complete`, so every hop needs its report routed before anything else
+/// can run.
+struct Chain {
+    len: u64,
+    done: u64,
+    /// Link whose `on_complete` panics (`u64::MAX`: none).
+    panic_at: u64,
+}
+
+impl Chain {
+    fn link(ctx: &mut dyn SchedCtx, i: u64) {
+        ctx.spawn(TaskSpec::regular("link", 0, 0, i, move |_| payload(i)));
+    }
+}
+
+impl Workload for Chain {
+    fn on_start(&mut self, ctx: &mut dyn SchedCtx) {
+        Chain::link(ctx, 0);
+    }
+    fn on_input(&mut self, _: &mut dyn SchedCtx, _: InputBlock) {}
+    fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
+        assert_eq!(done.tag, self.done, "links complete in order");
+        assert!(done.tag != self.panic_at, "injected callback panic");
+        self.done += 1;
+        if self.done < self.len {
+            Chain::link(ctx, self.done);
+        }
+    }
+    fn is_finished(&self) -> bool {
+        self.done == self.len
+    }
+}
+
+/// CPU time the hypervisor withheld from this machine so far, in clock
+/// ticks (`/proc/stat`, first line, 8th value); `None` where there is none.
+fn steal_ticks() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    stat.lines().next()?.split_whitespace().nth(8)?.parse().ok()
+}
+
+#[test]
+fn no_completion_report_is_ever_stranded() {
+    // A stranded report (pushed while the commit lock was busy, then never
+    // picked up) is only rescued by the parkers' 100 ms timeout: some
+    // worker naps that long *and* the report waits that long to be routed.
+    // Either alone also happens on a loaded box — an idle worker naps
+    // through a run that was descheduled, a worker loses the CPU between
+    // finishing a task and routing it — so a run fails on both together,
+    // and not when the hypervisor took the CPUs away meanwhile (this runs
+    // in a shared VM whose vCPUs freeze for ~100 ms at a time under load).
+    const RUNS: usize = 1_000;
+    for workers in [1usize, 2, 4] {
+        let cfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
+        for run in 0..RUNS {
+            let chain = Chain {
+                len: 12,
+                done: 0,
+                panic_at: u64::MAX,
+            };
+            let hub = MetricsHub::enabled(workers);
+            let stolen = steal_ticks();
+            let (chain, m) = try_run_metered(
+                chain,
+                &cfg,
+                Vec::<(usize, Arc<[u8]>)>::new(),
+                Tracer::disabled(),
+                hub.clone(),
+            )
+            .expect("chain completes");
+            assert_eq!((chain.done, m.tasks_delivered), (12, 12));
+            let snap = hub.snapshot().expect("live hub");
+            let longest_nap_us = snap.hist(Hist::IdleSliceUs).quantile(1.0);
+            let waited_us = hub.counter_total(Counter::TimeRouterWaitUs);
+            assert!(
+                longest_nap_us < 65_536 || waited_us < 50_000 || steal_ticks() != stolen,
+                "{workers} workers, run {run}: a worker slept {longest_nap_us} µs (log bucket \
+                 bound) while reports waited {waited_us} µs to be routed — the park timeout \
+                 rescued a stranded report"
+            );
+        }
+    }
+}
+
+#[test]
+fn panicking_workload_callback_fails_the_run_with_a_structured_error() {
+    // `on_complete` now runs on whichever thread holds the commit lock —
+    // usually a worker. Its panic must not kill that worker with the lock
+    // poisoned and the run hanging: it ends the run with a RunError.
+    for workers in [1usize, 3] {
+        let chain = Chain {
+            len: 8,
+            done: 0,
+            panic_at: 3,
+        };
+        let cfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
+        let Err(err) = try_run(chain, &cfg, Vec::<(usize, Arc<[u8]>)>::new()) else {
+            panic!("a panicking callback must fail the run");
+        };
+        assert!(matches!(err, RunError::WorkerLost { .. }), "got {err}");
+    }
 }
