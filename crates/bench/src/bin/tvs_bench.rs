@@ -129,6 +129,35 @@ fn huffman_rows() -> Vec<Row> {
     });
     rows.push(Row::from_measurement("encode_block_reuse", &m));
 
+    // What the pipeline does with a committed block: 4 KiB blocks encoded
+    // with the lead their offset asks for, placed into one stream. Bytes
+    // are source bytes, as for the encode cell.
+    let mut at = 0u64;
+    let placed: Vec<(u64, EncodedBlock)> = data
+        .chunks(tvs_pipelines::config::BLOCK_BYTES)
+        .map(|b| {
+            let mut e = EncodedBlock::default();
+            assert!(tvs_huffman::encode_block_at(
+                b,
+                &table,
+                (at % 8) as u8,
+                &mut e
+            ));
+            let start = at;
+            at += e.bit_len;
+            (start, e)
+        })
+        .collect();
+    let mut stream = Vec::with_capacity(BLOCK);
+    let m = bench_with("place_blocks", Opts::throughput(BLOCK as u64), || {
+        stream.clear();
+        for (start, e) in &placed {
+            tvs_huffman::place(&mut stream, *start, e);
+        }
+        black_box(stream.len())
+    });
+    rows.push(Row::from_measurement("place_blocks", &m));
+
     rows
 }
 

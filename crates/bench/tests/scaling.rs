@@ -11,6 +11,9 @@
 //! an uncontended lock, while sharded dispatch still pays its channel hop
 //! and lane bookkeeping — so the test only guards against pathological
 //! regressions there (0.4× floor).
+//!
+//! The two executors are timed in alternating pairs and the floor applies
+//! to the median of the per-pair ratios.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,39 +46,46 @@ impl Workload for PerBlock {
     }
 }
 
-fn median_secs(reps: usize, mut run: impl FnMut() -> f64) -> f64 {
-    let mut secs: Vec<f64> = (0..reps).map(|_| run()).collect();
-    secs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    secs[secs.len() / 2]
+/// Wall seconds of one run of `N` short tasks on `run`'s executor.
+fn timed(run: impl FnOnce(PerBlock, Vec<(usize, Arc<[u8]>)>) -> PerBlock) -> f64 {
+    const N: usize = 2000;
+    let inputs = (0..N).map(|i| (i, vec![0u8; 16].into())).collect();
+    let t = Instant::now();
+    let w = run(PerBlock { n: N, seen: 0 }, inputs);
+    assert_eq!(w.seen, N);
+    t.elapsed().as_secs_f64()
 }
 
 #[test]
 fn work_stealing_beats_single_lock_on_short_tasks() {
-    const N: usize = 2000;
     const WORKERS: usize = 8;
+    const PAIRS: usize = 9;
     let cfg = ThreadedConfig::new(WORKERS, DispatchPolicy::NonSpeculative);
-    let inputs =
-        || -> Vec<(usize, Arc<[u8]>)> { (0..N).map(|i| (i, vec![0u8; 16].into())).collect() };
+    // The two executors take turns and each pair gives one ratio: the
+    // shared box's speed drifts by the minute, and five runs of one
+    // executor followed by five of the other put that drift on one side.
+    let mut pairs: Vec<(f64, f64, f64)> = (0..PAIRS)
+        .map(|i| {
+            let ws = || timed(|w, inputs| threaded::run(w, &cfg, inputs).0);
+            let base = || timed(|w, inputs| baseline::run(w, &cfg, inputs).0);
+            let (ws, base) = if i % 2 == 0 {
+                let ws = ws();
+                (ws, base())
+            } else {
+                let base = base();
+                (ws(), base)
+            };
+            (base / ws, ws, base)
+        })
+        .collect();
+    pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+    let (speedup, ws, base) = pairs[PAIRS / 2];
 
-    let ws = median_secs(5, || {
-        let t = Instant::now();
-        let (w, _) = threaded::run(PerBlock { n: N, seen: 0 }, &cfg, inputs());
-        assert_eq!(w.seen, N);
-        t.elapsed().as_secs_f64()
-    });
-    let base = median_secs(5, || {
-        let t = Instant::now();
-        let (w, _) = baseline::run(PerBlock { n: N, seen: 0 }, &cfg, inputs());
-        assert_eq!(w.seen, N);
-        t.elapsed().as_secs_f64()
-    });
-
-    let speedup = base / ws;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     eprintln!(
-        "short tasks @ {WORKERS} workers ({cores} cores): \
+        "short tasks @ {WORKERS} workers ({cores} cores), median of {PAIRS} pairs: \
          ws {ws:.4}s, baseline {base:.4}s ({speedup:.2}x)"
     );
     let floor = if std::env::var_os("TVS_SCALING_STRICT").is_some_and(|v| v == "1") {

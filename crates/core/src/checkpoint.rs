@@ -3,8 +3,9 @@
 //! A streaming run's durable state is its *committed prefix*: the
 //! contiguous run of finalized blocks at the front of the stream, the
 //! histogram they contributed, the code table that encoded them, the
-//! assembled output bitstream (whose trailing partial byte is the encoder
-//! bit-IO carry) and the position the offset chain had reached. A
+//! output bitstream up to the offset at which the first block past the
+//! prefix starts (its trailing partial byte is shared with that block) and
+//! the position the offset chain had reached. A
 //! [`StreamSnapshot`] captures exactly that, serialized as one flat JSON
 //! line and written atomically (`.tmp-<pid>` + rename, the post-mortem
 //! bundle discipline), so a crashed or killed run resumes by re-feeding
@@ -107,8 +108,9 @@ impl std::fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-/// FNV-1a over a byte slice — the digest used to bind a snapshot to its
-/// input data and pipeline configuration.
+/// FNV-1a over a byte slice — the digest that binds a snapshot to its
+/// pipeline configuration (a short string; for the input stream see
+/// [`input_digest`]).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -118,12 +120,46 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The digest that binds a snapshot to its input stream. It is computed
+/// over the whole input before the first block is fed, so it must not cost
+/// what a byte-at-a-time hash does (one dependent multiply per byte: 5.6 ms
+/// for 4 MB): four independent lanes each fold 8 bytes per multiply, then
+/// the length, the lanes and the last `len % 32` bytes are folded into one
+/// word.
+///
+/// Every step is a bijection of the running state for a given input word
+/// and of the input word for a given state, so two inputs of one length
+/// that differ in a single word never collide. This detects a wrong or
+/// damaged input file; it is no defence against a crafted one. A snapshot
+/// written with another digest fails [`StreamSnapshot::check_matches`].
+pub fn input_digest(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x9E37_79B1_85EB_CA87;
+    fn fold(h: u64, w: u64) -> u64 {
+        (h ^ w).wrapping_mul(PRIME).rotate_left(31)
+    }
+    let mut lanes = [1u64, 2, 3, 4].map(|i| PRIME.wrapping_mul(i));
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = fold(
+                *lane,
+                u64::from_le_bytes(w.try_into().expect("8-byte chunk")),
+            );
+        }
+    }
+    let h = lanes.into_iter().fold(bytes.len() as u64, fold);
+    stripes
+        .remainder()
+        .iter()
+        .fold(h, |h, &b| fold(h, u64::from(b)))
+}
+
 /// The exact state needed to resume a committed prefix (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamSnapshot {
     /// FNV-1a digest of the pipeline parameters that shape the output.
     pub config_digest: u64,
-    /// FNV-1a digest of the full input byte stream.
+    /// [`input_digest`] of the full input byte stream.
     pub input_digest: u64,
     /// Total blocks in the stream.
     pub n_blocks: u64,
@@ -149,9 +185,9 @@ pub struct StreamSnapshot {
     /// The speculation version that produced the committed tree (0 when
     /// the tree came from the natural path or none exists).
     pub committed_version: u64,
-    /// Assembled prefix bitstream, padded to whole bytes. The trailing
-    /// partial byte (if `stream_bit_len % 8 != 0`) is the encoder's
-    /// bit-IO carry: resume re-seeds a writer with exactly these bits.
+    /// The prefix's bitstream, padded to whole bytes. The bits of the
+    /// trailing partial byte past `stream_bit_len` are zero: the resumed
+    /// run places block `prefix` into them.
     pub stream_bytes: Vec<u8>,
     /// Exact bit length of the prefix stream.
     pub stream_bit_len: u64,
@@ -505,6 +541,26 @@ mod tests {
             s.check_matches(s.config_digest, 0),
             Err(ResumeError::InputMismatch)
         );
+    }
+
+    #[test]
+    fn input_digest_sees_every_flipped_byte_and_every_truncation() {
+        // Long enough for several stripes and a ragged tail.
+        let data: Vec<u8> = (0..32 * 5 + 19u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 24) as u8)
+            .collect();
+        let whole = input_digest(&data);
+        for i in 0..data.len() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut d = data.clone();
+                d[i] ^= flip;
+                assert_ne!(input_digest(&d), whole, "byte {i} ^ {flip:#x}");
+            }
+            assert_ne!(input_digest(&data[..i]), whole, "cut to {i} bytes");
+        }
+        // Zero bytes are input too: length alone must tell these apart.
+        assert_ne!(input_digest(&[0; 32]), input_digest(&[0; 64]));
+        assert_ne!(input_digest(&[]), input_digest(&[0]));
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   the decoder used as a round-trip oracle in tests;
 //! * [`block_bits`] / [`OffsetChain`] — the bit-offset computation that
 //!   parallelises the encode phase (the paper's `offset` tasks);
+//! * [`encode_block_at`] / [`place`] — encoding a block pre-aligned to its
+//!   offset and writing it into the output stream there, in any order;
 //! * [`estimate`] — compressed-size estimation and the tolerance verdict the
 //!   paper's `check` tasks compute;
 //! * [`serial`] — a two-pass serial reference encoder (correctness oracle and
@@ -52,7 +54,10 @@ pub use bitio::{BitReader, BitWriter};
 pub use codes::CodeTable;
 pub use container::{compress, unpack, ContainerError};
 pub use decode::{decode_exact, Decoder};
-pub use encode::{concat_blocks, encode_block, encode_block_into, EncodedBlock};
+pub use encode::{
+    concat_blocks, encode_block, encode_block_at, encode_block_into, place, set_bit_len,
+    EncodedBlock,
+};
 pub use estimate::{relative_cost_delta, tolerance_verdict, Verdict};
 pub use histogram::Histogram;
 pub use offset::{block_bits, OffsetChain};

@@ -6,6 +6,12 @@
 //! tasks: each computes the bit offsets of a group of blocks from the
 //! per-block histograms, the code table and the final offset of the previous
 //! group, then fans out the group's encode tasks.
+//!
+//! The offsets are what lets the parallel encodes put their bits where they
+//! belong: an encode starts its block `offset % 8` bits into its first byte
+//! ([`crate::encode::encode_block_at`]) and the committed block is written
+//! at `offset` in the one output stream ([`crate::encode::place`]), so no
+//! pass over the whole output is left for the end of the run.
 
 use crate::codes::CodeTable;
 use crate::histogram::Histogram;
@@ -56,13 +62,19 @@ impl OffsetChain {
         for h in group_hists {
             lens.push(block_bits(h, table)?);
         }
-        let mut starts = Vec::with_capacity(group_hists.len());
-        for len in lens {
-            starts.push(self.next_offset);
+        let first = self.offsets.len();
+        self.extend(&lens);
+        Some(self.offsets[first..].to_vec())
+    }
+
+    /// Extend the chain with blocks whose encoded bit lengths are already
+    /// known (an `offset` task computes them on a worker; the chain itself
+    /// lives with the path that owns the version).
+    pub fn extend(&mut self, lens: &[u64]) {
+        for &len in lens {
             self.offsets.push(self.next_offset);
             self.next_offset += len;
         }
-        Some(starts)
     }
 
     /// Bit offset where the next block would start (== total bits so far).

@@ -3,10 +3,10 @@
 //! deterministic per-case seeds reproduce failures exactly.
 
 use tvs_huffman::{
-    concat_blocks, decode_exact, encode_block, relative_cost_delta, serial_decode, serial_encode,
-    CodeLengths, CodeTable, Histogram, OffsetChain,
+    concat_blocks, decode_exact, encode_block, encode_block_at, place, relative_cost_delta,
+    serial_decode, serial_encode, CodeLengths, CodeTable, EncodedBlock, Histogram, OffsetChain,
 };
-use tvs_rng::{bytes, cases};
+use tvs_rng::{bytes, cases, SmallRng};
 
 /// encode ∘ decode = identity for arbitrary non-empty inputs.
 #[test]
@@ -70,6 +70,90 @@ fn prop_blockwise_equals_serial() {
         let (stream, bits) = concat_blocks(encoded.iter());
         assert_eq!(bits, serial.bit_len);
         assert_eq!(stream, serial.bytes);
+    });
+}
+
+/// Cut `data` into blocks of `block` bytes (plus a few empty ones), encode
+/// each with the lead `leads` picks for its offset, and place them in a
+/// random order: the stream is the one-block encode of `data`, bit for bit.
+fn placed_equals_whole(
+    rng: &mut SmallRng,
+    data: &[u8],
+    block: usize,
+    table: &CodeTable,
+    leads: impl Fn(&mut SmallRng, u64) -> u8,
+) {
+    let whole = encode_block(data, table).expect("the table covers the data");
+    let mut blocks: Vec<&[u8]> = data.chunks(block).collect();
+    for _ in 0..3 {
+        blocks.insert(rng.random_range(0..=blocks.len()), &[]);
+    }
+    let hists: Vec<Histogram> = blocks.iter().map(|b| Histogram::from_bytes(b)).collect();
+    let mut chain = OffsetChain::new();
+    let starts = chain.extend_group(&hists, table).expect("covered");
+    assert_eq!(chain.total_bits(), whole.bit_len);
+
+    let mut order: Vec<usize> = (0..blocks.len()).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.random_range(0..=i));
+    }
+    let mut stream = Vec::new();
+    let mut out = EncodedBlock::default();
+    for i in order {
+        let lead = leads(rng, starts[i]);
+        assert!(encode_block_at(blocks[i], table, lead, &mut out));
+        assert_eq!(out.lead, lead);
+        let end = starts.get(i + 1).copied().unwrap_or(whole.bit_len);
+        assert_eq!(out.bit_len, end - starts[i]);
+        place(&mut stream, starts[i], &out);
+    }
+    assert_eq!(stream, whole.bytes, "block size {block}");
+}
+
+/// Offset-placed output equals the serial stream: any block size (blocks
+/// of one symbol share bytes several at a time), any placement order, and
+/// whether the encode was told its offset (lead-aligned: seam OR + copy),
+/// not told (lead 0: shifted into place) or told a wrong one.
+#[test]
+fn prop_placed_stream_equals_serial() {
+    let aligned = |_: &mut SmallRng, at: u64| (at % 8) as u8;
+    let zero = |_: &mut SmallRng, _: u64| 0;
+    let mixed = |rng: &mut SmallRng, at: u64| match rng.random_range(0..3u8) {
+        0 => (at % 8) as u8,
+        1 => 0,
+        _ => rng.random_range(0..8u8),
+    };
+    cases(0x4F0B, 48, |rng, case| {
+        // Every third input is heavily skewed: one- and two-bit codes.
+        let mut data = bytes(rng, 1..9000);
+        if case % 3 == 0 {
+            for b in &mut data {
+                *b = [0, 0, 0, 0, 0, 1, 1, 2][*b as usize % 8];
+            }
+        }
+        let serial = serial_encode(&data).unwrap();
+        assert_eq!(
+            encode_block(&data, &serial.table).unwrap().bytes,
+            serial.bytes
+        );
+        for block in [1, 7, 512, 4096] {
+            placed_equals_whole(rng, &data, block, &serial.table, aligned);
+            placed_equals_whole(rng, &data, block, &serial.table, zero);
+            placed_equals_whole(rng, &data, block, &serial.table, mixed);
+        }
+    });
+    // The Kraft-tight table with codes of every length up to 64 bits.
+    let mut lens = [0u8; 256];
+    for (i, l) in lens.iter_mut().enumerate().take(63) {
+        *l = i as u8 + 1;
+    }
+    (lens[63], lens[64]) = (64, 64);
+    let table = CodeTable::from_lengths(&CodeLengths::from_lengths(lens).unwrap());
+    cases(0x4F0C, 16, |rng, _| {
+        let data: Vec<u8> = (bytes(rng, 1..600).iter().map(|b| b % 65)).collect();
+        for block in [1, 7, 512] {
+            placed_equals_whole(rng, &data, block, &table, mixed);
+        }
     });
 }
 

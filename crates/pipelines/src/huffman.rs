@@ -23,6 +23,18 @@
 //! freshly-built tree; the final tree's check decides commit or natural
 //! recompute.
 //!
+//! Output: every path keeps the [`OffsetChain`] of its version, fed by the
+//! lengths its `offset` tasks compute. An encode is told where in its first
+//! byte its block will start and emits that many lead bits, so the block
+//! comes back aligned with the output stream; `finalize_block` — the one
+//! place a block leaves the side-effect barrier, directly for the natural
+//! path and the committed version, through the wait buffer otherwise —
+//! [`place`]s it at its offset in the single committed `stream`. A version
+//! that is rolled back never touches the stream, and nothing is left to
+//! assemble when the run ends: the result, a checkpoint snapshot (the
+//! stream up to the committed prefix's offset) and a resumed run (which
+//! starts from that prefix) all use this one stream.
+//!
 //! The speculation manager sees its events in one canonical order, however
 //! the executor interleaves completions: basis events (reduce results) and
 //! the final tree queue up in `spec_events` while a verdict — the
@@ -45,9 +57,9 @@ use tvs_core::{
     Action, AllocStats, CheckResult, CheckpointConfig, ManagerStats, ResumeError, ScratchPool,
     SpecVersion, SpeculationManager, StreamSnapshot, WaitBuffer,
 };
-use tvs_huffman::encode::append_block;
 use tvs_huffman::{
-    relative_cost_delta, BitWriter, CodeLengths, CodeTable, EncodedBlock, Histogram,
+    encode_block_at, place, relative_cost_delta, set_bit_len, CodeLengths, CodeTable, EncodedBlock,
+    Histogram, OffsetChain,
 };
 use tvs_metrics::{Gauge, MetricsHub};
 use tvs_sre::task::{expect_payload, payload};
@@ -170,8 +182,12 @@ impl PipelineResult {
     }
 }
 
+/// An encoded block on its way out: what waits in the [`WaitBuffer`] and
+/// what `finalize_block` places.
 struct EncodeOut {
     encoded: EncodedBlock,
+    /// Where the block starts in the output stream, per its path's chain.
+    bit_off: u64,
     finished: Time,
 }
 
@@ -180,18 +196,30 @@ struct Path {
     /// `None` = natural path.
     version: Option<SpecVersion>,
     tree: Arc<SpecTree>,
-    next_block: usize,
+    /// Offsets of the blocks whose `offset` task is back; the next group
+    /// starts at block `chain.blocks_done()`.
+    chain: OffsetChain,
     offset_inflight: bool,
 }
 
-/// Live checkpointing state: the assembled committed-prefix bitstream
-/// (its trailing partial byte is the encoder bit-IO carry), the merged
-/// histogram of the prefix blocks, and the write bookkeeping.
+impl Path {
+    fn new(version: Option<SpecVersion>, tree: Arc<SpecTree>) -> Self {
+        Path {
+            version,
+            tree,
+            chain: OffsetChain::new(),
+            offset_inflight: false,
+        }
+    }
+}
+
+/// Live checkpointing state: the merged histogram of the committed-prefix
+/// blocks and the write bookkeeping. The prefix's bits are the front of
+/// the workload's output stream.
 struct Ckpt {
     cfg: CheckpointConfig,
-    writer: BitWriter,
     hist: Histogram,
-    /// Blocks `0..prefix` are finalized *and* appended to `writer`.
+    /// Blocks `0..prefix` are finalized and folded into `hist`.
     prefix: usize,
     /// Prefix length at the last snapshot write.
     last_written: usize,
@@ -311,20 +339,21 @@ pub struct HuffmanWorkload {
 
     done: Vec<Option<BlockDone>>,
     blocks_done: usize,
-    outputs: Vec<Option<EncodedBlock>>,
+    /// The committed output: every finalized block at its bit offset (kept
+    /// under `collect_output` or checkpointing only).
+    stream: Vec<u8>,
     committed_tree: Option<Arc<SpecTree>>,
     faults: FaultInjector,
     metrics: MetricsHub,
 
-    // Checkpoint/restart state. `resume_tree` doubles as the resume-mode
-    // flag: when set, the run bypasses count/reduce/speculation entirely
-    // and encodes the re-fed blocks with the snapshot's committed tree.
+    // Checkpoint/restart state. A non-zero `resume_k` doubles as the
+    // resume-mode flag: the run bypasses reduce/tree/speculation entirely
+    // and encodes the re-fed blocks along a natural path that starts out
+    // with the snapshot's committed tree and its chain at block `resume_k`.
     ckpt: Option<Ckpt>,
     halted: bool,
     input_digest: u64,
     resume_k: usize,
-    resume_base: Option<(Vec<u8>, u64)>,
-    resume_tree: Option<Arc<SpecTree>>,
 
     // Steady-state scratch, recycled between scheduler events so the
     // speculation control path performs no per-block heap allocation.
@@ -347,9 +376,9 @@ impl HuffmanWorkload {
         if let Some(l) = cfg.ladder {
             mgr.set_ladder(l);
         }
+        let keeps_stream = cfg.collect_output || cfg.checkpoint.is_some();
         let ckpt = cfg.checkpoint.clone().map(|c| Ckpt {
             cfg: c,
-            writer: BitWriter::new(),
             hist: Histogram::new(),
             prefix: 0,
             last_written: 0,
@@ -383,7 +412,9 @@ impl HuffmanWorkload {
             natural_path: None,
             done: vec![None; n_blocks],
             blocks_done: 0,
-            outputs: vec![None; n_blocks],
+            // Sized for an output no larger than the input, the usual
+            // case, so that the stream is not moved as it grows.
+            stream: Vec::with_capacity(if keeps_stream { data_len } else { 0 }),
             committed_tree: None,
             faults: FaultInjector::disabled(),
             metrics: MetricsHub::disabled(),
@@ -391,8 +422,6 @@ impl HuffmanWorkload {
             halted: false,
             input_digest: 0,
             resume_k: 0,
-            resume_base: None,
-            resume_tree: None,
             actions_scratch: Vec::new(),
             commit_scratch: Vec::new(),
             encode_pool: ScratchPool::new(),
@@ -405,8 +434,9 @@ impl HuffmanWorkload {
     /// is rebuilt from the snapshot's code lengths, and only blocks
     /// `snapshot.prefix..` need to be re-fed (the runner filters them).
     /// The resumed run never re-speculates — every remaining block is
-    /// encoded with the snapshot's tree, which is what makes the resumed
-    /// output byte-identical to an uninterrupted run.
+    /// counted (for its offset) and encoded with the snapshot's tree, which
+    /// is what makes the resumed output byte-identical to an uninterrupted
+    /// run.
     ///
     /// Callers must have verified the snapshot against their input and
     /// configuration with [`StreamSnapshot::check_matches`] first; this
@@ -437,7 +467,15 @@ impl HuffmanWorkload {
                 basis: snap.prefix,
             });
             wl.committed_tree = Some(tree.clone());
-            wl.resume_tree = Some(tree);
+            // The committed stream and the chain of its path pick up where
+            // the snapshot's prefix ends. Only the prefix's own bits count:
+            // a snapshot file is outside input.
+            let mut path = Path::new(None, tree);
+            path.chain.extend(&snap.bits);
+            wl.natural_path = Some(path);
+            wl.counted_prefix = k;
+            wl.stream.extend_from_slice(&snap.stream_bytes);
+            set_bit_len(&mut wl.stream, snap.stream_bit_len);
         }
         wl.committed_version = match snap.committed_version {
             0 => None,
@@ -449,22 +487,13 @@ impl HuffmanWorkload {
                 encoded_at: snap.encoded_at[i],
                 bits: snap.bits[i],
             });
-            // Stub: the bytes already live in the snapshot's prefix stream.
-            wl.outputs[i] = Some(EncodedBlock {
-                bytes: Vec::new(),
-                bit_len: snap.bits[i],
-                src_len: 0,
-            });
         }
         wl.blocks_done = k;
         wl.resume_k = k;
-        wl.resume_base = Some((snap.stream_bytes.clone(), snap.stream_bit_len));
         // Seed the checkpoint plane from the snapshot so a resumed run can
-        // itself be killed and resumed: the writer re-ingests the prefix
-        // stream (restoring the bit-IO carry) and the histogram restarts
-        // from the snapshot's merged base.
+        // itself be killed and resumed: the histogram restarts from the
+        // snapshot's merged base.
         if let Some(ck) = &mut wl.ckpt {
-            seed_writer(&mut ck.writer, &snap.stream_bytes, snap.stream_bit_len);
             if snap.hist_base.len() == 256 {
                 ck.hist
                     .counts_mut()
@@ -477,8 +506,8 @@ impl HuffmanWorkload {
     }
 
     /// Bind the snapshot plane to the input stream: pass
-    /// `tvs_core::checkpoint::fnv1a(data)` so snapshots record which bytes
-    /// they belong to. The checkpointed runner entry points do this.
+    /// `tvs_core::checkpoint::input_digest(data)` so snapshots record which
+    /// bytes they belong to. The checkpointed runner entry points do this.
     pub fn set_input_digest(&mut self, digest: u64) {
         self.input_digest = digest;
     }
@@ -521,46 +550,31 @@ impl HuffmanWorkload {
         self.faults = faults;
     }
 
-    /// Extract the result after the run finished.
-    pub fn result(&self) -> PipelineResult {
+    /// Extract the result after the run finished. The output stream is
+    /// moved out, not copied.
+    pub fn result(self) -> PipelineResult {
         assert!(
             self.blocks_done == self.n_blocks,
             "result() before the run finished"
         );
         let blocks: Vec<BlockDone> = self.done.iter().map(|d| d.expect("all done")).collect();
         let compressed_bits = blocks.iter().map(|b| b.bits).sum();
-        let output = if self.cfg.collect_output {
-            // Resumed runs prepend the snapshot's prefix stream (restoring
-            // the bit-IO carry), then append only the re-encoded blocks;
-            // uninterrupted runs concatenate everything from block 0.
-            let mut w = BitWriter::new();
-            if let Some((bytes, bit_len)) = &self.resume_base {
-                seed_writer(&mut w, bytes, *bit_len);
-            }
-            for o in &self.outputs[self.resume_k..] {
-                append_block(&mut w, o.as_ref().expect("collected"));
-            }
-            let (bytes, bits) = w.finish();
+        let spec_stats = self.cfg.speculates().then(|| self.mgr.stats());
+        let output = self.cfg.collect_output.then(|| {
             let lengths = self
                 .committed_tree
                 .as_ref()
                 .expect("collect_output retains the committed tree")
                 .lengths
                 .clone();
-            Some((bytes, bits, lengths))
-        } else {
-            None
-        };
+            (self.stream, compressed_bits, lengths)
+        });
         PipelineResult {
             blocks,
             compressed_bits,
             src_bytes: self.src_bytes,
             committed_version: self.committed_version,
-            spec_stats: if self.cfg.speculates() {
-                Some(self.mgr.stats())
-            } else {
-                None
-            },
+            spec_stats,
             output,
             alloc_stats: self.encode_pool.stats(),
         }
@@ -570,8 +584,8 @@ impl HuffmanWorkload {
     // Checkpointing
     // ------------------------------------------------------------------
 
-    /// Advance the checkpoint plane after a block finalizes: append newly
-    /// contiguous blocks to the prefix stream, then write a snapshot when
+    /// Advance the checkpoint plane after a block finalizes: extend the
+    /// prefix over newly contiguous blocks, then write a snapshot when
     /// the cadence is due, the halt block is reached, the run finished, or
     /// the degradation ladder demands eager durability (checkpoint-and-
     /// pause). Disk failures are absorbed — the in-memory snapshot still
@@ -589,24 +603,11 @@ impl HuffmanWorkload {
         };
         while ck.prefix < self.n_blocks && self.done[ck.prefix].is_some() {
             let i = ck.prefix;
-            let out = self.outputs[i].as_ref().expect("finalized block retained");
-            append_block(&mut ck.writer, out);
-            if let Some(h) = &self.counts[i] {
-                ck.hist.merge(h);
-            } else if let Some(d) = &self.data[i] {
-                // Resume mode skips count tasks; fold the block directly.
-                ck.hist.accumulate(d);
-            }
-            if !self.cfg.collect_output {
-                // The prefix stream now carries these bits; recycle.
-                let out = self.outputs[i].take().expect("just read");
-                self.outputs[i] = Some(EncodedBlock {
-                    bytes: Vec::new(),
-                    bit_len: out.bit_len,
-                    src_len: out.src_len,
-                });
-                self.encode_pool.put(out.bytes);
-            }
+            ck.hist.merge(
+                self.counts[i]
+                    .as_ref()
+                    .expect("a finalized block was counted"),
+            );
             ck.prefix += 1;
         }
         let halt = !self.halted
@@ -643,7 +644,6 @@ impl HuffmanWorkload {
 
     /// Assemble the committed-prefix snapshot from the live state.
     fn build_snapshot(&self, ck: &Ckpt) -> StreamSnapshot {
-        let (stream_bytes, stream_bit_len) = ck.writer.clone().finish();
         let k = ck.prefix;
         let per = |f: fn(&BlockDone) -> u64| -> Vec<u64> {
             self.done[..k]
@@ -651,6 +651,14 @@ impl HuffmanWorkload {
                 .map(|d| f(d.as_ref().expect("prefix finalized")))
                 .collect()
         };
+        // The prefix is the front of the stream, up to where block `k`
+        // starts. Blocks past the prefix may be in the stream already, and
+        // one of them can share the prefix's last byte: cut, then clear.
+        let bits = per(|d| d.bits);
+        let stream_bit_len: u64 = bits.iter().sum();
+        let whole = (stream_bit_len.div_ceil(8) as usize).min(self.stream.len());
+        let mut stream_bytes = self.stream[..whole].to_vec();
+        set_bit_len(&mut stream_bytes, stream_bit_len);
         StreamSnapshot {
             config_digest: self.cfg.digest(),
             input_digest: self.input_digest,
@@ -660,7 +668,7 @@ impl HuffmanWorkload {
             cadence: ck.cfg.every_blocks as u64,
             arrivals: per(|d| d.arrival),
             encoded_at: per(|d| d.encoded_at),
-            bits: per(|d| d.bits),
+            bits,
             hist_base: if k > 0 {
                 ck.hist.counts().to_vec()
             } else {
@@ -837,10 +845,10 @@ impl HuffmanWorkload {
             let Some(path) = self.path_mut(which) else {
                 return;
             };
-            if path.offset_inflight || path.next_block >= n_blocks {
+            if path.offset_inflight || path.chain.blocks_done() >= n_blocks {
                 return;
             }
-            (path.version, path.tree.clone(), path.next_block)
+            (path.version, path.tree.clone(), path.chain.blocks_done())
         };
         let hi = (lo + fanout).min(n_blocks).min(counted_prefix);
         if hi <= lo {
@@ -880,16 +888,17 @@ impl HuffmanWorkload {
         }
     }
 
-    /// Spawn the encode tasks of an offset group `[lo, lo+n)`.
+    /// Spawn the encode tasks of blocks `lo..`, one per starting bit
+    /// offset in `starts`.
     fn spawn_encodes(
         &mut self,
         ctx: &mut dyn SchedCtx,
         version: Option<SpecVersion>,
-        tree: Arc<SpecTree>,
+        tree: &Arc<SpecTree>,
         lo: usize,
-        n: usize,
+        starts: &[u64],
     ) {
-        for idx in lo..lo + n {
+        for (idx, &start) in (lo..).zip(starts) {
             if self.done[idx].is_some() {
                 // Only the replay of a committed version meets blocks that
                 // are already out (see `on_version_lost`).
@@ -897,10 +906,11 @@ impl HuffmanWorkload {
             }
             let data = self.data[idx].as_ref().expect("arrived").clone();
             let table = tree.clone();
+            let lead = (start % 8) as u8;
             // The output buffer travels into the task, comes back through
             // the completion payload, and re-enters the pool when the block
-            // is finalised without retaining its bytes — so in steady state
-            // (collect_output off) encode allocates nothing per block.
+            // is finalised (its bits are in the stream by then) — so in
+            // steady state encode allocates nothing per block.
             // Option dance: task bodies are FnMut but run once; taking the
             // buffer out keeps the closure re-callable in the type system.
             let mut recycled = Some(self.encode_pool.take());
@@ -911,24 +921,26 @@ impl HuffmanWorkload {
                     ..Default::default()
                 };
                 assert!(
-                    tvs_huffman::encode_block_into(&data, &table.table, &mut out),
+                    encode_block_at(&data, &table.table, lead, &mut out),
                     "covering/exact table encodes all bytes"
                 );
                 // Chaos: a silent data corruption flips bits in the encoded
                 // output *after* a successful encode. Nothing panics and no
                 // tolerance check sees the damage (the bit count is intact),
                 // so only replication-based validation can catch it. The
-                // flipped byte avoids the zero-padded tail so the corruption
-                // always lands on meaningful bits, and the xor mask is
-                // occurrence-unique so two corrupted replicas of the same
-                // block still disagree with each other.
+                // flipped byte avoids the zero-padded tail and a first byte
+                // that holds lead bits so the corruption always lands on
+                // meaningful bits, and the xor mask is occurrence-unique so
+                // two corrupted replicas of the same block still disagree
+                // with each other.
                 if let Some((FaultKind::CorruptValue, occ)) =
                     faults.draw_with_occurrence(FaultSite::TaskOutput)
                 {
+                    let skip = usize::from(lead > 0);
                     let len = out.bytes.len();
-                    if len > 1 {
-                        let pos = (occ as usize).wrapping_mul(0x9E37_79B9) % (len - 1);
-                        out.bytes[pos] ^= ((occ % 255) + 1) as u8;
+                    if len > 1 + skip {
+                        let pos = (occ as usize).wrapping_mul(0x9E37_79B9) % (len - 1 - skip);
+                        out.bytes[skip + pos] ^= ((occ % 255) + 1) as u8;
                     }
                 }
                 payload(out)
@@ -966,17 +978,18 @@ impl HuffmanWorkload {
             // If that was the pending predictor, its verdict is in.
             self.pump_speculation(ctx);
         } else if self.spec_path.take().is_some() {
-            self.natural_path = Some(Path {
-                version: None,
-                tree: self.committed_tree.clone().expect("committed with a tree"),
-                next_block: 0,
-                offset_inflight: false,
-            });
+            // The same tree over the same blocks: the replay's chain comes
+            // to the offsets the lost path had.
+            let tree = self.committed_tree.clone().expect("committed with a tree");
+            self.natural_path = Some(Path::new(None, tree));
             self.pump_path(ctx, PathSel::Natural);
         }
     }
 
-    fn finalize_block(&mut self, idx: usize, encoded: EncodedBlock, finished: Time) {
+    /// Block `idx` crosses the side-effect barrier: it is recorded as done
+    /// and its bits go into the committed stream. Nothing that is not final
+    /// gets here, so the stream never has to be undone.
+    fn finalize_block(&mut self, idx: usize, out: EncodeOut) {
         if self.done[idx].is_some() {
             // Can only happen if both a committed-speculative and a natural
             // output exist for a block — a wiring bug.
@@ -984,21 +997,13 @@ impl HuffmanWorkload {
         }
         self.done[idx] = Some(BlockDone {
             arrival: self.arrival[idx],
-            encoded_at: finished,
-            bits: encoded.bit_len,
+            encoded_at: out.finished,
+            bits: out.encoded.bit_len,
         });
         if self.cfg.collect_output || self.ckpt.is_some() {
-            // Checkpointing retains the bytes until the block joins the
-            // contiguous prefix stream (advance_checkpoint recycles them).
-            self.outputs[idx] = Some(encoded);
-        } else {
-            self.outputs[idx] = Some(EncodedBlock {
-                bytes: Vec::new(),
-                bit_len: encoded.bit_len,
-                src_len: encoded.src_len,
-            });
-            self.encode_pool.put(encoded.bytes);
+            place(&mut self.stream, out.bit_off, &out.encoded);
         }
+        self.encode_pool.put(out.encoded.bytes);
         self.blocks_done += 1;
         if self.metrics.is_live() {
             let a = self.encode_pool.stats();
@@ -1091,12 +1096,7 @@ impl HuffmanWorkload {
                 }
                 Action::PromoteCandidate { version } => {
                     let (_, tree) = self.mgr.active().expect("promoted candidate is active");
-                    self.spec_path = Some(Path {
-                        version: Some(version),
-                        tree: tree.clone(),
-                        next_block: 0,
-                        offset_inflight: false,
-                    });
+                    self.spec_path = Some(Path::new(Some(version), tree.clone()));
                     self.pump_path(ctx, PathSel::Spec);
                 }
                 Action::SpawnFinalCheck { version } => self.spawn_final_check(ctx, version),
@@ -1110,7 +1110,7 @@ impl HuffmanWorkload {
                     let mut ready = std::mem::take(&mut self.commit_scratch);
                     self.buffer.commit_into(version, &mut ready);
                     for (slot, out) in ready.drain(..) {
-                        self.finalize_block(slot as usize, out.encoded, out.finished);
+                        self.finalize_block(slot as usize, out);
                     }
                     self.commit_scratch = ready;
                 }
@@ -1121,12 +1121,7 @@ impl HuffmanWorkload {
                         .expect("final tree available")
                         .clone();
                     self.committed_tree = Some(tree.clone());
-                    self.natural_path = Some(Path {
-                        version: None,
-                        tree,
-                        next_block: 0,
-                        offset_inflight: false,
-                    });
+                    self.natural_path = Some(Path::new(None, tree));
                     self.pump_path(ctx, PathSel::Natural);
                 }
             }
@@ -1136,18 +1131,6 @@ impl HuffmanWorkload {
 
 fn data_len_of(data: &[Option<Arc<[u8]>>], idx: usize) -> usize {
     data[idx].as_ref().map(|d| d.len()).unwrap_or(0)
-}
-
-/// Re-seed a fresh, byte-aligned bit writer with a snapshot's prefix
-/// stream: whole bytes verbatim, then the meaningful bits of the trailing
-/// partial byte — exactly the encoder carry the snapshot recorded.
-fn seed_writer(w: &mut BitWriter, bytes: &[u8], bit_len: u64) {
-    let full = (bit_len / 8) as usize;
-    let tail = (bit_len % 8) as u8;
-    w.extend_bytes(&bytes[..full]);
-    if tail > 0 {
-        w.push(u64::from(bytes[full] >> (8 - tail)), tail);
-    }
 }
 
 /// Scramble a predicted tree for [`FaultSite::PredictedValue`] injection.
@@ -1210,7 +1193,8 @@ pub fn digest_output(name: &'static str, out: &dyn std::any::Any) -> Option<u64>
         }
         "encode" => {
             let e = out.downcast_ref::<EncodedBlock>()?;
-            Some(word(word(bytes(h, &e.bytes), e.bit_len), e.src_len as u64))
+            let h = word(word(bytes(h, &e.bytes), e.bit_len), e.src_len as u64);
+            Some(word(h, u64::from(e.lead)))
         }
         "check" => {
             let (v, r, cand) = out.downcast_ref::<(SpecVersion, CheckResult, Arc<SpecTree>)>()?;
@@ -1242,13 +1226,7 @@ impl Workload for HuffmanWorkload {
         }
         self.arrival[idx] = block.arrival;
         self.data[idx] = Some(block.data);
-        if let Some(tree) = self.resume_tree.clone() {
-            // Resume mode: the tree is settled — skip count/reduce and
-            // encode the block directly with the snapshot's code table.
-            self.spawn_encodes(ctx, None, tree, idx, 1);
-        } else {
-            self.spawn_count(ctx, idx);
-        }
+        self.spawn_count(ctx, idx);
     }
 
     fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
@@ -1268,6 +1246,12 @@ impl Workload for HuffmanWorkload {
                     && self.counts[self.counted_prefix].is_some()
                 {
                     self.counted_prefix += 1;
+                }
+                if self.resume_k > 0 {
+                    // Resume mode: the tree is settled — the count only
+                    // feeds the offset chain of the resumed path.
+                    self.pump_path(ctx, PathSel::Natural);
+                    return;
                 }
                 self.maybe_spawn_reduce(ctx);
                 // Step-0 speculation: predict from the very first block.
@@ -1321,12 +1305,7 @@ impl Workload for HuffmanWorkload {
                 }
                 if self.mgr.install_prediction(version, tree) {
                     let (_, tree) = self.mgr.active().expect("just installed");
-                    self.spec_path = Some(Path {
-                        version: Some(version),
-                        tree: tree.clone(),
-                        next_block: 0,
-                        offset_inflight: false,
-                    });
+                    self.spec_path = Some(Path::new(Some(version), tree.clone()));
                     self.pump_path(ctx, PathSel::Spec);
                 }
                 self.pump_speculation(ctx);
@@ -1369,36 +1348,38 @@ impl Workload for HuffmanWorkload {
                 // Stale offsets of rolled-back paths are already filtered by
                 // version-abort; an offset for a *replaced* path is impossible
                 // because replacement only happens after abort.
-                let n = lens.len();
-                let (tree, version) = {
+                let (tree, version, starts) = {
                     let path = self.path_mut(which).expect("offset for a live path");
-                    debug_assert_eq!(path.next_block, lo);
+                    debug_assert_eq!(path.chain.blocks_done(), lo);
                     path.offset_inflight = false;
-                    path.next_block = lo + n;
-                    (path.tree.clone(), path.version)
+                    path.chain.extend(&lens);
+                    let starts = path.chain.offsets()[lo..].to_vec();
+                    (path.tree.clone(), path.version, starts)
                 };
-                self.spawn_encodes(ctx, version, tree, lo, n);
+                self.spawn_encodes(ctx, version, &tree, lo, &starts);
                 self.pump_path(ctx, which);
             }
             "encode" => {
                 let idx = done.tag as usize;
                 let encoded = expect_payload::<EncodedBlock>(done.output, "EncodedBlock");
+                // Completions of an aborted version never get here, so the
+                // block's path — and the offset it gave the encode — is live.
+                let path = match done.version {
+                    Some(_) => self.spec_path.as_ref(),
+                    None => self.natural_path.as_ref(),
+                }
+                .expect("encode for a live path");
+                debug_assert_eq!(path.version, done.version);
+                let out = EncodeOut {
+                    encoded,
+                    bit_off: path.chain.offsets()[idx],
+                    finished: done.finished,
+                };
                 match done.version {
-                    Some(v) => {
-                        if self.committed_version == Some(v) {
-                            self.finalize_block(idx, encoded, done.finished);
-                        } else {
-                            self.buffer.push(
-                                v,
-                                idx as u64,
-                                EncodeOut {
-                                    encoded,
-                                    finished: done.finished,
-                                },
-                            );
-                        }
+                    Some(v) if self.committed_version != Some(v) => {
+                        self.buffer.push(v, idx as u64, out)
                     }
-                    None => self.finalize_block(idx, encoded, done.finished),
+                    _ => self.finalize_block(idx, out),
                 }
             }
             other => unreachable!("unknown completion '{other}'"),
@@ -1821,6 +1802,117 @@ mod tests {
                 decode_output(&res, &data);
             }
         }
+    }
+
+    #[test]
+    fn nothing_is_placed_before_a_commit_and_nothing_of_an_aborted_version_ever() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // The early trees fail on the second half: a version is rolled
+        // back with encoded blocks in the wait buffer.
+        let mut data = vec![b'a'; 8 * 1024];
+        data.extend((0..8 * 1024u32).map(|i| 180 + (i % 60) as u8));
+        let cfg = small_cfg(DispatchPolicy::Balanced);
+        let held_back = Arc::new(AtomicUsize::new(0));
+        let watched = || {
+            let held_back = held_back.clone();
+            LoseVersion {
+                inner: HuffmanWorkload::new(cfg.clone(), data.len()),
+                when: move |w: &HuffmanWorkload| {
+                    if w.committed_version.is_none() && w.natural_path.is_none() {
+                        assert!(
+                            w.stream.is_empty() && w.blocks_done == 0,
+                            "a block left the barrier before anything was committed"
+                        );
+                        held_back.fetch_max(w.buffer.len(), Ordering::Relaxed);
+                    }
+                    None
+                },
+                as_fault: false,
+                lost: None,
+            }
+        };
+        // What is in the stream at the end is the input under the committed
+        // tree and nothing else: placement ORs, so a single bit of a
+        // rolled-back version's block would show.
+        let check = |res: PipelineResult| {
+            let (bytes, bits, lengths) = res.output.expect("collected");
+            let table = CodeTable::from_lengths(&lengths);
+            let whole = tvs_huffman::encode_block(&data, &table).expect("covers the input");
+            assert_eq!((bytes, bits), (whole.bytes, whole.bit_len));
+        };
+        let sim = SimConfig {
+            platform: x86_smp(4),
+            policy: cfg.policy,
+            trace: false,
+        };
+        let inputs = blocks_of(&data, cfg.block_bytes, 100);
+        let rep = run(watched(), &sim, &HuffmanCost, inputs);
+        assert!(rep.metrics.rollbacks > 0, "drifting data must roll back");
+        assert!(
+            held_back.load(Ordering::Relaxed) > 0,
+            "the wait buffer held blocks back"
+        );
+        check(rep.workload.inner.result());
+        for _ in 0..5 {
+            let inputs: Vec<(usize, Arc<[u8]>)> = data
+                .chunks(cfg.block_bytes)
+                .map(Arc::from)
+                .enumerate()
+                .collect();
+            let threaded = tvs_sre::exec::threaded::ThreadedConfig::new(2, cfg.policy);
+            let (wl, _) = tvs_sre::exec::threaded::run(watched(), &threaded, inputs);
+            check(wl.inner.result());
+        }
+    }
+
+    #[test]
+    fn a_snapshot_cuts_the_stream_inside_a_byte_that_later_blocks_share() {
+        // One-byte blocks under a two-symbol table: one bit per block, so
+        // eight blocks share a byte. Block 3 is out before blocks 0 and 1
+        // make the prefix that is snapshotted.
+        let data = b"abababab";
+        let dir = std::env::temp_dir().join(format!("tvs-ckpt-{}-seam", std::process::id()));
+        let mut cfg = small_cfg(DispatchPolicy::NonSpeculative);
+        cfg.block_bytes = 1;
+        cfg.checkpoint = Some(CheckpointConfig::new(2, &dir));
+        let tree = Arc::new(SpecTree::exact(&Histogram::from_bytes(data), 2));
+        let mut wl = HuffmanWorkload::new(cfg.clone(), data.len());
+        wl.committed_tree = Some(tree.clone());
+        for i in [3usize, 0, 1] {
+            let mut encoded = EncodedBlock::default();
+            assert!(encode_block_at(
+                &data[i..=i],
+                &tree.table,
+                i as u8,
+                &mut encoded
+            ));
+            wl.counts[i] = Some(Arc::new(Histogram::from_bytes(&data[i..=i])));
+            let out = EncodeOut {
+                encoded,
+                bit_off: i as u64,
+                finished: 1,
+            };
+            wl.finalize_block(i, out);
+        }
+        assert_eq!(wl.stream, [0b0101_0000], "blocks 1 and 3 are 'b' = 1");
+        let snap = wl.snapshot().expect("two blocks are a cadence");
+        assert_eq!((snap.prefix, snap.stream_bit_len), (2, 2));
+        assert_eq!(snap.stream_bytes, [0b0100_0000], "block 3 is not prefix");
+        drop(wl);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        cfg.checkpoint = None;
+        let resumed = HuffmanWorkload::resume(cfg.clone(), data.len(), &snap).expect("resumes");
+        let sim = SimConfig {
+            platform: x86_smp(4),
+            policy: cfg.policy,
+            trace: false,
+        };
+        let inputs = blocks_of(data, 1, 1).split_off(2);
+        let res = run(resumed, &sim, &HuffmanCost, inputs).workload.result();
+        let whole = tvs_huffman::encode_block(data, &tree.table).unwrap();
+        let (bytes, bits, _) = res.output.expect("collected");
+        assert_eq!((bytes, bits), (whole.bytes, whole.bit_len));
     }
 
     #[test]

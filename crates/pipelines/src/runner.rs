@@ -4,7 +4,7 @@ use crate::config::HuffmanConfig;
 use crate::cost::HuffmanCost;
 use crate::huffman::{digest_output, HuffmanWorkload, PipelineResult};
 use std::sync::Arc;
-use tvs_core::checkpoint::fnv1a;
+use tvs_core::checkpoint::input_digest;
 use tvs_core::{ReplicaStats, ReplicatingWorkload, ResumeError, StreamSnapshot};
 use tvs_iosim::ArrivalModel;
 use tvs_sre::exec::sim::{
@@ -124,14 +124,14 @@ pub fn run_huffman_sim_checkpointed(
 ) -> CheckpointedRun {
     let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
     let mut wl0 = HuffmanWorkload::new(cfg.clone(), data.len());
-    wl0.set_input_digest(fnv1a(data));
+    wl0.set_input_digest(input_digest(data));
     let sim = SimConfig {
         platform: platform.clone(),
         policy: cfg.policy,
         trace: false,
     };
     let rep = sim_run(wrap(wl0, cfg), &sim, &HuffmanCost, blocks);
-    let inner = rep.workload.inner();
+    let inner = rep.workload.into_inner();
     if inner.halted() {
         CheckpointedRun::Halted(Box::new(
             inner
@@ -159,12 +159,13 @@ pub fn resume_huffman_sim(
     platform: &Platform,
     arrival: &dyn ArrivalModel,
 ) -> Result<RunOutcome, ResumeError> {
-    snapshot.check_matches(cfg.digest(), fnv1a(data))?;
+    let digest = input_digest(data);
+    snapshot.check_matches(cfg.digest(), digest)?;
     let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
     let k = snapshot.prefix as usize;
     let blocks: Vec<InputBlock> = blocks.into_iter().filter(|b| b.index >= k).collect();
     let mut wl0 = HuffmanWorkload::resume(cfg.clone(), data.len(), snapshot)?;
-    wl0.set_input_digest(fnv1a(data));
+    wl0.set_input_digest(digest);
     let sim = SimConfig {
         platform: platform.clone(),
         policy: cfg.policy,
@@ -172,7 +173,7 @@ pub fn resume_huffman_sim(
     };
     let rep = sim_run(wrap(wl0, cfg), &sim, &HuffmanCost, blocks);
     Ok(RunOutcome {
-        result: rep.workload.inner().result(),
+        result: rep.workload.into_inner().result(),
         metrics: rep.metrics,
         arrivals: times,
     })
@@ -190,12 +191,12 @@ pub fn run_huffman_threaded_checkpointed(
     let tcfg = ThreadedConfig::new(workers, cfg.policy);
     let tracer = Tracer::disabled();
     let mut wl0 = HuffmanWorkload::new(cfg.clone(), data.len());
-    wl0.set_input_digest(fnv1a(data));
+    wl0.set_input_digest(input_digest(data));
     let (wl, iter, times) =
         threaded_setup(wl0, data, cfg, &tcfg, arrival, time_scale, &tracer, None, 0);
     let (wl, metrics) = threaded_try_run_traced(wl, &tcfg, iter, tracer)
         .unwrap_or_else(|e| panic!("checkpointed threaded run failed: {e}"));
-    let inner = wl.inner();
+    let inner = wl.into_inner();
     if inner.halted() {
         CheckpointedRun::Halted(Box::new(
             inner
@@ -220,18 +221,19 @@ pub fn resume_huffman_threaded(
     arrival: &dyn ArrivalModel,
     time_scale: u64,
 ) -> Result<RunOutcome, ResumeError> {
-    snapshot.check_matches(cfg.digest(), fnv1a(data))?;
+    let digest = input_digest(data);
+    snapshot.check_matches(cfg.digest(), digest)?;
     let tcfg = ThreadedConfig::new(workers, cfg.policy);
     let tracer = Tracer::disabled();
     let k = snapshot.prefix as usize;
     let mut wl0 = HuffmanWorkload::resume(cfg.clone(), data.len(), snapshot)?;
-    wl0.set_input_digest(fnv1a(data));
+    wl0.set_input_digest(digest);
     let (wl, iter, times) =
         threaded_setup(wl0, data, cfg, &tcfg, arrival, time_scale, &tracer, None, k);
     let (wl, metrics) = threaded_try_run_traced(wl, &tcfg, iter, tracer)
         .unwrap_or_else(|e| panic!("resumed threaded run failed: {e}"));
     Ok(RunOutcome {
-        result: wl.inner().result(),
+        result: wl.into_inner().result(),
         metrics,
         arrivals: times,
     })
@@ -266,7 +268,7 @@ pub fn run_huffman_sim_traced(
     let rep = sim_run(wl, &sim, &HuffmanCost, blocks);
     (
         RunOutcome {
-            result: rep.workload.inner().result(),
+            result: rep.workload.into_inner().result(),
             metrics: rep.metrics,
             arrivals: times,
         },
@@ -299,7 +301,7 @@ pub fn run_huffman_sim_events(
     let log = tracer.drain().expect("enabled tracer drains");
     (
         RunOutcome {
-            result: rep.workload.inner().result(),
+            result: rep.workload.into_inner().result(),
             metrics: rep.metrics,
             arrivals: times,
         },
@@ -341,7 +343,7 @@ pub fn run_huffman_sim_metered(
     )
     .unwrap_or_else(|e| panic!("metered sim run failed: {e}"));
     RunOutcome {
-        result: rep.workload.inner().result(),
+        result: rep.workload.into_inner().result(),
         metrics: rep.metrics,
         arrivals: times,
     }
@@ -395,7 +397,7 @@ pub fn run_huffman_sim_chaos(
     let log = tracer.drain().expect("enabled tracer drains");
     Ok((
         RunOutcome {
-            result: rep.workload.inner().result(),
+            result: rep.workload.into_inner().result(),
             metrics: rep.metrics,
             arrivals: times,
         },
@@ -431,7 +433,7 @@ pub fn run_huffman_sim_sdc(
     let stats = rep.workload.stats();
     (
         RunOutcome {
-            result: rep.workload.inner().result(),
+            result: rep.workload.into_inner().result(),
             metrics: rep.metrics,
             arrivals: times,
         },
@@ -457,13 +459,14 @@ pub fn run_huffman_threaded_sdc(
     let (wl, iter, times) =
         threaded_setup(wl0, data, cfg, &tcfg, arrival, time_scale, &tracer, None, 0);
     let (wl, metrics) = threaded_try_run_traced(wl, &tcfg, iter, tracer)?;
+    let stats = wl.stats();
     Ok((
         RunOutcome {
-            result: wl.inner().result(),
+            result: wl.into_inner().result(),
             metrics,
             arrivals: times,
         },
-        wl.stats(),
+        stats,
     ))
 }
 
@@ -575,7 +578,7 @@ fn try_threaded_impl(
         threaded_setup(wl0, data, cfg, tcfg, arrival, time_scale, &tracer, None, 0);
     let (wl, metrics) = threaded_try_run_traced(wl, tcfg, iter, tracer)?;
     Ok(RunOutcome {
-        result: wl.inner().result(),
+        result: wl.into_inner().result(),
         metrics,
         arrivals: times,
     })
@@ -604,7 +607,7 @@ fn try_threaded_metered_impl(
     );
     let (wl, metrics) = threaded_try_run_metered(wl, tcfg, iter, tracer, hub)?;
     Ok(RunOutcome {
-        result: wl.inner().result(),
+        result: wl.into_inner().result(),
         metrics,
         arrivals: times,
     })

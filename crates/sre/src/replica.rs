@@ -572,6 +572,11 @@ impl<W: Workload> ReplicatingWorkload<W> {
     pub fn inner_mut(&mut self) -> &mut W {
         &mut self.inner
     }
+
+    /// Unwrap the workload, once the run is over.
+    pub fn into_inner(self) -> W {
+        self.inner
+    }
 }
 
 impl<W: Workload> Workload for ReplicatingWorkload<W> {

@@ -40,6 +40,23 @@ fn non_speculative_equals_serial_reference_on_all_kinds() {
         );
         assert_eq!(out.metrics.rollbacks, 0);
         assert_eq!(out.metrics.tasks_discarded, 0);
+        // Bit for bit, whatever order the blocks were placed in: the
+        // simulator's, and two real workers'.
+        let everything_at_once = Uniform {
+            gap_us: 0,
+            start_us: 0,
+        };
+        let threaded =
+            |policy| run_huffman_threaded(&data, &cfg(policy), 2, &everything_at_once, 1);
+        for out in [&out, &threaded(DispatchPolicy::NonSpeculative)] {
+            let (bytes, bits, _) = out.result.output.as_ref().expect("output collected");
+            assert_eq!(*bits, serial.bit_len, "{kind:?}");
+            assert!(
+                *bytes == serial.bytes,
+                "{kind:?}: stream differs from serial"
+            );
+        }
+        decode_and_check(&threaded(DispatchPolicy::Balanced), &data);
     }
 }
 
