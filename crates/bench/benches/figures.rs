@@ -11,10 +11,9 @@
 //! `results/figures_trace_events.csv`.
 
 use tvs_bench::microbench::{bench_with, black_box, Measurement, Opts};
-use tvs_bench::{results_dir, write_trace};
+use tvs_bench::{results_dir, sim_events, sim_outcome, write_trace};
 use tvs_iosim::Disk;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim, run_huffman_sim_events};
 use tvs_sre::{cell_be, x86_smp, DispatchPolicy};
 use tvs_workloads::FileKind;
 
@@ -28,7 +27,7 @@ fn main() {
         rows.push(bench_with(
             &format!("paper_runs/x86_balanced/{}", kind.label()),
             Opts::heavy(),
-            || black_box(run_huffman_sim(&data, &cfg, &x86, &Disk::default())),
+            || black_box(sim_outcome(&data, &cfg, &x86, &Disk::default())),
         ));
     }
     let data = tvs_workloads::generate(FileKind::Text, 1 << 20, 2011);
@@ -36,14 +35,14 @@ fn main() {
     rows.push(bench_with(
         "paper_runs/cell_balanced_txt",
         Opts::heavy(),
-        || black_box(run_huffman_sim(&data, &cfg, &cell, &Disk::default())),
+        || black_box(sim_outcome(&data, &cfg, &cell, &Disk::default())),
     ));
     tvs_bench::microbench::write_csv(&results_dir().join("figures_bench.csv"), &rows)
         .expect("write csv");
 
     if std::env::var_os("TVS_EMIT_TRACE").is_some() {
         let cfg = HuffmanConfig::disk_x86(DispatchPolicy::Aggressive);
-        let (_, log) = run_huffman_sim_events(&data, &cfg, &x86, &Disk::default());
+        let (_, log) = sim_events(&data, &cfg, &x86, &Disk::default());
         let (json, csv) =
             write_trace(&log, &results_dir(), "figures_trace").expect("write trace files");
         println!("traced run -> {}", json.display());

@@ -191,7 +191,7 @@ fn main() {
         // Step 0 predicts from the first block so the small input still
         // exercises the full speculation lifecycle.
         cfg.schedule = tvs_core::SpeculationSchedule::with_step(0);
-        let (_, log) = tvs_pipelines::runner::run_huffman_sim_events(
+        let (_, log) = tvs_bench::sim_events(
             &data,
             &cfg,
             &tvs_sre::x86_smp(8),

@@ -31,7 +31,7 @@ use tvs_huffman::{CodeLengths, CodeTable, EncodedBlock, Histogram};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::task::{payload, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
-use tvs_sre::DispatchPolicy;
+use tvs_sre::{DispatchPolicy, Instruments};
 use tvs_workloads::FileKind;
 
 const BLOCK: usize = 64 * 1024;
@@ -207,7 +207,13 @@ fn threaded_short_row() -> Row {
                 .map(|i| (i, std::sync::Arc::from(vec![0u8; TASK_BYTES])))
                 .collect();
             let t = Instant::now();
-            let (w, m) = threaded::run(PerBlock { n: N, seen: 0 }, &cfg, inputs);
+            let (w, m) = threaded::run(
+                PerBlock { n: N, seen: 0 },
+                &cfg,
+                inputs,
+                &Instruments::default(),
+            )
+            .expect("a dark run cannot fail");
             let el = t.elapsed().as_nanos() as f64;
             assert_eq!(w.seen, N);
             assert_eq!(m.tasks_delivered as usize, N);
@@ -254,7 +260,8 @@ fn threaded_short_replicated_row() -> Row {
                 std::sync::Arc::new(digest),
             );
             let t = Instant::now();
-            let (w, m) = threaded::run(wl, &cfg, inputs);
+            let (w, m) = threaded::run(wl, &cfg, inputs, &Instruments::default())
+                .expect("a dark run cannot fail");
             let el = t.elapsed().as_nanos() as f64;
             assert_eq!(w.inner().seen, N);
             assert_eq!(m.replica_dispatches as usize, N);

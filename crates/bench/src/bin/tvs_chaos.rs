@@ -6,7 +6,7 @@
 //! both the deterministic simulator and the real thread pool. Each run
 //! must hold the **chaos invariant**: it either completes with output
 //! that decodes byte-identically to the input (the fault-free result) or
-//! fails with a structured [`RunError`] — never a process crash, never
+//! fails with a structured [`RunFailure`] — never a process crash, never
 //! silently wrong bytes. Simulated runs must additionally reproduce
 //! exactly when re-run with the same seed.
 //!
@@ -28,19 +28,40 @@ use tvs_huffman::{decode_exact, CodeTable};
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::postmortem;
-use tvs_pipelines::runner::{
-    resume_huffman_sim, resume_huffman_threaded, run_huffman_sim, run_huffman_sim_chaos,
-    run_huffman_sim_checkpointed, run_huffman_sim_events, run_huffman_sim_sdc,
-    run_huffman_threaded_chaos, run_huffman_threaded_checkpointed, run_huffman_threaded_events,
-    run_huffman_threaded_sdc, CheckpointedRun, RunOutcome,
-};
-use tvs_sre::exec::sim::SimChaos;
-use tvs_sre::exec::threaded::ThreadedConfig;
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite, RunError, TraceLog};
+use tvs_pipelines::runner::{run_huffman, CheckpointedRun, HuffmanRun, RunFailure, RunOutcome};
+use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite, TraceLog, Tracer};
 use tvs_workloads::FileKind;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
+const EXECS: [&str; 2] = ["sim", "threaded"];
+const SIM_WORKERS: usize = 8;
 const WORKERS: usize = 4;
+
+/// A dark run of `data` under `cfg` on `exec`: the simulator's 8 x86
+/// workers, or 4 real threads with arrivals compressed 1000×.
+fn run_on<'a>(
+    exec: &str,
+    data: &'a [u8],
+    cfg: &'a HuffmanConfig,
+    arrival: &'a Uniform,
+) -> HuffmanRun<'a> {
+    if exec == "sim" {
+        HuffmanRun::sim(data, cfg, &x86_smp(SIM_WORKERS), arrival)
+    } else {
+        HuffmanRun::threaded(data, cfg, WORKERS, arrival, 1000)
+    }
+}
+
+/// `run` (built by [`run_on`] for `exec`) with the event log on: its
+/// outcome and log, or how it failed.
+fn traced(mut run: HuffmanRun, exec: &str) -> Result<(RunOutcome, TraceLog), RunFailure> {
+    let workers = if exec == "sim" { SIM_WORKERS } else { WORKERS };
+    run.instruments.tracer = Tracer::enabled(workers);
+    let report = run_huffman(&run)?;
+    let log = report.log.expect("enabled tracer drains");
+    Ok((report.end.into_outcome(), log))
+}
+
 /// Bundle names are `postmortem_<rev>_<seed>`; the two forced
 /// breaker-trip dumps use distinct fixed seeds so they coexist.
 const BREAKER_SEED_SIM: u64 = 2011;
@@ -92,7 +113,7 @@ fn cfg() -> HuffmanConfig {
 /// The chaos invariant for one completed-or-failed run. Returns a short
 /// status cell for the table, or `Err(reason)` on a violation.
 fn check_invariant(
-    res: Result<(RunOutcome, TraceLog), RunError>,
+    res: Result<(RunOutcome, TraceLog), RunFailure>,
     data: &[u8],
 ) -> Result<String, String> {
     match res {
@@ -156,18 +177,17 @@ fn main() {
 
     println!("== tvs-chaos: {} seeds, FaultPlan::chaos ==", SEEDS.len());
     println!("{:<6} {:<40} {:<40}", "seed", "sim", "threaded");
+    // The chaos preset with the event log on. A fresh injector per run:
+    // draw counters are run state, and the determinism check below depends
+    // on starting from zero.
+    let chaos = |exec: &str, seed: u64| {
+        let mut run = run_on(exec, &data, &c, &arrival);
+        run.instruments.faults = FaultInjector::new(FaultPlan::chaos(seed));
+        traced(run, exec)
+    };
     for seed in SEEDS {
-        // A fresh injector per run: draw counters are run state, and the
-        // determinism check below depends on starting from zero.
-        let sim_run = |seed: u64| {
-            let chaos = SimChaos {
-                faults: FaultInjector::new(FaultPlan::chaos(seed)),
-                ..SimChaos::default()
-            };
-            run_huffman_sim_chaos(&data, &c, &x86_smp(8), &arrival, &chaos)
-        };
-        let first = sim_run(seed);
-        let repeat_differs = match (&first, &sim_run(seed)) {
+        let first = chaos("sim", seed);
+        let repeat_differs = match (&first, &chaos("sim", seed)) {
             (Ok((a, _)), Ok((b, _))) => a.metrics != b.metrics,
             (Err(a), Err(b)) => a != b,
             _ => true,
@@ -184,10 +204,7 @@ fn main() {
             }
         };
 
-        let mut tcfg = ThreadedConfig::new(WORKERS, c.policy);
-        tcfg.faults = FaultInjector::new(FaultPlan::chaos(seed));
-        let thr = run_huffman_threaded_chaos(&data, &c, &tcfg, &arrival, 1000);
-        let thr_cell = match check_invariant(thr, &data) {
+        let thr_cell = match check_invariant(chaos("threaded", seed), &data) {
             Ok(s) => s,
             Err(e) => {
                 violations += 1;
@@ -227,30 +244,21 @@ fn main() {
     for seed in SEEDS {
         for (mode_label, mode) in sdc_modes {
             sdc_cfg.validation = mode;
-            for exec in ["sim", "threaded"] {
+            for exec in EXECS {
                 let faults = FaultInjector::new(FaultPlan::sdc(seed));
-                let (out, stats) = if exec == "sim" {
-                    run_huffman_sim_sdc(&sdc_data, &sdc_cfg, &x86_smp(8), &arrival, faults.clone())
-                } else {
-                    match run_huffman_threaded_sdc(
-                        &sdc_data,
-                        &sdc_cfg,
-                        WORKERS,
-                        &arrival,
-                        1000,
-                        faults.clone(),
-                    ) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            violations += 1;
-                            println!("{seed:<6} {exec:<10} {mode_label:<10} VIOLATION: {e}");
-                            continue;
-                        }
+                let mut run = run_on(exec, &sdc_data, &sdc_cfg, &arrival);
+                run.instruments.faults = faults.clone();
+                let report = match run_huffman(&run) {
+                    Ok(report) => report,
+                    Err(e) => {
+                        violations += 1;
+                        println!("{seed:<6} {exec:<10} {mode_label:<10} VIOLATION: {e}");
+                        continue;
                     }
                 };
                 let injected = faults.injected_at(FaultSite::TaskOutput);
-                let detected = stats.sdc_detected;
-                let decoded = decode_exactly(&out, &sdc_data);
+                let detected = report.replica.sdc_detected;
+                let decoded = decode_exactly(&report.end.into_outcome(), &sdc_data);
                 let ok = decoded.is_ok() && (injected == 0 || detected >= 1);
                 recall_lines.push_str(&format!(
                     "{{\"seed\":{seed},\"exec\":\"{exec}\",\"mode\":\"{mode_label}\",\"injected\":{injected},\"detected\":{detected},\"ok\":{ok}}}\n"
@@ -303,10 +311,10 @@ fn main() {
     for seed in SEEDS {
         let rd = tvs_workloads::generate(FileKind::Text, 64 * 1024, seed);
         let n_blocks = resume_cfg.n_blocks(rd.len());
-        let base = run_huffman_sim(&rd, &resume_cfg, &x86_smp(8), &arrival);
+        let base = tvs_bench::sim_outcome(&rd, &resume_cfg, &x86_smp(SIM_WORKERS), &arrival);
         let base_out = base.result.output.as_ref().expect("output collected");
         for kill_at in KILL_POINTS {
-            for exec in ["sim", "threaded"] {
+            for exec in EXECS {
                 let dir = std::env::temp_dir().join(format!(
                     "tvs-chaos-resume-{}-{seed}-{kill_at}-{exec}",
                     std::process::id()
@@ -317,18 +325,19 @@ fn main() {
                     dir: dir.clone(),
                     halt_at_block: Some(kill_at),
                 });
-                let halted = if exec == "sim" {
-                    run_huffman_sim_checkpointed(&rd, &kc, &x86_smp(8), &arrival)
-                } else {
-                    run_huffman_threaded_checkpointed(&rd, &kc, WORKERS, &arrival, 1000)
-                };
-                let snap = match halted {
-                    CheckpointedRun::Halted(s) => *s,
-                    CheckpointedRun::Completed(_) => {
+                let halted = run_huffman(&run_on(exec, &rd, &kc, &arrival));
+                let snap = match halted.map(|report| report.end) {
+                    Ok(CheckpointedRun::Halted(s)) => *s,
+                    Ok(CheckpointedRun::Completed(_)) => {
                         violations += 1;
                         println!(
                             "{seed:<6} {kill_at:<8} {exec:<10} VIOLATION: completed, never halted"
                         );
+                        continue;
+                    }
+                    Err(e) => {
+                        violations += 1;
+                        println!("{seed:<6} {kill_at:<8} {exec:<10} VIOLATION: {e}");
                         continue;
                     }
                 };
@@ -345,15 +354,13 @@ fn main() {
                         }
                     }
                 }
-                let resumed = if exec == "sim" {
-                    resume_huffman_sim(&snap, &rd, &resume_cfg, &x86_smp(8), &arrival)
-                } else {
-                    resume_huffman_threaded(&snap, &rd, &resume_cfg, WORKERS, &arrival, 1000)
-                };
+                let mut resume = run_on(exec, &rd, &resume_cfg, &arrival);
+                resume.resume = Some(&snap);
                 let prefix = snap.prefix as usize;
                 let replayed = n_blocks - prefix;
-                let cell = match resumed {
-                    Ok(out) => {
+                let cell = match run_huffman(&resume) {
+                    Ok(report) => {
+                        let out = report.end.into_outcome();
                         let ro = out.result.output.as_ref().expect("output collected");
                         if (&ro.0, ro.1) == (&base_out.0, base_out.1) {
                             format!("ok ({prefix}/{replayed})")
@@ -408,7 +415,8 @@ fn main() {
         gap_us: 100,
         start_us: 0,
     };
-    let (out, log) = run_huffman_sim_events(&adversarial, &bc, &x86_smp(8), &slow);
+    let (out, log) =
+        traced(run_on("sim", &adversarial, &bc, &slow), "sim").expect("nothing injected");
     let trips = log.count("breaker-trip");
     let decoded = check_invariant(Ok((out, log.clone())), &adversarial);
     println!(
@@ -446,7 +454,8 @@ fn main() {
         cooldown: 1_000,
         probe_successes: 1,
     });
-    let (_, tlog) = run_huffman_threaded_events(&adversarial, &tbc, WORKERS, &slow, 1000);
+    let (_, tlog) = traced(run_on("threaded", &adversarial, &tbc, &slow), "threaded")
+        .expect("nothing injected");
     println!(
         "threaded breaker: {} trip(s), {} rollback(s)",
         tlog.count("breaker-trip"),

@@ -19,14 +19,13 @@
 //! reconstructs the full rollback cascade forest offline, with
 //! per-lineage wasted-µs totals checked against the manifest.
 
-use tvs_bench::{results_dir, write_trace};
+use tvs_bench::{results_dir, sim_events, write_trace};
 use tvs_core::{AllocStats, BreakerConfig, SpeculationSchedule, Tolerance, VerificationPolicy};
 use tvs_iosim::{Disk, Uniform};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::postmortem;
-use tvs_pipelines::runner::{run_huffman_sim_chaos, run_huffman_sim_events};
-use tvs_sre::exec::sim::SimChaos;
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun};
+use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, Instruments, Tracer};
 use tvs_trace::TraceLog;
 use tvs_workloads::FileKind;
 
@@ -290,7 +289,7 @@ fn main() {
         // Step 0 predicts from the very first block, so even this small
         // input exercises the full speculation lifecycle.
         cfg.schedule = SpeculationSchedule::with_step(0);
-        let (out, log) = run_huffman_sim_events(&data, &cfg, &platform, &Disk::default());
+        let (out, log) = sim_events(&data, &cfg, &platform, &Disk::default());
         violations += print_policy(
             policy,
             &log,
@@ -327,12 +326,17 @@ fn main() {
     println!("\n== chaos: aggressive under FaultPlan::chaos(2011) ==");
     let mut cfg = HuffmanConfig::disk_x86(DispatchPolicy::Aggressive);
     cfg.schedule = SpeculationSchedule::with_step(0);
-    let chaos = SimChaos {
+    let disk = Disk::default();
+    let mut chaos = HuffmanRun::sim(&data, &cfg, &platform, &disk);
+    chaos.instruments = Instruments {
+        tracer: Tracer::enabled(platform.workers),
         faults: FaultInjector::new(FaultPlan::chaos(2011)),
-        ..SimChaos::default()
+        ..Instruments::default()
     };
-    match run_huffman_sim_chaos(&data, &cfg, &platform, &Disk::default(), &chaos) {
-        Ok((out, log)) => {
+    match run_huffman(&chaos) {
+        Ok(report) => {
+            let log = report.log.expect("enabled tracer drains");
+            let out = report.end.into_outcome();
             violations += print_policy(
                 DispatchPolicy::Aggressive,
                 &log,
@@ -359,7 +363,7 @@ fn main() {
         gap_us: 100,
         start_us: 0,
     };
-    let (out, log) = run_huffman_sim_events(&drifting, &bc, &platform, &slow);
+    let (out, log) = sim_events(&drifting, &bc, &platform, &slow);
     violations += print_policy(
         DispatchPolicy::Aggressive,
         &log,

@@ -30,7 +30,7 @@ use std::time::Duration;
 use tvs_iosim::Uniform;
 use tvs_metrics::{Counter, Gauge, Hist};
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim_metered, run_huffman_threaded_metered};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun};
 use tvs_sre::{x86_smp, DispatchPolicy, MetricsHub, MetricsSnapshot, Sampler};
 use tvs_workloads::FileKind;
 
@@ -181,7 +181,10 @@ fn policy_table(data: &[u8]) {
             gap_us: 2,
             start_us: 0,
         };
-        let out = run_huffman_sim_metered(data, &cfg, &x86_smp(SIM_WORKERS), &arrival, hub.clone());
+        let mut run = HuffmanRun::sim(data, &cfg, &x86_smp(SIM_WORKERS), &arrival);
+        run.instruments.metrics = hub.clone();
+        let report = run_huffman(&run).expect("nothing injected, nothing fails");
+        let out = report.end.into_outcome();
         let snaps = hub.drain_virtual_snapshots();
         let last = snaps.last().cloned().or_else(|| hub.snapshot());
         let Some(s) = last else { continue };
@@ -274,7 +277,10 @@ fn live(opts: &Options) {
             gap_us: 10_000,
             start_us: 0,
         };
-        run_huffman_threaded_metered(&data, &cfg, WORKERS, &arrival, 1, run_hub)
+        let mut run = HuffmanRun::threaded(&data, &cfg, WORKERS, &arrival, 1);
+        run.instruments.metrics = run_hub;
+        let report = run_huffman(&run).expect("nothing injected, nothing fails");
+        report.end.into_outcome()
     });
 
     let mut recorder = opts.record.as_ref().map(|p| {

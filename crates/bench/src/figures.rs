@@ -5,11 +5,11 @@
 //! DESIGN.md; measured-vs-paper numbers are recorded in EXPERIMENTS.md.
 
 use tvs_core::{SpeculationSchedule, Tolerance, VerificationPolicy};
-use tvs_iosim::{Disk, Socket};
+use tvs_iosim::{ArrivalModel, Disk, Socket};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::report::{Figure, Series};
-use tvs_pipelines::runner::{run_huffman_sim, RunOutcome};
-use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun, RunOutcome};
+use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform, TraceLog, Tracer};
 use tvs_workloads::FileKind;
 
 /// Seed for the synthetic paper-sized inputs.
@@ -42,6 +42,32 @@ pub fn disk() -> Disk {
 /// The long-distance tunneled-socket arrival model.
 pub fn socket() -> Socket {
     Socket::default()
+}
+
+/// One dark, from-scratch run on the discrete-event executor: what every
+/// figure and ablation cell is.
+pub fn sim_outcome(
+    data: &[u8],
+    cfg: &HuffmanConfig,
+    platform: &Platform,
+    arrival: &dyn ArrivalModel,
+) -> RunOutcome {
+    let report = run_huffman(&HuffmanRun::sim(data, cfg, platform, arrival));
+    report.expect("a dark run cannot fail").end.into_outcome()
+}
+
+/// [`sim_outcome`] with the speculation-lifecycle event log on.
+pub fn sim_events(
+    data: &[u8],
+    cfg: &HuffmanConfig,
+    platform: &Platform,
+    arrival: &dyn ArrivalModel,
+) -> (RunOutcome, TraceLog) {
+    let mut run = HuffmanRun::sim(data, cfg, platform, arrival);
+    run.instruments.tracer = Tracer::enabled(platform.workers);
+    let report = run_huffman(&run).expect("nothing injected, nothing fails");
+    let log = report.log.expect("enabled tracer drains");
+    (report.end.into_outcome(), log)
 }
 
 fn latency_series(label: &str, out: &RunOutcome) -> Series {
@@ -83,7 +109,7 @@ fn policy_figures(
         let mut series = Vec::new();
         for (pi, policy) in DispatchPolicy::ALL.iter().enumerate() {
             let cfg = policy_cfg(base, *policy);
-            let out = run_huffman_sim(&data, &cfg, platform, &disk());
+            let out = sim_outcome(&data, &cfg, platform, &disk());
             series.push(latency_series(policy.label(), &out));
             runtime_series[pi]
                 .points
@@ -129,7 +155,7 @@ pub fn fig5() -> Vec<Figure> {
             if policy == DispatchPolicy::NonSpeculative {
                 // One run; the baseline is flat across step sizes.
                 let cfg = HuffmanConfig::disk_x86(policy);
-                let out = run_huffman_sim(&data, &cfg, &platform, &disk());
+                let out = sim_outcome(&data, &cfg, &platform, &disk());
                 for (i, _) in steps.iter().enumerate() {
                     pts.push((i as f64, out.mean_latency()));
                 }
@@ -137,7 +163,7 @@ pub fn fig5() -> Vec<Figure> {
                 for (i, &step) in steps.iter().enumerate() {
                     let mut cfg = HuffmanConfig::disk_x86(policy);
                     cfg.schedule = SpeculationSchedule::with_step(step);
-                    let out = run_huffman_sim(&data, &cfg, &platform, &disk());
+                    let out = sim_outcome(&data, &cfg, &platform, &disk());
                     pts.push((i as f64, out.mean_latency()));
                 }
             }
@@ -196,7 +222,7 @@ pub fn fig6() -> Vec<Figure> {
                     c
                 }
             };
-            let out = run_huffman_sim(&data, &cfg, &platform, &disk());
+            let out = sim_outcome(&data, &cfg, &platform, &disk());
             series.push(latency_series(label, &out));
             runtime_series[vi]
                 .points
@@ -231,7 +257,7 @@ pub fn fig7() -> Vec<Figure> {
     for (fi, kind) in [FileKind::Text, FileKind::Pdf].iter().enumerate() {
         let data = input_for(*kind);
         let cfg = HuffmanConfig::socket_x86(DispatchPolicy::Balanced);
-        let out = run_huffman_sim(&data, &cfg, &platform, &socket());
+        let out = sim_outcome(&data, &cfg, &platform, &socket());
         let arrivals = Series::from_values("arrival_time", out.arrivals.iter().map(|&a| a as f64));
         figs.push(Figure {
             id: format!("fig7{}", [b'a', b'b'][fi] as char),
@@ -256,7 +282,7 @@ pub fn fig8() -> Vec<Figure> {
     cfg.schedule = SpeculationSchedule::with_step(1);
     let mut series = Vec::new();
     for workers in [2usize, 4, 8] {
-        let out = run_huffman_sim(&data, &cfg, &x86_smp(workers), &socket());
+        let out = sim_outcome(&data, &cfg, &x86_smp(workers), &socket());
         series.push(latency_series(&format!("{workers} cpu"), &out));
     }
     vec![Figure {
@@ -281,7 +307,7 @@ pub fn fig9() -> Vec<Figure> {
             let mut cfg = HuffmanConfig::disk_x86(DispatchPolicy::Aggressive);
             cfg.tolerance = Tolerance::percent(pct);
             cfg.schedule = SpeculationSchedule::with_step(2);
-            let out = run_huffman_sim(&data, &cfg, &platform, &disk());
+            let out = sim_outcome(&data, &cfg, &platform, &disk());
             series.push(latency_series(&format!("{pct:.2}%"), &out));
         }
         figs.push(Figure {

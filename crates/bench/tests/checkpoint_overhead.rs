@@ -19,7 +19,7 @@ use std::time::Instant;
 use tvs_core::CheckpointConfig;
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_threaded, run_huffman_threaded_checkpointed};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun};
 use tvs_sre::DispatchPolicy;
 use tvs_workloads::FileKind;
 
@@ -47,14 +47,9 @@ fn median_secs(data: &[u8], checkpointed: bool, reps: usize) -> f64 {
                 c.checkpoint = Some(CheckpointConfig::at_default_cadence(&dir));
             }
             let t = Instant::now();
-            if checkpointed {
-                let run = run_huffman_threaded_checkpointed(data, &c, 4, &arrival, 1);
-                let out = run.into_outcome();
-                assert_eq!(out.result.blocks.len(), c.n_blocks(data.len()));
-            } else {
-                let out = run_huffman_threaded(data, &c, 4, &arrival, 1);
-                assert_eq!(out.result.blocks.len(), c.n_blocks(data.len()));
-            }
+            let report = run_huffman(&HuffmanRun::threaded(data, &c, 4, &arrival, 1));
+            let out = report.expect("a dark run cannot fail").end.into_outcome();
+            assert_eq!(out.result.blocks.len(), c.n_blocks(data.len()));
             t.elapsed().as_secs_f64()
         })
         .collect();

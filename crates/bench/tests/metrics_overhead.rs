@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::task::{payload, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
-use tvs_sre::{DispatchPolicy, MetricsHub, Sampler, Tracer};
+use tvs_sre::{DispatchPolicy, Instruments, MetricsHub, Sampler};
 
 struct PerBlock {
     n: usize,
@@ -80,8 +80,8 @@ fn median_secs(n: usize, metered: bool, reps: usize) -> f64 {
                 spin: SPIN,
             };
             let t = Instant::now();
-            let (w, metrics) =
-                threaded::run_metered(wl, &cfg, inputs, Tracer::disabled(), hub.clone());
+            let (w, metrics) = threaded::run(wl, &cfg, inputs, &Instruments::metered(hub.clone()))
+                .expect("nothing injected, nothing fails");
             let el = t.elapsed().as_secs_f64();
             if let Some(s) = sampler {
                 s.stop();

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::task::{payload, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
-use tvs_sre::{DispatchPolicy, Tracer};
+use tvs_sre::{DispatchPolicy, Instruments, Tracer};
 
 struct PerBlock {
     n: usize,
@@ -69,7 +69,8 @@ fn median_secs(n: usize, traced: bool, reps: usize) -> f64 {
                 spin: SPIN,
             };
             let t = Instant::now();
-            let (w, _) = threaded::run_traced(wl, &cfg, inputs, tracer.clone());
+            let (w, _) = threaded::run(wl, &cfg, inputs, &Instruments::traced(tracer.clone()))
+                .expect("nothing injected, nothing fails");
             let el = t.elapsed().as_secs_f64();
             if let Some(log) = tracer.drain() {
                 assert_eq!(log.count("task-end"), n, "every task left a span");

@@ -15,6 +15,7 @@
 use crate::frequency::{SpeculationSchedule, VerificationPolicy};
 use crate::manager::SpeculationManager;
 use crate::validate::Tolerance;
+use tvs_sre::Instruments;
 
 /// A complete speculation configuration for one DFG edge.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,9 +38,10 @@ pub struct SpeculationPlan {
 }
 
 impl SpeculationPlan {
-    /// Instantiate the engine for this plan.
-    pub fn manager<T>(&self) -> SpeculationManager<T> {
-        SpeculationManager::new(self.schedule, self.verification)
+    /// Instantiate the engine for this plan on a run's [`Instruments`]
+    /// (`&Instruments::default()` for a dark one).
+    pub fn manager<T>(&self, ins: &Instruments) -> SpeculationManager<T> {
+        SpeculationManager::instrumented(self.schedule, self.verification, ins)
     }
 }
 
@@ -152,7 +154,7 @@ mod tests {
             .unwrap();
         assert_eq!(plan.edge, "global-histogram -> tree");
         assert_eq!(plan.tolerance, Tolerance::percent(1.0));
-        let m: SpeculationManager<u32> = plan.manager();
+        let m: SpeculationManager<u32> = plan.manager(&Instruments::default());
         assert!(!m.is_done());
     }
 

@@ -18,7 +18,7 @@ use crate::ladder::{DegradationLadder, DegradationLevel, LadderConfig};
 use crate::validate::CheckResult;
 use crate::version::{VersionState, VersionTracker};
 use tvs_metrics::{Counter, Gauge, MetricsHub};
-use tvs_sre::SpecVersion;
+use tvs_sre::{Instruments, SpecVersion};
 use tvs_trace::{EventKind, Tracer};
 
 /// What the hosting workload must do next.
@@ -155,8 +155,25 @@ impl<T> std::fmt::Debug for SpeculationManager<T> {
 }
 
 impl<T> SpeculationManager<T> {
-    /// A manager with the given speculation and verification frequencies.
+    /// A manager with the given speculation and verification frequencies,
+    /// dark (no tracer, no hub).
     pub fn new(schedule: SpeculationSchedule, verify: VerificationPolicy) -> Self {
+        Self::instrumented(schedule, verify, &Instruments::default())
+    }
+
+    /// [`Self::new`], routing speculation-lifecycle events (predictor
+    /// fires, version opens, check verdicts, commits) into `ins.tracer`'s
+    /// control ring and speculation-outcome counters plus the breaker-state
+    /// and ladder-level gauges into `ins.metrics`' control shard. The
+    /// manager always runs under its host's routing/commit lock, so ring
+    /// and shard stay single-writer. Rollback events and counters are *not*
+    /// fed here — the SRE scheduler owns them (one per `abort_version`,
+    /// with the observed cascade depth attached).
+    pub fn instrumented(
+        schedule: SpeculationSchedule,
+        verify: VerificationPolicy,
+        ins: &Instruments,
+    ) -> Self {
         SpeculationManager {
             schedule,
             verify,
@@ -166,8 +183,8 @@ impl<T> SpeculationManager<T> {
             final_seen: false,
             stats: ManagerStats::default(),
             rollback_hook: None,
-            tracer: Tracer::disabled(),
-            metrics: MetricsHub::disabled(),
+            tracer: ins.tracer.clone(),
+            metrics: ins.metrics.clone(),
             breaker: None,
             ladder: None,
             lineage: Vec::new(),
@@ -205,28 +222,6 @@ impl<T> SpeculationManager<T> {
     /// The ladder's current service level, if one is configured.
     pub fn ladder_level(&self) -> Option<DegradationLevel> {
         self.ladder.as_ref().map(DegradationLadder::level)
-    }
-
-    /// Route speculation-lifecycle events (predictor fires, version opens,
-    /// check verdicts, commits) into `tracer`'s control ring. The manager
-    /// always runs under its host's routing lock, so the ring stays
-    /// single-writer. Rollback events are *not* emitted here — the SRE
-    /// scheduler emits them when the host executes [`Action::Rollback`],
-    /// with the observed cascade depth attached.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Route speculation-outcome counters (predictions, check verdicts,
-    /// commits) and the breaker-state gauge into `metrics`. The manager
-    /// always runs under its host's routing/commit lock, so counters go to
-    /// the hub's control shard — no lane attribution, no contention.
-    /// Rollback counters are *not* fed here — the SRE scheduler owns them
-    /// (one increment per `abort_version`, with cascade depth attached).
-    pub fn set_metrics(&mut self, metrics: MetricsHub) {
-        self.metrics = metrics;
-        self.publish_breaker_gauge();
-        self.publish_ladder_gauge();
     }
 
     /// Mirror the breaker's state into [`Gauge::BreakerState`]:
@@ -779,6 +774,15 @@ mod tests {
         SpeculationManager::new(SpeculationSchedule::with_step(step), verify)
     }
 
+    /// Step 1, full verification, events into `tracer`.
+    fn traced_mgr(tracer: &Tracer) -> SpeculationManager<&'static str> {
+        SpeculationManager::instrumented(
+            SpeculationSchedule::with_step(1),
+            VerificationPolicy::Full,
+            &Instruments::traced(tracer.clone()),
+        )
+    }
+
     #[test]
     fn no_rollback_happy_path() {
         let mut m = mgr(1, VerificationPolicy::EveryKth(2));
@@ -906,8 +910,7 @@ mod tests {
     #[test]
     fn lifecycle_events_reach_the_tracer() {
         let tracer = Tracer::enabled(1);
-        let mut m = mgr(1, VerificationPolicy::Full);
-        m.set_tracer(tracer.clone());
+        let mut m = traced_mgr(&tracer);
         m.on_basis(1);
         m.install_prediction(1, "v1");
         m.on_basis(2);
@@ -933,8 +936,7 @@ mod tests {
     #[test]
     fn lineage_declarations_chain_cascades_to_their_root() {
         let tracer = Tracer::enabled(1);
-        let mut m = mgr(1, VerificationPolicy::Full);
-        m.set_tracer(tracer.clone());
+        let mut m = traced_mgr(&tracer);
         // v1 fresh → fails → v2 promoted → fails → v3 promoted.
         m.on_basis(1);
         m.install_prediction(1, "v1");
@@ -990,8 +992,7 @@ mod tests {
     #[test]
     fn breaker_trips_on_sustained_rollbacks_and_recovers_via_probe() {
         let tracer = Tracer::enabled(1);
-        let mut m = mgr(1, VerificationPolicy::Full);
-        m.set_tracer(tracer.clone());
+        let mut m = traced_mgr(&tracer);
         m.set_breaker(breaker_cfg());
         assert_eq!(m.breaker_state(), Some(BreakerState::Closed));
 
@@ -1064,8 +1065,7 @@ mod tests {
     #[test]
     fn breaker_trip_steps_the_ladder_down_within_one_window() {
         let tracer = Tracer::enabled(1);
-        let mut m = mgr(1, VerificationPolicy::Full);
-        m.set_tracer(tracer.clone());
+        let mut m = traced_mgr(&tracer);
         m.set_breaker(breaker_cfg());
         // A window far larger than the test so only the trip can step.
         m.set_ladder(LadderConfig {
@@ -1250,8 +1250,7 @@ mod tests {
     #[test]
     fn executor_faults_alone_can_trip_the_breaker() {
         let tracer = Tracer::enabled(1);
-        let mut m = mgr(1, VerificationPolicy::Full);
-        m.set_tracer(tracer.clone());
+        let mut m = traced_mgr(&tracer);
         m.set_breaker(breaker_cfg());
         m.record_fault();
         assert_eq!(m.breaker_state(), Some(BreakerState::Closed));

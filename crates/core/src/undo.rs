@@ -12,7 +12,7 @@
 
 use crate::arena::{AllocStats, ScratchPool};
 use tvs_metrics::{Counter, MetricsHub};
-use tvs_sre::{FaultInjector, FaultKind, FaultSite, SpecVersion};
+use tvs_sre::{FaultInjector, FaultKind, FaultSite, Instruments, SpecVersion};
 use tvs_trace::{EventKind, Tracer};
 
 /// An entry that knows how to reverse itself.
@@ -45,44 +45,36 @@ pub struct UndoLog<E: Undo> {
 
 impl<E: Undo> Default for UndoLog<E> {
     fn default() -> Self {
+        Self::instrumented(&Instruments::default())
+    }
+}
+
+impl<E: Undo> UndoLog<E> {
+    /// An empty journal, dark.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty journal on a run's [`Instruments`]: an abort that actually
+    /// replays entries emits an undo-replay event on `ins.tracer`'s control
+    /// ring and feeds [`Counter::UndoReplays`] (one per entry) into
+    /// `ins.metrics`' control shard — the journal is mutated under its
+    /// host's routing lock, matching both sinks' single-writer discipline —
+    /// and `ins.faults` is consulted at the `UndoJournal` site: a drawn
+    /// `Stall` delays the replay of an abort (modelling slow reversal I/O),
+    /// which chaos tests use to widen the window in which a second abort
+    /// can land mid-rollback. Correctness must not depend on replay being
+    /// fast.
+    pub fn instrumented(ins: &Instruments) -> Self {
         UndoLog {
             journal: Vec::new(),
             pool: ScratchPool::new(),
             committed: 0,
             undone: 0,
-            tracer: Tracer::disabled(),
-            metrics: MetricsHub::disabled(),
-            faults: FaultInjector::disabled(),
+            tracer: ins.tracer.clone(),
+            metrics: ins.metrics.clone(),
+            faults: ins.faults.clone(),
         }
-    }
-}
-
-impl<E: Undo> UndoLog<E> {
-    /// An empty journal.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Emit an undo-replay event to `tracer`'s control ring whenever an
-    /// abort actually replays journal entries.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Feed [`Counter::UndoReplays`] (one per journal entry replayed by an
-    /// abort) into `metrics`' control shard — the journal is mutated under
-    /// its host's routing lock, matching the control shard's single-writer
-    /// discipline.
-    pub fn set_metrics(&mut self, metrics: MetricsHub) {
-        self.metrics = metrics;
-    }
-
-    /// Inject faults at the `UndoJournal` site: a drawn `Stall` delays the
-    /// replay of an abort (modelling slow reversal I/O), which chaos tests
-    /// use to widen the window in which a second abort can land mid-
-    /// rollback. Correctness must not depend on replay being fast.
-    pub fn set_fault_injector(&mut self, faults: FaultInjector) {
-        self.faults = faults;
     }
 
     /// Record the reversal for an effect just applied under `version`.
@@ -287,12 +279,13 @@ mod tests {
     #[test]
     fn stalled_replay_still_reverses_correctly() {
         use tvs_sre::FaultPlan;
-        let mut log: UndoLog<Box<dyn FnOnce()>> = UndoLog::new();
-        log.set_fault_injector(FaultInjector::new(FaultPlan::new(5).with_rule(
+        let faults = FaultInjector::new(FaultPlan::new(5).with_rule(
             FaultSite::UndoJournal,
             FaultKind::Stall { us: 500 },
             1.0,
-        )));
+        ));
+        let mut log: UndoLog<Box<dyn FnOnce()>> =
+            UndoLog::instrumented(&Instruments::faulty(faults));
         let order = Rc::new(RefCell::new(Vec::new()));
         for i in 0..3 {
             let order = Rc::clone(&order);

@@ -454,11 +454,7 @@ pub fn run_filter_sim(
 ) -> (FilterResult, tvs_sre::RunMetrics) {
     use tvs_sre::exec::sim::{run, SimConfig};
     let wl = FilterWorkload::new(cfg.clone(), n_blocks);
-    let sim = SimConfig {
-        platform: tvs_sre::x86_smp(workers),
-        policy: cfg.policy,
-        trace: false,
-    };
+    let sim = SimConfig::new(tvs_sre::x86_smp(workers), cfg.policy);
     let inputs: Vec<InputBlock> = (0..n_blocks)
         .map(|i| InputBlock {
             index: i,
@@ -466,7 +462,14 @@ pub fn run_filter_sim(
             data: make_block(i),
         })
         .collect();
-    let rep = run(wl, &sim, &FilterCost, inputs);
+    let rep = run(
+        wl,
+        &sim,
+        &FilterCost,
+        inputs,
+        &tvs_sre::Instruments::default(),
+    )
+    .expect("a dark run injects nothing that could fail it");
     (rep.workload.result(), rep.metrics)
 }
 

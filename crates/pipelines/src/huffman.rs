@@ -64,8 +64,8 @@ use tvs_huffman::{
 use tvs_metrics::{Gauge, MetricsHub};
 use tvs_sre::task::{expect_payload, payload};
 use tvs_sre::{
-    Completion, FaultInjector, FaultKind, FaultNotice, FaultSite, InputBlock, SchedCtx, SdcNotice,
-    TaskSpec, Time, Workload,
+    Completion, FaultInjector, FaultKind, FaultNotice, FaultSite, InputBlock, Instruments,
+    SchedCtx, SdcNotice, TaskSpec, Time, Workload,
 };
 
 /// The speculated value: a Huffman code (lengths + canonical table) built
@@ -363,13 +363,33 @@ pub struct HuffmanWorkload {
 }
 
 impl HuffmanWorkload {
-    /// A workload for `data_len` input bytes under `cfg`.
+    /// A dark workload for `data_len` input bytes under `cfg`: no tracer,
+    /// no hub, no fault plan, snapshots (if any) bound to no input.
     pub fn new(cfg: HuffmanConfig, data_len: usize) -> Self {
+        Self::instrumented(cfg, data_len, 0, &Instruments::default())
+    }
+
+    /// A workload for `data_len` input bytes under `cfg`, built on a run's
+    /// [`Instruments`] — hand the executor the same value. The speculation
+    /// manager's lifecycle events go to `ins.tracer`; speculation-outcome
+    /// counters, breaker state and the encode-pool gauges to `ins.metrics`;
+    /// `ins.faults` arms the workload's own sites
+    /// ([`FaultSite::PredictedValue`] — a scrambled predicted tree, which
+    /// the tolerance checks must catch — and [`FaultSite::TaskOutput`]).
+    /// `input_digest` binds snapshots to the input:
+    /// `tvs_core::checkpoint::input_digest(data)` when `cfg.checkpoint` is
+    /// armed, 0 otherwise.
+    pub fn instrumented(
+        cfg: HuffmanConfig,
+        data_len: usize,
+        input_digest: u64,
+        ins: &Instruments,
+    ) -> Self {
         assert!(data_len > 0, "empty input");
         let n_blocks = cfg.n_blocks(data_len);
         let n_groups = cfg.n_groups(data_len);
         // Instantiate the engine through the paper's four-point interface.
-        let mut mgr = cfg.speculation_plan().manager();
+        let mut mgr = cfg.speculation_plan().manager(ins);
         if let Some(b) = cfg.breaker {
             mgr.set_breaker(b);
         }
@@ -416,11 +436,11 @@ impl HuffmanWorkload {
             // case, so that the stream is not moved as it grows.
             stream: Vec::with_capacity(if keeps_stream { data_len } else { 0 }),
             committed_tree: None,
-            faults: FaultInjector::disabled(),
-            metrics: MetricsHub::disabled(),
+            faults: ins.faults.clone(),
+            metrics: ins.metrics.clone(),
             ckpt,
             halted: false,
-            input_digest: 0,
+            input_digest,
             resume_k: 0,
             actions_scratch: Vec::new(),
             commit_scratch: Vec::new(),
@@ -439,14 +459,16 @@ impl HuffmanWorkload {
     /// run.
     ///
     /// Callers must have verified the snapshot against their input and
-    /// configuration with [`StreamSnapshot::check_matches`] first; this
+    /// configuration with [`StreamSnapshot::check_matches`] first (which is
+    /// why the snapshot's own input digest is carried over); this
     /// constructor re-checks only the structural binding it can see.
     pub fn resume(
         cfg: HuffmanConfig,
         data_len: usize,
         snap: &StreamSnapshot,
+        ins: &Instruments,
     ) -> Result<Self, ResumeError> {
-        let mut wl = Self::new(cfg, data_len);
+        let mut wl = Self::instrumented(cfg, data_len, snap.input_digest, ins);
         if snap.n_blocks as usize != wl.n_blocks || snap.block_bytes as usize != wl.cfg.block_bytes
         {
             return Err(ResumeError::InputMismatch);
@@ -505,13 +527,6 @@ impl HuffmanWorkload {
         Ok(wl)
     }
 
-    /// Bind the snapshot plane to the input stream: pass
-    /// `tvs_core::checkpoint::input_digest(data)` so snapshots record which
-    /// bytes they belong to. The checkpointed runner entry points do this.
-    pub fn set_input_digest(&mut self, digest: u64) {
-        self.input_digest = digest;
-    }
-
     /// True once the run stopped at [`CheckpointConfig::halt_at_block`].
     pub fn halted(&self) -> bool {
         self.halted
@@ -522,32 +537,6 @@ impl HuffmanWorkload {
         self.ckpt
             .as_ref()
             .and_then(|c| c.last_snapshot.as_deref().cloned())
-    }
-
-    /// Route the speculation manager's lifecycle events (predictor fires,
-    /// version opens, check verdicts, commits) into `tracer`. Pass the same
-    /// tracer to the executor's `run_traced` so scheduler- and worker-side
-    /// events land in the same log.
-    pub fn set_tracer(&mut self, tracer: tvs_sre::Tracer) {
-        self.mgr.set_tracer(tracer);
-    }
-
-    /// Route speculation-outcome counters (predictions, check verdicts,
-    /// commits, breaker state) and the encode-pool allocation gauges into
-    /// `hub`. Pass the same hub to the executor's `run_metered` so worker-
-    /// and scheduler-side counters land in the same registry.
-    pub fn set_metrics(&mut self, hub: MetricsHub) {
-        self.mgr.set_metrics(hub.clone());
-        self.metrics = hub;
-    }
-
-    /// Arm the workload-level fault sites. Currently that is
-    /// [`FaultSite::PredictedValue`]: a drawn `CorruptValue` scrambles the
-    /// predicted tree between the predictor's output and its install, so
-    /// the tolerance checks must catch the damage. Pass the same injector
-    /// as the executor's so draws share one budget and log.
-    pub fn set_fault_injector(&mut self, faults: FaultInjector) {
-        self.faults = faults;
     }
 
     /// Extract the result after the run finished. The output stream is
@@ -1425,8 +1414,22 @@ mod tests {
     use super::*;
     use crate::cost::HuffmanCost;
     use tvs_core::{SpeculationSchedule, Tolerance, ValidationMode, VerificationPolicy};
-    use tvs_sre::exec::sim::{run, SimConfig};
+    use tvs_sre::exec::sim::SimConfig;
+    use tvs_sre::exec::threaded::{self, ThreadedConfig};
+    use tvs_sre::metrics::SimReport;
     use tvs_sre::{x86_smp, DispatchPolicy};
+
+    /// Dark simulator run that must complete (a test that injects faults
+    /// arms the workload's own sites only).
+    fn run<W: Workload>(
+        wl: W,
+        sim: &SimConfig,
+        cost: &dyn tvs_sre::CostModel,
+        inputs: Vec<InputBlock>,
+    ) -> SimReport<W> {
+        tvs_sre::exec::sim::run(wl, sim, cost, inputs, &Instruments::default())
+            .expect("sim run completes")
+    }
 
     fn blocks_of(data: &[u8], block: usize, gap: Time) -> Vec<InputBlock> {
         data.chunks(block)
@@ -1459,11 +1462,7 @@ mod tests {
 
     fn run_small(data: &[u8], cfg: HuffmanConfig) -> (PipelineResult, tvs_sre::RunMetrics) {
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-        let sim = SimConfig {
-            platform: x86_smp(4),
-            policy: cfg.policy,
-            trace: false,
-        };
+        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(data, cfg.block_bytes, 5);
         let rep = run(wl, &sim, &HuffmanCost, inputs);
         (rep.workload.result(), rep.metrics)
@@ -1599,11 +1598,7 @@ mod tests {
         // Slow arrivals: checks resolve while their version is active,
         // instead of going stale behind an early-finished reduce chain.
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-        let sim = SimConfig {
-            platform: x86_smp(4),
-            policy: cfg.policy,
-            trace: false,
-        };
+        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(&data, cfg.block_bytes, 100);
         let rep = run(wl, &sim, &HuffmanCost, inputs);
         let (res, m) = (rep.workload.result(), rep.metrics);
@@ -1632,17 +1627,14 @@ mod tests {
         // value) yet still finish with a decodable stream.
         let data = stationary_data(64 * 1024);
         let cfg = small_cfg(DispatchPolicy::Balanced);
-        let mut wl = HuffmanWorkload::new(cfg.clone(), data.len());
-        wl.set_fault_injector(FaultInjector::new(tvs_sre::FaultPlan::new(11).with_rule(
+        let faults = FaultInjector::new(tvs_sre::FaultPlan::new(11).with_rule(
             FaultSite::PredictedValue,
             FaultKind::CorruptValue,
             1.0,
-        )));
-        let sim = SimConfig {
-            platform: x86_smp(4),
-            policy: cfg.policy,
-            trace: false,
-        };
+        ));
+        let wl =
+            HuffmanWorkload::instrumented(cfg.clone(), data.len(), 0, &Instruments::faulty(faults));
+        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(&data, cfg.block_bytes, 5);
         let rep = run(wl, &sim, &HuffmanCost, inputs);
         let res = rep.workload.result();
@@ -1738,11 +1730,7 @@ mod tests {
             as_fault,
             lost: None,
         };
-        let sim = SimConfig {
-            platform: x86_smp(4),
-            policy: cfg.policy,
-            trace: false,
-        };
+        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let rep = run(
             lossy(),
             &sim,
@@ -1760,11 +1748,12 @@ mod tests {
                 .map(Arc::from)
                 .enumerate()
                 .collect();
-            let threaded = tvs_sre::exec::threaded::ThreadedConfig::new(2, cfg.policy);
+            let threaded = ThreadedConfig::new(2, cfg.policy);
             let wl = lossy();
             let (tx, rx) = std::sync::mpsc::channel();
             let runner = std::thread::spawn(move || {
-                let _ = tx.send(tvs_sre::exec::threaded::run(wl, &threaded, inputs).0);
+                let ran = threaded::run(wl, &threaded, inputs, &Instruments::default());
+                let _ = tx.send(ran.expect("threaded run completes").0);
             });
             let wl = rx
                 .recv_timeout(std::time::Duration::from_secs(30))
@@ -1840,11 +1829,7 @@ mod tests {
             let whole = tvs_huffman::encode_block(&data, &table).expect("covers the input");
             assert_eq!((bytes, bits), (whole.bytes, whole.bit_len));
         };
-        let sim = SimConfig {
-            platform: x86_smp(4),
-            policy: cfg.policy,
-            trace: false,
-        };
+        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(&data, cfg.block_bytes, 100);
         let rep = run(watched(), &sim, &HuffmanCost, inputs);
         assert!(rep.metrics.rollbacks > 0, "drifting data must roll back");
@@ -1859,8 +1844,9 @@ mod tests {
                 .map(Arc::from)
                 .enumerate()
                 .collect();
-            let threaded = tvs_sre::exec::threaded::ThreadedConfig::new(2, cfg.policy);
-            let (wl, _) = tvs_sre::exec::threaded::run(watched(), &threaded, inputs);
+            let threaded = ThreadedConfig::new(2, cfg.policy);
+            let (wl, _) = threaded::run(watched(), &threaded, inputs, &Instruments::default())
+                .expect("threaded run completes");
             check(wl.inner.result());
         }
     }
@@ -1902,12 +1888,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         cfg.checkpoint = None;
-        let resumed = HuffmanWorkload::resume(cfg.clone(), data.len(), &snap).expect("resumes");
-        let sim = SimConfig {
-            platform: x86_smp(4),
-            policy: cfg.policy,
-            trace: false,
-        };
+        let resumed =
+            HuffmanWorkload::resume(cfg.clone(), data.len(), &snap, &Instruments::default())
+                .expect("resumes");
+        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(data, 1, 1).split_off(2);
         let res = run(resumed, &sim, &HuffmanCost, inputs).workload.result();
         let whole = tvs_huffman::encode_block(data, &tree.table).unwrap();

@@ -21,30 +21,33 @@
 //!   incumbent placement is speculated on with a *semantic* tolerance
 //!   (objective values, not structures, are compared).
 //!
-//! [`runner`] wires workloads to the discrete-event or threaded executor
-//! with I/O arrival models and platform models; [`report`] renders the
+//! [`runner`] is the one way in: [`run_huffman`] takes a [`HuffmanRun`]
+//! (input, configuration, arrival model, executor, [`tvs_sre::Instruments`],
+//! optional snapshot to resume from) and returns a [`HuffmanReport`] or a
+//! structured [`RunFailure`]; [`report`] renders the
 //! series the paper's figures plot; [`postmortem`] dumps and reloads
 //! crash bundles (trace rings + lineage table + metrics snapshots) when
 //! a chaos run dies.
 //!
 //! ```
-//! use tvs_pipelines::config::HuffmanConfig;
-//! use tvs_pipelines::runner::run_huffman_sim;
+//! use tvs_pipelines::{run_huffman, HuffmanConfig, HuffmanRun};
 //! use tvs_sre::{x86_smp, DispatchPolicy};
 //!
 //! let data = tvs_workloads::generate(tvs_workloads::FileKind::Text, 256 * 1024, 7);
-//! let base = run_huffman_sim(
-//!     &data,
-//!     &HuffmanConfig::disk_x86(DispatchPolicy::NonSpeculative),
-//!     &x86_smp(16),
-//!     &tvs_iosim::Disk::default(),
-//! );
+//! let (machine, disk) = (x86_smp(16), tvs_iosim::Disk::default());
+//! let mean_latency = |cfg: &HuffmanConfig| {
+//!     run_huffman(&HuffmanRun::sim(&data, cfg, &machine, &disk))
+//!         .expect("a dark run injects nothing that could fail it")
+//!         .end
+//!         .into_outcome()
+//!         .mean_latency()
+//! };
+//! let base = mean_latency(&HuffmanConfig::disk_x86(DispatchPolicy::NonSpeculative));
 //! // Speculate from the very first reduce outcome (the input is small, so
 //! // the paper's default step 8 would only trigger halfway through).
 //! let mut cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
 //! cfg.schedule = tvs_core::SpeculationSchedule::with_step(1);
-//! let spec = run_huffman_sim(&data, &cfg, &x86_smp(16), &tvs_iosim::Disk::default());
-//! assert!(spec.mean_latency() < base.mean_latency());
+//! assert!(mean_latency(&cfg) < base);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,7 +67,5 @@ pub use config::HuffmanConfig;
 pub use cost::HuffmanCost;
 pub use huffman::{digest_output, HuffmanWorkload, PipelineResult, SpecTree};
 pub use runner::{
-    resume_huffman_sim, resume_huffman_threaded, run_huffman_sim, run_huffman_sim_checkpointed,
-    run_huffman_sim_sdc, run_huffman_threaded, run_huffman_threaded_checkpointed,
-    run_huffman_threaded_sdc, CheckpointedRun, RunOutcome,
+    run_huffman, CheckpointedRun, Executor, HuffmanReport, HuffmanRun, RunFailure, RunOutcome,
 };

@@ -1,36 +1,31 @@
-//! Run harness: data + config + platform + arrival model → results.
+//! Run harness, one way in: [`run_huffman`] takes a [`HuffmanRun`] — input,
+//! configuration, arrival model, executor, [`Instruments`], optionally a
+//! snapshot to resume from — and does the five steps of every run exactly
+//! once (bind the input, build the workload, wrap it in the replication
+//! plane, run, assemble the [`HuffmanReport`]), so no combination of them
+//! can panic where another returns an error.
 
 use crate::config::HuffmanConfig;
 use crate::cost::HuffmanCost;
 use crate::huffman::{digest_output, HuffmanWorkload, PipelineResult};
+use crate::postmortem;
 use std::sync::Arc;
 use tvs_core::checkpoint::input_digest;
 use tvs_core::{ReplicaStats, ReplicatingWorkload, ResumeError, StreamSnapshot};
 use tvs_iosim::ArrivalModel;
-use tvs_sre::exec::sim::{
-    run as sim_run, run_traced as sim_run_traced, try_run_chaos,
-    try_run_metered as sim_try_run_metered, SimChaos, SimConfig,
-};
-use tvs_sre::exec::threaded::{
-    try_run_metered as threaded_try_run_metered, try_run_traced as threaded_try_run_traced,
-    ThreadedConfig,
-};
-use tvs_sre::{
-    FaultInjector, InputBlock, MetricsHub, Platform, RunError, RunMetrics, TaskTrace, TraceLog,
-    Tracer,
+use tvs_sre::exec::sim::{self, SimConfig};
+use tvs_sre::exec::threaded::{self, ThreadedConfig};
+use tvs_sre::{InputBlock, Instruments, Platform, RunError, RunMetrics, TaskTrace, TraceLog};
+
+mod seam;
+pub use seam::{
+    run_huffman_threaded, run_huffman_threaded_checkpointed, run_huffman_threaded_events,
+    run_huffman_threaded_metered,
 };
 
-/// Seed of the replication plane's deterministic ordinary-task sampler.
-/// Fixed so two runs of the same configuration replicate the same tasks.
+/// Seed of the replication plane's ordinary-task sampler: fixed, so two
+/// runs of one configuration replicate the same tasks.
 const SDC_SEED: u64 = 0x5DC0_11A7;
-
-/// Wrap the pipeline workload in the replication validation plane per the
-/// configuration's [`tvs_core::ValidationMode`]. Under the default
-/// `Tolerance` mode the wrapper is a strict pass-through, so every
-/// existing entry point keeps its exact behaviour.
-fn wrap(wl: HuffmanWorkload, cfg: &HuffmanConfig) -> ReplicatingWorkload<HuffmanWorkload> {
-    ReplicatingWorkload::new(wl, cfg.validation, SDC_SEED, Arc::new(digest_output))
-}
 
 /// Everything a figure needs from one run.
 #[derive(Debug, Clone)]
@@ -44,8 +39,7 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// Per-element latency series, µs (the paper's main evaluation
-    /// criterion).
+    /// Per-element latency series, µs (the paper's main criterion).
     pub fn latencies(&self) -> Vec<u64> {
         self.result.blocks.iter().map(|b| b.latency()).collect()
     }
@@ -82,15 +76,14 @@ pub fn schedule_blocks(
     (blocks, times)
 }
 
-/// Outcome of a checkpointed run: completion, or a halt at the configured
-/// block with the snapshot that resumes it.
+/// How a run ended: completion, or a halt at the configured block with the
+/// snapshot that resumes it.
 #[derive(Debug, Clone)]
 pub enum CheckpointedRun {
     /// The run finished; the final snapshot (if any) is on disk.
     Completed(Box<RunOutcome>),
     /// The run stopped at [`tvs_core::CheckpointConfig::halt_at_block`];
-    /// feed this snapshot to [`resume_huffman_sim`] /
-    /// [`resume_huffman_threaded`] to finish the stream byte-identically.
+    /// pass this snapshot as [`HuffmanRun::resume`] to finish the stream.
     Halted(Box<StreamSnapshot>),
 }
 
@@ -112,537 +105,220 @@ impl CheckpointedRun {
     }
 }
 
-/// Run the Huffman pipeline on the simulator with the configuration's
-/// checkpoint plane armed (`cfg.checkpoint` must be `Some`): snapshots are
-/// bound to this input's digest, written at the configured cadence, and a
-/// `halt_at_block` stops the run at that committed prefix.
-pub fn run_huffman_sim_checkpointed(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-) -> CheckpointedRun {
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let mut wl0 = HuffmanWorkload::new(cfg.clone(), data.len());
-    wl0.set_input_digest(input_digest(data));
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace: false,
-    };
-    let rep = sim_run(wrap(wl0, cfg), &sim, &HuffmanCost, blocks);
-    let inner = rep.workload.into_inner();
-    if inner.halted() {
-        CheckpointedRun::Halted(Box::new(
-            inner
-                .snapshot()
-                .expect("halted run always built a snapshot"),
-        ))
+/// The executor of a [`HuffmanRun`]. Its config's `retry` / `watchdog` /
+/// `supervisor` fields are a chaos run's recovery knobs; its `policy` is
+/// the pipeline configuration's.
+#[derive(Debug, Clone)]
+pub enum Executor {
+    /// The deterministic discrete-event executor, in virtual time.
+    Sim {
+        /// Platform model, policy, fault handling, per-task trace.
+        cfg: SimConfig,
+    },
+    /// Real threads on the wall clock.
+    Threaded {
+        /// Worker count, policy, fault handling.
+        cfg: ThreadedConfig,
+        /// Arrivals are paced per the model compressed by this factor (so
+        /// slow-I/O scenarios finish quickly in tests).
+        time_scale: u64,
+    },
+}
+
+/// One Huffman compress: the single argument of [`run_huffman`].
+pub struct HuffmanRun<'a> {
+    /// The input stream.
+    pub data: &'a [u8],
+    /// Policy, speculation, validation mode, checkpoint plane, ….
+    pub cfg: &'a HuffmanConfig,
+    /// When each block arrives.
+    pub arrival: &'a dyn ArrivalModel,
+    /// The executor.
+    pub on: Executor,
+    /// The tracer, hub and fault injector every layer of the run shares;
+    /// size an enabled tracer or hub for the executor's worker count. For
+    /// byte-deterministic snapshots of a simulator run, arm the hub with
+    /// `enable_virtual_sampling` beforehand.
+    pub instruments: Instruments,
+    /// Resume a killed run from its committed-prefix snapshot: it is checked
+    /// against `data` and `cfg`, only blocks past the prefix are fed, and
+    /// they are encoded with the snapshot's tree — byte-identical to an
+    /// uninterrupted run.
+    pub resume: Option<&'a StreamSnapshot>,
+}
+
+impl<'a> HuffmanRun<'a> {
+    /// A dark, from-scratch run on the simulator's model of `platform`.
+    pub fn sim(
+        data: &'a [u8],
+        cfg: &'a HuffmanConfig,
+        platform: &Platform,
+        arrival: &'a dyn ArrivalModel,
+    ) -> Self {
+        let sim = SimConfig::new(platform.clone(), cfg.policy);
+        HuffmanRun {
+            data,
+            cfg,
+            arrival,
+            on: Executor::Sim { cfg: sim },
+            instruments: Instruments::default(),
+            resume: None,
+        }
+    }
+
+    /// A dark, from-scratch run on `workers` real threads.
+    pub fn threaded(
+        data: &'a [u8],
+        cfg: &'a HuffmanConfig,
+        workers: usize,
+        arrival: &'a dyn ArrivalModel,
+        time_scale: u64,
+    ) -> Self {
+        let on = Executor::Threaded {
+            cfg: ThreadedConfig::new(workers, cfg.policy),
+            time_scale,
+        };
+        HuffmanRun {
+            data,
+            cfg,
+            arrival,
+            on,
+            instruments: Instruments::default(),
+            resume: None,
+        }
+    }
+}
+
+/// What [`run_huffman`] returns for a run that did not fail.
+#[derive(Debug, Clone)]
+pub struct HuffmanReport {
+    /// The outcome, or the snapshot its checkpoint plane halted the run at.
+    pub end: CheckpointedRun,
+    /// The speculation-lifecycle event log, drained iff the run's tracer was
+    /// enabled; its label is the policy's.
+    pub log: Option<TraceLog>,
+    /// The replication plane's counters (zero under `Tolerance`).
+    pub replica: ReplicaStats,
+    /// The simulator's per-task trace (empty unless `SimConfig::task_trace`).
+    pub task_trace: Vec<TaskTrace>,
+}
+
+/// Why [`run_huffman`] could not produce a report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunFailure {
+    /// The executor could not complete the run.
+    Run(RunError),
+    /// The snapshot to resume from belongs to another input or
+    /// configuration, or is structurally unusable.
+    Resume(ResumeError),
+}
+
+impl std::fmt::Display for RunFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunFailure::Run(e) => e.fmt(f),
+            RunFailure::Resume(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RunFailure {}
+
+impl From<ResumeError> for RunFailure {
+    fn from(e: ResumeError) -> Self {
+        RunFailure::Resume(e)
+    }
+}
+
+/// Run the Huffman pipeline as `run` describes. A rejected snapshot or a
+/// run that bounded retries cannot save is a structured [`RunFailure`],
+/// never a panic; the latter, when the tracer is enabled, also leaves a
+/// post-mortem bundle (see [`postmortem`]).
+pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
+    let (data, cfg, ins) = (run.data, run.cfg, &run.instruments);
+    // Snapshots are bound to the bytes they belong to; a run that neither
+    // writes nor reads one does not pay for the digest.
+    let digest = if cfg.checkpoint.is_some() || run.resume.is_some() {
+        input_digest(data)
     } else {
-        CheckpointedRun::Completed(Box::new(RunOutcome {
-            result: inner.result(),
-            metrics: rep.metrics,
-            arrivals: times,
-        }))
-    }
-}
-
-/// Resume a killed simulator run from its committed-prefix snapshot:
-/// verifies the snapshot against this input and configuration, re-feeds
-/// only the blocks past the prefix, and completes the stream — byte-
-/// identical to an uninterrupted run, because every remaining block is
-/// encoded with the snapshot's committed tree.
-pub fn resume_huffman_sim(
-    snapshot: &StreamSnapshot,
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-) -> Result<RunOutcome, ResumeError> {
-    let digest = input_digest(data);
-    snapshot.check_matches(cfg.digest(), digest)?;
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let k = snapshot.prefix as usize;
-    let blocks: Vec<InputBlock> = blocks.into_iter().filter(|b| b.index >= k).collect();
-    let mut wl0 = HuffmanWorkload::resume(cfg.clone(), data.len(), snapshot)?;
-    wl0.set_input_digest(digest);
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace: false,
+        0
     };
-    let rep = sim_run(wrap(wl0, cfg), &sim, &HuffmanCost, blocks);
-    Ok(RunOutcome {
-        result: rep.workload.into_inner().result(),
-        metrics: rep.metrics,
-        arrivals: times,
-    })
-}
-
-/// Threaded counterpart of [`run_huffman_sim_checkpointed`]: real workers,
-/// the same snapshot cadence and halt semantics.
-pub fn run_huffman_threaded_checkpointed(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-) -> CheckpointedRun {
-    let tcfg = ThreadedConfig::new(workers, cfg.policy);
-    let tracer = Tracer::disabled();
-    let mut wl0 = HuffmanWorkload::new(cfg.clone(), data.len());
-    wl0.set_input_digest(input_digest(data));
-    let (wl, iter, times) =
-        threaded_setup(wl0, data, cfg, &tcfg, arrival, time_scale, &tracer, None, 0);
-    let (wl, metrics) = threaded_try_run_traced(wl, &tcfg, iter, tracer)
-        .unwrap_or_else(|e| panic!("checkpointed threaded run failed: {e}"));
-    let inner = wl.into_inner();
-    if inner.halted() {
-        CheckpointedRun::Halted(Box::new(
-            inner
-                .snapshot()
-                .expect("halted run always built a snapshot"),
-        ))
-    } else {
-        CheckpointedRun::Completed(Box::new(RunOutcome {
-            result: inner.result(),
-            metrics,
-            arrivals: times,
-        }))
-    }
-}
-
-/// Threaded counterpart of [`resume_huffman_sim`].
-pub fn resume_huffman_threaded(
-    snapshot: &StreamSnapshot,
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-) -> Result<RunOutcome, ResumeError> {
-    let digest = input_digest(data);
-    snapshot.check_matches(cfg.digest(), digest)?;
-    let tcfg = ThreadedConfig::new(workers, cfg.policy);
-    let tracer = Tracer::disabled();
-    let k = snapshot.prefix as usize;
-    let mut wl0 = HuffmanWorkload::resume(cfg.clone(), data.len(), snapshot)?;
-    wl0.set_input_digest(digest);
-    let (wl, iter, times) =
-        threaded_setup(wl0, data, cfg, &tcfg, arrival, time_scale, &tracer, None, k);
-    let (wl, metrics) = threaded_try_run_traced(wl, &tcfg, iter, tracer)
-        .unwrap_or_else(|e| panic!("resumed threaded run failed: {e}"));
-    Ok(RunOutcome {
-        result: wl.into_inner().result(),
-        metrics,
-        arrivals: times,
-    })
-}
-
-/// Run the Huffman pipeline on the deterministic discrete-event executor.
-pub fn run_huffman_sim(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-) -> RunOutcome {
-    let (outcome, _) = run_huffman_sim_traced(data, cfg, platform, arrival, false);
-    outcome
-}
-
-/// Like [`run_huffman_sim`], optionally capturing the per-task trace.
-pub fn run_huffman_sim_traced(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-    trace: bool,
-) -> (RunOutcome, Vec<TaskTrace>) {
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let wl = wrap(HuffmanWorkload::new(cfg.clone(), data.len()), cfg);
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace,
+    let wl = match run.resume {
+        Some(snap) => {
+            snap.check_matches(cfg.digest(), digest)?;
+            HuffmanWorkload::resume(cfg.clone(), data.len(), snap, ins)?
+        }
+        None => HuffmanWorkload::instrumented(cfg.clone(), data.len(), digest, ins),
     };
-    let rep = sim_run(wl, &sim, &HuffmanCost, blocks);
-    (
-        RunOutcome {
-            result: rep.workload.into_inner().result(),
-            metrics: rep.metrics,
-            arrivals: times,
-        },
-        rep.trace,
-    )
-}
+    // A resumed run's committed prefix is not fed again.
+    let skip_below = run.resume.map_or(0, |snap| snap.prefix as usize);
+    ins.tracer.set_label(cfg.policy.label());
+    // The replication validation plane, per `cfg.validation`: a strict
+    // pass-through under the default `Tolerance`.
+    let digest_fn = Arc::new(digest_output);
+    let wl = ReplicatingWorkload::instrumented(wl, cfg.validation, SDC_SEED, digest_fn, ins);
 
-/// Like [`run_huffman_sim`], additionally recording the full
-/// speculation-lifecycle event log (dispatches, task spans, predictor
-/// fires, check verdicts, rollbacks with cascade depth, commits) in
-/// deterministic virtual time. The log's label is set to the policy name.
-pub fn run_huffman_sim_events(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-) -> (RunOutcome, TraceLog) {
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let tracer = Tracer::enabled(platform.workers);
-    tracer.set_label(cfg.policy.label());
-    let mut wl = wrap(HuffmanWorkload::new(cfg.clone(), data.len()), cfg);
-    wl.inner_mut().set_tracer(tracer.clone());
-    wl.set_tracer(tracer.clone());
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace: false,
-    };
-    let rep = sim_run_traced(wl, &sim, &HuffmanCost, blocks, tracer.clone());
-    let log = tracer.drain().expect("enabled tracer drains");
-    (
-        RunOutcome {
-            result: rep.workload.into_inner().result(),
-            metrics: rep.metrics,
-            arrivals: times,
-        },
-        log,
-    )
-}
-
-/// Like [`run_huffman_sim`], feeding every layer's telemetry (scheduler
-/// lifecycle counters, per-lane dispatch, manager outcomes, breaker state,
-/// encode-pool gauges) into `hub`. Pass a hub built with
-/// `MetricsHub::enabled(platform.workers)`; arm virtual-time sampling on it
-/// beforehand (`enable_virtual_sampling`) to collect byte-deterministic
-/// [`tvs_sre::MetricsSnapshot`]s, and drain them afterwards with
-/// `drain_virtual_snapshots`.
-pub fn run_huffman_sim_metered(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-    hub: MetricsHub,
-) -> RunOutcome {
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let mut wl = wrap(HuffmanWorkload::new(cfg.clone(), data.len()), cfg);
-    wl.inner_mut().set_metrics(hub.clone());
-    wl.set_metrics(hub.clone());
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace: false,
-    };
-    let rep = sim_try_run_metered(
-        wl,
-        &sim,
-        &HuffmanCost,
-        blocks,
-        Tracer::disabled(),
-        &SimChaos::default(),
-        hub,
-    )
-    .unwrap_or_else(|e| panic!("metered sim run failed: {e}"));
-    RunOutcome {
-        result: rep.workload.into_inner().result(),
-        metrics: rep.metrics,
-        arrivals: times,
-    }
-}
-
-/// Run the Huffman pipeline on the simulator under a chaos plan: the
-/// fault-injection rules, retry policy and virtual watchdog in `chaos`,
-/// with the full speculation-lifecycle event log (including `task-fault`,
-/// `watchdog-cancel` and breaker events) captured in virtual time. The
-/// workload's own fault site ([`tvs_sre::FaultSite::PredictedValue`]) is
-/// armed with the same injector, so all draws share one budget and log.
-/// Returns a structured [`RunError`] when bounded retries cannot save the
-/// run — never a panic.
-pub fn run_huffman_sim_chaos(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-    chaos: &SimChaos,
-) -> Result<(RunOutcome, TraceLog), RunError> {
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let tracer = Tracer::enabled(platform.workers);
-    tracer.set_label(cfg.policy.label());
-    let mut wl = wrap(HuffmanWorkload::new(cfg.clone(), data.len()), cfg);
-    wl.inner_mut().set_tracer(tracer.clone());
-    wl.inner_mut().set_fault_injector(chaos.faults.clone());
-    wl.set_tracer(tracer.clone());
-    wl.set_fault_injector(chaos.faults.clone());
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace: false,
-    };
-    let rep = match try_run_chaos(wl, &sim, &HuffmanCost, blocks, tracer.clone(), chaos) {
-        Ok(rep) => rep,
-        Err(e) => {
-            // Crash hook: dump the flight-recorder state before the
-            // structured error propagates (see `postmortem`).
-            if let Some(log) = tracer.drain() {
-                crate::postmortem::capture(
-                    crate::postmortem::Trigger::RunError,
-                    chaos.faults.seed().unwrap_or(0),
-                    cfg.policy.label(),
-                    &log,
-                    Some(e.to_string()),
-                );
-            }
-            return Err(e);
+    let ran = match &run.on {
+        Executor::Sim { cfg: sim } => {
+            let (mut blocks, times) = schedule_blocks(data, cfg.block_bytes, run.arrival);
+            blocks.retain(|b| b.index >= skip_below);
+            sim::run(wl, sim, &HuffmanCost, blocks, ins)
+                .map(|rep| (rep.workload, rep.metrics, rep.trace, times))
+        }
+        Executor::Threaded {
+            cfg: tcfg,
+            time_scale,
+        } => {
+            let (iter, times) = threaded_setup(data, cfg, run.arrival, *time_scale, skip_below);
+            threaded::run(wl, tcfg, iter, ins).map(|(wl, metrics)| (wl, metrics, Vec::new(), times))
         }
     };
-    let log = tracer.drain().expect("enabled tracer drains");
-    Ok((
-        RunOutcome {
-            result: rep.workload.into_inner().result(),
-            metrics: rep.metrics,
-            arrivals: times,
-        },
-        log,
-    ))
-}
-
-/// Run the Huffman pipeline on the simulator with replication-based
-/// validation armed against silent data corruption: `faults` should carry
-/// a [`tvs_sre::FaultSite::TaskOutput`] rule (see `FaultPlan::sdc`), which
-/// flips bits in encoded blocks *after* a successful encode — invisible to
-/// panics, retry and the tolerance checks alike. The same injector is
-/// wired into the workload (so draws share one budget) and into the
-/// replication plane (so it can compute detection recall). Returns the
-/// outcome plus the plane's counters.
-pub fn run_huffman_sim_sdc(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-    faults: FaultInjector,
-) -> (RunOutcome, ReplicaStats) {
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let mut wl = wrap(HuffmanWorkload::new(cfg.clone(), data.len()), cfg);
-    wl.inner_mut().set_fault_injector(faults.clone());
-    wl.set_fault_injector(faults);
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace: false,
-    };
-    let rep = sim_run(wl, &sim, &HuffmanCost, blocks);
-    let stats = rep.workload.stats();
-    (
-        RunOutcome {
-            result: rep.workload.into_inner().result(),
-            metrics: rep.metrics,
-            arrivals: times,
-        },
-        stats,
-    )
-}
-
-/// Threaded counterpart of [`run_huffman_sim_sdc`]: real workers, the same
-/// silent-corruption injection and replication plane. Returns a structured
-/// [`RunError`] if the run cannot complete.
-pub fn run_huffman_threaded_sdc(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-    faults: FaultInjector,
-) -> Result<(RunOutcome, ReplicaStats), RunError> {
-    let mut tcfg = ThreadedConfig::new(workers, cfg.policy);
-    tcfg.faults = faults;
-    let tracer = Tracer::disabled();
-    let wl0 = HuffmanWorkload::new(cfg.clone(), data.len());
-    let (wl, iter, times) =
-        threaded_setup(wl0, data, cfg, &tcfg, arrival, time_scale, &tracer, None, 0);
-    let (wl, metrics) = threaded_try_run_traced(wl, &tcfg, iter, tracer)?;
-    let stats = wl.stats();
-    Ok((
-        RunOutcome {
-            result: wl.into_inner().result(),
-            metrics,
-            arrivals: times,
-        },
-        stats,
-    ))
-}
-
-/// Run the Huffman pipeline on real threads, pacing arrivals per the model
-/// compressed by `time_scale` (so slow-I/O scenarios finish quickly in
-/// tests).
-pub fn run_huffman_threaded(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-) -> RunOutcome {
-    threaded_impl(data, cfg, workers, arrival, time_scale, Tracer::disabled())
-}
-
-/// Like [`run_huffman_threaded`], additionally recording the full
-/// speculation-lifecycle event log in wall-clock time.
-pub fn run_huffman_threaded_events(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-) -> (RunOutcome, TraceLog) {
-    let tracer = Tracer::enabled(workers);
-    tracer.set_label(cfg.policy.label());
-    let outcome = threaded_impl(data, cfg, workers, arrival, time_scale, tracer.clone());
-    let log = tracer.drain().expect("enabled tracer drains");
-    (outcome, log)
-}
-
-/// Like [`run_huffman_threaded`], feeding every layer's telemetry into
-/// `hub`. Pass a hub built with `MetricsHub::enabled(workers)` and attach a
-/// [`tvs_sre::Sampler`] (or call `hub.snapshot()` yourself) to watch the
-/// run live — this is what `tvs-top` and the `socket_stream` example do.
-pub fn run_huffman_threaded_metered(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-    hub: MetricsHub,
-) -> RunOutcome {
-    let tcfg = ThreadedConfig::new(workers, cfg.policy);
-    try_threaded_metered_impl(data, cfg, &tcfg, arrival, time_scale, hub)
-        .unwrap_or_else(|e| panic!("metered threaded run failed: {e}"))
-}
-
-/// Run the Huffman pipeline on real threads under a caller-built
-/// [`ThreadedConfig`] — its `faults`, `retry` and `watchdog` fields are the
-/// chaos knobs — capturing the full event log in wall-clock time. The
-/// workload's predicted-value fault site is armed with the executor's
-/// injector. Returns a structured [`RunError`] when bounded retries cannot
-/// save the run — never a panic.
-pub fn run_huffman_threaded_chaos(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    tcfg: &ThreadedConfig,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-) -> Result<(RunOutcome, TraceLog), RunError> {
-    let tracer = Tracer::enabled(tcfg.workers);
-    tracer.set_label(cfg.policy.label());
-    let outcome = match try_threaded_impl(data, cfg, tcfg, arrival, time_scale, tracer.clone()) {
-        Ok(out) => out,
-        Err(e) => {
-            // Crash hook: dump the flight-recorder state before the
-            // structured error propagates (see `postmortem`).
-            if let Some(log) = tracer.drain() {
-                crate::postmortem::capture(
-                    crate::postmortem::Trigger::RunError,
-                    tcfg.faults.seed().unwrap_or(0),
-                    cfg.policy.label(),
-                    &log,
-                    Some(e.to_string()),
-                );
-            }
-            return Err(e);
+    let (wl, metrics, task_trace, arrivals) = ran.map_err(|e| {
+        // Crash hook: dump the flight-recorder state before the structured
+        // error propagates.
+        if let Some(log) = ins.tracer.drain() {
+            let seed = ins.faults.seed().unwrap_or(0);
+            let (trigger, policy) = (postmortem::Trigger::RunError, cfg.policy.label());
+            postmortem::capture(trigger, seed, policy, &log, Some(e.to_string()));
         }
+        RunFailure::Run(e)
+    })?;
+
+    let replica = wl.stats();
+    let wl = wl.into_inner();
+    let end = if wl.halted() {
+        let snap = wl.snapshot().expect("halted run always built a snapshot");
+        CheckpointedRun::Halted(Box::new(snap))
+    } else {
+        CheckpointedRun::Completed(Box::new(RunOutcome {
+            result: wl.result(),
+            metrics,
+            arrivals,
+        }))
     };
-    let log = tracer.drain().expect("enabled tracer drains");
-    Ok((outcome, log))
-}
-
-fn threaded_impl(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-    tracer: Tracer,
-) -> RunOutcome {
-    let tcfg = ThreadedConfig::new(workers, cfg.policy);
-    try_threaded_impl(data, cfg, &tcfg, arrival, time_scale, tracer)
-        .unwrap_or_else(|e| panic!("threaded run failed: {e}"))
-}
-
-fn try_threaded_impl(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    tcfg: &ThreadedConfig,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-    tracer: Tracer,
-) -> Result<RunOutcome, RunError> {
-    let wl0 = HuffmanWorkload::new(cfg.clone(), data.len());
-    let (wl, iter, times) =
-        threaded_setup(wl0, data, cfg, tcfg, arrival, time_scale, &tracer, None, 0);
-    let (wl, metrics) = threaded_try_run_traced(wl, tcfg, iter, tracer)?;
-    Ok(RunOutcome {
-        result: wl.into_inner().result(),
-        metrics,
-        arrivals: times,
+    Ok(HuffmanReport {
+        end,
+        log: ins.tracer.drain(),
+        replica,
+        task_trace,
     })
 }
 
-fn try_threaded_metered_impl(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    tcfg: &ThreadedConfig,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-    hub: MetricsHub,
-) -> Result<RunOutcome, RunError> {
-    let tracer = Tracer::disabled();
-    let wl0 = HuffmanWorkload::new(cfg.clone(), data.len());
-    let (wl, iter, times) = threaded_setup(
-        wl0,
-        data,
-        cfg,
-        tcfg,
-        arrival,
-        time_scale,
-        &tracer,
-        Some(&hub),
-        0,
-    );
-    let (wl, metrics) = threaded_try_run_metered(wl, tcfg, iter, tracer, hub)?;
-    Ok(RunOutcome {
-        result: wl.into_inner().result(),
-        metrics,
-        arrivals: times,
-    })
-}
-
-/// Shared threaded-run scaffolding: workload wiring plus the paced input
-/// iterator (arrival schedule compressed by `time_scale`). Blocks below
+/// Threaded-run scaffolding: the paced input iterator (arrival schedule
+/// compressed by `time_scale`) and the schedule itself. Blocks below
 /// `skip_below` are not fed at all — a resumed run's committed prefix.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn threaded_setup(
-    wl0: HuffmanWorkload,
     data: &[u8],
     cfg: &HuffmanConfig,
-    tcfg: &ThreadedConfig,
     arrival: &dyn ArrivalModel,
     time_scale: u64,
-    tracer: &Tracer,
-    hub: Option<&MetricsHub>,
     skip_below: usize,
 ) -> (
-    ReplicatingWorkload<HuffmanWorkload>,
     impl Iterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
     Vec<u64>,
 ) {
     let n = data.len().div_ceil(cfg.block_bytes);
     let times = arrival.schedule(n, cfg.block_bytes);
-    let mut wl = wrap(wl0, cfg);
-    wl.inner_mut().set_tracer(tracer.clone());
-    wl.set_tracer(tracer.clone());
-    if let Some(h) = hub {
-        wl.inner_mut().set_metrics(h.clone());
-        wl.set_metrics(h.clone());
-    }
-    wl.inner_mut().set_fault_injector(tcfg.faults.clone());
-    wl.set_fault_injector(tcfg.faults.clone());
 
     // The feeder consumes a paced iterator; build owned blocks up front.
     let owned: Vec<(usize, Arc<[u8]>)> = data
@@ -665,14 +341,14 @@ fn threaded_setup(
         }
         (i, d)
     });
-    (wl, iter, times)
+    (iter, times)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tvs_iosim::Uniform;
-    use tvs_sre::{x86_smp, DispatchPolicy};
+    use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, Tracer};
 
     fn data() -> Vec<u8> {
         (0..64 * 1024)
@@ -687,14 +363,50 @@ mod tests {
         }
     }
 
+    const GAP_2: Uniform = Uniform {
+        gap_us: 2,
+        start_us: 0,
+    };
+    const GAP_1: Uniform = Uniform {
+        gap_us: 1,
+        start_us: 0,
+    };
+
+    fn sim_outcome(d: &[u8], c: &HuffmanConfig, workers: usize, arrival: &Uniform) -> RunOutcome {
+        run_huffman(&HuffmanRun::sim(d, c, &x86_smp(workers), arrival))
+            .expect("dark sim run completes")
+            .end
+            .into_outcome()
+    }
+
+    /// `run` (on `workers` workers) with the event log on, under `faults`.
+    fn events(
+        mut run: HuffmanRun,
+        workers: usize,
+        faults: FaultInjector,
+    ) -> (RunOutcome, TraceLog) {
+        run.instruments = Instruments {
+            tracer: Tracer::enabled(workers),
+            faults,
+            ..Instruments::default()
+        };
+        let report = run_huffman(&run).expect("the run recovers");
+        let log = report.log.expect("enabled tracer drains");
+        (report.end.into_outcome(), log)
+    }
+
+    fn sim_events(
+        d: &[u8],
+        c: &HuffmanConfig,
+        arrival: &Uniform,
+        faults: FaultInjector,
+    ) -> (RunOutcome, TraceLog) {
+        events(HuffmanRun::sim(d, c, &x86_smp(8), arrival), 8, faults)
+    }
+
     #[test]
     fn sim_runner_end_to_end() {
-        let d = data();
-        let arrival = Uniform {
-            gap_us: 2,
-            start_us: 0,
-        };
-        let out = run_huffman_sim(&d, &cfg(DispatchPolicy::Balanced), &x86_smp(8), &arrival);
+        let out = sim_outcome(&data(), &cfg(DispatchPolicy::Balanced), 8, &GAP_2);
         assert_eq!(out.result.blocks.len(), 16);
         assert_eq!(out.arrivals.len(), 16);
         assert!(out.completion_time() > 0);
@@ -710,8 +422,8 @@ mod tests {
             start_us: 1,
         };
         let c = cfg(DispatchPolicy::Aggressive);
-        let a = run_huffman_sim(&d, &c, &x86_smp(8), &arrival);
-        let b = run_huffman_sim(&d, &c, &x86_smp(8), &arrival);
+        let a = sim_outcome(&d, &c, 8, &arrival);
+        let b = sim_outcome(&d, &c, 8, &arrival);
         assert_eq!(a.latencies(), b.latencies());
         assert_eq!(a.completion_time(), b.completion_time());
         assert_eq!(a.result.compressed_bits, b.result.compressed_bits);
@@ -719,18 +431,18 @@ mod tests {
 
     #[test]
     fn trace_capture_when_requested() {
-        let d = data();
-        let arrival = Uniform {
-            gap_us: 2,
-            start_us: 0,
+        let (d, c) = (data(), cfg(DispatchPolicy::NonSpeculative));
+        let mut run = HuffmanRun::sim(&d, &c, &x86_smp(4), &GAP_2);
+        assert!(run_huffman(&run).unwrap().task_trace.is_empty());
+        run.on = Executor::Sim {
+            cfg: SimConfig {
+                task_trace: true,
+                ..SimConfig::new(x86_smp(4), c.policy)
+            },
         };
-        let (_, trace) = run_huffman_sim_traced(
-            &d,
-            &cfg(DispatchPolicy::NonSpeculative),
-            &x86_smp(4),
-            &arrival,
-            true,
-        );
+        let report = run_huffman(&run).unwrap();
+        assert!(report.log.is_none(), "a dark run drains no event log");
+        let trace = report.task_trace;
         assert!(trace.iter().any(|t| t.name == "count"));
         assert!(trace.iter().any(|t| t.name == "encode"));
         assert!(trace.iter().any(|t| t.name == "tree"));
@@ -739,15 +451,11 @@ mod tests {
     #[test]
     fn sim_event_log_covers_the_speculation_lifecycle() {
         let d = data();
-        let arrival = Uniform {
-            gap_us: 2,
-            start_us: 0,
-        };
         let mut c = cfg(DispatchPolicy::Aggressive);
         // Step 0: predict from the very first block, so this small input
         // exercises the full speculation lifecycle.
         c.schedule = tvs_core::SpeculationSchedule::with_step(0);
-        let (out, log) = run_huffman_sim_events(&d, &c, &x86_smp(8), &arrival);
+        let (out, log) = sim_events(&d, &c, &GAP_2, FaultInjector::disabled());
         assert_eq!(log.label, "aggressive");
         assert_eq!(log.workers, 8);
         let h = log.health();
@@ -763,20 +471,17 @@ mod tests {
             "trace rollbacks match RunMetrics"
         );
         // The traced run must not perturb results: rerun untraced.
-        let plain = run_huffman_sim(&d, &c, &x86_smp(8), &arrival);
+        let plain = sim_outcome(&d, &c, 8, &GAP_2);
         assert_eq!(plain.metrics, out.metrics);
         assert_eq!(plain.latencies(), out.latencies());
     }
 
     #[test]
     fn threaded_event_log_records_task_spans() {
-        let d = data();
-        let arrival = Uniform {
-            gap_us: 1,
-            start_us: 0,
-        };
-        let (out, log) =
-            run_huffman_threaded_events(&d, &cfg(DispatchPolicy::Balanced), 4, &arrival, 1000);
+        let (d, c) = (data(), cfg(DispatchPolicy::Balanced));
+        let run = HuffmanRun::threaded(&d, &c, 4, &GAP_1, 1000);
+        let (out, log) = events(run, 4, FaultInjector::disabled());
+        assert_eq!(log.label, "balanced");
         assert_eq!(log.count("task-end"), log.count("task-start"));
         assert_eq!(
             log.count("task-end") as u64,
@@ -800,21 +505,12 @@ mod tests {
 
     #[test]
     fn sim_chaos_is_deterministic_and_output_decodes() {
-        use tvs_sre::{FaultInjector, FaultPlan};
         let d = data();
-        let arrival = Uniform {
-            gap_us: 2,
-            start_us: 0,
-        };
         let c = cfg(DispatchPolicy::Balanced);
         // A fresh injector per run: draw counters are part of run state.
         let run = |seed: u64| {
-            let chaos = SimChaos {
-                faults: FaultInjector::new(FaultPlan::chaos(seed)),
-                ..SimChaos::default()
-            };
-            run_huffman_sim_chaos(&d, &c, &x86_smp(8), &arrival, &chaos)
-                .expect("the chaos preset recovers through retry + rollback")
+            let faults = FaultInjector::new(FaultPlan::chaos(seed));
+            sim_events(&d, &c, &GAP_2, faults)
         };
         let (a, la) = run(42);
         let (b, lb) = run(42);
@@ -827,17 +523,11 @@ mod tests {
 
     #[test]
     fn threaded_chaos_run_completes_with_correct_output() {
-        use tvs_sre::{FaultInjector, FaultPlan};
         let d = data();
-        let arrival = Uniform {
-            gap_us: 1,
-            start_us: 0,
-        };
         let c = cfg(DispatchPolicy::Balanced);
-        let mut tcfg = ThreadedConfig::new(4, c.policy);
-        tcfg.faults = FaultInjector::new(FaultPlan::chaos(7));
-        let (out, log) = run_huffman_threaded_chaos(&d, &c, &tcfg, &arrival, 1000)
-            .expect("the chaos preset recovers through retry + rollback");
+        // The chaos preset recovers through retry + rollback.
+        let run = HuffmanRun::threaded(&d, &c, 4, &GAP_1, 1000);
+        let (out, log) = events(run, 4, FaultInjector::new(FaultPlan::chaos(7)));
         decode_outcome(&out, &d);
         assert_eq!(
             log.count("task-fault") as u64,
@@ -875,7 +565,7 @@ mod tests {
             gap_us: 100,
             start_us: 0,
         };
-        let (out, log) = run_huffman_sim_events(&d, &c, &x86_smp(8), &arrival);
+        let (out, log) = sim_events(&d, &c, &arrival, FaultInjector::disabled());
         assert!(
             log.count("breaker-trip") >= 1,
             "100% misprediction must trip the breaker"
@@ -886,15 +576,11 @@ mod tests {
 
     #[test]
     fn threaded_runner_produces_decodable_output() {
-        let d = data();
-        let arrival = Uniform {
-            gap_us: 1,
-            start_us: 0,
-        };
-        let out = run_huffman_threaded(&d, &cfg(DispatchPolicy::Balanced), 4, &arrival, 1000);
-        let (bytes, bits, lengths) = out.result.output.as_ref().unwrap();
-        let table = tvs_huffman::CodeTable::from_lengths(lengths);
-        let back = tvs_huffman::decode_exact(bytes, 0, *bits, d.len(), &table).unwrap();
-        assert_eq!(back, d);
+        let (d, c) = (data(), cfg(DispatchPolicy::Balanced));
+        let report = run_huffman(&HuffmanRun::threaded(&d, &c, 4, &GAP_1, 1000));
+        decode_outcome(
+            &report.expect("a dark run cannot fail").end.into_outcome(),
+            &d,
+        );
     }
 }

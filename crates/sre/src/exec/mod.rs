@@ -1,8 +1,7 @@
-//! Executors: a deterministic discrete-event simulator, a work-stealing
-//! thread-pool runtime, and the retained single-lock baseline — all driving
-//! the same [`crate::Scheduler`] and [`crate::Workload`] abstractions.
+//! Executors: a deterministic discrete-event simulator and a work-stealing
+//! thread-pool runtime, both driving the same [`crate::Scheduler`] and
+//! [`crate::Workload`] abstractions, each through one `run` function.
 
-pub mod baseline;
 pub mod commit_log;
 pub mod sim;
 pub mod threaded;

@@ -8,8 +8,9 @@
 //! Cell blade (with multiple-buffering prefetch queues and DMA costs) and
 //! arbitrarily slow I/O without owning any of them.
 //!
-//! Fault handling matches the threaded executors ([`super::threaded`]),
-//! re-interpreted in virtual time via [`SimChaos`]:
+//! Fault handling matches the threaded executor ([`super::threaded`]),
+//! re-interpreted in virtual time ([`SimConfig::retry`],
+//! [`SimConfig::watchdog`], and the run's [`Instruments::faults`]):
 //!
 //! * task bodies run under `catch_unwind`; a panicking speculative body is
 //!   routed through [`crate::sched::Scheduler::fault`] →
@@ -23,13 +24,16 @@
 //!   delivered twice and absorbed by the scheduler;
 //! * the watchdog fires at exactly `start + deadline_us` of virtual time
 //!   for any task whose (possibly stall-inflated) cost exceeds the
-//!   deadline, signalling its abort flag and aborting its version.
+//!   deadline, signalling its abort flag and — for a speculative task —
+//!   notifying the workload ([`Workload::on_fault`]) and aborting its
+//!   version, the same path a caught speculative panic takes.
 //!
 //! Because every draw of the fault plan happens at a deterministic point
 //! of the event order, a chaos simulation is as replayable as a clean one:
 //! same plan, same seed, same schedule — bit-identical faults.
 
 use crate::fault::{RetryPolicy, RunError, WatchdogConfig};
+use crate::instruments::Instruments;
 use crate::metrics::{RunMetrics, SimReport, TaskTrace};
 use crate::platform::{CostModel, Platform};
 use crate::policy::DispatchPolicy;
@@ -39,9 +43,9 @@ use crate::workload::{Completion, FaultNotice, InputBlock, SchedCtx, Workload};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use tvs_faults::{FaultInjector, FaultKind, FaultSite};
-use tvs_metrics::{Counter, Hist, MetricsHub};
-use tvs_trace::{EventKind, Tracer};
+use tvs_faults::{FaultKind, FaultSite};
+use tvs_metrics::{Counter, Hist};
+use tvs_trace::EventKind;
 
 /// Configuration of a simulation run.
 #[derive(Clone, Debug)]
@@ -51,23 +55,27 @@ pub struct SimConfig {
     /// Dispatch policy.
     pub policy: DispatchPolicy,
     /// Record a per-task [`TaskTrace`].
-    pub trace: bool,
-}
-
-/// Fault-handling options of a simulated run — kept out of [`SimConfig`]
-/// so the dozens of existing construction sites stay untouched; [`run`]
-/// and [`run_traced`] use the default (no injection, default retry, no
-/// watchdog).
-#[derive(Clone, Debug, Default)]
-pub struct SimChaos {
+    pub task_trace: bool,
     /// Retry policy for panicked non-speculative tasks. Retries are
     /// instantaneous in virtual time.
     pub retry: RetryPolicy,
     /// Virtual-time watchdog; fires at exactly `start + deadline_us` for
     /// tasks whose virtual cost exceeds the deadline.
     pub watchdog: Option<WatchdogConfig>,
-    /// Fault injection plan (disabled by default).
-    pub faults: FaultInjector,
+}
+
+impl SimConfig {
+    /// A config with default fault handling: bounded retry, no watchdog,
+    /// no per-task trace.
+    pub fn new(platform: Platform, policy: DispatchPolicy) -> Self {
+        SimConfig {
+            platform,
+            policy,
+            task_trace: false,
+            retry: RetryPolicy::default(),
+            watchdog: None,
+        }
+    }
 }
 
 struct Assigned {
@@ -97,8 +105,8 @@ struct Delayed {
 }
 
 /// Mutable chaos bookkeeping threaded through the event loop.
-struct ChaosState<'a> {
-    opts: &'a SimChaos,
+#[derive(Default)]
+struct ChaosState {
     /// Watchdog events in flight: key → (worker, task id).
     watch: HashMap<usize, (usize, TaskId)>,
     /// Delayed completions in flight: key → payload.
@@ -128,117 +136,52 @@ impl SchedCtx for SimCtx<'_> {
     }
 }
 
-/// Run `workload` to completion over the given pre-scheduled `inputs`.
+/// Run `workload` to completion over the given pre-scheduled `inputs`,
+/// recording lifecycle events into `ins.tracer`, feeding `ins.metrics` and
+/// drawing faults from `ins.faults` (pass `&Instruments::default()` for a
+/// dark run; the resulting [`RunMetrics`] are identical either way).
 ///
 /// `inputs` must be sorted by arrival time (as produced by the
 /// `tvs-iosim` models). Panics with a diagnostic if the workload deadlocks
-/// (events exhausted before [`Workload::is_finished`]) or if the run fails
-/// (see [`try_run_chaos`] for the fallible form).
-pub fn run<W: Workload>(
-    workload: W,
-    cfg: &SimConfig,
-    cost: &dyn CostModel,
-    inputs: Vec<InputBlock>,
-) -> SimReport<W> {
-    run_traced(workload, cfg, cost, inputs, Tracer::disabled())
-}
-
-/// [`run`], recording speculation-lifecycle events into `tracer`.
+/// (events exhausted before [`Workload::is_finished`]) — a workload bug,
+/// not a run failure. A non-speculative task panicking on every attempt
+/// its retry policy allows returns `Err`; everything else — injected
+/// panics, stalls, delayed and duplicated completions, watchdog cancels of
+/// speculative tasks — recovers through the rollback machinery and
+/// completes the run.
 ///
 /// The tracer's ambient virtual clock follows the event heap, so every
 /// emitted event — including scheduler rollback/cancel events fired from
 /// inside workload callbacks — is stamped with deterministic virtual time.
 /// Task start/end events are stamped with the exact simulated interval the
-/// task occupied its worker. Pass [`Tracer::disabled`] (or call [`run`]) for
-/// a zero-overhead no-op sink; the resulting [`RunMetrics`] are identical
-/// either way.
-pub fn run_traced<W: Workload>(
-    workload: W,
-    cfg: &SimConfig,
-    cost: &dyn CostModel,
-    inputs: Vec<InputBlock>,
-    tracer: Tracer,
-) -> SimReport<W> {
-    try_run_chaos(workload, cfg, cost, inputs, tracer, &SimChaos::default())
-        .unwrap_or_else(|e| panic!("simulated run failed: {e}"))
-}
-
-/// The full entry point: simulation with tracing, fault injection and
-/// structured failure. A non-speculative task panicking on every attempt
-/// its retry policy allows returns `Err`; everything else — injected
-/// panics, stalls, delayed and duplicated completions, watchdog cancels of
-/// speculative tasks — recovers through the rollback machinery and
-/// completes the run.
-pub fn try_run_chaos<W: Workload>(
-    workload: W,
-    cfg: &SimConfig,
-    cost: &dyn CostModel,
-    inputs: Vec<InputBlock>,
-    tracer: Tracer,
-    chaos: &SimChaos,
-) -> Result<SimReport<W>, RunError> {
-    try_run_metered(
-        workload,
-        cfg,
-        cost,
-        inputs,
-        tracer,
-        chaos,
-        MetricsHub::disabled(),
-    )
-}
-
-/// [`try_run_chaos`] with a live metrics hub. Snapshots are driven by
-/// *virtual* time: arm the hub with
-/// [`MetricsHub::enable_virtual_sampling`] before the run and drain with
-/// [`MetricsHub::drain_virtual_snapshots`] after — the snapshot stream is
-/// then as deterministic as the simulation itself (same seed → identical
-/// JSONL bytes). No sampler thread is involved.
-pub fn try_run_metered<W: Workload>(
+/// task occupied its worker. Metrics snapshots are driven by *virtual*
+/// time too: arm the hub with [`tvs_metrics::MetricsHub::enable_virtual_sampling`]
+/// before the run and drain with [`tvs_metrics::MetricsHub::drain_virtual_snapshots`]
+/// after — the snapshot stream is then as deterministic as the simulation
+/// itself (same seed → identical JSONL bytes). No sampler thread is
+/// involved.
+pub fn run<W: Workload>(
     mut workload: W,
     cfg: &SimConfig,
     cost: &dyn CostModel,
     inputs: Vec<InputBlock>,
-    tracer: Tracer,
-    chaos: &SimChaos,
-    hub: MetricsHub,
+    ins: &Instruments,
 ) -> Result<SimReport<W>, RunError> {
-    let hub = if hub.has_registry() {
-        assert_eq!(
-            hub.workers(),
-            cfg.platform.workers,
-            "metrics hub must be sized for the platform's worker count"
-        );
-        hub
-    } else {
-        MetricsHub::internal(cfg.platform.workers)
-    };
-    if hub.is_live() {
-        hub.set_label(&format!("{:?}", cfg.policy));
-    }
-    assert!(
-        cfg.platform.workers > 0,
-        "platform must have at least one worker"
-    );
+    let ins = ins.for_executor(cfg.platform.workers, cfg.policy);
+    let (tracer, hub, faults) = (&ins.tracer, &ins.metrics, &ins.faults);
     assert!(
         inputs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
         "inputs must be sorted by arrival time"
     );
 
-    let mut sched = Scheduler::with_tracer(cfg.policy, tracer.clone());
-    sched.set_metrics(hub.clone());
+    let mut sched = Scheduler::instrumented(cfg.policy, &ins);
     let mut workers: Vec<WorkerState> = (0..cfg.platform.workers)
         .map(|_| WorkerState {
             pipeline_end: 0,
             assigned: VecDeque::new(),
         })
         .collect();
-    let mut chaos_state = ChaosState {
-        opts: chaos,
-        watch: HashMap::new(),
-        delayed: HashMap::new(),
-        next_key: 0,
-    };
+    let mut chaos_state = ChaosState::default();
 
     // Event queue ordered by (time, push sequence) for determinism.
     let mut heap: BinaryHeap<Reverse<(Time, u64, usize, EvSlot)>> = BinaryHeap::new();
@@ -280,8 +223,7 @@ pub fn try_run_metered<W: Workload>(
         0,
         &mut heap,
         &mut heap_seq,
-        &hub,
-        &tracer,
+        &ins,
         &mut chaos_state,
     );
 
@@ -294,7 +236,7 @@ pub fn try_run_metered<W: Workload>(
             EvSlot::Arrival => {
                 // An injected feeder stall pushes the arrival to a later
                 // virtual instant.
-                if let Some(FaultKind::Stall { us }) = chaos.faults.draw(FaultSite::Feeder) {
+                if let Some(FaultKind::Stall { us }) = faults.draw(FaultSite::Feeder) {
                     heap.push(Reverse((t + us.max(1), heap_seq, aux, EvSlot::Arrival)));
                     heap_seq += 1;
                     continue;
@@ -367,7 +309,7 @@ pub fn try_run_metered<W: Workload>(
                             },
                         );
                     }
-                    if cfg.trace {
+                    if cfg.task_trace {
                         trace.push(TaskTrace {
                             id: work.id,
                             name: work.name,
@@ -414,7 +356,7 @@ pub fn try_run_metered<W: Workload>(
                                     );
                                 }
                                 if work.version.is_some()
-                                    || attempt + 1 >= chaos.retry.max_attempts.max(1)
+                                    || attempt + 1 >= cfg.retry.max_attempts.max(1)
                                 {
                                     break None;
                                 }
@@ -427,7 +369,7 @@ pub fn try_run_metered<W: Workload>(
                     match outcome {
                         None => {
                             // Faulted: reuse the misspeculation path.
-                            if cfg.trace {
+                            if cfg.task_trace {
                                 trace.push(TaskTrace {
                                     id: work.id,
                                     name: work.name,
@@ -484,7 +426,7 @@ pub fn try_run_metered<W: Workload>(
                                     },
                                 );
                             }
-                            if cfg.trace {
+                            if cfg.task_trace {
                                 trace.push(TaskTrace {
                                     id: work.id,
                                     name: work.name,
@@ -497,7 +439,7 @@ pub fn try_run_metered<W: Workload>(
                                 });
                             }
                             let mut echo = false;
-                            match chaos.faults.draw(FaultSite::Completion) {
+                            match faults.draw(FaultSite::Completion) {
                                 Some(FaultKind::DelayCompletion { us }) => {
                                     // Hold the completion back: the task
                                     // stays in flight until the delayed
@@ -613,8 +555,28 @@ pub fn try_run_metered<W: Workload>(
                                 },
                             );
                         }
+                        // A cancelled speculative task takes the path of
+                        // a caught speculative panic — the workload hears
+                        // of it, then the version is rolled back — except
+                        // that the task itself still finishes (and is
+                        // discarded), so its slot is not reclaimed here.
                         if let Some(v) = a.work.version {
-                            sched.abort_version(v);
+                            let mut ctx = SimCtx {
+                                sched: &mut sched,
+                                platform: &cfg.platform,
+                                now: t,
+                            };
+                            workload.on_fault(
+                                &mut ctx,
+                                FaultNotice {
+                                    id,
+                                    name: a.work.name,
+                                    version: Some(v),
+                                    tag: a.work.tag,
+                                    attempt: 0,
+                                },
+                            );
+                            ctx.abort_version(v);
                         }
                     }
                 }
@@ -631,8 +593,7 @@ pub fn try_run_metered<W: Workload>(
             t,
             &mut heap,
             &mut heap_seq,
-            &hub,
-            &tracer,
+            &ins,
             &mut chaos_state,
         );
     }
@@ -692,10 +653,10 @@ fn dispatch_all(
     now: Time,
     heap: &mut BinaryHeap<Reverse<(Time, u64, usize, EvSlot)>>,
     heap_seq: &mut u64,
-    hub: &MetricsHub,
-    tracer: &Tracer,
-    chaos: &mut ChaosState<'_>,
+    ins: &Instruments,
+    chaos: &mut ChaosState,
 ) {
+    let (tracer, hub, faults) = (&ins.tracer, &ins.metrics, &ins.faults);
     loop {
         if !sched.has_dispatchable() {
             return;
@@ -727,7 +688,7 @@ fn dispatch_all(
         };
         let mut c = cfg.platform.task_cost_us(cost, work.name, work.bytes);
         let mut inject_panic = false;
-        match chaos.opts.faults.draw(FaultSite::TaskBody) {
+        match faults.draw(FaultSite::TaskBody) {
             Some(FaultKind::PanicTask) => inject_panic = true,
             Some(FaultKind::Stall { us }) => c += us,
             _ => {}
@@ -750,7 +711,7 @@ fn dispatch_all(
         let w = &mut workers[wi];
         let start = w.pipeline_end.max(now);
         let end = start + c.max(1);
-        if let Some(wd) = chaos.opts.watchdog {
+        if let Some(wd) = cfg.watchdog {
             // The cancel instant is known at dispatch: the task's virtual
             // occupancy exceeds the deadline iff the watchdog fires.
             if c.max(1) > wd.deadline_us {
@@ -783,7 +744,17 @@ mod tests {
     use super::*;
     use crate::platform::{x86_smp, FixedCost};
     use crate::task::{payload, TaskSpec};
-    use tvs_faults::FaultPlan;
+    use tvs_faults::{FaultInjector, FaultPlan};
+    use tvs_trace::Tracer;
+
+    fn dark<W: Workload>(
+        w: W,
+        cfg: &SimConfig,
+        cost: &dyn CostModel,
+        inputs: Vec<InputBlock>,
+    ) -> SimReport<W> {
+        run(w, cfg, cost, inputs, &Instruments::default()).expect("dark run completes")
+    }
 
     fn block(i: usize, t: Time, len: usize) -> InputBlock {
         InputBlock {
@@ -827,12 +798,11 @@ mod tests {
             completions: vec![],
         };
         let cfg = SimConfig {
-            platform: x86_smp(1),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: true,
+            task_trace: true,
+            ..SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative)
         };
         let inputs = vec![block(0, 0, 10), block(1, 0, 10), block(2, 0, 10)];
-        let rep = run(w, &cfg, &FixedCost(9), inputs);
+        let rep = dark(w, &cfg, &FixedCost(9), inputs);
         // Each task costs 9 + 1 (dispatch overhead) = 10.
         let ends: Vec<Time> = rep.workload.completions.iter().map(|c| c.1).collect();
         assert_eq!(ends, vec![10, 20, 30]);
@@ -850,13 +820,9 @@ mod tests {
             seen: 0,
             completions: vec![],
         };
-        let cfg = SimConfig {
-            platform: x86_smp(4),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
+        let cfg = SimConfig::new(x86_smp(4), DispatchPolicy::NonSpeculative);
         let inputs = (0..4).map(|i| block(i, 0, 10)).collect();
-        let rep = run(w, &cfg, &FixedCost(9), inputs);
+        let rep = dark(w, &cfg, &FixedCost(9), inputs);
         assert_eq!(
             rep.metrics.makespan, 10,
             "4 tasks on 4 workers run concurrently"
@@ -870,13 +836,9 @@ mod tests {
             seen: 0,
             completions: vec![],
         };
-        let cfg = SimConfig {
-            platform: x86_smp(4),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
+        let cfg = SimConfig::new(x86_smp(4), DispatchPolicy::NonSpeculative);
         let inputs = vec![block(0, 0, 10), block(1, 100, 10)];
-        let rep = run(w, &cfg, &FixedCost(4), inputs);
+        let rep = dark(w, &cfg, &FixedCost(4), inputs);
         let mut ends: Vec<Time> = rep.workload.completions.iter().map(|c| c.1).collect();
         ends.sort_unstable();
         assert_eq!(ends, vec![5, 105]);
@@ -891,13 +853,12 @@ mod tests {
             completions: vec![],
         };
         let cfg = SimConfig {
-            platform: x86_smp(3),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: true,
+            task_trace: true,
+            ..SimConfig::new(x86_smp(3), DispatchPolicy::NonSpeculative)
         };
         let inputs: Vec<InputBlock> = (0..16).map(|i| block(i, (i as u64) * 3, 64)).collect();
-        let a = run(mk(), &cfg, &FixedCost(7), inputs.clone());
-        let b = run(mk(), &cfg, &FixedCost(7), inputs);
+        let a = dark(mk(), &cfg, &FixedCost(7), inputs.clone());
+        let b = dark(mk(), &cfg, &FixedCost(7), inputs);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.metrics.makespan, b.metrics.makespan);
     }
@@ -948,11 +909,10 @@ mod tests {
             }
         }
         let cfg = SimConfig {
-            platform: x86_smp(2),
-            policy: DispatchPolicy::Aggressive,
-            trace: true,
+            task_trace: true,
+            ..SimConfig::new(x86_smp(2), DispatchPolicy::Aggressive)
         };
-        let rep = run(AbortingWl { phase: 0 }, &cfg, &NameCost, vec![]);
+        let rep = dark(AbortingWl { phase: 0 }, &cfg, &NameCost, vec![]);
         assert_eq!(rep.metrics.tasks_discarded, 1);
         assert_eq!(rep.metrics.rollbacks, 1);
         assert!(
@@ -974,12 +934,8 @@ mod tests {
                 false
             }
         }
-        let cfg = SimConfig {
-            platform: x86_smp(1),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
-        let _ = run(NeverDone, &cfg, &FixedCost(1), vec![]);
+        let cfg = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
+        let _ = dark(NeverDone, &cfg, &FixedCost(1), vec![]);
     }
 
     #[test]
@@ -1010,24 +966,16 @@ mod tests {
 
         let mut plat = x86_smp(1);
         plat.prefetch_depth = 2;
-        let cfg = SimConfig {
-            platform: plat,
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
-        let rep = run(TwoPhase { seen: vec![] }, &cfg, &FixedCost(5), vec![]);
+        let cfg = SimConfig::new(plat, DispatchPolicy::NonSpeculative);
+        let rep = dark(TwoPhase { seen: vec![] }, &cfg, &FixedCost(5), vec![]);
         assert_eq!(
             rep.workload.seen,
             vec!["a", "b", "deep"],
             "prefetched 'b' runs before 'deep'"
         );
 
-        let cfg1 = SimConfig {
-            platform: x86_smp(1),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
-        let rep1 = run(TwoPhase { seen: vec![] }, &cfg1, &FixedCost(5), vec![]);
+        let cfg1 = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
+        let rep1 = dark(TwoPhase { seen: vec![] }, &cfg1, &FixedCost(5), vec![]);
         assert_eq!(
             rep1.workload.seen,
             vec!["a", "deep", "b"],
@@ -1042,14 +990,17 @@ mod tests {
             seen: 0,
             completions: vec![],
         };
-        let cfg = SimConfig {
-            platform: x86_smp(1),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
+        let cfg = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
         let inputs = vec![block(0, 0, 10), block(1, 0, 10), block(2, 0, 10)];
         let tracer = Tracer::enabled(1);
-        let rep = run_traced(w, &cfg, &FixedCost(9), inputs, tracer.clone());
+        let rep = run(
+            w,
+            &cfg,
+            &FixedCost(9),
+            inputs,
+            &Instruments::traced(tracer.clone()),
+        )
+        .expect("traced run completes");
         assert_eq!(rep.metrics.makespan, 30);
         let log = tracer.drain().expect("enabled tracer drains");
         assert_eq!(log.timebase, tvs_trace::Timebase::Virtual);
@@ -1076,13 +1027,19 @@ mod tests {
             completions: vec![],
         };
         let cfg = SimConfig {
-            platform: x86_smp(2),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: true,
+            task_trace: true,
+            ..SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative)
         };
         let inputs: Vec<InputBlock> = (0..8).map(|i| block(i, (i as u64) * 2, 32)).collect();
-        let plain = run(mk(), &cfg, &FixedCost(5), inputs.clone());
-        let traced = run_traced(mk(), &cfg, &FixedCost(5), inputs, Tracer::enabled(2));
+        let plain = dark(mk(), &cfg, &FixedCost(5), inputs.clone());
+        let traced = run(
+            mk(),
+            &cfg,
+            &FixedCost(5),
+            inputs,
+            &Instruments::traced(Tracer::enabled(2)),
+        )
+        .expect("traced run completes");
         assert_eq!(plain.metrics, traced.metrics);
         assert_eq!(plain.trace, traced.trace);
     }
@@ -1115,12 +1072,8 @@ mod tests {
                 1 + bytes as Time / 1024
             }
         }
-        let cfg = SimConfig {
-            platform: x86_smp(2),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
-        let rep = run(EarlyExit { done: false }, &cfg, &ByteCost, vec![]);
+        let cfg = SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative);
+        let rep = dark(EarlyExit { done: false }, &cfg, &ByteCost, vec![]);
         assert!(
             rep.metrics.makespan < 100,
             "makespan {} should not wait for the straggler",
@@ -1138,9 +1091,8 @@ mod tests {
             completions: vec![],
         };
         let cfg = SimConfig {
-            platform: x86_smp(2),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: true,
+            task_trace: true,
+            ..SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative)
         };
         let plan = || {
             FaultPlan::new(77)
@@ -1154,29 +1106,11 @@ mod tests {
                 )
                 .with_rule(FaultSite::Feeder, FaultKind::Stall { us: 15 }, 0.3)
         };
-        let chaos = || SimChaos {
-            faults: FaultInjector::new(plan()),
-            ..Default::default()
-        };
+        let chaos = || Instruments::faulty(FaultInjector::new(plan()));
         let inputs: Vec<InputBlock> = (0..12).map(|i| block(i, (i as u64) * 2, 16)).collect();
-        let a = try_run_chaos(
-            mk(),
-            &cfg,
-            &FixedCost(5),
-            inputs.clone(),
-            Tracer::disabled(),
-            &chaos(),
-        )
-        .expect("chaos run recovers");
-        let b = try_run_chaos(
-            mk(),
-            &cfg,
-            &FixedCost(5),
-            inputs,
-            Tracer::disabled(),
-            &chaos(),
-        )
-        .expect("chaos run recovers");
+        let a =
+            run(mk(), &cfg, &FixedCost(5), inputs.clone(), &chaos()).expect("chaos run recovers");
+        let b = run(mk(), &cfg, &FixedCost(5), inputs, &chaos()).expect("chaos run recovers");
         assert_eq!(a.metrics, b.metrics, "chaos is replayable");
         assert_eq!(a.workload.seen, 12);
         assert_eq!(b.workload.seen, 12);
@@ -1206,18 +1140,13 @@ mod tests {
                 self.done
             }
         }
-        let cfg = SimConfig {
-            platform: x86_smp(1),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
-        let Err(err) = try_run_chaos(
+        let cfg = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
+        let Err(err) = run(
             AlwaysPanics { done: false },
             &cfg,
             &FixedCost(3),
             vec![],
-            Tracer::disabled(),
-            &SimChaos::default(),
+            &Instruments::default(),
         ) else {
             panic!("exhausted retries must fail the run");
         };
@@ -1234,10 +1163,11 @@ mod tests {
     #[test]
     fn virtual_watchdog_cancels_overlong_speculative_tasks() {
         // A speculative task whose virtual cost exceeds the deadline: the
-        // watchdog fires at exactly start + deadline, aborts the version,
-        // and the Done event discards the body un-run.
+        // watchdog fires at exactly start + deadline, tells the workload,
+        // aborts the version, and the Done event discards the body un-run.
         struct SpecOnly {
             fault_free: bool,
+            lost: Option<SpecVersion>,
         }
         impl Workload for SpecOnly {
             fn on_start(&mut self, ctx: &mut dyn SchedCtx) {
@@ -1251,6 +1181,9 @@ mod tests {
                 if done.name == "quick" {
                     self.fault_free = true;
                 }
+            }
+            fn on_fault(&mut self, _: &mut dyn SchedCtx, fault: FaultNotice) {
+                self.lost = fault.version;
             }
             fn is_finished(&self) -> bool {
                 self.fault_free
@@ -1267,27 +1200,30 @@ mod tests {
             }
         }
         let cfg = SimConfig {
-            platform: x86_smp(2),
-            policy: DispatchPolicy::Aggressive,
-            trace: true,
-        };
-        let chaos = SimChaos {
+            task_trace: true,
             watchdog: Some(WatchdogConfig {
                 deadline_us: 1_000,
                 poll_us: 100,
             }),
-            ..Default::default()
+            ..SimConfig::new(x86_smp(2), DispatchPolicy::Aggressive)
         };
         let tracer = Tracer::enabled(2);
-        let rep = try_run_chaos(
-            SpecOnly { fault_free: false },
+        let rep = run(
+            SpecOnly {
+                fault_free: false,
+                lost: None,
+            },
             &cfg,
             &NameCost,
             vec![],
-            tracer.clone(),
-            &chaos,
+            &Instruments::traced(tracer.clone()),
         )
         .expect("watchdog recovers the run");
+        assert_eq!(
+            rep.workload.lost,
+            Some(9),
+            "the workload hears of the cancelled version"
+        );
         assert_eq!(rep.metrics.watchdog_cancels, 1);
         assert_eq!(rep.metrics.rollbacks, 1);
         assert_eq!(rep.metrics.tasks_discarded, 1);

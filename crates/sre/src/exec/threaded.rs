@@ -2,10 +2,10 @@
 //!
 //! Mirrors the paper's x86 SRE deployment — an input-feeder thread pushes
 //! blocks into the system and worker threads execute ready tasks — but,
-//! unlike the original single-lock runtime (kept as [`super::baseline`]),
-//! no worker ever *waits* for the global scheduler lock, and there is no
-//! SuperTask thread: the SuperTask role is taken, turn by turn, by
-//! whichever thread holds the commit lock.
+//! unlike the original single-lock runtime (deleted: DESIGN.md §3 has the
+//! measurements), no worker ever *waits* for the global scheduler lock, and
+//! there is no SuperTask thread: the SuperTask role is taken, turn by turn,
+//! by whichever thread holds the commit lock.
 //!
 //! * **Sharded dispatch.** A *dispatch pump*, run at the end of every
 //!   commit-path turn, batches [`Scheduler::dispatch_with`] pops out of
@@ -32,8 +32,8 @@
 //!   what the awake set (capped at `available_parallelism`) will drain
 //!   anyway; ramp-up to full width happens by wake chaining on every
 //!   successful grab. A hot system never pays a syscall per task the way
-//!   the baseline's `notify_all` storm does, and an over-provisioned one
-//!   never turns queue depth into futex churn.
+//!   a `notify_all` storm does, and an over-provisioned one never turns
+//!   queue depth into futex churn.
 //! * **Completions routed where they finish (flat combining).** A worker
 //!   that finishes a task pushes its report onto a bounded **lock-free
 //!   commit log** ([`super::commit_log::CommitRing`]) and then `try_lock`s
@@ -67,27 +67,30 @@
 //!   the regular rollback path. A panicking *non-speculative* task is
 //!   retried in place with bounded exponential backoff
 //!   ([`crate::RetryPolicy`]); only when retries are exhausted does the
-//!   run end — with a structured [`RunError`] from [`try_run`], never a
+//!   run end — with a structured [`RunError`] from [`run`], never a
 //!   process abort. A panic inside a *workload callback* is caught on the
 //!   commit path itself (the lock is never poisoned by it) and fails the
 //!   run the same structured way. Poisoned locks are recovered, not
 //!   propagated: one caught panic must not wedge the runtime.
-//! * **Fault injection & watchdog.** A [`FaultInjector`]
-//!   (deterministically seeded, see `tvs-faults`) is consulted at the
-//!   task-body, completion and feeder sites, so chaos runs can exercise
-//!   the recovery paths on purpose; an optional watchdog thread cancels
-//!   tasks that exceed a deadline (for speculative tasks, aborting their
-//!   version under the commit lock *before* raising their abort flag, so
-//!   the cut-short output is discarded however fast the worker routes it,
-//!   and the speculation layer restarts the work).
+//! * **Fault injection & watchdog.** The run's [`FaultInjector`]
+//!   ([`Instruments::faults`]; deterministically seeded, see `tvs-faults`)
+//!   is consulted at the task-body, completion and feeder sites, so chaos
+//!   runs can exercise the recovery paths on purpose; an optional watchdog
+//!   thread cancels tasks that exceed a deadline (for speculative tasks,
+//!   notifying the workload and aborting their version under the commit
+//!   lock *before* raising their abort flag — the path of a caught
+//!   speculative panic — so the cut-short output is discarded however
+//!   fast the worker routes it, and the speculation layer restarts the
+//!   work).
 //!
 //! The figure benches use the deterministic simulator instead; this
 //! executor exists to run the system end-to-end on real threads and to
-//! cross-validate outputs: both executors (and the baseline) run the *same*
-//! `Workload` implementations.
+//! cross-validate outputs: both executors run the *same* `Workload`
+//! implementations.
 
 use super::commit_log::CommitRing;
 use crate::fault::{self, RetryPolicy, RunError, SupervisorConfig, WatchdogConfig};
+use crate::instruments::Instruments;
 use crate::metrics::RunMetrics;
 use crate::policy::DispatchPolicy;
 use crate::sched::{CompletionOutcome, Dispatched, Scheduler};
@@ -115,13 +118,11 @@ pub struct ThreadedConfig {
     /// Worker supervision (heartbeats, quarantine, respawn); `None`
     /// disables it.
     pub supervisor: Option<SupervisorConfig>,
-    /// Fault injection plan (disabled by default; see `tvs-faults`).
-    pub faults: FaultInjector,
 }
 
 impl ThreadedConfig {
     /// A config with default fault handling: bounded retry, no watchdog,
-    /// no supervision, no fault injection.
+    /// no supervision.
     pub fn new(workers: usize, policy: DispatchPolicy) -> Self {
         ThreadedConfig {
             workers,
@@ -129,7 +130,6 @@ impl ThreadedConfig {
             retry: RetryPolicy::default(),
             watchdog: None,
             supervisor: None,
-            faults: FaultInjector::disabled(),
         }
     }
 }
@@ -152,7 +152,9 @@ struct Parker {
 /// What the watchdog sees of the task a worker is currently running.
 struct WatchSlot {
     id: TaskId,
+    name: &'static str,
     version: Option<SpecVersion>,
+    tag: u64,
     flag: Arc<AtomicBool>,
     started: Time,
     /// Set once the watchdog has cancelled this occupancy, so one stuck
@@ -225,14 +227,7 @@ struct Fabric {
 }
 
 impl Fabric {
-    fn new(
-        workers: usize,
-        tracer: Tracer,
-        faults: FaultInjector,
-        watchdog_enabled: bool,
-        supervised: bool,
-        hub: MetricsHub,
-    ) -> Self {
+    fn new(workers: usize, ins: &Instruments, watchdog_enabled: bool, supervised: bool) -> Self {
         let hw = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(workers);
@@ -257,11 +252,11 @@ impl Fabric {
             supervised,
             done: AtomicBool::new(false),
             start: Instant::now(),
-            faults,
+            faults: ins.faults.clone(),
             watch: (0..workers).map(|_| Mutex::new(None)).collect(),
             watchdog_enabled,
-            tracer,
-            hub,
+            tracer: ins.tracer.clone(),
+            hub: ins.metrics.clone(),
         }
     }
 
@@ -801,7 +796,7 @@ fn run_attempt(fabric: &Fabric, work: &mut Dispatched) -> std::thread::Result<Pa
 
 /// Spawn one worker thread on lane `me` with incarnation `my_epoch`.
 ///
-/// Named (rather than inline in [`try_run_metered`]) because the
+/// Named (rather than inline in [`run`]) because the
 /// supervisor respawns quarantined workers: a replacement runs this same
 /// loop on the same lane under a fresh epoch. Every loop iteration stamps
 /// the lane's heartbeat and re-checks the lane's current epoch — an
@@ -909,7 +904,9 @@ fn spawn_worker<W: Workload + Send + 'static>(
                         if fabric.watchdog_enabled {
                             *fault::lock_recover(&fabric.watch[me]) = Some(WatchSlot {
                                 id: work.id,
+                                name: work.name,
                                 version: work.version,
+                                tag: work.tag,
                                 flag: work.ctx.abort_flag(),
                                 started,
                                 flagged: false,
@@ -1067,72 +1064,18 @@ fn spawn_worker<W: Workload + Send + 'static>(
 /// Run `workload` on `cfg.workers` real threads, feeding it the blocks
 /// yielded by `inputs` (which is consumed on a dedicated feeder thread and
 /// may block to pace arrivals, e.g. [`tvs-iosim`'s paced
-/// iterator](https://docs.rs/tvs-iosim)).
+/// iterator](https://docs.rs/tvs-iosim)), recording lifecycle events into
+/// `ins.tracer`, streaming counters, gauges and histograms into
+/// `ins.metrics` as the run executes (so a sampler thread or `tvs-top` can
+/// watch mid-run) and drawing faults from `ins.faults`. Pass
+/// `&Instruments::default()` to run dark — the executor then keeps its
+/// counters in an internal counters-only registry, which costs the same as
+/// the per-lane atomics it replaced.
 ///
-/// Returns the finished workload and the run metrics. Panics if the run
-/// fails (a non-speculative task panicking on every retry, or a runtime
-/// thread dying); use [`try_run`] to receive the [`RunError`] instead.
-pub fn run<W, I>(workload: W, cfg: &ThreadedConfig, inputs: I) -> (W, RunMetrics)
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    try_run(workload, cfg, inputs).unwrap_or_else(|e| panic!("threaded run failed: {e}"))
-}
-
-/// [`run`] returning a structured [`RunError`] instead of panicking when
-/// the run cannot complete.
-pub fn try_run<W, I>(
-    workload: W,
-    cfg: &ThreadedConfig,
-    inputs: I,
-) -> Result<(W, RunMetrics), RunError>
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    try_run_traced(workload, cfg, inputs, Tracer::disabled())
-}
-
-/// [`run`], recording speculation-lifecycle events into `tracer`. Panics
-/// on a failed run; use [`try_run_traced`] for the fallible form.
-pub fn run_traced<W, I>(
-    workload: W,
-    cfg: &ThreadedConfig,
-    inputs: I,
-    tracer: Tracer,
-) -> (W, RunMetrics)
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    try_run_traced(workload, cfg, inputs, tracer)
-        .unwrap_or_else(|e| panic!("threaded run failed: {e}"))
-}
-
-/// [`run`] with live metrics: see [`try_run_metered`]. Panics on a
-/// failed run.
-pub fn run_metered<W, I>(
-    workload: W,
-    cfg: &ThreadedConfig,
-    inputs: I,
-    tracer: Tracer,
-    hub: MetricsHub,
-) -> (W, RunMetrics)
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    try_run_metered(workload, cfg, inputs, tracer, hub)
-        .unwrap_or_else(|e| panic!("threaded run failed: {e}"))
-}
-
-/// The full entry point: threaded execution with tracing and structured
-/// failure.
+/// Returns the finished workload and the run metrics, or a structured
+/// [`RunError`] when the run cannot complete (a non-speculative task
+/// panicking on every retry, a panicking workload callback, or a runtime
+/// thread dying) — never a process abort.
 ///
 /// Dispatch, predictor/check/commit and rollback events are emitted on the
 /// control ring (their emitters hold the commit lock, keeping that ring
@@ -1144,68 +1087,30 @@ where
 /// counted as wasted in [`RunMetrics`] but not flagged in the trace (the
 /// simulator's virtual trace is exact; this executor's is a per-task
 /// approximation).
-pub fn try_run_traced<W, I>(
+pub fn run<W, I>(
     workload: W,
     cfg: &ThreadedConfig,
     inputs: I,
-    tracer: Tracer,
+    ins: &Instruments,
 ) -> Result<(W, RunMetrics), RunError>
 where
     W: Workload + Send + 'static,
     I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
     I::IntoIter: Send,
 {
-    try_run_metered(workload, cfg, inputs, tracer, MetricsHub::disabled())
-}
-
-/// [`try_run_traced`] with a live metrics hub: counters, gauges and
-/// histograms stream into `hub` as the run executes, so a sampler thread
-/// (or `tvs-top`) can watch mid-run. Pass [`MetricsHub::disabled`] to
-/// run dark — the executor then allocates an internal counters-only
-/// registry, which costs the same as the per-lane atomics it replaced.
-pub fn try_run_metered<W, I>(
-    workload: W,
-    cfg: &ThreadedConfig,
-    inputs: I,
-    tracer: Tracer,
-    hub: MetricsHub,
-) -> Result<(W, RunMetrics), RunError>
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    assert!(cfg.workers > 0, "need at least one worker");
-    let hub = if hub.has_registry() {
-        assert_eq!(
-            hub.workers(),
-            cfg.workers,
-            "metrics hub must be sized for cfg.workers lanes"
-        );
-        hub
-    } else {
-        MetricsHub::internal(cfg.workers)
-    };
-    if hub.is_live() {
-        hub.set_label(&format!("{:?}", cfg.policy));
-    }
+    let ins = ins.for_executor(cfg.workers, cfg.policy);
+    let hub = &ins.metrics;
     let fabric = Arc::new(Fabric::new(
         cfg.workers,
-        tracer.clone(),
-        cfg.faults.clone(),
+        &ins,
         // The supervisor also needs the watch slots: quarantining a wedged
         // worker signals the abort flag of whatever it was running, which
         // is what unsticks abort-aware bodies and injected stalls.
         cfg.watchdog.is_some() || cfg.supervisor.is_some(),
         cfg.supervisor.is_some(),
-        hub.clone(),
     ));
     let commit = Arc::new(Mutex::new(Inner {
-        sched: {
-            let mut s = Scheduler::with_tracer(cfg.policy, tracer);
-            s.set_metrics(hub.clone());
-            s
-        },
+        sched: Scheduler::instrumented(cfg.policy, &ins),
         workload,
         input_done: false,
         delivered: 0,
@@ -1318,21 +1223,36 @@ where
                                 ran_us: now.saturating_sub(s.started),
                             });
                         }
-                        let (flag, version) = (Arc::clone(&s.flag), s.version);
+                        let flag = Arc::clone(&s.flag);
+                        let notice = FaultNotice {
+                            id: s.id,
+                            name: s.name,
+                            version: s.version,
+                            tag: s.tag,
+                            attempt: 0,
+                        };
                         drop(g);
                         // A speculative task is unstuck *under the commit
                         // lock*, version first: the worker routes its own
                         // report the moment the body returns, and a report
                         // routed before the abort would deliver the cut-
-                        // short output instead of discarding it.
-                        match version {
+                        // short output instead of discarding it. The cancel
+                        // takes the path of a caught speculative panic —
+                        // the workload hears of it, then the version is
+                        // rolled back — except that the task still finishes
+                        // (and is discarded), so no `Scheduler::fault`.
+                        match notice.version {
                             Some(v) => locked(&fabric, &commit, |inner| {
-                                WsCtx {
-                                    sched: &mut inner.sched,
+                                let Inner {
+                                    sched, workload, ..
+                                } = inner;
+                                let mut ctx = WsCtx {
+                                    sched,
                                     abort_epoch: &fabric.abort_epoch,
                                     now,
-                                }
-                                .abort_version(v);
+                                };
+                                workload.on_fault(&mut ctx, notice);
+                                ctx.abort_version(v);
                                 TaskCtx::signal_abort(&flag);
                             }),
                             None => TaskCtx::signal_abort(&flag),
@@ -1487,6 +1407,15 @@ mod tests {
     use std::sync::atomic::AtomicU32;
     use tvs_faults::FaultPlan;
 
+    fn dark<W, I>(workload: W, cfg: &ThreadedConfig, inputs: I) -> (W, RunMetrics)
+    where
+        W: Workload + Send + 'static,
+        I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
+        I::IntoIter: Send,
+    {
+        run(workload, cfg, inputs, &Instruments::default()).expect("dark run completes")
+    }
+
     struct Summer {
         n: usize,
         seen: usize,
@@ -1519,7 +1448,7 @@ mod tests {
             (0..32).map(|i| (i, vec![i as u8; 100].into())).collect();
         let expect: u64 = (0..32u64).map(|i| i * 100).sum();
         let cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
-        let (w, m) = run(
+        let (w, m) = dark(
             Summer {
                 n: 32,
                 seen: 0,
@@ -1548,7 +1477,7 @@ mod tests {
             (0..16).map(|i| (i, vec![i as u8; 64].into())).collect();
         let cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
         let tracer = Tracer::enabled(3);
-        let (w, m) = run_traced(
+        let (w, m) = run(
             Summer {
                 n: 16,
                 seen: 0,
@@ -1556,8 +1485,9 @@ mod tests {
             },
             &cfg,
             blocks,
-            tracer.clone(),
-        );
+            &Instruments::traced(tracer.clone()),
+        )
+        .expect("traced run completes");
         assert_eq!(w.seen, 16);
         assert_eq!(m.tasks_delivered, 16);
         let log = tracer.drain().expect("enabled tracer drains");
@@ -1589,7 +1519,7 @@ mod tests {
             }
         }
         let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
-        let (_w, m) = run(Nothing, &cfg, Vec::<(usize, Arc<[u8]>)>::new());
+        let (_w, m) = dark(Nothing, &cfg, Vec::<(usize, Arc<[u8]>)>::new());
         assert_eq!(m.tasks_delivered, 0);
     }
 
@@ -1619,7 +1549,7 @@ mod tests {
         }
         let inputs: Vec<(usize, Arc<[u8]>)> = vec![(0, vec![0u8; 4].into())];
         let cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
-        let (w, m) = run(TwoStage { stage2_done: false }, &cfg, inputs);
+        let (w, m) = dark(TwoStage { stage2_done: false }, &cfg, inputs);
         assert!(w.stage2_done);
         assert_eq!(m.tasks_delivered, 2);
     }
@@ -1672,7 +1602,7 @@ mod tests {
             }
         }
         let cfg = ThreadedConfig::new(2, DispatchPolicy::Aggressive);
-        let (w, m) = run(
+        let (w, m) = dark(
             SpecAbort {
                 normal_done: false,
                 spec_delivered: false,
@@ -1730,7 +1660,7 @@ mod tests {
             }
         }
         let cfg = ThreadedConfig::new(2, DispatchPolicy::Balanced);
-        let (w, m) = run(
+        let (w, m) = dark(
             AbortFirst {
                 normal_done: false,
                 spec_delivered: false,
@@ -1780,7 +1710,7 @@ mod tests {
     #[test]
     fn panicking_regular_task_is_retried_and_delivered() {
         let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
-        let (w, m) = try_run(
+        let (w, m) = run(
             Flaky {
                 fail_times: 2,
                 done: false,
@@ -1788,6 +1718,7 @@ mod tests {
             },
             &cfg,
             Vec::<(usize, Arc<[u8]>)>::new(),
+            &Instruments::default(),
         )
         .expect("retries recover the run");
         assert!(w.done);
@@ -1800,7 +1731,7 @@ mod tests {
     #[test]
     fn exhausted_retries_fail_the_run_with_a_structured_error() {
         let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
-        let Err(err) = try_run(
+        let Err(err) = run(
             Flaky {
                 fail_times: u32::MAX,
                 done: false,
@@ -1808,6 +1739,7 @@ mod tests {
             },
             &cfg,
             Vec::<(usize, Arc<[u8]>)>::new(),
+            &Instruments::default(),
         ) else {
             panic!("a task that always panics must fail the run");
         };
@@ -1850,13 +1782,14 @@ mod tests {
             }
         }
         let cfg = ThreadedConfig::new(2, DispatchPolicy::Aggressive);
-        let (w, m) = try_run(
+        let (w, m) = run(
             SpecPanic {
                 normal_done: false,
                 fault: None,
             },
             &cfg,
             Vec::<(usize, Arc<[u8]>)>::new(),
+            &Instruments::default(),
         )
         .expect("speculative faults never fail the run");
         assert!(w.normal_done);
@@ -1886,9 +1819,9 @@ mod tests {
                 0.2,
             )
             .with_max_faults(16);
-        let mut cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
-        cfg.faults = FaultInjector::new(plan);
-        let (w, m) = try_run(
+        let cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
+        let faults = FaultInjector::new(plan);
+        let (w, m) = run(
             Summer {
                 n: 24,
                 seen: 0,
@@ -1896,16 +1829,16 @@ mod tests {
             },
             &cfg,
             blocks,
+            &Instruments::faulty(faults.clone()),
         )
         .expect("injected faults are recoverable");
         assert_eq!(w.total, expect, "output identical to the fault-free run");
         assert_eq!(m.tasks_delivered, 24);
         assert!(
-            cfg.faults.injected() > 0,
+            faults.injected() > 0,
             "the plan actually injected something"
         );
-        let echoes = cfg
-            .faults
+        let echoes = faults
             .log()
             .iter()
             .filter(|f| f.kind == FaultKind::DuplicateCompletion)
@@ -1931,9 +1864,8 @@ mod tests {
         let plan = FaultPlan::new(7)
             .with_rule(FaultSite::Completion, FaultKind::DuplicateCompletion, 1.0)
             .with_max_faults(8);
-        let mut cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
-        cfg.faults = FaultInjector::new(plan);
-        let (w, m) = try_run(
+        let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
+        let (w, m) = run(
             Summer {
                 n: 16,
                 seen: 0,
@@ -1941,6 +1873,7 @@ mod tests {
             },
             &cfg,
             blocks,
+            &Instruments::faulty(FaultInjector::new(plan)),
         )
         .expect("echoes are recoverable");
         assert_eq!(w.total, expect);
@@ -2011,7 +1944,7 @@ mod tests {
             heartbeat_timeout_us: 150_000,
             poll_us: 10_000,
         });
-        let (w, m) = try_run(
+        let (w, m) = run(
             Wedger {
                 n: 12,
                 seen: 0,
@@ -2022,6 +1955,7 @@ mod tests {
             },
             &cfg,
             blocks,
+            &Instruments::default(),
         )
         .expect("supervision recovers the run");
         assert_eq!(w.seen, 12, "every block delivered exactly once");
@@ -2041,7 +1975,7 @@ mod tests {
         let expect: u64 = (0..32u64).map(|i| i * 100).sum();
         let mut cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
         cfg.supervisor = Some(SupervisorConfig::default());
-        let (w, m) = run(
+        let (w, m) = dark(
             Summer {
                 n: 32,
                 seen: 0,
@@ -2058,9 +1992,11 @@ mod tests {
     #[test]
     fn watchdog_cancels_a_stuck_speculative_task() {
         // A speculative task that never checks its abort flag fast enough
-        // on its own: the watchdog signals the flag (unsticking the
-        // abort-aware busy wait) and aborts the version.
-        struct Stuck;
+        // on its own: the watchdog tells the workload, aborts the version
+        // and signals the flag (unsticking the abort-aware busy wait).
+        struct Stuck {
+            lost: Vec<Option<SpecVersion>>,
+        }
         impl Workload for Stuck {
             fn on_start(&mut self, ctx: &mut dyn SchedCtx) {
                 ctx.spawn(TaskSpec::speculative("stuck", 0, 0, 3, 0, |ctx| {
@@ -2073,6 +2009,10 @@ mod tests {
             }
             fn on_input(&mut self, _: &mut dyn SchedCtx, _: InputBlock) {}
             fn on_complete(&mut self, _: &mut dyn SchedCtx, _: Completion) {}
+            fn on_fault(&mut self, _: &mut dyn SchedCtx, fault: FaultNotice) {
+                assert_eq!(fault.name, "stuck");
+                self.lost.push(fault.version);
+            }
             fn is_finished(&self) -> bool {
                 true
             }
@@ -2083,13 +2023,23 @@ mod tests {
             poll_us: 2_000,
         });
         let t0 = Instant::now();
-        let (_w, m) = try_run(Stuck, &cfg, Vec::<(usize, Arc<[u8]>)>::new())
-            .expect("watchdog recovers the run");
+        let (w, m) = run(
+            Stuck { lost: Vec::new() },
+            &cfg,
+            Vec::<(usize, Arc<[u8]>)>::new(),
+            &Instruments::default(),
+        )
+        .expect("watchdog recovers the run");
         assert!(
             t0.elapsed() < Duration::from_secs(4),
             "watchdog unstuck the task well before its 5s cap"
         );
         assert_eq!(m.watchdog_cancels, 1);
+        assert_eq!(
+            w.lost,
+            vec![Some(3)],
+            "the workload hears of the cancelled version, once"
+        );
         assert_eq!(m.rollbacks, 1, "the stuck version was aborted");
         assert_eq!(m.tasks_discarded, 1, "its late output was discarded");
     }

@@ -14,8 +14,7 @@ use crate::task::{TaskCtx, TaskId};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Why a run failed. Returned by the executors' `try_run*` entry points;
-/// the panicking `run*` wrappers turn it into a message.
+/// Why a run failed: the error of the executors' `run` entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// A non-speculative task panicked on every attempt the retry policy
@@ -188,7 +187,7 @@ pub fn into_inner_recover<T>(m: Mutex<T>) -> T {
     m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Abort-aware wall-clock stall (threaded executors' interpretation of an
+/// Abort-aware wall-clock stall (threaded executor's interpretation of an
 /// injected `Stall`): sleeps in small increments, returning early once the
 /// task's version is aborted — which is how the watchdog unsticks a
 /// stalled speculative task.

@@ -28,10 +28,14 @@
 //! * [`exec::threaded`] — a real thread-pool executor running the same
 //!   workloads on wall-clock time, with sharded per-worker ready lanes,
 //!   work stealing and completions routed by whichever thread holds the
-//!   commit lock — usually the worker that just finished the task (the
-//!   pre-sharding single-lock runtime survives as [`exec::baseline`] for
-//!   benchmarking);
-//! * [`metrics`] — per-task traces and aggregate counters shared by both.
+//!   commit lock — usually the worker that just finished the task;
+//! * [`metrics`] — per-task traces and aggregate counters shared by both;
+//! * [`instruments`] — the one tracer / metrics hub / fault injector of a
+//!   run, handed to every layer when it is built.
+//!
+//! Each executor has exactly one entry point, fallible and instrumented:
+//! [`exec::sim::run`] and [`exec::threaded::run`]. A dark run passes
+//! `&Instruments::default()`.
 //!
 //! Speculation *policy* (predictors, tolerance checks, wait buffers,
 //! rollback orchestration) lives one crate up, in `tvs-core`; this crate
@@ -42,6 +46,7 @@
 
 pub mod exec;
 pub mod fault;
+pub mod instruments;
 pub mod mapreduce;
 pub mod metrics;
 pub mod platform;
@@ -55,6 +60,7 @@ pub mod workload;
 pub use fault::{
     into_inner_recover, lock_recover, RetryPolicy, RunError, SupervisorConfig, WatchdogConfig,
 };
+pub use instruments::Instruments;
 pub use mapreduce::{MapReduce, Summary};
 pub use metrics::{RunMetrics, TaskTrace};
 pub use platform::{cell_be, x86_smp, CostModel, FixedCost, Platform};

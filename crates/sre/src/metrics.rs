@@ -50,15 +50,13 @@ pub struct RunMetrics {
     /// Tasks routed into each worker's ready lane by the dispatcher
     /// (threaded executor) or bound to each simulated worker (simulator).
     ///
-    /// **Semantics:** always `workers` entries long. Executors without
-    /// per-worker lanes (the single-lock baseline) report explicit zeros —
-    /// never an empty vec — so downstream consumers can index per worker
-    /// without special-casing the executor. An all-zero vector means "this
-    /// executor routed nothing through lanes", and [`Self::lane_imbalance`]
-    /// returns 0.0 for it.
+    /// **Semantics:** always `workers` entries long — never an empty vec —
+    /// so downstream consumers can index per worker. An all-zero vector
+    /// means "nothing was routed through lanes", and
+    /// [`Self::lane_imbalance`] returns 0.0 for it.
     pub lane_dispatches: Vec<u64>,
     /// Tasks a worker executed after stealing them from another worker's
-    /// lane. Always zero for the simulator and the single-lock baseline.
+    /// lane. Always zero for the simulator.
     pub steals: u64,
     /// Task bodies that panicked and were caught by the executor
     /// (speculative fault → version abort; non-speculative → retried).

@@ -16,8 +16,8 @@
 //! [`ReplicatingWorkload`] implements [`Workload`] around any inner
 //! workload and intercepts the two places where replication happens —
 //! spawns (to arm a task for re-execution) and completions (to hold the
-//! primary's output until its replica votes). All three executors (sim,
-//! baseline, threaded) therefore validate identically, with zero
+//! primary's output until its replica votes). Both executors (sim,
+//! threaded) therefore validate identically, with zero
 //! executor-internal replica logic, and replicas can never double-commit
 //! because the wrapper swallows their completions before the inner
 //! workload sees them.
@@ -42,6 +42,7 @@
 //! digest are passed through unreplicated (counted, never silently).
 
 use crate::fault::{lock_recover, mix64};
+use crate::instruments::Instruments;
 use crate::task::{SpecVersion, TaskClass, TaskCtx, TaskFn, TaskId, TaskSpec};
 use crate::workload::{Completion, FaultNotice, InputBlock, SchedCtx, SdcNotice, Workload};
 use std::any::Any;
@@ -211,7 +212,7 @@ struct Plane {
     stats: ReplicaStats,
     tracer: Tracer,
     hub: MetricsHub,
-    injector: Option<FaultInjector>,
+    injector: FaultInjector,
 }
 
 impl Plane {
@@ -469,8 +470,7 @@ impl Plane {
     /// Refresh the SDC-recall gauge against the fault injector's count of
     /// corruptions actually injected at the task-output site.
     fn update_recall(&mut self) {
-        let Some(inj) = &self.injector else { return };
-        let injected = inj.injected_at(FaultSite::TaskOutput);
+        let injected = self.injector.injected_at(FaultSite::TaskOutput);
         // No corruptions injected means nothing to miss: recall 100 %.
         let recall = (self.stats.sdc_detected.min(injected) * 1000)
             .checked_div(injected)
@@ -511,9 +511,23 @@ pub struct ReplicatingWorkload<W> {
 }
 
 impl<W: Workload> ReplicatingWorkload<W> {
-    /// Wrap `inner`. `seed` drives the deterministic ordinary-task
+    /// Wrap `inner`, dark. `seed` drives the deterministic ordinary-task
     /// sampler; `digest` maps task outputs to comparable digests.
     pub fn new(inner: W, mode: ValidationMode, seed: u64, digest: DigestFn) -> Self {
+        Self::instrumented(inner, mode, seed, digest, &Instruments::default())
+    }
+
+    /// [`Self::new`], recording replication lifecycle events into
+    /// `ins.tracer`, exporting the plane's counters through `ins.metrics`,
+    /// and computing the detection-recall gauge against `ins.faults`' count
+    /// of corruptions actually injected at the task-output site.
+    pub fn instrumented(
+        inner: W,
+        mode: ValidationMode,
+        seed: u64,
+        digest: DigestFn,
+        ins: &Instruments,
+    ) -> Self {
         ReplicatingWorkload {
             inner,
             plane: Plane {
@@ -525,27 +539,11 @@ impl<W: Workload> ReplicatingWorkload<W> {
                 flights: HashMap::new(),
                 replica_of: HashMap::new(),
                 stats: ReplicaStats::default(),
-                tracer: Tracer::disabled(),
-                hub: MetricsHub::disabled(),
-                injector: None,
+                tracer: ins.tracer.clone(),
+                hub: ins.metrics.clone(),
+                injector: ins.faults.clone(),
             },
         }
-    }
-
-    /// Record replication lifecycle events into `tracer`.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.plane.tracer = tracer;
-    }
-
-    /// Export replication counters and the recall gauge through `hub`.
-    pub fn set_metrics(&mut self, hub: MetricsHub) {
-        self.plane.hub = hub;
-    }
-
-    /// Let the plane compute detection recall against this injector's
-    /// task-output corruption count (testing/chaos only).
-    pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.plane.injector = Some(injector);
     }
 
     /// Cap on total executions per vote (primary + replicas). Default 5.
@@ -566,11 +564,6 @@ impl<W: Workload> ReplicatingWorkload<W> {
     /// The wrapped workload.
     pub fn inner(&self) -> &W {
         &self.inner
-    }
-
-    /// The wrapped workload, mutably.
-    pub fn inner_mut(&mut self) -> &mut W {
-        &mut self.inner
     }
 
     /// Unwrap the workload, once the run is over.

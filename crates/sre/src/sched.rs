@@ -9,6 +9,7 @@
 //! the system marks them with an abort flag, and deletes them with their
 //! content when they complete."
 
+use crate::instruments::Instruments;
 use crate::policy::{DispatchPolicy, LaneLoads};
 use crate::queue::ReadyQueue;
 use crate::task::{IdMap, SpecVersion, TaskClass, TaskCtx, TaskFn, TaskId, TaskSpec};
@@ -100,15 +101,18 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler dispatching under `policy`, with tracing disabled.
+    /// A scheduler dispatching under `policy`, dark (no tracer, no hub).
     pub fn new(policy: DispatchPolicy) -> Self {
-        Self::with_tracer(policy, Tracer::disabled())
+        Self::instrumented(policy, &Instruments::default())
     }
 
     /// A scheduler that records rollback and ready-cancellation lifecycle
-    /// events (on the tracer's control ring). The executors pass their run
-    /// tracer in; `Tracer::disabled()` makes every emit a no-op branch.
-    pub fn with_tracer(policy: DispatchPolicy, tracer: Tracer) -> Self {
+    /// events on `ins.tracer`'s control ring and feeds `ins.metrics`. The
+    /// scheduler is the single feed for the lifecycle counters every
+    /// executor shares (delivered / discarded / deleted-ready / rollbacks /
+    /// duplicates) plus the check-latency and block-service histograms, so
+    /// the counts can't diverge between executors or get double-counted.
+    pub fn instrumented(policy: DispatchPolicy, ins: &Instruments) -> Self {
         Scheduler {
             policy,
             queue: ReadyQueue::new(),
@@ -118,18 +122,9 @@ impl Scheduler {
             next_id: 1,
             stats: SchedStats::default(),
             loads: LaneLoads::default(),
-            tracer,
-            metrics: MetricsHub::disabled(),
+            tracer: ins.tracer.clone(),
+            metrics: ins.metrics.clone(),
         }
-    }
-
-    /// Attach a metrics hub. The scheduler is the single feed for the
-    /// lifecycle counters every executor shares (delivered / discarded /
-    /// deleted-ready / rollbacks / duplicates) plus the check-latency and
-    /// block-service histograms, so the counts can't diverge between
-    /// executors or get double-counted.
-    pub fn set_metrics(&mut self, metrics: MetricsHub) {
-        self.metrics = metrics;
     }
 
     /// The active dispatch policy.
@@ -523,7 +518,10 @@ mod tests {
     fn rollback_and_cancel_bound_emit_trace_events() {
         use tvs_trace::{EventKind, Tracer};
         let tracer = Tracer::enabled(1);
-        let mut s = Scheduler::with_tracer(DispatchPolicy::Aggressive, tracer.clone());
+        let mut s = Scheduler::instrumented(
+            DispatchPolicy::Aggressive,
+            &Instruments::traced(tracer.clone()),
+        );
         s.spawn(spec_task("bound", 5)).unwrap();
         s.spawn(spec_task("queued", 5)).unwrap();
         let d = s.dispatch().unwrap(); // "bound": dispatched into a lane
@@ -551,7 +549,10 @@ mod tests {
     fn replica_spawns_are_counted_and_traced() {
         use tvs_trace::{EventKind, Tracer};
         let tracer = Tracer::enabled(1);
-        let mut s = Scheduler::with_tracer(DispatchPolicy::Balanced, tracer.clone());
+        let mut s = Scheduler::instrumented(
+            DispatchPolicy::Balanced,
+            &Instruments::traced(tracer.clone()),
+        );
         let primary = s.spawn(reg("count", 0)).unwrap();
         let replica = s.spawn(reg("count", 0).as_replica_of(primary)).unwrap();
         assert_eq!(s.stats().replicas_spawned, 1);

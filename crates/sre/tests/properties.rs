@@ -1,8 +1,7 @@
 //! Property-based tests for the runtime: the ready queue against a
 //! reference model, scheduler lifecycle invariants, discrete-event
 //! determinism under arbitrary workload shapes, and cross-executor output
-//! equivalence (simulator vs work-stealing threads vs the single-lock
-//! baseline).
+//! equivalence (simulator vs work-stealing threads).
 //!
 //! Hand-rolled seeded-loop properties (`tvs_rng::cases`): the offline build
 //! has no proptest, and deterministic per-case seeds reproduce failures
@@ -10,14 +9,33 @@
 
 use std::sync::Arc;
 use tvs_rng::cases;
-use tvs_sre::exec::baseline::run as run_baseline;
-use tvs_sre::exec::sim::{run as run_sim, SimConfig};
-use tvs_sre::exec::threaded::{run as run_threaded, ThreadedConfig};
+use tvs_sre::exec::sim::{self, SimConfig};
+use tvs_sre::exec::threaded::{self, ThreadedConfig};
+use tvs_sre::metrics::SimReport;
 use tvs_sre::policy::LaneLoads;
 use tvs_sre::queue::ReadyQueue;
 use tvs_sre::task::{payload, TaskClass, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
-use tvs_sre::{x86_smp, CostModel, DispatchPolicy, Scheduler, Time};
+use tvs_sre::{x86_smp, CostModel, DispatchPolicy, Instruments, RunMetrics, Scheduler, Time};
+
+/// Dark simulator run that must complete.
+fn run_sim<W: Workload>(
+    w: W,
+    cfg: &SimConfig,
+    cost: &dyn CostModel,
+    inputs: Vec<InputBlock>,
+) -> SimReport<W> {
+    sim::run(w, cfg, cost, inputs, &Instruments::default()).expect("dark sim run completes")
+}
+
+/// Dark threaded run that must complete.
+fn run_threaded<W: Workload + Send + 'static>(
+    w: W,
+    cfg: &ThreadedConfig,
+    inputs: Vec<(usize, Arc<[u8]>)>,
+) -> (W, RunMetrics) {
+    threaded::run(w, cfg, inputs, &Instruments::default()).expect("dark threaded run completes")
+}
 
 // ---------------------------------------------------------------------
 // Ready queue vs a transparent reference model
@@ -251,9 +269,8 @@ fn prop_sim_deterministic_and_exclusive() {
         let script = tvs_rng::bytes(rng, 1..100);
         let workers = rng.random_range(1..6usize);
         let cfg = SimConfig {
-            platform: x86_smp(workers),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: true,
+            task_trace: true,
+            ..SimConfig::new(x86_smp(workers), DispatchPolicy::NonSpeculative)
         };
         let mk = || FanOut {
             script: script.clone(),
@@ -292,7 +309,7 @@ fn prop_sim_deterministic_and_exclusive() {
 }
 
 // ---------------------------------------------------------------------
-// Cross-executor equivalence: sim == threaded == baseline
+// Cross-executor equivalence: sim == threaded
 // ---------------------------------------------------------------------
 
 /// Deterministic two-stage workload: each input block spawns a "digest"
@@ -355,9 +372,9 @@ impl Workload for TwoStage {
 }
 
 /// The same deterministic workload must deliver the same output set on the
-/// simulator, the work-stealing threaded executor and the single-lock
-/// baseline, at every worker count — executors may reorder completions but
-/// never change, drop or duplicate results.
+/// simulator and the work-stealing threaded executor, at every worker
+/// count (the oracle is the one-worker simulator) — executors may reorder
+/// completions but never change, drop or duplicate results.
 #[test]
 fn prop_cross_executor_outputs_identical() {
     cases(0xE9_0A11, 8, |rng, case| {
@@ -381,11 +398,7 @@ fn prop_cross_executor_outputs_identical() {
                 data: d.clone(),
             })
             .collect();
-        let sim_cfg = SimConfig {
-            platform: x86_smp(1),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
+        let sim_cfg = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
         let reference = sorted(
             run_sim(TwoStage::new(n_blocks), &sim_cfg, &TagCost, sim_inputs)
                 .workload
@@ -395,11 +408,7 @@ fn prop_cross_executor_outputs_identical() {
 
         for workers in [1usize, 2, 4, 8] {
             // Simulator at this worker count.
-            let cfg = SimConfig {
-                platform: x86_smp(workers),
-                policy: DispatchPolicy::NonSpeculative,
-                trace: false,
-            };
+            let cfg = SimConfig::new(x86_smp(workers), DispatchPolicy::NonSpeculative);
             let sim_inputs: Vec<InputBlock> = data
                 .iter()
                 .enumerate()
@@ -416,10 +425,10 @@ fn prop_cross_executor_outputs_identical() {
             );
             assert_eq!(got, reference, "case {case}: sim@{workers} diverged");
 
-            // Threaded (work-stealing) and baseline executors.
+            // The threaded (work-stealing) executor.
             let tcfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
             let blocks: Vec<(usize, Arc<[u8]>)> = data.iter().cloned().enumerate().collect();
-            let (w, m) = run_threaded(TwoStage::new(n_blocks), &tcfg, blocks.clone());
+            let (w, m) = run_threaded(TwoStage::new(n_blocks), &tcfg, blocks);
             assert_eq!(
                 sorted(w.results),
                 reference,
@@ -431,14 +440,6 @@ fn prop_cross_executor_outputs_identical() {
                 2 * n_blocks as u64,
                 "case {case}: every threaded task routes through a lane"
             );
-
-            let (w, m) = run_baseline(TwoStage::new(n_blocks), &tcfg, blocks);
-            assert_eq!(
-                sorted(w.results),
-                reference,
-                "case {case}: baseline@{workers} diverged"
-            );
-            assert_eq!(m.tasks_delivered, 2 * n_blocks as u64);
         }
     });
 }

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use tvs_huffman::container;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
-use tvs_sre::exec::threaded::{run as run_threaded, ThreadedConfig};
-use tvs_sre::DispatchPolicy;
+use tvs_sre::exec::threaded::{self, ThreadedConfig};
+use tvs_sre::{DispatchPolicy, Instruments};
 
 fn compress(data: &[u8]) -> Vec<u8> {
     if data.is_empty() {
@@ -34,7 +34,8 @@ fn compress(data: &[u8]) -> Vec<u8> {
         .map(|n| n.get())
         .unwrap_or(4);
     let tcfg = ThreadedConfig::new(workers, cfg.policy);
-    let (workload, metrics) = run_threaded(workload, &tcfg, blocks);
+    let (workload, metrics) = threaded::run(workload, &tcfg, blocks, &Instruments::default())
+        .expect("a dark run cannot fail");
     let mut result = workload.result();
     let (stream, bit_len, lengths) = result.output.take().expect("collected");
     eprintln!(

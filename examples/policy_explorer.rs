@@ -14,7 +14,7 @@
 use tvs_core::{SpeculationSchedule, Tolerance, VerificationPolicy};
 use tvs_iosim::{ArrivalModel, Disk, Socket};
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::run_huffman_sim_traced;
+use tvs_pipelines::runner::{run_huffman, Executor, HuffmanRun};
 use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform};
 use tvs_workloads::FileKind;
 
@@ -35,7 +35,12 @@ fn run_row(
     arrival: &dyn ArrivalModel,
 ) {
     let trace_mode = std::env::var_os("TVS_TRACE").is_some();
-    let (out, trace) = run_huffman_sim_traced(data, cfg, platform, arrival, trace_mode);
+    let mut run = HuffmanRun::sim(data, cfg, platform, arrival);
+    if let Executor::Sim { cfg: sim } = &mut run.on {
+        sim.task_trace = trace_mode;
+    }
+    let report = run_huffman(&run).expect("a dark run cannot fail");
+    let (out, trace) = (report.end.into_outcome(), report.task_trace);
     let stats = out.result.spec_stats.unwrap_or_default();
     println!(
         "{label:<46} {:>9.0} {:>9} {:>5} {:>6} {:>7} {:>9.3}",

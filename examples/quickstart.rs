@@ -9,7 +9,7 @@
 
 use tvs_iosim::Disk;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::run_huffman_sim;
+use tvs_pipelines::runner::{run_huffman, HuffmanRun};
 use tvs_sre::{x86_smp, DispatchPolicy};
 use tvs_workloads::FileKind;
 
@@ -22,13 +22,19 @@ fn main() {
 
     // Baseline: the classic two-pass pipeline, no speculation.
     let base_cfg = HuffmanConfig::disk_x86(DispatchPolicy::NonSpeculative);
-    let base = run_huffman_sim(&data, &base_cfg, &platform, &disk);
+    // One way in: describe the run, run it. A dark run (no tracer, no
+    // metrics hub, no fault plan) cannot fail.
+    let sim = |cfg| {
+        let report = run_huffman(&HuffmanRun::sim(&data, cfg, &platform, &disk));
+        report.expect("a dark run cannot fail").end.into_outcome()
+    };
+    let base = sim(&base_cfg);
 
     // Speculative: guess the Huffman tree from prefix histograms, verify
     // within a 1 % compressed-size tolerance, roll back on misprediction.
     let mut spec_cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
     spec_cfg.collect_output = true;
-    let spec = run_huffman_sim(&data, &spec_cfg, &platform, &disk);
+    let spec = sim(&spec_cfg);
 
     // The committed stream must decode back to the input.
     let (bytes, bits, lengths) = spec.result.output.as_ref().expect("output collected");

@@ -26,8 +26,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
-use tvs_sre::exec::threaded::{run_metered as run_threaded_metered, ThreadedConfig};
-use tvs_sre::{DispatchPolicy, MetricsHub, Sampler, Tracer};
+use tvs_sre::exec::threaded::{self, ThreadedConfig};
+use tvs_sre::{DispatchPolicy, Instruments, MetricsHub, Sampler};
 use tvs_workloads::FileKind;
 
 const WORKERS: usize = 8;
@@ -102,12 +102,13 @@ fn main() {
 
     let mut cfg = HuffmanConfig::socket_x86(DispatchPolicy::Balanced);
     cfg.collect_output = true;
-    let mut workload = HuffmanWorkload::new(cfg.clone(), data.len());
 
-    // The live metrics plane: hub into every layer, sampler to JSONL,
+    // The live metrics plane: one hub into every layer (workload and
+    // executor are built on the same `Instruments`), sampler to JSONL,
     // Prometheus exposition on its own loopback listener.
     let hub = MetricsHub::enabled(WORKERS);
-    workload.set_metrics(hub.clone());
+    let instruments = Instruments::metered(hub.clone());
+    let workload = HuffmanWorkload::instrumented(cfg.clone(), data.len(), 0, &instruments);
     let (metrics_addr, http_shutdown) = serve_metrics(hub.clone());
     println!("GET /metrics live at http://{metrics_addr}/metrics");
     let results = std::path::Path::new("results");
@@ -132,7 +133,7 @@ fn main() {
     let started = std::time::Instant::now();
     let tcfg = ThreadedConfig::new(WORKERS, cfg.policy);
     let (workload, metrics) =
-        run_threaded_metered(workload, &tcfg, rx, Tracer::disabled(), hub.clone());
+        threaded::run(workload, &tcfg, rx, &instruments).expect("nothing injected, nothing fails");
     reader.join().expect("reader");
     server.join().expect("server").expect("server io");
 

@@ -12,17 +12,16 @@
 //! injection must take the epoch-reject path rather than double-commit.
 
 use std::path::PathBuf;
-use tvs_core::{CheckpointConfig, LadderConfig, ResumeError, StreamSnapshot};
+use tvs_core::{CheckpointConfig, LadderConfig, ResumeError, StreamSnapshot, ValidationMode};
 use tvs_huffman::decode_exact;
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::runner::{
-    resume_huffman_sim, resume_huffman_threaded, run_huffman_sim, run_huffman_sim_checkpointed,
-    run_huffman_sim_events, run_huffman_threaded, run_huffman_threaded_chaos,
-    run_huffman_threaded_checkpointed, run_huffman_threaded_events, RunOutcome,
+    run_huffman, Executor, HuffmanReport, HuffmanRun, RunFailure, RunOutcome,
 };
-use tvs_sre::exec::threaded::ThreadedConfig;
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite};
+use tvs_sre::{
+    x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite, TraceLog, Tracer,
+};
 
 /// Stationary text with a rich alphabet: speculation commits cleanly,
 /// so the committed tree — and therefore the output stream — is the
@@ -45,11 +44,52 @@ fn cfg() -> HuffmanConfig {
     c
 }
 
-fn arrival() -> Uniform {
-    Uniform {
-        gap_us: 30,
-        start_us: 0,
-    }
+const ARRIVAL: Uniform = Uniform {
+    gap_us: 30,
+    start_us: 0,
+};
+
+/// On the simulator's 8 x86 workers.
+fn sim<'a>(data: &'a [u8], c: &'a HuffmanConfig) -> HuffmanRun<'a> {
+    HuffmanRun::sim(data, c, &x86_smp(8), &ARRIVAL)
+}
+
+/// On 4 real threads, arrivals compressed 1000×.
+fn threaded<'a>(data: &'a [u8], c: &'a HuffmanConfig) -> HuffmanRun<'a> {
+    HuffmanRun::threaded(data, c, 4, &ARRIVAL, 1000)
+}
+
+/// A run that must complete.
+fn outcome(run: HuffmanRun) -> RunOutcome {
+    let report = run_huffman(&run).expect("nothing injected, nothing fails");
+    report.end.into_outcome()
+}
+
+/// A run whose checkpoint plane must halt it.
+fn halt_snapshot(run: HuffmanRun) -> StreamSnapshot {
+    let report = run_huffman(&run).expect("nothing injected, nothing fails");
+    report.end.into_snapshot()
+}
+
+/// `run`, resumed from `snap`.
+fn resumed<'a>(run: HuffmanRun<'a>, snap: &'a StreamSnapshot) -> Result<RunOutcome, RunFailure> {
+    let run = HuffmanRun {
+        resume: Some(snap),
+        ..run
+    };
+    run_huffman(&run).map(|report| report.end.into_outcome())
+}
+
+/// A run that must complete, with the event log on.
+fn events(mut run: HuffmanRun) -> (RunOutcome, TraceLog) {
+    let workers = match &run.on {
+        Executor::Sim { cfg } => cfg.platform.workers,
+        Executor::Threaded { cfg, .. } => cfg.workers,
+    };
+    run.instruments.tracer = Tracer::enabled(workers);
+    let report = run_huffman(&run).expect("the run recovers");
+    let log = report.log.expect("enabled tracer drains");
+    (report.end.into_outcome(), log)
 }
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -66,7 +106,7 @@ fn output_of(out: &RunOutcome) -> (&[u8], u64) {
 #[test]
 fn sim_kill_and_resume_is_byte_identical() {
     let data = stationary(64 * 1024);
-    let base = run_huffman_sim(&data, &cfg(), &x86_smp(8), &arrival());
+    let base = outcome(sim(&data, &cfg()));
     let (base_bytes, base_bits) = output_of(&base);
     for kill_at in [8usize, 24, 48] {
         let dir = scratch_dir(&format!("sim-{kill_at}"));
@@ -76,7 +116,7 @@ fn sim_kill_and_resume_is_byte_identical() {
             dir: dir.clone(),
             halt_at_block: Some(kill_at),
         });
-        let snap = run_huffman_sim_checkpointed(&data, &c, &x86_smp(8), &arrival()).into_snapshot();
+        let snap = halt_snapshot(sim(&data, &c));
         assert!(
             snap.prefix >= kill_at as u64,
             "halt fires once the committed prefix reaches the kill block"
@@ -88,8 +128,8 @@ fn sim_kill_and_resume_is_byte_identical() {
         assert_eq!(on_disk.prefix, snap.prefix);
         assert_eq!(on_disk.stream_bit_len, snap.stream_bit_len);
 
-        let resumed = resume_huffman_sim(&on_disk, &data, &cfg(), &x86_smp(8), &arrival())
-            .expect("snapshot matches input and config");
+        let resumed =
+            resumed(sim(&data, &cfg()), &on_disk).expect("snapshot matches input and config");
         let (res_bytes, res_bits) = output_of(&resumed);
         assert_eq!(res_bits, base_bits, "kill at {kill_at}: bit length differs");
         assert_eq!(
@@ -111,10 +151,10 @@ fn threaded_kill_and_resume_is_byte_identical() {
     let data = stationary(64 * 1024);
     // Cross-executor identity holds for stationary input, so the sim run
     // is the reference for the threaded resumes too.
-    let base = run_huffman_sim(&data, &cfg(), &x86_smp(8), &arrival());
+    let base = outcome(sim(&data, &cfg()));
     let (base_bytes, base_bits) = output_of(&base);
-    let threaded = run_huffman_threaded(&data, &cfg(), 4, &arrival(), 1000);
-    assert_eq!(output_of(&threaded), (base_bytes, base_bits));
+    let uninterrupted = outcome(threaded(&data, &cfg()));
+    assert_eq!(output_of(&uninterrupted), (base_bytes, base_bits));
     for kill_at in [8usize, 32] {
         let dir = scratch_dir(&format!("thr-{kill_at}"));
         let mut c = cfg();
@@ -123,16 +163,74 @@ fn threaded_kill_and_resume_is_byte_identical() {
             dir: dir.clone(),
             halt_at_block: Some(kill_at),
         });
-        let snap =
-            run_huffman_threaded_checkpointed(&data, &c, 4, &arrival(), 1000).into_snapshot();
+        let snap = halt_snapshot(threaded(&data, &c));
         assert!(snap.prefix >= kill_at as u64);
-        let resumed = resume_huffman_threaded(&snap, &data, &cfg(), 4, &arrival(), 1000)
-            .expect("snapshot matches input and config");
+        let resumed =
+            resumed(threaded(&data, &cfg()), &snap).expect("snapshot matches input and config");
         let (res_bytes, res_bits) = output_of(&resumed);
         assert_eq!(res_bits, base_bits, "kill at {kill_at}: bit length differs");
         assert_eq!(
             res_bytes, base_bytes,
             "kill at {kill_at}: resumed stream is not byte-identical"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// One half of a killed-and-resumed run with the event log on: on the
+/// simulator, or on 2 real threads.
+fn half_with_events<'a>(
+    data: &'a [u8],
+    c: &'a HuffmanConfig,
+    on_threads: bool,
+    resume: Option<&'a StreamSnapshot>,
+) -> HuffmanReport {
+    let (mut run, workers) = if on_threads {
+        (HuffmanRun::threaded(data, c, 2, &ARRIVAL, 1000), 2)
+    } else {
+        (sim(data, c), 8)
+    };
+    run.instruments.tracer = Tracer::enabled(workers);
+    run.resume = resume;
+    run_huffman(&run).expect("nothing injected, nothing fails")
+}
+
+/// A combination the parent's fifteen entry points could not express:
+/// kill at block 24 and resume, under full replication, with the event log
+/// on, on both executors. The resumed stream is byte-identical to the
+/// uninterrupted one and both halves drain a log.
+#[test]
+fn replicated_kill_and_resume_with_events_is_byte_identical() {
+    let data = stationary(64 * 1024);
+    let mut plain = cfg();
+    plain.validation = ValidationMode::Replicate { sample_rate: 1.0 };
+    let base = outcome(sim(&data, &plain));
+    for on_threads in [false, true] {
+        let dir = scratch_dir(&format!("replicated-{on_threads}"));
+        let mut killed = plain.clone();
+        killed.checkpoint = Some(CheckpointConfig {
+            every_blocks: 4,
+            dir: dir.clone(),
+            halt_at_block: Some(24),
+        });
+        let first = half_with_events(&data, &killed, on_threads, None);
+        assert!(first.log.is_some(), "the killed half has a log");
+        assert!(first.replica.replicas_spawned > 0, "the killed half votes");
+        let snap = first.end.into_snapshot();
+        assert!(snap.prefix >= 24);
+        let second = half_with_events(&data, &plain, on_threads, Some(&snap));
+        let log = second.log.expect("the resumed half has a log");
+        // On threads the halt can land after the last block committed: then
+        // the resumed half has nothing left to run.
+        if (snap.prefix as usize) < plain.n_blocks(data.len()) {
+            assert!(log.count("task-end") > 0, "the resumed half ran tasks");
+            assert!(second.replica.replicas_spawned > 0, "and voted on them");
+        }
+        let resumed = second.end.into_outcome();
+        assert_eq!(
+            output_of(&resumed),
+            output_of(&base),
+            "threads: {on_threads}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -148,10 +246,9 @@ fn resume_never_re_speculates() {
         dir: dir.clone(),
         halt_at_block: Some(16),
     });
-    let snap = run_huffman_sim_checkpointed(&data, &c, &x86_smp(8), &arrival()).into_snapshot();
+    let snap = halt_snapshot(sim(&data, &c));
     assert!(snap.committed_version > 0, "halt implies a committed tree");
-    let resumed =
-        resume_huffman_sim(&snap, &data, &cfg(), &x86_smp(8), &arrival()).expect("resumes");
+    let resumed = resumed(sim(&data, &cfg()), &snap).expect("resumes");
     let stats = resumed.result.spec_stats.expect("policy speculates");
     assert_eq!(stats.predictions, 0, "resume must not predict again");
     assert_eq!(stats.rollbacks, 0, "resume must not roll back");
@@ -173,24 +270,19 @@ fn resume_rejects_mismatched_input_and_config() {
         dir: dir.clone(),
         halt_at_block: Some(8),
     });
-    let snap = run_huffman_sim_checkpointed(&data, &c, &x86_smp(8), &arrival()).into_snapshot();
+    let snap = halt_snapshot(sim(&data, &c));
+    let mismatch = Some(RunFailure::Resume(ResumeError::InputMismatch));
 
     // Wrong input bytes: one bit flipped past the committed prefix.
     let mut other = data.clone();
     let last = other.len() - 1;
     other[last] ^= 0x40;
-    assert_eq!(
-        resume_huffman_sim(&snap, &other, &cfg(), &x86_smp(8), &arrival()).err(),
-        Some(ResumeError::InputMismatch)
-    );
+    assert_eq!(resumed(sim(&other, &cfg()), &snap).err(), mismatch);
 
     // Wrong output shape: a different tolerance changes the digest.
     let mut reshaped = cfg();
     reshaped.tolerance = tvs_core::Tolerance::percent(5.0);
-    assert_eq!(
-        resume_huffman_sim(&snap, &data, &reshaped, &x86_smp(8), &arrival()).err(),
-        Some(ResumeError::InputMismatch)
-    );
+    assert_eq!(resumed(sim(&data, &reshaped), &snap).err(), mismatch);
 
     // A truncated snapshot file is a structured load error, not a panic.
     let path = CheckpointConfig::new(4, &dir).snapshot_path();
@@ -235,7 +327,8 @@ fn ladder_steps_down_when_the_breaker_trips_sim() {
         gap_us: 100,
         start_us: 0,
     };
-    let (out, log) = run_huffman_sim_events(&data, &ladder_cfg(), &x86_smp(8), &arrival);
+    let c = ladder_cfg();
+    let (out, log) = events(HuffmanRun::sim(&data, &c, &x86_smp(8), &arrival));
     assert!(
         log.count("breaker-trip") >= 1,
         "100% misprediction must trip the breaker"
@@ -261,7 +354,8 @@ fn ladder_steps_down_when_the_breaker_trips_threaded() {
         gap_us: 100,
         start_us: 0,
     };
-    let (out, log) = run_huffman_threaded_events(&data, &ladder_cfg(), 4, &arrival, 100);
+    let c = ladder_cfg();
+    let (out, log) = events(HuffmanRun::threaded(&data, &c, 4, &arrival, 100));
     let stats = out.result.spec_stats.expect("speculative policy");
     assert!(
         stats.ladder_steps >= 1,
@@ -283,17 +377,19 @@ fn supervised_run_rejects_duplicate_completions_instead_of_double_committing() {
     // in `stale_completions_rejected` — and leave the output stream
     // byte-identical to a clean run.
     let data = stationary(64 * 1024);
-    let base = run_huffman_sim(&data, &cfg(), &x86_smp(8), &arrival());
+    let base = outcome(sim(&data, &cfg()));
     let (base_bytes, base_bits) = output_of(&base);
-    let mut tcfg = ThreadedConfig::new(4, DispatchPolicy::Balanced);
-    tcfg.supervisor = Some(tvs_sre::SupervisorConfig::default());
-    tcfg.faults = FaultInjector::new(
+    let c = cfg();
+    let mut run = threaded(&data, &c);
+    if let Executor::Threaded { cfg: tcfg, .. } = &mut run.on {
+        tcfg.supervisor = Some(tvs_sre::SupervisorConfig::default());
+    }
+    run.instruments.faults = FaultInjector::new(
         FaultPlan::new(7)
             .with_rule(FaultSite::Completion, FaultKind::DuplicateCompletion, 1.0)
             .with_max_faults(12),
     );
-    let (out, _log) = run_huffman_threaded_chaos(&data, &cfg(), &tcfg, &arrival(), 1000)
-        .expect("duplicate echoes are recoverable");
+    let (out, _log) = events(run);
     assert!(
         out.metrics.stale_completions_rejected > 0,
         "the epoch-reject path must actually be taken"

@@ -2,11 +2,36 @@
 //! configurations.
 
 use tvs_huffman::{decode_exact, serial_encode, CodeTable};
-use tvs_iosim::{Disk, Uniform};
+use tvs_iosim::{ArrivalModel, Disk, Uniform};
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim, run_huffman_threaded, RunOutcome};
-use tvs_sre::{cell_be, x86_smp, DispatchPolicy};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun, RunOutcome};
+use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform};
 use tvs_workloads::FileKind;
+
+/// Dark simulator run that must complete.
+fn sim_outcome(
+    data: &[u8],
+    cfg: &HuffmanConfig,
+    platform: &Platform,
+    arrival: &dyn ArrivalModel,
+) -> RunOutcome {
+    let report = run_huffman(&HuffmanRun::sim(data, cfg, platform, arrival));
+    report.expect("a dark run cannot fail").end.into_outcome()
+}
+
+/// Dark threaded run that must complete.
+fn threaded_outcome(
+    data: &[u8],
+    cfg: &HuffmanConfig,
+    workers: usize,
+    arrival: &dyn ArrivalModel,
+    time_scale: u64,
+) -> RunOutcome {
+    let report = run_huffman(&HuffmanRun::threaded(
+        data, cfg, workers, arrival, time_scale,
+    ));
+    report.expect("a dark run cannot fail").end.into_outcome()
+}
 
 fn decode_and_check(out: &RunOutcome, input: &[u8]) {
     let (bytes, bits, lengths) = out.result.output.as_ref().expect("output collected");
@@ -26,7 +51,7 @@ fn cfg(policy: DispatchPolicy) -> HuffmanConfig {
 fn non_speculative_equals_serial_reference_on_all_kinds() {
     for kind in FileKind::ALL {
         let data = tvs_workloads::generate(kind, 1 << 20, 11);
-        let out = run_huffman_sim(
+        let out = sim_outcome(
             &data,
             &cfg(DispatchPolicy::NonSpeculative),
             &x86_smp(16),
@@ -46,8 +71,7 @@ fn non_speculative_equals_serial_reference_on_all_kinds() {
             gap_us: 0,
             start_us: 0,
         };
-        let threaded =
-            |policy| run_huffman_threaded(&data, &cfg(policy), 2, &everything_at_once, 1);
+        let threaded = |policy| threaded_outcome(&data, &cfg(policy), 2, &everything_at_once, 1);
         for out in [&out, &threaded(DispatchPolicy::NonSpeculative)] {
             let (bytes, bits, _) = out.result.output.as_ref().expect("output collected");
             assert_eq!(*bits, serial.bit_len, "{kind:?}");
@@ -69,7 +93,7 @@ fn speculative_output_decodes_on_all_kinds_and_policies() {
             DispatchPolicy::Aggressive,
             DispatchPolicy::Conservative,
         ] {
-            let out = run_huffman_sim(&data, &cfg(policy), &x86_smp(16), &Disk::default());
+            let out = sim_outcome(&data, &cfg(policy), &x86_smp(16), &Disk::default());
             decode_and_check(&out, &data);
         }
     }
@@ -78,7 +102,7 @@ fn speculative_output_decodes_on_all_kinds_and_policies() {
 #[test]
 fn committed_speculation_is_within_tolerance_of_optimal() {
     let data = tvs_workloads::generate(FileKind::Text, 2 << 20, 13);
-    let out = run_huffman_sim(
+    let out = sim_outcome(
         &data,
         &cfg(DispatchPolicy::Balanced),
         &x86_smp(16),
@@ -104,7 +128,7 @@ fn cell_platform_runs_all_kinds() {
             collect_output: true,
             ..HuffmanConfig::disk_cell(DispatchPolicy::Balanced)
         };
-        let out = run_huffman_sim(&data, &c, &cell_be(16), &Disk::default());
+        let out = sim_outcome(&data, &c, &cell_be(16), &Disk::default());
         decode_and_check(&out, &data);
     }
 }
@@ -113,7 +137,7 @@ fn cell_platform_runs_all_kinds() {
 fn simulation_is_fully_deterministic() {
     let data = tvs_workloads::generate(FileKind::Pdf, 1 << 20, 15);
     let run = || {
-        run_huffman_sim(
+        sim_outcome(
             &data,
             &cfg(DispatchPolicy::Aggressive),
             &x86_smp(16),
@@ -137,8 +161,8 @@ fn threaded_and_sim_executors_produce_identical_streams() {
         gap_us: 1,
         start_us: 0,
     };
-    let sim = run_huffman_sim(&data, &cfg(DispatchPolicy::Balanced), &x86_smp(8), &arrival);
-    let thr = run_huffman_threaded(
+    let sim = sim_outcome(&data, &cfg(DispatchPolicy::Balanced), &x86_smp(8), &arrival);
+    let thr = threaded_outcome(
         &data,
         &cfg(DispatchPolicy::Balanced),
         8,
@@ -152,7 +176,7 @@ fn threaded_and_sim_executors_produce_identical_streams() {
 #[test]
 fn latency_series_is_complete_and_positive() {
     let data = tvs_workloads::generate(FileKind::Bmp, 1 << 20, 17);
-    let out = run_huffman_sim(
+    let out = sim_outcome(
         &data,
         &cfg(DispatchPolicy::Balanced),
         &x86_smp(16),
@@ -175,7 +199,7 @@ fn compression_ratios_are_plausible_per_kind() {
         .iter()
         .map(|&kind| {
             let data = tvs_workloads::generate(kind, 1 << 20, 18);
-            let out = run_huffman_sim(
+            let out = sim_outcome(
                 &data,
                 &cfg(DispatchPolicy::NonSpeculative),
                 &x86_smp(16),
@@ -202,7 +226,7 @@ fn compression_ratios_are_plausible_per_kind() {
 fn tiny_inputs_work_end_to_end() {
     for len in [1usize, 100, 4096, 4097, 8192] {
         let data = tvs_workloads::generate(FileKind::Text, len, 19);
-        let out = run_huffman_sim(
+        let out = sim_outcome(
             &data,
             &cfg(DispatchPolicy::Balanced),
             &x86_smp(4),

@@ -4,14 +4,15 @@
 use tvs_core::{SpeculationSchedule, Tolerance, VerificationPolicy};
 use tvs_iosim::Disk;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim, RunOutcome};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun, RunOutcome};
 use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform};
 use tvs_workloads::FileKind;
 
 const SEED: u64 = 2011; // the figure benches' seed
 
 fn run(data: &[u8], cfg: &HuffmanConfig, platform: &Platform) -> RunOutcome {
-    run_huffman_sim(data, cfg, platform, &Disk::default())
+    let report = run_huffman(&HuffmanRun::sim(data, cfg, platform, &Disk::default()));
+    report.expect("a dark run cannot fail").end.into_outcome()
 }
 
 #[test]

@@ -16,11 +16,9 @@ use tvs_core::{SpecVersion, UndoLog, WaitBuffer};
 use tvs_huffman::{decode_exact, CodeTable};
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim_chaos, run_huffman_threaded_chaos, RunOutcome};
+use tvs_pipelines::runner::{run_huffman, HuffmanReport, HuffmanRun, RunFailure};
 use tvs_rng::SmallRng;
-use tvs_sre::exec::sim::SimChaos;
-use tvs_sre::exec::threaded::ThreadedConfig;
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, RunError, TraceLog};
+use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, Instruments, Tracer};
 use tvs_workloads::FileKind;
 
 /// The `tvs-chaos` gauntlet's seed matrix — keep in sync with
@@ -152,15 +150,11 @@ fn cfg() -> HuffmanConfig {
 /// The chaos invariant (same as the `tvs-chaos` gauntlet): a run either
 /// completes with output that decodes byte-identically to the input, or
 /// fails with a structured error — never silently wrong bytes.
-fn assert_invariant(
-    res: Result<(RunOutcome, TraceLog), RunError>,
-    data: &[u8],
-    what: &str,
-    seed: u64,
-) {
+fn assert_invariant(res: Result<HuffmanReport, RunFailure>, data: &[u8], what: &str, seed: u64) {
     // A structured `Err` is an allowed chaos outcome; only an Ok run must
     // round-trip exactly.
-    if let Ok((out, _)) = res {
+    if let Ok(report) = res {
+        let out = report.end.into_outcome();
         let (bytes, bits, lengths) = out
             .result
             .output
@@ -181,17 +175,20 @@ fn chaos_seeds_decode_byte_identically_on_both_executors() {
         start_us: 0,
     };
     let c = cfg();
-    for seed in SEEDS {
-        let chaos = SimChaos {
+    // The chaos preset with the event log on; a fresh injector per run
+    // (draw counters are part of run state).
+    let chaos = |run: HuffmanRun, workers: usize, seed: u64| {
+        let instruments = Instruments {
+            tracer: Tracer::enabled(workers),
             faults: FaultInjector::new(FaultPlan::chaos(seed)),
-            ..SimChaos::default()
+            ..Instruments::default()
         };
-        let sim = run_huffman_sim_chaos(&data, &c, &x86_smp(8), &arrival, &chaos);
+        run_huffman(&HuffmanRun { instruments, ..run })
+    };
+    for seed in SEEDS {
+        let sim = chaos(HuffmanRun::sim(&data, &c, &x86_smp(8), &arrival), 8, seed);
         assert_invariant(sim, &data, "sim", seed);
-
-        let mut tcfg = ThreadedConfig::new(4, c.policy);
-        tcfg.faults = FaultInjector::new(FaultPlan::chaos(seed));
-        let thr = run_huffman_threaded_chaos(&data, &c, &tcfg, &arrival, 1000);
+        let thr = chaos(HuffmanRun::threaded(&data, &c, 4, &arrival, 1000), 4, seed);
         assert_invariant(thr, &data, "threaded", seed);
     }
 }

@@ -6,18 +6,28 @@
 //! with per-lineage wasted-µs totals equal to the aggregate
 //! `SpecHealth::wasted_us`. The simulator's bundle must additionally be
 //! byte-identical across captures, and the always-on crash hook must
-//! dump a bundle when a chaos run dies with a structured `RunError`.
+//! dump a bundle when a traced run dies with a structured `RunError` —
+//! whichever executor, checkpointed, resumed or neither: no path panics.
 
-use std::path::PathBuf;
-use tvs_core::{BreakerConfig, SpeculationSchedule, Tolerance, VerificationPolicy};
+use std::path::{Path, PathBuf};
+use tvs_core::{
+    BreakerConfig, CheckpointConfig, SpeculationSchedule, Tolerance, VerificationPolicy,
+};
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::postmortem::{self, BundleMeta, Trigger};
-use tvs_pipelines::runner::{
-    run_huffman_sim_chaos, run_huffman_sim_events, run_huffman_threaded_events,
+use tvs_pipelines::runner::{run_huffman, Executor, HuffmanRun, RunFailure};
+use tvs_sre::{
+    x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite, Instruments, RunError,
+    TraceLog, Tracer,
 };
-use tvs_sre::exec::sim::SimChaos;
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite};
+
+/// The event log of a run that must complete.
+fn events(mut run: HuffmanRun, workers: usize) -> TraceLog {
+    run.instruments.tracer = Tracer::enabled(workers);
+    let report = run_huffman(&run).expect("nothing injected, nothing fails");
+    report.log.expect("enabled tracer drains")
+}
 
 /// The adversarial breaker-trip scenario shared by `tvs-chaos` and
 /// `tvs-report`: continuously drifting input, zero tolerance, a tight
@@ -61,7 +71,7 @@ fn sim_breaker_trip_bundle_is_byte_deterministic() {
         start_us: 0,
     };
     let capture = |root: &PathBuf| {
-        let (_, log) = run_huffman_sim_events(&data, &cfg, &x86_smp(8), &slow);
+        let log = events(HuffmanRun::sim(&data, &cfg, &x86_smp(8), &slow), 8);
         assert!(log.count("breaker-trip") >= 1, "scenario must trip");
         let meta = BundleMeta::for_log(Trigger::BreakerTrip, 2011, "aggressive", &log, None);
         postmortem::write_bundle(root, &meta, &log, &[]).expect("bundle writes")
@@ -86,7 +96,7 @@ fn sim_breaker_trip_bundle_is_byte_deterministic() {
     );
     // The offline reconstruction conserves the live aggregate and
     // renders the same cascade forest as the in-memory join.
-    let (_, log) = run_huffman_sim_events(&data, &cfg, &x86_smp(8), &slow);
+    let log = events(HuffmanRun::sim(&data, &cfg, &x86_smp(8), &slow), 8);
     let bundle = postmortem::load_bundle(&a).expect("bundle reloads");
     bundle.check().expect("conservation holds");
     assert_eq!(bundle.meta.wasted_us, log.health().wasted_us);
@@ -107,7 +117,7 @@ fn threaded_breaker_trip_bundle_reconstructs_the_cascade() {
         gap_us: 100,
         start_us: 0,
     };
-    let (_, log) = run_huffman_threaded_events(&data, &cfg, 4, &slow, 1000);
+    let log = events(HuffmanRun::threaded(&data, &cfg, 4, &slow, 1000), 4);
     let meta = BundleMeta::for_log(Trigger::BreakerTrip, 2012, "aggressive", &log, None);
     let root = tmp_dir("threaded");
     let path = postmortem::write_bundle(&root, &meta, &log, &[]).expect("bundle writes");
@@ -125,9 +135,8 @@ fn threaded_breaker_trip_bundle_reconstructs_the_cascade() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-#[test]
-fn run_error_crash_hook_dumps_a_bundle() {
-    // Injected panics are recovered state, not test noise.
+/// Injected panics are recovered state, not test noise.
+fn quiet_injected_panics() {
     std::panic::set_hook(Box::new(|info| {
         let msg = info
             .payload()
@@ -139,35 +148,78 @@ fn run_error_crash_hook_dumps_a_bundle() {
             eprintln!("panic: {msg} ({:?})", info.location());
         }
     }));
+}
+
+/// `run` with the event log on and every task body panicking once, retry
+/// forbidden: the first non-speculative fault is terminal. The run must
+/// die with a structured error — never a panic — and the always-on crash
+/// hook must leave a reloadable bundle filed under the plan's `seed`.
+fn assert_dies_with_a_bundle(mut run: HuffmanRun, workers: usize, seed: u64, root: &Path) {
+    let plan = FaultPlan::new(seed).with_rule(FaultSite::TaskBody, FaultKind::PanicTask, 1.0);
+    run.instruments = Instruments {
+        tracer: Tracer::enabled(workers),
+        faults: FaultInjector::new(plan),
+        ..Instruments::default()
+    };
+    let no_retry = tvs_sre::RetryPolicy {
+        max_attempts: 1,
+        ..Default::default()
+    };
+    match &mut run.on {
+        Executor::Sim { cfg } => cfg.retry = no_retry,
+        Executor::Threaded { cfg, .. } => cfg.retry = no_retry,
+    }
+    let err = run_huffman(&run).expect_err("all-panic plan must fail the run");
+    assert!(
+        matches!(err, RunFailure::Run(RunError::TaskFailed { .. })),
+        "seed {seed}: got {err}"
+    );
+    let bundle = postmortem::load_bundle(&root.join(format!("postmortem_dev_{seed}")))
+        .expect("crash hook must have written a reloadable bundle");
+    assert_eq!(bundle.meta.trigger, Trigger::RunError);
+    assert_eq!(bundle.meta.seed, seed);
+    assert!(bundle.meta.error.is_some(), "structured error is recorded");
+    bundle.check().expect("conservation holds");
+}
+
+#[test]
+fn run_error_crash_hook_dumps_a_bundle() {
+    quiet_injected_panics();
     let root = tmp_dir("crash-hook");
     std::env::set_var("TVS_RESULTS_DIR", &root);
-    // Every task body panics once and retry is forbidden: the first
-    // non-speculative fault is terminal and the run dies with a
-    // structured error, which must fire the always-on capture hook.
-    let plan = FaultPlan::new(77).with_rule(FaultSite::TaskBody, FaultKind::PanicTask, 1.0);
-    let chaos = SimChaos {
-        faults: FaultInjector::new(plan),
-        retry: tvs_sre::RetryPolicy {
-            max_attempts: 1,
-            ..Default::default()
-        },
-        ..SimChaos::default()
-    };
     let cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
     let arrival = Uniform {
         gap_us: 2,
         start_us: 0,
     };
     let data: Vec<u8> = (0..16 * 1024).map(|i| (i % 251) as u8).collect();
-    let res = run_huffman_sim_chaos(&data, &cfg, &x86_smp(4), &arrival, &chaos);
-    assert!(res.is_err(), "all-panic plan must fail the run");
-    let bundle_dir = root.join("postmortem_dev_77");
-    let bundle = postmortem::load_bundle(&bundle_dir)
-        .expect("crash hook must have written a reloadable bundle");
-    assert_eq!(bundle.meta.trigger, Trigger::RunError);
-    assert_eq!(bundle.meta.seed, 77);
-    assert!(bundle.meta.error.is_some(), "structured error is recorded");
-    bundle.check().expect("conservation holds");
+    let sim = HuffmanRun::sim(&data, &cfg, &x86_smp(4), &arrival);
+    assert_dies_with_a_bundle(sim, 4, 77, &root);
+
+    // No path may panic where another returns the error: the same plan on
+    // real threads, plain, checkpointed, and resumed from a snapshot (the
+    // parent's checkpointed and resumed threaded paths panicked on it, and
+    // could not be traced or fault-injected at all).
+    let plain = HuffmanRun::threaded(&data, &cfg, 2, &arrival, 1000);
+    assert_dies_with_a_bundle(plain, 2, 78, &root);
+    let dir = tmp_dir("crash-hook-ckpt");
+    let mut ckpt = cfg.clone();
+    ckpt.checkpoint = Some(CheckpointConfig {
+        every_blocks: 1,
+        dir: dir.clone(),
+        halt_at_block: Some(2),
+    });
+    let checkpointed = || HuffmanRun::threaded(&data, &ckpt, 2, &arrival, 1000);
+    assert_dies_with_a_bundle(checkpointed(), 2, 79, &root);
+    let halted = run_huffman(&checkpointed()).expect("clean run halts");
+    let snap = halted.end.into_snapshot();
+    let resumed = HuffmanRun {
+        resume: Some(&snap),
+        ..checkpointed()
+    };
+    assert_dies_with_a_bundle(resumed, 2, 80, &root);
+
     std::env::remove_var("TVS_RESULTS_DIR");
     let _ = std::fs::remove_dir_all(root);
+    let _ = std::fs::remove_dir_all(dir);
 }

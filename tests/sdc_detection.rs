@@ -13,8 +13,19 @@ use tvs_core::ValidationMode;
 use tvs_huffman::{decode_exact, CodeTable};
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim_sdc, run_huffman_threaded_sdc, RunOutcome};
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun, RunOutcome};
+use tvs_sre::{
+    x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite, Instruments, ReplicaStats,
+};
+
+/// `run` under the silent-corruption plan behind `faults` (which the
+/// caller keeps, to read the injection counts back): the outcome and the
+/// replication plane's counters.
+fn sdc(run: HuffmanRun, faults: &FaultInjector) -> (RunOutcome, ReplicaStats) {
+    let instruments = Instruments::faulty(faults.clone());
+    let report = run_huffman(&HuffmanRun { instruments, ..run }).expect("replicated run completes");
+    (report.end.into_outcome(), report.replica)
+}
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
@@ -69,8 +80,8 @@ fn sim_detects_injected_corruption_and_recovers() {
         let mut total_injected = 0;
         for seed in SEEDS {
             let faults = FaultInjector::new(FaultPlan::sdc(seed));
-            let (out, stats) =
-                run_huffman_sim_sdc(&data, &cfg(mode), &x86_smp(4), &arrival, faults.clone());
+            let c = cfg(mode);
+            let (out, stats) = sdc(HuffmanRun::sim(&data, &c, &x86_smp(4), &arrival), &faults);
             let injected = faults.injected_at(FaultSite::TaskOutput);
             total_injected += injected;
             decoded_matches(&out, &data)
@@ -104,9 +115,9 @@ fn threaded_detects_injected_corruption_and_recovers() {
         let mut total_injected = 0;
         for seed in SEEDS {
             let faults = FaultInjector::new(FaultPlan::sdc(seed));
-            let (out, stats) =
-                run_huffman_threaded_sdc(&data, &cfg(mode), 4, &arrival, 1000, faults.clone())
-                    .expect("replicated threaded run completes");
+            let c = cfg(mode);
+            let run = HuffmanRun::threaded(&data, &c, 4, &arrival, 1000);
+            let (out, stats) = sdc(run, &faults);
             let injected = faults.injected_at(FaultSite::TaskOutput);
             total_injected += injected;
             decoded_matches(&out, &data)
@@ -132,15 +143,10 @@ fn sim_replicated_runs_are_deterministic() {
         gap_us: 2,
         start_us: 0,
     };
+    let c = cfg(ValidationMode::Both { sample_rate: 1.0 });
     let run = |seed: u64| {
         let faults = FaultInjector::new(FaultPlan::sdc(seed));
-        run_huffman_sim_sdc(
-            &data,
-            &cfg(ValidationMode::Both { sample_rate: 1.0 }),
-            &x86_smp(4),
-            &arrival,
-            faults,
-        )
+        sdc(HuffmanRun::sim(&data, &c, &x86_smp(4), &arrival), &faults)
     };
     let (a, sa) = run(13);
     let (b, sb) = run(13);
@@ -163,13 +169,8 @@ fn tolerance_only_misses_silent_corruption() {
     let mut missed = 0;
     for seed in SEEDS {
         let faults = FaultInjector::new(FaultPlan::sdc(seed));
-        let (out, stats) = run_huffman_sim_sdc(
-            &data,
-            &cfg(ValidationMode::Tolerance),
-            &x86_smp(4),
-            &arrival,
-            faults.clone(),
-        );
+        let c = cfg(ValidationMode::Tolerance);
+        let (out, stats) = sdc(HuffmanRun::sim(&data, &c, &x86_smp(4), &arrival), &faults);
         assert_eq!(
             stats.replicas_spawned, 0,
             "tolerance mode must not replicate"

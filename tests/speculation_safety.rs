@@ -4,11 +4,22 @@
 
 use tvs_core::{SpeculationSchedule, Tolerance, ValidationMode, VerificationPolicy};
 use tvs_huffman::{decode_exact, serial_encode, CodeTable};
-use tvs_iosim::{Custom, Disk, Uniform};
+use tvs_iosim::{ArrivalModel, Custom, Disk, Uniform};
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim, RunOutcome};
+use tvs_pipelines::runner::{run_huffman, Executor, HuffmanRun, RunOutcome};
 use tvs_rng::cases;
-use tvs_sre::{x86_smp, DispatchPolicy};
+use tvs_sre::{x86_smp, DispatchPolicy, Platform, WatchdogConfig};
+
+/// Dark simulator run that must complete.
+fn sim_outcome(
+    data: &[u8],
+    cfg: &HuffmanConfig,
+    platform: &Platform,
+    arrival: &dyn ArrivalModel,
+) -> RunOutcome {
+    let report = run_huffman(&HuffmanRun::sim(data, cfg, platform, arrival));
+    report.expect("a dark run cannot fail").end.into_outcome()
+}
 
 fn decode_and_check(out: &RunOutcome, input: &[u8]) {
     let (bytes, bits, lengths) = out.result.output.as_ref().expect("output collected");
@@ -66,7 +77,7 @@ fn forced_rollbacks_still_produce_correct_output() {
         VerificationPolicy::Full,
         0.01,
     );
-    let out = run_huffman_sim(&data, &cfg, &x86_smp(8), &Disk::default());
+    let out = sim_outcome(&data, &cfg, &x86_smp(8), &Disk::default());
     assert!(out.metrics.rollbacks > 0, "adversarial data must roll back");
     decode_and_check(&out, &data);
 }
@@ -75,7 +86,7 @@ fn forced_rollbacks_still_produce_correct_output() {
 fn zero_tolerance_rejects_and_recomputes_optimally() {
     let data = adversarial_data(64 * 1024);
     let cfg = small_cfg(DispatchPolicy::Balanced, 1, VerificationPolicy::Full, 0.0);
-    let out = run_huffman_sim(&data, &cfg, &x86_smp(8), &Disk::default());
+    let out = sim_outcome(&data, &cfg, &x86_smp(8), &Disk::default());
     assert_eq!(
         out.result.committed_version, None,
         "zero tolerance cannot commit drifted trees"
@@ -97,7 +108,7 @@ fn infinite_tolerance_always_commits_first_prediction() {
         VerificationPolicy::Full,
         f64::INFINITY,
     );
-    let out = run_huffman_sim(&data, &cfg, &x86_smp(8), &Disk::default());
+    let out = sim_outcome(&data, &cfg, &x86_smp(8), &Disk::default());
     assert_eq!(out.metrics.rollbacks, 0);
     assert_eq!(out.result.committed_version, Some(1));
     decode_and_check(&out, &data);
@@ -116,7 +127,7 @@ fn wasted_work_is_accounted_not_leaked() {
         VerificationPolicy::Full,
         0.005,
     );
-    let out = run_huffman_sim(&data, &cfg, &x86_smp(8), &Disk::default());
+    let out = sim_outcome(&data, &cfg, &x86_smp(8), &Disk::default());
     assert!(out.metrics.rollbacks > 0);
     assert!(
         out.metrics.tasks_discarded + out.metrics.tasks_deleted_ready > 0,
@@ -144,7 +155,7 @@ fn stalled_arrivals_mid_stream_are_tolerated() {
         VerificationPolicy::baseline(),
         0.01,
     );
-    let out = run_huffman_sim(&data, &cfg, &x86_smp(4), &Custom(schedule));
+    let out = sim_outcome(&data, &cfg, &x86_smp(4), &Custom(schedule));
     decode_and_check(&out, &data);
     assert!(out.completion_time() >= 500_000);
 }
@@ -158,7 +169,7 @@ fn all_blocks_arriving_at_once_work() {
         VerificationPolicy::Full,
         0.01,
     );
-    let out = run_huffman_sim(
+    let out = sim_outcome(
         &data,
         &cfg,
         &x86_smp(8),
@@ -209,7 +220,7 @@ fn prop_committed_output_always_decodes() {
             })
             .collect();
         let cfg = small_cfg(policy, step, verify, tol);
-        let out = run_huffman_sim(&data, &cfg, &x86_smp(8), &Disk::default());
+        let out = sim_outcome(&data, &cfg, &x86_smp(8), &Disk::default());
         // Safety: decodes to input...
         let (bytes, bits, lengths) = out.result.output.as_ref().expect("collected");
         let table = CodeTable::from_lengths(lengths);
@@ -246,11 +257,48 @@ fn prop_arbitrary_schedules_complete() {
             VerificationPolicy::Full,
             0.01,
         );
-        let out = run_huffman_sim(&data, &cfg, &x86_smp(4), &Custom(schedule));
+        let out = sim_outcome(&data, &cfg, &x86_smp(4), &Custom(schedule));
         assert_eq!(out.result.blocks.len(), 32, "case {case}");
         let (bytes, bits, lengths) = out.result.output.as_ref().expect("collected");
         let table = CodeTable::from_lengths(lengths);
         let decoded = decode_exact(bytes, 0, *bits, data.len(), &table).expect("decodes");
         assert_eq!(decoded, data, "case {case}");
     });
+}
+
+/// A watchdog cancel of a *speculative* task must reach the workload
+/// (`on_fault`, like a caught speculative panic) before its version is
+/// rolled back: otherwise the speculation manager keeps waiting on a
+/// version whose tasks were all discarded and the run never finishes (the
+/// parent deadlocked at every deadline below 200 µs).
+#[test]
+fn watchdog_cancels_of_speculative_tasks_do_not_strand_the_run() {
+    let mut pattern = b"etaoin shrdlu ".repeat(10);
+    pattern.extend_from_slice(b"qzxjkvbw,.!?");
+    let data: Vec<u8> = (0..256 * 1024)
+        .map(|i| pattern[i % pattern.len()])
+        .collect();
+    let mut cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
+    cfg.schedule = SpeculationSchedule::with_step(1);
+    cfg.collect_output = true;
+    let arrival = Uniform {
+        gap_us: 2,
+        start_us: 0,
+    };
+    for deadline_us in [100, 50, 20, 10] {
+        let mut run = HuffmanRun::sim(&data, &cfg, &x86_smp(4), &arrival);
+        if let Executor::Sim { cfg: sim } = &mut run.on {
+            sim.watchdog = Some(WatchdogConfig {
+                deadline_us,
+                poll_us: 1,
+            });
+        }
+        let out = run_huffman(&run)
+            .expect("cancelled speculation is redone, not fatal")
+            .end
+            .into_outcome();
+        decode_and_check(&out, &data);
+        assert!(out.metrics.watchdog_cancels > 0, "deadline {deadline_us}");
+        assert!(out.metrics.rollbacks >= 1, "deadline {deadline_us}");
+    }
 }

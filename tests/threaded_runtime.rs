@@ -2,17 +2,42 @@
 
 use std::sync::Arc;
 use tvs_huffman::{decode_exact, serial_encode, CodeTable};
-use tvs_iosim::Uniform;
+use tvs_iosim::{ArrivalModel, Uniform};
 use tvs_metrics::{Counter, Hist, MetricsHub};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
-use tvs_pipelines::runner::{run_huffman_sim, run_huffman_threaded, run_huffman_threaded_events};
-use tvs_sre::exec::threaded::{run as run_threaded, try_run, try_run_metered, ThreadedConfig};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun, RunOutcome};
+use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::task::{payload, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
-use tvs_sre::{DispatchPolicy, RunError};
+use tvs_sre::{DispatchPolicy, Instruments, Platform, RunError};
 use tvs_trace::{EventKind, Tracer};
 use tvs_workloads::FileKind;
+
+/// Dark simulator run that must complete.
+fn sim_outcome(
+    data: &[u8],
+    cfg: &HuffmanConfig,
+    platform: &Platform,
+    arrival: &dyn ArrivalModel,
+) -> RunOutcome {
+    let report = run_huffman(&HuffmanRun::sim(data, cfg, platform, arrival));
+    report.expect("a dark run cannot fail").end.into_outcome()
+}
+
+/// Dark threaded run that must complete.
+fn threaded_outcome(
+    data: &[u8],
+    cfg: &HuffmanConfig,
+    workers: usize,
+    arrival: &dyn ArrivalModel,
+    time_scale: u64,
+) -> RunOutcome {
+    let report = run_huffman(&HuffmanRun::threaded(
+        data, cfg, workers, arrival, time_scale,
+    ));
+    report.expect("a dark run cannot fail").end.into_outcome()
+}
 
 fn small_cfg(policy: DispatchPolicy) -> HuffmanConfig {
     HuffmanConfig {
@@ -34,7 +59,7 @@ fn check_output(data: &[u8], result: &tvs_pipelines::PipelineResult) {
 #[test]
 fn threaded_non_spec_matches_serial() {
     let data = tvs_workloads::generate(FileKind::Text, 256 * 1024, 21);
-    let out = run_huffman_threaded(
+    let out = threaded_outcome(
         &data,
         &small_cfg(DispatchPolicy::NonSpeculative),
         4,
@@ -52,7 +77,7 @@ fn threaded_non_spec_matches_serial() {
 #[test]
 fn threaded_speculative_commits_and_decodes() {
     let data = tvs_workloads::generate(FileKind::Text, 256 * 1024, 22);
-    let out = run_huffman_threaded(
+    let out = threaded_outcome(
         &data,
         &small_cfg(DispatchPolicy::Balanced),
         4,
@@ -75,7 +100,7 @@ fn threaded_rollbacks_are_safe() {
     let mut cfg = small_cfg(DispatchPolicy::Aggressive);
     cfg.verification = tvs_core::VerificationPolicy::Full;
     cfg.schedule = tvs_core::SpeculationSchedule::with_step(1);
-    let out = run_huffman_threaded(
+    let out = threaded_outcome(
         &data,
         &cfg,
         8,
@@ -95,7 +120,7 @@ fn threaded_repeated_runs_converge_to_same_content() {
     let data = tvs_workloads::generate(FileKind::Bmp, 128 * 1024, 23);
     let mut sizes = std::collections::HashSet::new();
     for _ in 0..3 {
-        let out = run_huffman_threaded(
+        let out = threaded_outcome(
             &data,
             &small_cfg(DispatchPolicy::NonSpeculative),
             4,
@@ -131,11 +156,11 @@ fn a_rolled_back_run_commits_the_simulators_tree_whatever_the_schedule() {
         gap_us: 0,
         start_us: 0,
     };
-    let sim = run_huffman_sim(&data, &cfg, &tvs_sre::x86_smp(8), &at_once);
+    let sim = sim_outcome(&data, &cfg, &tvs_sre::x86_smp(8), &at_once);
     assert!(sim.metrics.rollbacks > 0, "the input must mispredict");
     for workers in [1, 2, 4, 8] {
         for _ in 0..5 {
-            let out = run_huffman_threaded(&data, &cfg, workers, &at_once, 1);
+            let out = threaded_outcome(&data, &cfg, workers, &at_once, 1);
             assert_eq!(
                 out.result.spec_stats, sim.result.spec_stats,
                 "{workers} workers: the manager saw a different history"
@@ -152,7 +177,7 @@ fn a_rolled_back_run_commits_the_simulators_tree_whatever_the_schedule() {
 fn worker_counts_from_one_to_sixteen() {
     let data = tvs_workloads::generate(FileKind::Text, 64 * 1024, 24);
     for workers in [1usize, 2, 16] {
-        let out = run_huffman_threaded(
+        let out = threaded_outcome(
             &data,
             &small_cfg(DispatchPolicy::Balanced),
             workers,
@@ -179,7 +204,9 @@ fn raw_executor_api_with_custom_feeder() {
         .enumerate()
         .map(|(i, c)| (i, Arc::<[u8]>::from(c)))
         .collect();
-    let (wl, metrics) = run_threaded(wl, &ThreadedConfig::new(4, cfg.policy), blocks);
+    let tcfg = ThreadedConfig::new(4, cfg.policy);
+    let (wl, metrics) =
+        threaded::run(wl, &tcfg, blocks, &Instruments::default()).expect("a dark run cannot fail");
     let result = wl.result();
     check_output(&data, &result);
     assert!(metrics.tasks_delivered > 0);
@@ -199,16 +226,15 @@ fn rollback_finds_first_version_work_still_outstanding() {
     let cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
     let n_blocks = data.len().div_ceil(cfg.block_bytes);
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(2));
-    let (out, log) = run_huffman_threaded_events(
-        &data,
-        &cfg,
-        workers,
-        &Uniform {
-            gap_us: 0,
-            start_us: 0,
-        },
-        1,
-    );
+    let at_once = Uniform {
+        gap_us: 0,
+        start_us: 0,
+    };
+    let mut run = HuffmanRun::threaded(&data, &cfg, workers, &at_once, 1);
+    run.instruments.tracer = Tracer::enabled(workers);
+    let report = run_huffman(&run).expect("nothing injected, nothing fails");
+    let log = report.log.expect("enabled tracer drains");
+    let out = report.end.into_outcome();
     assert!(out.metrics.rollbacks >= 1, "the input must mispredict");
     assert_eq!(log.dropped, 0, "encode count needs the full event log");
     let encodes = log
@@ -288,12 +314,11 @@ fn no_completion_report_is_ever_stranded() {
             };
             let hub = MetricsHub::enabled(workers);
             let stolen = steal_ticks();
-            let (chain, m) = try_run_metered(
+            let (chain, m) = threaded::run(
                 chain,
                 &cfg,
                 Vec::<(usize, Arc<[u8]>)>::new(),
-                Tracer::disabled(),
-                hub.clone(),
+                &Instruments::metered(hub.clone()),
             )
             .expect("chain completes");
             assert_eq!((chain.done, m.tasks_delivered), (12, 12));
@@ -322,7 +347,8 @@ fn panicking_workload_callback_fails_the_run_with_a_structured_error() {
             panic_at: 3,
         };
         let cfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
-        let Err(err) = try_run(chain, &cfg, Vec::<(usize, Arc<[u8]>)>::new()) else {
+        let no_input = Vec::<(usize, Arc<[u8]>)>::new();
+        let Err(err) = threaded::run(chain, &cfg, no_input, &Instruments::default()) else {
             panic!("a panicking callback must fail the run");
         };
         assert!(matches!(err, RunError::WorkerLost { .. }), "got {err}");

@@ -4,14 +4,11 @@
 //! enabling tracing must not change the run's results.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use tvs_core::CheckpointConfig;
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::huffman::HuffmanWorkload;
-use tvs_pipelines::runner::{run_huffman_sim, run_huffman_sim_events, run_huffman_threaded_events};
-use tvs_sre::exec::baseline;
-use tvs_sre::exec::threaded::ThreadedConfig;
-use tvs_sre::{x86_smp, DispatchPolicy, RunMetrics, TraceLog, Tracer};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun, RunOutcome};
+use tvs_sre::{x86_smp, DispatchPolicy, MetricsHub, RunMetrics, TraceLog, Tracer};
 use tvs_trace::EventKind;
 use tvs_workloads::FileKind;
 
@@ -32,11 +29,21 @@ fn cfg(policy: DispatchPolicy) -> HuffmanConfig {
     c
 }
 
-fn arrival() -> Uniform {
-    Uniform {
-        gap_us: 2,
-        start_us: 0,
-    }
+const ARRIVAL: Uniform = Uniform {
+    gap_us: 2,
+    start_us: 0,
+};
+
+/// `run` with the event log on, for an executor of `workers` workers.
+fn events(mut run: HuffmanRun, workers: usize) -> (RunOutcome, TraceLog) {
+    run.instruments.tracer = Tracer::enabled(workers);
+    let report = run_huffman(&run).expect("nothing injected, nothing fails");
+    let log = report.log.expect("enabled tracer drains");
+    (report.end.into_outcome(), log)
+}
+
+fn sim_events(d: &[u8], c: &HuffmanConfig) -> (RunOutcome, TraceLog) {
+    events(HuffmanRun::sim(d, c, &x86_smp(8), &ARRIVAL), 8)
 }
 
 /// The lifecycle invariants every executor must uphold:
@@ -113,7 +120,7 @@ fn assert_lifecycle(log: &TraceLog, metrics: &RunMetrics) {
 fn sim_upholds_lifecycle_invariants_for_every_policy() {
     let d = data();
     for policy in DispatchPolicy::ALL {
-        let (out, log) = run_huffman_sim_events(&d, &cfg(policy), &x86_smp(8), &arrival());
+        let (out, log) = sim_events(&d, &cfg(policy));
         assert_lifecycle(&log, &out.metrics);
         if policy.speculates() {
             assert!(
@@ -132,8 +139,11 @@ fn tracing_does_not_perturb_sim_results() {
     let d = data();
     for policy in DispatchPolicy::ALL {
         let c = cfg(policy);
-        let plain = run_huffman_sim(&d, &c, &x86_smp(8), &arrival());
-        let (traced, _) = run_huffman_sim_events(&d, &c, &x86_smp(8), &arrival());
+        let plain = run_huffman(&HuffmanRun::sim(&d, &c, &x86_smp(8), &ARRIVAL))
+            .expect("a dark run cannot fail")
+            .end
+            .into_outcome();
+        let (traced, _) = sim_events(&d, &c);
         assert_eq!(plain.metrics, traced.metrics, "{}", policy.label());
         assert_eq!(plain.latencies(), traced.latencies(), "{}", policy.label());
     }
@@ -142,8 +152,8 @@ fn tracing_does_not_perturb_sim_results() {
 #[test]
 fn threaded_upholds_lifecycle_invariants() {
     let d = data();
-    let (out, log) =
-        run_huffman_threaded_events(&d, &cfg(DispatchPolicy::Aggressive), 4, &arrival(), 1000);
+    let c = cfg(DispatchPolicy::Aggressive);
+    let (out, log) = events(HuffmanRun::threaded(&d, &c, 4, &ARRIVAL, 1000), 4);
     assert_lifecycle(&log, &out.metrics);
     assert_eq!(log.count("task-end"), log.count("task-start"));
     assert_eq!(
@@ -153,30 +163,42 @@ fn threaded_upholds_lifecycle_invariants() {
     );
 }
 
+/// The three observers of a run — event log, live metrics hub, checkpoint
+/// plane (writing snapshots, never halting) — in all eight combinations:
+/// on the deterministic executor none of them may change what the run
+/// does, so metrics, latencies and output bytes equal the dark run's.
 #[test]
-fn baseline_upholds_lifecycle_invariants() {
+fn instruments_do_not_perturb_sim_results() {
     let d = data();
-    let c = cfg(DispatchPolicy::Aggressive);
-    let tracer = Tracer::enabled(4);
-    let mut wl = HuffmanWorkload::new(c.clone(), d.len());
-    wl.set_tracer(tracer.clone());
-    let blocks: Vec<(usize, Arc<[u8]>)> = d
-        .chunks(c.block_bytes)
-        .enumerate()
-        .map(|(i, chunk)| (i, Arc::<[u8]>::from(chunk)))
-        .collect();
-    let tcfg = ThreadedConfig::new(4, c.policy);
-    let (_, metrics) = baseline::run_traced(wl, &tcfg, blocks, tracer.clone());
-    let log = tracer.drain().expect("enabled tracer drains");
-    assert_lifecycle(&log, &metrics);
-    assert_eq!(
-        log.count("task-end") as u64,
-        metrics.tasks_delivered + metrics.tasks_discarded,
-        "every executed task leaves a span"
-    );
-    assert_eq!(
-        log.count("steal"),
-        0,
-        "the baseline has no lanes to steal from"
-    );
+    let mut c = cfg(DispatchPolicy::Balanced);
+    c.collect_output = true;
+    let dir = std::env::temp_dir().join(format!("tvs-perturb-{}", std::process::id()));
+    let observed = |tracer: bool, hub: bool, checkpoint: bool| {
+        let mut c = c.clone();
+        if checkpoint {
+            // Every 4 of the 16 blocks, so snapshots are really built (the
+            // disk write is asynchronous and detached on completion).
+            c.checkpoint = Some(CheckpointConfig::new(4, &dir));
+        }
+        let mut run = HuffmanRun::sim(&d, &c, &x86_smp(8), &ARRIVAL);
+        if tracer {
+            run.instruments.tracer = Tracer::enabled(8);
+        }
+        if hub {
+            run.instruments.metrics = MetricsHub::enabled(8);
+        }
+        let report = run_huffman(&run).expect("nothing injected, nothing fails");
+        assert_eq!(report.log.is_some(), tracer, "a log iff the tracer is on");
+        report.end.into_outcome()
+    };
+    let dark = observed(false, false, false);
+    for combo in 1..8u8 {
+        let (tracer, hub, checkpoint) = (combo & 1 != 0, combo & 2 != 0, combo & 4 != 0);
+        let out = observed(tracer, hub, checkpoint);
+        let what = format!("tracer {tracer}, hub {hub}, checkpoint {checkpoint}");
+        assert_eq!(out.metrics, dark.metrics, "{what}");
+        assert_eq!(out.latencies(), dark.latencies(), "{what}");
+        assert_eq!(out.result.output, dark.result.output, "{what}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }

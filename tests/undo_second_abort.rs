@@ -6,20 +6,19 @@
 //! within a version stays LIFO, a duplicate abort is a no-op, and the
 //! shared state lands back on its pre-speculation baseline.
 //!
-//! The same synthetic workload runs on all three executors (sim,
-//! baseline, threaded); a fourth test uses the `UndoJournal` stall
-//! fault to hold a threaded replay open while a panicking task on
-//! another worker raises the second abort for real.
+//! The same synthetic workload runs on both executors (sim, threaded); a
+//! third test uses the `UndoJournal` stall fault to hold a threaded replay
+//! open while a panicking task on another worker raises the second abort
+//! for real.
 
 use std::sync::{Arc, Mutex};
 use tvs_core::undo::UndoLog;
-use tvs_sre::exec::sim::{run as sim_run, SimConfig};
-use tvs_sre::exec::threaded::ThreadedConfig;
-use tvs_sre::exec::{baseline, threaded};
+use tvs_sre::exec::sim::{self, SimConfig};
+use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::task::payload;
 use tvs_sre::{
     lock_recover, Completion, DispatchPolicy, FaultInjector, FaultKind, FaultNotice, FaultPlan,
-    FaultSite, FixedCost, InputBlock, SchedCtx, SpecVersion, TaskSpec, Workload,
+    FaultSite, FixedCost, InputBlock, Instruments, SchedCtx, SpecVersion, TaskSpec, Workload,
 };
 
 const V1: SpecVersion = 1;
@@ -187,24 +186,17 @@ fn assert_cascade_invariants(w: &TwoVersionCascade) {
 
 #[test]
 fn sim_second_abort_mid_cascade() {
-    let cfg = SimConfig {
-        platform: tvs_sre::x86_smp(4),
-        policy: DispatchPolicy::Aggressive,
-        trace: false,
-    };
-    let report = sim_run(TwoVersionCascade::new(), &cfg, &FixedCost(10), Vec::new());
-    assert_cascade_invariants(&report.workload);
-}
-
-#[test]
-fn baseline_second_abort_mid_cascade() {
-    let cfg = ThreadedConfig::new(2, DispatchPolicy::Aggressive);
-    let (w, _) = baseline::run(
+    let cfg = SimConfig::new(tvs_sre::x86_smp(4), DispatchPolicy::Aggressive);
+    let dark = Instruments::default();
+    let report = sim::run(
         TwoVersionCascade::new(),
         &cfg,
-        Vec::<(usize, Arc<[u8]>)>::new(),
-    );
-    assert_cascade_invariants(&w);
+        &FixedCost(10),
+        Vec::new(),
+        &dark,
+    )
+    .expect("a dark run cannot fail");
+    assert_cascade_invariants(&report.workload);
 }
 
 #[test]
@@ -214,7 +206,9 @@ fn threaded_second_abort_mid_cascade() {
         TwoVersionCascade::new(),
         &cfg,
         Vec::<(usize, Arc<[u8]>)>::new(),
-    );
+        &Instruments::default(),
+    )
+    .expect("a dark run cannot fail");
     assert_cascade_invariants(&w);
 }
 
@@ -289,12 +283,14 @@ impl Workload for StalledReplayRace {
 
 #[test]
 fn threaded_abort_lands_during_stalled_replay() {
-    let undo: Journal = Arc::new(Mutex::new(UndoLog::new()));
-    lock_recover(&undo).set_fault_injector(FaultInjector::new(FaultPlan::new(3).with_rule(
+    // One injector for journal and executor; its plan only has a rule for
+    // the journal's site.
+    let ins = Instruments::faulty(FaultInjector::new(FaultPlan::new(3).with_rule(
         FaultSite::UndoJournal,
         FaultKind::Stall { us: 20_000 },
         1.0,
     )));
+    let undo: Journal = Arc::new(Mutex::new(UndoLog::instrumented(&ins)));
     let w = StalledReplayRace {
         cells: Arc::new(Mutex::new(vec![0; CELLS])),
         undo,
@@ -302,7 +298,8 @@ fn threaded_abort_lands_during_stalled_replay() {
         fault_seen: false,
     };
     let cfg = ThreadedConfig::new(4, DispatchPolicy::Aggressive);
-    let (w, m) = threaded::run(w, &cfg, Vec::<(usize, Arc<[u8]>)>::new());
+    let (w, m) = threaded::run(w, &cfg, Vec::<(usize, Arc<[u8]>)>::new(), &ins)
+        .expect("a speculative fault never fails the run");
     assert_eq!(
         *lock_recover(&w.cells),
         vec![0i64; CELLS],
