@@ -11,17 +11,18 @@
 //! exactly when re-run with the same seed.
 //!
 //! A final adversarial run — continuously drifting input on which every
-//! prediction mispredicts — must trip the speculation circuit breaker
-//! (a `breaker-trip` trace event) and still complete via conservative
-//! dispatch. Its event log is written to
-//! `results/chaos_breaker_trace.json` / `_events.csv` as the CI artifact.
+//! prediction mispredicts — must degrade to the suspended level (a
+//! `degrade-step` trace event reaching it) and still complete on the
+//! natural path, on both executors. The simulator's event log is written
+//! to `results/chaos_degrade_trace.json` / `_events.csv` as the CI
+//! artifact.
 //!
 //! Run with `cargo run --release -p tvs-bench --bin tvs-chaos`.
 //! Exits non-zero if any invariant is violated.
 
 use tvs_bench::{results_dir, write_trace};
 use tvs_core::{
-    BreakerConfig, CheckpointConfig, SpeculationSchedule, Tolerance, ValidationMode,
+    CheckpointConfig, DegradeConfig, Level, SpeculationSchedule, Tolerance, ValidationMode,
     VerificationPolicy,
 };
 use tvs_huffman::{decode_exact, CodeTable};
@@ -62,17 +63,17 @@ fn traced(mut run: HuffmanRun, exec: &str) -> Result<(RunOutcome, TraceLog), Run
     Ok((report.end.into_outcome(), log))
 }
 
-/// Bundle names are `postmortem_<rev>_<seed>`; the two forced
-/// breaker-trip dumps use distinct fixed seeds so they coexist.
-const BREAKER_SEED_SIM: u64 = 2011;
-const BREAKER_SEED_THREADED: u64 = 2012;
+/// Bundle names are `postmortem_<rev>_<seed>`; the two forced dumps of the
+/// degraded run use distinct fixed seeds so they coexist.
+const DEGRADED_SEED_SIM: u64 = 2011;
+const DEGRADED_SEED_THREADED: u64 = 2012;
 
-/// Dump `log` as a breaker-trip post-mortem bundle under `dir`, reload
+/// Dump `log` as a degraded-run post-mortem bundle under `dir`, reload
 /// it, and verify the conservation invariant. Returns the violation
 /// count (0 or 1).
 fn dump_bundle(dir: &std::path::Path, seed: u64, log: &TraceLog) -> u32 {
     let meta = postmortem::BundleMeta::for_log(
-        postmortem::Trigger::BreakerTrip,
+        postmortem::Trigger::Degraded,
         seed,
         DispatchPolicy::Aggressive.label(),
         log,
@@ -278,7 +279,9 @@ fn main() {
     }
     let dir = results_dir();
     let recall_path = dir.join("sdc_recall.jsonl");
-    if let Err(e) = std::fs::write(&recall_path, &recall_lines) {
+    let written =
+        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&recall_path, &recall_lines));
+    if let Err(e) = written {
         println!("VIOLATION: could not write sdc recall artifact: {e}");
         violations += 1;
     } else {
@@ -392,21 +395,21 @@ fn main() {
     }
 
     // Adversarial misprediction: drifting input, zero tolerance, tight
-    // breaker window. The breaker must trip and the run must still finish.
-    let mut bc = cfg();
-    bc.block_bytes = 1024;
-    bc.reduce_ratio = 4;
-    bc.offset_fanout = 4;
-    bc.policy = DispatchPolicy::Aggressive;
-    bc.schedule = SpeculationSchedule::with_step(1);
-    bc.verification = VerificationPolicy::Full;
-    bc.tolerance = Tolerance { margin: 0.0 };
-    bc.breaker = Some(BreakerConfig {
+    // degradation window, cooldown longer than the run. Speculation must be
+    // suspended and the run must still finish, on both executors.
+    let mut dc = cfg();
+    dc.block_bytes = 1024;
+    dc.reduce_ratio = 4;
+    dc.offset_fanout = 4;
+    dc.policy = DispatchPolicy::Aggressive;
+    dc.schedule = SpeculationSchedule::with_step(1);
+    dc.verification = VerificationPolicy::Full;
+    dc.tolerance = Tolerance { margin: 0.0 };
+    dc.degrade = Some(DegradeConfig {
         window: 4,
-        min_samples: 2,
         trip_ratio: 0.5,
+        clean_windows: 2,
         cooldown: 1_000,
-        probe_successes: 1,
     });
     let adversarial: Vec<u8> = (0..32 * 1024usize)
         .map(|i| ((i / 1024) * 7 + i % 13) as u8)
@@ -415,53 +418,48 @@ fn main() {
         gap_us: 100,
         start_us: 0,
     };
-    let (out, log) =
-        traced(run_on("sim", &adversarial, &bc, &slow), "sim").expect("nothing injected");
-    let trips = log.count("breaker-trip");
-    let decoded = check_invariant(Ok((out, log.clone())), &adversarial);
-    println!(
-        "breaker: {trips} trip(s), {} probe(s), {} recover(s) — {}",
-        log.count("breaker-probe"),
-        log.count("breaker-recover"),
-        decoded.as_deref().unwrap_or("(violation)"),
-    );
-    if trips == 0 {
-        println!("VIOLATION: 100% misprediction did not trip the breaker");
-        violations += 1;
-    }
-    if decoded.is_err() {
-        violations += 1;
-    }
     let dir = results_dir();
-    match write_trace(&log, &dir, "chaos_breaker_trace") {
-        Ok((json, csv)) => println!("breaker trace -> {} and {}", json.display(), csv.display()),
-        Err(e) => {
-            println!("VIOLATION: could not write breaker trace artifact: {e}");
+    for (exec, seed) in [
+        ("sim", DEGRADED_SEED_SIM),
+        ("threaded", DEGRADED_SEED_THREADED),
+    ] {
+        let (out, log) =
+            traced(run_on(exec, &adversarial, &dc, &slow), exec).expect("nothing injected");
+        let h = log.health();
+        let decoded = check_invariant(Ok((out, log.clone())), &adversarial);
+        println!(
+            "degradation ({exec}): {} step(s) down, {} up, {} probe(s) — {}",
+            h.steps_down,
+            h.steps_up,
+            h.probes,
+            decoded.as_deref().unwrap_or("(violation)"),
+        );
+        if !log
+            .degrade_steps()
+            .any(|(_, to, _)| to == Level::Suspended as u32)
+        {
+            println!("VIOLATION: 100% misprediction did not suspend speculation on {exec}");
             violations += 1;
         }
+        if decoded.is_err() {
+            violations += 1;
+        }
+        if exec == "sim" {
+            match write_trace(&log, &dir, "chaos_degrade_trace") {
+                Ok((json, csv)) => {
+                    println!("degrade trace -> {} and {}", json.display(), csv.display())
+                }
+                Err(e) => {
+                    println!("VIOLATION: could not write degrade trace artifact: {e}");
+                    violations += 1;
+                }
+            }
+        }
+        // Forced post-mortem dump: the CI smoke step reloads the bundles
+        // with `tvs-report --postmortem` and requires the offline cascade
+        // reconstruction to conserve the live wasted-µs totals.
+        violations += dump_bundle(&dir, seed, &log);
     }
-
-    // Forced post-mortem dumps of the breaker-trip scenario, sim and
-    // threaded: the CI smoke step reloads the sim bundle with
-    // `tvs-report --postmortem` and requires the offline cascade
-    // reconstruction to conserve the live wasted-µs totals.
-    violations += dump_bundle(&dir, BREAKER_SEED_SIM, &log);
-    let mut tbc = bc.clone();
-    tbc.breaker = Some(BreakerConfig {
-        window: 4,
-        min_samples: 2,
-        trip_ratio: 0.5,
-        cooldown: 1_000,
-        probe_successes: 1,
-    });
-    let (_, tlog) = traced(run_on("threaded", &adversarial, &tbc, &slow), "threaded")
-        .expect("nothing injected");
-    println!(
-        "threaded breaker: {} trip(s), {} rollback(s)",
-        tlog.count("breaker-trip"),
-        tlog.health().rollbacks
-    );
-    violations += dump_bundle(&dir, BREAKER_SEED_THREADED, &tlog);
 
     if violations > 0 {
         println!("\n{violations} chaos invariant violation(s)");

@@ -20,7 +20,7 @@
 //! per-lineage wasted-µs totals checked against the manifest.
 
 use tvs_bench::{results_dir, sim_events, write_trace};
-use tvs_core::{AllocStats, BreakerConfig, SpeculationSchedule, Tolerance, VerificationPolicy};
+use tvs_core::{AllocStats, DegradeConfig, SpeculationSchedule, Tolerance, VerificationPolicy};
 use tvs_iosim::{Disk, Uniform};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::postmortem;
@@ -153,10 +153,10 @@ fn print_policy(
             h.faults, h.watchdog_cancels, h.undo_replays
         );
     }
-    if h.breaker_trips + h.breaker_probes + h.breaker_recoveries > 0 {
+    if h.steps_down + h.steps_up + h.probes > 0 {
         println!(
-            "    breaker: {} trip(s), {} probe(s), {} recovery(ies)",
-            h.breaker_trips, h.breaker_probes, h.breaker_recoveries
+            "    degradation: {} step(s) down, {} step(s) up, {} probe(s)",
+            h.steps_down, h.steps_up, h.probes
         );
     }
     if h.replica_dispatches > 0 {
@@ -309,9 +309,9 @@ fn main() {
     // Failure-model appendix: the same pipeline under the standard
     // injected-fault plan (caught panics, stalls, delayed/duplicated
     // completions, corrupted predictions), then an adversarial run whose
-    // every prediction mispredicts, tripping the speculation circuit
-    // breaker into conservative dispatch. Injected panics are recovered
-    // by the executor; the hook keeps their messages out of the report.
+    // every prediction mispredicts, stepping the degradation machine
+    // down. Injected panics are recovered by the executor; the hook keeps
+    // their messages out of the report.
     std::panic::set_hook(Box::new(|info| {
         let msg = info
             .payload()
@@ -347,7 +347,7 @@ fn main() {
         Err(e) => println!("    structured failure: {e}"),
     }
 
-    println!("== degradation: 100% misprediction with the circuit breaker ==");
+    println!("== degradation: 100% misprediction with the degradation machine ==");
     let mut bc = HuffmanConfig::disk_x86(DispatchPolicy::Aggressive);
     bc.block_bytes = 1024;
     bc.reduce_ratio = 4;
@@ -355,7 +355,7 @@ fn main() {
     bc.schedule = SpeculationSchedule::with_step(1);
     bc.verification = VerificationPolicy::Full;
     bc.tolerance = Tolerance { margin: 0.0 };
-    bc.breaker = Some(BreakerConfig::default());
+    bc.degrade = Some(DegradeConfig::default());
     let drifting: Vec<u8> = (0..32 * 1024usize)
         .map(|i| ((i / 1024) * 7 + i % 13) as u8)
         .collect();
@@ -370,11 +370,11 @@ fn main() {
         out.metrics.makespan,
         Some(out.result.alloc_stats),
     );
-    // Flight-recorder self-check: dump the breaker-trip run as a crash
+    // Flight-recorder self-check: dump the degraded run as a crash
     // bundle, reload it, and require the offline reconstruction to
     // conserve the live wasted-µs total.
     let meta = postmortem::BundleMeta::for_log(
-        postmortem::Trigger::BreakerTrip,
+        postmortem::Trigger::Degraded,
         2011,
         DispatchPolicy::Aggressive.label(),
         &log,

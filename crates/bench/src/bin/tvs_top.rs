@@ -6,7 +6,7 @@
 //!   metered sim runs, then a threaded Huffman run with the live metrics
 //!   plane attached — a [`Sampler`] scrapes [`MetricsSnapshot`]s on a
 //!   fixed tick and each one is drawn as a dashboard frame (counters,
-//!   per-lane dispatch/steal rates, breaker state, check-latency
+//!   per-lane dispatch/steal rates, degradation level, check-latency
 //!   quantiles, and a sparkline waste-ratio timeline).
 //! * **Replay** (`--replay results/metrics_x.jsonl`): render recorded
 //!   snapshot lines (as written by `--record`, the `socket_stream`
@@ -126,8 +126,8 @@ fn render_frame(snap: &MetricsSnapshot, timeline: &[f64], plain: bool) -> String
         c(Counter::UndoReplays).total,
     ));
     s.push_str(&format!(
-        "  breaker {:<9}  cascade max {:>3}  ring occupancy {:>4}  arena {} heap / {} reused\n",
-        snap.breaker_name(),
+        "  level   {:<9}  cascade max {:>3}  ring occupancy {:>4}  arena {} heap / {} reused\n",
+        snap.degradation_name(),
         snap.gauge(Gauge::CascadeMax),
         snap.gauge(Gauge::RingOccupancy),
         snap.gauge(Gauge::AllocHeap),
@@ -236,13 +236,13 @@ fn replay(path: &str, opts: &Options) {
 
 fn summarise(snap: &MetricsSnapshot, ticks: usize) {
     println!(
-        "\n== final: {} ticks, {} delivered, {} commits, {} rollbacks, waste {:.1}%, breaker {} ==",
+        "\n== final: {} ticks, {} delivered, {} commits, {} rollbacks, waste {:.1}%, level {} ==",
         ticks,
         snap.counter(Counter::TasksDelivered).total,
         snap.counter(Counter::Commits).total,
         snap.counter(Counter::Rollbacks).total,
         100.0 * snap.waste_ratio(),
-        snap.breaker_name(),
+        snap.degradation_name(),
     );
 }
 

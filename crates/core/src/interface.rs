@@ -12,6 +12,7 @@
 //! through the introduction of keywords in high-level languages, or simply
 //! through the addition of API functions" — this is the API-function form.
 
+use crate::degrade::DegradeConfig;
 use crate::frequency::{SpeculationSchedule, VerificationPolicy};
 use crate::manager::SpeculationManager;
 use crate::validate::Tolerance;
@@ -39,9 +40,14 @@ pub struct SpeculationPlan {
 
 impl SpeculationPlan {
     /// Instantiate the engine for this plan on a run's [`Instruments`]
-    /// (`&Instruments::default()` for a dark one).
-    pub fn manager<T>(&self, ins: &Instruments) -> SpeculationManager<T> {
-        SpeculationManager::instrumented(self.schedule, self.verification, ins)
+    /// (`&Instruments::default()` for a dark one), degrading under
+    /// `degrade` if given.
+    pub fn manager<T>(
+        &self,
+        degrade: Option<DegradeConfig>,
+        ins: &Instruments,
+    ) -> SpeculationManager<T> {
+        SpeculationManager::instrumented(self.schedule, self.verification, degrade, ins)
     }
 }
 
@@ -154,7 +160,7 @@ mod tests {
             .unwrap();
         assert_eq!(plan.edge, "global-histogram -> tree");
         assert_eq!(plan.tolerance, Tolerance::percent(1.0));
-        let m: SpeculationManager<u32> = plan.manager(&Instruments::default());
+        let m: SpeculationManager<u32> = plan.manager(None, &Instruments::default());
         assert!(!m.is_done());
     }
 

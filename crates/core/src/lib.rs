@@ -32,14 +32,12 @@
 //! * [`undo`] — the extension the paper proposes for tasks with reversible
 //!   side effects: per-version undo journals and journalled cells, driven
 //!   from the manager's rollback hook;
-//! * [`breaker`] — graceful degradation: a circuit breaker over the
-//!   windowed rollback/commit ratio and executor fault rate that trips
-//!   speculation back to conservative dispatch and probes for recovery;
+//! * [`degrade`] — graceful degradation: one machine over windowed
+//!   speculation outcomes and executor faults that walks the service
+//!   level down (full → capped cascade depth → suspended → paused) and
+//!   probes its way back up; the manager asks it before every start;
 //! * [`arena`] — generation-indexed slot/buffer recycling that keeps the
 //!   per-block speculation bookkeeping off the heap in steady state;
-//! * [`ladder`] — the degradation ladder above the breaker: an escalating
-//!   controller (full → capped depth → non-speculative → checkpoint-and-
-//!   pause) with hysteresis in both directions;
 //! * [`checkpoint`] — committed-prefix snapshots: the finalized block
 //!   prefix, merged histogram, code table and encoder bit-IO carry,
 //!   written atomically so a killed run resumes byte-identically.
@@ -76,24 +74,22 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod breaker;
 pub mod buffer;
 pub mod checkpoint;
+pub mod degrade;
 pub mod frequency;
 pub mod interface;
-pub mod ladder;
 pub mod manager;
 pub mod undo;
 pub mod validate;
 pub mod version;
 
 pub use arena::{AllocStats, Arena, Handle, ScratchPool};
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use buffer::WaitBuffer;
 pub use checkpoint::{CheckpointConfig, ResumeError, StreamSnapshot};
+pub use degrade::{DegradeConfig, Level};
 pub use frequency::{SpeculationSchedule, VerificationPolicy};
 pub use interface::{SpeculationBuilder, SpeculationPlan};
-pub use ladder::{DegradationLadder, DegradationLevel, LadderConfig};
 pub use manager::{Action, ManagerStats, SpeculationManager};
 pub use undo::{JournaledCell, UndoLog};
 pub use validate::{CheckResult, Tolerance};
@@ -104,6 +100,6 @@ pub use tvs_sre::SpecVersion;
 
 /// Re-exports: the replication validation plane lives in the substrate
 /// crate (it wraps any `Workload`), but it is speculation *policy* —
-/// surfaced here next to the breaker and manager that consume its
+/// surfaced here next to the manager that consumes its
 /// verdicts.
 pub use tvs_sre::{DigestFn, ReplicaStats, ReplicatingWorkload, SdcNotice, ValidationMode};

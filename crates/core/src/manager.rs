@@ -12,9 +12,8 @@
 //! compare within tolerance) runs inside the predictor and check *tasks*;
 //! their outcomes are fed back in.
 
-use crate::breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
+use crate::degrade::{Admit, Degrade, DegradeConfig, Level, Outcome, Step};
 use crate::frequency::{SpeculationSchedule, VerificationPolicy};
-use crate::ladder::{DegradationLadder, DegradationLevel, LadderConfig};
 use crate::validate::CheckResult;
 use crate::version::{VersionState, VersionTracker};
 use tvs_metrics::{Counter, Gauge, MetricsHub};
@@ -91,11 +90,12 @@ pub struct ManagerStats {
     pub external_aborts: u64,
     /// Executor faults reported via [`SpeculationManager::record_fault`].
     pub faults: u64,
-    /// Circuit-breaker trips (speculation suspended).
-    pub breaker_trips: u64,
-    /// Degradation-ladder level transitions (either direction), if a
-    /// ladder is configured via [`SpeculationManager::set_ladder`].
-    pub ladder_steps: u64,
+    /// Degradation steps toward less speculation.
+    pub steps_down: u64,
+    /// Degradation steps back toward full speculation.
+    pub steps_up: u64,
+    /// Probe predictions let through at [`Level::Probing`].
+    pub probes: u64,
     /// Replica vote sets that resolved clean, reported via
     /// [`SpeculationManager::on_replica_result`].
     pub replica_checks: u64,
@@ -134,8 +134,7 @@ pub struct SpeculationManager<T> {
     rollback_hook: Option<Box<dyn FnMut(SpecVersion) + Send>>,
     tracer: Tracer,
     metrics: MetricsHub,
-    breaker: Option<CircuitBreaker>,
-    ladder: Option<DegradationLadder>,
+    degrade: Option<Degrade>,
     /// `(root, depth)` per allocated version, indexed by `version - 1`
     /// (versions are dense from 1). Lets a candidate promotion inherit
     /// its parent's root and extend its depth in O(1).
@@ -156,22 +155,28 @@ impl<T> std::fmt::Debug for SpeculationManager<T> {
 
 impl<T> SpeculationManager<T> {
     /// A manager with the given speculation and verification frequencies,
-    /// dark (no tracer, no hub).
+    /// dark (no tracer, no hub) and never degrading.
     pub fn new(schedule: SpeculationSchedule, verify: VerificationPolicy) -> Self {
-        Self::instrumented(schedule, verify, &Instruments::default())
+        Self::instrumented(schedule, verify, None, &Instruments::default())
     }
 
     /// [`Self::new`], routing speculation-lifecycle events (predictor
-    /// fires, version opens, check verdicts, commits) into `ins.tracer`'s
-    /// control ring and speculation-outcome counters plus the breaker-state
-    /// and ladder-level gauges into `ins.metrics`' control shard. The
-    /// manager always runs under its host's routing/commit lock, so ring
-    /// and shard stay single-writer. Rollback events and counters are *not*
-    /// fed here — the SRE scheduler owns them (one per `abort_version`,
-    /// with the observed cascade depth attached).
+    /// fires, version opens, check verdicts, commits, degradation steps
+    /// and probes) into `ins.tracer`'s control ring and speculation-outcome
+    /// counters plus the degradation-level gauge into `ins.metrics`'
+    /// control shard. The manager always runs under its host's
+    /// routing/commit lock, so ring and shard stay single-writer. Rollback
+    /// events and counters are *not* fed here — the SRE scheduler owns them
+    /// (one per `abort_version`, with the observed cascade depth attached).
+    ///
+    /// With `degrade` set, every rollback, executor fault, SDC detection,
+    /// passed check and commit feeds one [`Degrade`] machine, which is
+    /// asked before every fresh prediction and candidate promotion
+    /// (`None` = never degrade, the paper's behaviour).
     pub fn instrumented(
         schedule: SpeculationSchedule,
         verify: VerificationPolicy,
+        degrade: Option<DegradeConfig>,
         ins: &Instruments,
     ) -> Self {
         SpeculationManager {
@@ -185,91 +190,60 @@ impl<T> SpeculationManager<T> {
             rollback_hook: None,
             tracer: ins.tracer.clone(),
             metrics: ins.metrics.clone(),
-            breaker: None,
-            ladder: None,
+            degrade: degrade.map(Degrade::new),
             lineage: Vec::new(),
             lineage_roots: 0,
         }
     }
 
-    /// Enable the speculation circuit breaker: sustained rollbacks or
-    /// executor faults trip it, suppressing new predictions (conservative
-    /// dispatch) until a cooldown and a successful probe. Trip, probe and
-    /// recover events flow to the tracer's control ring.
-    pub fn set_breaker(&mut self, cfg: BreakerConfig) {
-        self.breaker = Some(CircuitBreaker::new(cfg));
-        self.publish_breaker_gauge();
+    /// The degradation machine's current service level, if one is
+    /// configured.
+    pub fn level(&self) -> Option<Level> {
+        self.degrade.as_ref().map(Degrade::level)
     }
 
-    /// The breaker's state, if one is configured.
-    pub fn breaker_state(&self) -> Option<BreakerState> {
-        self.breaker.as_ref().map(CircuitBreaker::state)
-    }
-
-    /// Enable the degradation ladder above the breaker: windows of bad
-    /// speculation outcomes (and breaker trips, immediately) step the
-    /// service level down one rung at a time — full speculation, capped
-    /// cascade depth, non-speculative, checkpoint-and-pause — and
-    /// sustained clean windows step it back up with hysteresis. Level
-    /// transitions flow to the control ring as
-    /// [`EventKind::LadderStep`] and mirror into
-    /// [`Gauge::DegradationLevel`].
-    pub fn set_ladder(&mut self, cfg: LadderConfig) {
-        self.ladder = Some(DegradationLadder::new(cfg));
-        self.publish_ladder_gauge();
-    }
-
-    /// The ladder's current service level, if one is configured.
-    pub fn ladder_level(&self) -> Option<DegradationLevel> {
-        self.ladder.as_ref().map(DegradationLadder::level)
-    }
-
-    /// Mirror the breaker's state into [`Gauge::BreakerState`]:
-    /// 0 = no breaker, 1 = closed, 2 = open, 3 = half-open.
-    fn publish_breaker_gauge(&self) {
-        if !self.metrics.is_live() {
+    /// Count, trace and publish a level change ([`Gauge::DegradationLevel`]
+    /// reads 0 until the first one, which is also what "no machine" reads).
+    fn note_step(&mut self, step: Option<Step>) {
+        let Some(Step { from, to, cause }) = step else {
             return;
-        }
-        let v = match self.breaker.as_ref().map(CircuitBreaker::state) {
-            None => 0,
-            Some(BreakerState::Closed) => 1,
-            Some(BreakerState::Open) => 2,
-            Some(BreakerState::HalfOpen) => 3,
         };
-        self.metrics.gauge_set(Gauge::BreakerState, v);
+        if cause.is_down() {
+            self.stats.steps_down += 1;
+        } else {
+            self.stats.steps_up += 1;
+        }
+        self.tracer.emit_control(EventKind::DegradeStep {
+            from: from as u32,
+            to: to as u32,
+            cause,
+        });
+        self.metrics.gauge_set(Gauge::DegradationLevel, to as u64);
     }
 
-    /// Mirror the ladder's level into [`Gauge::DegradationLevel`]
-    /// (0 = full … 3 = checkpoint-and-pause; 0 also when no ladder).
-    fn publish_ladder_gauge(&self) {
-        if !self.metrics.is_live() {
-            return;
-        }
-        let v = self
-            .ladder
-            .as_ref()
-            .map_or(0, |l| u64::from(l.level().as_u32()));
-        self.metrics.gauge_set(Gauge::DegradationLevel, v);
+    /// Feed one speculation outcome to the degradation machine.
+    fn observe(&mut self, outcome: Outcome) {
+        let basis = self.last_basis;
+        let step = self
+            .degrade
+            .as_mut()
+            .and_then(|d| d.observe(basis, outcome));
+        self.note_step(step);
     }
 
-    /// Feed one speculation outcome into the ladder (and, when the
-    /// breaker just tripped, the immediate step-down), emitting
-    /// [`EventKind::LadderStep`] for each transition taken.
-    fn note_ladder(&mut self, ok: bool, breaker_tripped: bool) {
-        let Some(l) = &mut self.ladder else { return };
-        let mut steps = [None, None];
-        steps[0] = l.observe(ok);
-        if breaker_tripped {
-            steps[1] = l.on_breaker_trip();
+    /// May a version start `depth` levels into its cascade? Only asked when
+    /// it otherwise would: a probe admission takes the probe slot.
+    fn admit(&mut self, depth: u32) -> Admit {
+        self.degrade.as_mut().map_or(Admit::Yes, |d| d.admit(depth))
+    }
+
+    /// `version` started on an [`Admit::Probe`] answer.
+    fn note_probe(&mut self, admit: Admit, version: SpecVersion) {
+        if admit == Admit::Probe {
+            self.stats.probes += 1;
+            self.tracer
+                .emit_control(EventKind::DegradeProbe { version });
         }
-        for (from, to) in steps.into_iter().flatten() {
-            self.stats.ladder_steps += 1;
-            self.tracer.emit_control(EventKind::LadderStep {
-                from: from.as_u32(),
-                to: to.as_u32(),
-            });
-        }
-        self.publish_ladder_gauge();
     }
 
     /// Register a user-defined rollback routine, invoked with each aborted
@@ -376,58 +350,31 @@ impl<T> SpeculationManager<T> {
             hook(version);
         }
         out.push(Action::Rollback { version });
-        self.breaker_failure();
-    }
-
-    fn breaker_failure(&mut self) {
-        let basis = self.last_basis;
-        let mut tripped = false;
-        if let Some(b) = &mut self.breaker {
-            if let Some(BreakerTransition::Tripped { failures, commits }) = b.record_failure(basis)
-            {
-                self.stats.breaker_trips += 1;
-                self.tracer
-                    .emit_control(EventKind::BreakerTrip { failures, commits });
-                tripped = true;
-            }
-        }
-        self.publish_breaker_gauge();
-        self.note_ladder(false, tripped);
-    }
-
-    fn breaker_success(&mut self) {
-        if let Some(b) = &mut self.breaker {
-            if let Some(BreakerTransition::Recovered { successes }) = b.record_success() {
-                self.tracer
-                    .emit_control(EventKind::BreakerRecover { successes });
-            }
-        }
-        self.publish_breaker_gauge();
-        self.note_ladder(true, false);
+        self.observe(Outcome::RolledBack);
     }
 
     /// An executor caught a fault (panicked task body, watchdog cancel)
-    /// somewhere in this manager's pipeline. Counts toward the breaker's
-    /// failure window — repeated machine faults degrade speculation to the
-    /// natural path just like repeated mispredictions do.
+    /// somewhere in this manager's pipeline. Counts as a failed outcome —
+    /// repeated machine faults degrade speculation to the natural path
+    /// just like repeated mispredictions do.
     pub fn record_fault(&mut self) {
         self.stats.faults += 1;
-        self.breaker_failure();
+        self.observe(Outcome::Fault);
     }
 
     /// The replication validation plane compared a task's replica votes
     /// (see `tvs_sre::replica::ReplicatingWorkload`). A mismatch is
-    /// silent data corruption — it feeds the breaker's failure window
-    /// exactly like a loud fault, because a machine that corrupts
-    /// outputs is a machine whose speculation cannot be trusted either.
-    /// Matches are recorded for the stats only; they are routine, not
-    /// evidence of health worth closing the breaker over.
+    /// silent data corruption — it counts as a failed outcome exactly
+    /// like a loud fault, because a machine that corrupts outputs is a
+    /// machine whose speculation cannot be trusted either. Matches are
+    /// recorded for the stats only; they are routine, not evidence of
+    /// health worth stepping back up over.
     pub fn on_replica_result(&mut self, matched: bool) {
         if matched {
             self.stats.replica_checks += 1;
         } else {
             self.stats.sdc_detected += 1;
-            self.breaker_failure();
+            self.observe(Outcome::Sdc);
         }
     }
 
@@ -446,28 +393,19 @@ impl<T> SpeculationManager<T> {
         assert!(!self.final_seen, "basis events after the final value");
         assert!(basis >= self.last_basis, "basis events must be monotone");
         self.last_basis = basis;
+        let step = self.degrade.as_mut().and_then(|d| d.tick(basis));
+        self.note_step(step);
         match &self.phase {
             Phase::Idle { restart } => {
-                // Ask the schedule first: a half-open breaker's allows()
-                // *claims* the single probe slot, so it must only be
-                // consulted when a prediction would actually start —
-                // otherwise the claim leaks and the probe never flies.
-                // The ladder gate sits between for the same reason: at
-                // NonSpeculative or below, no prediction will start, so
-                // the breaker must not be asked (its probe would leak).
+                // Schedule first: the machine is only asked when a
+                // prediction would otherwise start.
                 let wants_start = self.schedule.should_start(basis, *restart);
-                let ladder_allows = self
-                    .ladder
-                    .as_ref()
-                    .is_none_or(|l| l.level().allows_speculation());
-                let breaker_allows = wants_start
-                    && ladder_allows
-                    && match &mut self.breaker {
-                        Some(b) => b.allows(basis),
-                        None => true,
-                    };
-                self.publish_breaker_gauge();
-                if breaker_allows {
+                let admit = if wants_start {
+                    self.admit(0)
+                } else {
+                    Admit::No
+                };
+                if admit != Admit::No {
                     let version = self.tracker.allocate(basis);
                     self.open_lineage(version, None);
                     self.phase = Phase::Pending { version };
@@ -475,12 +413,7 @@ impl<T> SpeculationManager<T> {
                     self.metrics.add_control(Counter::Predictions, 1);
                     self.tracer
                         .emit_control(EventKind::PredictorFire { version, basis });
-                    if let Some(b) = &mut self.breaker {
-                        if b.note_prediction(version) {
-                            self.tracer
-                                .emit_control(EventKind::BreakerProbe { version });
-                        }
-                    }
+                    self.note_probe(admit, version);
                     out.push(Action::StartPrediction { version });
                 }
             }
@@ -561,7 +494,7 @@ impl<T> SpeculationManager<T> {
                 version,
                 margin: result.delta,
             });
-            self.breaker_success();
+            self.observe(Outcome::CheckPassed);
             return;
         }
         self.stats.checks_failed += 1;
@@ -573,41 +506,13 @@ impl<T> SpeculationManager<T> {
         self.emit_rollback(version, out);
         match candidate {
             Some((value, candidate_basis)) => {
-                // A tripped breaker suppresses candidate promotion the same
-                // way it suppresses fresh predictions: mispredicting runs
-                // fall back to conservative dispatch instead of chaining
-                // doomed versions, until a cooldown and probe recover.
-                // The ladder adds the middle rung: at CappedDepth the
-                // promotion is allowed only while the cascade stays within
-                // the configured depth cap (the candidate would sit one
-                // level below the version that just failed); deeper rungs
-                // suppress promotion entirely. The ladder is checked
-                // before the breaker so a suppressed promotion cannot
-                // leak a half-open probe claim.
-                let ladder_allows = match &self.ladder {
-                    None => true,
-                    Some(l) => {
-                        let lvl = l.level();
-                        if !lvl.allows_speculation() {
-                            false
-                        } else if lvl == DegradationLevel::CappedDepth {
-                            let parent_depth = self
-                                .lineage
-                                .get(version as usize - 1)
-                                .map_or(0, |&(_, d)| d);
-                            parent_depth < l.depth_cap()
-                        } else {
-                            true
-                        }
-                    }
-                };
-                let breaker_allows = ladder_allows
-                    && match &mut self.breaker {
-                        Some(b) => b.allows(candidate_basis),
-                        None => true,
-                    };
-                self.publish_breaker_gauge();
-                if breaker_allows {
+                // Degradation gates promotion like fresh predictions:
+                // mispredicting runs fall back to the natural path instead
+                // of chaining doomed versions. The candidate would sit one
+                // level below the version that just failed.
+                let parent_depth = self.lineage_of(version).map_or(0, |(_, d)| d);
+                let admit = self.admit(parent_depth + 1);
+                if admit != Admit::No {
                     let v2 = self.tracker.allocate(candidate_basis);
                     self.open_lineage(v2, Some(version));
                     assert!(self.tracker.activate(v2), "fresh version cannot be aborted");
@@ -617,12 +522,7 @@ impl<T> SpeculationManager<T> {
                         version: v2,
                         basis: candidate_basis,
                     });
-                    if let Some(b) = &mut self.breaker {
-                        if b.note_prediction(v2) {
-                            self.tracer
-                                .emit_control(EventKind::BreakerProbe { version: v2 });
-                        }
-                    }
+                    self.note_probe(admit, v2);
                     self.phase = Phase::Active {
                         version: v2,
                         value,
@@ -643,10 +543,8 @@ impl<T> SpeculationManager<T> {
     /// speculative task body panicked or the watchdog cancelled it, and
     /// the executor already aborted the version in the scheduler. Brings
     /// the manager's phase in line and reuses the rollback funnel (undo
-    /// hooks, stats, breaker, [`Action::Rollback`] — scheduler aborts are
-    /// idempotent, so the host re-executing the abort is harmless).
-    ///
-    /// Counts as a fault *and* a rollback for the breaker window.
+    /// hooks, stats, degradation, [`Action::Rollback`] — scheduler aborts
+    /// are idempotent, so the host re-executing the abort is harmless).
     pub fn on_external_abort(&mut self, version: SpecVersion) -> Vec<Action> {
         let mut out = Vec::new();
         self.on_external_abort_into(version, &mut out);
@@ -744,7 +642,7 @@ impl<T> SpeculationManager<T> {
                     self.phase = Phase::Done {
                         committed: Some(version),
                     };
-                    self.breaker_success();
+                    self.observe(Outcome::Committed);
                     out.push(Action::Commit { version });
                 } else {
                     self.stats.checks_failed += 1;
@@ -779,6 +677,7 @@ mod tests {
         SpeculationManager::instrumented(
             SpeculationSchedule::with_step(1),
             VerificationPolicy::Full,
+            None,
             &Instruments::traced(tracer.clone()),
         )
     }
@@ -979,142 +878,188 @@ mod tests {
         assert_eq!(seen.load(Ordering::SeqCst), 1);
     }
 
-    fn breaker_cfg() -> BreakerConfig {
-        BreakerConfig {
+    /// Step 1, full verification, degrading under `cfg`.
+    fn degrading_mgr(cfg: DegradeConfig, ins: &Instruments) -> SpeculationManager<&'static str> {
+        SpeculationManager::instrumented(
+            SpeculationSchedule::with_step(1),
+            VerificationPolicy::Full,
+            Some(cfg),
+            ins,
+        )
+    }
+
+    /// Two failures make a window of four bad.
+    fn degrade_cfg() -> DegradeConfig {
+        DegradeConfig {
             window: 4,
-            min_samples: 2,
             trip_ratio: 0.5,
+            clean_windows: 2,
             cooldown: 3,
-            probe_successes: 1,
         }
+    }
+
+    /// A window of two that is bad only when both outcomes failed.
+    fn window_of_two(cooldown: u64) -> DegradeConfig {
+        DegradeConfig {
+            window: 2,
+            trip_ratio: 1.0,
+            clean_windows: 2,
+            cooldown,
+        }
+    }
+
+    /// Start a fresh prediction at the next basis, install it, and fail
+    /// its first check with no candidate. Returns the basis reached.
+    fn mispredict(m: &mut SpeculationManager<&'static str>, basis: u64, version: u32) -> u64 {
+        assert_eq!(
+            m.on_basis(basis + 1),
+            vec![Action::StartPrediction { version }]
+        );
+        m.install_prediction(version, "v");
+        assert_eq!(m.on_basis(basis + 2), vec![Action::SpawnCheck { version }]);
+        m.on_check_result(version, CheckResult::fail(0.9), None);
+        basis + 2
     }
 
     #[test]
     fn breaker_trips_on_sustained_rollbacks_and_recovers_via_probe() {
         let tracer = Tracer::enabled(1);
-        let mut m = traced_mgr(&tracer);
-        m.set_breaker(breaker_cfg());
-        assert_eq!(m.breaker_state(), Some(BreakerState::Closed));
+        let mut m = degrading_mgr(degrade_cfg(), &Instruments::traced(tracer.clone()));
+        assert_eq!(m.level(), Some(Level::Full));
 
-        // Two failed speculations in a row: second rollback trips.
-        assert_eq!(m.on_basis(1), vec![Action::StartPrediction { version: 1 }]);
-        m.install_prediction(1, "v1");
-        assert_eq!(m.on_basis(2), vec![Action::SpawnCheck { version: 1 }]);
-        m.on_check_result(1, CheckResult::fail(0.9), None);
-        assert_eq!(m.breaker_state(), Some(BreakerState::Closed));
-        assert_eq!(m.on_basis(3), vec![Action::StartPrediction { version: 2 }]);
-        m.install_prediction(2, "v2");
-        assert_eq!(m.on_basis(4), vec![Action::SpawnCheck { version: 2 }]);
-        m.on_check_result(2, CheckResult::fail(0.9), None);
-        assert_eq!(m.breaker_state(), Some(BreakerState::Open));
-        assert_eq!(m.stats().breaker_trips, 1);
+        // Four failed speculations in a row: two bad windows.
+        let mut basis = 0;
+        for version in 1..=4 {
+            basis = mispredict(&mut m, basis, version);
+            let expect = [Level::Full, Level::Capped, Level::Capped, Level::Suspended];
+            assert_eq!(m.level(), Some(expect[version as usize - 1]));
+        }
+        assert_eq!(m.stats().steps_down, 2);
 
-        // Open: predictions suppressed despite the pending restart.
-        assert!(m.on_basis(5).is_empty());
-        assert!(m.on_basis(6).is_empty());
+        // Suspended: predictions held back despite the pending restart.
+        assert!(m.on_basis(9).is_empty());
+        assert!(m.on_basis(10).is_empty());
 
-        // Cooldown over: half-open lets one probe through.
-        assert_eq!(m.on_basis(7), vec![Action::StartPrediction { version: 3 }]);
-        assert_eq!(m.breaker_state(), Some(BreakerState::HalfOpen));
-        m.install_prediction(3, "v3");
-        assert_eq!(m.on_basis(8), vec![Action::SpawnCheck { version: 3 }]);
-        m.on_check_result(3, CheckResult::pass(0.01), None);
-        assert_eq!(m.breaker_state(), Some(BreakerState::Closed));
+        // Cooldown over: one probe goes through.
+        assert_eq!(m.on_basis(11), vec![Action::StartPrediction { version: 5 }]);
+        assert_eq!(m.level(), Some(Level::Probing));
+        m.install_prediction(5, "v5");
+        assert_eq!(m.on_basis(12), vec![Action::SpawnCheck { version: 5 }]);
+        m.on_check_result(5, CheckResult::pass(0.01), None);
+        assert_eq!(m.level(), Some(Level::Capped));
+        let s = m.stats();
+        assert_eq!((s.steps_down, s.steps_up, s.probes), (2, 2, 1));
 
         let log = tracer.drain().expect("enabled tracer drains");
-        assert_eq!(log.count("breaker-trip"), 1);
-        assert_eq!(log.count("breaker-probe"), 1);
-        assert_eq!(log.count("breaker-recover"), 1);
+        assert_eq!(log.count("degrade-step"), 4);
+        assert_eq!(log.count("degrade-probe"), 1);
+        let h = log.health();
+        assert_eq!((h.steps_down, h.steps_up, h.probes), (2, 2, 1));
+    }
+
+    /// The absorbing-rung regression: with the manager idle at `Suspended`
+    /// no prediction runs, so no outcome arrives — only the basis-driven
+    /// cooldown can lift the level. Before the single machine, the ladder
+    /// sat at its non-speculative rung forever.
+    #[test]
+    fn suspended_rung_is_left_by_cooldown_probe_and_clean_windows() {
+        let mut m = degrading_mgr(window_of_two(5), &Instruments::default());
+        let mut basis = 0;
+        for version in 1..=4 {
+            basis = mispredict(&mut m, basis, version);
+        }
+        assert_eq!(m.level(), Some(Level::Suspended), "two bad windows");
+        let held_back = m.stats().predictions;
+
+        // Clean operation from here on: basis events, passing checks.
+        let mut restarted = None;
+        for basis in basis + 1..basis + 20 {
+            for action in m.on_basis(basis) {
+                match action {
+                    Action::StartPrediction { version } => {
+                        restarted.get_or_insert(basis);
+                        m.install_prediction(version, "v");
+                    }
+                    Action::SpawnCheck { version } => {
+                        m.on_check_result(version, CheckResult::pass(0.0), None);
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        assert_eq!(
+            restarted,
+            Some(basis + 5),
+            "the probe starts as the cooldown ends"
+        );
+        assert_eq!(m.stats().predictions, held_back + 1);
+        assert_eq!(m.level(), Some(Level::Full));
+        let s = m.stats();
+        assert_eq!((s.steps_down, s.steps_up, s.probes), (2, 3, 1));
     }
 
     #[test]
     fn tripped_breaker_suppresses_candidate_promotion() {
-        let mut m = mgr(1, VerificationPolicy::Full);
-        m.set_breaker(breaker_cfg());
-
-        // First failure promotes its candidate: breaker still closed.
-        m.on_basis(1);
-        m.install_prediction(1, "v1");
-        m.on_basis(2);
-        let acts = m.on_check_result(1, CheckResult::fail(0.9), Some(("c1", 2)));
-        assert_eq!(
-            acts,
-            vec![
-                Action::Rollback { version: 1 },
-                Action::PromoteCandidate { version: 2 }
-            ]
+        // One failure is a bad window.
+        let mut m = degrading_mgr(
+            DegradeConfig {
+                window: 1,
+                ..degrade_cfg()
+            },
+            &Instruments::default(),
         );
+        assert_eq!(mispredict(&mut m, 0, 1), 2);
+        assert_eq!(m.level(), Some(Level::Capped));
 
-        // Second failure trips; the fresh candidate must NOT be promoted —
-        // the run degrades to the natural path instead of chaining doomed
-        // versions.
-        m.on_basis(3);
-        let acts = m.on_check_result(2, CheckResult::fail(0.9), Some(("c2", 3)));
+        // The second failure suspends; its candidate would sit at depth 1,
+        // within the cap, but must NOT be promoted — the run degrades to
+        // the natural path instead of chaining doomed versions.
+        assert_eq!(m.on_basis(3), vec![Action::StartPrediction { version: 2 }]);
+        m.install_prediction(2, "v2");
+        m.on_basis(4);
+        let acts = m.on_check_result(2, CheckResult::fail(0.9), Some(("c2", 4)));
         assert_eq!(acts, vec![Action::Rollback { version: 2 }]);
-        assert_eq!(m.breaker_state(), Some(BreakerState::Open));
+        assert_eq!(m.level(), Some(Level::Suspended));
         assert_eq!(m.active(), None);
-        assert_eq!(m.stats().breaker_trips, 1);
 
         // After the cooldown the restart flag lets a probe prediction out.
-        assert!(m.on_basis(4).is_empty());
         assert!(m.on_basis(5).is_empty());
-        assert_eq!(m.on_basis(6), vec![Action::StartPrediction { version: 3 }]);
-        assert_eq!(m.breaker_state(), Some(BreakerState::HalfOpen));
+        assert!(m.on_basis(6).is_empty());
+        assert_eq!(m.on_basis(7), vec![Action::StartPrediction { version: 3 }]);
+        assert_eq!(m.level(), Some(Level::Probing));
     }
 
     #[test]
     fn breaker_trip_steps_the_ladder_down_within_one_window() {
         let tracer = Tracer::enabled(1);
-        let mut m = traced_mgr(&tracer);
-        m.set_breaker(breaker_cfg());
-        // A window far larger than the test so only the trip can step.
-        m.set_ladder(LadderConfig {
+        // A window far larger than the test: the verdict must land as soon
+        // as it is decided, not when the window closes.
+        let cfg = DegradeConfig {
             window: 64,
-            min_samples: 4,
-            trip_ratio: 0.5,
-            up_windows: 2,
-            depth_cap: 1,
-        });
-        assert_eq!(m.ladder_level(), Some(DegradationLevel::Full));
+            trip_ratio: 2.0 / 64.0,
+            ..degrade_cfg()
+        };
+        let mut m = degrading_mgr(cfg, &Instruments::traced(tracer.clone()));
         m.record_fault();
-        assert_eq!(m.ladder_level(), Some(DegradationLevel::Full));
-        m.record_fault(); // trips the breaker → immediate ladder step
-        assert_eq!(m.breaker_state(), Some(BreakerState::Open));
-        assert_eq!(m.ladder_level(), Some(DegradationLevel::CappedDepth));
-        assert_eq!(m.stats().ladder_steps, 1);
+        assert_eq!(m.level(), Some(Level::Full));
+        m.record_fault();
+        assert_eq!(m.level(), Some(Level::Capped));
+        assert_eq!(m.stats().steps_down, 1);
         let log = tracer.drain().expect("drains");
-        assert_eq!(log.count("breaker-trip"), 1);
-        assert_eq!(log.count("ladder-step"), 1);
+        assert_eq!(log.count("degrade-step"), 1);
     }
 
     #[test]
     fn ladder_at_non_speculative_suppresses_predictions() {
-        let mut m = mgr(1, VerificationPolicy::Full);
-        m.set_ladder(LadderConfig {
-            window: 2,
-            min_samples: 1,
-            trip_ratio: 0.5,
-            up_windows: 2,
-            depth_cap: 1,
-        });
-        // Two all-fail windows walk the ladder to NonSpeculative.
+        let mut m = degrading_mgr(window_of_two(100), &Instruments::default());
+        // Two all-fail windows walk the machine to Suspended; speculation
+        // is still allowed on the way there.
         let mut basis = 0;
-        for expect_version in 1..=4u32 {
-            basis += 1;
-            assert_eq!(
-                m.on_basis(basis),
-                vec![Action::StartPrediction {
-                    version: expect_version
-                }],
-                "speculation still allowed above NonSpeculative"
-            );
-            m.install_prediction(expect_version, "v");
-            basis += 1;
-            m.on_basis(basis);
-            m.on_check_result(expect_version, CheckResult::fail(0.9), None);
+        for version in 1..=4 {
+            basis = mispredict(&mut m, basis, version);
         }
-        assert_eq!(m.ladder_level(), Some(DegradationLevel::NonSpeculative));
-        assert_eq!(m.stats().ladder_steps, 2);
+        assert_eq!(m.level(), Some(Level::Suspended));
+        assert_eq!(m.stats().steps_down, 2);
         // Despite the pending restart, no prediction starts any more.
         assert!(m.on_basis(basis + 1).is_empty());
         assert!(m.on_basis(basis + 2).is_empty());
@@ -1122,14 +1067,7 @@ mod tests {
 
     #[test]
     fn capped_depth_blocks_promotions_beyond_the_cap() {
-        let mut m = mgr(1, VerificationPolicy::Full);
-        m.set_ladder(LadderConfig {
-            window: 2,
-            min_samples: 1,
-            trip_ratio: 0.5,
-            up_windows: 2,
-            depth_cap: 1,
-        });
+        let mut m = degrading_mgr(window_of_two(100), &Instruments::default());
         // First failure (window still open, level Full): candidate
         // promoted to depth 1.
         m.on_basis(1);
@@ -1144,14 +1082,14 @@ mod tests {
             ]
         );
         assert_eq!(m.lineage_of(2), Some((1, 1)));
-        // Second failure closes the window → CappedDepth; the candidate
-        // would sit at depth 2 > cap 1, so promotion is suppressed.
+        // Second failure closes the window → Capped; the candidate would
+        // sit at depth 2 > cap 1, so promotion is suppressed.
         m.on_basis(3);
         let acts = m.on_check_result(2, CheckResult::fail(0.9), Some(("c2", 3)));
         assert_eq!(acts, vec![Action::Rollback { version: 2 }]);
-        assert_eq!(m.ladder_level(), Some(DegradationLevel::CappedDepth));
+        assert_eq!(m.level(), Some(Level::Capped));
         assert_eq!(m.active(), None);
-        // Fresh predictions (depth 0) still start at CappedDepth...
+        // Fresh predictions (depth 0) still start at Capped...
         assert_eq!(m.on_basis(4), vec![Action::StartPrediction { version: 3 }]);
         assert_eq!(m.lineage_of(3), Some((3, 0)));
         // ...and their first promotion (depth 1 = cap) is still allowed.
@@ -1169,25 +1107,11 @@ mod tests {
 
     #[test]
     fn ladder_recovers_with_hysteresis_after_clean_windows() {
-        let mut m = mgr(1, VerificationPolicy::Full);
-        m.set_ladder(LadderConfig {
-            window: 2,
-            min_samples: 1,
-            trip_ratio: 0.5,
-            up_windows: 2,
-            depth_cap: 1,
-        });
-        // One bad window: Full → CappedDepth.
-        let mut basis = 0;
-        for v in 1..=2u32 {
-            basis += 1;
-            m.on_basis(basis);
-            m.install_prediction(v, "v");
-            basis += 1;
-            m.on_basis(basis);
-            m.on_check_result(v, CheckResult::fail(0.9), None);
-        }
-        assert_eq!(m.ladder_level(), Some(DegradationLevel::CappedDepth));
+        let mut m = degrading_mgr(window_of_two(100), &Instruments::default());
+        // One bad window: Full → Capped.
+        let mut basis = mispredict(&mut m, 0, 1);
+        basis = mispredict(&mut m, basis, 2);
+        assert_eq!(m.level(), Some(Level::Capped));
         // One clean window (2 passes) is not enough — hysteresis.
         basis += 1;
         m.on_basis(basis);
@@ -1197,15 +1121,74 @@ mod tests {
             m.on_basis(basis);
             m.on_check_result(3, CheckResult::pass(0.0), None);
         }
-        assert_eq!(m.ladder_level(), Some(DegradationLevel::CappedDepth));
+        assert_eq!(m.level(), Some(Level::Capped));
         // The second consecutive clean window steps back up.
         for _ in 0..2 {
             basis += 1;
             m.on_basis(basis);
             m.on_check_result(3, CheckResult::pass(0.0), None);
         }
-        assert_eq!(m.ladder_level(), Some(DegradationLevel::Full));
-        assert_eq!(m.stats().ladder_steps, 2);
+        assert_eq!(m.level(), Some(Level::Full));
+        let s = m.stats();
+        assert_eq!((s.steps_down, s.steps_up), (1, 1));
+    }
+
+    /// Enumeration property (e): with no machine configured nothing is
+    /// ever held back — every start the schedule wants and every candidate
+    /// promotion goes through, whatever mix of failures came before. All
+    /// sequences over six manager inputs up to length 6.
+    #[test]
+    fn absent_machine_never_gates_any_start() {
+        const LEN: u32 = 6;
+        let mut sequences = 0u64;
+        for len in 0..=LEN {
+            for code in 0..6u32.pow(len) {
+                sequences += 1;
+                let mut m = mgr(1, VerificationPolicy::Full);
+                let mut basis = 0;
+                for k in 0..len {
+                    let active = m.active().map(|(v, _)| v);
+                    match (code / 6u32.pow(k)) % 6 {
+                        0 => {
+                            basis += 1;
+                            match (m.on_basis(basis).as_slice(), active) {
+                                ([Action::StartPrediction { version }], None) => {
+                                    assert!(m.install_prediction(*version, "v"));
+                                }
+                                ([Action::SpawnCheck { version }], Some(v)) => {
+                                    assert_eq!(*version, v)
+                                }
+                                (other, _) => panic!("a start was held back: {other:?}"),
+                            }
+                        }
+                        1 => m.record_fault(),
+                        2 => m.on_replica_result(false),
+                        input => {
+                            let Some(v) = active else { continue };
+                            let acts = match input {
+                                3 => m.on_check_result(v, CheckResult::pass(0.0), None),
+                                4 => m.on_check_result(v, CheckResult::fail(0.9), None),
+                                _ => {
+                                    m.on_check_result(v, CheckResult::fail(0.9), Some(("c", basis)))
+                                }
+                            };
+                            match input {
+                                3 => assert!(acts.is_empty()),
+                                4 => assert_eq!(acts, [Action::Rollback { version: v }]),
+                                _ => assert!(
+                                    matches!(acts[1], Action::PromoteCandidate { .. }),
+                                    "a promotion was held back: {acts:?}"
+                                ),
+                            }
+                        }
+                    }
+                }
+                assert_eq!(m.level(), None);
+                let s = m.stats();
+                assert_eq!((s.steps_down, s.steps_up, s.probes), (0, 0, 0));
+            }
+        }
+        assert_eq!(sequences, (0..=LEN).map(|k| 6u64.pow(k)).sum::<u64>());
     }
 
     #[test]
@@ -1250,18 +1233,20 @@ mod tests {
     #[test]
     fn executor_faults_alone_can_trip_the_breaker() {
         let tracer = Tracer::enabled(1);
-        let mut m = traced_mgr(&tracer);
-        m.set_breaker(breaker_cfg());
+        let mut m = degrading_mgr(degrade_cfg(), &Instruments::traced(tracer.clone()));
         m.record_fault();
-        assert_eq!(m.breaker_state(), Some(BreakerState::Closed));
+        assert_eq!(m.level(), Some(Level::Full));
         m.record_fault();
-        assert_eq!(m.breaker_state(), Some(BreakerState::Open));
+        assert_eq!(m.level(), Some(Level::Capped));
+        m.on_replica_result(false);
+        m.record_fault();
+        assert_eq!(m.level(), Some(Level::Suspended));
         let s = m.stats();
-        assert_eq!(s.faults, 2);
-        assert_eq!(s.breaker_trips, 1);
-        assert_eq!(s.rollbacks, 0, "faults trip without any rollback");
+        assert_eq!((s.faults, s.sdc_detected), (3, 1));
+        assert_eq!(s.steps_down, 2);
+        assert_eq!(s.rollbacks, 0, "faults degrade without any rollback");
         let log = tracer.drain().expect("drains");
-        assert_eq!(log.count("breaker-trip"), 1);
+        assert_eq!(log.count("degrade-step"), 2);
     }
 
     #[test]

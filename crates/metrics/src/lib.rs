@@ -3,8 +3,8 @@
 //! Where `tvs-trace` records *events* for post-hoc analysis, this crate
 //! keeps *aggregates* readable mid-run: a lock-free sharded registry of
 //! counters, gauges and log-bucketed histograms that the executors, the
-//! speculation manager, the circuit breaker, the commit ring and the undo
-//! journal all write into, plus a [`Sampler`] that coalesces the shards
+//! speculation manager, the commit ring and the undo journal all write
+//! into, plus a [`Sampler`] that coalesces the shards
 //! into periodic [`MetricsSnapshot`] deltas for a dashboard (`tvs-top`),
 //! a Prometheus-style `/metrics` endpoint, or a JSONL recorder.
 //!
@@ -197,11 +197,8 @@ const N_COUNTERS: usize = Counter::ALL.len();
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Gauge {
-    /// Circuit-breaker state: 0 = no breaker, 1 = closed, 2 = open,
-    /// 3 = half-open.
-    BreakerState = 0,
     /// Commit-ring occupancy observed at the last commit-path drain.
-    RingOccupancy,
+    RingOccupancy = 0,
     /// Arena/pool heap allocations (from `AllocStats::heap_allocs`).
     AllocHeap,
     /// Arena/pool recycled allocations (from `AllocStats::reuses`).
@@ -216,15 +213,15 @@ pub enum Gauge {
     LineageRoots,
     /// Deepest lineage cascade depth opened so far (monotonic max).
     LineageDepthMax,
-    /// Degradation-ladder level: 0 = full speculation, 1 = capped cascade
-    /// depth, 2 = non-speculative, 3 = checkpoint-and-pause.
+    /// Degradation level (`tvs_core::degrade::Level`): 0 = full
+    /// speculation (or no machine), 1 = capped cascade depth,
+    /// 2 = suspended, 3 = paused (checkpoint eagerly), 4 = probing.
     DegradationLevel,
 }
 
 impl Gauge {
     /// Every gauge, in stable exposition order.
-    pub const ALL: [Gauge; 9] = [
-        Gauge::BreakerState,
+    pub const ALL: [Gauge; 8] = [
         Gauge::RingOccupancy,
         Gauge::AllocHeap,
         Gauge::AllocReuse,
@@ -238,7 +235,6 @@ impl Gauge {
     /// Stable snake_case name used by the JSONL and Prometheus exports.
     pub fn name(self) -> &'static str {
         match self {
-            Gauge::BreakerState => "breaker_state",
             Gauge::RingOccupancy => "ring_occupancy",
             Gauge::AllocHeap => "alloc_heap",
             Gauge::AllocReuse => "alloc_reuse",
@@ -750,7 +746,7 @@ mod tests {
         let h = MetricsHub::disabled();
         h.add(0, Counter::Steal, 5);
         h.add_control(Counter::Commits, 1);
-        h.gauge_set(Gauge::BreakerState, 2);
+        h.gauge_set(Gauge::DegradationLevel, 2);
         h.record(Hist::CheckLatencyUs, 10);
         assert!(!h.has_registry());
         assert!(!h.is_live());
@@ -765,14 +761,14 @@ mod tests {
         h.add(0, Counter::LaneDispatch, 3);
         h.add(1, Counter::LaneDispatch, 4);
         h.add_control(Counter::Rollbacks, 1);
-        h.gauge_set(Gauge::BreakerState, 2);
+        h.gauge_set(Gauge::DegradationLevel, 2);
         h.record(Hist::CheckLatencyUs, 10);
         assert!(h.has_registry());
         assert!(!h.is_live());
         assert_eq!(h.lane_counts(Counter::LaneDispatch), vec![3, 4]);
         assert_eq!(h.counter_total(Counter::LaneDispatch), 7);
         assert_eq!(h.counter_total(Counter::Rollbacks), 1);
-        assert_eq!(h.gauge_get(Gauge::BreakerState), 0, "gauges off");
+        assert_eq!(h.gauge_get(Gauge::DegradationLevel), 0, "gauges off");
         assert!(h.snapshot().is_none(), "snapshots off");
     }
 

@@ -147,13 +147,14 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Human name for the breaker-state gauge value.
-    pub fn breaker_name(&self) -> &'static str {
-        match self.gauge(Gauge::BreakerState) {
-            1 => "closed",
-            2 => "open",
-            3 => "half-open",
-            _ => "none",
+    /// Human name for the degradation-level gauge value.
+    pub fn degradation_name(&self) -> &'static str {
+        match self.gauge(Gauge::DegradationLevel) {
+            1 => "capped",
+            2 => "suspended",
+            3 => "paused",
+            4 => "probing",
+            _ => "full",
         }
     }
 
@@ -386,7 +387,7 @@ mod tests {
         h.add_control(Counter::Commits, 3);
         h.add(0, Counter::BusyUs, 900);
         h.add(1, Counter::WastedUs, 100);
-        h.gauge_set(Gauge::BreakerState, 1);
+        h.gauge_set(Gauge::DegradationLevel, 1);
         h.gauge_max(Gauge::CascadeMax, 4);
         h.record(Hist::CheckLatencyUs, 17);
         h.record(Hist::CheckLatencyUs, 130);
@@ -433,7 +434,7 @@ mod tests {
         assert!(text.contains("tvs_commits_total 3"));
         assert!(text.contains("tvs_lane_dispatch_total{lane=\"0\"} 7"));
         assert!(text.contains("tvs_lane_steal_total{lane=\"1\"} 2"));
-        assert!(text.contains("tvs_breaker_state 1"));
+        assert!(text.contains("tvs_degradation_level 1"));
         assert!(text.contains("tvs_check_latency_us_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("tvs_check_latency_us_count 2"));
         assert!(text.contains("tvs_waste_ratio 0.1"));
@@ -522,7 +523,7 @@ mod tests {
         let s = MetricsSnapshot::from_json_line(line).expect("lenient parse");
         assert_eq!(s.counter(Counter::Commits).total, 2);
         assert_eq!(s.counter(Counter::Rollbacks).total, 0);
-        assert_eq!(s.gauge(Gauge::BreakerState), 0);
+        assert_eq!(s.gauge(Gauge::DegradationLevel), 0);
         assert_eq!(s.hist(Hist::CheckLatencyUs).count, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Huffman pipeline configuration.
 
 use tvs_core::{
-    BreakerConfig, CheckpointConfig, LadderConfig, SpeculationSchedule, Tolerance, ValidationMode,
+    CheckpointConfig, DegradeConfig, SpeculationSchedule, Tolerance, ValidationMode,
     VerificationPolicy,
 };
 use tvs_sre::DispatchPolicy;
@@ -47,10 +47,12 @@ pub struct HuffmanConfig {
     pub predictor: PredictorKind,
     /// Keep the assembled output bitstream for correctness checking.
     pub collect_output: bool,
-    /// Speculation circuit breaker: sustained rollbacks or executor
-    /// faults trip the run back to conservative dispatch (`None` = never
-    /// degrade, the paper's baseline behaviour).
-    pub breaker: Option<BreakerConfig>,
+    /// Graceful degradation: sustained rollbacks, executor faults or SDC
+    /// detections walk the run down full speculation → capped cascade
+    /// depth → suspended → paused (checkpoint eagerly), and a cooldown
+    /// probe walks it back up (`None` = never degrade, the paper's
+    /// baseline behaviour).
+    pub degrade: Option<DegradeConfig>,
     /// How task outputs are validated: the paper's tolerance checks only
     /// (the default), replication-based redundant execution, or both.
     pub validation: ValidationMode,
@@ -58,10 +60,6 @@ pub struct HuffmanConfig {
     /// (stream bytes, histogram, code table, bit-IO carry) at this cadence
     /// so a killed run can resume byte-identically (`None` = never).
     pub checkpoint: Option<CheckpointConfig>,
-    /// Degradation ladder above the breaker: escalate full speculation →
-    /// capped cascade depth → non-speculative → checkpoint-and-pause on
-    /// sustained failure, with hysteresis both ways (`None` = no ladder).
-    pub ladder: Option<LadderConfig>,
 }
 
 impl HuffmanConfig {
@@ -77,10 +75,9 @@ impl HuffmanConfig {
             tolerance: Tolerance::percent(1.0),
             predictor: PredictorKind::default(),
             collect_output: false,
-            breaker: None,
+            degrade: None,
             validation: ValidationMode::Tolerance,
             checkpoint: None,
-            ladder: None,
         }
     }
 
@@ -202,7 +199,7 @@ mod tests {
         let mut same = base.clone();
         same.collect_output = true;
         same.checkpoint = Some(CheckpointConfig::new(4, "/tmp/x"));
-        same.ladder = Some(LadderConfig::default());
+        same.degrade = Some(DegradeConfig::default());
         assert_eq!(
             base.digest(),
             same.digest(),

@@ -52,10 +52,9 @@
 use crate::config::{HuffmanConfig, PredictorKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use tvs_core::ladder::DegradationLevel;
 use tvs_core::{
-    Action, AllocStats, CheckResult, CheckpointConfig, ManagerStats, ResumeError, ScratchPool,
-    SpecVersion, SpeculationManager, StreamSnapshot, WaitBuffer,
+    Action, AllocStats, CheckResult, CheckpointConfig, Level, ManagerStats, ResumeError,
+    ScratchPool, SpecVersion, SpeculationManager, StreamSnapshot, WaitBuffer,
 };
 use tvs_huffman::{
     encode_block_at, place, relative_cost_delta, set_bit_len, CodeLengths, CodeTable, EncodedBlock,
@@ -231,7 +230,7 @@ struct Ckpt {
     /// end-loaded drain) cross many cadence thresholds within
     /// microseconds, and writing each would churn the disk for files the
     /// next rename immediately replaces. Cadence writes are debounced to
-    /// [`CKPT_WRITE_GAP`]; halt and ladder-pause writes never are.
+    /// [`CKPT_WRITE_GAP`]; halt and paused-level writes never are.
     last_write: Option<std::time::Instant>,
     /// Asynchronous disk plane: snapshots are handed to a dedicated
     /// writer thread so serialization and the atomic tmp+rename never
@@ -372,7 +371,7 @@ impl HuffmanWorkload {
     /// A workload for `data_len` input bytes under `cfg`, built on a run's
     /// [`Instruments`] — hand the executor the same value. The speculation
     /// manager's lifecycle events go to `ins.tracer`; speculation-outcome
-    /// counters, breaker state and the encode-pool gauges to `ins.metrics`;
+    /// counters, the degradation level and the encode-pool gauges to `ins.metrics`;
     /// `ins.faults` arms the workload's own sites
     /// ([`FaultSite::PredictedValue`] — a scrambled predicted tree, which
     /// the tolerance checks must catch — and [`FaultSite::TaskOutput`]).
@@ -389,13 +388,7 @@ impl HuffmanWorkload {
         let n_blocks = cfg.n_blocks(data_len);
         let n_groups = cfg.n_groups(data_len);
         // Instantiate the engine through the paper's four-point interface.
-        let mut mgr = cfg.speculation_plan().manager(ins);
-        if let Some(b) = cfg.breaker {
-            mgr.set_breaker(b);
-        }
-        if let Some(l) = cfg.ladder {
-            mgr.set_ladder(l);
-        }
+        let mgr = cfg.speculation_plan().manager(cfg.degrade, ins);
         let keeps_stream = cfg.collect_output || cfg.checkpoint.is_some();
         let ckpt = cfg.checkpoint.clone().map(|c| Ckpt {
             cfg: c,
@@ -576,10 +569,10 @@ impl HuffmanWorkload {
     /// Advance the checkpoint plane after a block finalizes: extend the
     /// prefix over newly contiguous blocks, then write a snapshot when
     /// the cadence is due, the halt block is reached, the run finished, or
-    /// the degradation ladder demands eager durability (checkpoint-and-
-    /// pause). Disk failures are absorbed — the in-memory snapshot still
-    /// serves halt and resume, and losing a cadence write only widens the
-    /// at-risk window.
+    /// the degradation machine sits at its paused level, which demands
+    /// eager durability. Disk failures are absorbed — the in-memory
+    /// snapshot still serves halt and resume, and losing a cadence write
+    /// only widens the at-risk window.
     fn advance_checkpoint(&mut self) {
         if self.halted {
             // The "kill" already happened: freeze the durable state at the
@@ -610,7 +603,7 @@ impl HuffmanWorkload {
         // completion rather than paying the largest serialization for a
         // file nobody can use.
         let finished = ck.prefix == self.n_blocks;
-        let eager = self.mgr.ladder_level() == Some(DegradationLevel::CheckpointPause);
+        let eager = self.mgr.level() == Some(Level::Paused);
         let debounced = ck.last_write.is_some_and(|t| t.elapsed() < CKPT_WRITE_GAP);
         if ck.prefix > ck.last_written && (halt || eager || (due && !finished && !debounced)) {
             let snap = Arc::new(self.build_snapshot(&ck));
@@ -1386,7 +1379,7 @@ impl Workload for HuffmanWorkload {
             }
         } else {
             // First divergence on this task: a silent corruption was
-            // *detected*. Feed the breaker's failure window — sustained SDC
+            // *detected*. Feed the degradation window — sustained SDC
             // rates should degrade speculation just like sustained
             // mispredictions do.
             self.mgr.on_replica_result(false);
@@ -1395,7 +1388,7 @@ impl Workload for HuffmanWorkload {
 
     fn on_fault(&mut self, ctx: &mut dyn SchedCtx, fault: FaultNotice) {
         // Executor-recovered faults (caught panics, watchdog cancels) feed
-        // the breaker's failure window; a faulted *speculative* task also
+        // the degradation window; a faulted *speculative* task also
         // kills its version, so bring the manager's phase in line and let
         // the regular rollback actions clear the path and wait buffer.
         self.mgr.record_fault();
@@ -1453,10 +1446,9 @@ mod tests {
             tolerance: Tolerance::percent(1.0),
             predictor: Default::default(),
             collect_output: true,
-            breaker: None,
+            degrade: None,
             validation: ValidationMode::Tolerance,
             checkpoint: None,
-            ladder: None,
         }
     }
 
@@ -1578,16 +1570,15 @@ mod tests {
     fn breaker_trips_on_sustained_misprediction_and_run_completes() {
         // Zero tolerance + drifting data = 100 % misprediction: every
         // check fails and every promoted candidate is equally doomed. The
-        // breaker must trip (degrading the run to conservative dispatch)
+        // run must degrade to the suspended level (no further predictions)
         // and the natural path must still deliver a decodable stream.
         let mut cfg = small_cfg(DispatchPolicy::Aggressive);
         cfg.tolerance = Tolerance { margin: 0.0 };
-        cfg.breaker = Some(tvs_core::BreakerConfig {
+        cfg.degrade = Some(tvs_core::DegradeConfig {
             window: 4,
-            min_samples: 2,
             trip_ratio: 0.5,
-            cooldown: 1_000, // longer than the run: stays tripped
-            probe_successes: 1,
+            clean_windows: 2,
+            cooldown: 1_000, // longer than the run: stays suspended
         });
         // Continuously drifting input: every block shifts the byte
         // distribution, so any tree predicted from a prefix is already
@@ -1605,12 +1596,12 @@ mod tests {
         assert!(m.rollbacks >= 2, "zero tolerance must roll back: {m:?}");
         let s = res.spec_stats.unwrap();
         assert!(
-            s.breaker_trips >= 1,
-            "sustained misprediction must trip the breaker: {s:?}"
+            s.steps_down >= 2 && s.steps_up == 0,
+            "sustained misprediction must suspend speculation: {s:?}"
         );
         assert_eq!(
             res.committed_version, None,
-            "tripped run must fall back to the natural path"
+            "suspended run must fall back to the natural path"
         );
         decode_output(&res, &data);
         let serial = tvs_huffman::serial_encode(&data).unwrap();

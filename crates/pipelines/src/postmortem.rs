@@ -1,6 +1,6 @@
 //! Post-mortem crash bundles — the flight recorder's black box.
 //!
-//! When a run dies (structured [`tvs_sre::RunError`], breaker trip under
+//! When a run dies (structured [`tvs_sre::RunError`], degraded run under
 //! test, unresolved SDC, watchdog stall) or a caller asks explicitly, the
 //! full observability state is dumped as one self-contained directory
 //! under `results/postmortem_<rev>_<seed>/`:
@@ -38,8 +38,8 @@ pub const BUNDLE_SCHEMA_VERSION: u64 = 1;
 pub enum Trigger {
     /// The run returned a structured `RunError`.
     RunError,
-    /// The speculation circuit breaker tripped.
-    BreakerTrip,
+    /// The degradation machine stepped down.
+    Degraded,
     /// Replication detected a silent corruption that was never resolved.
     UnresolvedSdc,
     /// The watchdog cancelled a stalled task.
@@ -53,7 +53,7 @@ impl Trigger {
     pub fn name(self) -> &'static str {
         match self {
             Trigger::RunError => "run-error",
-            Trigger::BreakerTrip => "breaker-trip",
+            Trigger::Degraded => "degraded",
             Trigger::UnresolvedSdc => "unresolved-sdc",
             Trigger::WatchdogStall => "watchdog-stall",
             Trigger::Explicit => "explicit",
@@ -64,7 +64,7 @@ impl Trigger {
     pub fn parse(s: &str) -> Option<Trigger> {
         Some(match s {
             "run-error" => Trigger::RunError,
-            "breaker-trip" => Trigger::BreakerTrip,
+            "degraded" => Trigger::Degraded,
             "unresolved-sdc" => Trigger::UnresolvedSdc,
             "watchdog-stall" => Trigger::WatchdogStall,
             "explicit" => Trigger::Explicit,
@@ -432,11 +432,11 @@ mod tests {
         BundleMeta {
             rev: "abc123".into(),
             seed: 2011,
-            trigger: Trigger::BreakerTrip,
+            trigger: Trigger::Degraded,
             policy: "aggressive".into(),
             workers: 8,
             timebase: "virtual-us".into(),
-            error: Some("breaker \"tripped\"\nline2 \\ backslash".into()),
+            error: Some("probe \"failed\"\nline2 \\ backslash".into()),
             wasted_us: 420,
             events: 99,
             rollbacks: 7,
@@ -475,7 +475,7 @@ mod tests {
     fn trigger_names_round_trip() {
         for t in [
             Trigger::RunError,
-            Trigger::BreakerTrip,
+            Trigger::Degraded,
             Trigger::UnresolvedSdc,
             Trigger::WatchdogStall,
             Trigger::Explicit,

@@ -107,7 +107,7 @@ impl CheckpointedRun {
 
 /// The executor of a [`HuffmanRun`]. Its config's `retry` / `watchdog` /
 /// `supervisor` fields are a chaos run's recovery knobs; its `policy` is
-/// the pipeline configuration's.
+/// ignored — [`run_huffman`] dispatches under [`HuffmanConfig::policy`].
 #[derive(Debug, Clone)]
 pub enum Executor {
     /// The deterministic discrete-event executor, in virtual time.
@@ -258,19 +258,31 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
     let digest_fn = Arc::new(digest_output);
     let wl = ReplicatingWorkload::instrumented(wl, cfg.validation, SDC_SEED, digest_fn, ins);
 
+    // One dispatch policy per run: the pipeline configuration's, whatever
+    // the executor config was built with.
+    let policy = cfg.policy;
     let ran = match &run.on {
         Executor::Sim { cfg: sim } => {
+            let sim = SimConfig {
+                policy,
+                ..sim.clone()
+            };
             let (mut blocks, times) = schedule_blocks(data, cfg.block_bytes, run.arrival);
             blocks.retain(|b| b.index >= skip_below);
-            sim::run(wl, sim, &HuffmanCost, blocks, ins)
+            sim::run(wl, &sim, &HuffmanCost, blocks, ins)
                 .map(|rep| (rep.workload, rep.metrics, rep.trace, times))
         }
         Executor::Threaded {
             cfg: tcfg,
             time_scale,
         } => {
+            let tcfg = ThreadedConfig {
+                policy,
+                ..tcfg.clone()
+            };
             let (iter, times) = threaded_setup(data, cfg, run.arrival, *time_scale, skip_below);
-            threaded::run(wl, tcfg, iter, ins).map(|(wl, metrics)| (wl, metrics, Vec::new(), times))
+            threaded::run(wl, &tcfg, iter, ins)
+                .map(|(wl, metrics)| (wl, metrics, Vec::new(), times))
         }
     };
     let (wl, metrics, task_trace, arrivals) = ran.map_err(|e| {
@@ -449,6 +461,31 @@ mod tests {
     }
 
     #[test]
+    fn the_configuration_alone_names_the_dispatch_policy() {
+        // Hand-built executor configs carrying another policy than the
+        // pipeline configuration: the run dispatches under the latter. Both
+        // executors label a live hub with the policy they run.
+        let (d, c) = (data(), cfg(DispatchPolicy::Balanced));
+        let ran_under = |on: Executor, workers: usize| {
+            let mut run = HuffmanRun::threaded(&d, &c, workers, &GAP_1, 1000);
+            run.on = on;
+            run.instruments.metrics = tvs_sre::MetricsHub::enabled(workers);
+            run_huffman(&run).expect("a clean run completes");
+            let snap = run.instruments.metrics.snapshot().expect("live hub");
+            snap.label
+        };
+        let threaded = Executor::Threaded {
+            cfg: ThreadedConfig::new(2, DispatchPolicy::Conservative),
+            time_scale: 1000,
+        };
+        assert_eq!(ran_under(threaded, 2), "Balanced");
+        let sim = Executor::Sim {
+            cfg: SimConfig::new(x86_smp(4), DispatchPolicy::Conservative),
+        };
+        assert_eq!(ran_under(sim, 4), "Balanced");
+    }
+
+    #[test]
     fn sim_event_log_covers_the_speculation_lifecycle() {
         let d = data();
         let mut c = cfg(DispatchPolicy::Aggressive);
@@ -539,8 +576,8 @@ mod tests {
     #[test]
     fn breaker_trip_is_visible_in_the_event_log() {
         // The acceptance scenario: adversarial input on which every
-        // prediction mispredicts. The breaker must demonstrably trip (a
-        // `breaker-trip` trace event) and the run must still complete.
+        // prediction mispredicts. The run must demonstrably degrade to the
+        // suspended level (`degrade-step` trace events) and still complete.
         let mut c = cfg(DispatchPolicy::Aggressive);
         c.block_bytes = 1024;
         c.reduce_ratio = 4;
@@ -548,12 +585,11 @@ mod tests {
         c.schedule = tvs_core::SpeculationSchedule::with_step(1);
         c.verification = tvs_core::VerificationPolicy::Full;
         c.tolerance = tvs_core::Tolerance { margin: 0.0 };
-        c.breaker = Some(tvs_core::BreakerConfig {
+        c.degrade = Some(tvs_core::DegradeConfig {
             window: 4,
-            min_samples: 2,
             trip_ratio: 0.5,
+            clean_windows: 2,
             cooldown: 1_000,
-            probe_successes: 1,
         });
         // Continuously drifting input: every block shifts the byte
         // distribution, so every prediction is stale on arrival. Slow
@@ -566,9 +602,10 @@ mod tests {
             start_us: 0,
         };
         let (out, log) = sim_events(&d, &c, &arrival, FaultInjector::disabled());
+        let suspended = tvs_core::Level::Suspended as u32;
         assert!(
-            log.count("breaker-trip") >= 1,
-            "100% misprediction must trip the breaker"
+            log.degrade_steps().any(|(_, to, _)| to == suspended),
+            "100% misprediction must suspend speculation"
         );
         assert_eq!(out.result.committed_version, None);
         decode_outcome(&out, &d);

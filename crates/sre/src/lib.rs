@@ -47,7 +47,6 @@
 pub mod exec;
 pub mod fault;
 pub mod instruments;
-pub mod mapreduce;
 pub mod metrics;
 pub mod platform;
 pub mod policy;
@@ -61,7 +60,6 @@ pub use fault::{
     into_inner_recover, lock_recover, RetryPolicy, RunError, SupervisorConfig, WatchdogConfig,
 };
 pub use instruments::Instruments;
-pub use mapreduce::{MapReduce, Summary};
 pub use metrics::{RunMetrics, TaskTrace};
 pub use platform::{cell_be, x86_smp, CostModel, FixedCost, Platform};
 pub use policy::DispatchPolicy;

@@ -143,7 +143,7 @@ pub trait Workload {
     /// Replication-based validation detected diverging outputs for one of
     /// this workload's tasks (silent data corruption). Called by the
     /// replication plane, not by executors; workloads that feed a
-    /// speculation manager should count the failure into its breaker
+    /// speculation manager should count the failure into its degradation
     /// window here. See [`SdcNotice::unresolved`] for the two phases.
     /// Default: ignore.
     fn on_sdc(&mut self, ctx: &mut dyn SchedCtx, sdc: SdcNotice) {

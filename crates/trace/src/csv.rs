@@ -83,10 +83,10 @@ impl TraceLog {
     /// predictor-fire/version-open, `root`/`depth` for lineage-open (whose
     /// `id` column carries the parent version), `margin` for checks, `cascade_depth`
     /// for rollback, `entries` for undo-replay, `attempt` for task-fault,
-    /// `ran_us` for watchdog-cancel, `failures`/`commits` for breaker-trip,
-    /// `successes` for breaker-recover, the primary task id (`of`) for
-    /// replica-dispatch, `from`/`to` for ladder-step and `worker`/`epoch`
-    /// for worker-quarantine/respawn. Names are RFC-4180 quoted.
+    /// `ran_us` for watchdog-cancel, `from`/`to` for degrade-step (whose
+    /// `name` column carries the cause), the primary task id (`of`) for
+    /// replica-dispatch and `worker`/`epoch` for worker-quarantine/respawn.
+    /// Names are RFC-4180 quoted.
     pub fn to_event_csv(&self) -> String {
         let mut out = String::from(EVENT_CSV_HEADER);
         out.push('\n');
@@ -230,28 +230,20 @@ impl TraceLog {
                     ran_us.to_string(),
                     String::new(),
                 ),
-                EventKind::BreakerTrip { failures, commits } => (
+                EventKind::DegradeStep { from, to, cause } => (
+                    String::new(),
+                    cause.label().to_string(),
                     String::new(),
                     String::new(),
-                    String::new(),
-                    String::new(),
-                    failures.to_string(),
-                    commits.to_string(),
+                    from.to_string(),
+                    to.to_string(),
                 ),
-                EventKind::BreakerProbe { version } => (
+                EventKind::DegradeProbe { version } => (
                     String::new(),
                     String::new(),
                     String::new(),
                     version.to_string(),
                     String::new(),
-                    String::new(),
-                ),
-                EventKind::BreakerRecover { successes } => (
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    successes.to_string(),
                     String::new(),
                 ),
                 EventKind::ReplicaDispatch { id, of } => (
@@ -277,14 +269,6 @@ impl TraceLog {
                     fmt_version(*version),
                     String::new(),
                     String::new(),
-                ),
-                EventKind::LadderStep { from, to } => (
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    from.to_string(),
-                    to.to_string(),
                 ),
                 EventKind::WorkerQuarantine { worker, epoch }
                 | EventKind::WorkerRespawn { worker, epoch } => (

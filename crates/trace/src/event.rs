@@ -30,6 +30,41 @@ impl ClassTag {
     }
 }
 
+/// Why the degradation machine (`tvs_core::degrade`) changed level. The
+/// cause alone fixes the direction of the step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StepCause {
+    /// A window of speculation outcomes reached the failure threshold.
+    BadWindow,
+    /// The probe (or a straggler beside it) failed.
+    ProbeFailed,
+    /// Enough consecutive clean windows at the capped level.
+    CleanWindows,
+    /// The cooldown elapsed at a level that starts no speculation.
+    Cooldown,
+    /// The probe passed a check or committed.
+    ProbePassed,
+}
+
+impl StepCause {
+    /// Stable kebab-case label used by the exporters.
+    pub fn label(self) -> &'static str {
+        match self {
+            StepCause::BadWindow => "bad-window",
+            StepCause::ProbeFailed => "probe-failed",
+            StepCause::CleanWindows => "clean-windows",
+            StepCause::Cooldown => "cooldown",
+            StepCause::ProbePassed => "probe-passed",
+        }
+    }
+
+    /// Whether the step this causes degrades service (as opposed to
+    /// restoring it).
+    pub fn is_down(self) -> bool {
+        matches!(self, StepCause::BadWindow | StepCause::ProbeFailed)
+    }
+}
+
 /// One speculation-lifecycle event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
@@ -179,23 +214,22 @@ pub enum EventKind {
         /// How long the task had been running when cancelled, µs.
         ran_us: u64,
     },
-    /// The speculation circuit breaker opened: new predictions are held
-    /// back while the rollback/fault window stays degraded.
-    BreakerTrip {
-        /// Rollbacks + faults observed in the trip window.
-        failures: u64,
-        /// Commits observed in the trip window.
-        commits: u64,
+    /// The degradation machine changed level: down on a bad outcome
+    /// window or a failed probe, up after a cooldown, a passed probe or a
+    /// run of clean windows.
+    DegradeStep {
+        /// Level before the step (0 = full speculation, 1 = capped
+        /// cascade depth, 2 = suspended, 3 = paused, 4 = probing).
+        from: u32,
+        /// Level after the step.
+        to: u32,
+        /// What moved it.
+        cause: StepCause,
     },
-    /// The breaker half-opened and let one probe prediction through.
-    BreakerProbe {
+    /// The probing level let its single probe prediction through.
+    DegradeProbe {
         /// Version carried by the probe prediction.
         version: u32,
-    },
-    /// A probe committed: the breaker closed and speculation resumed.
-    BreakerRecover {
-        /// Consecutive probe successes that closed the breaker.
-        successes: u64,
     },
     /// A replica (redundant re-execution for replication-based
     /// validation) was spawned for a completed primary task.
@@ -225,15 +259,6 @@ pub enum EventKind {
     SdcResolved {
         /// The primary task id whose vote set resolved.
         id: u64,
-    },
-    /// The degradation ladder changed level (down on sustained failure,
-    /// up after the hysteresis window of clean operation).
-    LadderStep {
-        /// Level before the step (0 = full speculation … 3 =
-        /// checkpoint-and-pause).
-        from: u32,
-        /// Level after the step.
-        to: u32,
     },
     /// The supervisor quarantined a worker that missed its heartbeat
     /// deadline: its epoch was advanced so in-flight completions it may
@@ -276,14 +301,12 @@ impl EventKind {
             EventKind::UndoReplay { .. } => "undo-replay",
             EventKind::TaskFault { .. } => "task-fault",
             EventKind::WatchdogCancel { .. } => "watchdog-cancel",
-            EventKind::BreakerTrip { .. } => "breaker-trip",
-            EventKind::BreakerProbe { .. } => "breaker-probe",
-            EventKind::BreakerRecover { .. } => "breaker-recover",
+            EventKind::DegradeStep { .. } => "degrade-step",
+            EventKind::DegradeProbe { .. } => "degrade-probe",
             EventKind::ReplicaDispatch { .. } => "replica-dispatch",
             EventKind::ReplicaMatch { .. } => "replica-match",
             EventKind::SdcDetected { .. } => "sdc-detected",
             EventKind::SdcResolved { .. } => "sdc-resolved",
-            EventKind::LadderStep { .. } => "ladder-step",
             EventKind::WorkerQuarantine { .. } => "worker-quarantine",
             EventKind::WorkerRespawn { .. } => "worker-respawn",
         }
@@ -307,16 +330,14 @@ impl EventKind {
             | EventKind::Commit { version }
             | EventKind::Rollback { version, .. }
             | EventKind::UndoReplay { version, .. }
-            | EventKind::BreakerProbe { version } => Some(version),
+            | EventKind::DegradeProbe { version } => Some(version),
             EventKind::Steal { .. }
             | EventKind::Park
             | EventKind::Unpark
-            | EventKind::BreakerTrip { .. }
-            | EventKind::BreakerRecover { .. }
+            | EventKind::DegradeStep { .. }
             | EventKind::ReplicaDispatch { .. }
             | EventKind::ReplicaMatch { .. }
             | EventKind::SdcResolved { .. }
-            | EventKind::LadderStep { .. }
             | EventKind::WorkerQuarantine { .. }
             | EventKind::WorkerRespawn { .. } => None,
         }
@@ -390,6 +411,15 @@ impl TraceLog {
             .iter()
             .filter(|e| e.kind.label() == label)
             .count()
+    }
+
+    /// The degradation machine's level changes, `(from, to, cause)` in
+    /// log order.
+    pub fn degrade_steps(&self) -> impl Iterator<Item = (u32, u32, StepCause)> + '_ {
+        self.events.iter().filter_map(|e| match e.kind {
+            EventKind::DegradeStep { from, to, cause } => Some((from, to, cause)),
+            _ => None,
+        })
     }
 
     /// Last timestamp in the log's timebase (0 when empty).

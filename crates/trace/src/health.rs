@@ -104,12 +104,12 @@ pub struct SpecHealth {
     pub faults: u64,
     /// Tasks cancelled by the watchdog for exceeding their deadline.
     pub watchdog_cancels: u64,
-    /// Circuit-breaker trips (speculation suspended).
-    pub breaker_trips: u64,
-    /// Half-open probe predictions let through by the breaker.
-    pub breaker_probes: u64,
-    /// Breaker recoveries (speculation resumed after a probe committed).
-    pub breaker_recoveries: u64,
+    /// Degradation steps toward less speculation.
+    pub steps_down: u64,
+    /// Degradation steps back toward full speculation.
+    pub steps_up: u64,
+    /// Probe predictions let through at the probing level.
+    pub probes: u64,
     /// Replicas spawned for replication-based validation.
     pub replica_dispatches: u64,
     /// Replica vote sets that resolved clean on the first comparison.
@@ -118,8 +118,6 @@ pub struct SpecHealth {
     pub sdc_detected: u64,
     /// Divergent vote sets resolved by a tiebreak re-execution.
     pub sdc_resolved: u64,
-    /// Degradation-ladder level changes (either direction).
-    pub ladder_steps: u64,
     /// Workers quarantined by the supervisor for missed heartbeats.
     pub worker_quarantines: u64,
     /// Workers respawned by the supervisor under a fresh epoch.
@@ -251,14 +249,13 @@ impl TraceLog {
                 EventKind::UndoReplay { .. } => h.undo_replays += 1,
                 EventKind::TaskFault { .. } => h.faults += 1,
                 EventKind::WatchdogCancel { .. } => h.watchdog_cancels += 1,
-                EventKind::BreakerTrip { .. } => h.breaker_trips += 1,
-                EventKind::BreakerProbe { .. } => h.breaker_probes += 1,
-                EventKind::BreakerRecover { .. } => h.breaker_recoveries += 1,
+                EventKind::DegradeStep { cause, .. } if cause.is_down() => h.steps_down += 1,
+                EventKind::DegradeStep { .. } => h.steps_up += 1,
+                EventKind::DegradeProbe { .. } => h.probes += 1,
                 EventKind::ReplicaDispatch { .. } => h.replica_dispatches += 1,
                 EventKind::ReplicaMatch { .. } => h.replica_matches += 1,
                 EventKind::SdcDetected { .. } => h.sdc_detected += 1,
                 EventKind::SdcResolved { .. } => h.sdc_resolved += 1,
-                EventKind::LadderStep { .. } => h.ladder_steps += 1,
                 EventKind::WorkerQuarantine { .. } => h.worker_quarantines += 1,
                 EventKind::WorkerRespawn { .. } => h.worker_respawns += 1,
                 EventKind::Park | EventKind::Unpark | EventKind::LineageOpen { .. } => {}

@@ -222,19 +222,15 @@ impl TraceLog {
                         ran_us
                     ));
                 }
-                EventKind::BreakerTrip { failures, commits } => {
+                EventKind::DegradeStep { from, to, cause } => {
                     rows.push(format!(
-                        r#"{{"name":"breaker-trip","cat":"breaker","ph":"i","s":"p","ts":{ts},"pid":1,"tid":{tid},"args":{{"failures":{failures},"commits":{commits}}}}}"#
+                        r#"{{"name":"degrade-step","cat":"degradation","ph":"i","s":"p","ts":{ts},"pid":1,"tid":{tid},"args":{{"from":{from},"to":{to},"cause":"{}"}}}}"#,
+                        cause.label()
                     ));
                 }
-                EventKind::BreakerProbe { version } => {
+                EventKind::DegradeProbe { version } => {
                     rows.push(format!(
-                        r#"{{"name":"breaker-probe","cat":"breaker","ph":"i","s":"t","ts":{ts},"pid":1,"tid":{tid},"args":{{"version":{version}}}}}"#
-                    ));
-                }
-                EventKind::BreakerRecover { successes } => {
-                    rows.push(format!(
-                        r#"{{"name":"breaker-recover","cat":"breaker","ph":"i","s":"p","ts":{ts},"pid":1,"tid":{tid},"args":{{"successes":{successes}}}}}"#
+                        r#"{{"name":"degrade-probe","cat":"degradation","ph":"i","s":"t","ts":{ts},"pid":1,"tid":{tid},"args":{{"version":{version}}}}}"#
                     ));
                 }
                 EventKind::ReplicaDispatch { id, of } => {
@@ -259,11 +255,6 @@ impl TraceLog {
                 EventKind::SdcResolved { id } => {
                     rows.push(format!(
                         r#"{{"name":"sdc-resolved","cat":"replication","ph":"i","s":"t","ts":{ts},"pid":1,"tid":{tid},"args":{{"id":{id}}}}}"#
-                    ));
-                }
-                EventKind::LadderStep { from, to } => {
-                    rows.push(format!(
-                        r#"{{"name":"ladder-step","cat":"degradation","ph":"i","s":"p","ts":{ts},"pid":1,"tid":{tid},"args":{{"from":{from},"to":{to}}}}}"#
                     ));
                 }
                 EventKind::WorkerQuarantine { worker, epoch } => {

@@ -1,4 +1,4 @@
-//! Checkpoint/restart and the degradation ladder, end to end.
+//! Checkpoint/restart and the degradation machine, end to end.
 //!
 //! A checkpointed run killed at block K and resumed from its snapshot
 //! must produce a stream *byte-identical* to the uninterrupted run, on
@@ -6,13 +6,16 @@
 //! snapshot's committed tree and never re-speculates. Snapshots are
 //! bound to the input and the output-shaping configuration, so resuming
 //! against the wrong data or shape is a structured error, never a
-//! silently divergent stream. Above the breaker, the degradation ladder
-//! must demonstrably step down under sustained misprediction (sim and
-//! threaded), and a supervised threaded run under duplicate-completion
+//! silently divergent stream. The degradation machine must demonstrably
+//! step down to its suspended level under sustained misprediction (sim
+//! and threaded) and climb back to full speculation once the input
+//! settles, and a supervised threaded run under duplicate-completion
 //! injection must take the epoch-reject path rather than double-commit.
 
 use std::path::PathBuf;
-use tvs_core::{CheckpointConfig, LadderConfig, ResumeError, StreamSnapshot, ValidationMode};
+use tvs_core::{
+    CheckpointConfig, DegradeConfig, Level, ResumeError, StreamSnapshot, ValidationMode,
+};
 use tvs_huffman::decode_exact;
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
@@ -22,6 +25,7 @@ use tvs_pipelines::runner::{
 use tvs_sre::{
     x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite, TraceLog, Tracer,
 };
+use tvs_trace::EventKind;
 
 /// Stationary text with a rich alphabet: speculation commits cleanly,
 /// so the committed tree — and therefore the output stream — is the
@@ -298,76 +302,116 @@ fn drifting(n: usize) -> Vec<u8> {
     (0..n).map(|i| ((i / 1024) * 7 + i % 13) as u8).collect()
 }
 
-fn ladder_cfg() -> HuffmanConfig {
+/// Zero tolerance under full verification, degrading on a window of four
+/// outcomes; `cooldown` basis events before a probe.
+fn degrading_cfg(cooldown: u64) -> HuffmanConfig {
     let mut c = cfg();
     c.policy = DispatchPolicy::Aggressive;
     c.verification = tvs_core::VerificationPolicy::Full;
     c.tolerance = tvs_core::Tolerance { margin: 0.0 };
-    c.breaker = Some(tvs_core::BreakerConfig {
+    c.degrade = Some(DegradeConfig {
         window: 4,
-        min_samples: 2,
         trip_ratio: 0.5,
-        cooldown: 1_000,
-        probe_successes: 1,
-    });
-    c.ladder = Some(LadderConfig {
-        window: 4,
-        min_samples: 2,
-        trip_ratio: 0.5,
-        up_windows: 2,
-        depth_cap: 1,
+        clean_windows: 2,
+        cooldown,
     });
     c
+}
+
+const SLOW: Uniform = Uniform {
+    gap_us: 100,
+    start_us: 0,
+};
+
+fn assert_decodes_to(out: &RunOutcome, data: &[u8]) {
+    let (bytes, bits, lengths) = out.result.output.as_ref().expect("output collected");
+    let table = tvs_huffman::CodeTable::from_lengths(lengths);
+    let decoded = decode_exact(bytes, 0, *bits, data.len(), &table).expect("stream decodes");
+    assert_eq!(decoded, data);
 }
 
 #[test]
 fn ladder_steps_down_when_the_breaker_trips_sim() {
     let data = drifting(32 * 1024);
-    let arrival = Uniform {
-        gap_us: 100,
-        start_us: 0,
-    };
-    let c = ladder_cfg();
-    let (out, log) = events(HuffmanRun::sim(&data, &c, &x86_smp(8), &arrival));
-    assert!(
-        log.count("breaker-trip") >= 1,
-        "100% misprediction must trip the breaker"
-    );
-    assert!(
-        log.count("ladder-step") >= 1,
-        "a tripped breaker must step the ladder down"
+    // A cooldown longer than the run: once suspended, it stays there.
+    let c = degrading_cfg(1_000);
+    let (out, log) = events(HuffmanRun::sim(&data, &c, &x86_smp(8), &SLOW));
+    let levels: Vec<u32> = log.degrade_steps().map(|(_, to, _)| to).collect();
+    assert_eq!(
+        levels[..2],
+        [Level::Capped as u32, Level::Suspended as u32],
+        "100% misprediction must suspend speculation one rung at a time"
     );
     let stats = out.result.spec_stats.expect("speculative policy");
-    assert!(stats.ladder_steps >= 1);
-    assert_eq!(log.health().ladder_steps, stats.ladder_steps);
+    let health = log.health();
+    assert_eq!(
+        (health.steps_down, health.steps_up, health.probes),
+        (stats.steps_down, stats.steps_up, stats.probes)
+    );
+    assert_eq!((stats.steps_up, stats.probes), (0, 0), "still cooling down");
     // Degraded, not broken: the run still completes and decodes.
-    let (bytes, bits, lengths) = out.result.output.as_ref().expect("output collected");
-    let table = tvs_huffman::CodeTable::from_lengths(lengths);
-    let decoded = decode_exact(bytes, 0, *bits, data.len(), &table).expect("stream decodes");
-    assert_eq!(decoded, data);
+    assert_decodes_to(&out, &data);
 }
 
 #[test]
 fn ladder_steps_down_when_the_breaker_trips_threaded() {
     let data = drifting(32 * 1024);
-    let arrival = Uniform {
-        gap_us: 100,
-        start_us: 0,
-    };
-    let c = ladder_cfg();
-    let (out, log) = events(HuffmanRun::threaded(&data, &c, 4, &arrival, 100));
+    let c = degrading_cfg(1_000);
+    let (out, log) = events(HuffmanRun::threaded(&data, &c, 4, &SLOW, 100));
     let stats = out.result.spec_stats.expect("speculative policy");
     assert!(
-        stats.ladder_steps >= 1,
-        "sustained misprediction must step the ladder down on real threads \
-         (breaker trips: {}, checks failed: {})",
-        log.count("breaker-trip"),
+        log.degrade_steps()
+            .any(|(_, to, _)| to == Level::Suspended as u32),
+        "sustained misprediction must suspend speculation on real threads \
+         (steps down: {}, checks failed: {})",
+        stats.steps_down,
         stats.checks_failed,
     );
-    let (bytes, bits, lengths) = out.result.output.as_ref().expect("output collected");
-    let table = tvs_huffman::CodeTable::from_lengths(lengths);
-    let decoded = decode_exact(bytes, 0, *bits, data.len(), &table).expect("stream decodes");
-    assert_eq!(decoded, data);
+    assert_decodes_to(&out, &data);
+}
+
+/// The absorbing-rung regression, end to end: the first half of the stream
+/// mispredicts every time, the second half is stationary, and the cooldown
+/// is far shorter than the stream. The run must step down, probe its way
+/// back up and finish at full speculation.
+#[test]
+fn degraded_run_climbs_back_to_full_once_the_input_settles() {
+    let mut data = drifting(64 * 1024);
+    data.extend(stationary(192 * 1024));
+    let mut c = degrading_cfg(4);
+    c.tolerance = tvs_core::Tolerance::percent(1.0);
+    let mut run = HuffmanRun::sim(&data, &c, &x86_smp(8), &SLOW);
+    run.instruments.metrics = tvs_sre::MetricsHub::enabled(8);
+    let hub = run.instruments.metrics.clone();
+    let (out, log) = events(run);
+    // The whole degradation story of this deterministic run, as the one
+    // golden the repository keeps (instead of committed trace artifacts).
+    let story: String = log
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::DegradeStep { from, to, cause } => {
+                Some(format!("degrade-step {from} -> {to} {}\n", cause.label()))
+            }
+            EventKind::DegradeProbe { .. } => Some("degrade-probe\n".to_string()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(story, include_str!("golden/degrade_events_sim.txt"));
+    let health = log.health();
+    assert!(health.steps_down >= 1 && health.steps_up >= 1);
+    assert_eq!(
+        log.degrade_steps().last().map(|(_, to, _)| to),
+        Some(Level::Full as u32)
+    );
+    assert_eq!(hub.gauge_get(tvs_metrics::Gauge::DegradationLevel), 0);
+    // Back at full speculation the run commits a tolerated tree: the stream
+    // round-trips exactly and is within the margin of the serial codec's.
+    assert!(out.result.committed_version.is_some());
+    assert_decodes_to(&out, &data);
+    let serial = tvs_huffman::serial_encode(&data).expect("non-empty input");
+    let (_, bits) = output_of(&out);
+    assert!(bits >= serial.bit_len && bits as f64 <= serial.bit_len as f64 * 1.01);
 }
 
 #[test]

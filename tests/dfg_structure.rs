@@ -50,10 +50,9 @@ fn cfg(policy: DispatchPolicy) -> HuffmanConfig {
         tolerance: Tolerance::percent(1.0),
         predictor: Default::default(),
         collect_output: false,
-        breaker: None,
+        degrade: None,
         validation: ValidationMode::Tolerance,
         checkpoint: None,
-        ladder: None,
     }
 }
 

@@ -1,6 +1,6 @@
 //! Flight-recorder acceptance tests.
 //!
-//! A forced breaker-trip run (fixed seed, simulator and real threads)
+//! A forced degraded run (fixed seed, simulator and real threads)
 //! must produce a post-mortem bundle from which the offline loader
 //! deterministically reconstructs the complete rollback cascade tree,
 //! with per-lineage wasted-µs totals equal to the aggregate
@@ -11,7 +11,7 @@
 
 use std::path::{Path, PathBuf};
 use tvs_core::{
-    BreakerConfig, CheckpointConfig, SpeculationSchedule, Tolerance, VerificationPolicy,
+    CheckpointConfig, DegradeConfig, SpeculationSchedule, Tolerance, VerificationPolicy,
 };
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
@@ -29,10 +29,10 @@ fn events(mut run: HuffmanRun, workers: usize) -> TraceLog {
     report.log.expect("enabled tracer drains")
 }
 
-/// The adversarial breaker-trip scenario shared by `tvs-chaos` and
-/// `tvs-report`: continuously drifting input, zero tolerance, a tight
-/// breaker window — every prediction mispredicts.
-fn breaker_cfg() -> HuffmanConfig {
+/// The adversarial scenario shared by `tvs-chaos` and `tvs-report`:
+/// continuously drifting input, zero tolerance, a tight degradation
+/// window — every prediction mispredicts.
+fn degrading_cfg() -> HuffmanConfig {
     let mut c = HuffmanConfig::disk_x86(DispatchPolicy::Aggressive);
     c.block_bytes = 1024;
     c.reduce_ratio = 4;
@@ -40,12 +40,11 @@ fn breaker_cfg() -> HuffmanConfig {
     c.schedule = SpeculationSchedule::with_step(1);
     c.verification = VerificationPolicy::Full;
     c.tolerance = Tolerance { margin: 0.0 };
-    c.breaker = Some(BreakerConfig {
+    c.degrade = Some(DegradeConfig {
         window: 4,
-        min_samples: 2,
         trip_ratio: 0.5,
+        clean_windows: 2,
         cooldown: 1_000,
-        probe_successes: 1,
     });
     c
 }
@@ -65,15 +64,15 @@ fn tmp_dir(name: &str) -> PathBuf {
 #[test]
 fn sim_breaker_trip_bundle_is_byte_deterministic() {
     let data = drifting();
-    let cfg = breaker_cfg();
+    let cfg = degrading_cfg();
     let slow = Uniform {
         gap_us: 100,
         start_us: 0,
     };
     let capture = |root: &PathBuf| {
         let log = events(HuffmanRun::sim(&data, &cfg, &x86_smp(8), &slow), 8);
-        assert!(log.count("breaker-trip") >= 1, "scenario must trip");
-        let meta = BundleMeta::for_log(Trigger::BreakerTrip, 2011, "aggressive", &log, None);
+        assert!(log.count("degrade-step") >= 2, "scenario must degrade");
+        let meta = BundleMeta::for_log(Trigger::Degraded, 2011, "aggressive", &log, None);
         postmortem::write_bundle(root, &meta, &log, &[]).expect("bundle writes")
     };
     let (da, db) = (tmp_dir("sim-a"), tmp_dir("sim-b"));
@@ -103,7 +102,7 @@ fn sim_breaker_trip_bundle_is_byte_deterministic() {
     assert_eq!(bundle.lineage.render_tree(), log.lineage().render_tree());
     assert!(
         !bundle.lineage.render_tree().is_empty(),
-        "a tripping run opens at least one lineage"
+        "a degrading run opens at least one lineage"
     );
     let _ = std::fs::remove_dir_all(da);
     let _ = std::fs::remove_dir_all(db);
@@ -112,13 +111,13 @@ fn sim_breaker_trip_bundle_is_byte_deterministic() {
 #[test]
 fn threaded_breaker_trip_bundle_reconstructs_the_cascade() {
     let data = drifting();
-    let cfg = breaker_cfg();
+    let cfg = degrading_cfg();
     let slow = Uniform {
         gap_us: 100,
         start_us: 0,
     };
     let log = events(HuffmanRun::threaded(&data, &cfg, 4, &slow, 1000), 4);
-    let meta = BundleMeta::for_log(Trigger::BreakerTrip, 2012, "aggressive", &log, None);
+    let meta = BundleMeta::for_log(Trigger::Degraded, 2012, "aggressive", &log, None);
     let root = tmp_dir("threaded");
     let path = postmortem::write_bundle(&root, &meta, &log, &[]).expect("bundle writes");
     let bundle = postmortem::load_bundle(&path).expect("bundle reloads");

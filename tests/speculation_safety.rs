@@ -61,10 +61,9 @@ fn small_cfg(
         tolerance: Tolerance { margin: tol },
         predictor: Default::default(),
         collect_output: true,
-        breaker: None,
+        degrade: None,
         validation: ValidationMode::Tolerance,
         checkpoint: None,
-        ladder: None,
     }
 }
 
