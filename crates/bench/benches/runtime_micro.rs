@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tvs_bench::microbench::{bench, bench_with, black_box, write_csv, Opts};
+use tvs_bench::microbench::{bench, bench_with, black_box, blocks_at_once, write_csv, Opts};
 use tvs_bench::results_dir;
 use tvs_core::{ReplicatingWorkload, ValidationMode};
 use tvs_sre::exec::sim::{self, SimConfig};
@@ -169,8 +169,7 @@ fn run_once(exec: Exec, workers: usize, n: usize, spin: Duration, reps: usize) -
     let cfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
-            let inputs: Vec<(usize, Arc<[u8]>)> =
-                (0..n).map(|i| (i, Arc::from(vec![0u8; 16]))).collect();
+            let inputs = blocks_at_once(n, 16);
             // Tracer and hub live outside the timed region: a cell measures
             // what a run pays for emission, not for draining afterwards.
             let ins = match exec {

@@ -9,12 +9,16 @@
 //!
 //! Modes:
 //!
-//! * `tvs-bench --json`  — run and (re)write the `BENCH_*.json` files;
+//! * `tvs-bench --json`  — run `ROUNDS` times and (re)write the
+//!   `BENCH_*.json` files with each bench's best round;
 //! * `tvs-bench --check` — run and compare against the committed files:
-//!   any bench whose throughput drops more than 10 % fails the process
-//!   (the CI regression guard). Set `TVS_BENCH_REBASE=1` to rewrite the
-//!   baselines instead of failing;
-//! * `tvs-bench`         — run and print, touch nothing.
+//!   a bench fails the process (the CI regression guard) only if its best
+//!   of up to [`ROUNDS`] rounds is more than 10 % below its baseline — the
+//!   box the suite runs on swings 30–50 % between minutes, and a one-shot
+//!   comparison reads that swing as a regression. Rounds stop as soon as
+//!   every bench passes. Set `TVS_BENCH_REBASE=1` to rewrite the baselines
+//!   instead of failing;
+//! * `tvs-bench`         — run once and print, touch nothing.
 //!
 //! The kernel cells (histogram, encode) time a 64 KiB block; the runtime
 //! cells time the work-stealing executor on short tasks and the
@@ -25,7 +29,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use tvs_bench::microbench::{bench_with, black_box, Measurement, Opts};
+use tvs_bench::microbench::{bench_with, black_box, blocks_at_once, Measurement, Opts};
 use tvs_core::{ReplicatingWorkload, SpecVersion, UndoLog, ValidationMode, WaitBuffer};
 use tvs_huffman::{CodeLengths, CodeTable, EncodedBlock, Histogram};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
@@ -37,6 +41,8 @@ use tvs_workloads::FileKind;
 const BLOCK: usize = 64 * 1024;
 /// Allowed throughput regression in `--check` mode.
 const TOLERANCE: f64 = 0.10;
+/// Rounds of the suite a bench's best is taken over (`--json`, `--check`).
+const ROUNDS: usize = 5;
 
 /// One emitted row of the perf trajectory.
 struct Row {
@@ -78,9 +84,11 @@ fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
     sorted_ns[idx]
 }
 
+/// The commit the rows were measured on, `-dirty` when the tree had
+/// uncommitted changes.
 fn git_rev(root: &Path) -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
         .current_dir(root)
         .output()
         .ok()
@@ -203,9 +211,7 @@ fn threaded_short_row() -> Row {
     let cfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
     let mut per_task_ns: Vec<f64> = (0..REPS)
         .map(|_| {
-            let inputs: Vec<(usize, std::sync::Arc<[u8]>)> = (0..N)
-                .map(|i| (i, std::sync::Arc::from(vec![0u8; TASK_BYTES])))
-                .collect();
+            let inputs = blocks_at_once(N, TASK_BYTES);
             let t = Instant::now();
             let (w, m) = threaded::run(
                 PerBlock { n: N, seen: 0 },
@@ -250,9 +256,7 @@ fn threaded_short_replicated_row() -> Row {
     let digest = |_: &'static str, out: &dyn std::any::Any| out.downcast_ref::<()>().map(|_| 0x5DC);
     let mut per_task_ns: Vec<f64> = (0..REPS)
         .map(|_| {
-            let inputs: Vec<(usize, std::sync::Arc<[u8]>)> = (0..N)
-                .map(|i| (i, std::sync::Arc::from(vec![0u8; TASK_BYTES])))
-                .collect();
+            let inputs = blocks_at_once(N, TASK_BYTES);
             let wl = ReplicatingWorkload::new(
                 PerBlock { n: N, seen: 0 },
                 ValidationMode::Replicate { sample_rate: 1.0 },
@@ -405,13 +409,14 @@ fn parse_baseline(text: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Compare fresh rows against a committed baseline. Returns failure lines.
-fn check(rows: &[Row], baseline: &str, file: &str) -> Vec<String> {
+/// Compare rows against a committed baseline: one report line per bench,
+/// and the failure lines.
+fn check(rows: &[Row], baseline: &str, file: &str) -> (Vec<String>, Vec<String>) {
     let base = parse_baseline(baseline);
-    let mut failures = Vec::new();
+    let (mut report, mut failures) = (Vec::new(), Vec::new());
     for r in rows {
         let Some((_, was)) = base.iter().find(|(n, _)| n == r.bench) else {
-            println!("{file}: {} — new bench, no baseline", r.bench);
+            report.push(format!("{file}: {} — new bench, no baseline", r.bench));
             continue;
         };
         let ratio = r.bytes_per_sec / was;
@@ -427,15 +432,28 @@ fn check(rows: &[Row], baseline: &str, file: &str) -> Vec<String> {
         } else {
             "ok"
         };
-        println!(
+        report.push(format!(
             "{file}: {:<28} {:.3e} vs baseline {:.3e} ({:+.1}%) {verdict}",
             r.bench,
             r.bytes_per_sec,
             was,
             (ratio - 1.0) * 100.0,
-        );
+        ));
     }
-    failures
+    (report, failures)
+}
+
+/// One round of the whole suite: the kernel rows, then the runtime rows.
+fn suite() -> [Vec<Row>; 2] {
+    println!("== tvs-bench: huffman kernels ==");
+    let huffman = huffman_rows();
+    println!("== tvs-bench: runtime ==");
+    let runtime = vec![
+        threaded_short_row(),
+        threaded_short_replicated_row(),
+        spec_engine_row(),
+    ];
+    [huffman, runtime]
 }
 
 fn main() {
@@ -445,39 +463,54 @@ fn main() {
     let rebase = std::env::var("TVS_BENCH_REBASE")
         .map(|v| v == "1")
         .unwrap_or(false);
+    let names = ["BENCH_huffman.json", "BENCH_runtime.json"];
+    let baselines = names.map(|name| std::fs::read_to_string(root.join(name)).unwrap_or_default());
+    let judged = mode == "--check" && !rebase;
+    let regressions = |rows: &[Vec<Row>; 2]| {
+        let mut all = (Vec::new(), Vec::new());
+        for ((name, rows), baseline) in names.iter().zip(rows).zip(&baselines) {
+            let (report, failures) = check(rows, baseline, name);
+            all.0.extend(report);
+            all.1.extend(failures);
+        }
+        all
+    };
 
-    println!("== tvs-bench: huffman kernels ==");
-    let huffman = huffman_rows();
-    println!("== tvs-bench: runtime ==");
-    let runtime = vec![
-        threaded_short_row(),
-        threaded_short_replicated_row(),
-        spec_engine_row(),
-    ];
+    // Each bench keeps its best round; a judged check stops as soon as
+    // every bench is within tolerance.
+    let rounds = if matches!(mode.as_str(), "--json" | "--check") {
+        ROUNDS
+    } else {
+        1
+    };
+    let mut best = suite();
+    for round in 2..=rounds {
+        if judged && regressions(&best).1.is_empty() {
+            break;
+        }
+        println!("== round {round} of {ROUNDS} ==");
+        for (best, fresh) in best.iter_mut().zip(suite()) {
+            for (b, f) in best.iter_mut().zip(fresh) {
+                if f.bytes_per_sec > b.bytes_per_sec {
+                    *b = f;
+                }
+            }
+        }
+    }
 
-    let files = [
-        ("BENCH_huffman.json", &huffman),
-        ("BENCH_runtime.json", &runtime),
-    ];
     match mode.as_str() {
-        "--json" => {
-            for (name, rows) in files {
+        "--json" | "--check" if !judged => {
+            for (name, rows) in names.iter().zip(&best) {
                 let path = root.join(name);
                 std::fs::write(&path, render(rows, &rev)).expect("write baseline");
                 println!("  -> {}", path.display());
             }
         }
         "--check" => {
-            let mut failures = Vec::new();
-            for (name, rows) in files {
-                let path = root.join(name);
-                let baseline = std::fs::read_to_string(&path).unwrap_or_default();
-                if rebase {
-                    std::fs::write(&path, render(rows, &rev)).expect("write baseline");
-                    println!("  rebased -> {}", path.display());
-                } else {
-                    failures.extend(check(rows, &baseline, name));
-                }
+            let (report, failures) = regressions(&best);
+            println!("== best of up to {ROUNDS} rounds vs committed baselines ==");
+            for line in &report {
+                println!("{line}");
             }
             if !failures.is_empty() {
                 eprintln!("\nperf regression guard failed:");
@@ -489,7 +522,7 @@ fn main() {
             }
         }
         _ => {
-            for (name, rows) in files {
+            for (name, rows) in names.iter().zip(&best) {
                 print!("-- {name} --\n{}", render(rows, &rev));
             }
         }
@@ -497,7 +530,7 @@ fn main() {
 
     // The steady-state claim is part of the committed trajectory: fail
     // loudly if pooling ever starts allocating again.
-    if let Some(r) = runtime
+    if let Some(r) = best[1]
         .iter()
         .find(|r| r.bench == "spec_engine_steady_state")
     {

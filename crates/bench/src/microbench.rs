@@ -124,6 +124,18 @@ impl Measurement {
     }
 }
 
+/// `n` blocks of `bytes` zero bytes, all due at once: the input of the
+/// short-task executor cells, which the feeder hands over in one batch.
+pub fn blocks_at_once(n: usize, bytes: usize) -> Vec<tvs_sre::InputBlock> {
+    (0..n)
+        .map(|index| tvs_sre::InputBlock {
+            index,
+            arrival: 0,
+            data: vec![0u8; bytes].into(),
+        })
+        .collect()
+}
+
 /// Render a nanosecond quantity with an auto-scaled unit.
 pub fn fmt_ns(ns: f64) -> String {
     if !ns.is_finite() {

@@ -11,8 +11,8 @@
 //! times the two runs back to back on a single test thread — the bound is
 //! the design budget: metrics-enabled within 3 % of disabled.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tvs_bench::microbench::blocks_at_once;
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::task::{payload, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
@@ -58,8 +58,7 @@ fn median_secs(n: usize, metered: bool, reps: usize) -> f64 {
     let cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
-            let inputs: Vec<(usize, Arc<[u8]>)> =
-                (0..n).map(|i| (i, Arc::from(vec![0u8; 16]))).collect();
+            let inputs = blocks_at_once(n, 16);
             let hub = if metered {
                 MetricsHub::enabled(cfg.workers)
             } else {

@@ -80,7 +80,7 @@ pub enum FaultSite {
     PredictedValue,
     /// Undo-journal replay during an abort.
     UndoJournal,
-    /// The input feeder (iosim paced delivery / threaded feeder thread).
+    /// The input feeder (the simulator's arrivals / the threaded feeder).
     Feeder,
     /// A task body's *output*, after it was computed but before it is
     /// delivered. [`FaultKind::CorruptValue`] here models a silent data

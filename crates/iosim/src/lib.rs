@@ -7,9 +7,10 @@
 //! a deterministic, seedable function from block index to arrival time in
 //! virtual microseconds.
 //!
-//! For the real threaded runtime and the examples, [`pace`] provides
-//! wall-clock pacing of the same schedules, and [`tcp`] provides an actual
-//! loopback TCP streamer with bandwidth throttling.
+//! Both executors take the schedule itself (the threaded one paces it on
+//! the wall clock in its feeder); [`pace`] paces one for a caller that
+//! feeds blocks on its own, and [`tcp`] provides an actual loopback TCP
+//! streamer with bandwidth throttling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 /// Iterates over the blocks of `data`, yielding each block no earlier than
 /// its scheduled arrival time (measured from construction).
 ///
-/// Used by the threaded executor's input-feeder thread and by the examples;
-/// the discrete-event executor consumes schedules directly instead.
+/// For a caller that feeds blocks on its own; both executors take the
+/// schedule directly instead.
 pub struct PacedBlocks<'a> {
     data: &'a [u8],
     block_bytes: usize,

@@ -4,16 +4,40 @@
 //! Task graph (non-speculative path):
 //!
 //! ```text
-//! block_i ──► count_i ─┐
+//! chunk_c ──► count_c ─┐
 //!                      ├─► reduce_g ─► reduce_{g+1} ─► … ─► tree
-//! block_j ──► count_j ─┘                                      │
+//! chunk_d ──► count_d ─┘                                      │
 //!        ┌────────────────────────────────────────────────────┘
 //!        ▼
-//!   offset_0 ─► offset_1 ─► …        (serial chain, fan-out F)
+//!   offset_0 ─► offset_1 ─► …        (serial chain, fan-out F blocks)
 //!      │            │
 //!      ▼            ▼
-//!  encode×F     encode×F              (data-parallel)
+//!  encode×k     encode×k              (data-parallel: one per chunk ∩ group)
 //! ```
+//!
+//! The grain: a *chunk* is the unit of work. Blocks arrive in batches —
+//! every block that became available at the same moment, in one
+//! [`Workload::on_input_batch`]. When a batch holds at least one whole
+//! reduce group per worker, each group whose blocks all arrived in it is
+//! *coarse*: one chunk, cut where it would exceed the platform's task-byte
+//! limit. Every other block is a chunk of one. So blocks dribbling in from
+//! a disk or a slow socket keep the paper's per-block tasks, while a
+//! backlog — a whole file in memory, a socket burst on few workers — is
+//! worked a group at a time:
+//!
+//! * one `count` per chunk, still returning a histogram per block (the
+//!   offset chain and the checkpoint need them);
+//! * the serial chains take everything ready in one hop: a `reduce` folds
+//!   the counted coarse groups from the next one on and returns each
+//!   group's running total, an `offset` covers the counted coarse blocks
+//!   from the chain's end on — otherwise a hop waits behind coarse tasks
+//!   bound in the executor's lanes, once per group;
+//! * one `encode` per chunk ∩ group of `offset_fanout` blocks, each block
+//!   at its own lead and placed at its own offset.
+//!
+//! Nothing else depends on the grain: reduce groups, basis events, checks
+//! and the stream are the same, and so is the output. Per-block work is a
+//! chunk of one on the same path.
 //!
 //! Speculation (per §IV-B): prefix histograms from the reduce chain feed
 //! predictor tasks that build speculative trees; speculative offset/encode
@@ -51,7 +75,8 @@
 
 use crate::config::{HuffmanConfig, PredictorKind};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 use tvs_core::{
     Action, AllocStats, CheckResult, CheckpointConfig, Level, ManagerStats, ResumeError,
     ScratchPool, SpecVersion, SpeculationManager, StreamSnapshot, WaitBuffer,
@@ -61,6 +86,7 @@ use tvs_huffman::{
     Histogram, OffsetChain,
 };
 use tvs_metrics::{Gauge, MetricsHub};
+use tvs_sre::fault::lock_recover;
 use tvs_sre::task::{expect_payload, payload};
 use tvs_sre::{
     Completion, FaultInjector, FaultKind, FaultNotice, FaultSite, InputBlock, Instruments,
@@ -309,12 +335,16 @@ pub struct HuffmanWorkload {
     n_groups: usize,
     src_bytes: usize,
 
+    /// Each block's bytes, from its arrival until it is finalized.
     data: Vec<Option<Arc<[u8]>>>,
     arrival: Vec<Time>,
     counts: Vec<Option<Arc<Histogram>>>,
     counted_prefix: usize,
-    first_count_seen: bool,
 
+    /// Per reduce group: it arrived whole in a coarsened batch, so it is
+    /// counted, reduced, offset and encoded in chunks (see the module
+    /// header); every other block is a chunk of one.
+    coarse: Vec<bool>,
     acc: Vec<Arc<Histogram>>,
     reduces_done: usize,
     reduce_inflight: bool,
@@ -358,7 +388,12 @@ pub struct HuffmanWorkload {
     // speculation control path performs no per-block heap allocation.
     actions_scratch: Vec<Action>,
     commit_scratch: Vec<(u64, EncodeOut)>,
-    encode_pool: ScratchPool<u8>,
+    /// Encode output buffers: an encode task takes its blocks' buffers
+    /// when it runs, and a block's buffer comes back when the block is
+    /// finalized (its bits are in the stream by then) — so in steady state
+    /// encode allocates nothing per block, however far ahead of the
+    /// workers encodes are spawned.
+    encode_pool: Arc<Mutex<ScratchPool<u8>>>,
 }
 
 impl HuffmanWorkload {
@@ -409,7 +444,7 @@ impl HuffmanWorkload {
             arrival: vec![0; n_blocks],
             counts: vec![None; n_blocks],
             counted_prefix: 0,
-            first_count_seen: false,
+            coarse: vec![false; n_groups],
             acc: Vec::with_capacity(n_groups),
             reduces_done: 0,
             reduce_inflight: false,
@@ -437,7 +472,7 @@ impl HuffmanWorkload {
             resume_k: 0,
             actions_scratch: Vec::new(),
             commit_scratch: Vec::new(),
-            encode_pool: ScratchPool::new(),
+            encode_pool: Arc::default(),
             cfg,
         }
     }
@@ -558,7 +593,7 @@ impl HuffmanWorkload {
             committed_version: self.committed_version,
             spec_stats,
             output,
-            alloc_stats: self.encode_pool.stats(),
+            alloc_stats: lock_recover(&self.encode_pool).stats(),
         }
     }
 
@@ -670,48 +705,122 @@ impl HuffmanWorkload {
     // Spawning helpers
     // ------------------------------------------------------------------
 
-    fn spawn_count(&mut self, ctx: &mut dyn SchedCtx, idx: usize) {
-        let data = self.data[idx].as_ref().expect("block arrived").clone();
+    /// The chunks a batch's blocks are counted in, given as the batch's
+    /// block indices (ascending, none counted yet): when the batch holds at
+    /// least one whole reduce group per worker, each whole group — marked
+    /// coarse — cut at `max_bytes`; one block each otherwise.
+    fn chunk_batch(
+        &mut self,
+        fresh: &[usize],
+        workers: usize,
+        max_bytes: Option<usize>,
+    ) -> Vec<Range<usize>> {
+        let ratio = self.cfg.reduce_ratio;
+        // Ascending and duplicate-free: a group is whole when its first and
+        // last block sit `len - 1` places apart.
+        let whole_at = |i: usize| {
+            let g = fresh[i] / ratio;
+            let span = g * ratio..((g + 1) * ratio).min(self.n_blocks);
+            (fresh[i] == span.start && fresh.get(i + span.len() - 1) == Some(&(span.end - 1)))
+                .then_some(span)
+        };
+        let whole = (0..fresh.len()).filter_map(whole_at).count();
+        if whole < workers.max(1) {
+            return fresh.iter().map(|&i| i..i + 1).collect();
+        }
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < fresh.len() {
+            match whole_at(i) {
+                Some(span) => {
+                    i += span.len();
+                    self.coarse[span.start / ratio] = true;
+                    out.extend(split(&self.data, span, max_bytes));
+                }
+                None => {
+                    out.push(fresh[i]..fresh[i] + 1);
+                    i += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// One `count` task over the chunk `blocks`: a histogram per block.
+    fn spawn_count(&mut self, ctx: &mut dyn SchedCtx, blocks: Range<usize>) {
+        let data: Vec<Arc<[u8]>> = blocks
+            .clone()
+            .map(|i| self.data[i].clone().expect("block arrived"))
+            .collect();
+        let bytes = data.iter().map(|d| d.len()).sum();
         ctx.spawn(TaskSpec::regular(
             "count",
             0,
-            data.len(),
-            idx as u64,
-            move |_| payload(Arc::new(Histogram::from_bytes(&data))),
+            bytes,
+            blocks.start as u64,
+            move |_| {
+                let hists: Vec<Arc<Histogram>> = data
+                    .iter()
+                    .map(|d| Arc::new(Histogram::from_bytes(d)))
+                    .collect();
+                payload(hists)
+            },
         ));
     }
 
+    /// Spawn the next hop of the serial reduce chain once its group is
+    /// counted. A group that arrived whole in a coarsened batch takes the
+    /// counted coarse groups after it along, within the task-byte limit: one
+    /// task folds them in order and returns every group's running total, so
+    /// the basis events are those of one reduce per group.
     fn maybe_spawn_reduce(&mut self, ctx: &mut dyn SchedCtx) {
         if self.reduce_inflight || self.reduces_done >= self.n_groups {
             return;
         }
         let g = self.reduces_done;
-        let lo = g * self.cfg.reduce_ratio;
-        let hi = ((g + 1) * self.cfg.reduce_ratio).min(self.n_blocks);
-        if self.counted_prefix < hi {
+        let ratio = self.cfg.reduce_ratio;
+        // Per-block histograms travel as u32 counts (1 KB); the running
+        // accumulator needs u64 (2 KB). At the Cell's 16:1 ratio one group
+        // is 18 KB — inside the 32 KB local-store task limit, as the paper's
+        // configuration requires.
+        let mut bytes = if g == 0 { 0 } else { 2048 };
+        let mut groups: Vec<Vec<Arc<Histogram>>> = Vec::new();
+        for h in g..self.n_groups {
+            let blocks = h * ratio..((h + 1) * ratio).min(self.n_blocks);
+            let more = blocks.len() * 1024;
+            let along = h == g
+                || (self.coarse[g]
+                    && self.coarse[h]
+                    && ctx.max_task_bytes().is_none_or(|max| bytes + more <= max));
+            if !along || self.counted_prefix < blocks.end {
+                break;
+            }
+            bytes += more;
+            groups.push(
+                blocks
+                    .map(|i| self.counts[i].clone().expect("counted"))
+                    .collect(),
+            );
+        }
+        if groups.is_empty() {
             return;
         }
-        let group: Vec<Arc<Histogram>> = (lo..hi)
-            .map(|i| self.counts[i].as_ref().expect("counted").clone())
-            .collect();
-        let prev = if g == 0 {
-            None
-        } else {
-            Some(self.acc[g - 1].clone())
-        };
-        // Per-block histograms travel as u32 counts (1 KB); the running
-        // accumulator needs u64 (2 KB). At the Cell's 16:1 ratio this is
-        // 18 KB — inside the 32 KB local-store task limit, as the paper's
-        // configuration requires.
-        let bytes = group.len() * 1024 + if prev.is_some() { 2048 } else { 0 };
+        let prev = (g > 0).then(|| self.acc[g - 1].clone());
         self.reduce_inflight = true;
         ctx.spawn(TaskSpec::regular("reduce", 1, bytes, g as u64, move |_| {
             // Fused fold: base + Σ parts in a single output pass, instead of
             // cloning the accumulator and re-sweeping it once per part.
             let zero = Histogram::new();
-            let base = prev.as_deref().unwrap_or(&zero);
-            let h = Histogram::merged_with_base(base, group.iter().map(Arc::as_ref));
-            payload(Arc::new(h))
+            let mut totals: Vec<Arc<Histogram>> = Vec::with_capacity(groups.len());
+            for group in &groups {
+                let base = totals
+                    .last()
+                    .or(prev.as_ref())
+                    .map_or(&zero, |t| t.as_ref());
+                let h = Histogram::merged_with_base(base, group.iter().map(Arc::as_ref));
+                totals.push(Arc::new(h));
+            }
+            payload(totals)
         }));
     }
 
@@ -819,7 +928,9 @@ impl HuffmanWorkload {
 
     /// Advance a path's serial offset chain: spawn the next offset task if
     /// its group of counted blocks is available. Offsets chain serially;
-    /// the next one is spawned when this one completes.
+    /// the next one is spawned when this one completes. Coarse blocks take
+    /// the counted coarse groups of `offset_fanout` blocks after them
+    /// along, within the task-byte limit, as the reduce chain does.
     fn pump_path(&mut self, ctx: &mut dyn SchedCtx, which: PathSel) {
         let counted_prefix = self.counted_prefix;
         let (fanout, n_blocks) = (self.cfg.offset_fanout, self.n_blocks);
@@ -832,9 +943,24 @@ impl HuffmanWorkload {
             }
             (path.version, path.tree.clone(), path.chain.blocks_done())
         };
-        let hi = (lo + fanout).min(n_blocks).min(counted_prefix);
+        let next = |hi: usize| (hi + fanout).min(n_blocks).min(counted_prefix);
+        let mut hi = next(lo);
         if hi <= lo {
             return;
+        }
+        let coarse = |blocks: Range<usize>| {
+            let ratio = self.cfg.reduce_ratio;
+            blocks.into_iter().all(|i| self.coarse[i / ratio])
+        };
+        if coarse(lo..hi) {
+            while next(hi) > hi
+                && coarse(hi..next(hi))
+                && ctx
+                    .max_task_bytes()
+                    .is_none_or(|max| (next(hi) - lo) * 1024 <= max)
+            {
+                hi = next(hi);
+            }
         }
         let group: Vec<Arc<Histogram>> = (lo..hi)
             .map(|i| self.counts[i].as_ref().expect("counted").clone())
@@ -870,75 +996,71 @@ impl HuffmanWorkload {
         }
     }
 
-    /// Spawn the encode tasks of blocks `lo..`, one per starting bit
-    /// offset in `starts`.
-    fn spawn_encodes(
-        &mut self,
-        ctx: &mut dyn SchedCtx,
-        version: Option<SpecVersion>,
-        tree: &Arc<SpecTree>,
-        lo: usize,
-        starts: &[u64],
-    ) {
-        for (idx, &start) in (lo..).zip(starts) {
-            if self.done[idx].is_some() {
-                // Only the replay of a committed version meets blocks that
-                // are already out (see `on_version_lost`).
+    /// Spawn the encode tasks of `blocks`, whose offsets `which`'s chain has
+    /// just computed: one task per chunk ∩ group of `offset_fanout` blocks,
+    /// each block encoded with the lead its offset asks for.
+    fn spawn_encodes(&mut self, ctx: &mut dyn SchedCtx, which: PathSel, blocks: Range<usize>) {
+        let (ratio, fanout) = (self.cfg.reduce_ratio, self.cfg.offset_fanout);
+        let HuffmanWorkload {
+            spec_path,
+            natural_path,
+            data,
+            coarse,
+            done,
+            encode_pool,
+            faults,
+            ..
+        } = self;
+        let path = match which {
+            PathSel::Spec => spec_path.as_ref(),
+            PathSel::Natural => natural_path.as_ref(),
+        }
+        .expect("encodes for a live path");
+        let mut runs = Vec::new();
+        let mut idx = blocks.start;
+        while idx < blocks.end {
+            // Only the replay of a committed version meets blocks that are
+            // already out (see `on_version_lost`).
+            if done[idx].is_some() {
+                idx += 1;
                 continue;
             }
-            let data = self.data[idx].as_ref().expect("arrived").clone();
-            let table = tree.clone();
-            let lead = (start % 8) as u8;
-            // The output buffer travels into the task, comes back through
-            // the completion payload, and re-enters the pool when the block
-            // is finalised (its bits are in the stream by then) — so in
-            // steady state encode allocates nothing per block.
-            // Option dance: task bodies are FnMut but run once; taking the
-            // buffer out keeps the closure re-callable in the type system.
-            let mut recycled = Some(self.encode_pool.take());
-            let faults = self.faults.clone();
-            let body = move |_: &tvs_sre::TaskCtx| {
-                let mut out = EncodedBlock {
-                    bytes: recycled.take().unwrap_or_default(),
-                    ..Default::default()
-                };
-                assert!(
-                    encode_block_at(&data, &table.table, lead, &mut out),
-                    "covering/exact table encodes all bytes"
-                );
-                // Chaos: a silent data corruption flips bits in the encoded
-                // output *after* a successful encode. Nothing panics and no
-                // tolerance check sees the damage (the bit count is intact),
-                // so only replication-based validation can catch it. The
-                // flipped byte avoids the zero-padded tail and a first byte
-                // that holds lead bits so the corruption always lands on
-                // meaningful bits, and the xor mask is occurrence-unique so
-                // two corrupted replicas of the same block still disagree
-                // with each other.
-                if let Some((FaultKind::CorruptValue, occ)) =
-                    faults.draw_with_occurrence(FaultSite::TaskOutput)
-                {
-                    let skip = usize::from(lead > 0);
-                    let len = out.bytes.len();
-                    if len > 1 + skip {
-                        let pos = (occ as usize).wrapping_mul(0x9E37_79B9) % (len - 1 - skip);
-                        out.bytes[skip + pos] ^= ((occ % 255) + 1) as u8;
-                    }
+            let lo = idx;
+            idx += 1;
+            while idx < blocks.end
+                && coarse[lo / ratio]
+                && idx / ratio == lo / ratio
+                && !(idx - blocks.start).is_multiple_of(fanout)
+                && done[idx].is_none()
+            {
+                idx += 1;
+            }
+            runs.extend(split(data, lo..idx, ctx.max_task_bytes()));
+        }
+        for blocks in runs {
+            let lo = blocks.start;
+            let run: Vec<RunBlock> = blocks
+                .map(|i| RunBlock {
+                    data: data[i].clone().expect("arrived"),
+                    lead: (path.chain.offsets()[i] % 8) as u8,
+                })
+                .collect();
+            let bytes = run.iter().map(|b| b.data.len()).sum();
+            let (table, pool, faults) = (path.tree.clone(), encode_pool.clone(), faults.clone());
+            let versioned = path.version.is_some();
+            let body = move |task: &tvs_sre::TaskCtx| {
+                // Only a versioned task's abort flag means its output will
+                // be discarded: stop at the next block boundary then.
+                let stop = || versioned && task.aborted();
+                let mut out = encode_run(&run, &table.table, &pool, stop);
+                if out.len() == run.len() {
+                    corrupt_one(&faults, &mut out);
                 }
-                payload(out)
+                payload((lo, out))
             };
-            let task = match version {
-                Some(v) => TaskSpec::speculative(
-                    "encode",
-                    4,
-                    data_len_of(&self.data, idx),
-                    v,
-                    idx as u64,
-                    body,
-                ),
-                None => {
-                    TaskSpec::regular("encode", 4, data_len_of(&self.data, idx), idx as u64, body)
-                }
+            let task = match path.version {
+                Some(v) => TaskSpec::speculative("encode", 4, bytes, v, lo as u64, body),
+                None => TaskSpec::regular("encode", 4, bytes, lo as u64, body),
             };
             ctx.spawn(task);
         }
@@ -985,12 +1107,17 @@ impl HuffmanWorkload {
         if self.cfg.collect_output || self.ckpt.is_some() {
             place(&mut self.stream, out.bit_off, &out.encoded);
         }
-        self.encode_pool.put(out.encoded.bytes);
+        // A finalized block is never encoded again (see `spawn_encodes`).
+        self.data[idx] = None;
         self.blocks_done += 1;
-        if self.metrics.is_live() {
-            let a = self.encode_pool.stats();
-            self.metrics.gauge_set(Gauge::AllocHeap, a.heap_allocs);
-            self.metrics.gauge_set(Gauge::AllocReuse, a.reuses);
+        {
+            let mut pool = lock_recover(&self.encode_pool);
+            pool.put(out.encoded.bytes);
+            if self.metrics.is_live() {
+                let a = pool.stats();
+                self.metrics.gauge_set(Gauge::AllocHeap, a.heap_allocs);
+                self.metrics.gauge_set(Gauge::AllocReuse, a.reuses);
+            }
         }
         self.advance_checkpoint();
     }
@@ -1111,8 +1238,90 @@ impl HuffmanWorkload {
     }
 }
 
-fn data_len_of(data: &[Option<Arc<[u8]>>], idx: usize) -> usize {
-    data[idx].as_ref().map(|d| d.len()).unwrap_or(0)
+/// `blocks` cut into runs of consecutive blocks that touch at most
+/// `max_bytes` input bytes each (a block larger than that on its own).
+fn split(
+    data: &[Option<Arc<[u8]>>],
+    blocks: Range<usize>,
+    max_bytes: Option<usize>,
+) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    let (mut lo, mut bytes) = (blocks.start, 0);
+    for b in blocks.clone() {
+        let len = data[b].as_ref().map_or(0, |d| d.len());
+        if b > lo && max_bytes.is_some_and(|max| bytes + len > max) {
+            out.push(lo..b);
+            (lo, bytes) = (b, 0);
+        }
+        bytes += len;
+    }
+    out.push(lo..blocks.end);
+    out
+}
+
+/// One block of an `encode` task: its bytes and the lead its offset asks
+/// for.
+struct RunBlock {
+    data: Arc<[u8]>,
+    lead: u8,
+}
+
+/// Encode `run`'s blocks in order, each at its own lead, into buffers from
+/// `pool`. `stop` is asked before every block; once it says so, the rest
+/// are left out.
+fn encode_run(
+    run: &[RunBlock],
+    table: &CodeTable,
+    pool: &Mutex<ScratchPool<u8>>,
+    stop: impl Fn() -> bool,
+) -> Vec<EncodedBlock> {
+    let bufs: Vec<Vec<u8>> = {
+        let mut pool = lock_recover(pool);
+        run.iter().map(|_| pool.take()).collect()
+    };
+    let mut out = Vec::with_capacity(run.len());
+    for (b, bytes) in run.iter().zip(bufs) {
+        if stop() {
+            break;
+        }
+        let mut e = EncodedBlock {
+            bytes,
+            ..Default::default()
+        };
+        assert!(
+            encode_block_at(&b.data, table, b.lead, &mut e),
+            "covering/exact table encodes all bytes"
+        );
+        out.push(e);
+    }
+    out
+}
+
+/// Chaos: a silent data corruption flips bits in one block of an encode's
+/// output *after* a successful encode. Nothing panics and no tolerance
+/// check sees the damage (the bit count is intact), so only
+/// replication-based validation can catch it. The block is picked by the
+/// draw's occurrence among those long enough to take it; the flipped byte
+/// avoids the zero-padded tail and a first byte that holds lead bits so
+/// the corruption always lands on meaningful bits, and the xor mask is
+/// occurrence-unique so two corrupted replicas of the same task still
+/// disagree with each other.
+fn corrupt_one(faults: &FaultInjector, out: &mut [EncodedBlock]) {
+    let Some((FaultKind::CorruptValue, occ)) = faults.draw_with_occurrence(FaultSite::TaskOutput)
+    else {
+        return;
+    };
+    let room = |e: &EncodedBlock| e.bytes.len().saturating_sub(1 + usize::from(e.lead > 0));
+    let n = out.len();
+    let Some(k) = (0..n)
+        .map(|k| (occ as usize + k) % n)
+        .find(|&k| room(&out[k]) > 0)
+    else {
+        return;
+    };
+    let e = &mut out[k];
+    let pos = (occ as usize).wrapping_mul(0x9E37_79B9) % room(e);
+    e.bytes[usize::from(e.lead > 0) + pos] ^= ((occ % 255) + 1) as u8;
 }
 
 /// Scramble a predicted tree for [`FaultSite::PredictedValue`] injection.
@@ -1159,11 +1368,14 @@ pub fn digest_output(name: &'static str, out: &dyn std::any::Any) -> Option<u64>
     fn check(h: u64, r: &CheckResult) -> u64 {
         word(word(h, r.valid as u64), r.delta.to_bits())
     }
+    fn hist(h: u64, hist: &Histogram) -> u64 {
+        hist.counts().iter().fold(h, |h, &c| word(h, c))
+    }
     let h = FNV_OFFSET;
     match name {
         "count" | "reduce" => {
-            let hist = out.downcast_ref::<Arc<Histogram>>()?;
-            Some(hist.counts().iter().fold(h, |h, &c| word(h, c)))
+            let hists = out.downcast_ref::<Vec<Arc<Histogram>>>()?;
+            Some(hists.iter().fold(h, |h, x| hist(h, x)))
         }
         "tree" | "predict" => {
             let tree = out.downcast_ref::<Arc<SpecTree>>()?;
@@ -1174,9 +1386,11 @@ pub fn digest_output(name: &'static str, out: &dyn std::any::Any) -> Option<u64>
             Some(lens.iter().fold(word(h, *lo as u64), |h, &l| word(h, l)))
         }
         "encode" => {
-            let e = out.downcast_ref::<EncodedBlock>()?;
-            let h = word(word(bytes(h, &e.bytes), e.bit_len), e.src_len as u64);
-            Some(word(h, u64::from(e.lead)))
+            let (lo, blocks) = out.downcast_ref::<(usize, Vec<EncodedBlock>)>()?;
+            Some(blocks.iter().fold(word(h, *lo as u64), |h, e| {
+                let h = word(word(bytes(h, &e.bytes), e.bit_len), e.src_len as u64);
+                word(h, u64::from(e.lead))
+            }))
         }
         "check" => {
             let (v, r, cand) = out.downcast_ref::<(SpecVersion, CheckResult, Arc<SpecTree>)>()?;
@@ -1199,16 +1413,29 @@ enum PathSel {
 
 impl Workload for HuffmanWorkload {
     fn on_input(&mut self, ctx: &mut dyn SchedCtx, block: InputBlock) {
-        let idx = block.index;
-        assert!(idx < self.n_blocks, "unexpected block index {idx}");
+        self.on_input_batch(ctx, vec![block]);
+    }
+
+    fn on_input_batch(&mut self, ctx: &mut dyn SchedCtx, batch: Vec<InputBlock>) {
         // A halted run spawns nothing further; a resumed run ignores
         // blocks the snapshot already committed.
-        if self.halted || idx < self.resume_k {
+        if self.halted {
             return;
         }
-        self.arrival[idx] = block.arrival;
-        self.data[idx] = Some(block.data);
-        self.spawn_count(ctx, idx);
+        let mut fresh = Vec::with_capacity(batch.len());
+        for block in batch {
+            let idx = block.index;
+            assert!(idx < self.n_blocks, "unexpected block index {idx}");
+            if idx >= self.resume_k {
+                self.arrival[idx] = block.arrival;
+                self.data[idx] = Some(block.data);
+                fresh.push(idx);
+            }
+        }
+        fresh.sort_unstable();
+        for chunk in self.chunk_batch(&fresh, ctx.workers(), ctx.max_task_bytes()) {
+            self.spawn_count(ctx, chunk);
+        }
     }
 
     fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
@@ -1219,11 +1446,12 @@ impl Workload for HuffmanWorkload {
         }
         match done.name {
             "count" => {
-                let idx = done.tag as usize;
-                self.counts[idx] = Some(expect_payload::<Arc<Histogram>>(
-                    done.output,
-                    "Arc<Histogram>",
-                ));
+                let lo = done.tag as usize;
+                let hists =
+                    expect_payload::<Vec<Arc<Histogram>>>(done.output, "Vec<Arc<Histogram>>");
+                for (slot, h) in self.counts[lo..].iter_mut().zip(hists) {
+                    *slot = Some(h);
+                }
                 while self.counted_prefix < self.n_blocks
                     && self.counts[self.counted_prefix].is_some()
                 {
@@ -1236,28 +1464,28 @@ impl Workload for HuffmanWorkload {
                     return;
                 }
                 self.maybe_spawn_reduce(ctx);
-                // Step-0 speculation: predict from the very first block.
-                if self.cfg.speculates() && !self.first_count_seen {
-                    self.first_count_seen = true;
-                    if self.cfg.schedule.step == 0 && self.counts[0].is_some() {
-                        self.speculate(ctx, SpecEvent::Basis(0));
-                    }
+                // Step-0 speculation: predict from the very first block's
+                // count, the moment it is in.
+                if lo == 0 && self.cfg.speculates() && self.cfg.schedule.step == 0 {
+                    self.speculate(ctx, SpecEvent::Basis(0));
                 }
                 // New counted blocks may unblock the active paths.
                 self.pump_path(ctx, PathSel::Spec);
                 self.pump_path(ctx, PathSel::Natural);
             }
             "reduce" => {
-                let g = done.tag as usize;
-                debug_assert_eq!(g, self.reduces_done);
-                let h = expect_payload::<Arc<Histogram>>(done.output, "Arc<Histogram>");
-                self.acc.push(h);
-                self.reduces_done += 1;
+                debug_assert_eq!(done.tag as usize, self.reduces_done);
+                let totals =
+                    expect_payload::<Vec<Arc<Histogram>>>(done.output, "Vec<Arc<Histogram>>");
                 self.reduce_inflight = false;
-                if self.cfg.speculates() && self.reduces_done < self.n_groups {
-                    let basis = self.reduces_done as u64;
-                    self.eager_check(ctx, basis);
-                    self.speculate(ctx, SpecEvent::Basis(basis));
+                for h in totals {
+                    self.acc.push(h);
+                    self.reduces_done += 1;
+                    if self.cfg.speculates() && self.reduces_done < self.n_groups {
+                        let basis = self.reduces_done as u64;
+                        self.eager_check(ctx, basis);
+                        self.speculate(ctx, SpecEvent::Basis(basis));
+                    }
                 }
                 if self.reduces_done == self.n_groups {
                     self.spawn_tree(ctx);
@@ -1330,38 +1558,37 @@ impl Workload for HuffmanWorkload {
                 // Stale offsets of rolled-back paths are already filtered by
                 // version-abort; an offset for a *replaced* path is impossible
                 // because replacement only happens after abort.
-                let (tree, version, starts) = {
-                    let path = self.path_mut(which).expect("offset for a live path");
-                    debug_assert_eq!(path.chain.blocks_done(), lo);
-                    path.offset_inflight = false;
-                    path.chain.extend(&lens);
-                    let starts = path.chain.offsets()[lo..].to_vec();
-                    (path.tree.clone(), path.version, starts)
-                };
-                self.spawn_encodes(ctx, version, &tree, lo, &starts);
+                let path = self.path_mut(which).expect("offset for a live path");
+                debug_assert_eq!(path.chain.blocks_done(), lo);
+                path.offset_inflight = false;
+                path.chain.extend(&lens);
+                self.spawn_encodes(ctx, which, lo..lo + lens.len());
                 self.pump_path(ctx, which);
             }
             "encode" => {
-                let idx = done.tag as usize;
-                let encoded = expect_payload::<EncodedBlock>(done.output, "EncodedBlock");
+                let (lo, encoded) =
+                    expect_payload::<(usize, Vec<EncodedBlock>)>(done.output, "(usize, blocks)");
                 // Completions of an aborted version never get here, so the
-                // block's path — and the offset it gave the encode — is live.
-                let path = match done.version {
-                    Some(_) => self.spec_path.as_ref(),
-                    None => self.natural_path.as_ref(),
-                }
-                .expect("encode for a live path");
-                debug_assert_eq!(path.version, done.version);
-                let out = EncodeOut {
-                    encoded,
-                    bit_off: path.chain.offsets()[idx],
-                    finished: done.finished,
+                // blocks' path — and the offsets it gave the encode — is
+                // live, and the task ran to its last block.
+                let which = match done.version {
+                    Some(_) => PathSel::Spec,
+                    None => PathSel::Natural,
                 };
-                match done.version {
-                    Some(v) if self.committed_version != Some(v) => {
-                        self.buffer.push(v, idx as u64, out)
+                for (idx, encoded) in (lo..).zip(encoded) {
+                    let path = self.path_mut(which).expect("encode for a live path");
+                    debug_assert_eq!(path.version, done.version);
+                    let out = EncodeOut {
+                        encoded,
+                        bit_off: path.chain.offsets()[idx],
+                        finished: done.finished,
+                    };
+                    match done.version {
+                        Some(v) if self.committed_version != Some(v) => {
+                            self.buffer.push(v, idx as u64, out)
+                        }
+                        _ => self.finalize_block(idx, out),
                     }
-                    _ => self.finalize_block(idx, out),
                 }
             }
             other => unreachable!("unknown completion '{other}'"),
@@ -1653,6 +1880,10 @@ mod tests {
             self.inner.on_input(ctx, block);
         }
 
+        fn on_input_batch(&mut self, ctx: &mut dyn SchedCtx, batch: Vec<InputBlock>) {
+            self.inner.on_input_batch(ctx, batch);
+        }
+
         fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
             let (id, name, tag) = (done.id, done.name, done.tag);
             self.inner.on_complete(ctx, done);
@@ -1707,8 +1938,10 @@ mod tests {
     }
 
     /// Runs `data` with one loss injected at `when`: on the simulator
-    /// (deterministic) and on two real workers fed everything at t = 0,
-    /// where a run that strands its blocks would hang — hence the timeout.
+    /// (deterministic, everything at t = 0) and on two real workers fed a
+    /// block every 20 µs, where a run that strands its blocks would hang —
+    /// hence the timeout. (Fed at once, real workers encode the whole
+    /// input before the final check commits it: no loss point.)
     fn results_with_loss(
         data: &[u8],
         when: fn(&HuffmanWorkload) -> Option<SpecVersion>,
@@ -1734,11 +1967,7 @@ mod tests {
         // there (everything encoded by the time the version commits).
         let mut reached = 0;
         for _ in 0..20 {
-            let inputs: Vec<(usize, Arc<[u8]>)> = data
-                .chunks(cfg.block_bytes)
-                .map(Arc::from)
-                .enumerate()
-                .collect();
+            let inputs = blocks_of(data, cfg.block_bytes, 20);
             let threaded = ThreadedConfig::new(2, cfg.policy);
             let wl = lossy();
             let (tx, rx) = std::sync::mpsc::channel();
@@ -1830,11 +2059,7 @@ mod tests {
         );
         check(rep.workload.inner.result());
         for _ in 0..5 {
-            let inputs: Vec<(usize, Arc<[u8]>)> = data
-                .chunks(cfg.block_bytes)
-                .map(Arc::from)
-                .enumerate()
-                .collect();
+            let inputs = blocks_of(&data, cfg.block_bytes, 0);
             let threaded = ThreadedConfig::new(2, cfg.policy);
             let (wl, _) = threaded::run(watched(), &threaded, inputs, &Instruments::default())
                 .expect("threaded run completes");
@@ -1888,6 +2113,100 @@ mod tests {
         let whole = tvs_huffman::encode_block(data, &tree.table).unwrap();
         let (bytes, bits, _) = res.output.expect("collected");
         assert_eq!((bytes, bits), (whole.bytes, whole.bit_len));
+    }
+
+    #[test]
+    fn a_chunk_encode_stops_at_the_next_block_boundary() {
+        let data = stationary_data(4 * 1024);
+        let tree = SpecTree::exact(&Histogram::from_bytes(&data), 1);
+        let run: Vec<RunBlock> = data
+            .chunks(1024)
+            .map(|b| RunBlock {
+                data: b.into(),
+                lead: 3,
+            })
+            .collect();
+        // The flag goes up while the second block is being encoded.
+        let asked = std::cell::Cell::new(0);
+        let out = encode_run(&run, &tree.table, &Mutex::default(), || {
+            asked.set(asked.get() + 1);
+            asked.get() > 2
+        });
+        assert_eq!(out.len(), 2, "blocks 3 and 4 are left out");
+        let mut whole = EncodedBlock::default();
+        assert!(encode_block_at(
+            &data[1024..2048],
+            &tree.table,
+            3,
+            &mut whole
+        ));
+        assert_eq!(out[1], whole, "what was encoded is whole");
+    }
+
+    #[test]
+    fn a_rollback_mid_chunk_discards_the_chunk_and_the_stream_is_unchanged() {
+        // Drifting input, every block at once on two workers: blocks are
+        // counted and encoded a reduce group of 4 at a time, and a failing
+        // check rolls the first version back while its chunks are being
+        // encoded. The simulator never materialises the body of a task
+        // whose version died under it — the chunk's earliest stop.
+        let mut data = vec![b'a'; 32 * 1024];
+        data.extend((0..32 * 1024u32).map(|i| 180 + (i % 60) as u8));
+        let cfg = small_cfg(DispatchPolicy::Balanced);
+        let at_once = |workers| {
+            let sim = SimConfig {
+                task_trace: true,
+                ..SimConfig::new(x86_smp(workers), cfg.policy)
+            };
+            let wl = HuffmanWorkload::new(cfg.clone(), data.len());
+            run(wl, &sim, &HuffmanCost, blocks_of(&data, cfg.block_bytes, 0))
+        };
+        let rep = at_once(2);
+        assert!(rep.metrics.rollbacks > 0, "drifting data must roll back");
+        let cut = rep
+            .trace
+            .iter()
+            .filter(|t| t.name == "encode" && t.discarded)
+            .count();
+        assert!(cut > 0, "a rollback landed while a chunk was encoding");
+        assert!(
+            rep.trace.iter().filter(|t| t.name == "encode").count() < 2 * 64,
+            "encodes run a chunk at a time"
+        );
+        // The stream is the per-block run's (64 workers: fewer whole
+        // groups than workers), and the input under the committed code.
+        let chunked = rep.workload.result();
+        let per_block = at_once(64).workload.result();
+        assert!(chunked.output == per_block.output);
+        assert_eq!(chunked.spec_stats, per_block.spec_stats);
+        let (bytes, bits, lengths) = chunked.output.expect("collected");
+        let whole = tvs_huffman::encode_block(&data, &CodeTable::from_lengths(&lengths))
+            .expect("the committed code covers the input");
+        assert_eq!((bytes, bits), (whole.bytes, whole.bit_len));
+    }
+
+    #[test]
+    fn a_finished_run_holds_no_input_block() {
+        // Every block's bytes are released once the block is finalized, at
+        // either grain, on the natural path and on a committed version.
+        let data = stationary_data(64 * 1024);
+        for (policy, gap) in [
+            (DispatchPolicy::NonSpeculative, 5),
+            (DispatchPolicy::Balanced, 5),
+            (DispatchPolicy::Balanced, 0),
+        ] {
+            let cfg = small_cfg(policy);
+            let wl = HuffmanWorkload::new(cfg.clone(), data.len());
+            let sim = SimConfig::new(x86_smp(2), cfg.policy);
+            let rep = run(
+                wl,
+                &sim,
+                &HuffmanCost,
+                blocks_of(&data, cfg.block_bytes, gap),
+            );
+            assert!(rep.workload.data.iter().all(Option::is_none), "{policy:?}");
+            decode_output(&rep.workload.result(), &data);
+        }
     }
 
     #[test]

@@ -259,18 +259,19 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
     let wl = ReplicatingWorkload::instrumented(wl, cfg.validation, SDC_SEED, digest_fn, ins);
 
     // One dispatch policy per run: the pipeline configuration's, whatever
-    // the executor config was built with.
+    // the executor config was built with. Both executors take the same
+    // schedule; the threaded one paces it on the wall clock, compressed.
     let policy = cfg.policy;
+    let (mut blocks, arrivals) = schedule_blocks(data, cfg.block_bytes, run.arrival);
+    blocks.retain(|b| b.index >= skip_below);
     let ran = match &run.on {
         Executor::Sim { cfg: sim } => {
             let sim = SimConfig {
                 policy,
                 ..sim.clone()
             };
-            let (mut blocks, times) = schedule_blocks(data, cfg.block_bytes, run.arrival);
-            blocks.retain(|b| b.index >= skip_below);
             sim::run(wl, &sim, &HuffmanCost, blocks, ins)
-                .map(|rep| (rep.workload, rep.metrics, rep.trace, times))
+                .map(|rep| (rep.workload, rep.metrics, rep.trace))
         }
         Executor::Threaded {
             cfg: tcfg,
@@ -280,12 +281,13 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
                 policy,
                 ..tcfg.clone()
             };
-            let (iter, times) = threaded_setup(data, cfg, run.arrival, *time_scale, skip_below);
-            threaded::run(wl, &tcfg, iter, ins)
-                .map(|(wl, metrics)| (wl, metrics, Vec::new(), times))
+            for b in &mut blocks {
+                b.arrival /= (*time_scale).max(1);
+            }
+            threaded::run(wl, &tcfg, blocks, ins).map(|(wl, metrics)| (wl, metrics, Vec::new()))
         }
     };
-    let (wl, metrics, task_trace, arrivals) = ran.map_err(|e| {
+    let (wl, metrics, task_trace) = ran.map_err(|e| {
         // Crash hook: dump the flight-recorder state before the structured
         // error propagates.
         if let Some(log) = ins.tracer.drain() {
@@ -314,46 +316,6 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
         replica,
         task_trace,
     })
-}
-
-/// Threaded-run scaffolding: the paced input iterator (arrival schedule
-/// compressed by `time_scale`) and the schedule itself. Blocks below
-/// `skip_below` are not fed at all — a resumed run's committed prefix.
-fn threaded_setup(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-    skip_below: usize,
-) -> (
-    impl Iterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    Vec<u64>,
-) {
-    let n = data.len().div_ceil(cfg.block_bytes);
-    let times = arrival.schedule(n, cfg.block_bytes);
-
-    // The feeder consumes a paced iterator; build owned blocks up front.
-    let owned: Vec<(usize, Arc<[u8]>)> = data
-        .chunks(cfg.block_bytes)
-        .enumerate()
-        .filter(|(i, _)| *i >= skip_below)
-        .map(|(i, c)| (i, Arc::<[u8]>::from(c)))
-        .collect();
-    let pace_times = times.clone();
-    let paced = owned.into_iter().map(move |(i, d)| {
-        // Busy-sleep pacing (scaled).
-        (i, d, pace_times[i] / time_scale.max(1))
-    });
-    let start = std::time::Instant::now();
-    let iter = paced.map(move |(i, d, due_us)| {
-        let due = std::time::Duration::from_micros(due_us);
-        let elapsed = start.elapsed();
-        if due > elapsed {
-            std::thread::sleep(due - elapsed);
-        }
-        (i, d)
-    });
-    (iter, times)
 }
 
 #[cfg(test)]

@@ -41,7 +41,6 @@ use crate::sched::{CompletionOutcome, Dispatched, Scheduler};
 use crate::task::{Payload, SpecVersion, TaskClass, TaskCtx, TaskId, TaskSpec, Time};
 use crate::workload::{Completion, FaultNotice, InputBlock, SchedCtx, Workload};
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use tvs_faults::{FaultKind, FaultSite};
 use tvs_metrics::{Counter, Hist};
@@ -134,6 +133,14 @@ impl SchedCtx for SimCtx<'_> {
     fn abort_version(&mut self, version: SpecVersion) {
         self.sched.abort_version(version);
     }
+
+    fn workers(&self) -> usize {
+        self.platform.workers
+    }
+
+    fn max_task_bytes(&self) -> Option<usize> {
+        self.platform.max_task_bytes
+    }
 }
 
 /// Run `workload` to completion over the given pre-scheduled `inputs`,
@@ -142,13 +149,15 @@ impl SchedCtx for SimCtx<'_> {
 /// dark run; the resulting [`RunMetrics`] are identical either way).
 ///
 /// `inputs` must be sorted by arrival time (as produced by the
-/// `tvs-iosim` models). Panics with a diagnostic if the workload deadlocks
-/// (events exhausted before [`Workload::is_finished`]) — a workload bug,
-/// not a run failure. A non-speculative task panicking on every attempt
-/// its retry policy allows returns `Err`; everything else — injected
-/// panics, stalls, delayed and duplicated completions, watchdog cancels of
-/// speculative tasks — recovers through the rollback machinery and
-/// completes the run.
+/// `tvs-iosim` models); the blocks that share an arrival instant reach the
+/// workload in one [`Workload::on_input_batch`], as they would from the
+/// threaded executor's feeder. Panics with a diagnostic if the workload
+/// deadlocks (events exhausted before [`Workload::is_finished`]) — a
+/// workload bug, not a run failure. A non-speculative task panicking on
+/// every attempt its retry policy allows returns `Err`; everything else —
+/// injected panics, stalls, delayed and duplicated completions, watchdog
+/// cancels of speculative tasks — recovers through the rollback machinery
+/// and completes the run.
 ///
 /// The tracer's ambient virtual clock follows the event heap, so every
 /// emitted event — including scheduler rollback/cancel events fired from
@@ -187,12 +196,18 @@ pub fn run<W: Workload>(
     let mut heap: BinaryHeap<Reverse<(Time, u64, usize, EvSlot)>> = BinaryHeap::new();
     let mut heap_seq = 0u64;
 
+    // One arrival event per distinct instant, carrying every block due then.
     let n_inputs = inputs.len();
-    let mut input_map: HashMap<usize, InputBlock> = HashMap::new();
-    for (i, b) in inputs.into_iter().enumerate() {
-        heap.push(Reverse((b.arrival, heap_seq, i, EvSlot::Arrival)));
+    let mut batches: Vec<Option<Vec<InputBlock>>> = Vec::new();
+    for b in inputs {
+        match batches.last_mut() {
+            Some(Some(batch)) if batch[0].arrival == b.arrival => batch.push(b),
+            _ => batches.push(Some(vec![b])),
+        }
+    }
+    for (i, batch) in batches.iter().flatten().enumerate() {
+        heap.push(Reverse((batch[0].arrival, heap_seq, i, EvSlot::Arrival)));
         heap_seq += 1;
-        input_map.insert(i, b);
     }
 
     let mut metrics = RunMetrics {
@@ -234,24 +249,21 @@ pub fn run<W: Workload>(
         hub.virtual_tick(t);
         match slot {
             EvSlot::Arrival => {
-                // An injected feeder stall pushes the arrival to a later
+                // An injected feeder stall pushes the batch to a later
                 // virtual instant.
                 if let Some(FaultKind::Stall { us }) = faults.draw(FaultSite::Feeder) {
                     heap.push(Reverse((t + us.max(1), heap_seq, aux, EvSlot::Arrival)));
                     heap_seq += 1;
                     continue;
                 }
-                let block = match input_map.entry(aux) {
-                    Entry::Occupied(e) => e.remove(),
-                    Entry::Vacant(_) => unreachable!("arrival {aux} delivered twice"),
-                };
+                let batch = batches[aux].take().expect("each batch arrives once");
+                arrivals_seen += batch.len();
                 let mut ctx = SimCtx {
                     sched: &mut sched,
                     platform: &cfg.platform,
                     now: t,
                 };
-                workload.on_input(&mut ctx, block);
-                arrivals_seen += 1;
+                workload.on_input_batch(&mut ctx, batch);
                 if arrivals_seen == n_inputs {
                     workload.on_input_done(&mut ctx);
                 }
@@ -843,6 +855,34 @@ mod tests {
         ends.sort_unstable();
         assert_eq!(ends, vec![5, 105]);
         assert_eq!(rep.metrics.makespan, 105);
+    }
+
+    #[test]
+    fn arrivals_sharing_an_instant_come_as_one_batch() {
+        struct Batches(Vec<(Time, Vec<usize>)>);
+        impl Workload for Batches {
+            fn on_input(&mut self, _: &mut dyn SchedCtx, _: InputBlock) {
+                unreachable!("the executor hands over batches");
+            }
+            fn on_input_batch(&mut self, ctx: &mut dyn SchedCtx, batch: Vec<InputBlock>) {
+                assert_eq!(ctx.workers(), 3);
+                self.0
+                    .push((ctx.now(), batch.iter().map(|b| b.index).collect()));
+            }
+            fn on_complete(&mut self, _: &mut dyn SchedCtx, _: Completion) {}
+            fn is_finished(&self) -> bool {
+                true
+            }
+        }
+        let cfg = SimConfig::new(x86_smp(3), DispatchPolicy::NonSpeculative);
+        let inputs = vec![
+            block(0, 0, 1),
+            block(1, 0, 1),
+            block(2, 5, 1),
+            block(3, 5, 1),
+        ];
+        let rep = dark(Batches(Vec::new()), &cfg, &FixedCost(1), inputs);
+        assert_eq!(rep.workload.0, [(0, vec![0, 1]), (5, vec![2, 3])]);
     }
 
     #[test]

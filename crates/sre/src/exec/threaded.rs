@@ -1,11 +1,12 @@
 //! Work-stealing thread-pool executor.
 //!
-//! Mirrors the paper's x86 SRE deployment — an input-feeder thread pushes
-//! blocks into the system and worker threads execute ready tasks — but,
-//! unlike the original single-lock runtime (deleted: DESIGN.md §3 has the
-//! measurements), no worker ever *waits* for the global scheduler lock, and
-//! there is no SuperTask thread: the SuperTask role is taken, turn by turn,
-//! by whichever thread holds the commit lock.
+//! Mirrors the paper's x86 SRE deployment — an input feeder (the thread
+//! that called [`run`]) pushes blocks into the system, every block due at
+//! the same moment in one batch, and worker threads execute ready tasks —
+//! but, unlike the original single-lock runtime (deleted: DESIGN.md §3 has
+//! the measurements), no worker ever *waits* for the global scheduler lock,
+//! and there is no SuperTask thread: the SuperTask role is taken, turn by
+//! turn, by whichever thread holds the commit lock.
 //!
 //! * **Sharded dispatch.** A *dispatch pump*, run at the end of every
 //!   commit-path turn, batches [`Scheduler::dispatch_with`] pops out of
@@ -38,7 +39,7 @@
 //!   that finishes a task pushes its report onto a bounded **lock-free
 //!   commit log** ([`super::commit_log::CommitRing`]) and then `try_lock`s
 //!   the commit lock. Whoever holds that lock — this worker, another
-//!   worker, an idle worker about to park, the feeder after `on_input`,
+//!   worker, an idle worker about to park, the feeder after a batch,
 //!   the watchdog or the supervisor — takes a *turn* ([`turn`]): drain the
 //!   ring, run the worker-epoch gate, charge, complete, call
 //!   `Workload::on_complete`/`on_fault`, pump the lanes and evaluate run
@@ -133,6 +134,10 @@ impl ThreadedConfig {
         }
     }
 }
+
+/// How close to a block's due time the feeder stops sleeping and yields
+/// instead (see [`Fabric::wait_until`]).
+const FEEDER_SPIN_US: u64 = 200;
 
 /// A dispatched task parked in a worker lane, stamped with the abort epoch
 /// current when the pump bound it.
@@ -262,6 +267,23 @@ impl Fabric {
 
     fn now(&self) -> Time {
         self.start.elapsed().as_micros() as Time
+    }
+
+    /// Block the calling thread until `due` (µs on the run's clock): sleep
+    /// to within [`FEEDER_SPIN_US`] of it, then yield until it. A plain
+    /// sleep overshoots by about that much on a loaded box, and every
+    /// microsecond a block is handed over late is latency the arrival
+    /// schedule did not ask for.
+    fn wait_until(&self, due: Time) {
+        let due = Duration::from_micros(due);
+        let spin = Duration::from_micros(FEEDER_SPIN_US);
+        while let Some(left) = due.checked_sub(self.start.elapsed()) {
+            if left > spin {
+                std::thread::sleep(left - spin);
+            } else {
+                std::thread::yield_now();
+            }
+        }
     }
 
     /// Bind a dispatched task into the next lane (round-robin over lanes
@@ -448,7 +470,7 @@ struct Finished {
 /// global abort epoch so lanes re-validate.
 struct WsCtx<'a> {
     sched: &'a mut Scheduler,
-    abort_epoch: &'a AtomicU64,
+    fabric: &'a Fabric,
     now: Time,
 }
 
@@ -461,7 +483,10 @@ impl SchedCtx for WsCtx<'_> {
     }
     fn abort_version(&mut self, version: SpecVersion) {
         self.sched.abort_version(version);
-        self.abort_epoch.fetch_add(1, Ordering::SeqCst);
+        self.fabric.abort_epoch.fetch_add(1, Ordering::SeqCst);
+    }
+    fn workers(&self) -> usize {
+        self.fabric.lanes.len()
     }
 }
 
@@ -514,7 +539,7 @@ fn recover<W: Workload>(
     } = inner;
     let mut ctx = WsCtx {
         sched,
-        abort_epoch: &fabric.abort_epoch,
+        fabric,
         now: f.finished,
     };
     workload.on_fault(
@@ -621,7 +646,7 @@ fn route<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> Option<Time> {
                         workload.on_complete(
                             &mut WsCtx {
                                 sched,
-                                abort_epoch: &fabric.abort_epoch,
+                                fabric,
                                 now: f.finished,
                             },
                             Completion {
@@ -673,7 +698,7 @@ struct Turn {
 }
 
 /// One commit-path turn, by whoever holds the commit lock: run `entry`
-/// (the feeder's `on_input`, the watchdog's abort, … — nothing for a
+/// (the feeder's `on_input_batch`, the watchdog's abort, … — nothing for a
 /// worker), route what the commit log holds, pump the lanes, evaluate run
 /// completion; then unlock, wake, and re-check the ring — the holder's half
 /// of the no-stranding argument in the module docs.
@@ -1061,10 +1086,65 @@ fn spawn_worker<W: Workload + Send + 'static>(
         .expect("failed to spawn worker thread")
 }
 
-/// Run `workload` on `cfg.workers` real threads, feeding it the blocks
-/// yielded by `inputs` (which is consumed on a dedicated feeder thread and
-/// may block to pace arrivals, e.g. [`tvs-iosim`'s paced
-/// iterator](https://docs.rs/tvs-iosim)), recording lifecycle events into
+/// The input feeder (the paper's first auxiliary thread), run by the
+/// thread that called [`run`]: sleep until the next block is due, take
+/// every block due by then, and hand the batch over in one commit-path
+/// turn — the last one together with the end of input.
+fn feed<W: Workload>(fabric: &Fabric, commit: &Mutex<Inner<W>>, inputs: Vec<InputBlock>) {
+    let mut rest = inputs.into_iter().peekable();
+    let mut ended = false;
+    while let Some(first) = rest.next() {
+        // A failing run stops consuming input: shutdown has already been
+        // initiated.
+        if fabric.done.load(Ordering::SeqCst) {
+            break;
+        }
+        fabric.wait_until(first.arrival);
+        if let Some(FaultKind::Stall { us }) = fabric.faults.draw(FaultSite::Feeder) {
+            std::thread::sleep(Duration::from_micros(us));
+        }
+        let now = fabric.now();
+        let mut batch = vec![first];
+        batch.extend(std::iter::from_fn(|| rest.next_if(|b| b.arrival <= now)));
+        for b in &mut batch {
+            b.arrival = now;
+        }
+        ended = rest.peek().is_none();
+        locked(fabric, commit, |inner| {
+            let Inner {
+                sched,
+                workload,
+                input_done,
+                ..
+            } = inner;
+            let mut ctx = WsCtx { sched, fabric, now };
+            workload.on_input_batch(&mut ctx, batch);
+            if ended {
+                workload.on_input_done(&mut ctx);
+                *input_done = true;
+            }
+        });
+    }
+    if !ended {
+        let now = fabric.now();
+        locked(fabric, commit, |inner| {
+            let Inner {
+                sched,
+                workload,
+                input_done,
+                ..
+            } = inner;
+            workload.on_input_done(&mut WsCtx { sched, fabric, now });
+            *input_done = true;
+        });
+    }
+}
+
+/// Run `workload` on `cfg.workers` real threads, feeding it `inputs` —
+/// sorted by due time (`arrival`, µs from the start of the run), the list
+/// the simulator takes — from the calling thread, which hands every block
+/// due by the time it wakes over in one [`Workload::on_input_batch`] (each
+/// block stamped with that moment), recording lifecycle events into
 /// `ins.tracer`, streaming counters, gauges and histograms into
 /// `ins.metrics` as the run executes (so a sampler thread or `tvs-top` can
 /// watch mid-run) and drawing faults from `ins.faults`. Pass
@@ -1087,17 +1167,19 @@ fn spawn_worker<W: Workload + Send + 'static>(
 /// counted as wasted in [`RunMetrics`] but not flagged in the trace (the
 /// simulator's virtual trace is exact; this executor's is a per-task
 /// approximation).
-pub fn run<W, I>(
+pub fn run<W>(
     workload: W,
     cfg: &ThreadedConfig,
-    inputs: I,
+    inputs: Vec<InputBlock>,
     ins: &Instruments,
 ) -> Result<(W, RunMetrics), RunError>
 where
     W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
 {
+    assert!(
+        inputs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
+        "inputs must be sorted by due time"
+    );
     let ins = ins.for_executor(cfg.workers, cfg.policy);
     let hub = &ins.metrics;
     let fabric = Arc::new(Fabric::new(
@@ -1130,7 +1212,7 @@ where
         } = inner;
         workload.on_start(&mut WsCtx {
             sched,
-            abort_epoch: &fabric.abort_epoch,
+            fabric: &fabric,
             now,
         });
     });
@@ -1142,57 +1224,6 @@ where
     let workers: Vec<_> = (0..cfg.workers)
         .map(|me| spawn_worker(me, 0, Arc::clone(&fabric), Arc::clone(&commit), retry))
         .collect();
-
-    // Input feeder thread (the paper's first auxiliary thread).
-    let feeder = {
-        let fabric = Arc::clone(&fabric);
-        let commit = Arc::clone(&commit);
-        std::thread::Builder::new()
-            .name("tvs-feeder".into())
-            .spawn(move || {
-                for (index, data) in inputs {
-                    // A failing run stops consuming input: shutdown has
-                    // already been initiated.
-                    if fabric.done.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Some(FaultKind::Stall { us }) = fabric.faults.draw(FaultSite::Feeder) {
-                        std::thread::sleep(Duration::from_micros(us));
-                    }
-                    let now = fabric.now();
-                    locked(&fabric, &commit, |inner| {
-                        let Inner {
-                            sched, workload, ..
-                        } = inner;
-                        workload.on_input(
-                            &mut WsCtx {
-                                sched,
-                                abort_epoch: &fabric.abort_epoch,
-                                now,
-                            },
-                            InputBlock {
-                                index,
-                                arrival: now,
-                                data,
-                            },
-                        );
-                    });
-                }
-                let now = fabric.now();
-                locked(&fabric, &commit, |inner| {
-                    let Inner {
-                        sched, workload, ..
-                    } = inner;
-                    workload.on_input_done(&mut WsCtx {
-                        sched,
-                        abort_epoch: &fabric.abort_epoch,
-                        now,
-                    });
-                    inner.input_done = true;
-                });
-            })
-            .expect("failed to spawn feeder thread")
-    };
 
     // Watchdog thread: polls the per-worker slots and cancels any task
     // that has been running past the deadline — signal its abort flag
@@ -1248,7 +1279,7 @@ where
                                 } = inner;
                                 let mut ctx = WsCtx {
                                     sched,
-                                    abort_epoch: &fabric.abort_epoch,
+                                    fabric: &fabric,
                                     now,
                                 };
                                 workload.on_fault(&mut ctx, notice);
@@ -1337,11 +1368,20 @@ where
             .expect("failed to spawn supervisor thread")
     });
 
-    // Joins: a runtime thread dying outside a task body is a runtime bug,
-    // but it is still reported as a RunError value, not a process abort.
+    // The calling thread feeds the input: no thread to start before the
+    // first batch goes in. A panic here is a runtime bug (workload
+    // callbacks are caught inside their turn); it shuts the run down so
+    // the threads still join, and is reported as a RunError value, as is
+    // a runtime thread dying outside a task body — not a process abort.
     let mut lost: Option<&'static str> = None;
-    if feeder.join().is_err() {
+    let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        feed(&fabric, &commit, inputs);
+    }));
+    if fed.is_err() {
         lost = Some("feeder");
+        fabric.done.store(true, Ordering::SeqCst);
+        fabric.ring.close();
+        fabric.wake_all();
     }
     for w in workers {
         if w.join().is_err() {
@@ -1407,13 +1447,50 @@ mod tests {
     use std::sync::atomic::AtomicU32;
     use tvs_faults::FaultPlan;
 
-    fn dark<W, I>(workload: W, cfg: &ThreadedConfig, inputs: I) -> (W, RunMetrics)
+    fn dark<W>(workload: W, cfg: &ThreadedConfig, inputs: Vec<InputBlock>) -> (W, RunMetrics)
     where
         W: Workload + Send + 'static,
-        I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-        I::IntoIter: Send,
     {
         run(workload, cfg, inputs, &Instruments::default()).expect("dark run completes")
+    }
+
+    /// `n` blocks of `len` bytes, block `i` filled with `i`, all due at once.
+    fn at_once(n: usize, len: usize) -> Vec<InputBlock> {
+        (0..n)
+            .map(|i| InputBlock {
+                index: i,
+                arrival: 0,
+                data: vec![i as u8; len].into(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_feeder_hands_over_what_is_due_together_in_one_batch() {
+        struct Batches(Vec<Vec<usize>>);
+        impl Workload for Batches {
+            fn on_input(&mut self, _: &mut dyn SchedCtx, _: InputBlock) {
+                unreachable!("the executor hands over batches");
+            }
+            fn on_input_batch(&mut self, _: &mut dyn SchedCtx, batch: Vec<InputBlock>) {
+                self.0.push(batch.iter().map(|b| b.index).collect());
+            }
+            fn on_complete(&mut self, _: &mut dyn SchedCtx, _: Completion) {}
+            fn is_finished(&self) -> bool {
+                true
+            }
+        }
+        // Eight blocks due now, four 30 ms later: two batches, unless the
+        // feeder lost the CPU for that long, when both are due at once.
+        let mut inputs = at_once(12, 8);
+        for b in &mut inputs[8..] {
+            b.arrival = 30_000;
+        }
+        let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
+        let (w, _) = dark(Batches(Vec::new()), &cfg, inputs);
+        assert!(w.0.len() <= 2, "{:?}", w.0);
+        assert_eq!(w.0.concat(), (0..12).collect::<Vec<_>>());
+        assert!(w.0[0].len() >= 8, "blocks due together stay together");
     }
 
     struct Summer {
@@ -1444,8 +1521,7 @@ mod tests {
 
     #[test]
     fn sums_all_blocks_across_threads() {
-        let blocks: Vec<(usize, Arc<[u8]>)> =
-            (0..32).map(|i| (i, vec![i as u8; 100].into())).collect();
+        let blocks = at_once(32, 100);
         let expect: u64 = (0..32u64).map(|i| i * 100).sum();
         let cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
         let (w, m) = dark(
@@ -1473,8 +1549,7 @@ mod tests {
 
     #[test]
     fn traced_run_records_dispatch_and_task_events() {
-        let blocks: Vec<(usize, Arc<[u8]>)> =
-            (0..16).map(|i| (i, vec![i as u8; 64].into())).collect();
+        let blocks = at_once(16, 64);
         let cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
         let tracer = Tracer::enabled(3);
         let (w, m) = run(
@@ -1519,7 +1594,7 @@ mod tests {
             }
         }
         let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
-        let (_w, m) = dark(Nothing, &cfg, Vec::<(usize, Arc<[u8]>)>::new());
+        let (_w, m) = dark(Nothing, &cfg, Vec::new());
         assert_eq!(m.tasks_delivered, 0);
     }
 
@@ -1547,7 +1622,7 @@ mod tests {
                 self.stage2_done
             }
         }
-        let inputs: Vec<(usize, Arc<[u8]>)> = vec![(0, vec![0u8; 4].into())];
+        let inputs = at_once(1, 4);
         let cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
         let (w, m) = dark(TwoStage { stage2_done: false }, &cfg, inputs);
         assert!(w.stage2_done);
@@ -1608,7 +1683,7 @@ mod tests {
                 spec_delivered: false,
             },
             &cfg,
-            Vec::<(usize, Arc<[u8]>)>::new(),
+            Vec::new(),
         );
         assert!(w.normal_done);
         assert!(!w.spec_delivered, "aborted speculative output leaked");
@@ -1666,7 +1741,7 @@ mod tests {
                 spec_delivered: false,
             },
             &cfg,
-            Vec::<(usize, Arc<[u8]>)>::new(),
+            Vec::new(),
         );
         assert!(w.normal_done);
         assert!(!w.spec_delivered, "aborted speculative output leaked");
@@ -1717,7 +1792,7 @@ mod tests {
                 faults_seen: 0,
             },
             &cfg,
-            Vec::<(usize, Arc<[u8]>)>::new(),
+            Vec::new(),
             &Instruments::default(),
         )
         .expect("retries recover the run");
@@ -1738,7 +1813,7 @@ mod tests {
                 faults_seen: 0,
             },
             &cfg,
-            Vec::<(usize, Arc<[u8]>)>::new(),
+            Vec::new(),
             &Instruments::default(),
         ) else {
             panic!("a task that always panics must fail the run");
@@ -1788,7 +1863,7 @@ mod tests {
                 fault: None,
             },
             &cfg,
-            Vec::<(usize, Arc<[u8]>)>::new(),
+            Vec::new(),
             &Instruments::default(),
         )
         .expect("speculative faults never fail the run");
@@ -1807,8 +1882,7 @@ mod tests {
     fn injected_panics_and_duplicates_recover_deterministically() {
         // Chaos smoke: inject panics at the task-body site and duplicated
         // completions on the commit path, and require byte-identical results.
-        let blocks: Vec<(usize, Arc<[u8]>)> =
-            (0..24).map(|i| (i, vec![i as u8; 50].into())).collect();
+        let blocks = at_once(24, 50);
         let expect: u64 = (0..24u64).map(|i| i * 50).sum();
         let plan = FaultPlan::new(99)
             .with_rule(FaultSite::TaskBody, FaultKind::PanicTask, 0.2)
@@ -1858,8 +1932,7 @@ mod tests {
         // Focused version of the chaos smoke: with *only* duplicate echoes
         // injected, the epoch-reject counter must match the injection count
         // exactly and the output must be unaffected.
-        let blocks: Vec<(usize, Arc<[u8]>)> =
-            (0..16).map(|i| (i, vec![i as u8; 50].into())).collect();
+        let blocks = at_once(16, 50);
         let expect: u64 = (0..16u64).map(|i| i * 50).sum();
         let plan = FaultPlan::new(7)
             .with_rule(FaultSite::Completion, FaultKind::DuplicateCompletion, 1.0)
@@ -1934,8 +2007,7 @@ mod tests {
 
     #[test]
     fn supervisor_respawns_a_wedged_worker_without_double_commit() {
-        let blocks: Vec<(usize, Arc<[u8]>)> =
-            (0..12).map(|i| (i, vec![i as u8; 50].into())).collect();
+        let blocks = at_once(12, 50);
         let expect: u64 = (0..12u64).map(|i| i * 50).sum();
         let mut cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
         cfg.supervisor = Some(SupervisorConfig {
@@ -1970,8 +2042,7 @@ mod tests {
 
     #[test]
     fn supervision_is_quiet_on_a_healthy_run() {
-        let blocks: Vec<(usize, Arc<[u8]>)> =
-            (0..32).map(|i| (i, vec![i as u8; 100].into())).collect();
+        let blocks = at_once(32, 100);
         let expect: u64 = (0..32u64).map(|i| i * 100).sum();
         let mut cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
         cfg.supervisor = Some(SupervisorConfig::default());
@@ -2026,7 +2097,7 @@ mod tests {
         let (w, m) = run(
             Stuck { lost: Vec::new() },
             &cfg,
-            Vec::<(usize, Arc<[u8]>)>::new(),
+            Vec::new(),
             &Instruments::default(),
         )
         .expect("watchdog recovers the run");

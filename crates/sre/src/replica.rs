@@ -500,6 +500,14 @@ impl SchedCtx for SpyCtx<'_> {
         self.plane.drop_version(version);
         self.ctx.abort_version(version);
     }
+
+    fn workers(&self) -> usize {
+        self.ctx.workers()
+    }
+
+    fn max_task_bytes(&self) -> Option<usize> {
+        self.ctx.max_task_bytes()
+    }
 }
 
 /// Wraps any [`Workload`] with the replication validation plane. See the
@@ -587,6 +595,16 @@ impl<W: Workload> Workload for ReplicatingWorkload<W> {
                 plane: &mut self.plane,
             },
             block,
+        );
+    }
+
+    fn on_input_batch(&mut self, ctx: &mut dyn SchedCtx, batch: Vec<InputBlock>) {
+        self.inner.on_input_batch(
+            &mut SpyCtx {
+                ctx,
+                plane: &mut self.plane,
+            },
+            batch,
         );
     }
 
@@ -722,6 +740,9 @@ mod tests {
         fn abort_version(&mut self, version: SpecVersion) {
             self.sched.abort_version(version);
         }
+        fn workers(&self) -> usize {
+            1
+        }
     }
 
     /// Drive the toy scheduler to quiescence, delivering completions
@@ -777,6 +798,57 @@ mod tests {
         assert_eq!(w.inner().total, 60);
         assert_eq!(w.stats(), ReplicaStats::default());
         assert_eq!(ctx.sched.stats().replicas_spawned, 0);
+    }
+
+    #[test]
+    fn the_batch_form_reaches_the_inner_workload_whole() {
+        // The inner workload sees the batch as one, and its spawns from
+        // there are still armed for replication.
+        struct Batched {
+            inner: Summer,
+            batches: Vec<usize>,
+        }
+        impl Workload for Batched {
+            fn on_input(&mut self, ctx: &mut dyn SchedCtx, block: InputBlock) {
+                self.inner.on_input(ctx, block);
+            }
+            fn on_input_batch(&mut self, ctx: &mut dyn SchedCtx, batch: Vec<InputBlock>) {
+                self.batches.push(batch.len());
+                for block in batch {
+                    self.inner.on_input(ctx, block);
+                }
+            }
+            fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
+                self.inner.on_complete(ctx, done);
+            }
+            fn is_finished(&self) -> bool {
+                self.inner.is_finished()
+            }
+        }
+        let inner = Batched {
+            inner: Summer::new(3),
+            batches: Vec::new(),
+        };
+        let mode = ValidationMode::Replicate { sample_rate: 1.0 };
+        let mut w = ReplicatingWorkload::new(inner, mode, 42, u64_digest());
+        let mut ctx = MiniCtx {
+            sched: Scheduler::new(DispatchPolicy::NonSpeculative),
+            now: 0,
+        };
+        let batch = [10usize, 20, 30]
+            .iter()
+            .enumerate()
+            .map(|(index, &len)| InputBlock {
+                index,
+                arrival: 0,
+                data: vec![0u8; len].into(),
+            })
+            .collect();
+        w.on_input_batch(&mut ctx, batch);
+        drain(&mut ctx, &mut w);
+        assert_eq!(w.inner().batches, [3]);
+        assert_eq!(w.inner().inner.total, 60);
+        assert_eq!(w.stats().replica_matches, 3);
     }
 
     #[test]

@@ -13,6 +13,11 @@ use crate::task::{Payload, SpecVersion, TaskId, TaskSpec, Time};
 use std::sync::Arc;
 
 /// A block of input data fed into the system by the I/O thread.
+///
+/// Both executors take their input as a list of these sorted by `arrival`:
+/// there it is the block's *due* time, µs from the start of the run (the
+/// simulator's virtual clock, the threaded feeder's wall clock). What the
+/// workload receives carries the moment the block was actually handed over.
 #[derive(Clone, Debug)]
 pub struct InputBlock {
     /// Sequential block index.
@@ -107,6 +112,16 @@ pub trait SchedCtx {
     /// Roll back a speculation version: delete its ready tasks, flag its
     /// in-flight tasks, reject its future spawns.
     fn abort_version(&mut self, version: SpecVersion);
+
+    /// Worker count of the executor: the simulated platform's, or the
+    /// threaded run's configured one.
+    fn workers(&self) -> usize;
+
+    /// The most payload bytes one task may touch (the Cell's 32 KB local
+    /// store); `None` when unbounded. Spawning a larger task panics.
+    fn max_task_bytes(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// A streaming application: the SuperTask hierarchy collapsed into one
@@ -120,6 +135,17 @@ pub trait Workload {
 
     /// A new input block arrived from the I/O thread.
     fn on_input(&mut self, ctx: &mut dyn SchedCtx, block: InputBlock);
+
+    /// Every block that became available at the same moment, in input
+    /// order, in one activation: the executors call this, never
+    /// [`Self::on_input`] directly. A workload that can do better with what
+    /// arrived together than block by block (coarser tasks) overrides it;
+    /// the default hands the blocks to `on_input` one at a time.
+    fn on_input_batch(&mut self, ctx: &mut dyn SchedCtx, batch: Vec<InputBlock>) {
+        for block in batch {
+            self.on_input(ctx, block);
+        }
+    }
 
     /// Called after the final input block has been delivered.
     fn on_input_done(&mut self, ctx: &mut dyn SchedCtx) {
@@ -206,6 +232,9 @@ mod tests {
         }
         fn abort_version(&mut self, version: SpecVersion) {
             self.sched.abort_version(version);
+        }
+        fn workers(&self) -> usize {
+            1
         }
     }
 

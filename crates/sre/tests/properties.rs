@@ -32,7 +32,7 @@ fn run_sim<W: Workload>(
 fn run_threaded<W: Workload + Send + 'static>(
     w: W,
     cfg: &ThreadedConfig,
-    inputs: Vec<(usize, Arc<[u8]>)>,
+    inputs: Vec<InputBlock>,
 ) -> (W, RunMetrics) {
     threaded::run(w, cfg, inputs, &Instruments::default()).expect("dark threaded run completes")
 }
@@ -388,8 +388,7 @@ fn prop_cross_executor_outputs_identical() {
             v
         };
 
-        // Reference: single-worker simulator run.
-        let sim_inputs: Vec<InputBlock> = data
+        let inputs: Vec<InputBlock> = data
             .iter()
             .enumerate()
             .map(|(i, d)| InputBlock {
@@ -398,9 +397,11 @@ fn prop_cross_executor_outputs_identical() {
                 data: d.clone(),
             })
             .collect();
+
+        // Reference: single-worker simulator run.
         let sim_cfg = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
         let reference = sorted(
-            run_sim(TwoStage::new(n_blocks), &sim_cfg, &TagCost, sim_inputs)
+            run_sim(TwoStage::new(n_blocks), &sim_cfg, &TagCost, inputs.clone())
                 .workload
                 .results,
         );
@@ -409,17 +410,8 @@ fn prop_cross_executor_outputs_identical() {
         for workers in [1usize, 2, 4, 8] {
             // Simulator at this worker count.
             let cfg = SimConfig::new(x86_smp(workers), DispatchPolicy::NonSpeculative);
-            let sim_inputs: Vec<InputBlock> = data
-                .iter()
-                .enumerate()
-                .map(|(i, d)| InputBlock {
-                    index: i,
-                    arrival: i as Time,
-                    data: d.clone(),
-                })
-                .collect();
             let got = sorted(
-                run_sim(TwoStage::new(n_blocks), &cfg, &TagCost, sim_inputs)
+                run_sim(TwoStage::new(n_blocks), &cfg, &TagCost, inputs.clone())
                     .workload
                     .results,
             );
@@ -427,8 +419,7 @@ fn prop_cross_executor_outputs_identical() {
 
             // The threaded (work-stealing) executor.
             let tcfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
-            let blocks: Vec<(usize, Arc<[u8]>)> = data.iter().cloned().enumerate().collect();
-            let (w, m) = run_threaded(TwoStage::new(n_blocks), &tcfg, blocks);
+            let (w, m) = run_threaded(TwoStage::new(n_blocks), &tcfg, inputs.clone());
             assert_eq!(
                 sorted(w.results),
                 reference,
@@ -490,7 +481,7 @@ fn prop_threaded_abort_never_leaks() {
                     leaked: false,
                 },
                 &cfg,
-                Vec::<(usize, Arc<[u8]>)>::new(),
+                Vec::new(),
             );
             assert!(w.normal_done);
             assert!(

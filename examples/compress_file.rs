@@ -1,8 +1,8 @@
 //! Compress or decompress a real file with the speculative pipeline.
 //!
 //! Encoding runs the paper's speculative Huffman pipeline on the threaded
-//! executor (blocks fed as fast as the file reads) and writes a standalone
-//! `TVSH1` container; decoding reads the container back.
+//! executor (the file is in memory: every block is due at once) and writes
+//! a standalone `TVSH1` container; decoding reads the container back.
 //!
 //! Usage:
 //!   cargo run --release --example compress_file -- compress   <in> <out>
@@ -11,10 +11,11 @@
 //! With no arguments, a self-test compresses a generated input to a temp
 //! file and round-trips it.
 
-use std::sync::Arc;
 use tvs_huffman::container;
+use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
+use tvs_pipelines::runner::schedule_blocks;
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::{DispatchPolicy, Instruments};
 
@@ -25,11 +26,11 @@ fn compress(data: &[u8]) -> Vec<u8> {
     let mut cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
     cfg.collect_output = true;
     let workload = HuffmanWorkload::new(cfg.clone(), data.len());
-    let blocks: Vec<(usize, Arc<[u8]>)> = data
-        .chunks(cfg.block_bytes)
-        .enumerate()
-        .map(|(i, c)| (i, Arc::<[u8]>::from(c)))
-        .collect();
+    let in_memory = Uniform {
+        gap_us: 0,
+        start_us: 0,
+    };
+    let (blocks, _) = schedule_blocks(data, cfg.block_bytes, &in_memory);
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);

@@ -3,8 +3,11 @@
 //! The paper's second I/O scenario streams the input "via a tunneled SSH
 //! socket connection over a long distance". This example does it for real:
 //! a throttled TCP server on loopback streams a synthetic PDF-like file,
-//! and the *threaded* executor (not the simulator) runs the speculative
-//! Huffman pipeline on the blocks as they arrive.
+//! a reader records when each block came off the socket, and the
+//! *threaded* executor (not the simulator) runs the speculative Huffman
+//! pipeline on the blocks at that pace — its feeder takes the recorded
+//! due times, the same kind of schedule the simulator takes, and hands
+//! over every block that is due when it wakes in one batch.
 //!
 //! While the run is live, the metrics plane is exposed three ways:
 //!
@@ -27,7 +30,7 @@ use std::time::Duration;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
-use tvs_sre::{DispatchPolicy, Instruments, MetricsHub, Sampler};
+use tvs_sre::{DispatchPolicy, InputBlock, Instruments, MetricsHub, Sampler};
 use tvs_workloads::FileKind;
 
 const WORKERS: usize = 8;
@@ -119,23 +122,27 @@ fn main() {
         writeln!(jsonl, "{}", snap.to_json_line()).expect("append jsonl");
     });
 
-    // Bridge: a reader thread turns the TCP stream into the executor's
-    // input iterator (the feeder thread then plays the SRE's input role).
-    let (tx, rx) = mpsc::sync_channel::<(usize, Arc<[u8]>)>(64);
-    let reader = std::thread::spawn(move || {
-        let mut conn = TcpStream::connect(addr).expect("connect");
-        tvs_iosim::tcp::read_blocks(&mut conn, block_bytes, |idx, _at, block| {
-            tx.send((idx, Arc::from(block))).expect("pipeline alive");
-        })
-        .expect("stream read");
-    });
+    // The TCP stream as the executor's input: every block with the moment
+    // it came off the socket, µs from the first read.
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let mut blocks = Vec::new();
+    let mut first: Option<std::time::Instant> = None;
+    tvs_iosim::tcp::read_blocks(&mut conn, block_bytes, |index, at, block| {
+        let t0 = *first.get_or_insert(at);
+        blocks.push(InputBlock {
+            index,
+            arrival: at.duration_since(t0).as_micros() as u64,
+            data: Arc::from(block),
+        });
+    })
+    .expect("stream read");
+    server.join().expect("server").expect("server io");
 
+    // The calling thread plays the SRE's input role, at the socket's pace.
     let started = std::time::Instant::now();
     let tcfg = ThreadedConfig::new(WORKERS, cfg.policy);
-    let (workload, metrics) =
-        threaded::run(workload, &tcfg, rx, &instruments).expect("nothing injected, nothing fails");
-    reader.join().expect("reader");
-    server.join().expect("server").expect("server io");
+    let (workload, metrics) = threaded::run(workload, &tcfg, blocks, &instruments)
+        .expect("nothing injected, nothing fails");
 
     // Self-scrape before shutdown: the exposition path works end to end.
     let response = scrape(metrics_addr);

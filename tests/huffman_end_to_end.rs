@@ -174,6 +174,62 @@ fn threaded_and_sim_executors_produce_identical_streams() {
 }
 
 #[test]
+fn every_grain_on_either_executor_commits_the_same_stream() {
+    // grain × executor × {NonSpeculative, Balanced} × {stationary,
+    // drifting}: 64 blocks in 16 reduce groups, arriving one by one (per
+    // block), all at once on 2 workers (one chunk per group) or all at once
+    // on 17 (fewer whole groups than workers: per block again). The grain
+    // must not reach the output: every run commits the same stream, which
+    // is the serial codec's under the committed code.
+    let stationary = tvs_workloads::generate(FileKind::Text, 128 * 1024, 20);
+    let mut drifting = vec![b'x'; 64 * 1024];
+    drifting.extend((0..64 * 1024u32).map(|i| 128 + (i % 100) as u8));
+    let grains = [(50, 2), (0, 2), (0, 17)];
+    for (name, data) in [("stationary", &stationary), ("drifting", &drifting)] {
+        for policy in [DispatchPolicy::NonSpeculative, DispatchPolicy::Balanced] {
+            let c = HuffmanConfig {
+                block_bytes: 2048,
+                reduce_ratio: 4,
+                offset_fanout: 8,
+                ..cfg(policy)
+            };
+            let mut runs = Vec::new();
+            for (gap_us, workers) in grains {
+                let arrival = Uniform {
+                    gap_us,
+                    start_us: 0,
+                };
+                let sim = sim_outcome(data, &c, &x86_smp(workers), &arrival);
+                let threaded = threaded_outcome(data, &c, workers, &arrival, 1);
+                runs.push((format!("sim, {gap_us} µs apart, {workers} workers"), sim));
+                runs.push((format!("threads, {gap_us} µs apart, {workers}"), threaded));
+            }
+            let (_, first) = &runs[0];
+            let (bytes, bits, lengths) = first.result.output.as_ref().expect("collected");
+            let under_its_code = tvs_huffman::encode_block(data, &CodeTable::from_lengths(lengths))
+                .expect("the committed code covers the input");
+            assert_eq!(
+                (bytes, *bits),
+                (&under_its_code.bytes, under_its_code.bit_len)
+            );
+            if policy == DispatchPolicy::NonSpeculative {
+                assert_eq!(bytes, &serial_encode(data).unwrap().bytes, "{name}");
+            }
+            for (run, out) in &runs {
+                assert!(
+                    out.result.output == first.result.output,
+                    "{name}, {policy:?}, {run}: a different stream"
+                );
+                assert_eq!(
+                    out.result.spec_stats, first.result.spec_stats,
+                    "{name}, {policy:?}, {run}: the manager saw a different history"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn latency_series_is_complete_and_positive() {
     let data = tvs_workloads::generate(FileKind::Bmp, 1 << 20, 17);
     let out = sim_outcome(

@@ -1,17 +1,16 @@
 //! The real thread-pool executor: correctness under actual concurrency.
 
-use std::sync::Arc;
-use tvs_huffman::{decode_exact, serial_encode, CodeTable};
+use std::collections::BTreeMap;
+use tvs_huffman::{decode_exact, serial_encode, CodeTable, EncodedBlock};
 use tvs_iosim::{ArrivalModel, Uniform};
 use tvs_metrics::{Counter, Hist, MetricsHub};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
-use tvs_pipelines::runner::{run_huffman, HuffmanRun, RunOutcome};
+use tvs_pipelines::runner::{run_huffman, schedule_blocks, HuffmanRun, RunOutcome};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::task::{payload, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
 use tvs_sre::{DispatchPolicy, Instruments, Platform, RunError};
-use tvs_trace::{EventKind, Tracer};
 use tvs_workloads::FileKind;
 
 /// Dark simulator run that must complete.
@@ -194,16 +193,16 @@ fn worker_counts_from_one_to_sixteen() {
 
 #[test]
 fn raw_executor_api_with_custom_feeder() {
-    // Drive the executor directly (no runner sugar): feeder pacing via a
-    // plain iterator of blocks.
+    // Drive the executor directly (no runner sugar): the feeder paces the
+    // same due-time list the simulator takes.
     let data = tvs_workloads::generate(FileKind::Pdf, 64 * 1024, 25);
     let cfg = small_cfg(DispatchPolicy::Balanced);
     let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-    let blocks: Vec<(usize, Arc<[u8]>)> = data
-        .chunks(cfg.block_bytes)
-        .enumerate()
-        .map(|(i, c)| (i, Arc::<[u8]>::from(c)))
-        .collect();
+    let every_100us = Uniform {
+        gap_us: 100,
+        start_us: 0,
+    };
+    let (blocks, _) = schedule_blocks(&data, cfg.block_bytes, &every_100us);
     let tcfg = ThreadedConfig::new(4, cfg.policy);
     let (wl, metrics) =
         threaded::run(wl, &tcfg, blocks, &Instruments::default()).expect("a dark run cannot fail");
@@ -217,11 +216,37 @@ fn raw_executor_api_with_custom_feeder() {
 fn rollback_finds_first_version_work_still_outstanding() {
     // 4 MB drifting input, every block due at t = 0: the prefix mispredicts
     // and one rollback re-encodes the stream. Checks run at highest
-    // priority so that the failed one is *acted on* while most first-version
+    // priority so that the failed one is *acted on* while first-version
     // encodes are still ready or running. If completions queue behind the
     // workers instead of being routed where they finish, the rollback
-    // arrives after every first-version encode is done: nothing to delete,
-    // nothing to discard, exactly two encodes per block.
+    // arrives after every first-version encode is done: every block encoded
+    // under the first version, none of its work deleted or discarded.
+    // Counted in blocks, not tasks: one encode task covers a whole chunk.
+    struct EncodedBlocks {
+        inner: HuffmanWorkload,
+        /// Blocks of each version's delivered encodes (0 for a version
+        /// that delivered only its prediction).
+        by_version: BTreeMap<Option<u32>, usize>,
+    }
+    impl Workload for EncodedBlocks {
+        fn on_input(&mut self, ctx: &mut dyn SchedCtx, block: InputBlock) {
+            self.inner.on_input(ctx, block);
+        }
+        fn on_input_batch(&mut self, ctx: &mut dyn SchedCtx, batch: Vec<InputBlock>) {
+            self.inner.on_input_batch(ctx, batch);
+        }
+        fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
+            let blocks = done
+                .output
+                .downcast_ref::<(usize, Vec<EncodedBlock>)>()
+                .map_or(0, |(_, blocks)| blocks.len());
+            *self.by_version.entry(done.version).or_default() += blocks;
+            self.inner.on_complete(ctx, done);
+        }
+        fn is_finished(&self) -> bool {
+            self.inner.is_finished()
+        }
+    }
     let data = tvs_workloads::generate_paper_sized(FileKind::Pdf, 7);
     let cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
     let n_blocks = data.len().div_ceil(cfg.block_bytes);
@@ -230,26 +255,29 @@ fn rollback_finds_first_version_work_still_outstanding() {
         gap_us: 0,
         start_us: 0,
     };
-    let mut run = HuffmanRun::threaded(&data, &cfg, workers, &at_once, 1);
-    run.instruments.tracer = Tracer::enabled(workers);
-    let report = run_huffman(&run).expect("nothing injected, nothing fails");
-    let log = report.log.expect("enabled tracer drains");
-    let out = report.end.into_outcome();
-    assert!(out.metrics.rollbacks >= 1, "the input must mispredict");
-    assert_eq!(log.dropped, 0, "encode count needs the full event log");
-    let encodes = log
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::TaskStart { name: "encode", .. }))
-        .count();
-    let m = &out.metrics;
+    let (blocks, _) = schedule_blocks(&data, cfg.block_bytes, &at_once);
+    let wl = EncodedBlocks {
+        inner: HuffmanWorkload::new(cfg.clone(), data.len()),
+        by_version: BTreeMap::new(),
+    };
+    let tcfg = ThreadedConfig::new(workers, cfg.policy);
+    let (wl, m) = threaded::run(wl, &tcfg, blocks, &Instruments::default())
+        .expect("nothing injected, nothing fails");
+    assert!(m.rollbacks >= 1, "the input must mispredict");
+    let first = *wl
+        .by_version
+        .keys()
+        .find(|v| v.is_some())
+        .expect("a version was predicted");
+    let encoded = wl.by_version[&first];
     assert!(
-        m.tasks_deleted_ready + m.tasks_discarded > 0 || encodes < 2 * n_blocks,
-        "rollback came after all first-version work: {encodes} encodes for {n_blocks} blocks, \
-         {} deleted, {} discarded",
+        encoded < n_blocks,
+        "rollback came after all first-version work: version {first:?} encoded all {n_blocks} \
+         blocks ({} tasks deleted, {} discarded)",
         m.tasks_deleted_ready,
         m.tasks_discarded
     );
+    assert_eq!(wl.inner.result().blocks.len(), n_blocks);
 }
 
 /// `len` tasks in one serial chain: each is spawned from the previous one's
@@ -314,13 +342,9 @@ fn no_completion_report_is_ever_stranded() {
             };
             let hub = MetricsHub::enabled(workers);
             let stolen = steal_ticks();
-            let (chain, m) = threaded::run(
-                chain,
-                &cfg,
-                Vec::<(usize, Arc<[u8]>)>::new(),
-                &Instruments::metered(hub.clone()),
-            )
-            .expect("chain completes");
+            let (chain, m) =
+                threaded::run(chain, &cfg, Vec::new(), &Instruments::metered(hub.clone()))
+                    .expect("chain completes");
             assert_eq!((chain.done, m.tasks_delivered), (12, 12));
             let snap = hub.snapshot().expect("live hub");
             let longest_nap_us = snap.hist(Hist::IdleSliceUs).quantile(1.0);
@@ -347,7 +371,7 @@ fn panicking_workload_callback_fails_the_run_with_a_structured_error() {
             panic_at: 3,
         };
         let cfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
-        let no_input = Vec::<(usize, Arc<[u8]>)>::new();
+        let no_input = Vec::new();
         let Err(err) = threaded::run(chain, &cfg, no_input, &Instruments::default()) else {
             panic!("a panicking callback must fail the run");
         };

@@ -205,7 +205,7 @@ fn threaded_second_abort_mid_cascade() {
     let (w, _) = threaded::run(
         TwoVersionCascade::new(),
         &cfg,
-        Vec::<(usize, Arc<[u8]>)>::new(),
+        Vec::new(),
         &Instruments::default(),
     )
     .expect("a dark run cannot fail");
@@ -298,8 +298,8 @@ fn threaded_abort_lands_during_stalled_replay() {
         fault_seen: false,
     };
     let cfg = ThreadedConfig::new(4, DispatchPolicy::Aggressive);
-    let (w, m) = threaded::run(w, &cfg, Vec::<(usize, Arc<[u8]>)>::new(), &ins)
-        .expect("a speculative fault never fails the run");
+    let (w, m) =
+        threaded::run(w, &cfg, Vec::new(), &ins).expect("a speculative fault never fails the run");
     assert_eq!(
         *lock_recover(&w.cells),
         vec![0i64; CELLS],
