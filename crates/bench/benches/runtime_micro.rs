@@ -101,7 +101,7 @@ fn bench_sim_executor(rows: &mut Vec<tvs_bench::microbench::Measurement>) {
                 data: vec![0u8; 16].into(),
             })
             .collect();
-        let cfg = SimConfig::new(x86_smp(16), DispatchPolicy::NonSpeculative);
+        let cfg = SimConfig::new(x86_smp(16));
         rows.push(bench_with(
             &format!("sim_executor/tasks/{n_tasks}"),
             Opts::heavy(),
@@ -113,11 +113,12 @@ fn bench_sim_executor(rows: &mut Vec<tvs_bench::microbench::Measurement>) {
                         spin: Duration::ZERO,
                     },
                     &cfg,
+                    DispatchPolicy::NonSpeculative,
                     &FixedCost(50),
                     inputs.clone(),
                     &Instruments::default(),
                 );
-                black_box(rep.expect("a dark run cannot fail").metrics.makespan)
+                black_box(rep.expect("a dark run cannot fail").1.makespan)
             },
         ));
     }
@@ -166,7 +167,7 @@ fn unit_digest(_name: &'static str, out: &dyn std::any::Any) -> Option<u64> {
 
 /// Median wall-clock seconds over `reps` full runs of `n` tasks.
 fn run_once(exec: Exec, workers: usize, n: usize, spin: Duration, reps: usize) -> f64 {
-    let cfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
+    let cfg = ThreadedConfig::new(workers);
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
             let inputs = blocks_at_once(n, 16);
@@ -186,14 +187,16 @@ fn run_once(exec: Exec, workers: usize, n: usize, spin: Duration, reps: usize) -
                     Arc::new(unit_digest),
                 );
                 let t = Instant::now();
-                let (w, m) = threaded::run(wl, &cfg, inputs, &ins).expect("nothing fails");
+                let (w, m) = threaded::run(wl, &cfg, DispatchPolicy::NonSpeculative, inputs, &ins)
+                    .expect("nothing fails");
                 let el = t.elapsed().as_secs_f64();
                 assert_eq!(w.inner().seen, n);
                 assert_eq!(m.replica_dispatches as usize, n);
                 return el;
             }
             let t = Instant::now();
-            let (w, m) = threaded::run(wl, &cfg, inputs, &ins).expect("nothing fails");
+            let (w, m) = threaded::run(wl, &cfg, DispatchPolicy::NonSpeculative, inputs, &ins)
+                .expect("nothing fails");
             let el = t.elapsed().as_secs_f64();
             drop(ins.tracer.drain());
             assert_eq!(w.seen, n);

@@ -95,18 +95,19 @@ fn ablation_check_cost() {
         cfg.schedule = tvs_core::SpeculationSchedule::with_step(1);
         let (blocks, times) = schedule_blocks(&data, cfg.block_bytes, &Disk::default());
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-        let sim = SimConfig::new(platform.clone(), cfg.policy);
-        let rep = sim::run(
+        let sim = SimConfig::new(platform.clone());
+        let (wl, metrics) = sim::run(
             wl,
             &sim,
+            cfg.policy,
             &ScaledCheckCost(scale),
             blocks,
             &Instruments::default(),
         )
         .expect("a dark run cannot fail");
         let out = tvs_pipelines::RunOutcome {
-            result: rep.workload.result(),
-            metrics: rep.metrics,
+            result: wl.result(),
+            metrics,
             arrivals: times,
         };
         row(&format!("check cost x{scale} (~{}us)", 30 * scale), &out);

@@ -208,7 +208,7 @@ fn threaded_short_row() -> Row {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get().min(8))
         .unwrap_or(4);
-    let cfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
+    let cfg = ThreadedConfig::new(workers);
     let mut per_task_ns: Vec<f64> = (0..REPS)
         .map(|_| {
             let inputs = blocks_at_once(N, TASK_BYTES);
@@ -216,6 +216,7 @@ fn threaded_short_row() -> Row {
             let (w, m) = threaded::run(
                 PerBlock { n: N, seen: 0 },
                 &cfg,
+                DispatchPolicy::NonSpeculative,
                 inputs,
                 &Instruments::default(),
             )
@@ -252,7 +253,7 @@ fn threaded_short_replicated_row() -> Row {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get().min(8))
         .unwrap_or(4);
-    let cfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
+    let cfg = ThreadedConfig::new(workers);
     let digest = |_: &'static str, out: &dyn std::any::Any| out.downcast_ref::<()>().map(|_| 0x5DC);
     let mut per_task_ns: Vec<f64> = (0..REPS)
         .map(|_| {
@@ -264,8 +265,14 @@ fn threaded_short_replicated_row() -> Row {
                 std::sync::Arc::new(digest),
             );
             let t = Instant::now();
-            let (w, m) = threaded::run(wl, &cfg, inputs, &Instruments::default())
-                .expect("a dark run cannot fail");
+            let (w, m) = threaded::run(
+                wl,
+                &cfg,
+                DispatchPolicy::NonSpeculative,
+                inputs,
+                &Instruments::default(),
+            )
+            .expect("a dark run cannot fail");
             let el = t.elapsed().as_nanos() as f64;
             assert_eq!(w.inner().seen, N);
             assert_eq!(m.replica_dispatches as usize, N);

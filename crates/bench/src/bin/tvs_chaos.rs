@@ -17,6 +17,11 @@
 //! to `results/chaos_degrade_trace.json` / `_events.csv` as the CI
 //! artifact.
 //!
+//! The SDC-recall and kill-and-resume matrices are written one file per
+//! executor: the simulator's rows to `results/{sdc_recall,resume_matrix}.jsonl`
+//! (deterministic, tracked), the threaded rows — which move with thread
+//! timing — to `results/{sdc_recall,resume_matrix}_threaded.jsonl`.
+//!
 //! Run with `cargo run --release -p tvs-bench --bin tvs-chaos`.
 //! Exits non-zero if any invariant is violated.
 
@@ -35,6 +40,27 @@ use tvs_workloads::FileKind;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 const EXECS: [&str; 2] = ["sim", "threaded"];
+
+/// Write one matrix's rows, one file per executor (`rows[i]` holds
+/// `EXECS[i]`'s): `<stem>.jsonl` for the simulator, `<stem>_threaded.jsonl`
+/// for threads. Returns the violation count (0 or 1).
+fn write_matrix(stem: &str, rows: &[String; 2]) -> u32 {
+    let dir = results_dir();
+    for (exec, lines) in EXECS.iter().zip(rows) {
+        let name = match *exec {
+            "sim" => format!("{stem}.jsonl"),
+            exec => format!("{stem}_{exec}.jsonl"),
+        };
+        let path = dir.join(name);
+        let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, lines));
+        if let Err(e) = written {
+            println!("VIOLATION: could not write {stem} artifact: {e}");
+            return 1;
+        }
+        println!("{stem} ({exec}) -> {}", path.display());
+    }
+    0
+}
 const SIM_WORKERS: usize = 8;
 const WORKERS: usize = 4;
 
@@ -233,7 +259,7 @@ fn main() {
         ("replicate", ValidationMode::Replicate { sample_rate: 1.0 }),
         ("both", ValidationMode::Both { sample_rate: 1.0 }),
     ];
-    let mut recall_lines = String::new();
+    let mut recall_lines: [String; 2] = Default::default();
     println!(
         "\n== sdc recall: {} seeds x sim+threaded x replicate/both ==",
         SEEDS.len()
@@ -245,7 +271,7 @@ fn main() {
     for seed in SEEDS {
         for (mode_label, mode) in sdc_modes {
             sdc_cfg.validation = mode;
-            for exec in EXECS {
+            for (lines, exec) in recall_lines.iter_mut().zip(EXECS) {
                 let faults = FaultInjector::new(FaultPlan::sdc(seed));
                 let mut run = run_on(exec, &sdc_data, &sdc_cfg, &arrival);
                 run.instruments.faults = faults.clone();
@@ -261,7 +287,7 @@ fn main() {
                 let detected = report.replica.sdc_detected;
                 let decoded = decode_exactly(&report.end.into_outcome(), &sdc_data);
                 let ok = decoded.is_ok() && (injected == 0 || detected >= 1);
-                recall_lines.push_str(&format!(
+                lines.push_str(&format!(
                     "{{\"seed\":{seed},\"exec\":\"{exec}\",\"mode\":\"{mode_label}\",\"injected\":{injected},\"detected\":{detected},\"ok\":{ok}}}\n"
                 ));
                 let cell = if ok {
@@ -277,16 +303,7 @@ fn main() {
             }
         }
     }
-    let dir = results_dir();
-    let recall_path = dir.join("sdc_recall.jsonl");
-    let written =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&recall_path, &recall_lines));
-    if let Err(e) = written {
-        println!("VIOLATION: could not write sdc recall artifact: {e}");
-        violations += 1;
-    } else {
-        println!("sdc recall -> {}", recall_path.display());
-    }
+    violations += write_matrix("sdc_recall", &recall_lines);
 
     // Kill-and-resume matrix: for every seed, halt a checkpointed run at
     // each kill block, resume from the snapshot, and require the resumed
@@ -301,7 +318,7 @@ fn main() {
         ..cfg()
     };
     const KILL_POINTS: [usize; 3] = [8, 24, 48];
-    let mut resume_lines = String::new();
+    let mut resume_lines: [String; 2] = Default::default();
     println!(
         "\n== kill-and-resume: {} seeds x {:?} x sim+threaded ==",
         SEEDS.len(),
@@ -317,7 +334,7 @@ fn main() {
         let base = tvs_bench::sim_outcome(&rd, &resume_cfg, &x86_smp(SIM_WORKERS), &arrival);
         let base_out = base.result.output.as_ref().expect("output collected");
         for kill_at in KILL_POINTS {
-            for exec in EXECS {
+            for (lines, exec) in resume_lines.iter_mut().zip(EXECS) {
                 let dir = std::env::temp_dir().join(format!(
                     "tvs-chaos-resume-{}-{seed}-{kill_at}-{exec}",
                     std::process::id()
@@ -378,7 +395,7 @@ fn main() {
                     }
                 };
                 let identical = !cell.starts_with("VIOLATION");
-                resume_lines.push_str(&format!(
+                lines.push_str(&format!(
                     "{{\"seed\":{seed},\"kill_at\":{kill_at},\"exec\":\"{exec}\",\"prefix\":{prefix},\"replayed\":{replayed},\"identical\":{identical}}}\n"
                 ));
                 println!("{seed:<6} {kill_at:<8} {exec:<10} {cell:<30}");
@@ -386,13 +403,7 @@ fn main() {
             }
         }
     }
-    let resume_path = results_dir().join("resume_matrix.jsonl");
-    if let Err(e) = std::fs::write(&resume_path, &resume_lines) {
-        println!("VIOLATION: could not write resume matrix artifact: {e}");
-        violations += 1;
-    } else {
-        println!("resume matrix -> {}", resume_path.display());
-    }
+    violations += write_matrix("resume_matrix", &resume_lines);
 
     // Adversarial misprediction: drifting input, zero tolerance, tight
     // degradation window, cooldown longer than the run. Speculation must be

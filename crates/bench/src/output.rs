@@ -83,6 +83,7 @@ mod tests {
                 id: 1,
                 name: "t",
                 version: None,
+                tag: 0,
             },
         );
         tracer.emit(

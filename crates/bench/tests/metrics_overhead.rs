@@ -55,7 +55,7 @@ impl Workload for PerBlock {
 /// region — the budget covers in-run emission, not post-run scraping.
 fn median_secs(n: usize, metered: bool, reps: usize) -> f64 {
     const SPIN: Duration = Duration::from_micros(100);
-    let cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
+    let cfg = ThreadedConfig::new(4);
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
             let inputs = blocks_at_once(n, 16);
@@ -79,8 +79,10 @@ fn median_secs(n: usize, metered: bool, reps: usize) -> f64 {
                 spin: SPIN,
             };
             let t = Instant::now();
-            let (w, metrics) = threaded::run(wl, &cfg, inputs, &Instruments::metered(hub.clone()))
-                .expect("nothing injected, nothing fails");
+            let ins = Instruments::metered(hub.clone());
+            let (w, metrics) =
+                threaded::run(wl, &cfg, DispatchPolicy::NonSpeculative, inputs, &ins)
+                    .expect("nothing injected, nothing fails");
             let el = t.elapsed().as_secs_f64();
             if let Some(s) = sampler {
                 s.stop();

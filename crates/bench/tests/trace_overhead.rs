@@ -53,7 +53,7 @@ impl Workload for PerBlock {
 /// the budget covers emission, not post-run export.
 fn median_secs(n: usize, traced: bool, reps: usize) -> f64 {
     const SPIN: Duration = Duration::from_micros(100);
-    let cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
+    let cfg = ThreadedConfig::new(4);
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
             let inputs = blocks_at_once(n, 16);
@@ -68,7 +68,8 @@ fn median_secs(n: usize, traced: bool, reps: usize) -> f64 {
                 spin: SPIN,
             };
             let t = Instant::now();
-            let (w, _) = threaded::run(wl, &cfg, inputs, &Instruments::traced(tracer.clone()))
+            let ins = Instruments::traced(tracer.clone());
+            let (w, _) = threaded::run(wl, &cfg, DispatchPolicy::NonSpeculative, inputs, &ins)
                 .expect("nothing injected, nothing fails");
             let el = t.elapsed().as_secs_f64();
             if let Some(log) = tracer.drain() {

@@ -8,15 +8,13 @@
 //! virtual microseconds.
 //!
 //! Both executors take the schedule itself (the threaded one paces it on
-//! the wall clock in its feeder); [`pace`] paces one for a caller that
-//! feeds blocks on its own, and [`tcp`] provides an actual loopback TCP
+//! the wall clock in its feeder); [`tcp`] provides an actual loopback TCP
 //! streamer with bandwidth throttling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod model;
-pub mod pace;
 pub mod tcp;
 
 pub use model::{ArrivalModel, Custom, Disk, Replay, Socket, Uniform};

@@ -454,7 +454,7 @@ pub fn run_filter_sim(
 ) -> (FilterResult, tvs_sre::RunMetrics) {
     use tvs_sre::exec::sim::{run, SimConfig};
     let wl = FilterWorkload::new(cfg.clone(), n_blocks);
-    let sim = SimConfig::new(tvs_sre::x86_smp(workers), cfg.policy);
+    let sim = SimConfig::new(tvs_sre::x86_smp(workers));
     let inputs: Vec<InputBlock> = (0..n_blocks)
         .map(|i| InputBlock {
             index: i,
@@ -462,15 +462,16 @@ pub fn run_filter_sim(
             data: make_block(i),
         })
         .collect();
-    let rep = run(
+    let (wl, metrics) = run(
         wl,
         &sim,
+        cfg.policy,
         &FilterCost,
         inputs,
         &tvs_sre::Instruments::default(),
     )
     .expect("a dark run injects nothing that could fail it");
-    (rep.workload.result(), rep.metrics)
+    (wl.result(), metrics)
 }
 
 fn make_block(i: usize) -> Arc<[u8]> {

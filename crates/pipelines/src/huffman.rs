@@ -86,7 +86,7 @@ use tvs_huffman::{
     Histogram, OffsetChain,
 };
 use tvs_metrics::{Gauge, MetricsHub};
-use tvs_sre::fault::lock_recover;
+use tvs_sre::lock_recover;
 use tvs_sre::task::{expect_payload, payload};
 use tvs_sre::{
     Completion, FaultInjector, FaultKind, FaultNotice, FaultSite, InputBlock, Instruments,
@@ -1636,18 +1636,20 @@ mod tests {
     use tvs_core::{SpeculationSchedule, Tolerance, ValidationMode, VerificationPolicy};
     use tvs_sre::exec::sim::SimConfig;
     use tvs_sre::exec::threaded::{self, ThreadedConfig};
-    use tvs_sre::metrics::SimReport;
-    use tvs_sre::{x86_smp, DispatchPolicy};
+    use tvs_sre::{x86_smp, DispatchPolicy, RunMetrics};
 
-    /// Dark simulator run that must complete (a test that injects faults
-    /// arms the workload's own sites only).
+    /// Dark run of `wl` under `policy` on the simulator's model of
+    /// `workers` x86 cores, which must complete (a test that injects
+    /// faults arms the workload's own sites only).
     fn run<W: Workload>(
         wl: W,
-        sim: &SimConfig,
-        cost: &dyn tvs_sre::CostModel,
+        workers: usize,
+        policy: DispatchPolicy,
         inputs: Vec<InputBlock>,
-    ) -> SimReport<W> {
-        tvs_sre::exec::sim::run(wl, sim, cost, inputs, &Instruments::default())
+    ) -> (W, RunMetrics) {
+        let sim = SimConfig::new(x86_smp(workers));
+        let ins = Instruments::default();
+        tvs_sre::exec::sim::run(wl, &sim, policy, &HuffmanCost, inputs, &ins)
             .expect("sim run completes")
     }
 
@@ -1681,10 +1683,9 @@ mod tests {
 
     fn run_small(data: &[u8], cfg: HuffmanConfig) -> (PipelineResult, tvs_sre::RunMetrics) {
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(data, cfg.block_bytes, 5);
-        let rep = run(wl, &sim, &HuffmanCost, inputs);
-        (rep.workload.result(), rep.metrics)
+        let (wl, metrics) = run(wl, 4, cfg.policy, inputs);
+        (wl.result(), metrics)
     }
 
     /// Stationary text over a realistically *rich* alphabet: rare symbols
@@ -1816,10 +1817,9 @@ mod tests {
         // Slow arrivals: checks resolve while their version is active,
         // instead of going stale behind an early-finished reduce chain.
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(&data, cfg.block_bytes, 100);
-        let rep = run(wl, &sim, &HuffmanCost, inputs);
-        let (res, m) = (rep.workload.result(), rep.metrics);
+        let (wl, m) = run(wl, 4, cfg.policy, inputs);
+        let res = wl.result();
         assert!(m.rollbacks >= 2, "zero tolerance must roll back: {m:?}");
         let s = res.spec_stats.unwrap();
         assert!(
@@ -1852,10 +1852,8 @@ mod tests {
         ));
         let wl =
             HuffmanWorkload::instrumented(cfg.clone(), data.len(), 0, &Instruments::faulty(faults));
-        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(&data, cfg.block_bytes, 5);
-        let rep = run(wl, &sim, &HuffmanCost, inputs);
-        let res = rep.workload.result();
+        let res = run(wl, 4, cfg.policy, inputs).0.result();
         let s = res.spec_stats.unwrap();
         assert!(
             s.checks_failed > 0 || res.committed_version.is_none(),
@@ -1954,25 +1952,19 @@ mod tests {
             as_fault,
             lost: None,
         };
-        let sim = SimConfig::new(x86_smp(4), cfg.policy);
-        let rep = run(
-            lossy(),
-            &sim,
-            &HuffmanCost,
-            blocks_of(data, cfg.block_bytes, 0),
-        );
-        assert!(rep.workload.lost.is_some(), "the loss point was reached");
-        let mut results = vec![rep.workload.inner.result()];
+        let (wl, _) = run(lossy(), 4, cfg.policy, blocks_of(data, cfg.block_bytes, 0));
+        assert!(wl.lost.is_some(), "the loss point was reached");
+        let mut results = vec![wl.inner.result()];
         // On real threads a run can be past the loss point before it gets
         // there (everything encoded by the time the version commits).
         let mut reached = 0;
         for _ in 0..20 {
             let inputs = blocks_of(data, cfg.block_bytes, 20);
-            let threaded = ThreadedConfig::new(2, cfg.policy);
-            let wl = lossy();
+            let threaded = ThreadedConfig::new(2);
+            let (wl, policy) = (lossy(), cfg.policy);
             let (tx, rx) = std::sync::mpsc::channel();
             let runner = std::thread::spawn(move || {
-                let ran = threaded::run(wl, &threaded, inputs, &Instruments::default());
+                let ran = threaded::run(wl, &threaded, policy, inputs, &Instruments::default());
                 let _ = tx.send(ran.expect("threaded run completes").0);
             });
             let wl = rx
@@ -2049,19 +2041,19 @@ mod tests {
             let whole = tvs_huffman::encode_block(&data, &table).expect("covers the input");
             assert_eq!((bytes, bits), (whole.bytes, whole.bit_len));
         };
-        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(&data, cfg.block_bytes, 100);
-        let rep = run(watched(), &sim, &HuffmanCost, inputs);
-        assert!(rep.metrics.rollbacks > 0, "drifting data must roll back");
+        let (wl, m) = run(watched(), 4, cfg.policy, inputs);
+        assert!(m.rollbacks > 0, "drifting data must roll back");
         assert!(
             held_back.load(Ordering::Relaxed) > 0,
             "the wait buffer held blocks back"
         );
-        check(rep.workload.inner.result());
+        check(wl.inner.result());
         for _ in 0..5 {
             let inputs = blocks_of(&data, cfg.block_bytes, 0);
-            let threaded = ThreadedConfig::new(2, cfg.policy);
-            let (wl, _) = threaded::run(watched(), &threaded, inputs, &Instruments::default())
+            let threaded = ThreadedConfig::new(2);
+            let ins = Instruments::default();
+            let (wl, _) = threaded::run(watched(), &threaded, cfg.policy, inputs, &ins)
                 .expect("threaded run completes");
             check(wl.inner.result());
         }
@@ -2107,9 +2099,8 @@ mod tests {
         let resumed =
             HuffmanWorkload::resume(cfg.clone(), data.len(), &snap, &Instruments::default())
                 .expect("resumes");
-        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(data, 1, 1).split_off(2);
-        let res = run(resumed, &sim, &HuffmanCost, inputs).workload.result();
+        let res = run(resumed, 4, cfg.policy, inputs).0.result();
         let whole = tvs_huffman::encode_block(data, &tree.table).unwrap();
         let (bytes, bits, _) = res.output.expect("collected");
         assert_eq!((bytes, bits), (whole.bytes, whole.bit_len));
@@ -2154,29 +2145,31 @@ mod tests {
         data.extend((0..32 * 1024u32).map(|i| 180 + (i % 60) as u8));
         let cfg = small_cfg(DispatchPolicy::Balanced);
         let at_once = |workers| {
-            let sim = SimConfig {
-                task_trace: true,
-                ..SimConfig::new(x86_smp(workers), cfg.policy)
-            };
+            let sim = SimConfig::new(x86_smp(workers));
+            let tracer = tvs_sre::Tracer::enabled(workers);
+            let ins = Instruments::traced(tracer.clone());
             let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-            run(wl, &sim, &HuffmanCost, blocks_of(&data, cfg.block_bytes, 0))
+            let inputs = blocks_of(&data, cfg.block_bytes, 0);
+            let ran = tvs_sre::exec::sim::run(wl, &sim, cfg.policy, &HuffmanCost, inputs, &ins);
+            let (wl, m) = ran.expect("sim run completes");
+            (
+                wl,
+                m,
+                tracer.drain().expect("enabled tracer drains").tasks(),
+            )
         };
-        let rep = at_once(2);
-        assert!(rep.metrics.rollbacks > 0, "drifting data must roll back");
-        let cut = rep
-            .trace
-            .iter()
-            .filter(|t| t.name == "encode" && t.discarded)
-            .count();
-        assert!(cut > 0, "a rollback landed while a chunk was encoding");
+        let (chunked, m, spans) = at_once(2);
+        assert!(m.rollbacks > 0, "drifting data must roll back");
+        let encodes = || spans.iter().filter(|t| t.name == "encode");
         assert!(
-            rep.trace.iter().filter(|t| t.name == "encode").count() < 2 * 64,
-            "encodes run a chunk at a time"
+            encodes().any(|t| t.discarded),
+            "a rollback landed while a chunk was encoding"
         );
+        assert!(encodes().count() < 2 * 64, "encodes run a chunk at a time");
         // The stream is the per-block run's (64 workers: fewer whole
         // groups than workers), and the input under the committed code.
-        let chunked = rep.workload.result();
-        let per_block = at_once(64).workload.result();
+        let chunked = chunked.result();
+        let per_block = at_once(64).0.result();
         assert!(chunked.output == per_block.output);
         assert_eq!(chunked.spec_stats, per_block.spec_stats);
         let (bytes, bits, lengths) = chunked.output.expect("collected");
@@ -2197,15 +2190,9 @@ mod tests {
         ] {
             let cfg = small_cfg(policy);
             let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-            let sim = SimConfig::new(x86_smp(2), cfg.policy);
-            let rep = run(
-                wl,
-                &sim,
-                &HuffmanCost,
-                blocks_of(&data, cfg.block_bytes, gap),
-            );
-            assert!(rep.workload.data.iter().all(Option::is_none), "{policy:?}");
-            decode_output(&rep.workload.result(), &data);
+            let (wl, _) = run(wl, 2, cfg.policy, blocks_of(&data, cfg.block_bytes, gap));
+            assert!(wl.data.iter().all(Option::is_none), "{policy:?}");
+            decode_output(&wl.result(), &data);
         }
     }
 

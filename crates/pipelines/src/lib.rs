@@ -13,13 +13,6 @@
 //!   computation of filter coefficients whose early iterates are speculated
 //!   on, releasing the data-parallel filtering phase before the iteration
 //!   converges.
-//! * [`kmeans`] — the intro's other workload class ("iterative algorithms
-//!   such as k-means"): Lloyd iterations over a sample feed speculative
-//!   centroids to the data-parallel assignment phase.
-//! * [`annealing`] — the intro's "random-based optimization heuristics
-//!   such as simulated annealing": a stochastic, non-monotone solver whose
-//!   incumbent placement is speculated on with a *semantic* tolerance
-//!   (objective values, not structures, are compared).
 //!
 //! [`runner`] is the one way in: [`run_huffman`] takes a [`HuffmanRun`]
 //! (input, configuration, arrival model, executor, [`tvs_sre::Instruments`],
@@ -53,12 +46,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod annealing;
 pub mod config;
 pub mod cost;
 pub mod filter;
 pub mod huffman;
-pub mod kmeans;
 pub mod postmortem;
 pub mod report;
 pub mod runner;

@@ -15,7 +15,7 @@ use tvs_core::{ReplicaStats, ReplicatingWorkload, ResumeError, StreamSnapshot};
 use tvs_iosim::ArrivalModel;
 use tvs_sre::exec::sim::{self, SimConfig};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
-use tvs_sre::{InputBlock, Instruments, Platform, RunError, RunMetrics, TaskTrace, TraceLog};
+use tvs_sre::{InputBlock, Instruments, Platform, RunError, RunMetrics, TraceLog};
 
 mod seam;
 pub use seam::{
@@ -105,19 +105,19 @@ impl CheckpointedRun {
     }
 }
 
-/// The executor of a [`HuffmanRun`]. Its config's `retry` / `watchdog` /
-/// `supervisor` fields are a chaos run's recovery knobs; its `policy` is
-/// ignored — [`run_huffman`] dispatches under [`HuffmanConfig::policy`].
+/// The executor of a [`HuffmanRun`]. Its config's `max_attempts` /
+/// `watchdog` / `supervisor` fields are a chaos run's recovery knobs; the
+/// run dispatches under [`HuffmanConfig::policy`].
 #[derive(Debug, Clone)]
 pub enum Executor {
     /// The deterministic discrete-event executor, in virtual time.
     Sim {
-        /// Platform model, policy, fault handling, per-task trace.
+        /// Platform model and fault handling.
         cfg: SimConfig,
     },
     /// Real threads on the wall clock.
     Threaded {
-        /// Worker count, policy, fault handling.
+        /// Worker count and fault handling.
         cfg: ThreadedConfig,
         /// Arrivals are paced per the model compressed by this factor (so
         /// slow-I/O scenarios finish quickly in tests).
@@ -155,12 +155,13 @@ impl<'a> HuffmanRun<'a> {
         platform: &Platform,
         arrival: &'a dyn ArrivalModel,
     ) -> Self {
-        let sim = SimConfig::new(platform.clone(), cfg.policy);
         HuffmanRun {
             data,
             cfg,
             arrival,
-            on: Executor::Sim { cfg: sim },
+            on: Executor::Sim {
+                cfg: SimConfig::new(platform.clone()),
+            },
             instruments: Instruments::default(),
             resume: None,
         }
@@ -175,7 +176,7 @@ impl<'a> HuffmanRun<'a> {
         time_scale: u64,
     ) -> Self {
         let on = Executor::Threaded {
-            cfg: ThreadedConfig::new(workers, cfg.policy),
+            cfg: ThreadedConfig::new(workers),
             time_scale,
         };
         HuffmanRun {
@@ -199,8 +200,6 @@ pub struct HuffmanReport {
     pub log: Option<TraceLog>,
     /// The replication plane's counters (zero under `Tolerance`).
     pub replica: ReplicaStats,
-    /// The simulator's per-task trace (empty unless `SimConfig::task_trace`).
-    pub task_trace: Vec<TaskTrace>,
 }
 
 /// Why [`run_huffman`] could not produce a report.
@@ -258,36 +257,23 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
     let digest_fn = Arc::new(digest_output);
     let wl = ReplicatingWorkload::instrumented(wl, cfg.validation, SDC_SEED, digest_fn, ins);
 
-    // One dispatch policy per run: the pipeline configuration's, whatever
-    // the executor config was built with. Both executors take the same
-    // schedule; the threaded one paces it on the wall clock, compressed.
-    let policy = cfg.policy;
+    // Both executors take the same schedule; the threaded one paces it on
+    // the wall clock, compressed.
     let (mut blocks, arrivals) = schedule_blocks(data, cfg.block_bytes, run.arrival);
     blocks.retain(|b| b.index >= skip_below);
     let ran = match &run.on {
-        Executor::Sim { cfg: sim } => {
-            let sim = SimConfig {
-                policy,
-                ..sim.clone()
-            };
-            sim::run(wl, &sim, &HuffmanCost, blocks, ins)
-                .map(|rep| (rep.workload, rep.metrics, rep.trace))
-        }
+        Executor::Sim { cfg: sim } => sim::run(wl, sim, cfg.policy, &HuffmanCost, blocks, ins),
         Executor::Threaded {
             cfg: tcfg,
             time_scale,
         } => {
-            let tcfg = ThreadedConfig {
-                policy,
-                ..tcfg.clone()
-            };
             for b in &mut blocks {
                 b.arrival /= (*time_scale).max(1);
             }
-            threaded::run(wl, &tcfg, blocks, ins).map(|(wl, metrics)| (wl, metrics, Vec::new()))
+            threaded::run(wl, tcfg, cfg.policy, blocks, ins)
         }
     };
-    let (wl, metrics, task_trace) = ran.map_err(|e| {
+    let (wl, metrics) = ran.map_err(|e| {
         // Crash hook: dump the flight-recorder state before the structured
         // error propagates.
         if let Some(log) = ins.tracer.drain() {
@@ -314,7 +300,6 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
         end,
         log: ins.tracer.drain(),
         replica,
-        task_trace,
     })
 }
 
@@ -406,45 +391,16 @@ mod tests {
     #[test]
     fn trace_capture_when_requested() {
         let (d, c) = (data(), cfg(DispatchPolicy::NonSpeculative));
-        let mut run = HuffmanRun::sim(&d, &c, &x86_smp(4), &GAP_2);
-        assert!(run_huffman(&run).unwrap().task_trace.is_empty());
-        run.on = Executor::Sim {
-            cfg: SimConfig {
-                task_trace: true,
-                ..SimConfig::new(x86_smp(4), c.policy)
-            },
-        };
-        let report = run_huffman(&run).unwrap();
-        assert!(report.log.is_none(), "a dark run drains no event log");
-        let trace = report.task_trace;
-        assert!(trace.iter().any(|t| t.name == "count"));
-        assert!(trace.iter().any(|t| t.name == "encode"));
-        assert!(trace.iter().any(|t| t.name == "tree"));
-    }
-
-    #[test]
-    fn the_configuration_alone_names_the_dispatch_policy() {
-        // Hand-built executor configs carrying another policy than the
-        // pipeline configuration: the run dispatches under the latter. Both
-        // executors label a live hub with the policy they run.
-        let (d, c) = (data(), cfg(DispatchPolicy::Balanced));
-        let ran_under = |on: Executor, workers: usize| {
-            let mut run = HuffmanRun::threaded(&d, &c, workers, &GAP_1, 1000);
-            run.on = on;
-            run.instruments.metrics = tvs_sre::MetricsHub::enabled(workers);
-            run_huffman(&run).expect("a clean run completes");
-            let snap = run.instruments.metrics.snapshot().expect("live hub");
-            snap.label
-        };
-        let threaded = Executor::Threaded {
-            cfg: ThreadedConfig::new(2, DispatchPolicy::Conservative),
-            time_scale: 1000,
-        };
-        assert_eq!(ran_under(threaded, 2), "Balanced");
-        let sim = Executor::Sim {
-            cfg: SimConfig::new(x86_smp(4), DispatchPolicy::Conservative),
-        };
-        assert_eq!(ran_under(sim, 4), "Balanced");
+        let run = HuffmanRun::sim(&d, &c, &x86_smp(4), &GAP_2);
+        assert!(
+            run_huffman(&run).unwrap().log.is_none(),
+            "a dark run drains no event log"
+        );
+        let (_, log) = events(run, 4, FaultInjector::disabled());
+        let spans = log.tasks();
+        assert!(spans.iter().any(|t| t.name == "count"));
+        assert!(spans.iter().any(|t| t.name == "encode"));
+        assert!(spans.iter().any(|t| t.name == "tree"));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::fault::lock_recover;
+use super::core::lock_recover;
 
 /// One ring slot: an epoch counter plus (uncontended) value storage.
 struct Slot<T> {

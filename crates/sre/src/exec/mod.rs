@@ -1,7 +1,9 @@
 //! Executors: a deterministic discrete-event simulator and a work-stealing
-//! thread-pool runtime, both driving the same [`crate::Scheduler`] and
-//! [`crate::Workload`] abstractions, each through one `run` function.
+//! thread-pool runtime, both driving one executor [`core`] — the same
+//! [`crate::Scheduler`], [`crate::Workload`] callbacks, settling, recovery
+//! and accounting — each through one `run` function.
 
 pub mod commit_log;
+pub(crate) mod core;
 pub mod sim;
 pub mod threaded;

@@ -8,42 +8,28 @@
 //! Cell blade (with multiple-buffering prefetch queues and DMA costs) and
 //! arbitrarily slow I/O without owning any of them.
 //!
-//! Fault handling matches the threaded executor ([`super::threaded`]),
-//! re-interpreted in virtual time ([`SimConfig::retry`],
-//! [`SimConfig::watchdog`], and the run's [`Instruments::faults`]):
-//!
-//! * task bodies run under `catch_unwind`; a panicking speculative body is
-//!   routed through [`crate::sched::Scheduler::fault`] →
-//!   [`Workload::on_fault`] → version abort, a panicking non-speculative
-//!   body is retried up to [`crate::RetryPolicy::max_attempts`] (retries
-//!   are instantaneous in virtual time — backoff is a wall-clock concept)
-//!   and then fails the run with a structured [`RunError`];
-//! * an injected `Stall` inflates the task's virtual cost; an injected
-//!   `PanicTask` panics the first body attempt; delayed completions are
-//!   re-delivered at a later virtual instant; duplicated completions are
-//!   delivered twice and absorbed by the scheduler;
-//! * the watchdog fires at exactly `start + deadline_us` of virtual time
-//!   for any task whose (possibly stall-inflated) cost exceeds the
-//!   deadline, signalling its abort flag and — for a speculative task —
-//!   notifying the workload ([`Workload::on_fault`]) and aborting its
-//!   version, the same path a caught speculative panic takes.
-//!
-//! Because every draw of the fault plan happens at a deterministic point
-//! of the event order, a chaos simulation is as replayable as a clean one:
-//! same plan, same seed, same schedule — bit-identical faults.
+//! Settling, recovery and accounting are the executor core's
+//! ([`super::core`], which also describes the fault handling); this module
+//! is its event heap and virtual clock. Because every draw of the fault
+//! plan happens at a deterministic point of the event order, a chaos
+//! simulation is as replayable as a clean one: same plan, same seed, same
+//! schedule — bit-identical faults.
 
-use crate::fault::{RetryPolicy, RunError, WatchdogConfig};
+use super::core::{
+    clock_slice, run_body, Core, Env, Injection, Report, RunError, Span, WatchdogConfig,
+    DEFAULT_MAX_ATTEMPTS,
+};
 use crate::instruments::Instruments;
-use crate::metrics::{RunMetrics, SimReport, TaskTrace};
+use crate::metrics::RunMetrics;
 use crate::platform::{CostModel, Platform};
 use crate::policy::DispatchPolicy;
-use crate::sched::{CompletionOutcome, Dispatched, Scheduler};
-use crate::task::{Payload, SpecVersion, TaskClass, TaskCtx, TaskId, TaskSpec, Time};
-use crate::workload::{Completion, FaultNotice, InputBlock, SchedCtx, Workload};
+use crate::sched::{Dispatched, Scheduler};
+use crate::task::{Payload, TaskClass, TaskCtx, TaskId, Time};
+use crate::workload::{InputBlock, Workload};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use tvs_faults::{FaultKind, FaultSite};
-use tvs_metrics::{Counter, Hist};
+use tvs_metrics::Counter;
 use tvs_trace::EventKind;
 
 /// Configuration of a simulation run.
@@ -51,27 +37,20 @@ use tvs_trace::EventKind;
 pub struct SimConfig {
     /// Machine model (workers, prefetch depth, DMA, scaling).
     pub platform: Platform,
-    /// Dispatch policy.
-    pub policy: DispatchPolicy,
-    /// Record a per-task [`TaskTrace`].
-    pub task_trace: bool,
-    /// Retry policy for panicked non-speculative tasks. Retries are
-    /// instantaneous in virtual time.
-    pub retry: RetryPolicy,
+    /// Body attempts a panicking non-speculative task gets, initial run
+    /// included. Retries are instantaneous in virtual time.
+    pub max_attempts: u32,
     /// Virtual-time watchdog; fires at exactly `start + deadline_us` for
     /// tasks whose virtual cost exceeds the deadline.
     pub watchdog: Option<WatchdogConfig>,
 }
 
 impl SimConfig {
-    /// A config with default fault handling: bounded retry, no watchdog,
-    /// no per-task trace.
-    pub fn new(platform: Platform, policy: DispatchPolicy) -> Self {
+    /// A config with default fault handling: bounded retry, no watchdog.
+    pub fn new(platform: Platform) -> Self {
         SimConfig {
             platform,
-            policy,
-            task_trace: false,
-            retry: RetryPolicy::default(),
+            max_attempts: DEFAULT_MAX_ATTEMPTS,
             watchdog: None,
         }
     }
@@ -91,16 +70,33 @@ struct WorkerState {
     assigned: VecDeque<Assigned>,
 }
 
-/// A completion held back by an injected `DelayCompletion`, re-delivered
-/// at a later virtual instant.
-struct Delayed {
-    id: TaskId,
-    name: &'static str,
-    version: Option<SpecVersion>,
-    tag: u64,
-    start: Time,
-    end: Time,
-    output: Payload,
+/// Event discriminant kept `Copy + Ord` for the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum EvSlot {
+    Arrival,
+    Done,
+    DelayedDone,
+    Watchdog,
+}
+
+/// The event queue, ordered by (time, push sequence) for determinism.
+#[derive(Default)]
+struct Events {
+    heap: BinaryHeap<Reverse<(Time, u64, usize, EvSlot)>>,
+    seq: u64,
+}
+
+impl Events {
+    fn push(&mut self, at: Time, aux: usize, slot: EvSlot) {
+        self.heap.push(Reverse((at, self.seq, aux, slot)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(Time, usize, EvSlot)> {
+        self.heap
+            .pop()
+            .map(|Reverse((t, _, aux, slot))| (t, aux, slot))
+    }
 }
 
 /// Mutable chaos bookkeeping threaded through the event loop.
@@ -108,45 +104,26 @@ struct Delayed {
 struct ChaosState {
     /// Watchdog events in flight: key → (worker, task id).
     watch: HashMap<usize, (usize, TaskId)>,
-    /// Delayed completions in flight: key → payload.
-    delayed: HashMap<usize, Delayed>,
+    /// Completions held back by an injected `DelayCompletion`: key → the
+    /// occupancy and its output, settled at the later instant against the
+    /// abort state then.
+    delayed: HashMap<usize, (Span, Payload)>,
     /// Fresh keys for the two maps above.
     next_key: usize,
 }
 
-struct SimCtx<'a> {
-    sched: &'a mut Scheduler,
-    platform: &'a Platform,
-    now: Time,
-}
-
-impl SchedCtx for SimCtx<'_> {
-    fn now(&self) -> Time {
-        self.now
-    }
-
-    fn spawn(&mut self, spec: TaskSpec) -> Option<TaskId> {
-        self.platform.check_task_bytes(spec.name, spec.bytes);
-        self.sched.spawn(spec)
-    }
-
-    fn abort_version(&mut self, version: SpecVersion) {
-        self.sched.abort_version(version);
-    }
-
-    fn workers(&self) -> usize {
-        self.platform.workers
-    }
-
-    fn max_task_bytes(&self) -> Option<usize> {
-        self.platform.max_task_bytes
+impl ChaosState {
+    fn key(&mut self) -> usize {
+        self.next_key += 1;
+        self.next_key - 1
     }
 }
 
-/// Run `workload` to completion over the given pre-scheduled `inputs`,
-/// recording lifecycle events into `ins.tracer`, feeding `ins.metrics` and
-/// drawing faults from `ins.faults` (pass `&Instruments::default()` for a
-/// dark run; the resulting [`RunMetrics`] are identical either way).
+/// Run `workload` under `policy` to completion over the given
+/// pre-scheduled `inputs`, recording lifecycle events into `ins.tracer`,
+/// feeding `ins.metrics` and drawing faults from `ins.faults` (pass
+/// `&Instruments::default()` for a dark run; the resulting [`RunMetrics`]
+/// are identical either way).
 ///
 /// `inputs` must be sorted by arrival time (as produced by the
 /// `tvs-iosim` models); the blocks that share an arrival instant reach the
@@ -154,7 +131,7 @@ impl SchedCtx for SimCtx<'_> {
 /// threaded executor's feeder. Panics with a diagnostic if the workload
 /// deadlocks (events exhausted before [`Workload::is_finished`]) — a
 /// workload bug, not a run failure. A non-speculative task panicking on
-/// every attempt its retry policy allows returns `Err`; everything else —
+/// every attempt `cfg.max_attempts` allows returns `Err`; everything else —
 /// injected panics, stalls, delayed and duplicated completions, watchdog
 /// cancels of speculative tasks — recovers through the rollback machinery
 /// and completes the run.
@@ -163,38 +140,44 @@ impl SchedCtx for SimCtx<'_> {
 /// emitted event — including scheduler rollback/cancel events fired from
 /// inside workload callbacks — is stamped with deterministic virtual time.
 /// Task start/end events are stamped with the exact simulated interval the
-/// task occupied its worker. Metrics snapshots are driven by *virtual*
-/// time too: arm the hub with [`tvs_metrics::MetricsHub::enable_virtual_sampling`]
-/// before the run and drain with [`tvs_metrics::MetricsHub::drain_virtual_snapshots`]
-/// after — the snapshot stream is then as deterministic as the simulation
-/// itself (same seed → identical JSONL bytes). No sampler thread is
-/// involved.
+/// task occupied its worker, and a task-end's `discarded` flag is the
+/// settled outcome, so the spans sum to `busy_us` and their discarded part
+/// to `wasted_us`. Metrics snapshots are driven by *virtual* time too: arm
+/// the hub with [`tvs_metrics::MetricsHub::enable_virtual_sampling`]
+/// before the run and drain with
+/// [`tvs_metrics::MetricsHub::drain_virtual_snapshots`] after — the
+/// snapshot stream is then as deterministic as the simulation itself (same
+/// seed → identical JSONL bytes). No sampler thread is involved.
 pub fn run<W: Workload>(
-    mut workload: W,
+    workload: W,
     cfg: &SimConfig,
+    policy: DispatchPolicy,
     cost: &dyn CostModel,
     inputs: Vec<InputBlock>,
     ins: &Instruments,
-) -> Result<SimReport<W>, RunError> {
-    let ins = ins.for_executor(cfg.platform.workers, cfg.policy);
+) -> Result<(W, RunMetrics), RunError> {
+    let ins = ins.for_executor(cfg.platform.workers, policy);
     let (tracer, hub, faults) = (&ins.tracer, &ins.metrics, &ins.faults);
     assert!(
         inputs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
         "inputs must be sorted by arrival time"
     );
+    let env = |now| Env {
+        now,
+        workers: cfg.platform.workers,
+        max_task_bytes: cfg.platform.max_task_bytes,
+        abort_epoch: None,
+    };
 
-    let mut sched = Scheduler::instrumented(cfg.policy, &ins);
+    let mut core = Core::new(workload, policy, &ins);
     let mut workers: Vec<WorkerState> = (0..cfg.platform.workers)
         .map(|_| WorkerState {
             pipeline_end: 0,
             assigned: VecDeque::new(),
         })
         .collect();
-    let mut chaos_state = ChaosState::default();
-
-    // Event queue ordered by (time, push sequence) for determinism.
-    let mut heap: BinaryHeap<Reverse<(Time, u64, usize, EvSlot)>> = BinaryHeap::new();
-    let mut heap_seq = 0u64;
+    let mut chaos = ChaosState::default();
+    let mut events = Events::default();
 
     // One arrival event per distinct instant, carrying every block due then.
     let n_inputs = inputs.len();
@@ -206,43 +189,30 @@ pub fn run<W: Workload>(
         }
     }
     for (i, batch) in batches.iter().flatten().enumerate() {
-        heap.push(Reverse((batch[0].arrival, heap_seq, i, EvSlot::Arrival)));
-        heap_seq += 1;
+        events.push(batch[0].arrival, i, EvSlot::Arrival);
     }
 
-    let mut metrics = RunMetrics {
-        workers: cfg.platform.workers,
-        lane_dispatches: vec![0; cfg.platform.workers],
-        ..Default::default()
-    };
-    let mut trace: Vec<TaskTrace> = Vec::new();
     let mut arrivals_seen = 0usize;
-    let mut finished_at: Option<Time> = None;
     let mut last_event_time: Time = 0;
 
     tracer.set_virtual_now(0);
     hub.set_virtual_now(0);
-    {
-        let mut ctx = SimCtx {
-            sched: &mut sched,
-            platform: &cfg.platform,
-            now: 0,
-        };
-        workload.on_start(&mut ctx);
+    core.start(env(0));
+    if n_inputs == 0 {
+        core.feed(env(0), Vec::new(), true);
     }
     dispatch_all(
-        &mut sched,
+        &mut core.sched,
         &mut workers,
         cfg,
         cost,
         0,
-        &mut heap,
-        &mut heap_seq,
+        &mut events,
         &ins,
-        &mut chaos_state,
+        &mut chaos,
     );
 
-    while let Some(Reverse((t, _seq, aux, slot))) = heap.pop() {
+    while let Some((t, aux, slot)) = events.pop() {
         last_event_time = t;
         tracer.set_virtual_now(t);
         hub.set_virtual_now(t);
@@ -252,408 +222,117 @@ pub fn run<W: Workload>(
                 // An injected feeder stall pushes the batch to a later
                 // virtual instant.
                 if let Some(FaultKind::Stall { us }) = faults.draw(FaultSite::Feeder) {
-                    heap.push(Reverse((t + us.max(1), heap_seq, aux, EvSlot::Arrival)));
-                    heap_seq += 1;
+                    events.push(t + us.max(1), aux, EvSlot::Arrival);
                     continue;
                 }
                 let batch = batches[aux].take().expect("each batch arrives once");
                 arrivals_seen += batch.len();
-                let mut ctx = SimCtx {
-                    sched: &mut sched,
-                    platform: &cfg.platform,
-                    now: t,
-                };
-                workload.on_input_batch(&mut ctx, batch);
-                if arrivals_seen == n_inputs {
-                    workload.on_input_done(&mut ctx);
-                }
+                core.feed(env(t), batch, arrivals_seen == n_inputs);
             }
             EvSlot::Done => {
-                let worker = aux;
                 let Assigned {
                     mut work,
                     start,
                     end,
                     inject_panic,
-                } = workers[worker]
+                } = workers[aux]
                     .assigned
                     .pop_front()
                     .expect("Done event for an empty worker queue");
                 debug_assert_eq!(end, t);
-                let busy = end - start;
-                metrics.busy_us += busy;
-                hub.add(worker, Counter::BusyUs, busy);
+                let span = Span::of(&work, aux, start, end);
                 // Profiler state clocks, in virtual time. The simulator
                 // has no steal scans or parks — a virtual worker is either
                 // occupied or idle — so only the run/check clocks tick.
-                let clock = if work.class == TaskClass::Check {
-                    Counter::TimeCheckUs
+                clock_slice(hub, aux, work.class, end - start);
+                tracer.emit_at(aux, start, span.start_event());
+                // Outputs of discarded tasks are never materialised
+                // ("deleted with their content"): skip the body.
+                let report = if work.version.is_some_and(|v| core.sched.is_aborted(v)) {
+                    Report::Skipped
                 } else {
-                    Counter::TimeRunUs
+                    let drawn = Injection::Drawn(inject_panic);
+                    run_body(&mut work, aux, &ins, cfg.max_attempts, drawn)
                 };
-                hub.add(worker, clock, busy);
-                hub.record(Hist::RunSliceUs, busy);
-                let pre_aborted = work.version.map(|v| sched.is_aborted(v)).unwrap_or(false);
-                if tracer.is_enabled() {
-                    tracer.emit_at(
-                        worker,
-                        start,
-                        EventKind::TaskStart {
-                            id: work.id,
-                            name: work.name,
-                            version: work.version,
-                        },
-                    );
+                match report {
+                    Report::Ran(output) => match faults.draw(FaultSite::Completion) {
+                        Some(FaultKind::DelayCompletion { us }) => {
+                            let key = chaos.key();
+                            chaos.delayed.insert(key, (span, output));
+                            events.push(t + us.max(1), key, EvSlot::DelayedDone);
+                        }
+                        drawn => {
+                            tracer.emit(aux, span.end_event(false));
+                            let wasted = core.settle(env(t), &span, Report::Ran(output), hub);
+                            debug_assert!(!wasted, "un-aborted completion delivers");
+                            if drawn == Some(FaultKind::DuplicateCompletion) {
+                                let _ = core.sched.try_complete(span.id);
+                            }
+                        }
+                    },
+                    // `run_body` closed a faulted body's span.
+                    Report::Faulted { .. } => {
+                        core.settle(env(t), &span, report, hub);
+                    }
+                    _ => {
+                        let wasted = core.settle(env(t), &span, report, hub);
+                        tracer.emit(aux, span.end_event(wasted));
+                    }
                 }
-                if pre_aborted {
-                    // Outputs of discarded tasks are never materialised
-                    // ("deleted with their content"): skip the body.
-                    let _ = sched.try_complete(work.id);
-                    if tracer.is_enabled() {
-                        tracer.emit_at(
-                            worker,
-                            end,
-                            EventKind::TaskEnd {
-                                id: work.id,
-                                name: work.name,
-                                version: work.version,
-                                discarded: true,
-                            },
-                        );
-                    }
-                    if cfg.task_trace {
-                        trace.push(TaskTrace {
-                            id: work.id,
-                            name: work.name,
-                            worker,
-                            version: work.version,
-                            tag: work.tag,
-                            start,
-                            end,
-                            discarded: true,
-                        });
-                    }
-                    metrics.wasted_us += busy;
-                    hub.add(worker, Counter::WastedUs, busy);
-                } else {
-                    // Panic-isolated body execution. Retries are
-                    // instantaneous in virtual time.
-                    let mut attempt = 0u32;
-                    let mut boom = inject_panic;
-                    let outcome = loop {
-                        let run = &mut work.run;
-                        let ctx = &work.ctx;
-                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            if boom {
-                                panic!("injected task-body fault");
-                            }
-                            (run)(ctx)
-                        }));
-                        boom = false;
-                        match r {
-                            Ok(out) => break Some(out),
-                            Err(_) => {
-                                metrics.faults += 1;
-                                hub.add(worker, Counter::Faults, 1);
-                                if tracer.is_enabled() {
-                                    tracer.emit_at(
-                                        worker,
-                                        end,
-                                        EventKind::TaskFault {
-                                            id: work.id,
-                                            name: work.name,
-                                            version: work.version,
-                                            attempt,
-                                        },
-                                    );
-                                }
-                                if work.version.is_some()
-                                    || attempt + 1 >= cfg.retry.max_attempts.max(1)
-                                {
-                                    break None;
-                                }
-                                attempt += 1;
-                                metrics.task_retries += 1;
-                                hub.add(worker, Counter::Retries, 1);
-                            }
-                        }
-                    };
-                    match outcome {
-                        None => {
-                            // Faulted: reuse the misspeculation path.
-                            if cfg.task_trace {
-                                trace.push(TaskTrace {
-                                    id: work.id,
-                                    name: work.name,
-                                    worker,
-                                    version: work.version,
-                                    tag: work.tag,
-                                    start,
-                                    end,
-                                    discarded: true,
-                                });
-                            }
-                            metrics.wasted_us += busy;
-                            hub.add(worker, Counter::WastedUs, busy);
-                            if let Some(vers) = sched.fault(work.id) {
-                                let mut ctx = SimCtx {
-                                    sched: &mut sched,
-                                    platform: &cfg.platform,
-                                    now: t,
-                                };
-                                workload.on_fault(
-                                    &mut ctx,
-                                    FaultNotice {
-                                        id: work.id,
-                                        name: work.name,
-                                        version: vers,
-                                        tag: work.tag,
-                                        attempt,
-                                    },
-                                );
-                                match vers {
-                                    Some(v) => {
-                                        sched.abort_version(v);
-                                    }
-                                    None => {
-                                        return Err(RunError::TaskFailed {
-                                            name: work.name,
-                                            id: work.id,
-                                            attempts: attempt + 1,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        Some(output) => {
-                            if tracer.is_enabled() {
-                                tracer.emit_at(
-                                    worker,
-                                    end,
-                                    EventKind::TaskEnd {
-                                        id: work.id,
-                                        name: work.name,
-                                        version: work.version,
-                                        discarded: false,
-                                    },
-                                );
-                            }
-                            if cfg.task_trace {
-                                trace.push(TaskTrace {
-                                    id: work.id,
-                                    name: work.name,
-                                    worker,
-                                    version: work.version,
-                                    tag: work.tag,
-                                    start,
-                                    end,
-                                    discarded: false,
-                                });
-                            }
-                            let mut echo = false;
-                            match faults.draw(FaultSite::Completion) {
-                                Some(FaultKind::DelayCompletion { us }) => {
-                                    // Hold the completion back: the task
-                                    // stays in flight until the delayed
-                                    // delivery, which decides discard vs
-                                    // deliver against the abort state then.
-                                    let key = chaos_state.next_key;
-                                    chaos_state.next_key += 1;
-                                    chaos_state.delayed.insert(
-                                        key,
-                                        Delayed {
-                                            id: work.id,
-                                            name: work.name,
-                                            version: work.version,
-                                            tag: work.tag,
-                                            start,
-                                            end,
-                                            output,
-                                        },
-                                    );
-                                    heap.push(Reverse((
-                                        t + us.max(1),
-                                        heap_seq,
-                                        key,
-                                        EvSlot::DelayedDone,
-                                    )));
-                                    heap_seq += 1;
-                                }
-                                other => {
-                                    if matches!(other, Some(FaultKind::DuplicateCompletion)) {
-                                        echo = true;
-                                    }
-                                    let first = sched.try_complete(work.id);
-                                    debug_assert_eq!(
-                                        first,
-                                        Some(CompletionOutcome::Deliver),
-                                        "un-aborted completion delivers"
-                                    );
-                                    if echo {
-                                        let _ = sched.try_complete(work.id);
-                                    }
-                                    let mut ctx = SimCtx {
-                                        sched: &mut sched,
-                                        platform: &cfg.platform,
-                                        now: t,
-                                    };
-                                    workload.on_complete(
-                                        &mut ctx,
-                                        Completion {
-                                            id: work.id,
-                                            name: work.name,
-                                            version: work.version,
-                                            tag: work.tag,
-                                            started: start,
-                                            finished: end,
-                                            output,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
+                if let Some(e) = core.failed.take() {
+                    return Err(e);
                 }
             }
             EvSlot::DelayedDone => {
-                let d = chaos_state
+                let (span, output) = chaos
                     .delayed
                     .remove(&aux)
                     .expect("delayed completion recorded");
-                let busy = d.end - d.start;
-                match sched.try_complete(d.id) {
-                    None => {}
-                    Some(CompletionOutcome::Discard) => {
-                        // The version died while the completion was held
-                        // back; its already-produced output is dropped.
-                        metrics.wasted_us += busy;
-                        hub.add_control(Counter::WastedUs, busy);
-                    }
-                    Some(CompletionOutcome::Deliver) => {
-                        let mut ctx = SimCtx {
-                            sched: &mut sched,
-                            platform: &cfg.platform,
-                            now: t,
-                        };
-                        workload.on_complete(
-                            &mut ctx,
-                            Completion {
-                                id: d.id,
-                                name: d.name,
-                                version: d.version,
-                                tag: d.tag,
-                                started: d.start,
-                                finished: d.end,
-                                output: d.output,
-                            },
-                        );
-                    }
-                }
+                let wasted = core.settle(env(t), &span, Report::Ran(output), hub);
+                tracer.emit_at(span.worker, span.finished, span.end_event(wasted));
             }
             EvSlot::Watchdog => {
-                if let Some((wi, id)) = chaos_state.watch.remove(&aux) {
-                    if let Some(a) = workers[wi].assigned.iter().find(|a| a.work.id == id) {
-                        TaskCtx::signal_abort(&a.work.ctx.abort_flag());
-                        metrics.watchdog_cancels += 1;
-                        hub.add_control(Counter::WatchdogCancels, 1);
-                        if tracer.is_enabled() {
-                            tracer.emit_at(
-                                wi,
-                                t,
-                                EventKind::WatchdogCancel {
-                                    id,
-                                    version: a.work.version,
-                                    ran_us: t.saturating_sub(a.start),
-                                },
-                            );
-                        }
-                        // A cancelled speculative task takes the path of
-                        // a caught speculative panic — the workload hears
-                        // of it, then the version is rolled back — except
-                        // that the task itself still finishes (and is
-                        // discarded), so its slot is not reclaimed here.
-                        if let Some(v) = a.work.version {
-                            let mut ctx = SimCtx {
-                                sched: &mut sched,
-                                platform: &cfg.platform,
-                                now: t,
-                            };
-                            workload.on_fault(
-                                &mut ctx,
-                                FaultNotice {
-                                    id,
-                                    name: a.work.name,
-                                    version: Some(v),
-                                    tag: a.work.tag,
-                                    attempt: 0,
-                                },
-                            );
-                            ctx.abort_version(v);
-                        }
-                    }
+                let (wi, id) = chaos.watch.remove(&aux).expect("watchdog recorded");
+                if let Some(a) = workers[wi].assigned.iter().find(|a| a.work.id == id) {
+                    TaskCtx::signal_abort(&a.work.ctx.abort_flag());
+                    let span = Span::of(&a.work, wi, a.start, a.end);
+                    core.cancel(env(t), &span, t.saturating_sub(a.start), &ins);
                 }
             }
         }
-        if finished_at.is_none() && workload.is_finished() {
-            finished_at = Some(t);
+        if core.finished_at.is_none() && core.workload.is_finished() {
+            core.finished_at = Some(t);
         }
         dispatch_all(
-            &mut sched,
+            &mut core.sched,
             &mut workers,
             cfg,
             cost,
             t,
-            &mut heap,
-            &mut heap_seq,
+            &mut events,
             &ins,
-            &mut chaos_state,
+            &mut chaos,
         );
     }
 
-    if !workload.is_finished() {
+    if !core.workload.is_finished() {
         panic!(
             "simulation deadlock: events exhausted with workload unfinished \
              (ready={}, running={}, arrivals_seen={}/{})",
-            sched.ready_len(),
-            sched.running_len(),
+            core.sched.ready_len(),
+            core.sched.running_len(),
             arrivals_seen,
             n_inputs,
         );
     }
-
-    let st = sched.stats();
-    metrics.makespan = finished_at.unwrap_or(last_event_time);
-    metrics.tasks_delivered = st.delivered;
-    metrics.tasks_discarded = st.discarded;
-    metrics.tasks_deleted_ready = st.deleted_ready;
-    metrics.rollbacks = st.rollbacks;
-    metrics.duplicate_completions = st.duplicate_completions;
-    metrics.replica_dispatches = st.replicas_spawned;
-    // retry_backoff_us stays 0: the simulator retries instantaneously.
-    // Final snapshot view over the hub's shards — the sim's analogue of
-    // the threaded executor's per-lane counters lives there now.
-    metrics.lane_dispatches = hub.lane_counts(Counter::LaneDispatch);
     // Flush any virtual-sampling boundary the last event crossed exactly.
     hub.virtual_tick(last_event_time);
-
-    Ok(SimReport {
-        workload,
-        metrics,
-        trace,
-    })
-}
-
-/// Event discriminant kept `Copy + Ord` for the heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EvSlot {
-    Arrival,
-    Done,
-    DelayedDone,
-    Watchdog,
+    let metrics = core.metrics(hub, core.finished_at.unwrap_or(last_event_time));
+    Ok((core.workload, metrics))
 }
 
 /// Fill worker prefetch queues with dispatchable tasks, scheduling their
-/// completion events. Per-worker dispatch counts go to `hub`'s lane
+/// completion events. Per-worker dispatch counts go to the hub's lane
 /// shards (the simulator's analogue of the threaded executor's ready
 /// lanes).
 #[allow(clippy::too_many_arguments)]
@@ -663,16 +342,11 @@ fn dispatch_all(
     cfg: &SimConfig,
     cost: &dyn CostModel,
     now: Time,
-    heap: &mut BinaryHeap<Reverse<(Time, u64, usize, EvSlot)>>,
-    heap_seq: &mut u64,
+    events: &mut Events,
     ins: &Instruments,
     chaos: &mut ChaosState,
 ) {
-    let (tracer, hub, faults) = (&ins.tracer, &ins.metrics, &ins.faults);
-    loop {
-        if !sched.has_dispatchable() {
-            return;
-        }
+    while sched.has_dispatchable() {
         // Pick the worker with the earliest pipeline end among those with a
         // free prefetch slot; ties broken by index (determinism).
         let candidate = workers
@@ -693,33 +367,31 @@ fn dispatch_all(
             && workers.iter().any(|w| {
                 w.assigned
                     .iter()
-                    .any(|a| a.work.class == crate::task::TaskClass::Regular)
+                    .any(|a| a.work.class == TaskClass::Regular)
             });
         let Some(work) = sched.dispatch_with(normal_pending_elsewhere) else {
             return;
         };
         let mut c = cfg.platform.task_cost_us(cost, work.name, work.bytes);
         let mut inject_panic = false;
-        match faults.draw(FaultSite::TaskBody) {
+        match ins.faults.draw(FaultSite::TaskBody) {
             Some(FaultKind::PanicTask) => inject_panic = true,
             Some(FaultKind::Stall { us }) => c += us,
             _ => {}
         }
         sched.charge(work.class, c);
-        hub.add(wi, Counter::LaneDispatch, 1);
-        if tracer.is_enabled() {
-            tracer.emit_at(
-                wi,
-                now,
-                EventKind::Dispatch {
-                    id: work.id,
-                    name: work.name,
-                    class: work.class.trace_tag(),
-                    version: work.version,
-                    lane: wi as u32,
-                },
-            );
-        }
+        ins.metrics.add(wi, Counter::LaneDispatch, 1);
+        ins.tracer.emit_at(
+            wi,
+            now,
+            EventKind::Dispatch {
+                id: work.id,
+                name: work.name,
+                class: work.class.trace_tag(),
+                version: work.version,
+                lane: wi as u32,
+            },
+        );
         let w = &mut workers[wi];
         let start = w.pipeline_end.max(now);
         let end = start + c.max(1);
@@ -727,16 +399,9 @@ fn dispatch_all(
             // The cancel instant is known at dispatch: the task's virtual
             // occupancy exceeds the deadline iff the watchdog fires.
             if c.max(1) > wd.deadline_us {
-                let key = chaos.next_key;
-                chaos.next_key += 1;
+                let key = chaos.key();
                 chaos.watch.insert(key, (wi, work.id));
-                heap.push(Reverse((
-                    start + wd.deadline_us,
-                    *heap_seq,
-                    key,
-                    EvSlot::Watchdog,
-                )));
-                *heap_seq += 1;
+                events.push(start + wd.deadline_us, key, EvSlot::Watchdog);
             }
         }
         w.pipeline_end = end;
@@ -746,8 +411,7 @@ fn dispatch_all(
             end,
             inject_panic,
         });
-        heap.push(Reverse((end, *heap_seq, wi, EvSlot::Done)));
-        *heap_seq += 1;
+        events.push(end, wi, EvSlot::Done);
     }
 }
 
@@ -755,17 +419,39 @@ fn dispatch_all(
 mod tests {
     use super::*;
     use crate::platform::{x86_smp, FixedCost};
-    use crate::task::{payload, TaskSpec};
+    use crate::task::{payload, SpecVersion, TaskSpec};
+    use crate::workload::{Completion, FaultNotice, SchedCtx};
     use tvs_faults::{FaultInjector, FaultPlan};
-    use tvs_trace::Tracer;
+    use tvs_trace::{TaskSpan, Tracer};
 
     fn dark<W: Workload>(
         w: W,
         cfg: &SimConfig,
+        policy: DispatchPolicy,
         cost: &dyn CostModel,
         inputs: Vec<InputBlock>,
-    ) -> SimReport<W> {
-        run(w, cfg, cost, inputs, &Instruments::default()).expect("dark run completes")
+    ) -> (W, RunMetrics) {
+        run(w, cfg, policy, cost, inputs, &Instruments::default()).expect("dark run completes")
+    }
+
+    /// A run under `ins` plus an enabled tracer: its task spans.
+    fn with_spans<W: Workload>(
+        w: W,
+        cfg: &SimConfig,
+        policy: DispatchPolicy,
+        cost: &dyn CostModel,
+        inputs: Vec<InputBlock>,
+        ins: Instruments,
+    ) -> (W, RunMetrics, Vec<TaskSpan>) {
+        let tracer = Tracer::enabled(cfg.platform.workers);
+        let ins = Instruments {
+            tracer: tracer.clone(),
+            ..ins
+        };
+        let (w, m) = run(w, cfg, policy, cost, inputs, &ins).expect("run completes");
+        let log = tracer.drain().expect("enabled tracer drains");
+        assert_eq!(log.dropped, 0);
+        (w, m, log.tasks())
     }
 
     fn block(i: usize, t: Time, len: usize) -> InputBlock {
@@ -781,6 +467,14 @@ mod tests {
         n: usize,
         seen: usize,
         completions: Vec<(u64, Time)>,
+    }
+
+    fn per_block(n: usize) -> PerBlock {
+        PerBlock {
+            n,
+            seen: 0,
+            completions: vec![],
+        }
     }
 
     impl Workload for PerBlock {
@@ -802,59 +496,41 @@ mod tests {
         }
     }
 
+    const NON_SPEC: DispatchPolicy = DispatchPolicy::NonSpeculative;
+
     #[test]
     fn single_worker_serialises() {
-        let w = PerBlock {
-            n: 3,
-            seen: 0,
-            completions: vec![],
-        };
-        let cfg = SimConfig {
-            task_trace: true,
-            ..SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative)
-        };
+        let cfg = SimConfig::new(x86_smp(1));
         let inputs = vec![block(0, 0, 10), block(1, 0, 10), block(2, 0, 10)];
-        let rep = dark(w, &cfg, &FixedCost(9), inputs);
+        let ins = Instruments::default();
+        let (w, m, spans) = with_spans(per_block(3), &cfg, NON_SPEC, &FixedCost(9), inputs, ins);
         // Each task costs 9 + 1 (dispatch overhead) = 10.
-        let ends: Vec<Time> = rep.workload.completions.iter().map(|c| c.1).collect();
+        let ends: Vec<Time> = w.completions.iter().map(|c| c.1).collect();
         assert_eq!(ends, vec![10, 20, 30]);
-        assert_eq!(rep.metrics.makespan, 30);
-        assert_eq!(rep.metrics.tasks_delivered, 3);
-        assert_eq!(rep.metrics.busy_us, 30);
-        assert!((rep.metrics.utilization() - 1.0).abs() < 1e-9);
-        assert_eq!(rep.trace.len(), 3);
+        assert_eq!(m.makespan, 30);
+        assert_eq!(m.tasks_delivered, 3);
+        assert_eq!(m.busy_us, 30);
+        assert!((m.utilization() - 1.0).abs() < 1e-9);
+        assert_eq!(spans.len(), 3);
     }
 
     #[test]
     fn parallel_workers_overlap() {
-        let w = PerBlock {
-            n: 4,
-            seen: 0,
-            completions: vec![],
-        };
-        let cfg = SimConfig::new(x86_smp(4), DispatchPolicy::NonSpeculative);
+        let cfg = SimConfig::new(x86_smp(4));
         let inputs = (0..4).map(|i| block(i, 0, 10)).collect();
-        let rep = dark(w, &cfg, &FixedCost(9), inputs);
-        assert_eq!(
-            rep.metrics.makespan, 10,
-            "4 tasks on 4 workers run concurrently"
-        );
+        let (_, m) = dark(per_block(4), &cfg, NON_SPEC, &FixedCost(9), inputs);
+        assert_eq!(m.makespan, 10, "4 tasks on 4 workers run concurrently");
     }
 
     #[test]
     fn arrivals_gate_task_starts() {
-        let w = PerBlock {
-            n: 2,
-            seen: 0,
-            completions: vec![],
-        };
-        let cfg = SimConfig::new(x86_smp(4), DispatchPolicy::NonSpeculative);
+        let cfg = SimConfig::new(x86_smp(4));
         let inputs = vec![block(0, 0, 10), block(1, 100, 10)];
-        let rep = dark(w, &cfg, &FixedCost(4), inputs);
-        let mut ends: Vec<Time> = rep.workload.completions.iter().map(|c| c.1).collect();
+        let (w, m) = dark(per_block(2), &cfg, NON_SPEC, &FixedCost(4), inputs);
+        let mut ends: Vec<Time> = w.completions.iter().map(|c| c.1).collect();
         ends.sort_unstable();
         assert_eq!(ends, vec![5, 105]);
-        assert_eq!(rep.metrics.makespan, 105);
+        assert_eq!(m.makespan, 105);
     }
 
     #[test]
@@ -874,33 +550,29 @@ mod tests {
                 true
             }
         }
-        let cfg = SimConfig::new(x86_smp(3), DispatchPolicy::NonSpeculative);
+        let cfg = SimConfig::new(x86_smp(3));
         let inputs = vec![
             block(0, 0, 1),
             block(1, 0, 1),
             block(2, 5, 1),
             block(3, 5, 1),
         ];
-        let rep = dark(Batches(Vec::new()), &cfg, &FixedCost(1), inputs);
-        assert_eq!(rep.workload.0, [(0, vec![0, 1]), (5, vec![2, 3])]);
+        let (w, _) = dark(Batches(Vec::new()), &cfg, NON_SPEC, &FixedCost(1), inputs);
+        assert_eq!(w.0, [(0, vec![0, 1]), (5, vec![2, 3])]);
     }
 
     #[test]
     fn deterministic_traces() {
-        let mk = || PerBlock {
-            n: 16,
-            seen: 0,
-            completions: vec![],
-        };
-        let cfg = SimConfig {
-            task_trace: true,
-            ..SimConfig::new(x86_smp(3), DispatchPolicy::NonSpeculative)
-        };
+        let cfg = SimConfig::new(x86_smp(3));
         let inputs: Vec<InputBlock> = (0..16).map(|i| block(i, (i as u64) * 3, 64)).collect();
-        let a = dark(mk(), &cfg, &FixedCost(7), inputs.clone());
-        let b = dark(mk(), &cfg, &FixedCost(7), inputs);
-        assert_eq!(a.trace, b.trace);
-        assert_eq!(a.metrics.makespan, b.metrics.makespan);
+        let traced = |inputs| {
+            let ins = Instruments::default();
+            with_spans(per_block(16), &cfg, NON_SPEC, &FixedCost(7), inputs, ins)
+        };
+        let (_, ma, a) = traced(inputs.clone());
+        let (_, mb, b) = traced(inputs);
+        assert_eq!(a, b);
+        assert_eq!(ma.makespan, mb.makespan);
     }
 
     /// A workload that spawns a speculative task and aborts it; the
@@ -933,34 +605,37 @@ mod tests {
         }
     }
 
+    /// `spec` costs 50 µs, everything else 2.
+    struct NameCost;
+    impl CostModel for NameCost {
+        fn cost_us(&self, name: &str, _bytes: usize) -> Time {
+            if name == "spec" {
+                50
+            } else {
+                2
+            }
+        }
+    }
+
     #[test]
     fn aborted_version_outputs_are_discarded() {
         // Both tasks start at t=0 on separate workers; 'normal' is cheap
         // and finishes first, aborting version 1 while 'spec' is still in
         // flight; 'spec''s completion must be discarded.
-        struct NameCost;
-        impl CostModel for NameCost {
-            fn cost_us(&self, name: &str, _bytes: usize) -> Time {
-                if name == "spec" {
-                    50
-                } else {
-                    2
-                }
-            }
-        }
-        let cfg = SimConfig {
-            task_trace: true,
-            ..SimConfig::new(x86_smp(2), DispatchPolicy::Aggressive)
-        };
-        let rep = dark(AbortingWl { phase: 0 }, &cfg, &NameCost, vec![]);
-        assert_eq!(rep.metrics.tasks_discarded, 1);
-        assert_eq!(rep.metrics.rollbacks, 1);
-        assert!(
-            rep.metrics.wasted_us >= 50,
-            "discarded work must count as waste"
+        let cfg = SimConfig::new(x86_smp(2));
+        let (_, m, spans) = with_spans(
+            AbortingWl { phase: 0 },
+            &cfg,
+            DispatchPolicy::Aggressive,
+            &NameCost,
+            vec![],
+            Instruments::default(),
         );
-        let spec_trace = rep.trace.iter().find(|t| t.name == "spec").unwrap();
-        assert!(spec_trace.discarded);
+        assert_eq!(m.tasks_discarded, 1);
+        assert_eq!(m.rollbacks, 1);
+        assert!(m.wasted_us >= 50, "discarded work must count as waste");
+        let spec = spans.iter().find(|t| t.name == "spec").unwrap();
+        assert!(spec.discarded);
     }
 
     #[test]
@@ -974,8 +649,8 @@ mod tests {
                 false
             }
         }
-        let cfg = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
-        let _ = dark(NeverDone, &cfg, &FixedCost(1), vec![]);
+        let cfg = SimConfig::new(x86_smp(1));
+        let _ = dark(NeverDone, &cfg, NON_SPEC, &FixedCost(1), vec![]);
     }
 
     #[test]
@@ -1006,18 +681,30 @@ mod tests {
 
         let mut plat = x86_smp(1);
         plat.prefetch_depth = 2;
-        let cfg = SimConfig::new(plat, DispatchPolicy::NonSpeculative);
-        let rep = dark(TwoPhase { seen: vec![] }, &cfg, &FixedCost(5), vec![]);
+        let cfg = SimConfig::new(plat);
+        let (w, _) = dark(
+            TwoPhase { seen: vec![] },
+            &cfg,
+            NON_SPEC,
+            &FixedCost(5),
+            vec![],
+        );
         assert_eq!(
-            rep.workload.seen,
+            w.seen,
             vec!["a", "b", "deep"],
             "prefetched 'b' runs before 'deep'"
         );
 
-        let cfg1 = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
-        let rep1 = dark(TwoPhase { seen: vec![] }, &cfg1, &FixedCost(5), vec![]);
+        let cfg1 = SimConfig::new(x86_smp(1));
+        let (w1, _) = dark(
+            TwoPhase { seen: vec![] },
+            &cfg1,
+            NON_SPEC,
+            &FixedCost(5),
+            vec![],
+        );
         assert_eq!(
-            rep1.workload.seen,
+            w1.seen,
             vec!["a", "deep", "b"],
             "without prefetch, depth wins"
         );
@@ -1025,23 +712,19 @@ mod tests {
 
     #[test]
     fn traced_run_records_lifecycle_in_virtual_time() {
-        let w = PerBlock {
-            n: 3,
-            seen: 0,
-            completions: vec![],
-        };
-        let cfg = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
+        let cfg = SimConfig::new(x86_smp(1));
         let inputs = vec![block(0, 0, 10), block(1, 0, 10), block(2, 0, 10)];
         let tracer = Tracer::enabled(1);
-        let rep = run(
-            w,
+        let (_, m) = run(
+            per_block(3),
             &cfg,
+            NON_SPEC,
             &FixedCost(9),
             inputs,
             &Instruments::traced(tracer.clone()),
         )
         .expect("traced run completes");
-        assert_eq!(rep.metrics.makespan, 30);
+        assert_eq!(m.makespan, 30);
         let log = tracer.drain().expect("enabled tracer drains");
         assert_eq!(log.timebase, tvs_trace::Timebase::Virtual);
         assert_eq!(log.count("dispatch"), 3);
@@ -1061,27 +744,14 @@ mod tests {
 
     #[test]
     fn traced_and_untraced_runs_agree_on_metrics() {
-        let mk = || PerBlock {
-            n: 8,
-            seen: 0,
-            completions: vec![],
-        };
-        let cfg = SimConfig {
-            task_trace: true,
-            ..SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative)
-        };
+        let cfg = SimConfig::new(x86_smp(2));
         let inputs: Vec<InputBlock> = (0..8).map(|i| block(i, (i as u64) * 2, 32)).collect();
-        let plain = dark(mk(), &cfg, &FixedCost(5), inputs.clone());
-        let traced = run(
-            mk(),
-            &cfg,
-            &FixedCost(5),
-            inputs,
-            &Instruments::traced(Tracer::enabled(2)),
-        )
-        .expect("traced run completes");
-        assert_eq!(plain.metrics, traced.metrics);
-        assert_eq!(plain.trace, traced.trace);
+        let (plain_w, plain) = dark(per_block(8), &cfg, NON_SPEC, &FixedCost(5), inputs.clone());
+        let ins = Instruments::default();
+        let (traced_w, traced, _) =
+            with_spans(per_block(8), &cfg, NON_SPEC, &FixedCost(5), inputs, ins);
+        assert_eq!(plain, traced);
+        assert_eq!(plain_w.completions, traced_w.completions);
     }
 
     #[test]
@@ -1112,53 +782,128 @@ mod tests {
                 1 + bytes as Time / 1024
             }
         }
-        let cfg = SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative);
-        let rep = dark(EarlyExit { done: false }, &cfg, &ByteCost, vec![]);
+        let cfg = SimConfig::new(x86_smp(2));
+        let (_, m) = dark(EarlyExit { done: false }, &cfg, NON_SPEC, &ByteCost, vec![]);
         assert!(
-            rep.metrics.makespan < 100,
+            m.makespan < 100,
             "makespan {} should not wait for the straggler",
-            rep.metrics.makespan
+            m.makespan
         );
+    }
+
+    /// Every fault the simulator acts out, at rates that make each of them
+    /// fire on a few dozen tasks.
+    fn chaos_plan(seed: u64) -> FaultPlan {
+        FaultPlan::new(seed)
+            .with_rule(FaultSite::TaskBody, FaultKind::PanicTask, 0.3)
+            .with_rule(FaultSite::TaskBody, FaultKind::Stall { us: 40 }, 0.3)
+            .with_rule(FaultSite::Completion, FaultKind::DuplicateCompletion, 0.3)
+            .with_rule(
+                FaultSite::Completion,
+                FaultKind::DelayCompletion { us: 25 },
+                0.3,
+            )
+            .with_rule(FaultSite::Feeder, FaultKind::Stall { us: 15 }, 0.3)
     }
 
     #[test]
     fn chaos_runs_are_deterministic_and_recover() {
         // Same plan seed twice: identical metrics, identical workload
         // results, and the faults actually fired.
-        let mk = || PerBlock {
-            n: 12,
-            seen: 0,
-            completions: vec![],
-        };
-        let cfg = SimConfig {
-            task_trace: true,
-            ..SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative)
-        };
-        let plan = || {
-            FaultPlan::new(77)
-                .with_rule(FaultSite::TaskBody, FaultKind::PanicTask, 0.3)
-                .with_rule(FaultSite::TaskBody, FaultKind::Stall { us: 40 }, 0.3)
-                .with_rule(FaultSite::Completion, FaultKind::DuplicateCompletion, 0.3)
-                .with_rule(
-                    FaultSite::Completion,
-                    FaultKind::DelayCompletion { us: 25 },
-                    0.3,
-                )
-                .with_rule(FaultSite::Feeder, FaultKind::Stall { us: 15 }, 0.3)
-        };
-        let chaos = || Instruments::faulty(FaultInjector::new(plan()));
+        let cfg = SimConfig::new(x86_smp(2));
+        let chaos = || Instruments::faulty(FaultInjector::new(chaos_plan(77)));
         let inputs: Vec<InputBlock> = (0..12).map(|i| block(i, (i as u64) * 2, 16)).collect();
-        let a =
-            run(mk(), &cfg, &FixedCost(5), inputs.clone(), &chaos()).expect("chaos run recovers");
-        let b = run(mk(), &cfg, &FixedCost(5), inputs, &chaos()).expect("chaos run recovers");
-        assert_eq!(a.metrics, b.metrics, "chaos is replayable");
-        assert_eq!(a.workload.seen, 12);
-        assert_eq!(b.workload.seen, 12);
+        let go = |inputs| {
+            run(
+                per_block(12),
+                &cfg,
+                NON_SPEC,
+                &FixedCost(5),
+                inputs,
+                &chaos(),
+            )
+            .expect("chaos run recovers")
+        };
+        let (aw, a) = go(inputs.clone());
+        let (bw, b) = go(inputs);
+        assert_eq!(a, b, "chaos is replayable");
+        assert_eq!(aw.seen, 12);
+        assert_eq!(bw.seen, 12);
         assert!(
-            a.metrics.faults > 0 || a.metrics.duplicate_completions > 0,
-            "the plan fired something: {:?}",
-            a.metrics
+            a.faults > 0 || a.duplicate_completions > 0,
+            "the plan fired something: {a:?}"
         );
+    }
+
+    /// Per block, a regular task and a speculative guess of its own
+    /// version; every odd block's guess is rolled back when its regular
+    /// task delivers.
+    struct Guesses {
+        n: usize,
+        seen: usize,
+    }
+
+    impl Workload for Guesses {
+        fn on_input(&mut self, ctx: &mut dyn SchedCtx, b: InputBlock) {
+            let i = b.index as u64;
+            ctx.spawn(TaskSpec::regular("work", 0, 0, i, |_| payload(())));
+            let v = b.index as SpecVersion + 1;
+            ctx.spawn(TaskSpec::speculative("guess", 0, 0, v, i, |_| payload(())));
+        }
+        fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
+            if done.name == "work" {
+                self.seen += 1;
+                if done.tag % 2 == 1 {
+                    ctx.abort_version(done.tag as SpecVersion + 1);
+                }
+            }
+        }
+        fn is_finished(&self) -> bool {
+            self.seen == self.n
+        }
+    }
+
+    #[test]
+    fn spans_account_for_every_busy_microsecond() {
+        // One clean run and one chaos run (panics, stalls past the
+        // watchdog's deadline, delayed and duplicated completions): the
+        // trace's spans are exactly what RunMetrics charges, and every
+        // span is one delivered, discarded or faulted body.
+        let cfg = SimConfig {
+            watchdog: Some(WatchdogConfig { deadline_us: 20 }),
+            ..SimConfig::new(x86_smp(3))
+        };
+        for faults in [FaultInjector::disabled(), FaultInjector::new(chaos_plan(5))] {
+            let inputs: Vec<InputBlock> = (0..48).map(|i| block(i, (i as u64) * 3, 8)).collect();
+            let ins = Instruments::faulty(faults.clone());
+            let wl = Guesses { n: 48, seen: 0 };
+            let policy = DispatchPolicy::Balanced;
+            let (w, m, spans) = with_spans(wl, &cfg, policy, &FixedCost(5), inputs, ins);
+            assert_eq!(w.seen, 48);
+            let busy: Time = spans.iter().map(TaskSpan::busy_us).sum();
+            let wasted: Time = spans
+                .iter()
+                .filter(|s| s.discarded)
+                .map(TaskSpan::busy_us)
+                .sum();
+            assert_eq!(m.busy_us, busy, "{m:?}");
+            assert_eq!(m.wasted_us, wasted, "{m:?}");
+            let faulted_bodies = m.faults - m.task_retries;
+            assert_eq!(
+                m.tasks_delivered + m.tasks_discarded + faulted_bodies,
+                spans.len() as u64,
+                "{m:?}"
+            );
+            assert!(m.wasted_us > 0, "rolled-back guesses are wasted work");
+            if faults.injected() > 0 {
+                let fired =
+                    |kind: fn(&FaultKind) -> bool| faults.log().iter().any(|f| kind(&f.kind));
+                assert!(fired(|k| matches!(k, FaultKind::PanicTask)));
+                assert!(fired(|k| matches!(k, FaultKind::DelayCompletion { .. })));
+                assert!(m.faults > 0 && m.duplicate_completions > 0, "{m:?}");
+                assert!(m.watchdog_cancels > 0, "{m:?}");
+            }
+        }
     }
 
     #[test]
@@ -1180,10 +925,11 @@ mod tests {
                 self.done
             }
         }
-        let cfg = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
+        let cfg = SimConfig::new(x86_smp(1));
         let Err(err) = run(
             AlwaysPanics { done: false },
             &cfg,
+            NON_SPEC,
             &FixedCost(3),
             vec![],
             &Instruments::default(),
@@ -1240,33 +986,30 @@ mod tests {
             }
         }
         let cfg = SimConfig {
-            task_trace: true,
-            watchdog: Some(WatchdogConfig {
-                deadline_us: 1_000,
-                poll_us: 100,
-            }),
-            ..SimConfig::new(x86_smp(2), DispatchPolicy::Aggressive)
+            watchdog: Some(WatchdogConfig { deadline_us: 1_000 }),
+            ..SimConfig::new(x86_smp(2))
         };
         let tracer = Tracer::enabled(2);
-        let rep = run(
+        let (w, m) = run(
             SpecOnly {
                 fault_free: false,
                 lost: None,
             },
             &cfg,
+            DispatchPolicy::Aggressive,
             &NameCost,
             vec![],
             &Instruments::traced(tracer.clone()),
         )
         .expect("watchdog recovers the run");
         assert_eq!(
-            rep.workload.lost,
+            w.lost,
             Some(9),
             "the workload hears of the cancelled version"
         );
-        assert_eq!(rep.metrics.watchdog_cancels, 1);
-        assert_eq!(rep.metrics.rollbacks, 1);
-        assert_eq!(rep.metrics.tasks_discarded, 1);
+        assert_eq!(m.watchdog_cancels, 1);
+        assert_eq!(m.rollbacks, 1);
+        assert_eq!(m.tasks_discarded, 1);
         let log = tracer.drain().unwrap();
         let cancel = log
             .events

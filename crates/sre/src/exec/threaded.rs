@@ -6,7 +6,10 @@
 //! but, unlike the original single-lock runtime (deleted: DESIGN.md §3 has
 //! the measurements), no worker ever *waits* for the global scheduler lock,
 //! and there is no SuperTask thread: the SuperTask role is taken, turn by
-//! turn, by whichever thread holds the commit lock.
+//! turn, by whichever thread holds the commit lock. Settling, recovery and
+//! accounting are the executor core's ([`super::core`], which also
+//! describes the fault handling); this module is its wall clock and
+//! transport.
 //!
 //! * **Sharded dispatch.** A *dispatch pump*, run at the end of every
 //!   commit-path turn, batches [`Scheduler::dispatch_with`] pops out of
@@ -41,13 +44,12 @@
 //!   the commit lock. Whoever holds that lock — this worker, another
 //!   worker, an idle worker about to park, the feeder after a batch,
 //!   the watchdog or the supervisor — takes a *turn* ([`turn`]): drain the
-//!   ring, run the worker-epoch gate, charge, complete, call
-//!   `Workload::on_complete`/`on_fault`, pump the lanes and evaluate run
-//!   completion. A successor on the DFG's critical path (reduce chain,
-//!   offset chain, check → rollback) is therefore spawned by the thread
-//!   that produced its input, without an OS scheduling round trip to a
-//!   router thread; and a failed `try_lock` costs the worker nothing, so
-//!   workload routing code still never blocks a worker.
+//!   ring, run the worker-epoch gate, charge, settle, pump the lanes and
+//!   evaluate run completion. A successor on the DFG's critical path
+//!   (reduce chain, offset chain, check → rollback) is therefore spawned by
+//!   the thread that produced its input, without an OS scheduling round
+//!   trip to a router thread; and a failed `try_lock` costs the worker
+//!   nothing, so workload routing code still never blocks a worker.
 //!
 //!   *No report is stranded.* (1) A producer pushes, then `try_lock`s
 //!   ([`combine`]). (2) Every holder, after unlocking, re-checks the ring
@@ -60,29 +62,6 @@
 //!   and the last holder in the chain sees the report. (3) As a backstop
 //!   a worker re-checks the ring after publishing itself parked and does
 //!   not sleep while a report is visible: it goes round and `try_lock`s.
-//! * **Panic-isolated task bodies.** Every body runs under `catch_unwind`.
-//!   A panicking *speculative* task is treated exactly like a detected
-//!   misspeculation: its slot is reclaimed ([`Scheduler::fault`]), the
-//!   workload is notified ([`Workload::on_fault`]) so its speculation
-//!   manager can replay undo journals, and the version is aborted through
-//!   the regular rollback path. A panicking *non-speculative* task is
-//!   retried in place with bounded exponential backoff
-//!   ([`crate::RetryPolicy`]); only when retries are exhausted does the
-//!   run end — with a structured [`RunError`] from [`run`], never a
-//!   process abort. A panic inside a *workload callback* is caught on the
-//!   commit path itself (the lock is never poisoned by it) and fails the
-//!   run the same structured way. Poisoned locks are recovered, not
-//!   propagated: one caught panic must not wedge the runtime.
-//! * **Fault injection & watchdog.** The run's [`FaultInjector`]
-//!   ([`Instruments::faults`]; deterministically seeded, see `tvs-faults`)
-//!   is consulted at the task-body, completion and feeder sites, so chaos
-//!   runs can exercise the recovery paths on purpose; an optional watchdog
-//!   thread cancels tasks that exceed a deadline (for speculative tasks,
-//!   notifying the workload and aborting their version under the commit
-//!   lock *before* raising their abort flag — the path of a caught
-//!   speculative panic — so the cut-short output is discarded however
-//!   fast the worker routes it, and the speculation layer restarts the
-//!   work).
 //!
 //! The figure benches use the deterministic simulator instead; this
 //! executor exists to run the system end-to-end on real threads and to
@@ -90,30 +69,32 @@
 //! implementations.
 
 use super::commit_log::CommitRing;
-use crate::fault::{self, RetryPolicy, RunError, SupervisorConfig, WatchdogConfig};
+use super::core::{
+    clock_slice, into_inner_recover, lock_recover, run_body, Core, Env, Injection, Report,
+    RunError, Span, SupervisorConfig, WatchdogConfig, DEFAULT_MAX_ATTEMPTS,
+};
 use crate::instruments::Instruments;
 use crate::metrics::RunMetrics;
 use crate::policy::DispatchPolicy;
-use crate::sched::{CompletionOutcome, Dispatched, Scheduler};
-use crate::task::{Payload, SpecVersion, TaskClass, TaskCtx, TaskId, TaskSpec, Time};
-use crate::workload::{Completion, FaultNotice, InputBlock, SchedCtx, Workload};
+use crate::sched::{Dispatched, Scheduler};
+use crate::task::{TaskClass, TaskCtx, Time};
+use crate::workload::{InputBlock, Workload};
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
-use tvs_faults::{FaultInjector, FaultKind, FaultSite};
-use tvs_metrics::{Counter, Gauge, Hist, MetricsHub};
-use tvs_trace::{EventKind, Tracer};
+use tvs_faults::{FaultKind, FaultSite};
+use tvs_metrics::{Counter, Gauge, Hist};
+use tvs_trace::EventKind;
 
 /// Configuration of a threaded run.
 #[derive(Clone, Debug)]
 pub struct ThreadedConfig {
     /// Number of worker threads.
     pub workers: usize,
-    /// Dispatch policy.
-    pub policy: DispatchPolicy,
-    /// Retry policy for panicked non-speculative tasks.
-    pub retry: RetryPolicy,
+    /// Body attempts a panicking non-speculative task gets, initial run
+    /// included; retries back off with jitter.
+    pub max_attempts: u32,
     /// Watchdog over long-running tasks; `None` disables it.
     pub watchdog: Option<WatchdogConfig>,
     /// Worker supervision (heartbeats, quarantine, respawn); `None`
@@ -124,11 +105,10 @@ pub struct ThreadedConfig {
 impl ThreadedConfig {
     /// A config with default fault handling: bounded retry, no watchdog,
     /// no supervision.
-    pub fn new(workers: usize, policy: DispatchPolicy) -> Self {
+    pub fn new(workers: usize) -> Self {
         ThreadedConfig {
             workers,
-            policy,
-            retry: RetryPolicy::default(),
+            max_attempts: DEFAULT_MAX_ATTEMPTS,
             watchdog: None,
             supervisor: None,
         }
@@ -156,12 +136,8 @@ struct Parker {
 
 /// What the watchdog sees of the task a worker is currently running.
 struct WatchSlot {
-    id: TaskId,
-    name: &'static str,
-    version: Option<SpecVersion>,
-    tag: u64,
+    span: Span,
     flag: Arc<AtomicBool>,
-    started: Time,
     /// Set once the watchdog has cancelled this occupancy, so one stuck
     /// task is cancelled exactly once.
     flagged: bool,
@@ -213,26 +189,24 @@ struct Fabric {
     supervised: bool,
     done: AtomicBool,
     start: Instant,
-    /// Fault injection handle (disabled handle = one branch per site).
-    faults: FaultInjector,
     /// Per-worker slot describing the currently-running task, for the
     /// watchdog. Only maintained when the watchdog is configured.
     watch: Vec<Mutex<Option<WatchSlot>>>,
     watchdog_enabled: bool,
-    /// Lifecycle event sink. Dispatch events go to the control ring (the
-    /// pump always runs under the commit lock, so that ring has one writer
-    /// at a time); worker-side events go to each worker's own ring.
-    tracer: Tracer,
-    /// Telemetry registry — *always* backed by a registry here (at least
-    /// [`MetricsHub::internal`]): its sharded cells replace the bespoke
-    /// lane-dispatch/steal/fault atomics this struct used to carry, so
-    /// [`RunMetrics`] and live snapshots read the same cells and nothing
-    /// is counted twice.
-    hub: MetricsHub,
+    /// Body attempts a panicking non-speculative task gets.
+    max_attempts: u32,
+    /// The run's tracer, hub and fault plan. Dispatch events go to the
+    /// control ring (the pump always runs under the commit lock, so that
+    /// ring has one writer at a time); worker-side events go to each
+    /// worker's own ring. The hub is *always* backed by a registry here (at
+    /// least [`tvs_metrics::MetricsHub::internal`]): [`RunMetrics`] and live
+    /// snapshots read the same cells, and nothing is counted twice.
+    ins: Instruments,
 }
 
 impl Fabric {
-    fn new(workers: usize, ins: &Instruments, watchdog_enabled: bool, supervised: bool) -> Self {
+    fn new(cfg: &ThreadedConfig, ins: Instruments) -> Self {
+        let workers = cfg.workers;
         let hw = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(workers);
@@ -254,19 +228,32 @@ impl Fabric {
             next_lane: AtomicUsize::new(0),
             worker_epoch: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             heartbeat: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            supervised,
+            supervised: cfg.supervisor.is_some(),
             done: AtomicBool::new(false),
             start: Instant::now(),
-            faults: ins.faults.clone(),
             watch: (0..workers).map(|_| Mutex::new(None)).collect(),
-            watchdog_enabled,
-            tracer: ins.tracer.clone(),
-            hub: ins.metrics.clone(),
+            // The supervisor also needs the watch slots: quarantining a
+            // wedged worker signals the abort flag of whatever it was
+            // running, which is what unsticks abort-aware bodies and
+            // injected stalls.
+            watchdog_enabled: cfg.watchdog.is_some() || cfg.supervisor.is_some(),
+            max_attempts: cfg.max_attempts,
+            ins,
         }
     }
 
     fn now(&self) -> Time {
         self.start.elapsed().as_micros() as Time
+    }
+
+    /// What a workload callback run at `now` sees of this executor.
+    fn env(&self, now: Time) -> Env<'_> {
+        Env {
+            now,
+            workers: self.lanes.len(),
+            max_task_bytes: None,
+            abort_epoch: Some(&self.abort_epoch),
+        }
     }
 
     /// Block the calling thread until `due` (µs on the run's clock): sleep
@@ -306,9 +293,9 @@ impl Fabric {
         if work.class == TaskClass::Regular {
             self.normal_bound.fetch_add(1, Ordering::SeqCst);
         }
-        self.hub.add(lane, Counter::LaneDispatch, 1);
-        if self.tracer.is_enabled() {
-            self.tracer.emit_control(EventKind::Dispatch {
+        self.ins.metrics.add(lane, Counter::LaneDispatch, 1);
+        if self.ins.tracer.is_enabled() {
+            self.ins.tracer.emit_control(EventKind::Dispatch {
                 id: work.id,
                 name: work.name,
                 class: work.class.trace_tag(),
@@ -320,7 +307,7 @@ impl Fabric {
         // re-check errs towards staying awake, never towards sleeping on
         // available work.
         self.in_lanes.fetch_add(1, Ordering::SeqCst);
-        fault::lock_recover(&self.lanes[lane]).push_back(Ready { work, epoch });
+        lock_recover(&self.lanes[lane]).push_back(Ready { work, epoch });
     }
 
     /// Take work for worker `me`: own lane front first, then the *front* of
@@ -332,14 +319,14 @@ impl Fabric {
     /// worker stays off the CPU. The second element is the victim lane when
     /// the task was stolen.
     fn grab(&self, me: usize) -> Option<(Ready, Option<usize>)> {
-        if let Some(r) = fault::lock_recover(&self.lanes[me]).pop_front() {
+        if let Some(r) = lock_recover(&self.lanes[me]).pop_front() {
             self.on_take(&r);
             return Some((r, None));
         }
         let n = self.lanes.len();
         for off in 1..n {
             let victim = (me + off) % n;
-            if let Some(r) = fault::lock_recover(&self.lanes[victim]).pop_front() {
+            if let Some(r) = lock_recover(&self.lanes[victim]).pop_front() {
                 self.on_take(&r);
                 return Some((r, Some(victim)));
             }
@@ -375,7 +362,7 @@ impl Fabric {
         if awake < self.target_awake && self.in_lanes.load(Ordering::SeqCst) > awake {
             for p in &self.parkers {
                 if p.parked.swap(false, Ordering::SeqCst) {
-                    if let Some(t) = fault::lock_recover(&p.handle).as_ref() {
+                    if let Some(t) = lock_recover(&p.handle).as_ref() {
                         t.unpark();
                     }
                     return;
@@ -387,10 +374,19 @@ impl Fabric {
     /// Unpark everyone, parked flag or not (shutdown path).
     fn wake_all(&self) {
         for p in &self.parkers {
-            if let Some(t) = fault::lock_recover(&p.handle).as_ref() {
+            if let Some(t) = lock_recover(&p.handle).as_ref() {
                 t.unpark();
             }
         }
+    }
+
+    /// End the run: close the ring so a worker spinning on a full ring (or
+    /// racing a late push) fails fast instead of waiting for a drain that
+    /// will not come, and wake everyone to exit.
+    fn shut_down(&self) {
+        self.done.store(true, Ordering::SeqCst);
+        self.ring.close();
+        self.wake_all();
     }
 
     /// Reassign a quarantined worker's ready lane: move its bound entries
@@ -403,29 +399,18 @@ impl Fabric {
         if n <= 1 {
             return;
         }
-        let moved: Vec<Ready> = fault::lock_recover(&self.lanes[from]).drain(..).collect();
+        let moved: Vec<Ready> = lock_recover(&self.lanes[from]).drain(..).collect();
         for (i, r) in moved.into_iter().enumerate() {
             let to = (from + 1 + (i % (n - 1))) % n;
-            fault::lock_recover(&self.lanes[to]).push_back(r);
+            lock_recover(&self.lanes[to]).push_back(r);
         }
     }
 }
 
-/// Scheduler + workload + run counters: everything behind the commit lock.
-/// Touched only during a commit-path [`turn`].
+/// Everything behind the commit lock: the executor core plus the routing
+/// batch. Touched only during a commit-path [`turn`].
 struct Inner<W> {
-    sched: Scheduler,
-    workload: W,
-    input_done: bool,
-    delivered: u64,
-    discarded: u64,
-    busy_us: Time,
-    wasted_us: Time,
-    finished_at: Option<Time>,
-    /// Set when a non-speculative task exhausted its retries: the run is
-    /// failing with this error. Shutdown proceeds through the normal done
-    /// path so every thread still joins.
-    failed: Option<RunError>,
+    core: Core<W>,
     /// Reports held back by an injected `DelayCompletion`, and
     /// `DuplicateCompletion` echoes: routed with the next batch, after
     /// everything that shared their own — the reordering is the fault.
@@ -434,66 +419,22 @@ struct Inner<W> {
     batch: Vec<Finished>,
 }
 
-/// How a worker's occupancy of a task ended.
-enum BodyResult {
-    /// The body ran to completion and produced an output.
-    Ran(Payload),
-    /// Lane re-validation cancelled the task before it ran.
-    Cancelled,
-    /// Every body attempt panicked (`attempt` = retries spent; 0 for
-    /// speculative tasks, which are never retried).
-    Faulted { attempt: u32 },
-}
-
 /// A worker's report to the commit path, stamped with the reporting worker
 /// incarnation so the epoch gate can reject reports from quarantined
 /// workers (see [`Fabric::worker_epoch`]).
 struct Finished {
-    id: TaskId,
-    name: &'static str,
-    class: TaskClass,
-    version: Option<SpecVersion>,
-    tag: u64,
-    started: Time,
-    finished: Time,
-    /// Reporting worker's lane index.
-    worker: usize,
+    span: Span,
     /// Reporting worker's incarnation epoch. `u64::MAX` marks an injected
     /// duplicate-completion echo, which never matches a live epoch — the
     /// echo deliberately exercises the reject path end to end.
     epoch: u64,
-    body: BodyResult,
-}
-
-/// `SchedCtx` handed to workload callbacks: spawns go straight to the
-/// scheduler (the caller holds the commit lock) and version aborts bump the
-/// global abort epoch so lanes re-validate.
-struct WsCtx<'a> {
-    sched: &'a mut Scheduler,
-    fabric: &'a Fabric,
-    now: Time,
-}
-
-impl SchedCtx for WsCtx<'_> {
-    fn now(&self) -> Time {
-        self.now
-    }
-    fn spawn(&mut self, spec: TaskSpec) -> Option<TaskId> {
-        self.sched.spawn(spec)
-    }
-    fn abort_version(&mut self, version: SpecVersion) {
-        self.sched.abort_version(version);
-        self.fabric.abort_epoch.fetch_add(1, Ordering::SeqCst);
-    }
-    fn workers(&self) -> usize {
-        self.fabric.lanes.len()
-    }
+    body: Report,
 }
 
 /// Refill the worker lanes from the central ready queue. Caller holds the
 /// commit lock; the whole batch is stamped with the current abort epoch.
 /// Returns whether anything was pushed (i.e. parked workers need a wake).
-fn pump<W>(fabric: &Fabric, inner: &mut Inner<W>) -> bool {
+fn pump(fabric: &Fabric, sched: &mut Scheduler) -> bool {
     let cap = (4 * fabric.lanes.len()).max(16);
     let epoch = fabric.abort_epoch.load(Ordering::SeqCst);
     let mut pushed = false;
@@ -501,7 +442,7 @@ fn pump<W>(fabric: &Fabric, inner: &mut Inner<W>) -> bool {
         // Re-read the hint per pop: binding a regular task must make the
         // conservative policy decline speculation for the rest of the batch.
         let hint = fabric.normal_bound.load(Ordering::SeqCst) > 0;
-        let Some(work) = inner.sched.dispatch_with(hint) else {
+        let Some(work) = sched.dispatch_with(hint) else {
             break;
         };
         fabric.push(work, epoch);
@@ -510,52 +451,13 @@ fn pump<W>(fabric: &Fabric, inner: &mut Inner<W>) -> bool {
     pushed
 }
 
-fn run_complete<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> bool {
-    let done = inner.failed.is_some()
-        || (inner.workload.is_finished() && inner.input_done && inner.sched.is_idle());
-    if done && inner.finished_at.is_none() {
-        inner.finished_at = Some(fabric.now());
+fn run_complete<W: Workload>(fabric: &Fabric, core: &mut Core<W>) -> bool {
+    let done = core.failed.is_some()
+        || (core.workload.is_finished() && core.input_done && core.sched.is_idle());
+    if done && core.finished_at.is_none() {
+        core.finished_at = Some(fabric.now());
     }
     done
-}
-
-/// Recover a task whose report cannot complete it — its body faulted, or
-/// the worker-epoch gate rejected the report — through the misspeculation
-/// path: reclaim the slot, tell the workload (whose speculation manager
-/// replays undo journals, and which re-spawns lost non-speculative work),
-/// then abort the version through the regular rollback. Returns the task's
-/// version, or `None` when it was no longer running ([`Scheduler::fault`]
-/// is idempotent, so an echo of an already-completed task is a pure
-/// rejection).
-fn recover<W: Workload>(
-    fabric: &Fabric,
-    inner: &mut Inner<W>,
-    f: &Finished,
-    attempt: u32,
-) -> Option<Option<SpecVersion>> {
-    let version = inner.sched.fault(f.id)?;
-    let Inner {
-        sched, workload, ..
-    } = inner;
-    let mut ctx = WsCtx {
-        sched,
-        fabric,
-        now: f.finished,
-    };
-    workload.on_fault(
-        &mut ctx,
-        FaultNotice {
-            id: f.id,
-            name: f.name,
-            version,
-            tag: f.tag,
-            attempt,
-        },
-    );
-    if let Some(v) = version {
-        ctx.abort_version(v);
-    }
-    Some(version)
 }
 
 /// Route one batch of completion reports: held-back ones first, then up to
@@ -576,29 +478,32 @@ fn route<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> Option<Time> {
         inner.batch = batch;
         return None;
     }
-    if fabric.hub.is_live() {
+    let hub = &fabric.ins.metrics;
+    if hub.is_live() {
         // Occupancy *after* the batch pops: what is still waiting behind
         // this drain.
         let occ = fabric.ring.occupancy();
-        fabric.hub.gauge_set(Gauge::RingOccupancy, occ);
-        fabric.hub.record(Hist::RingOccupancy, occ);
+        hub.gauge_set(Gauge::RingOccupancy, occ);
+        hub.record(Hist::RingOccupancy, occ);
     }
     let route_from = fabric.now();
     let mut waited_us = 0;
+    let core = &mut inner.core;
     for f in batch.drain(..) {
+        let (span, env) = (f.span, fabric.env(f.span.finished));
         // Worker-epoch gate: a report whose epoch no longer matches its
         // lane's current incarnation comes from a quarantined worker (or
         // is an injected duplicate echo). Reject it *before* any charging
         // or completion routing — the dead incarnation's work must never
         // double-commit — and recover the task through the fault path.
-        if f.epoch != fabric.worker_epoch[f.worker].load(Ordering::SeqCst) {
-            fabric.hub.add_control(Counter::StaleCompletionsRejected, 1);
-            recover(fabric, inner, &f, 0);
+        if f.epoch != fabric.worker_epoch[span.worker].load(Ordering::SeqCst) {
+            hub.add_control(Counter::StaleCompletionsRejected, 1);
+            core.recover(env, &span, 0, true);
             continue;
         }
         let mut echo = false;
-        if matches!(f.body, BodyResult::Ran(_)) {
-            match fabric.faults.draw(FaultSite::Completion) {
+        if matches!(f.body, Report::Ran(_)) {
+            match fabric.ins.faults.draw(FaultSite::Completion) {
                 Some(FaultKind::DelayCompletion { .. }) => {
                     inner.delayed.push(f);
                     continue;
@@ -607,80 +512,29 @@ fn route<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> Option<Time> {
                 _ => {}
             }
         }
-        waited_us += route_from.saturating_sub(f.finished);
-        let busy = f.finished.saturating_sub(f.started);
-        match f.body {
-            BodyResult::Cancelled => {
-                inner.sched.cancel_bound(f.id);
-            }
-            BodyResult::Faulted { attempt } => {
-                inner.busy_us += busy;
-                inner.wasted_us += busy;
-                fabric.hub.add_control(Counter::BusyUs, busy);
-                fabric.hub.add_control(Counter::WastedUs, busy);
-                inner.sched.charge(f.class, busy);
-                if let Some(None) = recover(fabric, inner, &f, attempt) {
-                    inner.failed.get_or_insert(RunError::TaskFailed {
-                        name: f.name,
-                        id: f.id,
-                        attempts: attempt + 1,
-                    });
-                }
-            }
-            BodyResult::Ran(output) => {
-                inner.busy_us += busy;
-                fabric.hub.add_control(Counter::BusyUs, busy);
-                inner.sched.charge(f.class, busy);
-                match inner.sched.try_complete(f.id) {
-                    None => {}
-                    Some(CompletionOutcome::Discard) => {
-                        inner.discarded += 1;
-                        inner.wasted_us += busy;
-                        fabric.hub.add_control(Counter::WastedUs, busy);
-                    }
-                    Some(CompletionOutcome::Deliver) => {
-                        inner.delivered += 1;
-                        let Inner {
-                            sched, workload, ..
-                        } = inner;
-                        workload.on_complete(
-                            &mut WsCtx {
-                                sched,
-                                fabric,
-                                now: f.finished,
-                            },
-                            Completion {
-                                id: f.id,
-                                name: f.name,
-                                version: f.version,
-                                tag: f.tag,
-                                started: f.started,
-                                finished: f.finished,
-                                output,
-                            },
-                        );
-                    }
-                }
-                if echo {
-                    // Deliver the completion a second time, stamped with an
-                    // epoch no incarnation ever holds: the duplicate flows
-                    // back through this loop and the worker-epoch gate
-                    // rejects it — exercising the same path that protects
-                    // against a quarantined worker's stragglers, instead of
-                    // quietly absorbing the echo in the scheduler.
-                    inner.delayed.push(Finished {
-                        epoch: u64::MAX,
-                        body: BodyResult::Faulted { attempt: 0 },
-                        ..f
-                    });
-                }
-            }
+        waited_us += route_from.saturating_sub(span.finished);
+        if !matches!(f.body, Report::Cancelled) {
+            core.sched.charge(span.class, span.busy());
+        }
+        core.settle(env, &span, f.body, hub);
+        if echo {
+            // Deliver the completion a second time, stamped with an epoch
+            // no incarnation ever holds: the duplicate flows back through
+            // this loop and the worker-epoch gate rejects it — exercising
+            // the same path that protects against a quarantined worker's
+            // stragglers, instead of quietly absorbing the echo in the
+            // scheduler.
+            inner.delayed.push(Finished {
+                span,
+                epoch: u64::MAX,
+                body: Report::Faulted { attempt: 0 },
+            });
         }
     }
     inner.batch = batch;
     // How long completions waited for the commit path: per routed report,
     // from the task's `finished` stamp to the start of its batch.
-    fabric.hub.add_control(Counter::TimeRouterWaitUs, waited_us);
+    hub.add_control(Counter::TimeRouterWaitUs, waited_us);
     Some(route_from)
 }
 
@@ -698,8 +552,8 @@ struct Turn {
 }
 
 /// One commit-path turn, by whoever holds the commit lock: run `entry`
-/// (the feeder's `on_input_batch`, the watchdog's abort, … — nothing for a
-/// worker), route what the commit log holds, pump the lanes, evaluate run
+/// (the feeder's batch, the watchdog's cancel, … — nothing for a worker),
+/// route what the commit log holds, pump the lanes, evaluate run
 /// completion; then unlock, wake, and re-check the ring — the holder's half
 /// of the no-stranding argument in the module docs.
 ///
@@ -710,42 +564,37 @@ struct Turn {
 fn turn<W: Workload>(
     fabric: &Fabric,
     mut guard: MutexGuard<'_, Inner<W>>,
-    entry: impl FnOnce(&mut Inner<W>),
+    entry: impl FnOnce(&mut Core<W>),
 ) -> Turn {
     let inner = &mut *guard;
     let routed = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        entry(&mut *inner);
+        entry(&mut inner.core);
         route(fabric, &mut *inner)
     })) {
         Ok(routed) => routed,
         Err(_) => {
-            inner.failed.get_or_insert(RunError::WorkerLost {
+            inner.core.failed.get_or_insert(RunError::WorkerLost {
                 what: "workload callback",
             });
             None
         }
     };
-    let pushed = pump(fabric, inner);
+    let pushed = pump(fabric, &mut inner.core.sched);
     // Held-back reports (injected delays and duplicate echoes) must flow
     // through the gate before the run can end, or a last-batch echo would
     // never exercise the reject path. One more turn drains them.
     let held_back = !inner.delayed.is_empty();
-    let done = run_complete(fabric, inner) && !held_back;
+    let done = run_complete(fabric, &mut inner.core) && !held_back;
     drop(guard);
     // Commit-path time: the whole routed batch under one lock acquisition
     // (one add per batch, not per task).
     let commit_us = routed.map_or(0, |from| {
         let us = fabric.now().saturating_sub(from);
-        fabric.hub.add_control(Counter::TimeCommitUs, us);
+        fabric.ins.metrics.add_control(Counter::TimeCommitUs, us);
         us
     });
     if done {
-        fabric.done.store(true, Ordering::SeqCst);
-        // Close the ring so a worker spinning on a full ring (or racing a
-        // late push) fails fast instead of waiting for a drain that will
-        // not come.
-        fabric.ring.close();
-        fabric.wake_all();
+        fabric.shut_down();
     } else if pushed {
         fabric.wake_for_work();
     }
@@ -793,30 +642,11 @@ fn combine<W: Workload>(fabric: &Fabric, commit: &Mutex<Inner<W>>) -> Turn {
 fn locked<W: Workload>(
     fabric: &Fabric,
     commit: &Mutex<Inner<W>>,
-    entry: impl FnOnce(&mut Inner<W>),
+    entry: impl FnOnce(&mut Core<W>),
 ) {
-    if turn(fabric, fault::lock_recover(commit), entry).again {
+    if turn(fabric, lock_recover(commit), entry).again {
         combine(fabric, commit);
     }
-}
-
-/// One body attempt: act out any fault injected at the task-body site,
-/// then run the body under `catch_unwind`.
-fn run_attempt(fabric: &Fabric, work: &mut Dispatched) -> std::thread::Result<Payload> {
-    let mut boom = false;
-    match fabric.faults.draw(FaultSite::TaskBody) {
-        Some(FaultKind::PanicTask) => boom = true,
-        Some(FaultKind::Stall { us }) => fault::stall_wall(us, &work.ctx),
-        _ => {}
-    }
-    let run = &mut work.run;
-    let ctx = &work.ctx;
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if boom {
-            panic!("injected task-body fault");
-        }
-        (run)(ctx)
-    }))
 }
 
 /// Spawn one worker thread on lane `me` with incarnation `my_epoch`.
@@ -833,12 +663,12 @@ fn spawn_worker<W: Workload + Send + 'static>(
     my_epoch: u64,
     fabric: Arc<Fabric>,
     commit: Arc<Mutex<Inner<W>>>,
-    retry: RetryPolicy,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("tvs-worker-{me}"))
         .spawn(move || {
-            *fault::lock_recover(&fabric.parkers[me].handle) = Some(std::thread::current());
+            *lock_recover(&fabric.parkers[me].handle) = Some(std::thread::current());
+            let (hub, tracer) = (&fabric.ins.metrics, &fabric.ins.tracer);
             let mut spins = 0u32;
             // Time-accounting profiler: `mark` is the end of the
             // last charged interval. Work-acquisition time (lane
@@ -868,9 +698,9 @@ fn spawn_worker<W: Workload + Send + 'static>(
                     Some((ready, stolen_from)) => {
                         spins = 0;
                         if let Some(victim) = stolen_from {
-                            fabric.hub.add(me, Counter::Steal, 1);
-                            if fabric.tracer.is_enabled() {
-                                fabric.tracer.emit(
+                            hub.add(me, Counter::Steal, 1);
+                            if tracer.is_enabled() {
+                                tracer.emit(
                                     me,
                                     EventKind::Steal {
                                         id: ready.work.id,
@@ -887,135 +717,51 @@ fn spawn_worker<W: Workload + Send + 'static>(
                         // bound before some rollback can be stale,
                         // and only a flagged one is actually dead.
                         let stale = ready.epoch != fabric.abort_epoch.load(Ordering::SeqCst);
-                        if stale && work.version.is_some() && work.ctx.aborted() {
+                        let (body, span) = if stale && work.version.is_some() && work.ctx.aborted()
+                        {
                             let now = fabric.now();
-                            fabric
-                                .hub
-                                .add(me, Counter::TimeStealUs, now.saturating_sub(mark));
+                            hub.add(me, Counter::TimeStealUs, now.saturating_sub(mark));
                             mark = now;
-                            let cancelled = Finished {
-                                id: work.id,
-                                name: work.name,
-                                class: work.class,
-                                version: work.version,
-                                tag: work.tag,
-                                started: now,
-                                finished: now,
-                                worker: me,
-                                epoch: my_epoch,
-                                body: BodyResult::Cancelled,
-                            };
-                            if fabric.ring.push(cancelled).is_err() {
-                                return;
-                            }
-                            mark += combine(&fabric, &commit).commit_us;
-                            continue;
-                        }
-                        let traced = fabric.tracer.is_enabled();
-                        if traced {
-                            fabric.tracer.emit(
-                                me,
-                                EventKind::TaskStart {
-                                    id: work.id,
-                                    name: work.name,
-                                    version: work.version,
-                                },
-                            );
-                        }
-                        let started = fabric.now();
-                        fabric
-                            .hub
-                            .add(me, Counter::TimeStealUs, started.saturating_sub(mark));
-                        if fabric.watchdog_enabled {
-                            *fault::lock_recover(&fabric.watch[me]) = Some(WatchSlot {
-                                id: work.id,
-                                name: work.name,
-                                version: work.version,
-                                tag: work.tag,
-                                flag: work.ctx.abort_flag(),
-                                started,
-                                flagged: false,
-                            });
-                        }
-                        // Panic-isolated body execution: catch,
-                        // report, and — for non-speculative tasks —
-                        // retry in place with bounded backoff.
-                        // Speculative faults never retry: aborting
-                        // the version is cheaper and the
-                        // speculation layer restarts the work.
-                        let mut attempt = 0u32;
-                        let body = loop {
-                            match run_attempt(&fabric, &mut work) {
-                                Ok(out) => break BodyResult::Ran(out),
-                                Err(_) => {
-                                    fabric.hub.add(me, Counter::Faults, 1);
-                                    if traced {
-                                        fabric.tracer.emit(
-                                            me,
-                                            EventKind::TaskFault {
-                                                id: work.id,
-                                                name: work.name,
-                                                version: work.version,
-                                                attempt,
-                                            },
-                                        );
-                                    }
-                                    if work.version.is_some()
-                                        || attempt + 1 >= retry.max_attempts.max(1)
-                                    {
-                                        break BodyResult::Faulted { attempt };
-                                    }
-                                    attempt += 1;
-                                    fabric.hub.add(me, Counter::Retries, 1);
-                                    // Jittered per-task backoff:
-                                    // correlated faults must not
-                                    // wake in lockstep.
-                                    let wait = retry.backoff_jittered_us(attempt, work.id);
-                                    fabric.hub.add(me, Counter::RetryBackoffUs, wait);
-                                    std::thread::sleep(Duration::from_micros(wait));
-                                }
-                            }
-                        };
-                        if fabric.watchdog_enabled {
-                            *fault::lock_recover(&fabric.watch[me]) = None;
-                        }
-                        let finished = fabric.now();
-                        let slice = finished.saturating_sub(started);
-                        let clock = if work.class == TaskClass::Check {
-                            Counter::TimeCheckUs
+                            (Report::Cancelled, Span::of(&work, me, now, now))
                         } else {
-                            Counter::TimeRunUs
-                        };
-                        fabric.hub.add(me, clock, slice);
-                        fabric.hub.record(Hist::RunSliceUs, slice);
-                        mark = finished;
-                        if traced {
-                            if let BodyResult::Ran(_) = body {
-                                fabric.tracer.emit(
-                                    me,
-                                    EventKind::TaskEnd {
-                                        id: work.id,
-                                        name: work.name,
-                                        version: work.version,
-                                        discarded: work.ctx.aborted(),
-                                    },
-                                );
+                            let started = fabric.now();
+                            let mut span = Span::of(&work, me, started, started);
+                            if tracer.is_enabled() {
+                                tracer.emit(me, span.start_event());
                             }
-                        }
-                        let report = Finished {
-                            id: work.id,
-                            name: work.name,
-                            class: work.class,
-                            version: work.version,
-                            tag: work.tag,
-                            started,
-                            finished,
-                            worker: me,
-                            epoch: my_epoch,
-                            body,
+                            hub.add(me, Counter::TimeStealUs, started.saturating_sub(mark));
+                            if fabric.watchdog_enabled {
+                                *lock_recover(&fabric.watch[me]) = Some(WatchSlot {
+                                    span,
+                                    flag: work.ctx.abort_flag(),
+                                    flagged: false,
+                                });
+                            }
+                            let body = run_body(
+                                &mut work,
+                                me,
+                                &fabric.ins,
+                                fabric.max_attempts,
+                                Injection::Live,
+                            );
+                            if fabric.watchdog_enabled {
+                                *lock_recover(&fabric.watch[me]) = None;
+                            }
+                            span.finished = fabric.now();
+                            clock_slice(hub, me, work.class, span.finished - started);
+                            mark = span.finished;
+                            if tracer.is_enabled() && matches!(body, Report::Ran(_)) {
+                                tracer.emit(me, span.end_event(work.ctx.aborted()));
+                            }
+                            (body, span)
                         };
                         // Route it here and now if the commit lock is
                         // free; otherwise its holder picks it up.
+                        let report = Finished {
+                            span,
+                            epoch: my_epoch,
+                            body,
+                        };
                         if fabric.ring.push(report).is_err() {
                             return;
                         }
@@ -1060,22 +806,15 @@ fn spawn_worker<W: Workload + Send + 'static>(
                             && fabric.ring.is_empty()
                             && !fabric.done.load(Ordering::SeqCst)
                         {
-                            let traced = fabric.tracer.is_enabled();
-                            if traced {
-                                fabric.tracer.emit(me, EventKind::Park);
-                            }
+                            tracer.emit(me, EventKind::Park);
                             let napped = fabric.now();
-                            fabric
-                                .hub
-                                .add(me, Counter::TimeStealUs, napped.saturating_sub(mark));
+                            hub.add(me, Counter::TimeStealUs, napped.saturating_sub(mark));
                             std::thread::park_timeout(Duration::from_millis(100));
                             mark = fabric.now();
                             let idle = mark.saturating_sub(napped);
-                            fabric.hub.add(me, Counter::TimeParkUs, idle);
-                            fabric.hub.record(Hist::IdleSliceUs, idle);
-                            if traced {
-                                fabric.tracer.emit(me, EventKind::Unpark);
-                            }
+                            hub.add(me, Counter::TimeParkUs, idle);
+                            hub.record(Hist::IdleSliceUs, idle);
+                            tracer.emit(me, EventKind::Unpark);
                         }
                         p.parked.store(false, Ordering::SeqCst);
                         fabric.parked_count.fetch_sub(1, Ordering::SeqCst);
@@ -1092,65 +831,47 @@ fn spawn_worker<W: Workload + Send + 'static>(
 /// turn — the last one together with the end of input.
 fn feed<W: Workload>(fabric: &Fabric, commit: &Mutex<Inner<W>>, inputs: Vec<InputBlock>) {
     let mut rest = inputs.into_iter().peekable();
-    let mut ended = false;
-    while let Some(first) = rest.next() {
-        // A failing run stops consuming input: shutdown has already been
-        // initiated.
-        if fabric.done.load(Ordering::SeqCst) {
-            break;
-        }
-        fabric.wait_until(first.arrival);
-        if let Some(FaultKind::Stall { us }) = fabric.faults.draw(FaultSite::Feeder) {
-            std::thread::sleep(Duration::from_micros(us));
-        }
-        let now = fabric.now();
-        let mut batch = vec![first];
-        batch.extend(std::iter::from_fn(|| rest.next_if(|b| b.arrival <= now)));
-        for b in &mut batch {
-            b.arrival = now;
-        }
-        ended = rest.peek().is_none();
-        locked(fabric, commit, |inner| {
-            let Inner {
-                sched,
-                workload,
-                input_done,
-                ..
-            } = inner;
-            let mut ctx = WsCtx { sched, fabric, now };
-            workload.on_input_batch(&mut ctx, batch);
-            if ended {
-                workload.on_input_done(&mut ctx);
-                *input_done = true;
+    loop {
+        let mut batch = Vec::new();
+        if let Some(first) = rest.next() {
+            // A failing run stops consuming input: shutdown has already
+            // been initiated.
+            if fabric.done.load(Ordering::SeqCst) {
+                return;
             }
+            fabric.wait_until(first.arrival);
+            if let Some(FaultKind::Stall { us }) = fabric.ins.faults.draw(FaultSite::Feeder) {
+                std::thread::sleep(Duration::from_micros(us));
+            }
+            let now = fabric.now();
+            batch.push(first);
+            batch.extend(std::iter::from_fn(|| rest.next_if(|b| b.arrival <= now)));
+            for b in &mut batch {
+                b.arrival = now;
+            }
+        }
+        let now = batch.first().map_or_else(|| fabric.now(), |b| b.arrival);
+        let last = rest.peek().is_none();
+        locked(fabric, commit, |core| {
+            core.feed(fabric.env(now), batch, last)
         });
-    }
-    if !ended {
-        let now = fabric.now();
-        locked(fabric, commit, |inner| {
-            let Inner {
-                sched,
-                workload,
-                input_done,
-                ..
-            } = inner;
-            workload.on_input_done(&mut WsCtx { sched, fabric, now });
-            *input_done = true;
-        });
+        if last {
+            return;
+        }
     }
 }
 
-/// Run `workload` on `cfg.workers` real threads, feeding it `inputs` —
-/// sorted by due time (`arrival`, µs from the start of the run), the list
-/// the simulator takes — from the calling thread, which hands every block
-/// due by the time it wakes over in one [`Workload::on_input_batch`] (each
-/// block stamped with that moment), recording lifecycle events into
-/// `ins.tracer`, streaming counters, gauges and histograms into
-/// `ins.metrics` as the run executes (so a sampler thread or `tvs-top` can
-/// watch mid-run) and drawing faults from `ins.faults`. Pass
-/// `&Instruments::default()` to run dark — the executor then keeps its
-/// counters in an internal counters-only registry, which costs the same as
-/// the per-lane atomics it replaced.
+/// Run `workload` under `policy` on `cfg.workers` real threads, feeding it
+/// `inputs` — sorted by due time (`arrival`, µs from the start of the run),
+/// the list the simulator takes — from the calling thread, which hands
+/// every block due by the time it wakes over in one
+/// [`Workload::on_input_batch`] (each block stamped with that moment),
+/// recording lifecycle events into `ins.tracer`, streaming counters, gauges
+/// and histograms into `ins.metrics` as the run executes (so a sampler
+/// thread or `tvs-top` can watch mid-run) and drawing faults from
+/// `ins.faults`. Pass `&Instruments::default()` to run dark — the executor
+/// then keeps its counters in an internal counters-only registry, which
+/// costs the same as the per-lane atomics it replaced.
 ///
 /// Returns the finished workload and the run metrics, or a structured
 /// [`RunError`] when the run cannot complete (a non-speculative task
@@ -1170,6 +891,7 @@ fn feed<W: Workload>(fabric: &Fabric, commit: &Mutex<Inner<W>>, inputs: Vec<Inpu
 pub fn run<W>(
     workload: W,
     cfg: &ThreadedConfig,
+    policy: DispatchPolicy,
     inputs: Vec<InputBlock>,
     ins: &Instruments,
 ) -> Result<(W, RunMetrics), RunError>
@@ -1180,56 +902,30 @@ where
         inputs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
         "inputs must be sorted by due time"
     );
-    let ins = ins.for_executor(cfg.workers, cfg.policy);
-    let hub = &ins.metrics;
-    let fabric = Arc::new(Fabric::new(
-        cfg.workers,
-        &ins,
-        // The supervisor also needs the watch slots: quarantining a wedged
-        // worker signals the abort flag of whatever it was running, which
-        // is what unsticks abort-aware bodies and injected stalls.
-        cfg.watchdog.is_some() || cfg.supervisor.is_some(),
-        cfg.supervisor.is_some(),
-    ));
+    let ins = ins.for_executor(cfg.workers, policy);
     let commit = Arc::new(Mutex::new(Inner {
-        sched: Scheduler::instrumented(cfg.policy, &ins),
-        workload,
-        input_done: false,
-        delivered: 0,
-        discarded: 0,
-        busy_us: 0,
-        wasted_us: 0,
-        finished_at: None,
-        failed: None,
+        core: Core::new(workload, policy, &ins),
         delayed: Vec::new(),
         batch: Vec::with_capacity(64),
     }));
+    let fabric = Arc::new(Fabric::new(cfg, ins));
 
     let now = fabric.now();
-    locked(&fabric, &commit, |inner| {
-        let Inner {
-            sched, workload, ..
-        } = inner;
-        workload.on_start(&mut WsCtx {
-            sched,
-            fabric: &fabric,
-            now,
-        });
-    });
+    locked(&fabric, &commit, |core| core.start(fabric.env(now)));
 
     // Worker threads: grab from lanes, run, report, and route the report
     // themselves when the commit lock is free. The lock is never *waited
     // on* here — a worker only ever `try_lock`s it.
-    let retry = cfg.retry;
     let workers: Vec<_> = (0..cfg.workers)
-        .map(|me| spawn_worker(me, 0, Arc::clone(&fabric), Arc::clone(&commit), retry))
+        .map(|me| spawn_worker(me, 0, Arc::clone(&fabric), Arc::clone(&commit)))
         .collect();
 
     // Watchdog thread: polls the per-worker slots and cancels any task
-    // that has been running past the deadline — signal its abort flag
-    // (abort-aware bodies and injected stalls return early) and, for
-    // speculative tasks, abort the version so the speculation layer
-    // restarts the work on the natural path.
+    // that has been running past the deadline. A speculative task is
+    // unstuck *under the commit lock*, version first: the worker routes
+    // its own report the moment the body returns, and a report routed
+    // before the abort would deliver the cut-short output instead of
+    // discarding it.
     let watchdog = cfg.watchdog.map(|wd| {
         let fabric = Arc::clone(&fabric);
         let commit = Arc::clone(&commit);
@@ -1237,57 +933,22 @@ where
             .name("tvs-watchdog".into())
             .spawn(move || {
                 while !fabric.done.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_micros(wd.poll_us.max(100)));
+                    std::thread::sleep(Duration::from_micros(wd.poll_us()));
                     let now = fabric.now();
                     for slot in &fabric.watch {
-                        let mut g = fault::lock_recover(slot);
+                        let mut g = lock_recover(slot);
                         let Some(s) = g.as_mut() else { continue };
-                        if s.flagged || now.saturating_sub(s.started) < wd.deadline_us {
+                        let ran_us = now.saturating_sub(s.span.started);
+                        if s.flagged || ran_us < wd.deadline_us {
                             continue;
                         }
                         s.flagged = true;
-                        fabric.hub.add_control(Counter::WatchdogCancels, 1);
-                        if fabric.tracer.is_enabled() {
-                            fabric.tracer.emit_control(EventKind::WatchdogCancel {
-                                id: s.id,
-                                version: s.version,
-                                ran_us: now.saturating_sub(s.started),
-                            });
-                        }
-                        let flag = Arc::clone(&s.flag);
-                        let notice = FaultNotice {
-                            id: s.id,
-                            name: s.name,
-                            version: s.version,
-                            tag: s.tag,
-                            attempt: 0,
-                        };
+                        let (span, flag) = (s.span, Arc::clone(&s.flag));
                         drop(g);
-                        // A speculative task is unstuck *under the commit
-                        // lock*, version first: the worker routes its own
-                        // report the moment the body returns, and a report
-                        // routed before the abort would deliver the cut-
-                        // short output instead of discarding it. The cancel
-                        // takes the path of a caught speculative panic —
-                        // the workload hears of it, then the version is
-                        // rolled back — except that the task still finishes
-                        // (and is discarded), so no `Scheduler::fault`.
-                        match notice.version {
-                            Some(v) => locked(&fabric, &commit, |inner| {
-                                let Inner {
-                                    sched, workload, ..
-                                } = inner;
-                                let mut ctx = WsCtx {
-                                    sched,
-                                    fabric: &fabric,
-                                    now,
-                                };
-                                workload.on_fault(&mut ctx, notice);
-                                ctx.abort_version(v);
-                                TaskCtx::signal_abort(&flag);
-                            }),
-                            None => TaskCtx::signal_abort(&flag),
-                        }
+                        locked(&fabric, &commit, |core| {
+                            core.cancel(fabric.env(now), &span, ran_us, &fabric.ins);
+                            TaskCtx::signal_abort(&flag);
+                        });
                     }
                 }
             })
@@ -1311,7 +972,7 @@ where
             .spawn(move || {
                 let mut respawned: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 while !fabric.done.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_micros(sv.poll_us.max(100)));
+                    std::thread::sleep(Duration::from_micros(sv.poll_us()));
                     let now = fabric.now();
                     for me in 0..fabric.lanes.len() {
                         let hb = fabric.heartbeat[me].load(Ordering::SeqCst);
@@ -1330,34 +991,26 @@ where
                             // Restart the clock so the replacement gets a
                             // full timeout before it is judged.
                             fabric.heartbeat[me].store(fabric.now(), Ordering::SeqCst);
-                            fabric.hub.add_control(Counter::WorkerRespawns, 1);
-                            if fabric.tracer.is_enabled() {
-                                fabric.tracer.emit_control(EventKind::WorkerQuarantine {
-                                    worker: me as u32,
-                                    epoch: old,
-                                });
-                                fabric.tracer.emit_control(EventKind::WorkerRespawn {
-                                    worker: me as u32,
-                                    epoch: old + 1,
-                                });
-                            }
+                            fabric.ins.metrics.add_control(Counter::WorkerRespawns, 1);
+                            let worker = me as u32;
+                            let tracer = &fabric.ins.tracer;
+                            tracer.emit_control(EventKind::WorkerQuarantine { worker, epoch: old });
+                            tracer.emit_control(EventKind::WorkerRespawn {
+                                worker,
+                                epoch: old + 1,
+                            });
                         });
                         // Unstick whatever the old incarnation is running:
                         // abort-aware bodies (and injected stalls) return
                         // early once the flag is up, after which the old
                         // worker exits at its next epoch check and its
                         // report dies at the gate.
-                        if let Some(s) = fault::lock_recover(&fabric.watch[me]).as_ref() {
+                        if let Some(s) = lock_recover(&fabric.watch[me]).as_ref() {
                             TaskCtx::signal_abort(&s.flag);
                         }
                         fabric.reassign_lane(me);
-                        respawned.push(spawn_worker(
-                            me,
-                            old + 1,
-                            Arc::clone(&fabric),
-                            Arc::clone(&commit),
-                            retry,
-                        ));
+                        let (fabric, commit) = (Arc::clone(&fabric), Arc::clone(&commit));
+                        respawned.push(spawn_worker(me, old + 1, fabric, commit));
                     }
                 }
                 fabric.wake_all();
@@ -1379,9 +1032,7 @@ where
     }));
     if fed.is_err() {
         lost = Some("feeder");
-        fabric.done.store(true, Ordering::SeqCst);
-        fabric.ring.close();
-        fabric.wake_all();
+        fabric.shut_down();
     }
     for w in workers {
         if w.join().is_err() {
@@ -1391,67 +1042,48 @@ where
     // Belt-and-braces: the turn that completes the run sets `done`, but the
     // watchdog and supervisor must terminate even if every worker was lost.
     fabric.done.store(true, Ordering::SeqCst);
-    if let Some(wd) = watchdog {
-        if wd.join().is_err() {
-            lost = lost.or(Some("watchdog"));
-        }
-    }
-    if let Some(sv) = supervisor {
-        if sv.join().is_err() {
-            lost = lost.or(Some("supervisor"));
+    for (what, thread) in [("watchdog", watchdog), ("supervisor", supervisor)] {
+        if thread.is_some_and(|t| t.join().is_err()) {
+            lost = lost.or(Some(what));
         }
     }
 
-    let fabric =
-        Arc::try_unwrap(fabric).unwrap_or_else(|_| panic!("threads gone, fabric uniquely owned"));
-    let inner = fault::into_inner_recover(
+    let Inner { core, .. } = into_inner_recover(
         Arc::try_unwrap(commit)
             .unwrap_or_else(|_| panic!("threads gone, commit state uniquely owned")),
     );
-    if let Some(e) = inner.failed {
+    if let Some(e) = core.failed {
         return Err(e);
     }
     if let Some(what) = lost {
         return Err(RunError::WorkerLost { what });
     }
-    let st = inner.sched.stats().clone();
-    // RunMetrics is a final snapshot view over the hub's cells: the lane
-    // dispatch/steal/fault counts exist in exactly one place.
-    let metrics = RunMetrics {
-        makespan: inner.finished_at.unwrap_or_else(|| fabric.now()),
-        tasks_delivered: inner.delivered,
-        tasks_discarded: inner.discarded,
-        tasks_deleted_ready: st.deleted_ready,
-        busy_us: inner.busy_us,
-        wasted_us: inner.wasted_us,
-        rollbacks: st.rollbacks,
-        workers: cfg.workers,
-        lane_dispatches: hub.lane_counts(Counter::LaneDispatch),
-        steals: hub.counter_total(Counter::Steal),
-        faults: hub.counter_total(Counter::Faults),
-        task_retries: hub.counter_total(Counter::Retries),
-        watchdog_cancels: hub.counter_total(Counter::WatchdogCancels),
-        duplicate_completions: st.duplicate_completions,
-        replica_dispatches: st.replicas_spawned,
-        retry_backoff_us: hub.counter_total(Counter::RetryBackoffUs),
-        stale_completions_rejected: hub.counter_total(Counter::StaleCompletionsRejected),
-        worker_respawns: hub.counter_total(Counter::WorkerRespawns),
-    };
-    Ok((inner.workload, metrics))
+    let makespan = core.finished_at.unwrap_or_else(|| fabric.now());
+    let metrics = core.metrics(&fabric.ins.metrics, makespan);
+    Ok((core.workload, metrics))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::payload;
+    use crate::task::{payload, Payload, SpecVersion, TaskSpec};
+    use crate::workload::{Completion, FaultNotice, SchedCtx};
     use std::sync::atomic::AtomicU32;
-    use tvs_faults::FaultPlan;
+    use tvs_faults::{FaultInjector, FaultPlan};
+    use tvs_trace::Tracer;
 
-    fn dark<W>(workload: W, cfg: &ThreadedConfig, inputs: Vec<InputBlock>) -> (W, RunMetrics)
+    const NON_SPEC: DispatchPolicy = DispatchPolicy::NonSpeculative;
+
+    fn dark<W>(
+        workload: W,
+        cfg: &ThreadedConfig,
+        policy: DispatchPolicy,
+        inputs: Vec<InputBlock>,
+    ) -> (W, RunMetrics)
     where
         W: Workload + Send + 'static,
     {
-        run(workload, cfg, inputs, &Instruments::default()).expect("dark run completes")
+        run(workload, cfg, policy, inputs, &Instruments::default()).expect("dark run completes")
     }
 
     /// `n` blocks of `len` bytes, block `i` filled with `i`, all due at once.
@@ -1486,8 +1118,8 @@ mod tests {
         for b in &mut inputs[8..] {
             b.arrival = 30_000;
         }
-        let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
-        let (w, _) = dark(Batches(Vec::new()), &cfg, inputs);
+        let cfg = ThreadedConfig::new(2);
+        let (w, _) = dark(Batches(Vec::new()), &cfg, NON_SPEC, inputs);
         assert!(w.0.len() <= 2, "{:?}", w.0);
         assert_eq!(w.0.concat(), (0..12).collect::<Vec<_>>());
         assert!(w.0[0].len() >= 8, "blocks due together stay together");
@@ -1523,7 +1155,7 @@ mod tests {
     fn sums_all_blocks_across_threads() {
         let blocks = at_once(32, 100);
         let expect: u64 = (0..32u64).map(|i| i * 100).sum();
-        let cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
+        let cfg = ThreadedConfig::new(4);
         let (w, m) = dark(
             Summer {
                 n: 32,
@@ -1531,6 +1163,7 @@ mod tests {
                 total: 0,
             },
             &cfg,
+            NON_SPEC,
             blocks,
         );
         assert_eq!(w.total, expect);
@@ -1550,7 +1183,7 @@ mod tests {
     #[test]
     fn traced_run_records_dispatch_and_task_events() {
         let blocks = at_once(16, 64);
-        let cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
+        let cfg = ThreadedConfig::new(3);
         let tracer = Tracer::enabled(3);
         let (w, m) = run(
             Summer {
@@ -1559,6 +1192,7 @@ mod tests {
                 total: 0,
             },
             &cfg,
+            NON_SPEC,
             blocks,
             &Instruments::traced(tracer.clone()),
         )
@@ -1593,8 +1227,8 @@ mod tests {
                 true
             }
         }
-        let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
-        let (_w, m) = dark(Nothing, &cfg, Vec::new());
+        let cfg = ThreadedConfig::new(2);
+        let (_w, m) = dark(Nothing, &cfg, NON_SPEC, Vec::new());
         assert_eq!(m.tasks_delivered, 0);
     }
 
@@ -1623,8 +1257,8 @@ mod tests {
             }
         }
         let inputs = at_once(1, 4);
-        let cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
-        let (w, m) = dark(TwoStage { stage2_done: false }, &cfg, inputs);
+        let cfg = ThreadedConfig::new(3);
+        let (w, m) = dark(TwoStage { stage2_done: false }, &cfg, NON_SPEC, inputs);
         assert!(w.stage2_done);
         assert_eq!(m.tasks_delivered, 2);
     }
@@ -1676,13 +1310,14 @@ mod tests {
                 self.normal_done
             }
         }
-        let cfg = ThreadedConfig::new(2, DispatchPolicy::Aggressive);
+        let cfg = ThreadedConfig::new(2);
         let (w, m) = dark(
             SpecAbort {
                 normal_done: false,
                 spec_delivered: false,
             },
             &cfg,
+            DispatchPolicy::Aggressive,
             Vec::new(),
         );
         assert!(w.normal_done);
@@ -1734,13 +1369,14 @@ mod tests {
                 self.normal_done
             }
         }
-        let cfg = ThreadedConfig::new(2, DispatchPolicy::Balanced);
+        let cfg = ThreadedConfig::new(2);
         let (w, m) = dark(
             AbortFirst {
                 normal_done: false,
                 spec_delivered: false,
             },
             &cfg,
+            DispatchPolicy::Balanced,
             Vec::new(),
         );
         assert!(w.normal_done);
@@ -1784,7 +1420,7 @@ mod tests {
 
     #[test]
     fn panicking_regular_task_is_retried_and_delivered() {
-        let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
+        let cfg = ThreadedConfig::new(2);
         let (w, m) = run(
             Flaky {
                 fail_times: 2,
@@ -1792,6 +1428,7 @@ mod tests {
                 faults_seen: 0,
             },
             &cfg,
+            NON_SPEC,
             Vec::new(),
             &Instruments::default(),
         )
@@ -1805,7 +1442,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_fail_the_run_with_a_structured_error() {
-        let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
+        let cfg = ThreadedConfig::new(2);
         let Err(err) = run(
             Flaky {
                 fail_times: u32::MAX,
@@ -1813,6 +1450,7 @@ mod tests {
                 faults_seen: 0,
             },
             &cfg,
+            NON_SPEC,
             Vec::new(),
             &Instruments::default(),
         ) else {
@@ -1821,7 +1459,7 @@ mod tests {
         match err {
             RunError::TaskFailed { name, attempts, .. } => {
                 assert_eq!(name, "flaky");
-                assert_eq!(attempts, RetryPolicy::default().max_attempts);
+                assert_eq!(attempts, DEFAULT_MAX_ATTEMPTS);
             }
             other => panic!("unexpected error: {other}"),
         }
@@ -1856,13 +1494,14 @@ mod tests {
                 self.normal_done
             }
         }
-        let cfg = ThreadedConfig::new(2, DispatchPolicy::Aggressive);
+        let cfg = ThreadedConfig::new(2);
         let (w, m) = run(
             SpecPanic {
                 normal_done: false,
                 fault: None,
             },
             &cfg,
+            DispatchPolicy::Aggressive,
             Vec::new(),
             &Instruments::default(),
         )
@@ -1893,7 +1532,7 @@ mod tests {
                 0.2,
             )
             .with_max_faults(16);
-        let cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
+        let cfg = ThreadedConfig::new(3);
         let faults = FaultInjector::new(plan);
         let (w, m) = run(
             Summer {
@@ -1902,6 +1541,7 @@ mod tests {
                 total: 0,
             },
             &cfg,
+            NON_SPEC,
             blocks,
             &Instruments::faulty(faults.clone()),
         )
@@ -1937,7 +1577,7 @@ mod tests {
         let plan = FaultPlan::new(7)
             .with_rule(FaultSite::Completion, FaultKind::DuplicateCompletion, 1.0)
             .with_max_faults(8);
-        let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
+        let cfg = ThreadedConfig::new(2);
         let (w, m) = run(
             Summer {
                 n: 16,
@@ -1945,6 +1585,7 @@ mod tests {
                 total: 0,
             },
             &cfg,
+            NON_SPEC,
             blocks,
             &Instruments::faulty(FaultInjector::new(plan)),
         )
@@ -2009,12 +1650,11 @@ mod tests {
     fn supervisor_respawns_a_wedged_worker_without_double_commit() {
         let blocks = at_once(12, 50);
         let expect: u64 = (0..12u64).map(|i| i * 50).sum();
-        let mut cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
+        let mut cfg = ThreadedConfig::new(3);
         cfg.supervisor = Some(SupervisorConfig {
             // Must exceed the 100 ms park timeout (parked workers stamp
             // only when they wake) or healthy-but-idle workers churn.
             heartbeat_timeout_us: 150_000,
-            poll_us: 10_000,
         });
         let (w, m) = run(
             Wedger {
@@ -2026,6 +1666,7 @@ mod tests {
                 wedged: Arc::new(AtomicU32::new(0)),
             },
             &cfg,
+            NON_SPEC,
             blocks,
             &Instruments::default(),
         )
@@ -2044,7 +1685,7 @@ mod tests {
     fn supervision_is_quiet_on_a_healthy_run() {
         let blocks = at_once(32, 100);
         let expect: u64 = (0..32u64).map(|i| i * 100).sum();
-        let mut cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
+        let mut cfg = ThreadedConfig::new(4);
         cfg.supervisor = Some(SupervisorConfig::default());
         let (w, m) = dark(
             Summer {
@@ -2053,6 +1694,7 @@ mod tests {
                 total: 0,
             },
             &cfg,
+            NON_SPEC,
             blocks,
         );
         assert_eq!(w.total, expect);
@@ -2088,15 +1730,15 @@ mod tests {
                 true
             }
         }
-        let mut cfg = ThreadedConfig::new(2, DispatchPolicy::Aggressive);
+        let mut cfg = ThreadedConfig::new(2);
         cfg.watchdog = Some(WatchdogConfig {
             deadline_us: 20_000,
-            poll_us: 2_000,
         });
         let t0 = Instant::now();
         let (w, m) = run(
             Stuck { lost: Vec::new() },
             &cfg,
+            DispatchPolicy::Aggressive,
             Vec::new(),
             &Instruments::default(),
         )

@@ -29,13 +29,16 @@
 //!   workloads on wall-clock time, with sharded per-worker ready lanes,
 //!   work stealing and completions routed by whichever thread holds the
 //!   commit lock — usually the worker that just finished the task;
-//! * [`metrics`] — per-task traces and aggregate counters shared by both;
+//! * `exec::core` — what both executors share: the one `SchedCtx`, the
+//!   panic-isolated task body, settling, recovery, [`RunError`] and the
+//!   watchdog / supervisor configs;
+//! * [`metrics`] — the aggregate [`RunMetrics`] of a run;
 //! * [`instruments`] — the one tracer / metrics hub / fault injector of a
 //!   run, handed to every layer when it is built.
 //!
 //! Each executor has exactly one entry point, fallible and instrumented:
-//! [`exec::sim::run`] and [`exec::threaded::run`]. A dark run passes
-//! `&Instruments::default()`.
+//! [`exec::sim::run`] and [`exec::threaded::run`], both taking the dispatch
+//! policy as an argument. A dark run passes `&Instruments::default()`.
 //!
 //! Speculation *policy* (predictors, tolerance checks, wait buffers,
 //! rollback orchestration) lives one crate up, in `tvs-core`; this crate
@@ -45,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod exec;
-pub mod fault;
 pub mod instruments;
 pub mod metrics;
 pub mod platform;
@@ -56,11 +58,11 @@ pub mod sched;
 pub mod task;
 pub mod workload;
 
-pub use fault::{
-    into_inner_recover, lock_recover, RetryPolicy, RunError, SupervisorConfig, WatchdogConfig,
+pub use exec::core::{
+    into_inner_recover, lock_recover, RunError, SupervisorConfig, WatchdogConfig,
 };
 pub use instruments::Instruments;
-pub use metrics::{RunMetrics, TaskTrace};
+pub use metrics::RunMetrics;
 pub use platform::{cell_be, x86_smp, CostModel, FixedCost, Platform};
 pub use policy::DispatchPolicy;
 pub use replica::{DigestFn, ReplicaStats, ReplicatingWorkload, ValidationMode};

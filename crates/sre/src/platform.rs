@@ -54,7 +54,7 @@ pub struct Platform {
     /// only when idle (x86); 4 = the Cell's four-task overlay.
     pub prefetch_depth: usize,
     /// Maximum payload bytes a single task may touch (Cell: 32 KB local
-    /// store slice). Checked at spawn by the executors.
+    /// store slice). Checked at spawn by the simulator.
     pub max_task_bytes: Option<usize>,
 }
 
@@ -63,19 +63,6 @@ impl Platform {
     pub fn task_cost_us(&self, model: &dyn CostModel, name: &str, bytes: usize) -> Time {
         let compute = (model.cost_us(name, bytes) as f64 * self.compute_scale).round() as Time;
         compute + self.dma_us + self.dispatch_overhead_us
-    }
-
-    /// Panic if `bytes` exceeds the local-store limit — mirroring how the
-    /// real SRE statically sizes its task buffers.
-    pub fn check_task_bytes(&self, name: &str, bytes: usize) {
-        if let Some(max) = self.max_task_bytes {
-            assert!(
-                bytes <= max,
-                "task '{name}' touches {bytes} bytes, exceeding the {max}-byte \
-                 local-store limit of platform '{}'",
-                self.name
-            );
-        }
     }
 }
 
@@ -139,7 +126,6 @@ mod tests {
         assert_eq!(p.prefetch_depth, 1);
         assert_eq!(p.dma_us, 0);
         assert!(p.max_task_bytes.is_none());
-        p.check_task_bytes("big", 10 << 20); // unlimited
     }
 
     #[test]
@@ -148,12 +134,32 @@ mod tests {
         assert_eq!(p.prefetch_depth, 4);
         assert!(p.dma_us > 0);
         assert_eq!(p.max_task_bytes, Some(32 * 1024));
-        p.check_task_bytes("ok", 32 * 1024);
     }
 
     #[test]
     #[should_panic(expected = "local-store limit")]
     fn cell_rejects_oversized_tasks() {
-        cell_be(16).check_task_bytes("too-big", 32 * 1024 + 1);
+        use crate::task::{payload, TaskSpec};
+        use crate::workload::{Completion, InputBlock, SchedCtx, Workload};
+        struct Spawns(usize);
+        impl Workload for Spawns {
+            fn on_start(&mut self, ctx: &mut dyn SchedCtx) {
+                ctx.spawn(TaskSpec::regular("t", 0, self.0, 0, |_| payload(())));
+            }
+            fn on_input(&mut self, _: &mut dyn SchedCtx, _: InputBlock) {}
+            fn on_complete(&mut self, _: &mut dyn SchedCtx, _: Completion) {
+                self.0 = 0;
+            }
+            fn is_finished(&self) -> bool {
+                self.0 == 0
+            }
+        }
+        let cell = crate::exec::sim::SimConfig::new(cell_be(1));
+        let run = |bytes| {
+            let (policy, ins) = (crate::DispatchPolicy::NonSpeculative, Default::default());
+            crate::exec::sim::run(Spawns(bytes), &cell, policy, &FixedCost(1), vec![], &ins)
+        };
+        assert!(run(32 * 1024).is_ok(), "a full local store is allowed");
+        let _ = run(32 * 1024 + 1);
     }
 }

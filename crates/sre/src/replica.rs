@@ -41,9 +41,9 @@
 //! type-erased [`crate::task::Payload`]s; task kinds the application cannot
 //! digest are passed through unreplicated (counted, never silently).
 
-use crate::fault::{lock_recover, mix64};
+use crate::exec::core::lock_recover;
 use crate::instruments::Instruments;
-use crate::task::{SpecVersion, TaskClass, TaskCtx, TaskFn, TaskId, TaskSpec};
+use crate::task::{mix64, SpecVersion, TaskClass, TaskCtx, TaskFn, TaskId, TaskSpec};
 use crate::workload::{Completion, FaultNotice, InputBlock, SchedCtx, SdcNotice, Workload};
 use std::any::Any;
 use std::collections::HashMap;

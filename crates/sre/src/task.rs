@@ -17,19 +17,29 @@ pub type Time = u64;
 pub type TaskId = u64;
 
 /// Hasher for the scheduler's [`TaskId`]-keyed maps, which are touched
-/// several times per task under the commit lock: one `fault::mix64` round
+/// several times per task under the commit lock: one [`mix64`] round
 /// instead of SipHash. Ids are handed out by the scheduler itself, never
 /// taken from outside input, so there is no collision flooding to defend
 /// against.
 #[derive(Default)]
 pub(crate) struct IdHasher(u64);
 
+/// splitmix64 finalizer: a cheap, dependency-free bijective mixer. Also
+/// used by the replication plane's deterministic task sampling and the
+/// retry backoff's jitter.
+pub(crate) fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 impl std::hash::Hasher for IdHasher {
     fn write(&mut self, _: &[u8]) {
         unreachable!("IdHasher only hashes TaskId (u64) keys");
     }
     fn write_u64(&mut self, id: u64) {
-        self.0 = crate::fault::mix64(id);
+        self.0 = mix64(id);
     }
     fn finish(&self) -> u64 {
         self.0

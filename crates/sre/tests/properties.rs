@@ -11,30 +11,35 @@ use std::sync::Arc;
 use tvs_rng::cases;
 use tvs_sre::exec::sim::{self, SimConfig};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
-use tvs_sre::metrics::SimReport;
 use tvs_sre::policy::LaneLoads;
 use tvs_sre::queue::ReadyQueue;
 use tvs_sre::task::{payload, TaskClass, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
-use tvs_sre::{x86_smp, CostModel, DispatchPolicy, Instruments, RunMetrics, Scheduler, Time};
+use tvs_sre::{
+    x86_smp, CostModel, DispatchPolicy, Instruments, RunMetrics, Scheduler, Time, Tracer,
+};
 
-/// Dark simulator run that must complete.
+/// Simulator run under `ins` that must complete, non-speculatively.
 fn run_sim<W: Workload>(
     w: W,
     cfg: &SimConfig,
     cost: &dyn CostModel,
     inputs: Vec<InputBlock>,
-) -> SimReport<W> {
-    sim::run(w, cfg, cost, inputs, &Instruments::default()).expect("dark sim run completes")
+    ins: &Instruments,
+) -> (W, RunMetrics) {
+    let policy = DispatchPolicy::NonSpeculative;
+    sim::run(w, cfg, policy, cost, inputs, ins).expect("sim run completes")
 }
 
 /// Dark threaded run that must complete.
 fn run_threaded<W: Workload + Send + 'static>(
     w: W,
     cfg: &ThreadedConfig,
+    policy: DispatchPolicy,
     inputs: Vec<InputBlock>,
 ) -> (W, RunMetrics) {
-    threaded::run(w, cfg, inputs, &Instruments::default()).expect("dark threaded run completes")
+    threaded::run(w, cfg, policy, inputs, &Instruments::default())
+        .expect("dark threaded run completes")
 }
 
 // ---------------------------------------------------------------------
@@ -268,23 +273,25 @@ fn prop_sim_deterministic_and_exclusive() {
     cases(0xDE5, 32, |rng, case| {
         let script = tvs_rng::bytes(rng, 1..100);
         let workers = rng.random_range(1..6usize);
-        let cfg = SimConfig {
-            task_trace: true,
-            ..SimConfig::new(x86_smp(workers), DispatchPolicy::NonSpeculative)
+        let cfg = SimConfig::new(x86_smp(workers));
+        let traced = || {
+            let tracer = Tracer::enabled(workers);
+            let fan_out = FanOut {
+                script: script.clone(),
+                spawned: 0,
+                seen: 0,
+            };
+            let ins = Instruments::traced(tracer.clone());
+            let (w, m) = run_sim(fan_out, &cfg, &TagCost, vec![], &ins);
+            (w, m, tracer.drain().expect("enabled tracer drains").tasks())
         };
-        let mk = || FanOut {
-            script: script.clone(),
-            spawned: 0,
-            seen: 0,
-        };
-        let a = run_sim(mk(), &cfg, &TagCost, vec![]);
-        let b = run_sim(mk(), &cfg, &TagCost, vec![]);
-        assert_eq!(&a.trace, &b.trace, "case {case}");
-        assert_eq!(a.metrics.makespan, b.metrics.makespan, "case {case}");
+        let (a, am, a_spans) = traced();
+        let (_, bm, b_spans) = traced();
+        assert_eq!(a_spans, b_spans, "case {case}");
+        assert_eq!(am.makespan, bm.makespan, "case {case}");
         // Worker exclusivity.
-        for w in 0..workers {
-            let mut spans: Vec<(Time, Time)> = a
-                .trace
+        for w in 0..workers as u32 {
+            let mut spans: Vec<(Time, Time)> = a_spans
                 .iter()
                 .filter(|t| t.worker == w)
                 .map(|t| (t.start, t.end))
@@ -298,11 +305,11 @@ fn prop_sim_deterministic_and_exclusive() {
             }
         }
         // Conservation: every spawned task traced exactly once.
-        assert_eq!(a.trace.len(), a.workload.spawned);
+        assert_eq!(a_spans.len(), a.spawned);
         // The simulator's per-worker binding counts cover every task.
         assert_eq!(
-            a.metrics.lane_dispatches.iter().sum::<u64>(),
-            a.trace.len() as u64,
+            am.lane_dispatches.iter().sum::<u64>(),
+            a_spans.len() as u64,
             "case {case}"
         );
     });
@@ -383,6 +390,7 @@ fn prop_cross_executor_outputs_identical() {
             .map(|_| tvs_rng::bytes(rng, 1..512).into())
             .collect();
 
+        let dark = Instruments::default();
         let sorted = |mut v: Vec<(u64, u64)>| {
             v.sort_unstable();
             v
@@ -399,27 +407,40 @@ fn prop_cross_executor_outputs_identical() {
             .collect();
 
         // Reference: single-worker simulator run.
-        let sim_cfg = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
+        let sim_cfg = SimConfig::new(x86_smp(1));
         let reference = sorted(
-            run_sim(TwoStage::new(n_blocks), &sim_cfg, &TagCost, inputs.clone())
-                .workload
-                .results,
+            run_sim(
+                TwoStage::new(n_blocks),
+                &sim_cfg,
+                &TagCost,
+                inputs.clone(),
+                &dark,
+            )
+            .0
+            .results,
         );
         assert_eq!(reference.len(), n_blocks);
 
         for workers in [1usize, 2, 4, 8] {
             // Simulator at this worker count.
-            let cfg = SimConfig::new(x86_smp(workers), DispatchPolicy::NonSpeculative);
+            let cfg = SimConfig::new(x86_smp(workers));
             let got = sorted(
-                run_sim(TwoStage::new(n_blocks), &cfg, &TagCost, inputs.clone())
-                    .workload
-                    .results,
+                run_sim(
+                    TwoStage::new(n_blocks),
+                    &cfg,
+                    &TagCost,
+                    inputs.clone(),
+                    &dark,
+                )
+                .0
+                .results,
             );
             assert_eq!(got, reference, "case {case}: sim@{workers} diverged");
 
             // The threaded (work-stealing) executor.
-            let tcfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
-            let (w, m) = run_threaded(TwoStage::new(n_blocks), &tcfg, inputs.clone());
+            let tcfg = ThreadedConfig::new(workers);
+            let policy = DispatchPolicy::NonSpeculative;
+            let (w, m) = run_threaded(TwoStage::new(n_blocks), &tcfg, policy, inputs.clone());
             assert_eq!(
                 sorted(w.results),
                 reference,
@@ -474,13 +495,14 @@ fn prop_threaded_abort_never_leaks() {
     }
     for workers in [1usize, 2, 4] {
         for _ in 0..8 {
-            let cfg = ThreadedConfig::new(workers, DispatchPolicy::Balanced);
+            let cfg = ThreadedConfig::new(workers);
             let (w, m) = run_threaded(
                 SpecLeak {
                     normal_done: false,
                     leaked: false,
                 },
                 &cfg,
+                DispatchPolicy::Balanced,
                 Vec::new(),
             );
             assert!(w.normal_done);

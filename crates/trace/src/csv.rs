@@ -1,5 +1,5 @@
-//! Flat CSV event dump, plus the RFC-4180-style field escaping shared with
-//! `tvs-sre`'s task-trace CSV.
+//! Flat CSV event dump, plus its RFC-4180-style field escaping and the
+//! record splitter that reads it back.
 
 use crate::event::{EventKind, TraceLog};
 use std::fmt::Write as _;
@@ -79,7 +79,8 @@ impl TraceLog {
     ///
     /// Columns: `seq,worker,wall_us,virt_us,event,id,name,class,version,aux,aux2`
     /// where `aux`/`aux2` carry the event-specific payload — `lane` for
-    /// dispatch, `victim` for steal, `discarded` for task-end, `basis` for
+    /// dispatch, `victim` for steal, `tag` for task-start, `discarded` for
+    /// task-end, `basis` for
     /// predictor-fire/version-open, `root`/`depth` for lineage-open (whose
     /// `id` column carries the parent version), `margin` for checks, `cascade_depth`
     /// for rollback, `entries` for undo-replay, `attempt` for task-fault,
@@ -115,12 +116,17 @@ impl TraceLog {
                     String::new(),
                 ),
                 EventKind::Park | EventKind::Unpark => Default::default(),
-                EventKind::TaskStart { id, name, version } => (
+                EventKind::TaskStart {
+                    id,
+                    name,
+                    version,
+                    tag,
+                } => (
                     id.to_string(),
                     csv_escape(name),
                     String::new(),
                     fmt_version(*version),
-                    String::new(),
+                    tag.to_string(),
                     String::new(),
                 ),
                 EventKind::TaskEnd {

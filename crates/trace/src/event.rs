@@ -5,6 +5,8 @@
 //! times µs as `u64`, and the scheduling class is mirrored here as
 //! [`ClassTag`] rather than importing `tvs_sre::TaskClass`.
 
+use std::collections::HashMap;
+
 /// Scheduling class of a task, mirrored from the runtime's `TaskClass`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClassTag {
@@ -101,6 +103,8 @@ pub enum EventKind {
         name: &'static str,
         /// Speculation version, if any.
         version: Option<u32>,
+        /// The application tag of the task (e.g. its first block).
+        tag: u64,
     },
     /// A task body finished executing.
     TaskEnd {
@@ -430,6 +434,71 @@ impl TraceLog {
             .max()
             .unwrap_or(0)
     }
+
+    /// Every task span, in task-end order: each task-end paired with the
+    /// task-start of the same id. A span runs on the start event's track;
+    /// one whose start was lost to ring overflow spans no time at its end's
+    /// stamp, on the end's track, with tag 0.
+    pub fn tasks(&self) -> Vec<TaskSpan> {
+        let tb = self.timebase;
+        let mut starts: HashMap<u64, (&TraceEvent, u64)> = HashMap::new();
+        let mut spans = Vec::new();
+        for e in &self.events {
+            match e.kind {
+                EventKind::TaskStart { id, tag, .. } => {
+                    starts.insert(id, (e, tag));
+                }
+                EventKind::TaskEnd {
+                    id,
+                    name,
+                    version,
+                    discarded,
+                } => {
+                    let (start, tag) = starts.remove(&id).unwrap_or((e, 0));
+                    spans.push(TaskSpan {
+                        id,
+                        name,
+                        version,
+                        tag,
+                        worker: start.worker,
+                        start: start.ts(tb),
+                        end: e.ts(tb),
+                        discarded,
+                    });
+                }
+                _ => {}
+            }
+        }
+        spans
+    }
+}
+
+/// One task body's occupancy of a worker, from [`TraceLog::tasks`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaskSpan {
+    /// Task id.
+    pub id: u64,
+    /// Task kind name.
+    pub name: &'static str,
+    /// Speculation version, if any.
+    pub version: Option<u32>,
+    /// The application tag of the task.
+    pub tag: u64,
+    /// Track (worker) the body ran on.
+    pub worker: u32,
+    /// Start stamp in the log's timebase, µs.
+    pub start: u64,
+    /// End stamp in the log's timebase, µs.
+    pub end: u64,
+    /// Whether the body's work was discarded — wasted.
+    pub discarded: bool,
+}
+
+impl TaskSpan {
+    /// The span's duration, µs.
+    pub fn busy_us(&self) -> u64 {
+        self.end.saturating_sub(self.start)
+    }
 }
 
 #[cfg(test)]
@@ -457,12 +526,58 @@ mod tests {
             EventKind::TaskStart {
                 id: 1,
                 name: "t",
-                version: None
+                version: None,
+                tag: 0
             }
             .version(),
             None
         );
         assert_eq!(EventKind::Steal { id: 1, victim: 0 }.version(), None);
+    }
+
+    #[test]
+    fn tasks_pair_starts_and_ends_by_id() {
+        let ev = |seq: u64, worker: u32, virt_us: u64, kind: EventKind| TraceEvent {
+            seq,
+            worker,
+            wall_us: 0,
+            virt_us,
+            kind,
+        };
+        let start = |id, tag| EventKind::TaskStart {
+            id,
+            name: "enc",
+            version: Some(3),
+            tag,
+        };
+        let end = |id, discarded| EventKind::TaskEnd {
+            id,
+            name: "enc",
+            version: Some(3),
+            discarded,
+        };
+        let log = TraceLog {
+            workers: 2,
+            timebase: Timebase::Virtual,
+            events: vec![
+                ev(0, 0, 0, start(1, 10)),
+                ev(1, 1, 2, start(2, 20)),
+                ev(2, 0, 5, end(1, false)),
+                ev(3, 1, 9, end(2, true)),
+                // A start lost to ring overflow.
+                ev(4, 1, 11, end(7, false)),
+            ],
+            dropped: 1,
+            dropped_per_worker: Vec::new(),
+            label: String::new(),
+        };
+        let spans = log.tasks();
+        assert_eq!(spans.len(), 3);
+        assert_eq!((spans[0].id, spans[0].tag, spans[0].worker), (1, 10, 0));
+        assert_eq!((spans[0].busy_us(), spans[0].discarded), (5, false));
+        assert_eq!((spans[1].id, spans[1].tag, spans[1].worker), (2, 20, 1));
+        assert_eq!((spans[1].busy_us(), spans[1].discarded), (7, true));
+        assert_eq!((spans[2].start, spans[2].end, spans[2].tag), (11, 11, 0));
     }
 
     #[test]

@@ -177,7 +177,7 @@ const TIMELINE_BUCKETS: u64 = 20;
 impl TraceLog {
     /// Compute speculation-health aggregates from this log.
     ///
-    /// Task durations come from paired task-start/end events; each task is
+    /// Task durations come from [`TraceLog::tasks`]; each task is
     /// attributed to the timeline bucket its *end* falls in. Check latency
     /// is measured dispatch → task-end (queueing included — that is the
     /// latency the speculation loop actually sees).
@@ -201,38 +201,17 @@ impl TraceLog {
             })
             .collect();
 
-        let mut starts: HashMap<u64, u64> = HashMap::new();
-        let mut dispatches: HashMap<u64, (ClassTag, u64)> = HashMap::new();
-        let mut check_lat: Vec<u64> = Vec::new();
+        let mut check_dispatched: HashMap<u64, u64> = HashMap::new();
         let mut cascade_counts: HashMap<u64, u64> = HashMap::new();
 
         for e in &self.events {
-            let ts = e.ts(tb);
             match &e.kind {
                 EventKind::Dispatch { id, class, .. } => {
-                    dispatches.insert(*id, (*class, ts));
-                }
-                EventKind::TaskStart { id, .. } => {
-                    starts.insert(*id, ts);
-                }
-                EventKind::TaskEnd { id, discarded, .. } => {
-                    let start = starts.remove(id).unwrap_or(ts);
-                    let dur = ts.saturating_sub(start);
-                    h.busy_us += dur;
-                    if *discarded {
-                        h.wasted_us += dur;
-                    }
-                    let bi = ((ts.saturating_sub(1)) / bucket_w).min(n_buckets - 1) as usize;
-                    timeline[bi].busy_us += dur;
-                    if *discarded {
-                        timeline[bi].wasted_us += dur;
-                    }
-                    if let Some((class, disp_ts)) = dispatches.remove(id) {
-                        if class == ClassTag::Check {
-                            check_lat.push(ts.saturating_sub(disp_ts));
-                        }
+                    if *class == ClassTag::Check {
+                        check_dispatched.insert(*id, e.ts(tb));
                     }
                 }
+                EventKind::TaskStart { .. } | EventKind::TaskEnd { .. } => {}
                 EventKind::Steal { .. } => h.steals += 1,
                 EventKind::CancelReady { .. } => h.cancelled_ready += 1,
                 EventKind::PredictorFire { .. } => h.predictor_fires += 1,
@@ -259,6 +238,19 @@ impl TraceLog {
                 EventKind::WorkerQuarantine { .. } => h.worker_quarantines += 1,
                 EventKind::WorkerRespawn { .. } => h.worker_respawns += 1,
                 EventKind::Park | EventKind::Unpark | EventKind::LineageOpen { .. } => {}
+            }
+        }
+
+        let mut check_lat: Vec<u64> = Vec::new();
+        for s in self.tasks() {
+            let (dur, wasted) = (s.busy_us(), if s.discarded { s.busy_us() } else { 0 });
+            h.busy_us += dur;
+            h.wasted_us += wasted;
+            let bi = ((s.end.saturating_sub(1)) / bucket_w).min(n_buckets - 1) as usize;
+            timeline[bi].busy_us += dur;
+            timeline[bi].wasted_us += wasted;
+            if let Some(at) = check_dispatched.get(&s.id) {
+                check_lat.push(s.end.saturating_sub(*at));
             }
         }
 
@@ -298,6 +290,7 @@ mod tests {
                     id,
                     name: "t",
                     version: None,
+                    tag: 0,
                 },
             ),
             ev(
@@ -386,6 +379,7 @@ mod tests {
                     id: 1,
                     name: "t",
                     version: Some(1),
+                    tag: 0,
                 },
             ),
             ev(

@@ -46,7 +46,7 @@ pub mod lineage;
 pub mod perfetto;
 pub mod ring;
 
-pub use event::{ClassTag, EventKind, StepCause, Timebase, TraceEvent, TraceLog};
+pub use event::{ClassTag, EventKind, StepCause, TaskSpan, Timebase, TraceEvent, TraceLog};
 pub use health::{LatencyStats, SpecHealth, WasteBucket};
 pub use lineage::{LineageCost, LineageId, LineageTable, VersionCost};
 pub use ring::{Tracer, DEFAULT_RING_CAPACITY};

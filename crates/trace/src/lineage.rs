@@ -123,7 +123,6 @@ impl LineageTable {
     /// (hand-built logs, or traces from before the flight recorder)
     /// become their own root at depth 0, so the table is total.
     pub fn from_log(log: &TraceLog) -> LineageTable {
-        let tb = log.timebase;
         let mut ids: HashMap<u32, LineageId> = HashMap::new();
         // First pass: lineage declarations, then a default for any
         // version mentioned anywhere without one.
@@ -167,32 +166,18 @@ impl LineageTable {
             })
             .collect();
 
-        // Second pass: attribute costs. Task durations pair start/end by
-        // id, exactly as SpecHealth does, so the wasted-µs conservation
-        // invariant holds by construction.
-        let mut starts: HashMap<u64, u64> = HashMap::new();
+        // Second pass: attribute costs. Wasted time comes from the same
+        // spans SpecHealth reads, so the wasted-µs conservation invariant
+        // holds by construction.
         let mut unattributed = 0u64;
+        for s in log.tasks().iter().filter(|s| s.discarded) {
+            match s.version.and_then(|v| costs.get_mut(&v)) {
+                Some(c) => c.wasted_us += s.busy_us(),
+                None => unattributed += s.busy_us(),
+            }
+        }
         for e in &log.events {
-            let ts = e.ts(tb);
             match &e.kind {
-                EventKind::TaskStart { id, .. } => {
-                    starts.insert(*id, ts);
-                }
-                EventKind::TaskEnd {
-                    id,
-                    version,
-                    discarded,
-                    ..
-                } => {
-                    let start = starts.remove(id).unwrap_or(ts);
-                    if *discarded {
-                        let dur = ts.saturating_sub(start);
-                        match version.and_then(|v| costs.get_mut(&v)) {
-                            Some(c) => c.wasted_us += dur,
-                            None => unattributed += dur,
-                        }
-                    }
-                }
                 EventKind::Commit { version } => {
                     if let Some(c) = costs.get_mut(version) {
                         c.commits += 1;
@@ -458,6 +443,7 @@ mod tests {
                     id,
                     name: "t",
                     version: Some(version),
+                    tag: 0,
                 },
             ),
             ev(
@@ -571,6 +557,7 @@ mod tests {
                     id: 1,
                     name: "t",
                     version: None,
+                    tag: 0,
                 },
             ),
             ev(

@@ -329,6 +329,7 @@ mod tests {
                     id: 1,
                     name: "encode",
                     version: Some(2),
+                    tag: 0,
                 },
             ),
             ev(

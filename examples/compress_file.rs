@@ -34,9 +34,10 @@ fn compress(data: &[u8]) -> Vec<u8> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let tcfg = ThreadedConfig::new(workers, cfg.policy);
-    let (workload, metrics) = threaded::run(workload, &tcfg, blocks, &Instruments::default())
-        .expect("a dark run cannot fail");
+    let tcfg = ThreadedConfig::new(workers);
+    let ins = Instruments::default();
+    let (workload, metrics) =
+        threaded::run(workload, &tcfg, cfg.policy, blocks, &ins).expect("a dark run cannot fail");
     let mut result = workload.result();
     let (stream, bit_len, lengths) = result.output.take().expect("collected");
     eprintln!(

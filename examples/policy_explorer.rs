@@ -9,13 +9,15 @@
 //!
 //! With no arguments it sweeps policies for all three files on x86+disk.
 //! Set `TVS_TRACE=1` to append a per-task-kind time breakdown and worker
-//! utilisation for each configuration (from the simulator's task trace).
+//! utilisation for each configuration (from the run's event log), and
+//! `TVS_TRACE_CSV=<dir>` to also write each log as a flat event CSV.
 
+use std::collections::BTreeMap;
 use tvs_core::{SpeculationSchedule, Tolerance, VerificationPolicy};
 use tvs_iosim::{ArrivalModel, Disk, Socket};
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman, Executor, HuffmanRun};
-use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun};
+use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform, Tracer};
 use tvs_workloads::FileKind;
 
 fn parse_kind(s: &str) -> FileKind {
@@ -36,11 +38,11 @@ fn run_row(
 ) {
     let trace_mode = std::env::var_os("TVS_TRACE").is_some();
     let mut run = HuffmanRun::sim(data, cfg, platform, arrival);
-    if let Executor::Sim { cfg: sim } = &mut run.on {
-        sim.task_trace = trace_mode;
+    if trace_mode {
+        run.instruments.tracer = Tracer::enabled(platform.workers);
     }
     let report = run_huffman(&run).expect("a dark run cannot fail");
-    let (out, trace) = (report.end.into_outcome(), report.task_trace);
+    let out = report.end.into_outcome();
     let stats = out.result.spec_stats.unwrap_or_default();
     println!(
         "{label:<46} {:>9.0} {:>9} {:>5} {:>6} {:>7} {:>9.3}",
@@ -51,25 +53,32 @@ fn run_row(
         out.metrics.wasted_us / 1000,
         out.result.compression_ratio(),
     );
-    if trace_mode {
-        if let Some(dir) = std::env::var_os("TVS_TRACE_CSV") {
-            let path =
-                std::path::Path::new(&dir).join(format!("{}.csv", label.replace([' ', '/'], "_")));
-            std::fs::create_dir_all(path.parent().expect("has parent")).expect("mkdir");
-            std::fs::write(&path, tvs_sre::metrics::trace_to_csv(&trace)).expect("write trace");
-            println!("    trace -> {}", path.display());
-        }
-        for (kind, count, busy, discarded) in tvs_sre::metrics::kind_breakdown(&trace) {
-            println!(
-                "    {kind:<12} {count:>5} tasks {:>8} us busy ({discarded} discarded)",
-                busy
-            );
-        }
-        let util =
-            tvs_sre::metrics::worker_utilization(&trace, platform.workers, out.metrics.makespan);
-        let mean = util.iter().sum::<f64>() / util.len().max(1) as f64;
-        println!("    worker utilisation: mean {:.0}%", mean * 100.0);
+    let Some(log) = report.log else { return };
+    if let Some(dir) = std::env::var_os("TVS_TRACE_CSV") {
+        let path =
+            std::path::Path::new(&dir).join(format!("{}.csv", label.replace([' ', '/'], "_")));
+        std::fs::create_dir_all(path.parent().expect("has parent")).expect("mkdir");
+        std::fs::write(&path, log.to_event_csv()).expect("write trace");
+        println!("    trace -> {}", path.display());
     }
+    // Where the time went, per task kind, busiest first.
+    let spans = log.tasks();
+    let mut kinds: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
+    for s in &spans {
+        let k = kinds.entry(s.name).or_default();
+        *k = (k.0 + 1, k.1 + s.busy_us(), k.2 + u64::from(s.discarded));
+    }
+    let mut kinds: Vec<_> = kinds.into_iter().collect();
+    kinds.sort_by_key(|(_, (_, busy, _))| std::cmp::Reverse(*busy));
+    for (kind, (count, busy, discarded)) in kinds {
+        println!("    {kind:<12} {count:>5} tasks {busy:>8} us busy ({discarded} discarded)");
+    }
+    let busy: u64 = spans.iter().map(|s| s.busy_us()).sum();
+    let capacity = (out.metrics.makespan * platform.workers as u64).max(1);
+    println!(
+        "    worker utilisation: mean {:.0}%",
+        100.0 * busy as f64 / capacity as f64
+    );
 }
 
 fn main() {

@@ -140,8 +140,8 @@ fn main() {
 
     // The calling thread plays the SRE's input role, at the socket's pace.
     let started = std::time::Instant::now();
-    let tcfg = ThreadedConfig::new(WORKERS, cfg.policy);
-    let (workload, metrics) = threaded::run(workload, &tcfg, blocks, &instruments)
+    let tcfg = ThreadedConfig::new(WORKERS);
+    let (workload, metrics) = threaded::run(workload, &tcfg, cfg.policy, blocks, &instruments)
         .expect("nothing injected, nothing fails");
 
     // Self-scrape before shutdown: the exposition path works end to end.

@@ -8,9 +8,9 @@
 use tvs_core::{SpeculationSchedule, Tolerance, ValidationMode, VerificationPolicy};
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman, Executor, HuffmanRun, RunOutcome};
-use tvs_sre::exec::sim::SimConfig;
-use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform, TaskTrace};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun, RunOutcome};
+use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform, Tracer};
+use tvs_trace::TaskSpan;
 
 /// 64 KB / 1 KB blocks = 64 blocks; reduce 4:1 -> 16 groups; offsets 8:1.
 const BLOCKS: u64 = 64;
@@ -60,7 +60,7 @@ impl Grain {
     /// group and one offset per 8 blocks; a batch's coarse groups fold
     /// into fewer hops of the same chains, as many as what is counted
     /// allows.
-    fn assert_chains(self, trace: &[TaskTrace]) {
+    fn assert_chains(self, trace: &[TaskSpan]) {
         let (reduces, offsets) = (count_kind(trace, "reduce"), count_kind(trace, "offset"));
         match self {
             Grain::Dribbling | Grain::ThinBatch => {
@@ -90,8 +90,8 @@ fn stationary(n: usize) -> Vec<u8> {
     (0..n).map(|i| pattern[i % pattern.len()]).collect()
 }
 
-/// Simulated at `grain`, with the per-task trace.
-fn traced(data: &[u8], cfg: &HuffmanConfig, grain: Grain) -> (RunOutcome, Vec<TaskTrace>) {
+/// Simulated at `grain`, with the task spans of its event log.
+fn traced(data: &[u8], cfg: &HuffmanConfig, grain: Grain) -> (RunOutcome, Vec<TaskSpan>) {
     traced_on(data, cfg, grain.platform(), grain.gap_us())
 }
 
@@ -100,23 +100,20 @@ fn traced_on(
     cfg: &HuffmanConfig,
     platform: Platform,
     gap_us: u64,
-) -> (RunOutcome, Vec<TaskTrace>) {
+) -> (RunOutcome, Vec<TaskSpan>) {
     let arrival = Uniform {
         gap_us,
         start_us: 0,
     };
     let mut run = HuffmanRun::sim(data, cfg, &platform, &arrival);
-    run.on = Executor::Sim {
-        cfg: SimConfig {
-            task_trace: true,
-            ..SimConfig::new(platform, cfg.policy)
-        },
-    };
-    let report = run_huffman(&run).expect("a dark run cannot fail");
-    (report.end.into_outcome(), report.task_trace)
+    run.instruments.tracer = Tracer::enabled(platform.workers);
+    let report = run_huffman(&run).expect("nothing injected, nothing fails");
+    let log = report.log.expect("enabled tracer drains");
+    assert_eq!(log.dropped, 0, "every span is in the log");
+    (report.end.into_outcome(), log.tasks())
 }
 
-fn count_kind(trace: &[TaskTrace], name: &str) -> u64 {
+fn count_kind(trace: &[TaskSpan], name: &str) -> u64 {
     trace.iter().filter(|t| t.name == name).count() as u64
 }
 
@@ -139,7 +136,7 @@ fn cfg(policy: DispatchPolicy) -> HuffmanConfig {
 
 /// The serial chains really are serial: reduces never overlap in time,
 /// and neither do offsets.
-fn assert_serial_chains(trace: &[TaskTrace], grain: Grain) {
+fn assert_serial_chains(trace: &[TaskSpan], grain: Grain) {
     for name in ["reduce", "offset"] {
         let mut spans: Vec<(u64, u64)> = trace
             .iter()
@@ -156,7 +153,7 @@ fn assert_serial_chains(trace: &[TaskTrace], grain: Grain) {
     }
 }
 
-fn first_start(trace: &[TaskTrace], name: &str) -> u64 {
+fn first_start(trace: &[TaskSpan], name: &str) -> u64 {
     trace
         .iter()
         .filter(|t| t.name == name)

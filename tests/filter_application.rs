@@ -33,6 +33,7 @@ fn outputs_match_committed_coefficients_in_all_modes() {
         DispatchPolicy::Balanced,
         DispatchPolicy::Aggressive,
         DispatchPolicy::Conservative,
+        DispatchPolicy::BalancedTaskCount,
     ] {
         let (res, _) = run_filter_sim(&base(policy), 32, 10, 4);
         assert_eq!(res.blocks.len(), 32);

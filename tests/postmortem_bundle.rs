@@ -160,13 +160,9 @@ fn assert_dies_with_a_bundle(mut run: HuffmanRun, workers: usize, seed: u64, roo
         faults: FaultInjector::new(plan),
         ..Instruments::default()
     };
-    let no_retry = tvs_sre::RetryPolicy {
-        max_attempts: 1,
-        ..Default::default()
-    };
     match &mut run.on {
-        Executor::Sim { cfg } => cfg.retry = no_retry,
-        Executor::Threaded { cfg, .. } => cfg.retry = no_retry,
+        Executor::Sim { cfg } => cfg.max_attempts = 1,
+        Executor::Threaded { cfg, .. } => cfg.max_attempts = 1,
     }
     let err = run_huffman(&run).expect_err("all-panic plan must fail the run");
     assert!(

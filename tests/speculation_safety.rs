@@ -287,10 +287,7 @@ fn watchdog_cancels_of_speculative_tasks_do_not_strand_the_run() {
     for deadline_us in [100, 50, 20, 10] {
         let mut run = HuffmanRun::sim(&data, &cfg, &x86_smp(4), &arrival);
         if let Executor::Sim { cfg: sim } = &mut run.on {
-            sim.watchdog = Some(WatchdogConfig {
-                deadline_us,
-                poll_us: 1,
-            });
+            sim.watchdog = Some(WatchdogConfig { deadline_us });
         }
         let out = run_huffman(&run)
             .expect("cancelled speculation is redone, not fatal")

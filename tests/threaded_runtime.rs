@@ -203,9 +203,9 @@ fn raw_executor_api_with_custom_feeder() {
         start_us: 0,
     };
     let (blocks, _) = schedule_blocks(&data, cfg.block_bytes, &every_100us);
-    let tcfg = ThreadedConfig::new(4, cfg.policy);
-    let (wl, metrics) =
-        threaded::run(wl, &tcfg, blocks, &Instruments::default()).expect("a dark run cannot fail");
+    let tcfg = ThreadedConfig::new(4);
+    let (wl, metrics) = threaded::run(wl, &tcfg, cfg.policy, blocks, &Instruments::default())
+        .expect("a dark run cannot fail");
     let result = wl.result();
     check_output(&data, &result);
     assert!(metrics.tasks_delivered > 0);
@@ -260,8 +260,8 @@ fn rollback_finds_first_version_work_still_outstanding() {
         inner: HuffmanWorkload::new(cfg.clone(), data.len()),
         by_version: BTreeMap::new(),
     };
-    let tcfg = ThreadedConfig::new(workers, cfg.policy);
-    let (wl, m) = threaded::run(wl, &tcfg, blocks, &Instruments::default())
+    let tcfg = ThreadedConfig::new(workers);
+    let (wl, m) = threaded::run(wl, &tcfg, cfg.policy, blocks, &Instruments::default())
         .expect("nothing injected, nothing fails");
     assert!(m.rollbacks >= 1, "the input must mispredict");
     let first = *wl
@@ -333,7 +333,7 @@ fn no_completion_report_is_ever_stranded() {
     // in a shared VM whose vCPUs freeze for ~100 ms at a time under load).
     const RUNS: usize = 1_000;
     for workers in [1usize, 2, 4] {
-        let cfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
+        let cfg = ThreadedConfig::new(workers);
         for run in 0..RUNS {
             let chain = Chain {
                 len: 12,
@@ -342,9 +342,14 @@ fn no_completion_report_is_ever_stranded() {
             };
             let hub = MetricsHub::enabled(workers);
             let stolen = steal_ticks();
-            let (chain, m) =
-                threaded::run(chain, &cfg, Vec::new(), &Instruments::metered(hub.clone()))
-                    .expect("chain completes");
+            let (chain, m) = threaded::run(
+                chain,
+                &cfg,
+                DispatchPolicy::NonSpeculative,
+                Vec::new(),
+                &Instruments::metered(hub.clone()),
+            )
+            .expect("chain completes");
             assert_eq!((chain.done, m.tasks_delivered), (12, 12));
             let snap = hub.snapshot().expect("live hub");
             let longest_nap_us = snap.hist(Hist::IdleSliceUs).quantile(1.0);
@@ -370,9 +375,15 @@ fn panicking_workload_callback_fails_the_run_with_a_structured_error() {
             done: 0,
             panic_at: 3,
         };
-        let cfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
+        let cfg = ThreadedConfig::new(workers);
         let no_input = Vec::new();
-        let Err(err) = threaded::run(chain, &cfg, no_input, &Instruments::default()) else {
+        let Err(err) = threaded::run(
+            chain,
+            &cfg,
+            DispatchPolicy::NonSpeculative,
+            no_input,
+            &Instruments::default(),
+        ) else {
             panic!("a panicking callback must fail the run");
         };
         assert!(matches!(err, RunError::WorkerLost { .. }), "got {err}");

@@ -186,25 +186,27 @@ fn assert_cascade_invariants(w: &TwoVersionCascade) {
 
 #[test]
 fn sim_second_abort_mid_cascade() {
-    let cfg = SimConfig::new(tvs_sre::x86_smp(4), DispatchPolicy::Aggressive);
+    let cfg = SimConfig::new(tvs_sre::x86_smp(4));
     let dark = Instruments::default();
     let report = sim::run(
         TwoVersionCascade::new(),
         &cfg,
+        DispatchPolicy::Aggressive,
         &FixedCost(10),
         Vec::new(),
         &dark,
     )
     .expect("a dark run cannot fail");
-    assert_cascade_invariants(&report.workload);
+    assert_cascade_invariants(&report.0);
 }
 
 #[test]
 fn threaded_second_abort_mid_cascade() {
-    let cfg = ThreadedConfig::new(4, DispatchPolicy::Aggressive);
+    let cfg = ThreadedConfig::new(4);
     let (w, _) = threaded::run(
         TwoVersionCascade::new(),
         &cfg,
+        DispatchPolicy::Aggressive,
         Vec::new(),
         &Instruments::default(),
     )
@@ -297,9 +299,9 @@ fn threaded_abort_lands_during_stalled_replay() {
         cascade_done: false,
         fault_seen: false,
     };
-    let cfg = ThreadedConfig::new(4, DispatchPolicy::Aggressive);
-    let (w, m) =
-        threaded::run(w, &cfg, Vec::new(), &ins).expect("a speculative fault never fails the run");
+    let cfg = ThreadedConfig::new(4);
+    let (w, m) = threaded::run(w, &cfg, DispatchPolicy::Aggressive, Vec::new(), &ins)
+        .expect("a speculative fault never fails the run");
     assert_eq!(
         *lock_recover(&w.cells),
         vec![0i64; CELLS],
