@@ -287,10 +287,10 @@ fn bench_overhead(cells: &mut Vec<Cell>, what: &str, extra: Exec) {
     }
 }
 
-/// Checkpoint-overhead cells: the threaded Huffman pipeline snapshotting
-/// at the default cadence vs not at all (the ISSUE's ≤3 % envelope —
-/// enforced strictly by the `checkpoint_overhead` guard test under
-/// `TVS_CHECKPOINT_STRICT=1`).
+/// Checkpoint-overhead cells: the threaded Huffman pipeline appending to
+/// its checkpoint journal at the default cadence vs not checkpointing at
+/// all (the ≤3 % envelope — enforced strictly by the
+/// `checkpoint_overhead` guard test under `TVS_CHECKPOINT_STRICT=1`).
 fn bench_checkpoint_overhead(cells: &mut Vec<Cell>) {
     use tvs_core::CheckpointConfig;
     use tvs_iosim::Uniform;

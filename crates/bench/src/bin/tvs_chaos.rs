@@ -26,9 +26,10 @@
 //! Exits non-zero if any invariant is violated.
 
 use tvs_bench::{results_dir, write_trace};
+use tvs_core::checkpoint::JOURNAL_FILE;
 use tvs_core::{
-    CheckpointConfig, DegradeConfig, Level, SpeculationSchedule, Tolerance, ValidationMode,
-    VerificationPolicy,
+    CheckpointConfig, DegradeConfig, Level, SpeculationSchedule, StreamSnapshot, Tolerance,
+    ValidationMode, VerificationPolicy,
 };
 use tvs_huffman::{decode_exact, CodeTable};
 use tvs_iosim::Uniform;
@@ -306,7 +307,8 @@ fn main() {
     violations += write_matrix("sdc_recall", &recall_lines);
 
     // Kill-and-resume matrix: for every seed, halt a checkpointed run at
-    // each kill block, resume from the snapshot, and require the resumed
+    // each kill block, require its journal on disk to replay to the halted
+    // snapshot, resume from the journal, and require the resumed
     // stream to be byte-identical to the uninterrupted run — on both
     // executors. This is the crash-recovery contract: a kill at any
     // committed prefix loses no bytes and changes no bytes.
@@ -361,15 +363,31 @@ fn main() {
                         continue;
                     }
                 };
+                // The journal on disk must replay to the halted snapshot, and
+                // the resume starts from what is on disk.
+                let snap = match StreamSnapshot::load(&dir.join(JOURNAL_FILE)) {
+                    Ok(on_disk) if on_disk == snap => on_disk,
+                    loaded => {
+                        violations += 1;
+                        let why = loaded.map_or_else(|e| e.to_string(), |_| "differs".into());
+                        println!(
+                            "{seed:<6} {kill_at:<8} {exec:<10} VIOLATION: journal on disk: {why}"
+                        );
+                        continue;
+                    }
+                };
                 if exec == "sim" && seed == SEEDS[0] && kill_at == KILL_POINTS[1] {
-                    // Keep one representative snapshot as a CI artifact;
+                    // Keep the halted run's own journal as a CI artifact;
                     // the smoke step audits it with
                     // `tvs-report --resume-audit`.
                     let keep = results_dir().join("resume_snapshot");
-                    match snap.write_atomic(&keep) {
-                        Ok(p) => println!("snapshot artifact -> {}", p.display()),
+                    let to = keep.join(JOURNAL_FILE);
+                    let kept = std::fs::create_dir_all(&keep)
+                        .and_then(|()| std::fs::copy(dir.join(JOURNAL_FILE), &to));
+                    match kept {
+                        Ok(_) => println!("journal artifact -> {}", to.display()),
                         Err(e) => {
-                            println!("VIOLATION: could not persist snapshot artifact: {e}");
+                            println!("VIOLATION: could not keep the journal artifact: {e}");
                             violations += 1;
                         }
                     }

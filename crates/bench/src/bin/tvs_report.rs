@@ -188,16 +188,20 @@ fn postmortem_mode(dir: &str) -> ! {
     }
 }
 
-/// `--resume-audit <snapshot>`: load a checkpoint snapshot and report
-/// what a crash right now would cost — checkpoint cadence, blocks at
-/// risk past the committed prefix, and an estimated replay time from
-/// the per-block lineage the snapshot records. Exits non-zero when the
-/// snapshot is unreadable or internally inconsistent.
+/// `--resume-audit <checkpoint.log>`: replay a checkpoint journal and
+/// report what a crash right now would cost — checkpoint cadence, blocks
+/// at risk past the committed prefix, and an estimated replay time from
+/// the per-block lineage the journal records — plus how many records it
+/// replayed and how many tail bytes it ignored. Exits non-zero when the
+/// journal is unreadable or its header is damaged.
 fn resume_audit_mode(path: &str) -> ! {
-    let snap = match tvs_core::StreamSnapshot::load(std::path::Path::new(path)) {
-        Ok(s) => s,
+    let replay = std::fs::read(path)
+        .map_err(|e| e.to_string())
+        .and_then(|bytes| tvs_core::StreamSnapshot::replay(&bytes).map_err(|e| e.to_string()));
+    let (snap, records, ignored) = match replay {
+        Ok(r) => (r.snapshot, r.records, r.ignored_bytes),
         Err(e) => {
-            eprintln!("cannot load snapshot at {path}: {e}");
+            eprintln!("cannot load checkpoint journal at {path}: {e}");
             std::process::exit(1);
         }
     };
@@ -222,9 +226,10 @@ fn resume_audit_mode(path: &str) -> ! {
         "cadence:          every {} committed block(s) (worst-case loss window)",
         snap.cadence
     );
+    println!("journal:          {records} record(s), {ignored} tail byte(s) ignored");
     let at_risk = snap.n_blocks.saturating_sub(snap.prefix);
     println!("blocks at risk:   {at_risk} (re-fed and re-encoded on resume)");
-    // Replay estimate from the snapshot's recorded lineage: the mean
+    // Replay estimate from the journal's recorded lineage: the mean
     // arrival→finalize span of committed blocks approximates the pipeline
     // latency each replayed block pays again; resumed blocks skip the
     // count/reduce/speculation phases, so this is an upper bound.
@@ -241,7 +246,7 @@ fn resume_audit_mode(path: &str) -> ! {
         let worst = spans.iter().copied().max().unwrap_or(0);
         println!(
             "replay estimate:  ≤ {} µs ({at_risk} block(s) × {mean} µs mean span; worst committed span {worst} µs)",
-            at_risk as u64 * mean
+            at_risk * mean
         );
     }
     std::process::exit(0);
@@ -262,7 +267,7 @@ fn main() {
         match args.get(i + 1) {
             Some(path) => resume_audit_mode(path),
             None => {
-                eprintln!("usage: tvs-report --resume-audit <snapshot.json>");
+                eprintln!("usage: tvs-report --resume-audit <checkpoint.log>");
                 std::process::exit(2);
             }
         }

@@ -1,15 +1,14 @@
-//! Checkpoint-overhead guard: a threaded Huffman run snapshotting at the
+//! Checkpoint-overhead guard: a threaded Huffman run journalling at the
 //! default cadence (every 16 committed blocks) must stay close to the
 //! same run with checkpointing disabled, in the coarse-grain streaming
 //! regime the paper targets — 4 KiB blocks arriving at a disk-like pace,
 //! where a run is dominated by I/O and task bodies, not runtime
-//! bookkeeping. Snapshot serialization and the atomic tmp+rename happen
-//! on a dedicated writer thread, so the commit path only pays for
-//! assembling the snapshot; this guard keeps it that way.
+//! bookkeeping. The commit path appends each cadence step's newly
+//! committed blocks to the journal, once; this guard keeps that cheap.
 //!
 //! The lenient default (always on) only guards against a pathological
-//! regression (2× floor — e.g. snapshot writes moved back onto the
-//! commit path, or a per-block write cadence), since shared CI boxes are
+//! regression (2× floor — e.g. the whole committed prefix rewritten on
+//! every write, or a per-block write cadence), since shared CI boxes are
 //! too noisy for a tight bound. Under `TVS_CHECKPOINT_STRICT=1` — the CI
 //! chaos job, which times the two runs back to back on a single test
 //! thread — the bound is the design budget: checkpointing within 3 % of
@@ -23,8 +22,8 @@ use tvs_pipelines::runner::{run_huffman, HuffmanRun};
 use tvs_sre::DispatchPolicy;
 use tvs_workloads::FileKind;
 
-/// 128 blocks of 4 KiB arriving every 500 µs: a ~64 ms run, 8 snapshot
-/// writes at the default cadence.
+/// 128 blocks of 4 KiB arriving every 500 µs: a ~64 ms run, 7 journal
+/// records at the default cadence.
 const BYTES: usize = 512 * 1024;
 const GAP_US: u64 = 500;
 

@@ -1,48 +1,78 @@
-//! Committed-prefix checkpointing.
+//! Committed-prefix checkpointing, as an append-only journal.
 //!
 //! A streaming run's durable state is its *committed prefix*: the
-//! contiguous run of finalized blocks at the front of the stream, the
-//! histogram they contributed, the code table that encoded them, the
-//! output bitstream up to the offset at which the first block past the
-//! prefix starts (its trailing partial byte is shared with that block) and
-//! the position the offset chain had reached. A
-//! [`StreamSnapshot`] captures exactly that, serialized as one flat JSON
-//! line and written atomically (`.tmp-<pid>` + rename, the post-mortem
-//! bundle discipline), so a crashed or killed run resumes by re-feeding
-//! only the blocks past the prefix — byte-identical to an uninterrupted
-//! run, because the committed tree is deterministic for a given prefix
-//! and encoding is deterministic given the tree.
+//! contiguous run of finalized blocks at the front of the stream, the code
+//! table that encoded them and the output bitstream up to the offset at
+//! which the first block past the prefix starts (its trailing partial byte
+//! is shared with that block). A committed block is final, so its bytes are
+//! made durable once: the run appends them to its [`Journal`]
+//! (`checkpoint.log` in [`CheckpointConfig::dir`]) and never rewrites them.
+//! A killed run resumes by re-feeding only the blocks past the prefix —
+//! byte-identical to an uninterrupted run, because the committed tree is
+//! settled before the first block is finalized and encoding is
+//! deterministic given the tree.
 //!
-//! Deserialization is *total*: truncated, bit-flipped or otherwise
-//! mangled snapshot files return a structured [`ResumeError`], never a
-//! panic — the recovery path must itself be robust to the disk state a
-//! crash leaves behind.
+//! The format, integers as little-endian `u64`s:
+//!
+//! ```text
+//! header  magic+schema, config digest, input digest, n_blocks, block_bytes,
+//!         cadence, committed version, 256 one-byte code lengths, checksum
+//! record  new prefix, (arrival, encoded_at, bits) per newly committed block,
+//!         the stream bytes that became whole since the last record, the
+//!         trailing partial byte (bits past the prefix cleared), checksum
+//! end     a zero word, overwritten by the next record
+//! ```
+//!
+//! The header's checksum is the [`input_digest`] of the bytes before it; a
+//! record's folds the digests of its words, its whole stream bytes and its
+//! partial byte. A record's lengths follow from the previous prefix and its
+//! blocks' `bits`; its stream bytes start at the byte the previous record
+//! left partial. A halted run cuts the file after its last record.
+//!
+//! Reading is *total*: [`StreamSnapshot::replay`] applies records up to the
+//! first one that is cut short, fails its checksum or does not advance the
+//! prefix (the end mark does not) — the bytes from there on are an
+//! uncommitted tail — and a missing, short or corrupt header is a structured
+//! [`ResumeError`], never a panic. Nothing is fsynced: the journal survives
+//! a killed process, not a power loss.
 
-use std::fmt::Write as _;
+use std::fs::{File, OpenOptions};
+use std::io::{IoSlice, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-/// File name of the current snapshot inside [`CheckpointConfig::dir`].
-pub const SNAPSHOT_FILE: &str = "snapshot.json";
+/// File name of the journal inside [`CheckpointConfig::dir`].
+pub const JOURNAL_FILE: &str = "checkpoint.log";
 
-/// Schema version written by this build; readers reject newer schemas.
-pub const SNAPSHOT_SCHEMA: u64 = 1;
+/// The file the next journal is written into, and the name the replaced
+/// journal is held under while the two are swapped.
+const SPARE_FILE: &str = "checkpoint.log.spare";
+const HELD_FILE: &str = "checkpoint.log.held";
 
-/// Default snapshot cadence in committed blocks — the operating point the
+/// The header's first seven bytes; the eighth is the schema.
+const MAGIC: &[u8; 7] = b"tvsjrnl";
+
+/// Schema written by this build; readers reject newer schemas.
+const SCHEMA: u8 = 2;
+
+/// Header length: seven words, 256 code lengths, the checksum.
+const HEADER_LEN: usize = 7 * 8 + 256 + 8;
+
+/// Default checkpoint cadence in committed blocks — the operating point the
 /// checkpoint-overhead budget (≤3 % wall-clock) is enforced at.
 pub const DEFAULT_CADENCE: usize = 16;
 
 /// When and where to checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointConfig {
-    /// Write a snapshot whenever the committed prefix has advanced by at
-    /// least this many blocks since the last write (plus once at the
-    /// end). 0 disables cadence-driven writes (a halt still writes).
+    /// Append a record whenever the committed prefix has advanced by at
+    /// least this many blocks since the last one. 0 disables
+    /// cadence-driven writes (a halt still writes).
     pub every_blocks: usize,
-    /// Directory the snapshot lands in (created if missing).
+    /// Directory the journal lands in (created if missing).
     pub dir: PathBuf,
     /// Test/chaos hook: stop the pipeline once this many blocks are
-    /// finalized — force-write a snapshot, spawn nothing further and
-    /// report finished, simulating a kill at a block boundary.
+    /// finalized — force a record, spawn nothing further and report
+    /// finished, simulating a kill at a block boundary.
     pub halt_at_block: Option<usize>,
 }
 
@@ -61,29 +91,25 @@ impl CheckpointConfig {
         Self::new(DEFAULT_CADENCE, dir)
     }
 
-    /// Path of the snapshot file this config writes.
-    pub fn snapshot_path(&self) -> PathBuf {
-        self.dir.join(SNAPSHOT_FILE)
+    /// Path of the journal this config writes.
+    pub fn journal_path(&self) -> PathBuf {
+        self.dir.join(JOURNAL_FILE)
     }
 }
 
-/// Why a snapshot could not be loaded or resumed from.
+/// Why a journal could not be loaded or resumed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResumeError {
     /// The file could not be read.
     Io(String),
-    /// The file ends before the closing brace (interrupted write).
+    /// The file ends inside the header.
     Truncated,
-    /// The snapshot's schema is newer than this build understands.
+    /// The journal's schema is newer than this build understands.
     BadSchema(u64),
-    /// A required field is absent.
-    MissingField(&'static str),
-    /// A field is present but unparseable (bit flips, hand edits).
+    /// The header is not a journal's or fails its checksum, or a field is
+    /// unusable (bit flips, hand edits).
     BadField(&'static str),
-    /// Cross-field structural invariants do not hold (array lengths vs
-    /// the prefix, stream bytes vs the bit length, prefix vs n_blocks).
-    LengthMismatch(&'static str),
-    /// The snapshot was taken from different input data or a different
+    /// The journal was written from different input data or a different
     /// pipeline configuration than the resume attempt supplies.
     InputMismatch,
 }
@@ -91,16 +117,12 @@ pub enum ResumeError {
 impl std::fmt::Display for ResumeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ResumeError::Io(e) => write!(f, "snapshot io error: {e}"),
-            ResumeError::Truncated => write!(f, "snapshot truncated (interrupted write?)"),
-            ResumeError::BadSchema(s) => write!(f, "snapshot schema {s} is newer than supported"),
-            ResumeError::MissingField(k) => write!(f, "snapshot missing field '{k}'"),
-            ResumeError::BadField(k) => write!(f, "snapshot field '{k}' unparseable"),
-            ResumeError::LengthMismatch(what) => {
-                write!(f, "snapshot internally inconsistent: {what}")
-            }
+            ResumeError::Io(e) => write!(f, "checkpoint io error: {e}"),
+            ResumeError::Truncated => write!(f, "checkpoint header truncated"),
+            ResumeError::BadSchema(s) => write!(f, "checkpoint schema {s} is newer than supported"),
+            ResumeError::BadField(k) => write!(f, "checkpoint {k} is corrupt"),
             ResumeError::InputMismatch => {
-                write!(f, "snapshot was taken from different input or config")
+                write!(f, "checkpoint was taken from different input or config")
             }
         }
     }
@@ -109,8 +131,8 @@ impl std::fmt::Display for ResumeError {
 impl std::error::Error for ResumeError {}
 
 /// FNV-1a over a byte slice — the digest that binds a snapshot to its
-/// pipeline configuration (a short string; for the input stream see
-/// [`input_digest`]).
+/// pipeline configuration (a short string; for the input stream and the
+/// journal's checksums see [`input_digest`]).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -154,7 +176,8 @@ pub fn input_digest(bytes: &[u8]) -> u64 {
         .fold(h, |h, &b| fold(h, u64::from(b)))
 }
 
-/// The exact state needed to resume a committed prefix (see module docs).
+/// The exact state needed to resume a committed prefix (see module docs):
+/// what a journal decodes to, and what a halted run reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamSnapshot {
     /// FNV-1a digest of the pipeline parameters that shape the output.
@@ -177,13 +200,10 @@ pub struct StreamSnapshot {
     pub encoded_at: Vec<u64>,
     /// Encoded size of each prefix block, bits.
     pub bits: Vec<u64>,
-    /// Merged byte histogram of the prefix blocks (256 entries).
-    pub hist_base: Vec<u64>,
-    /// Canonical code lengths of the committed tree (256 entries; empty
-    /// when no block was finalized yet and no tree exists).
+    /// Canonical code lengths of the committed tree (256 entries).
     pub code_lengths: Vec<u8>,
     /// The speculation version that produced the committed tree (0 when
-    /// the tree came from the natural path or none exists).
+    /// the tree came from the natural path).
     pub committed_version: u64,
     /// The prefix's bitstream, padded to whole bytes. The bits of the
     /// trailing partial byte past `stream_bit_len` are zero: the resumed
@@ -193,125 +213,104 @@ pub struct StreamSnapshot {
     pub stream_bit_len: u64,
 }
 
+/// A journal read back by [`StreamSnapshot::replay`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Replay {
+    /// What the header and the applied records add up to.
+    pub snapshot: StreamSnapshot,
+    /// Records applied.
+    pub records: usize,
+    /// Bytes after the last applied record: an uncommitted tail (a record
+    /// a kill cut short) or damage.
+    pub ignored_bytes: usize,
+}
+
+/// The little-endian `u64` at byte `at` of `bytes`, if it is all there.
+fn word(bytes: &[u8], at: usize) -> Option<u64> {
+    let w = bytes.get(at..at.checked_add(8)?)?;
+    Some(u64::from_le_bytes(w.try_into().expect("8 bytes")))
+}
+
 impl StreamSnapshot {
-    /// Serialize as one flat JSON line (schema [`SNAPSHOT_SCHEMA`]).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024 + self.stream_bytes.len() * 2);
-        let _ = write!(
-            s,
-            "{{\"schema\":{},\"config_digest\":{},\"input_digest\":{},\"n_blocks\":{},\
-             \"block_bytes\":{},\"prefix\":{},\"cadence\":{},\"committed_version\":{},\
-             \"stream_bit_len\":{}",
-            SNAPSHOT_SCHEMA,
-            self.config_digest,
-            self.input_digest,
-            self.n_blocks,
-            self.block_bytes,
-            self.prefix,
-            self.cadence,
-            self.committed_version,
-            self.stream_bit_len,
-        );
-        let _ = write!(s, ",\"arrivals\":\"{}\"", u64_list(&self.arrivals));
-        let _ = write!(s, ",\"encoded_at\":\"{}\"", u64_list(&self.encoded_at));
-        let _ = write!(s, ",\"bits\":\"{}\"", u64_list(&self.bits));
-        let _ = write!(s, ",\"hist_base\":\"{}\"", u64_list(&self.hist_base));
-        let _ = write!(s, ",\"code_lengths\":\"{}\"", hex(&self.code_lengths));
-        let _ = write!(s, ",\"stream\":\"{}\"}}", hex(&self.stream_bytes));
-        s
-    }
-
-    /// Total parser for [`StreamSnapshot::to_json`] output: every failure
-    /// mode — truncation mid-field, flipped bytes, wrong schema, missing
-    /// keys, inconsistent lengths — comes back as a [`ResumeError`].
-    pub fn from_json(line: &str) -> Result<Self, ResumeError> {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            return Err(ResumeError::BadField("schema"));
+    /// Decode a journal: the header, then every record up to the first one
+    /// that is cut short, fails its checksum or does not advance the prefix
+    /// within `n_blocks`.
+    pub fn replay(bytes: &[u8]) -> Result<Replay, ResumeError> {
+        let head = bytes.get(..HEADER_LEN).ok_or(ResumeError::Truncated)?;
+        if &head[..7] != MAGIC {
+            return Err(ResumeError::BadField("magic"));
         }
-        if !line.ends_with('}') {
-            return Err(ResumeError::Truncated);
+        if head[7] > SCHEMA {
+            return Err(ResumeError::BadSchema(u64::from(head[7])));
         }
-        let schema = req_u64(line, "schema")?;
-        if schema > SNAPSHOT_SCHEMA {
-            return Err(ResumeError::BadSchema(schema));
+        let w = |i: usize| word(head, i * 8).expect("inside the header");
+        if input_digest(&head[..HEADER_LEN - 8]) != w(HEADER_LEN / 8 - 1) {
+            return Err(ResumeError::BadField("header checksum"));
         }
-        let snap = StreamSnapshot {
-            config_digest: req_u64(line, "config_digest")?,
-            input_digest: req_u64(line, "input_digest")?,
-            n_blocks: req_u64(line, "n_blocks")?,
-            block_bytes: req_u64(line, "block_bytes")?,
-            prefix: req_u64(line, "prefix")?,
-            cadence: req_u64(line, "cadence")?,
-            committed_version: req_u64(line, "committed_version")?,
-            stream_bit_len: req_u64(line, "stream_bit_len")?,
-            arrivals: req_u64_list(line, "arrivals")?,
-            encoded_at: req_u64_list(line, "encoded_at")?,
-            bits: req_u64_list(line, "bits")?,
-            hist_base: req_u64_list(line, "hist_base")?,
-            code_lengths: req_hex(line, "code_lengths")?,
-            stream_bytes: req_hex(line, "stream")?,
+        let mut snapshot = StreamSnapshot {
+            config_digest: w(1),
+            input_digest: w(2),
+            n_blocks: w(3),
+            block_bytes: w(4),
+            prefix: 0,
+            cadence: w(5),
+            arrivals: Vec::new(),
+            encoded_at: Vec::new(),
+            bits: Vec::new(),
+            code_lengths: head[56..56 + 256].to_vec(),
+            committed_version: w(6),
+            stream_bytes: Vec::new(),
+            stream_bit_len: 0,
         };
-        snap.validate()?;
-        Ok(snap)
+        let (mut at, mut records) = (HEADER_LEN, 0);
+        while let Some(len) = snapshot.apply(&bytes[at..]) {
+            at += len;
+            records += 1;
+        }
+        Ok(Replay {
+            snapshot,
+            records,
+            ignored_bytes: bytes.len() - at,
+        })
     }
 
-    /// Structural invariants a loadable snapshot must satisfy.
-    fn validate(&self) -> Result<(), ResumeError> {
-        if self.prefix > self.n_blocks {
-            return Err(ResumeError::LengthMismatch("prefix exceeds n_blocks"));
+    /// Apply the record at the front of `rec` and return its length, or
+    /// return `None` and leave `self` as it is.
+    fn apply(&mut self, rec: &[u8]) -> Option<usize> {
+        let prefix = word(rec, 0)?;
+        if prefix <= self.prefix || prefix > self.n_blocks {
+            return None;
         }
-        let k = self.prefix as usize;
-        if self.arrivals.len() != k || self.encoded_at.len() != k || self.bits.len() != k {
-            return Err(ResumeError::LengthMismatch(
-                "per-block arrays do not match the prefix",
-            ));
+        let fresh = (prefix - self.prefix) as usize;
+        let mut bit_len = self.stream_bit_len;
+        for b in 0..fresh {
+            bit_len = bit_len.checked_add(word(rec, 8 + 24 * b + 16)?)?;
         }
-        if !self.hist_base.is_empty() && self.hist_base.len() != 256 {
-            return Err(ResumeError::LengthMismatch(
-                "hist_base must have 256 entries",
-            ));
+        let from = 8 + 24 * fresh;
+        let kept = (self.stream_bit_len / 8) as usize;
+        let whole = from + (bit_len / 8) as usize - kept;
+        let to = from + (bit_len.div_ceil(8) as usize - kept);
+        let sum = record_sum(rec.get(..from)?, rec.get(from..whole)?, rec.get(whole..to)?);
+        if word(rec, to)? != sum {
+            return None;
         }
-        if !self.code_lengths.is_empty() && self.code_lengths.len() != 256 {
-            return Err(ResumeError::LengthMismatch(
-                "code_lengths must have 256 entries",
-            ));
+        for b in rec[8..from].chunks_exact(24) {
+            let w = |i: usize| word(b, i * 8).expect("inside the record");
+            self.arrivals.push(w(0));
+            self.encoded_at.push(w(1));
+            self.bits.push(w(2));
         }
-        if k > 0 && self.code_lengths.is_empty() {
-            return Err(ResumeError::LengthMismatch(
-                "finalized prefix without a code table",
-            ));
-        }
-        let expect_bytes = (self.stream_bit_len as usize).div_ceil(8);
-        if self.stream_bytes.len() != expect_bytes {
-            return Err(ResumeError::LengthMismatch(
-                "stream bytes do not match the bit length",
-            ));
-        }
-        let bits_total: u64 = self.bits.iter().sum();
-        if bits_total != self.stream_bit_len {
-            return Err(ResumeError::LengthMismatch(
-                "per-block bit counts do not sum to the stream bit length",
-            ));
-        }
-        Ok(())
+        self.stream_bytes.truncate(kept);
+        self.stream_bytes.extend_from_slice(&rec[from..to]);
+        self.prefix = prefix;
+        self.stream_bit_len = bit_len;
+        Some(to + 8)
     }
 
-    /// Write atomically into `cfg.dir` (tmp file + rename). Returns the
-    /// snapshot path.
-    pub fn write_atomic(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp-{}", std::process::id()));
-        std::fs::write(&tmp, self.to_json())?;
-        let fin = dir.join(SNAPSHOT_FILE);
-        std::fs::rename(&tmp, &fin)?;
-        Ok(fin)
-    }
-
-    /// Load and parse a snapshot file.
+    /// Load a journal: the snapshot its intact records add up to.
     pub fn load(path: &Path) -> Result<Self, ResumeError> {
-        let text = std::fs::read_to_string(path).map_err(|e| ResumeError::Io(e.to_string()))?;
-        Self::from_json(&text)
+        let bytes = std::fs::read(path).map_err(|e| ResumeError::Io(e.to_string()))?;
+        Ok(Self::replay(&bytes)?.snapshot)
     }
 
     /// Check that this snapshot matches the input/config digests of a
@@ -324,80 +323,193 @@ impl StreamSnapshot {
     }
 }
 
-fn u64_list(xs: &[u64]) -> String {
-    let mut s = String::new();
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+/// The writing end of a run's journal.
+#[derive(Debug)]
+pub struct Journal {
+    dir: PathBuf,
+    /// Open from the first write on.
+    file: Option<File>,
+    /// An I/O error stopped this journal's writes for good.
+    stopped: bool,
+    /// Blocks and stream bits the journal holds, and its length in bytes.
+    prefix: usize,
+    bit_len: u64,
+    len: u64,
+    /// The header and lineage words of one write, reused.
+    buf: Vec<u8>,
+}
+
+impl Journal {
+    /// A journal for `dir`; nothing touches the disk before the first write.
+    pub fn new(dir: &Path) -> Self {
+        Journal {
+            dir: dir.to_path_buf(),
+            file: None,
+            stopped: false,
+            prefix: 0,
+            bit_len: 0,
+            len: 0,
+            buf: Vec::new(),
         }
-        let _ = write!(s, "{x}");
     }
-    s
+
+    /// Make blocks `..prefix` durable. `lineage(i)` is block `i`'s
+    /// `[arrival, encoded_at, bits]`, and `stream` holds at least the
+    /// prefix's bits (bits past them are not written).
+    ///
+    /// The first write writes the header — `head()`'s digests, shape,
+    /// cadence, committed version and code lengths — plus one record from
+    /// block 0 into the spare file and renames it over the journal, so a
+    /// journal this run was resumed from is replaced only by a complete
+    /// record. Every later write puts one record at the journal's end with
+    /// one vectored write, the stream bytes straight from `stream`. Each
+    /// write is followed by an end mark, which the next one overwrites.
+    /// After an I/O error every write fails.
+    pub fn write(
+        &mut self,
+        head: impl FnOnce() -> StreamSnapshot,
+        prefix: usize,
+        lineage: impl Fn(usize) -> [u64; 3],
+        stream: &[u8],
+    ) -> std::io::Result<()> {
+        if self.stopped {
+            return Err(std::io::Error::other("an earlier journal write failed"));
+        }
+        let written = self.try_write(head, prefix, lineage, stream);
+        self.stopped = written.is_err();
+        written
+    }
+
+    fn try_write(
+        &mut self,
+        head: impl FnOnce() -> StreamSnapshot,
+        prefix: usize,
+        lineage: impl Fn(usize) -> [u64; 3],
+        stream: &[u8],
+    ) -> std::io::Result<()> {
+        let buf = &mut self.buf;
+        buf.clear();
+        if self.file.is_none() {
+            let h = head();
+            buf.extend_from_slice(MAGIC);
+            buf.push(SCHEMA);
+            for w in [
+                h.config_digest,
+                h.input_digest,
+                h.n_blocks,
+                h.block_bytes,
+                h.cadence,
+                h.committed_version,
+            ] {
+                buf.extend_from_slice(&w.to_le_bytes());
+            }
+            buf.extend_from_slice(&h.code_lengths);
+            buf.resize(HEADER_LEN - 8, 0);
+            buf.extend_from_slice(&input_digest(buf).to_le_bytes());
+        }
+        let rec = buf.len();
+        buf.extend_from_slice(&(prefix as u64).to_le_bytes());
+        let mut bit_len = self.bit_len;
+        for i in self.prefix..prefix {
+            let block = lineage(i);
+            for w in block {
+                buf.extend_from_slice(&w.to_le_bytes());
+            }
+            bit_len += block[2];
+        }
+        let whole = (bit_len / 8) as usize;
+        let body = &stream[(self.bit_len / 8) as usize..whole];
+        // The partial byte, the checksum and the end mark.
+        let mut tail = [0u8; 17];
+        let partial = match bit_len % 8 {
+            0 => 0,
+            r => {
+                tail[0] = stream[whole] & !(0xFF >> r);
+                1
+            }
+        };
+        let sum = record_sum(&buf[rec..], body, &tail[..partial]);
+        tail[partial..partial + 8].copy_from_slice(&sum.to_le_bytes());
+        let first = self.file.is_none();
+        let file = match &mut self.file {
+            Some(f) => f,
+            None => self.file.insert(open_spare(&self.dir)?),
+        };
+        file.seek(SeekFrom::Start(self.len))?;
+        let mut parts = [
+            IoSlice::new(buf),
+            IoSlice::new(body),
+            IoSlice::new(&tail[..partial + 16]),
+        ];
+        let mut parts = &mut parts[..];
+        while !parts.is_empty() {
+            match file.write_vectored(parts) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if first {
+            swap_in_spare(&self.dir)?;
+        }
+        self.len += (buf.len() + body.len() + partial + 8) as u64;
+        self.prefix = prefix;
+        self.bit_len = bit_len;
+        Ok(())
+    }
+
+    /// Cut the file after the last record, dropping the end mark and
+    /// whatever an earlier journal left in the reused file.
+    pub fn trim(&mut self) -> std::io::Result<()> {
+        match &self.file {
+            Some(f) if !self.stopped => f.set_len(self.len),
+            _ => Ok(()),
+        }
+    }
 }
 
-fn hex(bytes: &[u8]) -> String {
-    // Table-driven: the snapshot hot path serializes the whole committed
-    // stream prefix, and per-byte `write!("{b:02x}")` is ~10x slower.
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut s = Vec::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(DIGITS[(b >> 4) as usize]);
-        s.push(DIGITS[(b & 0xf) as usize]);
-    }
-    String::from_utf8(s).expect("hex digits are ASCII")
+/// A record's checksum, over its words, its whole stream bytes and its
+/// trailing partial byte.
+fn record_sum(words: &[u8], body: &[u8], partial: &[u8]) -> u64 {
+    [words, body, partial].iter().fold(0, |h, part| {
+        input_digest(&(h ^ input_digest(part)).to_le_bytes())
+    })
 }
 
-/// Extract the raw text of `"key":<value>` where value is either a bare
-/// number or a quoted string (no escapes — this format never emits any).
-fn field_text<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    if let Some(inner) = rest.strip_prefix('"') {
-        let end = inner.find('"')?;
-        Some(&inner[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
+/// The file a journal's first write goes into: the spare — the journal the
+/// last first write replaced, overwritten in place so that the commit path
+/// neither frees its pages nor allocates new ones — or a new file.
+fn open_spare(dir: &Path) -> std::io::Result<File> {
+    std::fs::create_dir_all(dir)?;
+    OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(dir.join(SPARE_FILE))
 }
 
-fn req_u64(line: &str, key: &'static str) -> Result<u64, ResumeError> {
-    let t = field_text(line, key).ok_or(ResumeError::MissingField(key))?;
-    t.parse::<u64>().map_err(|_| ResumeError::BadField(key))
-}
-
-fn req_u64_list(line: &str, key: &'static str) -> Result<Vec<u64>, ResumeError> {
-    let t = field_text(line, key).ok_or(ResumeError::MissingField(key))?;
-    if t.is_empty() {
-        return Ok(Vec::new());
+/// Rename the spare over the journal and keep the journal it replaces as
+/// the next spare. The journal's name holds a complete journal throughout.
+fn swap_in_spare(dir: &Path) -> std::io::Result<()> {
+    let (journal, held) = (dir.join(JOURNAL_FILE), dir.join(HELD_FILE));
+    let _ = std::fs::remove_file(&held);
+    let kept = std::fs::hard_link(&journal, &held).is_ok();
+    std::fs::rename(dir.join(SPARE_FILE), &journal)?;
+    if kept {
+        std::fs::rename(&held, dir.join(SPARE_FILE))?;
     }
-    t.split(',')
-        .map(|p| p.parse::<u64>().map_err(|_| ResumeError::BadField(key)))
-        .collect()
-}
-
-fn req_hex(line: &str, key: &'static str) -> Result<Vec<u8>, ResumeError> {
-    let t = field_text(line, key).ok_or(ResumeError::MissingField(key))?;
-    if t.len() % 2 != 0 {
-        return Err(ResumeError::BadField(key));
-    }
-    (0..t.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(
-                t.get(i * 2..i * 2 + 2).ok_or(ResumeError::BadField(key))?,
-                16,
-            )
-            .map_err(|_| ResumeError::BadField(key))
-        })
-        .collect()
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A three-block prefix whose stream ends inside a byte.
     fn sample() -> StreamSnapshot {
+        let mut stream_bytes = vec![0xAB; 43];
+        stream_bytes.push(0x80);
         StreamSnapshot {
             config_digest: 0xDEAD_BEEF,
             input_digest: fnv1a(b"the input"),
@@ -407,63 +519,154 @@ mod tests {
             cadence: 2,
             arrivals: vec![0, 10, 20],
             encoded_at: vec![15, 25, 35],
-            bits: vec![100, 200, 44],
-            hist_base: (0..256).map(|i| i as u64).collect(),
+            bits: vec![100, 200, 45],
             code_lengths: (0..=255u8).map(|i| if i < 4 { 2 } else { 0 }).collect(),
             committed_version: 2,
-            stream_bytes: vec![0xAB; 43],
-            stream_bit_len: 344,
+            stream_bytes,
+            stream_bit_len: 345,
         }
+    }
+
+    /// `s` cut back to its first `k` blocks, as a journal holding only
+    /// those decodes.
+    fn cut(s: &StreamSnapshot, k: usize) -> StreamSnapshot {
+        let bits: u64 = s.bits[..k].iter().sum();
+        let mut stream_bytes = s.stream_bytes[..bits.div_ceil(8) as usize].to_vec();
+        if let (Some(last), r @ 1..) = (stream_bytes.last_mut(), bits % 8) {
+            *last &= !(0xFF >> r);
+        }
+        StreamSnapshot {
+            prefix: k as u64,
+            arrivals: s.arrivals[..k].to_vec(),
+            encoded_at: s.encoded_at[..k].to_vec(),
+            bits: s.bits[..k].to_vec(),
+            stream_bytes,
+            stream_bit_len: bits,
+            ..s.clone()
+        }
+    }
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tvs-journal-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Write `s` into a journal in `dir`, one record per prefix in `steps`.
+    fn write(s: &StreamSnapshot, steps: &[usize], dir: &Path) -> Journal {
+        let mut j = Journal::new(dir);
+        for &k in steps {
+            let lineage = |i: usize| [s.arrivals[i], s.encoded_at[i], s.bits[i]];
+            j.write(|| cut(s, 0), k, lineage, &s.stream_bytes)
+                .expect("temp dir is writable");
+        }
+        j
+    }
+
+    /// The bytes of `s` journalled at prefixes 1 and 3, and where each
+    /// record ends.
+    fn journal() -> (Vec<u8>, [usize; 2]) {
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = scratch(&format!("bytes-{call}"));
+        write(&sample(), &[1], &dir).trim().unwrap();
+        let one = std::fs::read(dir.join(JOURNAL_FILE)).unwrap().len();
+        write(&sample(), &[1, 3], &dir).trim().unwrap();
+        let bytes = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let ends = [one, bytes.len()];
+        (bytes, ends)
     }
 
     #[test]
     fn round_trips() {
-        let s = sample();
-        let j = s.to_json();
-        assert_eq!(StreamSnapshot::from_json(&j).unwrap(), s);
+        let (bytes, ends) = journal();
+        let r = StreamSnapshot::replay(&bytes).unwrap();
+        assert_eq!(r.snapshot, sample());
+        assert_eq!((r.records, r.ignored_bytes), (2, 0));
+        let r = StreamSnapshot::replay(&bytes[..ends[0]]).unwrap();
+        assert_eq!(r.snapshot, cut(&sample(), 1));
+        // The first record carries 100 bits: 12 whole bytes, one partial.
+        assert_eq!(ends[0], HEADER_LEN + 8 + 24 + 13 + 8);
     }
 
     #[test]
     fn empty_prefix_round_trips() {
-        let s = StreamSnapshot {
-            config_digest: 1,
-            input_digest: 2,
-            n_blocks: 5,
-            block_bytes: 64,
-            prefix: 0,
-            cadence: 1,
-            arrivals: vec![],
-            encoded_at: vec![],
-            bits: vec![],
-            hist_base: vec![],
-            code_lengths: vec![],
-            committed_version: 0,
-            stream_bytes: vec![],
-            stream_bit_len: 0,
-        };
-        assert_eq!(StreamSnapshot::from_json(&s.to_json()).unwrap(), s);
+        let (bytes, _) = journal();
+        let r = StreamSnapshot::replay(&bytes[..HEADER_LEN]).unwrap();
+        assert_eq!(r.snapshot, cut(&sample(), 0));
+        assert_eq!((r.records, r.ignored_bytes), (0, 0));
     }
 
     #[test]
     fn atomic_write_and_load() {
-        let dir = std::env::temp_dir().join(format!("tvs-ckpt-test-{}", std::process::id()));
+        let dir = scratch("atomic");
         let s = sample();
-        let path = s.write_atomic(&dir).unwrap();
-        assert_eq!(path.file_name().unwrap(), SNAPSHOT_FILE);
+        drop(write(&s, &[2, 3], &dir));
+        let path = dir.join(JOURNAL_FILE);
+        assert_eq!(CheckpointConfig::new(1, &dir).journal_path(), path);
         assert_eq!(StreamSnapshot::load(&path).unwrap(), s);
-        // No tmp litter survives.
-        let litter: Vec<_> = std::fs::read_dir(&dir)
+        // A second journal on the same directory leaves the first in place
+        // until its own first record is complete, then starts afresh.
+        let mut again = Journal::new(&dir);
+        assert_eq!(StreamSnapshot::load(&path).unwrap(), s);
+        let lineage = |i: usize| [s.arrivals[i], s.encoded_at[i], s.bits[i]];
+        again
+            .write(|| cut(&s, 0), 1, lineage, &s.stream_bytes)
+            .unwrap();
+        assert_eq!(StreamSnapshot::load(&path).unwrap(), cut(&s, 1));
+        // The replaced journal is kept as the spare; nothing else is left.
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert!(litter.is_empty());
+        names.sort();
+        assert_eq!(names, [JOURNAL_FILE, SPARE_FILE]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
+    fn a_reused_file_holds_only_its_own_records() {
+        // The third journal on a directory is written over the first one's
+        // file, whose records past its own first one are valid: the end
+        // mark, then the trim, keep them out.
+        let dir = scratch("reuse");
+        let s = sample();
+        drop(write(&s, &[1, 2, 3], &dir));
+        drop(write(&s, &[2], &dir));
+        let mut third = write(&s, &[1], &dir);
+        let path = dir.join(JOURNAL_FILE);
+        let r = StreamSnapshot::replay(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!((&r.snapshot, r.records), (&cut(&s, 1), 1));
+        assert!(
+            r.ignored_bytes > 8,
+            "the first journal's tail is still there"
+        );
+        third.trim().unwrap();
+        let r = StreamSnapshot::replay(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!((r.snapshot, r.records, r.ignored_bytes), (cut(&s, 1), 1, 0));
+        let spare = StreamSnapshot::load(&dir.join(SPARE_FILE)).unwrap();
+        assert_eq!(spare, cut(&s, 2), "the second journal is the spare now");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_io_error_stops_the_journal() {
+        // The directory is a file, so the first write cannot create it.
+        let dir = scratch("not-a-dir");
+        std::fs::write(&dir, b"").unwrap();
+        let s = sample();
+        let lineage = |i: usize| [s.arrivals[i], s.encoded_at[i], s.bits[i]];
+        let mut j = Journal::new(&dir);
+        assert!(j.write(|| cut(&s, 0), 1, lineage, &s.stream_bytes).is_err());
+        std::fs::remove_file(&dir).unwrap();
+        assert!(j.write(|| cut(&s, 0), 3, lineage, &s.stream_bytes).is_err());
+        assert!(!dir.exists(), "a stopped journal writes nothing");
+    }
+
+    #[test]
     fn load_missing_file_is_io_error() {
-        match StreamSnapshot::load(Path::new("/nonexistent/snapshot.json")) {
+        match StreamSnapshot::load(Path::new("/nonexistent/checkpoint.log")) {
             Err(ResumeError::Io(_)) => {}
             other => panic!("expected Io error, got {other:?}"),
         }
@@ -471,62 +674,88 @@ mod tests {
 
     #[test]
     fn truncation_at_every_offset_never_panics() {
-        let j = sample().to_json();
-        for cut in 0..j.len() {
-            let r = StreamSnapshot::from_json(&j[..cut]);
-            assert!(r.is_err(), "truncated at {cut} must not parse");
+        let (bytes, ends) = journal();
+        for len in 0..bytes.len() {
+            let r = StreamSnapshot::replay(&bytes[..len]);
+            if len < HEADER_LEN {
+                assert_eq!(r, Err(ResumeError::Truncated), "cut at {len}");
+                continue;
+            }
+            // A cut inside a record leaves the previous record's prefix.
+            let (k, end) = match len {
+                l if l < ends[0] => (0, HEADER_LEN),
+                _ => (1, ends[0]),
+            };
+            let r = r.unwrap();
+            assert_eq!(r.snapshot, cut(&sample(), k), "cut at {len}");
+            assert_eq!(r.ignored_bytes, len - end);
         }
     }
 
     #[test]
     fn byte_corruption_never_panics() {
-        // Flip every byte through a handful of corruptions; the parser
-        // must return (anything), never panic, and a corrupted numeric
-        // or hex field must not round-trip silently into a *different*
-        // valid snapshot with inconsistent structure.
-        let s = sample();
-        let j = s.to_json();
-        let bytes = j.as_bytes();
+        // Flip every byte through a handful of corruptions: a damaged
+        // header is an error, a damaged record ends the replay before it.
+        let (bytes, ends) = journal();
         for i in 0..bytes.len() {
             for flip in [0x01u8, 0x20, 0x80] {
-                let mut m = bytes.to_vec();
+                let mut m = bytes.clone();
                 m[i] ^= flip;
-                if let Ok(text) = String::from_utf8(m) {
-                    let _ = StreamSnapshot::from_json(&text);
-                }
+                let r = StreamSnapshot::replay(&m);
+                let k = match i {
+                    i if i < HEADER_LEN => {
+                        assert!(r.is_err(), "header byte {i} ^ {flip:#x} loads");
+                        continue;
+                    }
+                    i if i < ends[0] => 0,
+                    _ => 1,
+                };
+                let r = r.unwrap();
+                assert_eq!(r.snapshot, cut(&sample(), k), "byte {i} ^ {flip:#x}");
+                assert_eq!(r.records, k);
             }
         }
     }
 
     #[test]
+    fn garbage_after_the_last_record_is_ignored() {
+        let (mut bytes, _) = journal();
+        let whole = bytes.len();
+        bytes.extend((0..200u32).map(|i| (i * 37 % 251) as u8));
+        let r = StreamSnapshot::replay(&bytes).unwrap();
+        assert_eq!(r.snapshot, sample());
+        assert_eq!((r.records, r.ignored_bytes), (2, bytes.len() - whole));
+    }
+
+    #[test]
     fn newer_schema_is_rejected() {
-        let j = sample().to_json().replace("\"schema\":1", "\"schema\":99");
+        let (mut bytes, _) = journal();
+        bytes[7] = 99;
         assert_eq!(
-            StreamSnapshot::from_json(&j),
+            StreamSnapshot::replay(&bytes),
             Err(ResumeError::BadSchema(99))
+        );
+        bytes[0] ^= 1;
+        assert_eq!(
+            StreamSnapshot::replay(&bytes),
+            Err(ResumeError::BadField("magic"))
         );
     }
 
     #[test]
     fn structural_inconsistency_is_rejected() {
-        let mut s = sample();
-        s.arrivals.pop();
-        assert!(matches!(
-            StreamSnapshot::from_json(&s.to_json()),
-            Err(ResumeError::LengthMismatch(_))
-        ));
-        let mut s = sample();
-        s.stream_bit_len += 8;
-        assert!(matches!(
-            StreamSnapshot::from_json(&s.to_json()),
-            Err(ResumeError::LengthMismatch(_))
-        ));
-        let mut s = sample();
-        s.prefix = 99;
-        assert!(matches!(
-            StreamSnapshot::from_json(&s.to_json()),
-            Err(ResumeError::LengthMismatch(_))
-        ));
+        // Records that carry a valid checksum but do not advance the
+        // prefix, or advance it past `n_blocks`, are not applied.
+        let (bytes, _) = journal();
+        for prefix in [3u64, 2, 11] {
+            let mut m = bytes.clone();
+            let mut rec = prefix.to_le_bytes().to_vec();
+            rec.extend_from_slice(&record_sum(&rec, &[], &[]).to_le_bytes());
+            m.extend_from_slice(&rec);
+            let r = StreamSnapshot::replay(&m).unwrap();
+            assert_eq!(r.snapshot, sample(), "prefix {prefix}");
+            assert_eq!(r.ignored_bytes, rec.len());
+        }
     }
 
     #[test]
@@ -566,9 +795,9 @@ mod tests {
     #[test]
     fn errors_display_readably() {
         assert!(ResumeError::Truncated.to_string().contains("truncated"));
-        assert!(ResumeError::MissingField("prefix")
+        assert!(ResumeError::BadField("header checksum")
             .to_string()
-            .contains("prefix"));
+            .contains("header checksum"));
         assert!(ResumeError::InputMismatch
             .to_string()
             .contains("different input"));

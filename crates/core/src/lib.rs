@@ -38,9 +38,10 @@
 //!   probes its way back up; the manager asks it before every start;
 //! * [`arena`] — generation-indexed slot/buffer recycling that keeps the
 //!   per-block speculation bookkeeping off the heap in steady state;
-//! * [`checkpoint`] — committed-prefix snapshots: the finalized block
-//!   prefix, merged histogram, code table and encoder bit-IO carry,
-//!   written atomically so a killed run resumes byte-identically.
+//! * [`checkpoint`] — committed-prefix checkpointing: the finalized
+//!   blocks' lineage and stream bytes, appended once each to a
+//!   checksummed journal behind a header with the code table, so a killed
+//!   run resumes byte-identically.
 //!
 //! The mechanisms these actions rely on (version-tagged tasks, abort flags,
 //! control-class priorities) live in the substrate crate `tvs-sre`.
@@ -86,7 +87,7 @@ pub mod version;
 
 pub use arena::{AllocStats, Arena, Handle, ScratchPool};
 pub use buffer::WaitBuffer;
-pub use checkpoint::{CheckpointConfig, ResumeError, StreamSnapshot};
+pub use checkpoint::{CheckpointConfig, Journal, ResumeError, StreamSnapshot};
 pub use degrade::{DegradeConfig, Level};
 pub use frequency::{SpeculationSchedule, VerificationPolicy};
 pub use interface::{SpeculationBuilder, SpeculationPlan};

@@ -78,8 +78,8 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use tvs_core::{
-    Action, AllocStats, CheckResult, CheckpointConfig, Level, ManagerStats, ResumeError,
-    ScratchPool, SpecVersion, SpeculationManager, StreamSnapshot, WaitBuffer,
+    Action, AllocStats, CheckResult, Journal, Level, ManagerStats, ResumeError, ScratchPool,
+    SpecVersion, SpeculationManager, StreamSnapshot, WaitBuffer,
 };
 use tvs_huffman::{
     encode_block_at, place, relative_cost_delta, set_bit_len, CodeLengths, CodeTable, EncodedBlock,
@@ -238,36 +238,15 @@ impl Path {
     }
 }
 
-/// Live checkpointing state: the merged histogram of the committed-prefix
-/// blocks and the write bookkeeping. The prefix's bits are the front of
-/// the workload's output stream.
+/// Live checkpointing state, per [`HuffmanConfig::checkpoint`]. The
+/// prefix's bits are the front of the workload's output stream.
 struct Ckpt {
-    cfg: CheckpointConfig,
-    hist: Histogram,
-    /// Blocks `0..prefix` are finalized and folded into `hist`.
+    /// Blocks `0..prefix` are finalized; frozen once the run halts.
     prefix: usize,
-    /// Prefix length at the last snapshot write.
+    /// Prefix length at the last journal write (a resumed run starts at
+    /// its snapshot's prefix: the journal it was loaded from holds that).
     last_written: usize,
-    /// The most recently built snapshot (kept in memory so a halted run
-    /// can hand it to the caller even if the disk write failed; shared
-    /// with the writer thread without copying the stream prefix).
-    last_snapshot: Option<Arc<StreamSnapshot>>,
-    /// Wall-clock moment of the last cadence write: burst commits (the
-    /// end-loaded drain) cross many cadence thresholds within
-    /// microseconds, and writing each would churn the disk for files the
-    /// next rename immediately replaces. Cadence writes are debounced to
-    /// [`CKPT_WRITE_GAP`]; halt and paused-level writes never are.
-    last_write: Option<std::time::Instant>,
-    /// Asynchronous disk plane: snapshots are handed to a dedicated
-    /// writer thread so serialization and the atomic tmp+rename never
-    /// block the commit path (the ≤3 % overhead budget). The thread
-    /// coalesces to the newest pending snapshot — the rename makes the
-    /// latest one win regardless.
-    tx: Option<std::sync::mpsc::Sender<Arc<StreamSnapshot>>>,
-    disk: Option<std::thread::JoinHandle<()>>,
-    /// Set on clean completion: drop without joining the writer thread
-    /// (its remaining writes serve no resume and may finish lazily).
-    detach: bool,
+    journal: Journal,
 }
 
 /// A speculation-manager input waiting its turn (see the module header).
@@ -285,47 +264,6 @@ struct CheckSlot {
     version: SpecVersion,
     basis: u64,
     verdict: Option<(CheckResult, Arc<SpecTree>)>,
-}
-
-/// Minimum wall-clock gap between cadence-driven snapshot writes.
-const CKPT_WRITE_GAP: std::time::Duration = std::time::Duration::from_millis(20);
-
-impl Ckpt {
-    fn enqueue_write(&mut self, snap: Arc<StreamSnapshot>) {
-        if self.tx.is_none() {
-            let (tx, rx) = std::sync::mpsc::channel::<Arc<StreamSnapshot>>();
-            let dir = self.cfg.dir.clone();
-            self.tx = Some(tx);
-            self.disk = Some(std::thread::spawn(move || {
-                while let Ok(mut snap) = rx.recv() {
-                    // Coalesce a backlog: only the newest snapshot
-                    // survives the atomic rename anyway.
-                    while let Ok(newer) = rx.try_recv() {
-                        snap = newer;
-                    }
-                    let _ = snap.write_atomic(&dir);
-                }
-            }));
-        }
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(snap);
-        }
-    }
-}
-
-impl Drop for Ckpt {
-    fn drop(&mut self) {
-        // Close the channel, then wait for the last write: once the
-        // workload is dropped (the runner returns), the on-disk snapshot
-        // is guaranteed current. Cleanly completed runs skip the join —
-        // nothing will ever resume from their snapshots.
-        self.tx = None;
-        if let Some(h) = self.disk.take() {
-            if !self.detach {
-                let _ = h.join();
-            }
-        }
-    }
 }
 
 /// The Huffman encoder workload. Drive it with either executor.
@@ -422,19 +360,13 @@ impl HuffmanWorkload {
         assert!(data_len > 0, "empty input");
         let n_blocks = cfg.n_blocks(data_len);
         let n_groups = cfg.n_groups(data_len);
-        // Instantiate the engine through the paper's four-point interface.
+        // Build the engine through the paper's four-point interface.
         let mgr = cfg.speculation_plan().manager(cfg.degrade, ins);
         let keeps_stream = cfg.collect_output || cfg.checkpoint.is_some();
-        let ckpt = cfg.checkpoint.clone().map(|c| Ckpt {
-            cfg: c,
-            hist: Histogram::new(),
+        let ckpt = cfg.checkpoint.as_ref().map(|c| Ckpt {
             prefix: 0,
             last_written: 0,
-            last_snapshot: None,
-            last_write: None,
-            tx: None,
-            disk: None,
-            detach: false,
+            journal: Journal::new(&c.dir),
         });
         HuffmanWorkload {
             n_blocks,
@@ -526,11 +458,11 @@ impl HuffmanWorkload {
             wl.counted_prefix = k;
             wl.stream.extend_from_slice(&snap.stream_bytes);
             set_bit_len(&mut wl.stream, snap.stream_bit_len);
+            wl.committed_version = match snap.committed_version {
+                0 => None,
+                v => Some(v as SpecVersion),
+            };
         }
-        wl.committed_version = match snap.committed_version {
-            0 => None,
-            v => Some(v as SpecVersion),
-        };
         for i in 0..k {
             wl.done[i] = Some(BlockDone {
                 arrival: snap.arrivals[i],
@@ -540,15 +472,9 @@ impl HuffmanWorkload {
         }
         wl.blocks_done = k;
         wl.resume_k = k;
-        // Seed the checkpoint plane from the snapshot so a resumed run can
-        // itself be killed and resumed: the histogram restarts from the
-        // snapshot's merged base.
+        // A resumed run can itself be killed and resumed: its journal starts
+        // afresh, from block 0, at its first write.
         if let Some(ck) = &mut wl.ckpt {
-            if snap.hist_base.len() == 256 {
-                ck.hist
-                    .counts_mut()
-                    .copy_from_slice(snap.hist_base.as_slice());
-            }
             ck.prefix = k;
             ck.last_written = k;
         }
@@ -560,11 +486,10 @@ impl HuffmanWorkload {
         self.halted
     }
 
-    /// The most recent snapshot built (halt, cadence or end-of-run write).
+    /// The committed-prefix snapshot of a checkpointed run, built from live
+    /// state: for a halted run, at the prefix frozen at the halt.
     pub fn snapshot(&self) -> Option<StreamSnapshot> {
-        self.ckpt
-            .as_ref()
-            .and_then(|c| c.last_snapshot.as_deref().cloned())
+        self.ckpt.as_ref().map(|ck| self.snapshot_at(ck.prefix))
     }
 
     /// Extract the result after the run finished. The output stream is
@@ -602,12 +527,12 @@ impl HuffmanWorkload {
     // ------------------------------------------------------------------
 
     /// Advance the checkpoint plane after a block finalizes: extend the
-    /// prefix over newly contiguous blocks, then write a snapshot when
-    /// the cadence is due, the halt block is reached, the run finished, or
-    /// the degradation machine sits at its paused level, which demands
-    /// eager durability. Disk failures are absorbed — the in-memory
-    /// snapshot still serves halt and resume, and losing a cadence write
-    /// only widens the at-risk window.
+    /// prefix over newly contiguous blocks, then append them to the journal
+    /// when the cadence is due, the halt block is reached, or the
+    /// degradation machine sits at its paused level, which demands eager
+    /// durability. Disk failures are absorbed — the live state still
+    /// serves halt and resume, and a stopped journal only widens the
+    /// at-risk window.
     fn advance_checkpoint(&mut self) {
         if self.halted {
             // The "kill" already happened: freeze the durable state at the
@@ -615,53 +540,36 @@ impl HuffmanWorkload {
             // in-flight commit drain may finalize a few more blocks.
             return;
         }
-        let Some(mut ck) = self.ckpt.take() else {
+        let (Some(mut ck), Some(cc)) = (self.ckpt.take(), &self.cfg.checkpoint) else {
             return;
         };
         while ck.prefix < self.n_blocks && self.done[ck.prefix].is_some() {
-            let i = ck.prefix;
-            ck.hist.merge(
-                self.counts[i]
-                    .as_ref()
-                    .expect("a finalized block was counted"),
-            );
             ck.prefix += 1;
         }
-        let halt = !self.halted
-            && ck
-                .cfg
-                .halt_at_block
-                .is_some_and(|h| h > 0 && ck.prefix >= h);
-        let due = ck.cfg.every_blocks > 0 && ck.prefix >= ck.last_written + ck.cfg.every_blocks;
-        // A run that reaches the final block needs no snapshot — there is
-        // nothing left to resume — so cadence writes stop one short of
-        // completion rather than paying the largest serialization for a
-        // file nobody can use.
+        let halt = cc.halt_at_block.is_some_and(|h| h > 0 && ck.prefix >= h);
+        let due = cc.every_blocks > 0 && ck.prefix >= ck.last_written + cc.every_blocks;
+        // A run that reaches the final block needs no record — there is
+        // nothing left to resume.
         let finished = ck.prefix == self.n_blocks;
         let eager = self.mgr.level() == Some(Level::Paused);
-        let debounced = ck.last_write.is_some_and(|t| t.elapsed() < CKPT_WRITE_GAP);
-        if ck.prefix > ck.last_written && (halt || eager || (due && !finished && !debounced)) {
-            let snap = Arc::new(self.build_snapshot(&ck));
-            ck.enqueue_write(Arc::clone(&snap));
+        if ck.prefix > ck.last_written && (halt || eager || (due && !finished)) {
+            let lineage = |i: usize| {
+                let d = self.done[i].expect("prefix finalized");
+                [d.arrival, d.encoded_at, d.bits]
+            };
+            let head = || self.snapshot_at(0);
+            let _ = ck.journal.write(head, ck.prefix, lineage, &self.stream);
             ck.last_written = ck.prefix;
-            ck.last_snapshot = Some(snap);
-            ck.last_write = Some(std::time::Instant::now());
         }
         if halt {
-            self.halted = true;
+            let _ = ck.journal.trim();
         }
-        if finished && !self.halted {
-            // Clean completion: pending writes are unreadable history (a
-            // finished stream is never resumed), so the writer thread may
-            // finish in the background instead of stalling the run's tail.
-            ck.detach = true;
-        }
+        self.halted = halt;
         self.ckpt = Some(ck);
     }
 
-    /// Assemble the committed-prefix snapshot from the live state.
-    fn build_snapshot(&self, ck: &Ckpt) -> StreamSnapshot {
-        let k = ck.prefix;
+    /// The committed-prefix snapshot at prefix `k` from the live state.
+    fn snapshot_at(&self, k: usize) -> StreamSnapshot {
         let per = |f: fn(&BlockDone) -> u64| -> Vec<u64> {
             self.done[..k]
                 .iter()
@@ -682,19 +590,15 @@ impl HuffmanWorkload {
             n_blocks: self.n_blocks as u64,
             block_bytes: self.cfg.block_bytes as u64,
             prefix: k as u64,
-            cadence: ck.cfg.every_blocks as u64,
+            cadence: self.cfg.checkpoint.as_ref().map_or(0, |c| c.every_blocks) as u64,
             arrivals: per(|d| d.arrival),
             encoded_at: per(|d| d.encoded_at),
             bits,
-            hist_base: if k > 0 {
-                ck.hist.counts().to_vec()
-            } else {
-                Vec::new()
-            },
-            code_lengths: match (&self.committed_tree, k) {
-                (Some(t), k) if k > 0 => t.lengths.lengths().to_vec(),
-                _ => Vec::new(),
-            },
+            code_lengths: self
+                .committed_tree
+                .as_ref()
+                .map(|t| t.lengths.lengths().to_vec())
+                .unwrap_or_default(),
             committed_version: u64::from(self.committed_version.unwrap_or(0)),
             stream_bytes,
             stream_bit_len,
@@ -1633,7 +1537,10 @@ impl Workload for HuffmanWorkload {
 mod tests {
     use super::*;
     use crate::cost::HuffmanCost;
-    use tvs_core::{SpeculationSchedule, Tolerance, ValidationMode, VerificationPolicy};
+    use tvs_core::checkpoint::JOURNAL_FILE;
+    use tvs_core::{
+        CheckpointConfig, SpeculationSchedule, Tolerance, ValidationMode, VerificationPolicy,
+    };
     use tvs_sre::exec::sim::SimConfig;
     use tvs_sre::exec::threaded::{self, ThreadedConfig};
     use tvs_sre::{x86_smp, DispatchPolicy, RunMetrics};
@@ -2089,9 +1996,11 @@ mod tests {
             wl.finalize_block(i, out);
         }
         assert_eq!(wl.stream, [0b0101_0000], "blocks 1 and 3 are 'b' = 1");
-        let snap = wl.snapshot().expect("two blocks are a cadence");
+        let snap = wl.snapshot().expect("checkpointed");
         assert_eq!((snap.prefix, snap.stream_bit_len), (2, 2));
         assert_eq!(snap.stream_bytes, [0b0100_0000], "block 3 is not prefix");
+        let on_disk = StreamSnapshot::load(&dir.join(JOURNAL_FILE));
+        assert_eq!(on_disk, Ok(snap.clone()), "two blocks are a cadence");
         drop(wl);
         let _ = std::fs::remove_dir_all(&dir);
 

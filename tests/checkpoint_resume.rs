@@ -3,16 +3,19 @@
 //! A checkpointed run killed at block K and resumed from its snapshot
 //! must produce a stream *byte-identical* to the uninterrupted run, on
 //! both executors — the resume path encodes every re-fed block with the
-//! snapshot's committed tree and never re-speculates. Snapshots are
-//! bound to the input and the output-shaping configuration, so resuming
-//! against the wrong data or shape is a structured error, never a
-//! silently divergent stream. The degradation machine must demonstrably
+//! snapshot's committed tree and never re-speculates — and so must a
+//! resumed run killed and resumed again. Snapshots are bound to the input
+//! and the output-shaping configuration, so resuming against the wrong
+//! data or shape is a structured error, never a silently divergent stream;
+//! a damaged or cut journal either fails to load or loads a shorter
+//! prefix that still resumes byte-identically. The degradation machine must demonstrably
 //! step down to its suspended level under sustained misprediction (sim
 //! and threaded) and climb back to full speculation once the input
 //! settles, and a supervised threaded run under duplicate-completion
 //! injection must take the epoch-reject path rather than double-commit.
 
 use std::path::PathBuf;
+use tvs_core::checkpoint::JOURNAL_FILE;
 use tvs_core::{
     CheckpointConfig, DegradeConfig, Level, ResumeError, StreamSnapshot, ValidationMode,
 };
@@ -127,10 +130,9 @@ fn sim_kill_and_resume_is_byte_identical() {
         );
         // The durable copy on disk must be the same snapshot the halted
         // run reported in memory.
-        let on_disk = StreamSnapshot::load(&CheckpointConfig::new(4, &dir).snapshot_path())
+        let on_disk = StreamSnapshot::load(&CheckpointConfig::new(4, &dir).journal_path())
             .expect("halt always persists a snapshot");
-        assert_eq!(on_disk.prefix, snap.prefix);
-        assert_eq!(on_disk.stream_bit_len, snap.stream_bit_len);
+        assert_eq!(on_disk, snap);
 
         let resumed =
             resumed(sim(&data, &cfg()), &on_disk).expect("snapshot matches input and config");
@@ -288,12 +290,145 @@ fn resume_rejects_mismatched_input_and_config() {
     reshaped.tolerance = tvs_core::Tolerance::percent(5.0);
     assert_eq!(resumed(sim(&data, &reshaped), &snap).err(), mismatch);
 
-    // A truncated snapshot file is a structured load error, not a panic.
-    let path = CheckpointConfig::new(4, &dir).snapshot_path();
-    let text = std::fs::read_to_string(&path).expect("snapshot persisted");
-    std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-    assert!(StreamSnapshot::load(&path).is_err());
+    // A journal cut inside its header is a structured load error, not a
+    // panic.
+    let path = CheckpointConfig::new(4, &dir).journal_path();
+    let bytes = std::fs::read(&path).expect("snapshot persisted");
+    std::fs::write(&path, &bytes[..100]).unwrap();
+    assert_eq!(StreamSnapshot::load(&path), Err(ResumeError::Truncated));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Kill at block 16, resume with checkpointing into the same directory and
+/// kill again at block 40, then resume from what is on disk: the stream is
+/// byte-identical to the uninterrupted run, on both executors.
+#[test]
+fn a_resumed_run_can_be_killed_and_resumed_again() {
+    let data = stationary(64 * 1024);
+    // On threads a speculative run commits in one burst that can swallow
+    // the whole stream, and several workers finish blocks out of order, so
+    // a kill could land past the last block: there, one worker runs the
+    // natural path, which finalizes blocks a few at a time, in order.
+    let mut natural = cfg();
+    natural.policy = DispatchPolicy::NonSpeculative;
+    for (on_threads, plain) in [(false, cfg()), (true, natural)] {
+        let base = outcome(sim(&data, &plain));
+        let on = |c| match on_threads {
+            true => HuffmanRun::threaded(&data, c, 1, &ARRIVAL, 1000),
+            false => sim(&data, c),
+        };
+        let dir = scratch_dir(&format!("twice-{on_threads}"));
+        let killed_at = |block| {
+            let mut c = plain.clone();
+            c.checkpoint = Some(CheckpointConfig {
+                every_blocks: 4,
+                dir: dir.clone(),
+                halt_at_block: Some(block),
+            });
+            c
+        };
+        let (first_cfg, second_cfg) = (killed_at(16), killed_at(40));
+        let first = halt_snapshot(on(&first_cfg));
+        assert!((16..40).contains(&first.prefix), "{}", first.prefix);
+        let second = run_huffman(&HuffmanRun {
+            resume: Some(&first),
+            ..on(&second_cfg)
+        })
+        .expect("resumes")
+        .end
+        .into_snapshot();
+        assert!(second.prefix >= 40);
+        let on_disk = StreamSnapshot::load(&dir.join(JOURNAL_FILE)).expect("second halt persists");
+        assert_eq!(on_disk, second, "threads: {on_threads}");
+        let out = resumed(on(&plain), &on_disk).expect("resumes again");
+        assert_eq!(output_of(&out), output_of(&base), "threads: {on_threads}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The simulator's journal is a function of input and configuration: no
+/// wall clock decides when a record is written.
+#[test]
+fn two_simulator_runs_write_byte_identical_journals() {
+    let data = stationary(64 * 1024);
+    let journals: Vec<Vec<u8>> = ["det-a", "det-b"]
+        .into_iter()
+        .map(|name| {
+            let dir = scratch_dir(name);
+            let mut c = cfg();
+            c.checkpoint = Some(CheckpointConfig::new(4, &dir));
+            outcome(sim(&data, &c));
+            let bytes = std::fs::read(dir.join(JOURNAL_FILE)).expect("cadence writes");
+            let _ = std::fs::remove_dir_all(&dir);
+            bytes
+        })
+        .collect();
+    assert!(!journals[0].is_empty());
+    assert_eq!(journals[0], journals[1]);
+}
+
+/// A small halted run's journal, the snapshot it halted with, and the
+/// uninterrupted run's output.
+fn small_halted_journal(name: &str) -> (Vec<u8>, PathBuf, StreamSnapshot, RunOutcome) {
+    let data = stationary(16 * 1024);
+    let base = outcome(sim(&data, &cfg()));
+    let dir = scratch_dir(name);
+    let mut c = cfg();
+    c.checkpoint = Some(CheckpointConfig {
+        every_blocks: 4,
+        dir: dir.clone(),
+        halt_at_block: Some(8),
+    });
+    let snap = halt_snapshot(sim(&data, &c));
+    let path = dir.join(JOURNAL_FILE);
+    let bytes = std::fs::read(&path).expect("halt persists a journal");
+    (bytes, path, snap, base)
+}
+
+/// Flip each byte of a halted run's journal in turn: it either fails to
+/// load, or loads a prefix shorter than the halt's that resumes to the
+/// uninterrupted stream.
+#[test]
+fn every_flipped_byte_of_a_journal_is_rejected_or_resumes_identically() {
+    let (bytes, path, snap, base) = small_halted_journal("flip");
+    let data = stationary(16 * 1024);
+    let mut loaded_any = false;
+    for i in 0..bytes.len() {
+        let mut m = bytes.clone();
+        m[i] ^= 0x01;
+        std::fs::write(&path, &m).unwrap();
+        let Ok(loaded) = StreamSnapshot::load(&path) else {
+            continue;
+        };
+        loaded_any = true;
+        assert!(
+            loaded.prefix < snap.prefix,
+            "byte {i}: the damaged record applied"
+        );
+        let out = resumed(sim(&data, &cfg()), &loaded);
+        let out = out.unwrap_or_else(|e| panic!("byte {i}: loads but does not resume: {e}"));
+        assert_eq!(
+            output_of(&out),
+            output_of(&base),
+            "byte {i}: resumed stream differs"
+        );
+    }
+    assert!(loaded_any, "a damaged record leaves the ones before it");
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+/// A journal cut inside its last record — a kill mid-append — loads the
+/// previous record's prefix and resumes byte-identically from it.
+#[test]
+fn a_journal_cut_mid_record_resumes_from_the_previous_record() {
+    let (bytes, path, snap, base) = small_halted_journal("cut");
+    let data = stationary(16 * 1024);
+    std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+    let loaded = StreamSnapshot::load(&path).expect("the header and earlier records are intact");
+    assert!(0 < loaded.prefix && loaded.prefix < snap.prefix);
+    let out = resumed(sim(&data, &cfg()), &loaded).expect("resumes");
+    assert_eq!(output_of(&out), output_of(&base));
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 /// Adversarial drifting input: every block shifts the byte distribution,
