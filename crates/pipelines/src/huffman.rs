@@ -15,6 +15,9 @@
 //!  encode×k     encode×k              (data-parallel: one per chunk ∩ group)
 //! ```
 //!
+//! A block's life is one `Block`: `Due` → `Arrived` → `Counted` →
+//! `Committed`, the last entered once, in `finalize_block`.
+//!
 //! The grain: a *chunk* is the unit of work. Blocks arrive in batches —
 //! every block that became available at the same moment, in one
 //! [`Workload::on_input_batch`]. When a batch holds at least one whole
@@ -106,9 +109,8 @@ pub struct SpecTree {
 }
 
 impl SpecTree {
-    /// Build a *covering* tree from a (possibly partial) histogram.
-    pub fn covering(hist: &Histogram, basis: u64) -> Self {
-        let lengths = CodeLengths::build_covering(hist).expect("non-empty histogram");
+    /// A tree from its code lengths and the canonical table they define.
+    fn new(lengths: CodeLengths, basis: u64) -> Self {
         let table = CodeTable::from_lengths(&lengths);
         SpecTree {
             lengths,
@@ -117,16 +119,17 @@ impl SpecTree {
         }
     }
 
+    /// Build a *covering* tree from a (possibly partial) histogram.
+    pub fn covering(hist: &Histogram, basis: u64) -> Self {
+        let lengths = CodeLengths::build_covering(hist).expect("non-empty histogram");
+        Self::new(lengths, basis)
+    }
+
     /// Build a tree from a Laplace-smoothed histogram (ablation variant).
     pub fn laplace(hist: &Histogram, basis: u64) -> Self {
         let lengths =
             CodeLengths::build(&hist.with_smoothing(1)).expect("smoothed histogram non-empty");
-        let table = CodeTable::from_lengths(&lengths);
-        SpecTree {
-            lengths,
-            table,
-            basis,
-        }
+        Self::new(lengths, basis)
     }
 
     /// Build a speculative tree per the configured predictor kind.
@@ -140,12 +143,7 @@ impl SpecTree {
     /// Build the exact optimal tree from the full histogram.
     pub fn exact(hist: &Histogram, basis: u64) -> Self {
         let lengths = CodeLengths::build(hist).expect("non-empty histogram");
-        let table = CodeTable::from_lengths(&lengths);
-        SpecTree {
-            lengths,
-            table,
-            basis,
-        }
+        Self::new(lengths, basis)
     }
 }
 
@@ -222,7 +220,7 @@ struct Path {
     version: Option<SpecVersion>,
     tree: Arc<SpecTree>,
     /// Offsets of the blocks whose `offset` task is back; the next group
-    /// starts at block `chain.blocks_done()`.
+    /// starts at block `chain.offsets().len()`.
     chain: OffsetChain,
     offset_inflight: bool,
 }
@@ -238,11 +236,100 @@ impl Path {
     }
 }
 
+/// One block's life: `Due` → `Arrived` → `Counted` → `Committed`. Each
+/// state owns exactly the data valid in it, and a transition consumes the
+/// old state: a block is counted once, after it arrived, and committed once,
+/// after its count — nothing leaves `Committed`.
+#[derive(Default)]
+enum Block {
+    #[default]
+    Due,
+    Arrived {
+        data: Arc<[u8]>,
+        at: Time,
+    },
+    Counted {
+        data: Arc<[u8]>,
+        at: Time,
+        hist: Arc<Histogram>,
+    },
+    /// Past the side-effect barrier, its bytes released. The histogram
+    /// stays: a replay of the committed version's offset chain starts at
+    /// block 0 (see `on_version_lost`). Only the blocks a resume loads from
+    /// its snapshot have none — the resumed chain starts past them.
+    Committed {
+        done: BlockDone,
+        hist: Option<Arc<Histogram>>,
+    },
+}
+
+impl Block {
+    fn data(&self) -> Option<&Arc<[u8]>> {
+        match self {
+            Block::Arrived { data, .. } | Block::Counted { data, .. } => Some(data),
+            _ => None,
+        }
+    }
+
+    fn hist(&self) -> Option<&Arc<Histogram>> {
+        match self {
+            Block::Counted { hist, .. } => Some(hist),
+            Block::Committed { hist, .. } => hist.as_ref(),
+            _ => None,
+        }
+    }
+
+    fn done(&self) -> Option<BlockDone> {
+        match self {
+            Block::Committed { done, .. } => Some(*done),
+            _ => None,
+        }
+    }
+
+    fn count(&mut self, hist: Arc<Histogram>) {
+        let Block::Arrived { data, at } = std::mem::take(self) else {
+            panic!("a block is counted once, after it arrived");
+        };
+        *self = Block::Counted { data, at, hist };
+    }
+
+    fn commit(&mut self, encoded_at: Time, bits: u64) {
+        let Block::Counted { at, hist, .. } = std::mem::take(self) else {
+            panic!("a block is committed once, after its count");
+        };
+        let done = BlockDone {
+            arrival: at,
+            encoded_at,
+            bits,
+        };
+        let hist = Some(hist);
+        *self = Block::Committed { done, hist };
+    }
+}
+
+/// A reduce group: whether it arrived whole in a coarsened batch — then it
+/// is counted, reduced, offset and encoded in chunks (see the module
+/// header); every other block is a chunk of one — and its reduce state.
+#[derive(Default)]
+struct Group {
+    coarse: bool,
+    reduce: Reduce,
+}
+
+/// Where the serial reduce chain is with a group.
+#[derive(Default)]
+enum Reduce {
+    #[default]
+    Pending,
+    /// In the reduce task that is out.
+    Reducing,
+    /// The running total: every block up to the group's last.
+    Reduced(Arc<Histogram>),
+}
+
 /// Live checkpointing state, per [`HuffmanConfig::checkpoint`]. The
 /// prefix's bits are the front of the workload's output stream.
 struct Ckpt {
-    /// Blocks `0..prefix` are finalized; frozen once the run halts.
-    prefix: usize,
     /// Prefix length at the last journal write (a resumed run starts at
     /// its snapshot's prefix: the journal it was loaded from holds that).
     last_written: usize,
@@ -269,24 +356,11 @@ struct CheckSlot {
 /// The Huffman encoder workload. Drive it with either executor.
 pub struct HuffmanWorkload {
     cfg: HuffmanConfig,
-    n_blocks: usize,
-    n_groups: usize,
     src_bytes: usize,
-
-    /// Each block's bytes, from its arrival until it is finalized.
-    data: Vec<Option<Arc<[u8]>>>,
-    arrival: Vec<Time>,
-    counts: Vec<Option<Arc<Histogram>>>,
-    counted_prefix: usize,
-
-    /// Per reduce group: it arrived whole in a coarsened batch, so it is
-    /// counted, reduced, offset and encoded in chunks (see the module
-    /// header); every other block is a chunk of one.
-    coarse: Vec<bool>,
-    acc: Vec<Arc<Histogram>>,
-    reduces_done: usize,
-    reduce_inflight: bool,
-
+    blocks: Vec<Block>,
+    groups: Vec<Group>,
+    /// Blocks `0..prefix` are committed: the committed frontier.
+    prefix: usize,
     final_tree: Option<Arc<SpecTree>>,
 
     mgr: SpeculationManager<Arc<SpecTree>>,
@@ -301,11 +375,10 @@ pub struct HuffmanWorkload {
     awaited_check: Option<(SpecVersion, u64)>,
     buffer: WaitBuffer<EncodeOut>,
     committed_version: Option<SpecVersion>,
-    spec_path: Option<Path>,
-    natural_path: Option<Path>,
-
-    done: Vec<Option<BlockDone>>,
-    blocks_done: usize,
+    /// The one live encode path: the speculative version's until the run
+    /// goes natural — the manager runs one version at a time, and the
+    /// natural path only starts once speculation is over.
+    path: Option<Path>,
     /// The committed output: every finalized block at its bit offset (kept
     /// under `collect_output` or checkpointing only).
     stream: Vec<u8>,
@@ -313,14 +386,10 @@ pub struct HuffmanWorkload {
     faults: FaultInjector,
     metrics: MetricsHub,
 
-    // Checkpoint/restart state. A non-zero `resume_k` doubles as the
-    // resume-mode flag: the run bypasses reduce/tree/speculation entirely
-    // and encodes the re-fed blocks along a natural path that starts out
-    // with the snapshot's committed tree and its chain at block `resume_k`.
     ckpt: Option<Ckpt>,
-    halted: bool,
+    /// The committed prefix frozen when the checkpoint plane halted the run.
+    halted: Option<usize>,
     input_digest: u64,
-    resume_k: usize,
 
     // Steady-state scratch, recycled between scheduler events so the
     // speculation control path performs no per-block heap allocation.
@@ -358,28 +427,20 @@ impl HuffmanWorkload {
         ins: &Instruments,
     ) -> Self {
         assert!(data_len > 0, "empty input");
-        let n_blocks = cfg.n_blocks(data_len);
-        let n_groups = cfg.n_groups(data_len);
         // Build the engine through the paper's four-point interface.
         let mgr = cfg.speculation_plan().manager(cfg.degrade, ins);
         let keeps_stream = cfg.collect_output || cfg.checkpoint.is_some();
         let ckpt = cfg.checkpoint.as_ref().map(|c| Ckpt {
-            prefix: 0,
             last_written: 0,
             journal: Journal::new(&c.dir),
         });
         HuffmanWorkload {
-            n_blocks,
-            n_groups,
             src_bytes: data_len,
-            data: vec![None; n_blocks],
-            arrival: vec![0; n_blocks],
-            counts: vec![None; n_blocks],
-            counted_prefix: 0,
-            coarse: vec![false; n_groups],
-            acc: Vec::with_capacity(n_groups),
-            reduces_done: 0,
-            reduce_inflight: false,
+            blocks: (0..cfg.n_blocks(data_len)).map(|_| Block::Due).collect(),
+            groups: (0..cfg.n_groups(data_len))
+                .map(|_| Group::default())
+                .collect(),
+            prefix: 0,
             final_tree: None,
             mgr,
             spec_events: VecDeque::new(),
@@ -388,10 +449,7 @@ impl HuffmanWorkload {
             awaited_check: None,
             buffer: WaitBuffer::new(),
             committed_version: None,
-            spec_path: None,
-            natural_path: None,
-            done: vec![None; n_blocks],
-            blocks_done: 0,
+            path: None,
             // Sized for an output no larger than the input, the usual
             // case, so that the stream is not moved as it grows.
             stream: Vec::with_capacity(if keeps_stream { data_len } else { 0 }),
@@ -399,9 +457,8 @@ impl HuffmanWorkload {
             faults: ins.faults.clone(),
             metrics: ins.metrics.clone(),
             ckpt,
-            halted: false,
+            halted: None,
             input_digest,
-            resume_k: 0,
             actions_scratch: Vec::new(),
             commit_scratch: Vec::new(),
             encode_pool: Arc::default(),
@@ -429,7 +486,8 @@ impl HuffmanWorkload {
         ins: &Instruments,
     ) -> Result<Self, ResumeError> {
         let mut wl = Self::instrumented(cfg, data_len, snap.input_digest, ins);
-        if snap.n_blocks as usize != wl.n_blocks || snap.block_bytes as usize != wl.cfg.block_bytes
+        if snap.n_blocks as usize != wl.blocks.len()
+            || snap.block_bytes as usize != wl.cfg.block_bytes
         {
             return Err(ResumeError::InputMismatch);
         }
@@ -442,20 +500,14 @@ impl HuffmanWorkload {
                 .map_err(|_| ResumeError::BadField("code_lengths"))?;
             let lengths = CodeLengths::from_lengths(arr)
                 .map_err(|_| ResumeError::BadField("code_lengths"))?;
-            let table = CodeTable::from_lengths(&lengths);
-            let tree = Arc::new(SpecTree {
-                lengths,
-                table,
-                basis: snap.prefix,
-            });
+            let tree = Arc::new(SpecTree::new(lengths, snap.prefix));
             wl.committed_tree = Some(tree.clone());
             // The committed stream and the chain of its path pick up where
             // the snapshot's prefix ends. Only the prefix's own bits count:
             // a snapshot file is outside input.
             let mut path = Path::new(None, tree);
             path.chain.extend(&snap.bits);
-            wl.natural_path = Some(path);
-            wl.counted_prefix = k;
+            wl.path = Some(path);
             wl.stream.extend_from_slice(&snap.stream_bytes);
             set_bit_len(&mut wl.stream, snap.stream_bit_len);
             wl.committed_version = match snap.committed_version {
@@ -463,19 +515,20 @@ impl HuffmanWorkload {
                 v => Some(v as SpecVersion),
             };
         }
-        for i in 0..k {
-            wl.done[i] = Some(BlockDone {
+        // The snapshot's blocks are committed, with no histogram: the reduce
+        // chain never starts, and the resumed path's chain starts past them.
+        for (i, block) in wl.blocks[..k].iter_mut().enumerate() {
+            let done = BlockDone {
                 arrival: snap.arrivals[i],
                 encoded_at: snap.encoded_at[i],
                 bits: snap.bits[i],
-            });
+            };
+            *block = Block::Committed { done, hist: None };
         }
-        wl.blocks_done = k;
-        wl.resume_k = k;
+        wl.prefix = k;
         // A resumed run can itself be killed and resumed: its journal starts
         // afresh, from block 0, at its first write.
         if let Some(ck) = &mut wl.ckpt {
-            ck.prefix = k;
             ck.last_written = k;
         }
         Ok(wl)
@@ -483,23 +536,24 @@ impl HuffmanWorkload {
 
     /// True once the run stopped at [`CheckpointConfig::halt_at_block`].
     pub fn halted(&self) -> bool {
-        self.halted
+        self.halted.is_some()
     }
 
     /// The committed-prefix snapshot of a checkpointed run, built from live
     /// state: for a halted run, at the prefix frozen at the halt.
     pub fn snapshot(&self) -> Option<StreamSnapshot> {
-        self.ckpt.as_ref().map(|ck| self.snapshot_at(ck.prefix))
+        let k = self.halted.unwrap_or(self.prefix);
+        self.ckpt.as_ref().map(|_| self.snapshot_at(k))
     }
 
     /// Extract the result after the run finished. The output stream is
     /// moved out, not copied.
     pub fn result(self) -> PipelineResult {
-        assert!(
-            self.blocks_done == self.n_blocks,
-            "result() before the run finished"
-        );
-        let blocks: Vec<BlockDone> = self.done.iter().map(|d| d.expect("all done")).collect();
+        let blocks: Vec<BlockDone> = self
+            .blocks
+            .iter()
+            .map(|b| b.done().expect("result() after the run finished"))
+            .collect();
         let compressed_bits = blocks.iter().map(|b| b.bits).sum();
         let spec_stats = self.cfg.speculates().then(|| self.mgr.stats());
         let output = self.cfg.collect_output.then(|| {
@@ -526,15 +580,14 @@ impl HuffmanWorkload {
     // Checkpointing
     // ------------------------------------------------------------------
 
-    /// Advance the checkpoint plane after a block finalizes: extend the
-    /// prefix over newly contiguous blocks, then append them to the journal
-    /// when the cadence is due, the halt block is reached, or the
-    /// degradation machine sits at its paused level, which demands eager
-    /// durability. Disk failures are absorbed — the live state still
-    /// serves halt and resume, and a stopped journal only widens the
-    /// at-risk window.
+    /// Advance the checkpoint plane after a block commits: append the
+    /// committed prefix's new blocks to the journal when the cadence is
+    /// due, the halt block is reached, or the degradation machine sits at
+    /// its paused level, which demands eager durability. Disk failures are
+    /// absorbed — the live state still serves halt and resume, and a
+    /// stopped journal only widens the at-risk window.
     fn advance_checkpoint(&mut self) {
-        if self.halted {
+        if self.halted.is_some() {
             // The "kill" already happened: freeze the durable state at the
             // halt prefix so a resume replays from there, even though the
             // in-flight commit drain may finalize a few more blocks.
@@ -543,37 +596,35 @@ impl HuffmanWorkload {
         let (Some(mut ck), Some(cc)) = (self.ckpt.take(), &self.cfg.checkpoint) else {
             return;
         };
-        while ck.prefix < self.n_blocks && self.done[ck.prefix].is_some() {
-            ck.prefix += 1;
-        }
-        let halt = cc.halt_at_block.is_some_and(|h| h > 0 && ck.prefix >= h);
-        let due = cc.every_blocks > 0 && ck.prefix >= ck.last_written + cc.every_blocks;
+        let prefix = self.prefix;
+        let halt = cc.halt_at_block.is_some_and(|h| h > 0 && prefix >= h);
+        let due = cc.every_blocks > 0 && prefix >= ck.last_written + cc.every_blocks;
         // A run that reaches the final block needs no record — there is
         // nothing left to resume.
-        let finished = ck.prefix == self.n_blocks;
+        let finished = prefix == self.blocks.len();
         let eager = self.mgr.level() == Some(Level::Paused);
-        if ck.prefix > ck.last_written && (halt || eager || (due && !finished)) {
+        if prefix > ck.last_written && (halt || eager || (due && !finished)) {
             let lineage = |i: usize| {
-                let d = self.done[i].expect("prefix finalized");
+                let d = self.blocks[i].done().expect("prefix committed");
                 [d.arrival, d.encoded_at, d.bits]
             };
             let head = || self.snapshot_at(0);
-            let _ = ck.journal.write(head, ck.prefix, lineage, &self.stream);
-            ck.last_written = ck.prefix;
+            let _ = ck.journal.write(head, prefix, lineage, &self.stream);
+            ck.last_written = prefix;
         }
         if halt {
             let _ = ck.journal.trim();
+            self.halted = Some(prefix);
         }
-        self.halted = halt;
         self.ckpt = Some(ck);
     }
 
     /// The committed-prefix snapshot at prefix `k` from the live state.
     fn snapshot_at(&self, k: usize) -> StreamSnapshot {
-        let per = |f: fn(&BlockDone) -> u64| -> Vec<u64> {
-            self.done[..k]
+        let per = |f: fn(BlockDone) -> u64| -> Vec<u64> {
+            self.blocks[..k]
                 .iter()
-                .map(|d| f(d.as_ref().expect("prefix finalized")))
+                .map(|b| f(b.done().expect("prefix committed")))
                 .collect()
         };
         // The prefix is the front of the stream, up to where block `k`
@@ -587,7 +638,7 @@ impl HuffmanWorkload {
         StreamSnapshot {
             config_digest: self.cfg.digest(),
             input_digest: self.input_digest,
-            n_blocks: self.n_blocks as u64,
+            n_blocks: self.blocks.len() as u64,
             block_bytes: self.cfg.block_bytes as u64,
             prefix: k as u64,
             cadence: self.cfg.checkpoint.as_ref().map_or(0, |c| c.every_blocks) as u64,
@@ -619,42 +670,58 @@ impl HuffmanWorkload {
         workers: usize,
         max_bytes: Option<usize>,
     ) -> Vec<Range<usize>> {
-        let ratio = self.cfg.reduce_ratio;
-        // Ascending and duplicate-free: a group is whole when its first and
-        // last block sit `len - 1` places apart.
-        let whole_at = |i: usize| {
-            let g = fresh[i] / ratio;
-            let span = g * ratio..((g + 1) * ratio).min(self.n_blocks);
-            (fresh[i] == span.start && fresh.get(i + span.len() - 1) == Some(&(span.end - 1)))
-                .then_some(span)
-        };
-        let whole = (0..fresh.len()).filter_map(whole_at).count();
-        if whole < workers.max(1) {
-            return fresh.iter().map(|&i| i..i + 1).collect();
-        }
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < fresh.len() {
-            match whole_at(i) {
-                Some(span) => {
-                    i += span.len();
-                    self.coarse[span.start / ratio] = true;
-                    out.extend(split(&self.data, span, max_bytes));
-                }
-                None => {
-                    out.push(fresh[i]..fresh[i] + 1);
-                    i += 1;
-                }
+        let (ratio, n_blocks) = (self.cfg.reduce_ratio, self.blocks.len());
+        // Ascending and duplicate-free: a group is whole when its run of
+        // consecutive blocks is as long as the group.
+        let len = |g: usize| ((g + 1) * ratio).min(n_blocks) - g * ratio;
+        let whole: Vec<usize> = fresh
+            .chunk_by(|&a, &b| b == a + 1 && a / ratio == b / ratio)
+            .filter(|run| run.len() == len(run[0] / ratio))
+            .map(|run| run[0] / ratio)
+            .collect();
+        if whole.len() >= workers.max(1) {
+            for g in whole {
+                self.groups[g].coarse = true;
             }
+        }
+        let groups = &self.groups;
+        self.chunks(
+            fresh,
+            |a, b| a / ratio == b / ratio && groups[a / ratio].coarse,
+            max_bytes,
+        )
+    }
+
+    /// `blocks` (ascending indices) in runs of consecutive blocks that
+    /// `joined` keeps together, each cut where it would touch more than
+    /// `max_bytes` input bytes (a block larger than that on its own).
+    fn chunks(
+        &self,
+        blocks: &[usize],
+        joined: impl Fn(usize, usize) -> bool,
+        max_bytes: Option<usize>,
+    ) -> Vec<Range<usize>> {
+        let mut out = Vec::new();
+        for run in blocks.chunk_by(|&a, &b| b == a + 1 && joined(a, b)) {
+            let (mut lo, mut bytes) = (run[0], 0);
+            for &b in run {
+                let len = self.blocks[b].data().map_or(0, |d| d.len());
+                if b > lo && max_bytes.is_some_and(|max| bytes + len > max) {
+                    out.push(lo..b);
+                    (lo, bytes) = (b, 0);
+                }
+                bytes += len;
+            }
+            out.push(lo..run[run.len() - 1] + 1);
         }
         out
     }
 
     /// One `count` task over the chunk `blocks`: a histogram per block.
     fn spawn_count(&mut self, ctx: &mut dyn SchedCtx, blocks: Range<usize>) {
-        let data: Vec<Arc<[u8]>> = blocks
-            .clone()
-            .map(|i| self.data[i].clone().expect("block arrived"))
+        let data: Vec<Arc<[u8]>> = self.blocks[blocks.clone()]
+            .iter()
+            .map(|b| b.data().expect("block arrived").clone())
             .collect();
         let bytes = data.iter().map(|d| d.len()).sum();
         ctx.spawn(TaskSpec::regular(
@@ -678,39 +745,42 @@ impl HuffmanWorkload {
     /// task folds them in order and returns every group's running total, so
     /// the basis events are those of one reduce per group.
     fn maybe_spawn_reduce(&mut self, ctx: &mut dyn SchedCtx) {
-        if self.reduce_inflight || self.reduces_done >= self.n_groups {
+        // The chain is serial: the reduced groups are a prefix, and the
+        // group after it is pending unless its reduce is out.
+        let g = self
+            .groups
+            .partition_point(|g| matches!(g.reduce, Reduce::Reduced(_)));
+        if self
+            .groups
+            .get(g)
+            .is_none_or(|g| !matches!(g.reduce, Reduce::Pending))
+        {
             return;
         }
-        let g = self.reduces_done;
-        let ratio = self.cfg.reduce_ratio;
+        let (ratio, max) = (self.cfg.reduce_ratio, ctx.max_task_bytes());
         // Per-block histograms travel as u32 counts (1 KB); the running
         // accumulator needs u64 (2 KB). At the Cell's 16:1 ratio one group
         // is 18 KB — inside the 32 KB local-store task limit, as the paper's
         // configuration requires.
-        let mut bytes = if g == 0 { 0 } else { 2048 };
-        let mut groups: Vec<Vec<Arc<Histogram>>> = Vec::new();
-        for h in g..self.n_groups {
-            let blocks = h * ratio..((h + 1) * ratio).min(self.n_blocks);
-            let more = blocks.len() * 1024;
-            let along = h == g
-                || (self.coarse[g]
-                    && self.coarse[h]
-                    && ctx.max_task_bytes().is_none_or(|max| bytes + more <= max));
-            if !along || self.counted_prefix < blocks.end {
-                break;
-            }
-            bytes += more;
-            groups.push(
-                blocks
-                    .map(|i| self.counts[i].clone().expect("counted"))
-                    .collect(),
-            );
-        }
-        if groups.is_empty() {
+        let base = if g == 0 { 0 } else { 2048 };
+        // A group goes once all its blocks are counted, so a hop that ends
+        // inside one is cut back to the group before. In a resumed run
+        // nothing goes: the snapshot's blocks carry no histogram.
+        let (lo, hi) = (g * ratio, self.hop(g * ratio, ratio, base, max));
+        let hi = if hi == self.blocks.len() {
+            hi
+        } else {
+            hi / ratio * ratio
+        };
+        if hi == lo {
             return;
         }
-        let prev = (g > 0).then(|| self.acc[g - 1].clone());
-        self.reduce_inflight = true;
+        let groups: Vec<_> = self.blocks[lo..hi].chunks(ratio).map(hists).collect();
+        let prev = g.checked_sub(1).map(|p| self.total(p));
+        for group in &mut self.groups[g..g + groups.len()] {
+            group.reduce = Reduce::Reducing;
+        }
+        let bytes = base + (hi - lo) * 1024;
         ctx.spawn(TaskSpec::regular("reduce", 1, bytes, g as u64, move |_| {
             // Fused fold: base + Σ parts in a single output pass, instead of
             // cloning the accumulator and re-sweeping it once per part.
@@ -728,9 +798,17 @@ impl HuffmanWorkload {
         }));
     }
 
+    /// The running total through group `g`, which is reduced.
+    fn total(&self, g: usize) -> Arc<Histogram> {
+        match &self.groups[g].reduce {
+            Reduce::Reduced(total) => total.clone(),
+            _ => panic!("group {g} is not reduced"),
+        }
+    }
+
     fn spawn_tree(&mut self, ctx: &mut dyn SchedCtx) {
-        let hist = self.acc[self.n_groups - 1].clone();
-        let basis = self.n_groups as u64;
+        let hist = self.total(self.groups.len() - 1);
+        let basis = self.groups.len() as u64;
         ctx.spawn(TaskSpec::regular("tree", 2, 2048, basis, move |_| {
             payload(Arc::new(SpecTree::exact(&hist, basis)))
         }));
@@ -742,8 +820,8 @@ impl HuffmanWorkload {
         // (pre-reduce) prediction.
         let basis = self.spec_basis;
         let hist = match basis {
-            0 => self.counts[0].as_ref().expect("first count").clone(),
-            b => self.acc[b as usize - 1].clone(),
+            0 => self.blocks[0].hist().expect("first count").clone(),
+            b => self.total(b as usize - 1),
         };
         let kind = self.cfg.predictor;
         ctx.spawn(TaskSpec::predictor(
@@ -779,8 +857,8 @@ impl HuffmanWorkload {
     /// against it, start the check now rather than when the manager gets
     /// to that basis event — it may still be waiting for an earlier verdict.
     fn eager_check(&mut self, ctx: &mut dyn SchedCtx, basis: u64) {
-        let Some(path) = &self.spec_path else { return };
-        let (Some(version), tree) = (path.version, path.tree.clone()) else {
+        let Some((Some(version), tree)) = self.path.as_ref().map(|p| (p.version, p.tree.clone()))
+        else {
             return;
         };
         if self.cfg.verification.should_check(basis, tree.basis) {
@@ -795,7 +873,7 @@ impl HuffmanWorkload {
         spec_tree: Arc<SpecTree>,
         basis: u64,
     ) {
-        let hist = self.acc[basis as usize - 1].clone();
+        let hist = self.total(basis as usize - 1);
         let tolerance = self.cfg.tolerance;
         let kind = self.cfg.predictor;
         self.checks.push(CheckSlot {
@@ -817,7 +895,7 @@ impl HuffmanWorkload {
             .expect("final check needs a pending value");
         let spec_tree = tree.clone();
         let final_tree = self.final_tree.as_ref().expect("final tree built").clone();
-        let hist = self.acc[self.n_groups - 1].clone();
+        let hist = self.total(self.groups.len() - 1);
         let tolerance = self.cfg.tolerance;
         ctx.spawn(TaskSpec::check(
             "final-check",
@@ -830,45 +908,49 @@ impl HuffmanWorkload {
         ));
     }
 
-    /// Advance a path's serial offset chain: spawn the next offset task if
-    /// its group of counted blocks is available. Offsets chain serially;
-    /// the next one is spawned when this one completes. Coarse blocks take
-    /// the counted coarse groups of `offset_fanout` blocks after them
-    /// along, within the task-byte limit, as the reduce chain does.
-    fn pump_path(&mut self, ctx: &mut dyn SchedCtx, which: PathSel) {
-        let counted_prefix = self.counted_prefix;
-        let (fanout, n_blocks) = (self.cfg.offset_fanout, self.n_blocks);
-        let (version, table, lo) = {
-            let Some(path) = self.path_mut(which) else {
-                return;
-            };
-            if path.offset_inflight || path.chain.blocks_done() >= n_blocks {
-                return;
-            }
-            (path.version, path.tree.clone(), path.chain.blocks_done())
+    /// The end of the next hop of a serial chain from block `lo`, in units
+    /// of `unit` blocks: the counted blocks of the first unit and, when
+    /// those are coarse, the counted coarse units after them, while the task
+    /// stays within the task-byte limit at `base` bytes plus a 1 KB
+    /// histogram per block. It looks at the units it takes and the one
+    /// after them, never back to block 0.
+    fn hop(&self, lo: usize, unit: usize, base: usize, max: Option<usize>) -> usize {
+        let ratio = self.cfg.reduce_ratio;
+        let next = |from: usize| {
+            let unit = &self.blocks[from..(from + unit).min(self.blocks.len())];
+            from + unit.iter().take_while(|b| b.hist().is_some()).count()
         };
-        let next = |hi: usize| (hi + fanout).min(n_blocks).min(counted_prefix);
+        let coarse =
+            |blocks: Range<usize>| blocks.into_iter().all(|i| self.groups[i / ratio].coarse);
         let mut hi = next(lo);
-        if hi <= lo {
-            return;
-        }
-        let coarse = |blocks: Range<usize>| {
-            let ratio = self.cfg.reduce_ratio;
-            blocks.into_iter().all(|i| self.coarse[i / ratio])
-        };
-        if coarse(lo..hi) {
+        if hi > lo && coarse(lo..hi) {
             while next(hi) > hi
                 && coarse(hi..next(hi))
-                && ctx
-                    .max_task_bytes()
-                    .is_none_or(|max| (next(hi) - lo) * 1024 <= max)
+                && max.is_none_or(|max| base + (next(hi) - lo) * 1024 <= max)
             {
                 hi = next(hi);
             }
         }
-        let group: Vec<Arc<Histogram>> = (lo..hi)
-            .map(|i| self.counts[i].as_ref().expect("counted").clone())
-            .collect();
+        hi
+    }
+
+    /// Advance the path's serial offset chain: spawn the next offset task if
+    /// its group of counted blocks is available. Offsets chain serially;
+    /// the next one is spawned when this one completes. Coarse blocks take
+    /// the counted coarse groups of `offset_fanout` blocks after them
+    /// along, as the reduce chain does.
+    fn pump_path(&mut self, ctx: &mut dyn SchedCtx) {
+        let (version, table, lo) = match &self.path {
+            Some(path) if !path.offset_inflight => {
+                (path.version, path.tree.clone(), path.chain.offsets().len())
+            }
+            _ => return,
+        };
+        let hi = self.hop(lo, self.cfg.offset_fanout, 0, ctx.max_task_bytes());
+        if hi == lo {
+            return;
+        }
+        let group = hists(&self.blocks[lo..hi]);
         let bytes = group.len() * 1024;
         let body = move |_: &tvs_sre::TaskCtx| {
             let lens: Vec<u64> = group
@@ -887,70 +969,39 @@ impl HuffmanWorkload {
             None => TaskSpec::regular("offset", 3, bytes, lo as u64, body),
         };
         if ctx.spawn(task).is_some() {
-            self.path_mut(which)
-                .expect("path still live")
-                .offset_inflight = true;
+            self.path.as_mut().expect("path still live").offset_inflight = true;
         }
     }
 
-    fn path_mut(&mut self, which: PathSel) -> Option<&mut Path> {
-        match which {
-            PathSel::Spec => self.spec_path.as_mut(),
-            PathSel::Natural => self.natural_path.as_mut(),
-        }
-    }
-
-    /// Spawn the encode tasks of `blocks`, whose offsets `which`'s chain has
+    /// Spawn the encode tasks of `blocks`, whose offsets the path's chain has
     /// just computed: one task per chunk ∩ group of `offset_fanout` blocks,
     /// each block encoded with the lead its offset asks for.
-    fn spawn_encodes(&mut self, ctx: &mut dyn SchedCtx, which: PathSel, blocks: Range<usize>) {
+    fn spawn_encodes(&self, ctx: &mut dyn SchedCtx, blocks: Range<usize>) {
         let (ratio, fanout) = (self.cfg.reduce_ratio, self.cfg.offset_fanout);
-        let HuffmanWorkload {
-            spec_path,
-            natural_path,
-            data,
-            coarse,
-            done,
-            encode_pool,
-            faults,
-            ..
-        } = self;
-        let path = match which {
-            PathSel::Spec => spec_path.as_ref(),
-            PathSel::Natural => natural_path.as_ref(),
-        }
-        .expect("encodes for a live path");
-        let mut runs = Vec::new();
-        let mut idx = blocks.start;
-        while idx < blocks.end {
-            // Only the replay of a committed version meets blocks that are
-            // already out (see `on_version_lost`).
-            if done[idx].is_some() {
-                idx += 1;
-                continue;
-            }
-            let lo = idx;
-            idx += 1;
-            while idx < blocks.end
-                && coarse[lo / ratio]
-                && idx / ratio == lo / ratio
-                && !(idx - blocks.start).is_multiple_of(fanout)
-                && done[idx].is_none()
-            {
-                idx += 1;
-            }
-            runs.extend(split(data, lo..idx, ctx.max_task_bytes()));
-        }
-        for blocks in runs {
+        let (states, groups) = (&self.blocks, &self.groups);
+        let path = self.path.as_ref().expect("encodes for a live path");
+        // Only the replay of a committed version meets blocks that are
+        // already out (see `on_version_lost`).
+        let todo: Vec<usize> = blocks
+            .clone()
+            .filter(|&i| states[i].done().is_none())
+            .collect();
+        let joined = |a: usize, b: usize| {
+            a / ratio == b / ratio
+                && groups[a / ratio].coarse
+                && !(b - blocks.start).is_multiple_of(fanout)
+        };
+        for blocks in self.chunks(&todo, joined, ctx.max_task_bytes()) {
             let lo = blocks.start;
             let run: Vec<RunBlock> = blocks
                 .map(|i| RunBlock {
-                    data: data[i].clone().expect("arrived"),
+                    data: states[i].data().expect("arrived").clone(),
                     lead: (path.chain.offsets()[i] % 8) as u8,
                 })
                 .collect();
             let bytes = run.iter().map(|b| b.data.len()).sum();
-            let (table, pool, faults) = (path.tree.clone(), encode_pool.clone(), faults.clone());
+            let (table, pool) = (path.tree.clone(), self.encode_pool.clone());
+            let faults = self.faults.clone();
             let versioned = path.version.is_some();
             let body = move |task: &tvs_sre::TaskCtx| {
                 // Only a versioned task's abort flag means its output will
@@ -985,35 +1036,38 @@ impl HuffmanWorkload {
             });
             // If that was the pending predictor, its verdict is in.
             self.pump_speculation(ctx);
-        } else if self.spec_path.take().is_some() {
+        } else if self.path.as_ref().and_then(|p| p.version) == Some(version) {
             // The same tree over the same blocks: the replay's chain comes
             // to the offsets the lost path had.
             let tree = self.committed_tree.clone().expect("committed with a tree");
-            self.natural_path = Some(Path::new(None, tree));
-            self.pump_path(ctx, PathSel::Natural);
+            self.start_path(ctx, None, tree);
         }
     }
 
-    /// Block `idx` crosses the side-effect barrier: it is recorded as done
-    /// and its bits go into the committed stream. Nothing that is not final
-    /// gets here, so the stream never has to be undone.
+    /// Encode the stream along a new path: `version`'s, or the natural one.
+    fn start_path(
+        &mut self,
+        ctx: &mut dyn SchedCtx,
+        version: Option<SpecVersion>,
+        tree: Arc<SpecTree>,
+    ) {
+        self.path = Some(Path::new(version, tree));
+        self.pump_path(ctx);
+    }
+
+    /// Block `idx` crosses the side-effect barrier: it is committed — once;
+    /// a second output for it would be a wiring bug, and panics — and its
+    /// bits go into the committed stream. Nothing that is not final gets
+    /// here, so the stream never has to be undone.
     fn finalize_block(&mut self, idx: usize, out: EncodeOut) {
-        if self.done[idx].is_some() {
-            // Can only happen if both a committed-speculative and a natural
-            // output exist for a block — a wiring bug.
-            panic!("block {idx} finalised twice");
-        }
-        self.done[idx] = Some(BlockDone {
-            arrival: self.arrival[idx],
-            encoded_at: out.finished,
-            bits: out.encoded.bit_len,
-        });
+        self.blocks[idx].commit(out.finished, out.encoded.bit_len);
         if self.cfg.collect_output || self.ckpt.is_some() {
             place(&mut self.stream, out.bit_off, &out.encoded);
         }
-        // A finalized block is never encoded again (see `spawn_encodes`).
-        self.data[idx] = None;
-        self.blocks_done += 1;
+        let newly = self.blocks[self.prefix..]
+            .iter()
+            .take_while(|b| b.done().is_some());
+        self.prefix += newly.count();
         {
             let mut pool = lock_recover(&self.encode_pool);
             pool.put(out.encoded.bytes);
@@ -1098,28 +1152,18 @@ impl HuffmanWorkload {
                     // Its checks are moot, the awaited one included.
                     self.checks.retain(|c| c.version != version);
                     self.awaited_check = self.awaited_check.filter(|&(v, _)| v != version);
-                    if self
-                        .spec_path
-                        .as_ref()
-                        .map(|p| p.version == Some(version))
-                        .unwrap_or(false)
-                    {
-                        self.spec_path = None;
+                    if self.path.as_ref().and_then(|p| p.version) == Some(version) {
+                        self.path = None;
                     }
                 }
                 Action::PromoteCandidate { version } => {
                     let (_, tree) = self.mgr.active().expect("promoted candidate is active");
-                    self.spec_path = Some(Path::new(Some(version), tree.clone()));
-                    self.pump_path(ctx, PathSel::Spec);
+                    self.start_path(ctx, Some(version), tree.clone());
                 }
                 Action::SpawnFinalCheck { version } => self.spawn_final_check(ctx, version),
                 Action::Commit { version } => {
                     self.committed_version = Some(version);
-                    self.committed_tree = self
-                        .spec_path
-                        .as_ref()
-                        .map(|p| p.tree.clone())
-                        .or_else(|| self.mgr.pending_final().map(|(_, t)| t.clone()));
+                    self.committed_tree = self.path.as_ref().map(|p| p.tree.clone());
                     let mut ready = std::mem::take(&mut self.commit_scratch);
                     self.buffer.commit_into(version, &mut ready);
                     for (slot, out) in ready.drain(..) {
@@ -1134,33 +1178,19 @@ impl HuffmanWorkload {
                         .expect("final tree available")
                         .clone();
                     self.committed_tree = Some(tree.clone());
-                    self.natural_path = Some(Path::new(None, tree));
-                    self.pump_path(ctx, PathSel::Natural);
+                    self.start_path(ctx, None, tree);
                 }
             }
         }
     }
 }
 
-/// `blocks` cut into runs of consecutive blocks that touch at most
-/// `max_bytes` input bytes each (a block larger than that on its own).
-fn split(
-    data: &[Option<Arc<[u8]>>],
-    blocks: Range<usize>,
-    max_bytes: Option<usize>,
-) -> Vec<Range<usize>> {
-    let mut out = Vec::new();
-    let (mut lo, mut bytes) = (blocks.start, 0);
-    for b in blocks.clone() {
-        let len = data[b].as_ref().map_or(0, |d| d.len());
-        if b > lo && max_bytes.is_some_and(|max| bytes + len > max) {
-            out.push(lo..b);
-            (lo, bytes) = (b, 0);
-        }
-        bytes += len;
-    }
-    out.push(lo..blocks.end);
-    out
+/// The histograms of `blocks`, which are counted.
+fn hists(blocks: &[Block]) -> Vec<Arc<Histogram>> {
+    blocks
+        .iter()
+        .map(|b| b.hist().expect("counted").clone())
+        .collect()
 }
 
 /// One block of an `encode` task: its bytes and the lead its offset asks
@@ -1241,12 +1271,7 @@ fn corrupt_tree(tree: &SpecTree) -> SpecTree {
         len.swap(coded[k], coded[coded.len() - 1 - k]);
     }
     let lengths = CodeLengths::from_lengths(len).expect("permuted lengths preserve Kraft");
-    let table = CodeTable::from_lengths(&lengths);
-    SpecTree {
-        lengths,
-        table,
-        basis: tree.basis,
-    }
+    SpecTree::new(lengths, tree.basis)
 }
 
 /// Digest one Huffman task output for replication-based validation
@@ -1309,12 +1334,6 @@ pub fn digest_output(name: &'static str, out: &dyn std::any::Any) -> Option<u64>
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PathSel {
-    Spec,
-    Natural,
-}
-
 impl Workload for HuffmanWorkload {
     fn on_input(&mut self, ctx: &mut dyn SchedCtx, block: InputBlock) {
         self.on_input_batch(ctx, vec![block]);
@@ -1323,16 +1342,16 @@ impl Workload for HuffmanWorkload {
     fn on_input_batch(&mut self, ctx: &mut dyn SchedCtx, batch: Vec<InputBlock>) {
         // A halted run spawns nothing further; a resumed run ignores
         // blocks the snapshot already committed.
-        if self.halted {
+        if self.halted.is_some() {
             return;
         }
         let mut fresh = Vec::with_capacity(batch.len());
         for block in batch {
             let idx = block.index;
-            assert!(idx < self.n_blocks, "unexpected block index {idx}");
-            if idx >= self.resume_k {
-                self.arrival[idx] = block.arrival;
-                self.data[idx] = Some(block.data);
+            assert!(idx < self.blocks.len(), "unexpected block index {idx}");
+            if self.blocks[idx].done().is_none() {
+                let (data, at) = (block.data, block.arrival);
+                self.blocks[idx] = Block::Arrived { data, at };
                 fresh.push(idx);
             }
         }
@@ -1343,7 +1362,7 @@ impl Workload for HuffmanWorkload {
     }
 
     fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
-        if self.halted {
+        if self.halted.is_some() {
             // Drain in-flight completions without spawning successors so
             // the executor winds down at the halt point.
             return;
@@ -1353,45 +1372,34 @@ impl Workload for HuffmanWorkload {
                 let lo = done.tag as usize;
                 let hists =
                     expect_payload::<Vec<Arc<Histogram>>>(done.output, "Vec<Arc<Histogram>>");
-                for (slot, h) in self.counts[lo..].iter_mut().zip(hists) {
-                    *slot = Some(h);
+                for (block, h) in self.blocks[lo..].iter_mut().zip(hists) {
+                    block.count(h);
                 }
-                while self.counted_prefix < self.n_blocks
-                    && self.counts[self.counted_prefix].is_some()
-                {
-                    self.counted_prefix += 1;
-                }
-                if self.resume_k > 0 {
-                    // Resume mode: the tree is settled — the count only
-                    // feeds the offset chain of the resumed path.
-                    self.pump_path(ctx, PathSel::Natural);
-                    return;
-                }
+                // In a resumed run the reduce chain never starts (see
+                // `resume`): the count only feeds the resumed path.
                 self.maybe_spawn_reduce(ctx);
                 // Step-0 speculation: predict from the very first block's
                 // count, the moment it is in.
                 if lo == 0 && self.cfg.speculates() && self.cfg.schedule.step == 0 {
                     self.speculate(ctx, SpecEvent::Basis(0));
                 }
-                // New counted blocks may unblock the active paths.
-                self.pump_path(ctx, PathSel::Spec);
-                self.pump_path(ctx, PathSel::Natural);
+                // New counted blocks may unblock the path.
+                self.pump_path(ctx);
             }
             "reduce" => {
-                debug_assert_eq!(done.tag as usize, self.reduces_done);
                 let totals =
                     expect_payload::<Vec<Arc<Histogram>>>(done.output, "Vec<Arc<Histogram>>");
-                self.reduce_inflight = false;
-                for h in totals {
-                    self.acc.push(h);
-                    self.reduces_done += 1;
-                    if self.cfg.speculates() && self.reduces_done < self.n_groups {
-                        let basis = self.reduces_done as u64;
+                let n_groups = self.groups.len();
+                for (g, total) in (done.tag as usize..).zip(totals) {
+                    debug_assert!(matches!(self.groups[g].reduce, Reduce::Reducing));
+                    self.groups[g].reduce = Reduce::Reduced(total);
+                    if self.cfg.speculates() && g + 1 < n_groups {
+                        let basis = g as u64 + 1;
                         self.eager_check(ctx, basis);
                         self.speculate(ctx, SpecEvent::Basis(basis));
                     }
                 }
-                if self.reduces_done == self.n_groups {
+                if matches!(self.groups[n_groups - 1].reduce, Reduce::Reduced(_)) {
                     self.spawn_tree(ctx);
                 } else {
                     self.maybe_spawn_reduce(ctx);
@@ -1419,8 +1427,7 @@ impl Workload for HuffmanWorkload {
                 }
                 if self.mgr.install_prediction(version, tree) {
                     let (_, tree) = self.mgr.active().expect("just installed");
-                    self.spec_path = Some(Path::new(Some(version), tree.clone()));
-                    self.pump_path(ctx, PathSel::Spec);
+                    self.start_path(ctx, Some(version), tree.clone());
                 }
                 self.pump_speculation(ctx);
             }
@@ -1454,20 +1461,18 @@ impl Workload for HuffmanWorkload {
             "offset" => {
                 let (lo, lens) =
                     expect_payload::<(usize, Vec<u64>)>(done.output, "(usize, Vec<u64>)");
-                let which = if done.version.is_some() {
-                    PathSel::Spec
-                } else {
-                    PathSel::Natural
-                };
                 // Stale offsets of rolled-back paths are already filtered by
                 // version-abort; an offset for a *replaced* path is impossible
                 // because replacement only happens after abort.
-                let path = self.path_mut(which).expect("offset for a live path");
-                debug_assert_eq!(path.chain.blocks_done(), lo);
+                let path = self.path.as_mut().expect("offset for a live path");
+                debug_assert_eq!(
+                    (path.version, path.chain.offsets().len()),
+                    (done.version, lo)
+                );
                 path.offset_inflight = false;
                 path.chain.extend(&lens);
-                self.spawn_encodes(ctx, which, lo..lo + lens.len());
-                self.pump_path(ctx, which);
+                self.spawn_encodes(ctx, lo..lo + lens.len());
+                self.pump_path(ctx);
             }
             "encode" => {
                 let (lo, encoded) =
@@ -1475,12 +1480,8 @@ impl Workload for HuffmanWorkload {
                 // Completions of an aborted version never get here, so the
                 // blocks' path — and the offsets it gave the encode — is
                 // live, and the task ran to its last block.
-                let which = match done.version {
-                    Some(_) => PathSel::Spec,
-                    None => PathSel::Natural,
-                };
                 for (idx, encoded) in (lo..).zip(encoded) {
-                    let path = self.path_mut(which).expect("encode for a live path");
+                    let path = self.path.as_ref().expect("encode for a live path");
                     debug_assert_eq!(path.version, done.version);
                     let out = EncodeOut {
                         encoded,
@@ -1529,7 +1530,7 @@ impl Workload for HuffmanWorkload {
     }
 
     fn is_finished(&self) -> bool {
-        self.halted || self.blocks_done == self.n_blocks
+        self.halted.is_some() || self.prefix == self.blocks.len()
     }
 }
 
@@ -1834,7 +1835,7 @@ mod tests {
 
     /// The committed version, while it still owes blocks.
     fn committed_with_blocks_out(w: &HuffmanWorkload) -> Option<SpecVersion> {
-        w.committed_version.filter(|_| w.blocks_done < w.n_blocks)
+        w.committed_version.filter(|_| w.prefix < w.blocks.len())
     }
 
     /// The version under its final check.
@@ -1844,9 +1845,11 @@ mod tests {
 
     /// Runs `data` with one loss injected at `when`: on the simulator
     /// (deterministic, everything at t = 0) and on two real workers fed a
-    /// block every 20 µs, where a run that strands its blocks would hang —
+    /// block every 10 µs, where a run that strands its blocks would hang —
     /// hence the timeout. (Fed at once, real workers encode the whole
-    /// input before the final check commits it: no loss point.)
+    /// input before the final check commits it: no loss point. Fed every
+    /// 20 µs, an idle 2-vCPU box keeps up with the input, and the version
+    /// rarely commits while blocks are out.)
     fn results_with_loss(
         data: &[u8],
         when: fn(&HuffmanWorkload) -> Option<SpecVersion>,
@@ -1866,7 +1869,7 @@ mod tests {
         // there (everything encoded by the time the version commits).
         let mut reached = 0;
         for _ in 0..20 {
-            let inputs = blocks_of(data, cfg.block_bytes, 20);
+            let inputs = blocks_of(data, cfg.block_bytes, 10);
             let threaded = ThreadedConfig::new(2);
             let (wl, policy) = (lossy(), cfg.policy);
             let (tx, rx) = std::sync::mpsc::channel();
@@ -1926,9 +1929,11 @@ mod tests {
             LoseVersion {
                 inner: HuffmanWorkload::new(cfg.clone(), data.len()),
                 when: move |w: &HuffmanWorkload| {
-                    if w.committed_version.is_none() && w.natural_path.is_none() {
+                    if w.path.as_ref().is_none_or(|p| p.version.is_some())
+                        && w.committed_version.is_none()
+                    {
                         assert!(
-                            w.stream.is_empty() && w.blocks_done == 0,
+                            w.stream.is_empty() && w.blocks.iter().all(|b| b.done().is_none()),
                             "a block left the barrier before anything was committed"
                         );
                         held_back.fetch_max(w.buffer.len(), Ordering::Relaxed);
@@ -1987,7 +1992,9 @@ mod tests {
                 i as u8,
                 &mut encoded
             ));
-            wl.counts[i] = Some(Arc::new(Histogram::from_bytes(&data[i..=i])));
+            let hist = Arc::new(Histogram::from_bytes(&data[i..=i]));
+            let (data, at) = (data[i..=i].into(), 0);
+            wl.blocks[i] = Block::Counted { data, at, hist };
             let out = EncodeOut {
                 encoded,
                 bit_off: i as u64,
@@ -2087,22 +2094,72 @@ mod tests {
         assert_eq!((bytes, bits), (whole.bytes, whole.bit_len));
     }
 
+    /// Every block of a finished run is committed, and so holds no bytes.
+    fn assert_all_committed(wl: &HuffmanWorkload, what: &str) {
+        let committed = |b: &Block| b.done().is_some() && b.data().is_none();
+        assert!(wl.blocks.iter().all(committed), "{what}");
+    }
+
     #[test]
     fn a_finished_run_holds_no_input_block() {
-        // Every block's bytes are released once the block is finalized, at
-        // either grain, on the natural path and on a committed version.
-        let data = stationary_data(64 * 1024);
-        for (policy, gap) in [
-            (DispatchPolicy::NonSpeculative, 5),
-            (DispatchPolicy::Balanced, 5),
-            (DispatchPolicy::Balanced, 0),
-        ] {
-            let cfg = small_cfg(policy);
-            let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-            let (wl, _) = run(wl, 2, cfg.policy, blocks_of(&data, cfg.block_bytes, gap));
-            assert!(wl.data.iter().all(Option::is_none), "{policy:?}");
-            decode_output(&wl.result(), &data);
+        // Every block's bytes are released once the block is committed, at
+        // either grain, on the natural path, on a committed version, after a
+        // rollback, and in a resumed run.
+        let stationary = stationary_data(64 * 1024);
+        let mut drifting = vec![b'a'; 32 * 1024];
+        drifting.extend((0..32 * 1024u32).map(|i| 180 + (i % 60) as u8));
+        for (data, rolls_back) in [(&stationary, false), (&drifting, true)] {
+            for (policy, gap) in [
+                (DispatchPolicy::NonSpeculative, 5),
+                (DispatchPolicy::Balanced, 5),
+                (DispatchPolicy::Balanced, 0),
+            ] {
+                let cfg = small_cfg(policy);
+                let wl = HuffmanWorkload::new(cfg.clone(), data.len());
+                let (wl, m) = run(wl, 2, cfg.policy, blocks_of(data, cfg.block_bytes, gap));
+                let what = format!("{policy:?}, gap {gap}, rolls back: {rolls_back}");
+                assert_eq!(m.rollbacks > 0, rolls_back && cfg.speculates(), "{what}");
+                assert_all_committed(&wl, &what);
+                decode_output(&wl.result(), data);
+            }
         }
+        // Killed inside a coarse group and resumed, fed every block again:
+        // the snapshot's blocks are ignored.
+        let data = &stationary;
+        let dir = std::env::temp_dir().join(format!("tvs-ckpt-{}-released", std::process::id()));
+        let mut cfg = small_cfg(DispatchPolicy::Balanced);
+        cfg.checkpoint = Some(CheckpointConfig {
+            every_blocks: 4,
+            dir: dir.clone(),
+            halt_at_block: Some(10),
+        });
+        let inputs = || blocks_of(data, cfg.block_bytes, 0);
+        let wl = HuffmanWorkload::new(cfg.clone(), data.len());
+        let (wl, _) = run(wl, 2, cfg.policy, inputs());
+        let snap = wl.snapshot().filter(|_| wl.halted()).expect("halted");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!((10..64).contains(&snap.prefix), "{}", snap.prefix);
+        cfg.checkpoint = None;
+        let ins = Instruments::default();
+        let wl = HuffmanWorkload::resume(cfg.clone(), data.len(), &snap, &ins).expect("resumes");
+        let (wl, _) = run(wl, 2, cfg.policy, inputs());
+        assert_all_committed(&wl, "resumed");
+        decode_output(&wl.result(), data);
+    }
+
+    #[test]
+    #[should_panic(expected = "a block is committed once, after its count")]
+    fn a_committed_block_is_never_committed_again() {
+        let data = stationary_data(4 * 1024);
+        let cfg = small_cfg(DispatchPolicy::NonSpeculative);
+        let wl = HuffmanWorkload::new(cfg.clone(), data.len());
+        let (mut wl, _) = run(wl, 2, cfg.policy, blocks_of(&data, cfg.block_bytes, 5));
+        let out = EncodeOut {
+            encoded: EncodedBlock::default(),
+            bit_off: 0,
+            finished: 1,
+        };
+        wl.finalize_block(2, out);
     }
 
     #[test]

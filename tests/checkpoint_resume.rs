@@ -66,6 +66,60 @@ fn threaded<'a>(data: &'a [u8], c: &'a HuffmanConfig) -> HuffmanRun<'a> {
     HuffmanRun::threaded(data, c, 4, &ARRIVAL, 1000)
 }
 
+/// Every block due at once: on 2 workers a batch holds a whole reduce group
+/// per worker, so blocks are counted, reduced, offset and encoded a group of
+/// 4 at a time, and a kill at block 6, 10 or 30 lands inside a group.
+const AT_ONCE: Uniform = Uniform {
+    gap_us: 0,
+    start_us: 0,
+};
+
+/// On the simulator's 2 x86 workers, every block at once.
+fn sim_at_once<'a>(data: &'a [u8], c: &'a HuffmanConfig) -> HuffmanRun<'a> {
+    HuffmanRun::sim(data, c, &x86_smp(2), &AT_ONCE)
+}
+
+/// On 2 real threads, every block at once.
+fn threaded_at_once<'a>(data: &'a [u8], c: &'a HuffmanConfig) -> HuffmanRun<'a> {
+    HuffmanRun::threaded(data, c, 2, &AT_ONCE, 1000)
+}
+
+/// [`cfg`] without speculation.
+fn natural() -> HuffmanConfig {
+    let mut c = cfg();
+    c.policy = DispatchPolicy::NonSpeculative;
+    c
+}
+
+/// Kills `plain` at blocks 6, 10 and 30 (a journal record every 4 blocks)
+/// and resumes it from the journal on disk: the halted snapshot is the one
+/// on disk, and the resumed stream is `base`'s, byte for byte.
+fn killed_in_a_group_resumes_identically(
+    on: for<'a> fn(&'a [u8], &'a HuffmanConfig) -> HuffmanRun<'a>,
+    data: &[u8],
+    plain: &HuffmanConfig,
+    base: &RunOutcome,
+    name: &str,
+) {
+    for kill_at in [6usize, 10, 30] {
+        let what = format!("{name}, {:?}, kill at {kill_at}", plain.policy);
+        let dir = scratch_dir(&format!("{name}-{:?}-{kill_at}", plain.policy));
+        let mut c = plain.clone();
+        c.checkpoint = Some(CheckpointConfig {
+            every_blocks: 4,
+            dir: dir.clone(),
+            halt_at_block: Some(kill_at),
+        });
+        let snap = halt_snapshot(on(data, &c));
+        assert!(snap.prefix >= kill_at as u64, "{what}: {}", snap.prefix);
+        let on_disk = StreamSnapshot::load(&dir.join(JOURNAL_FILE)).expect("halt persists");
+        assert_eq!(on_disk, snap, "{what}");
+        let resumed = resumed(on(data, plain), &on_disk).expect("snapshot matches");
+        assert_eq!(output_of(&resumed), output_of(base), "{what}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A run that must complete.
 fn outcome(run: HuffmanRun) -> RunOutcome {
     let report = run_huffman(&run).expect("nothing injected, nothing fails");
@@ -150,6 +204,10 @@ fn sim_kill_and_resume_is_byte_identical() {
         assert_eq!(decoded, data);
         let _ = std::fs::remove_dir_all(&dir);
     }
+    for plain in [cfg(), natural()] {
+        let base = outcome(sim_at_once(&data, &plain));
+        killed_in_a_group_resumes_identically(sim_at_once, &data, &plain, &base, "sim-group");
+    }
 }
 
 #[test]
@@ -180,6 +238,11 @@ fn threaded_kill_and_resume_is_byte_identical() {
             "kill at {kill_at}: resumed stream is not byte-identical"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+    for plain in [cfg(), natural()] {
+        let base = outcome(sim_at_once(&data, &plain));
+        let on = threaded_at_once;
+        killed_in_a_group_resumes_identically(on, &data, &plain, &base, "thr-group");
     }
 }
 
