@@ -84,14 +84,8 @@ fn print_policy(
     }
     if let Some(a) = alloc {
         println!(
-            "    encode-pool allocs: {} heap, {} reused ({:.1}% reuse)",
-            a.heap_allocs,
-            a.reuses,
-            if a.total() == 0 {
-                0.0
-            } else {
-                100.0 * a.reuses as f64 / a.total() as f64
-            }
+            "    encode buffers: {} allocated, one per encode body that ran",
+            a.heap_allocs
         );
     }
     if h.rollbacks > 0 {

@@ -5,7 +5,7 @@
 //! lengths. The encoder and the decoder both derive their tables from the
 //! same [`CodeLengths`], so only lengths would ever need to be transmitted.
 
-use crate::histogram::Histogram;
+use crate::histogram::{BlockCounts, Histogram};
 use crate::tree::CodeLengths;
 use crate::ALPHABET;
 
@@ -96,6 +96,19 @@ impl CodeTable {
                 return None;
             }
             bits += c * l as u64;
+        }
+        Some(bits)
+    }
+
+    /// [`Self::encoded_bits`] of one block's [`BlockCounts`].
+    pub fn encoded_bits_u32(&self, counts: &BlockCounts) -> Option<u64> {
+        let mut bits = 0u64;
+        for (s, &c) in counts.iter().enumerate() {
+            let l = self.len[s];
+            if c > 0 && l == 0 {
+                return None;
+            }
+            bits += u64::from(c) * u64::from(l);
         }
         Some(bits)
     }

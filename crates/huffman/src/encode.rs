@@ -88,6 +88,70 @@ fn encode_after_lead(block: &[u8], table: &CodeTable, out: &mut EncodedBlock) ->
     true
 }
 
+/// Encode consecutive `blocks` back to back into one buffer: `lead` zero
+/// bits (0..=7), then every block's bits with no padding between them —
+/// what [`encode_block_at`] per block and [`concat_blocks`] would give.
+/// `bits` is what the blocks encode to, as their offsets say; the buffer
+/// is allocated once, at `(lead + bits).div_ceil(8)` bytes, and never
+/// grows. `stop` is asked before every block; once it says so, the rest
+/// are left out.
+///
+/// Returns the run and how many blocks it holds, or `None` if some byte
+/// has no code in `table` (see [`encode_block`]).
+pub fn encode_blocks_at(
+    blocks: &[impl AsRef<[u8]>],
+    table: &CodeTable,
+    lead: u8,
+    bits: u64,
+    mut stop: impl FnMut() -> bool,
+) -> Option<(EncodedBlock, usize)> {
+    assert!(lead < 8, "a run starts inside its first byte");
+    let size = (u64::from(lead) + bits).div_ceil(8);
+    let size = usize::try_from(size).expect("the run fits in memory");
+    let mut w = BitWriter::from_recycled(Vec::with_capacity(size));
+    w.push(0, lead);
+    let (mut n, mut src_len) = (0, 0);
+    for block in blocks {
+        if stop() {
+            break;
+        }
+        let block = block.as_ref();
+        if !encode_symbols(block, table, &mut w) {
+            return None;
+        }
+        n += 1;
+        src_len += block.len();
+    }
+    let (bytes, total) = w.finish();
+    let bit_len = total - u64::from(lead);
+    debug_assert!(
+        n < blocks.len() || bit_len == bits,
+        "{bit_len} bits, not {bits}"
+    );
+    let run = EncodedBlock {
+        bytes,
+        bit_len,
+        src_len,
+        lead,
+    };
+    Some((run, n))
+}
+
+/// Append `block`'s codes to `w`: [`encode_after_lead`]'s loop. Not
+/// inlined, so that what [`encode_blocks_at`] keeps live across its
+/// blocks cannot cost the loop spills. `false` if some byte has no code.
+#[inline(never)]
+fn encode_symbols(block: &[u8], table: &CodeTable, w: &mut BitWriter) -> bool {
+    for &b in block {
+        let len = table.len(b);
+        if len == 0 {
+            return false;
+        }
+        w.push(table.code(b), len);
+    }
+    true
+}
+
 /// Concatenate encoded blocks into one contiguous bitstream: blocks are
 /// packed back-to-back with no padding, in iteration order.
 ///

@@ -3,9 +3,10 @@
 //! This crate implements everything the paper's benchmark application (a
 //! parallel, speculative Huffman encoder) needs from the codec side:
 //!
-//! * [`Histogram`] — mergeable 256-entry character-frequency histograms
-//!   (the output of the paper's `count` tasks and the object of its `reduce`
-//!   tasks);
+//! * [`Histogram`] / [`BlockCounts`] — mergeable 256-entry
+//!   character-frequency histograms (a block's `u32` counts are the output
+//!   of the paper's `count` tasks, running `u64` totals the object of its
+//!   `reduce` tasks);
 //! * [`CodeLengths`] / [`CodeTable`] — deterministic, canonical Huffman code
 //!   construction (the paper's serial `tree` task);
 //! * [`BitWriter`] / [`BitReader`] — MSB-first bit-level I/O;
@@ -13,8 +14,9 @@
 //!   the decoder used as a round-trip oracle in tests;
 //! * [`block_bits`] / [`OffsetChain`] — the bit-offset computation that
 //!   parallelises the encode phase (the paper's `offset` tasks);
-//! * [`encode_block_at`] / [`place`] — encoding a block pre-aligned to its
-//!   offset and writing it into the output stream there, in any order;
+//! * [`encode_block_at`] / [`encode_blocks_at`] / [`place`] — encoding a
+//!   block, or a run of consecutive blocks, pre-aligned to its offset and
+//!   writing it into the output stream there, in any order;
 //! * [`estimate`] — compressed-size estimation and the tolerance verdict the
 //!   paper's `check` tasks compute;
 //! * [`serial`] — a two-pass serial reference encoder (correctness oracle and
@@ -55,11 +57,11 @@ pub use codes::CodeTable;
 pub use container::{compress, unpack, ContainerError};
 pub use decode::{decode_exact, Decoder};
 pub use encode::{
-    concat_blocks, encode_block, encode_block_at, encode_block_into, place, set_bit_len,
-    EncodedBlock,
+    concat_blocks, encode_block, encode_block_at, encode_block_into, encode_blocks_at, place,
+    set_bit_len, EncodedBlock,
 };
 pub use estimate::{relative_cost_delta, tolerance_verdict, Verdict};
-pub use histogram::Histogram;
+pub use histogram::{BlockCounts, Histogram};
 pub use offset::{block_bits, OffsetChain};
 pub use serial::{serial_decode, serial_encode, SerialEncoded};
 pub use tree::{CodeLengths, TreeError};

@@ -3,8 +3,9 @@
 //! deterministic per-case seeds reproduce failures exactly.
 
 use tvs_huffman::{
-    concat_blocks, decode_exact, encode_block, encode_block_at, place, relative_cost_delta,
-    serial_decode, serial_encode, CodeLengths, CodeTable, EncodedBlock, Histogram, OffsetChain,
+    concat_blocks, decode_exact, encode_block, encode_block_at, encode_blocks_at, place,
+    relative_cost_delta, serial_decode, serial_encode, BlockCounts, CodeLengths, CodeTable,
+    EncodedBlock, Histogram, OffsetChain,
 };
 use tvs_rng::{bytes, cases, SmallRng};
 
@@ -153,6 +154,90 @@ fn prop_placed_stream_equals_serial() {
         let data: Vec<u8> = (bytes(rng, 1..600).iter().map(|b| b % 65)).collect();
         for block in [1, 7, 512] {
             placed_equals_whole(rng, &data, block, &table, mixed);
+        }
+    });
+}
+
+/// Consecutive blocks encoded as one run, after any lead, are the
+/// per-block encodes concatenated, bit for bit, in one buffer allocated at
+/// the exact size; a `stop` that fires before block k leaves blocks `..k`.
+#[test]
+fn prop_run_equals_concatenated_blocks() {
+    cases(0x4F0D, 48, |rng, _| {
+        let data = bytes(rng, 1..6000);
+        let table = serial_encode(&data).unwrap().table;
+        // Random cuts, empty blocks included.
+        let mut blocks: Vec<&[u8]> = Vec::new();
+        let mut rest = &data[..];
+        while !rest.is_empty() || blocks.len() < 2 {
+            let (block, tail) = rest.split_at(rng.random_range(0..=rest.len().min(1500)));
+            blocks.push(block);
+            rest = tail;
+        }
+        let per: Vec<EncodedBlock> = blocks
+            .iter()
+            .map(|b| {
+                let mut e = EncodedBlock::default();
+                assert!(encode_block_at(b, &table, rng.random_range(0..8u8), &mut e));
+                e
+            })
+            .collect();
+        let bits: u64 = per.iter().map(|e| e.bit_len).sum();
+        for lead in 0..8u8 {
+            let k = rng.random_range(0..=blocks.len());
+            let mut asked = 0;
+            let stop = || {
+                asked += 1;
+                asked > k
+            };
+            let (run, n) = encode_blocks_at(&blocks, &table, lead, bits, stop).expect("covered");
+            assert_eq!(n, k, "lead {lead}: stopped before block {k}");
+            let size = (u64::from(lead) + bits).div_ceil(8) as usize;
+            assert_eq!(
+                run.bytes.capacity(),
+                size,
+                "lead {lead}: the buffer never grew"
+            );
+            assert_eq!(run.lead, lead);
+            assert_eq!(
+                run.src_len,
+                blocks[..k].iter().map(|b| b.len()).sum::<usize>()
+            );
+            if lead > 0 && !run.bytes.is_empty() {
+                assert_eq!(run.bytes[0] >> (8 - lead), 0, "lead {lead}: zero lead bits");
+            }
+            assert_eq!(
+                concat_blocks([&run]),
+                concat_blocks(&per[..k]),
+                "lead {lead}, {k} of {} blocks",
+                blocks.len()
+            );
+        }
+    });
+    // A byte the table has no code for fails the run.
+    let table = serial_encode(b"ab").unwrap().table;
+    assert!(encode_blocks_at(&[b"ab", b"az"], &table, 3, 8, || false).is_none());
+}
+
+/// A block's `u32` counts agree with its histogram: widened, folded onto a
+/// running total, and costed under a table (covering or not).
+#[test]
+fn prop_block_counts_agree_with_histogram() {
+    cases(0x4F0E, 48, |rng, _| {
+        let parts: Vec<Vec<u8>> = (0..rng.random_range(0..6usize))
+            .map(|_| bytes(rng, 0..3000))
+            .collect();
+        let counts: Vec<BlockCounts> = parts.iter().map(|p| Histogram::block_counts(p)).collect();
+        let hists: Vec<Histogram> = parts.iter().map(|p| Histogram::from_bytes(p)).collect();
+        let base = Histogram::from_bytes(&bytes(rng, 0..500));
+        assert_eq!(
+            Histogram::merged_with_counts(&base, &counts),
+            base.clone() + &Histogram::merged(&hists)
+        );
+        let table = CodeTable::build(&Histogram::from_bytes(&bytes(rng, 1..400))).unwrap();
+        for (c, h) in counts.iter().zip(&hists) {
+            assert_eq!(Histogram::merged_with_counts(&Histogram::new(), [c]), *h);
+            assert_eq!(table.encoded_bits_u32(c), table.encoded_bits(h));
         }
     });
 }

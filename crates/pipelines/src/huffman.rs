@@ -28,15 +28,18 @@
 //! backlog — a whole file in memory, a socket burst on few workers — is
 //! worked a group at a time:
 //!
-//! * one `count` per chunk, still returning a histogram per block (the
-//!   offset chain and the checkpoint need them);
+//! * one `count` per chunk, returning its blocks' counts in one slab of
+//!   `u32` rows — the reduce and offset chains read a block's row, and the
+//!   slab is freed once the chunk's last block commits;
 //! * the serial chains take everything ready in one hop: a `reduce` folds
 //!   the counted coarse groups from the next one on and returns each
 //!   group's running total, an `offset` covers the counted coarse blocks
 //!   from the chain's end on — otherwise a hop waits behind coarse tasks
 //!   bound in the executor's lanes, once per group;
-//! * one `encode` per chunk ∩ group of `offset_fanout` blocks, each block
-//!   at its own lead and placed at its own offset.
+//! * one `encode` per chunk ∩ group of `offset_fanout` blocks, writing its
+//!   blocks back to back into one buffer allocated at the exact size the
+//!   offsets give, after the lead its first offset asks for, and placed
+//!   once.
 //!
 //! Nothing else depends on the grain: reduce groups, basis events, checks
 //! and the stream are the same, and so is the output. Per-block work is a
@@ -52,11 +55,12 @@
 //!
 //! Output: every path keeps the [`OffsetChain`] of its version, fed by the
 //! lengths its `offset` tasks compute. An encode is told where in its first
-//! byte its block will start and emits that many lead bits, so the block
-//! comes back aligned with the output stream; `finalize_block` — the one
-//! place a block leaves the side-effect barrier, directly for the natural
-//! path and the committed version, through the wait buffer otherwise —
-//! [`place`]s it at its offset in the single committed `stream`. A version
+//! byte its chunk will start and emits that many lead bits before the
+//! chunk's blocks, so the chunk comes back aligned with the output stream;
+//! `finalize_block` — the one place blocks leave the side-effect barrier,
+//! directly for the natural path and the committed version, through the
+//! wait buffer otherwise — [`place`]s it at its offset in the single
+//! committed `stream`, then commits its blocks one at a time. A version
 //! that is rolled back never touches the stream, and nothing is left to
 //! assemble when the run ends: the result, a checkpoint snapshot (the
 //! stream up to the committed prefix's offset) and a resumed run (which
@@ -78,18 +82,18 @@
 
 use crate::config::{HuffmanConfig, PredictorKind};
 use std::collections::VecDeque;
-use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::ops::{Deref, Range};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use tvs_core::{
-    Action, AllocStats, CheckResult, Journal, Level, ManagerStats, ResumeError, ScratchPool,
-    SpecVersion, SpeculationManager, StreamSnapshot, WaitBuffer,
+    Action, AllocStats, CheckResult, Journal, Level, ManagerStats, ResumeError, SpecVersion,
+    SpeculationManager, StreamSnapshot, WaitBuffer,
 };
 use tvs_huffman::{
-    encode_block_at, place, relative_cost_delta, set_bit_len, CodeLengths, CodeTable, EncodedBlock,
-    Histogram, OffsetChain,
+    encode_blocks_at, place, relative_cost_delta, set_bit_len, BlockCounts, CodeLengths, CodeTable,
+    EncodedBlock, Histogram, OffsetChain,
 };
 use tvs_metrics::{Gauge, MetricsHub};
-use tvs_sre::lock_recover;
 use tvs_sre::task::{expect_payload, payload};
 use tvs_sre::{
     Completion, FaultInjector, FaultKind, FaultNotice, FaultSite, InputBlock, Instruments,
@@ -181,8 +185,9 @@ pub struct PipelineResult {
     /// The assembled output stream, when `collect_output` was set:
     /// `(bytes, bit_len, lengths)` — decodable with the committed table.
     pub output: Option<(Vec<u8>, u64, CodeLengths)>,
-    /// Heap-allocation counters of the encode-buffer scratch pool:
-    /// `heap_allocs` buffers touched the heap, `reuses` were recycled.
+    /// Encode output buffers: `heap_allocs` is one per `encode` body that
+    /// ran, each writing its chunk into one exact-size buffer; nothing is
+    /// recycled, so `reuses` is 0.
     pub alloc_stats: AllocStats,
 }
 
@@ -205,12 +210,16 @@ impl PipelineResult {
     }
 }
 
-/// An encoded block on its way out: what waits in the [`WaitBuffer`] and
-/// what `finalize_block` places.
+/// An encode task's chunk on its way out: what waits in the
+/// [`WaitBuffer`], keyed by the chunk's first block, and what
+/// `finalize_block` places.
 struct EncodeOut {
-    encoded: EncodedBlock,
-    /// Where the block starts in the output stream, per its path's chain.
+    /// The chunk's blocks back to back, after the lead of the first.
+    run: EncodedBlock,
+    /// Where the chunk starts in the output stream, per its path's chain.
     bit_off: u64,
+    /// Each block's encoded size, per the chain.
+    bits: Vec<u64>,
     finished: Time,
 }
 
@@ -251,16 +260,29 @@ enum Block {
     Counted {
         data: Arc<[u8]>,
         at: Time,
-        hist: Arc<Histogram>,
+        counts: Row,
     },
-    /// Past the side-effect barrier, its bytes released. The histogram
-    /// stays: a replay of the committed version's offset chain starts at
-    /// block 0 (see `on_version_lost`). Only the blocks a resume loads from
-    /// its snapshot have none — the resumed chain starts past them.
+    /// Past the side-effect barrier: its bytes and its counts released.
     Committed {
         done: BlockDone,
-        hist: Option<Arc<Histogram>>,
     },
+}
+
+/// A counted block's counts: its row of the slab its `count` task
+/// returned, one allocation per chunk, freed once the chunk's last block
+/// is committed.
+#[derive(Clone)]
+struct Row {
+    slab: Arc<[BlockCounts]>,
+    i: usize,
+}
+
+impl Deref for Row {
+    type Target = BlockCounts;
+
+    fn deref(&self) -> &BlockCounts {
+        &self.slab[self.i]
+    }
 }
 
 impl Block {
@@ -271,30 +293,29 @@ impl Block {
         }
     }
 
-    fn hist(&self) -> Option<&Arc<Histogram>> {
+    fn counts(&self) -> Option<&Row> {
         match self {
-            Block::Counted { hist, .. } => Some(hist),
-            Block::Committed { hist, .. } => hist.as_ref(),
+            Block::Counted { counts, .. } => Some(counts),
             _ => None,
         }
     }
 
     fn done(&self) -> Option<BlockDone> {
         match self {
-            Block::Committed { done, .. } => Some(*done),
+            Block::Committed { done } => Some(*done),
             _ => None,
         }
     }
 
-    fn count(&mut self, hist: Arc<Histogram>) {
+    fn count(&mut self, counts: Row) {
         let Block::Arrived { data, at } = std::mem::take(self) else {
             panic!("a block is counted once, after it arrived");
         };
-        *self = Block::Counted { data, at, hist };
+        *self = Block::Counted { data, at, counts };
     }
 
     fn commit(&mut self, encoded_at: Time, bits: u64) {
-        let Block::Counted { at, hist, .. } = std::mem::take(self) else {
+        let Block::Counted { at, .. } = std::mem::take(self) else {
             panic!("a block is committed once, after its count");
         };
         let done = BlockDone {
@@ -302,8 +323,7 @@ impl Block {
             encoded_at,
             bits,
         };
-        let hist = Some(hist);
-        *self = Block::Committed { done, hist };
+        *self = Block::Committed { done };
     }
 }
 
@@ -395,12 +415,8 @@ pub struct HuffmanWorkload {
     // speculation control path performs no per-block heap allocation.
     actions_scratch: Vec<Action>,
     commit_scratch: Vec<(u64, EncodeOut)>,
-    /// Encode output buffers: an encode task takes its blocks' buffers
-    /// when it runs, and a block's buffer comes back when the block is
-    /// finalized (its bits are in the stream by then) — so in steady state
-    /// encode allocates nothing per block, however far ahead of the
-    /// workers encodes are spawned.
-    encode_pool: Arc<Mutex<ScratchPool<u8>>>,
+    /// Encode output buffers allocated: one per `encode` body that ran.
+    encode_allocs: Arc<AtomicU64>,
 }
 
 impl HuffmanWorkload {
@@ -413,7 +429,7 @@ impl HuffmanWorkload {
     /// A workload for `data_len` input bytes under `cfg`, built on a run's
     /// [`Instruments`] — hand the executor the same value. The speculation
     /// manager's lifecycle events go to `ins.tracer`; speculation-outcome
-    /// counters, the degradation level and the encode-pool gauges to `ins.metrics`;
+    /// counters, the degradation level and the encode-buffer gauge to `ins.metrics`;
     /// `ins.faults` arms the workload's own sites
     /// ([`FaultSite::PredictedValue`] — a scrambled predicted tree, which
     /// the tolerance checks must catch — and [`FaultSite::TaskOutput`]).
@@ -461,7 +477,7 @@ impl HuffmanWorkload {
             input_digest,
             actions_scratch: Vec::new(),
             commit_scratch: Vec::new(),
-            encode_pool: Arc::default(),
+            encode_allocs: Arc::default(),
             cfg,
         }
     }
@@ -515,15 +531,16 @@ impl HuffmanWorkload {
                 v => Some(v as SpecVersion),
             };
         }
-        // The snapshot's blocks are committed, with no histogram: the reduce
-        // chain never starts, and the resumed path's chain starts past them.
+        // The snapshot's blocks are committed, so they hold no counts: the
+        // reduce chain never starts, and the resumed path's chain starts
+        // past them.
         for (i, block) in wl.blocks[..k].iter_mut().enumerate() {
             let done = BlockDone {
                 arrival: snap.arrivals[i],
                 encoded_at: snap.encoded_at[i],
                 bits: snap.bits[i],
             };
-            *block = Block::Committed { done, hist: None };
+            *block = Block::Committed { done };
         }
         wl.prefix = k;
         // A resumed run can itself be killed and resumed: its journal starts
@@ -572,7 +589,10 @@ impl HuffmanWorkload {
             committed_version: self.committed_version,
             spec_stats,
             output,
-            alloc_stats: lock_recover(&self.encode_pool).stats(),
+            alloc_stats: AllocStats {
+                heap_allocs: self.encode_allocs.load(Ordering::Relaxed),
+                reuses: 0,
+            },
         }
     }
 
@@ -717,7 +737,8 @@ impl HuffmanWorkload {
         out
     }
 
-    /// One `count` task over the chunk `blocks`: a histogram per block.
+    /// One `count` task over the chunk `blocks`: one slab, a row of counts
+    /// per block.
     fn spawn_count(&mut self, ctx: &mut dyn SchedCtx, blocks: Range<usize>) {
         let data: Vec<Arc<[u8]>> = self.blocks[blocks.clone()]
             .iter()
@@ -730,11 +751,9 @@ impl HuffmanWorkload {
             bytes,
             blocks.start as u64,
             move |_| {
-                let hists: Vec<Arc<Histogram>> = data
-                    .iter()
-                    .map(|d| Arc::new(Histogram::from_bytes(d)))
-                    .collect();
-                payload(hists)
+                let slab: Arc<[BlockCounts]> =
+                    data.iter().map(|d| Histogram::block_counts(d)).collect();
+                payload(slab)
             },
         ));
     }
@@ -758,14 +777,14 @@ impl HuffmanWorkload {
             return;
         }
         let (ratio, max) = (self.cfg.reduce_ratio, ctx.max_task_bytes());
-        // Per-block histograms travel as u32 counts (1 KB); the running
-        // accumulator needs u64 (2 KB). At the Cell's 16:1 ratio one group
-        // is 18 KB — inside the 32 KB local-store task limit, as the paper's
-        // configuration requires.
+        // Per-block counts travel as u32 rows of their count's slab (1 KB);
+        // the running accumulator needs u64 (2 KB). At the Cell's 16:1
+        // ratio one group is 18 KB — inside the 32 KB local-store task
+        // limit, as the paper's configuration requires.
         let base = if g == 0 { 0 } else { 2048 };
         // A group goes once all its blocks are counted, so a hop that ends
         // inside one is cut back to the group before. In a resumed run
-        // nothing goes: the snapshot's blocks carry no histogram.
+        // nothing goes: the snapshot's blocks hold no counts.
         let (lo, hi) = (g * ratio, self.hop(g * ratio, ratio, base, max));
         let hi = if hi == self.blocks.len() {
             hi
@@ -775,7 +794,7 @@ impl HuffmanWorkload {
         if hi == lo {
             return;
         }
-        let groups: Vec<_> = self.blocks[lo..hi].chunks(ratio).map(hists).collect();
+        let groups: Vec<_> = self.blocks[lo..hi].chunks(ratio).map(rows).collect();
         let prev = g.checked_sub(1).map(|p| self.total(p));
         for group in &mut self.groups[g..g + groups.len()] {
             group.reduce = Reduce::Reducing;
@@ -791,7 +810,7 @@ impl HuffmanWorkload {
                     .last()
                     .or(prev.as_ref())
                     .map_or(&zero, |t| t.as_ref());
-                let h = Histogram::merged_with_base(base, group.iter().map(Arc::as_ref));
+                let h = Histogram::merged_with_counts(base, group.iter().map(Row::deref));
                 totals.push(Arc::new(h));
             }
             payload(totals)
@@ -816,11 +835,14 @@ impl HuffmanWorkload {
 
     fn spawn_predictor(&mut self, ctx: &mut dyn SchedCtx, version: SpecVersion) {
         // Snapshot: the cumulative histogram of the basis event that asked
-        // for the prediction, or the first block's count for a step-0
-        // (pre-reduce) prediction.
+        // for the prediction, or the first block's counts, widened, for a
+        // step-0 (pre-reduce) prediction.
         let basis = self.spec_basis;
         let hist = match basis {
-            0 => self.blocks[0].hist().expect("first count").clone(),
+            0 => {
+                let first = self.blocks[0].counts().expect("first count");
+                Arc::new(Histogram::merged_with_counts(&Histogram::new(), [&**first]))
+            }
             b => self.total(b as usize - 1),
         };
         let kind = self.cfg.predictor;
@@ -911,14 +933,14 @@ impl HuffmanWorkload {
     /// The end of the next hop of a serial chain from block `lo`, in units
     /// of `unit` blocks: the counted blocks of the first unit and, when
     /// those are coarse, the counted coarse units after them, while the task
-    /// stays within the task-byte limit at `base` bytes plus a 1 KB
-    /// histogram per block. It looks at the units it takes and the one
-    /// after them, never back to block 0.
+    /// stays within the task-byte limit at `base` bytes plus a 1 KB row of
+    /// counts per block. It looks at the units it takes and the one after
+    /// them, never back to block 0.
     fn hop(&self, lo: usize, unit: usize, base: usize, max: Option<usize>) -> usize {
         let ratio = self.cfg.reduce_ratio;
         let next = |from: usize| {
             let unit = &self.blocks[from..(from + unit).min(self.blocks.len())];
-            from + unit.iter().take_while(|b| b.hist().is_some()).count()
+            from + unit.iter().take_while(|b| b.counts().is_some()).count()
         };
         let coarse =
             |blocks: Range<usize>| blocks.into_iter().all(|i| self.groups[i / ratio].coarse);
@@ -950,15 +972,15 @@ impl HuffmanWorkload {
         if hi == lo {
             return;
         }
-        let group = hists(&self.blocks[lo..hi]);
+        let group = rows(&self.blocks[lo..hi]);
         let bytes = group.len() * 1024;
         let body = move |_: &tvs_sre::TaskCtx| {
             let lens: Vec<u64> = group
                 .iter()
-                .map(|h| {
+                .map(|r| {
                     table
                         .table
-                        .encoded_bits(h)
+                        .encoded_bits_u32(r)
                         .expect("covering/exact table encodes all")
                 })
                 .collect();
@@ -973,15 +995,17 @@ impl HuffmanWorkload {
         }
     }
 
-    /// Spawn the encode tasks of `blocks`, whose offsets the path's chain has
-    /// just computed: one task per chunk ∩ group of `offset_fanout` blocks,
-    /// each block encoded with the lead its offset asks for.
+    /// Spawn the encode tasks of `blocks`, whose offsets the path's chain
+    /// holds: one task per chunk ∩ group of `offset_fanout` blocks, its
+    /// blocks encoded back to back after the lead the first one's offset
+    /// asks for, into one buffer of the size the offsets give.
     fn spawn_encodes(&self, ctx: &mut dyn SchedCtx, blocks: Range<usize>) {
         let (ratio, fanout) = (self.cfg.reduce_ratio, self.cfg.offset_fanout);
         let (states, groups) = (&self.blocks, &self.groups);
         let path = self.path.as_ref().expect("encodes for a live path");
-        // Only the replay of a committed version meets blocks that are
-        // already out (see `on_version_lost`).
+        let at = |i: usize| chain_at(&path.chain, i);
+        // Only the re-cover of a lost committed version meets blocks that
+        // are already out (see `on_version_lost`).
         let todo: Vec<usize> = blocks
             .clone()
             .filter(|&i| states[i].done().is_none())
@@ -992,26 +1016,26 @@ impl HuffmanWorkload {
                 && !(b - blocks.start).is_multiple_of(fanout)
         };
         for blocks in self.chunks(&todo, joined, ctx.max_task_bytes()) {
-            let lo = blocks.start;
-            let run: Vec<RunBlock> = blocks
-                .map(|i| RunBlock {
-                    data: states[i].data().expect("arrived").clone(),
-                    lead: (path.chain.offsets()[i] % 8) as u8,
-                })
+            let (lo, hi) = (blocks.start, blocks.end);
+            let data: Vec<Arc<[u8]>> = blocks
+                .map(|i| states[i].data().expect("arrived").clone())
                 .collect();
-            let bytes = run.iter().map(|b| b.data.len()).sum();
-            let (table, pool) = (path.tree.clone(), self.encode_pool.clone());
+            let bytes = data.iter().map(|d| d.len()).sum();
+            let (lead, bits) = ((at(lo) % 8) as u8, at(hi) - at(lo));
+            let (table, allocs) = (path.tree.clone(), self.encode_allocs.clone());
             let faults = self.faults.clone();
             let versioned = path.version.is_some();
             let body = move |task: &tvs_sre::TaskCtx| {
                 // Only a versioned task's abort flag means its output will
                 // be discarded: stop at the next block boundary then.
                 let stop = || versioned && task.aborted();
-                let mut out = encode_run(&run, &table.table, &pool, stop);
-                if out.len() == run.len() {
-                    corrupt_one(&faults, &mut out);
+                allocs.fetch_add(1, Ordering::Relaxed);
+                let (mut run, n) = encode_blocks_at(&data, &table.table, lead, bits, stop)
+                    .expect("covering/exact table encodes all bytes");
+                if n == data.len() {
+                    corrupt_run(&faults, &mut run);
                 }
-                payload((lo, out))
+                payload((lo, run, n))
             };
             let task = match path.version {
                 Some(v) => TaskSpec::speculative("encode", 4, bytes, v, lo as u64, body),
@@ -1027,8 +1051,9 @@ impl HuffmanWorkload {
     /// rolled back through the manager. The *committed* one has nothing to
     /// roll back to: its delivered blocks are final, and the abort is about
     /// to discard every task it still has out, so the blocks it has not
-    /// delivered are encoded again, with the same tree, by tasks that
-    /// carry no version.
+    /// delivered are encoded again by tasks that carry no version — with
+    /// the same tree at the same offsets: the natural path that takes over
+    /// keeps the lost path's chain and goes on from its end.
     fn on_version_lost(&mut self, ctx: &mut dyn SchedCtx, version: SpecVersion) {
         if self.committed_version != Some(version) {
             self.dispatch(ctx, move |mgr, out| {
@@ -1036,11 +1061,15 @@ impl HuffmanWorkload {
             });
             // If that was the pending predictor, its verdict is in.
             self.pump_speculation(ctx);
-        } else if self.path.as_ref().and_then(|p| p.version) == Some(version) {
-            // The same tree over the same blocks: the replay's chain comes
-            // to the offsets the lost path had.
-            let tree = self.committed_tree.clone().expect("committed with a tree");
-            self.start_path(ctx, None, tree);
+        } else if let Some(lost) = self.path.take_if(|p| p.version == Some(version)) {
+            let covered = lost.chain.offsets().len();
+            self.path = Some(Path {
+                version: None,
+                offset_inflight: false,
+                ..lost
+            });
+            self.spawn_encodes(ctx, self.prefix..covered);
+            self.pump_path(ctx);
         }
     }
 
@@ -1055,29 +1084,28 @@ impl HuffmanWorkload {
         self.pump_path(ctx);
     }
 
-    /// Block `idx` crosses the side-effect barrier: it is committed — once;
-    /// a second output for it would be a wiring bug, and panics — and its
-    /// bits go into the committed stream. Nothing that is not final gets
-    /// here, so the stream never has to be undone.
-    fn finalize_block(&mut self, idx: usize, out: EncodeOut) {
-        self.blocks[idx].commit(out.finished, out.encoded.bit_len);
+    /// The chunk from block `lo` crosses the side-effect barrier: its bits
+    /// go into the committed stream, and its blocks are committed one at a
+    /// time — each once; a second output for a block would be a wiring
+    /// bug, and panics — with the prefix and the checkpoint plane advanced
+    /// after each. Nothing that is not final gets here, so the stream never
+    /// has to be undone.
+    fn finalize_block(&mut self, lo: usize, out: EncodeOut) {
         if self.cfg.collect_output || self.ckpt.is_some() {
-            place(&mut self.stream, out.bit_off, &out.encoded);
+            place(&mut self.stream, out.bit_off, &out.run);
         }
-        let newly = self.blocks[self.prefix..]
-            .iter()
-            .take_while(|b| b.done().is_some());
-        self.prefix += newly.count();
-        {
-            let mut pool = lock_recover(&self.encode_pool);
-            pool.put(out.encoded.bytes);
-            if self.metrics.is_live() {
-                let a = pool.stats();
-                self.metrics.gauge_set(Gauge::AllocHeap, a.heap_allocs);
-                self.metrics.gauge_set(Gauge::AllocReuse, a.reuses);
-            }
+        if self.metrics.is_live() {
+            let allocs = self.encode_allocs.load(Ordering::Relaxed);
+            self.metrics.gauge_set(Gauge::AllocHeap, allocs);
         }
-        self.advance_checkpoint();
+        for (idx, bits) in (lo..).zip(out.bits) {
+            self.blocks[idx].commit(out.finished, bits);
+            let newly = self.blocks[self.prefix..]
+                .iter()
+                .take_while(|b| b.done().is_some());
+            self.prefix += newly.count();
+            self.advance_checkpoint();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1185,77 +1213,43 @@ impl HuffmanWorkload {
     }
 }
 
-/// The histograms of `blocks`, which are counted.
-fn hists(blocks: &[Block]) -> Vec<Arc<Histogram>> {
+/// The counts of `blocks`, which are counted.
+fn rows(blocks: &[Block]) -> Vec<Row> {
     blocks
         .iter()
-        .map(|b| b.hist().expect("counted").clone())
+        .map(|b| b.counts().expect("counted").clone())
         .collect()
 }
 
-/// One block of an `encode` task: its bytes and the lead its offset asks
-/// for.
-struct RunBlock {
-    data: Arc<[u8]>,
-    lead: u8,
+/// Where block `i` starts per `chain`, or where the chain ends for the
+/// block past its last.
+fn chain_at(chain: &OffsetChain, i: usize) -> u64 {
+    chain
+        .offsets()
+        .get(i)
+        .copied()
+        .unwrap_or_else(|| chain.total_bits())
 }
 
-/// Encode `run`'s blocks in order, each at its own lead, into buffers from
-/// `pool`. `stop` is asked before every block; once it says so, the rest
-/// are left out.
-fn encode_run(
-    run: &[RunBlock],
-    table: &CodeTable,
-    pool: &Mutex<ScratchPool<u8>>,
-    stop: impl Fn() -> bool,
-) -> Vec<EncodedBlock> {
-    let bufs: Vec<Vec<u8>> = {
-        let mut pool = lock_recover(pool);
-        run.iter().map(|_| pool.take()).collect()
-    };
-    let mut out = Vec::with_capacity(run.len());
-    for (b, bytes) in run.iter().zip(bufs) {
-        if stop() {
-            break;
-        }
-        let mut e = EncodedBlock {
-            bytes,
-            ..Default::default()
-        };
-        assert!(
-            encode_block_at(&b.data, table, b.lead, &mut e),
-            "covering/exact table encodes all bytes"
-        );
-        out.push(e);
-    }
-    out
-}
-
-/// Chaos: a silent data corruption flips bits in one block of an encode's
-/// output *after* a successful encode. Nothing panics and no tolerance
-/// check sees the damage (the bit count is intact), so only
-/// replication-based validation can catch it. The block is picked by the
-/// draw's occurrence among those long enough to take it; the flipped byte
-/// avoids the zero-padded tail and a first byte that holds lead bits so
-/// the corruption always lands on meaningful bits, and the xor mask is
-/// occurrence-unique so two corrupted replicas of the same task still
-/// disagree with each other.
-fn corrupt_one(faults: &FaultInjector, out: &mut [EncodedBlock]) {
+/// Chaos: a silent data corruption flips bits in an encode's output
+/// *after* a successful encode. Nothing panics and no tolerance check sees
+/// the damage (the bit count is intact), so only replication-based
+/// validation can catch it. The flipped byte is picked by the draw's
+/// occurrence and avoids the zero-padded tail and a first byte that holds
+/// lead bits, so the corruption always lands on meaningful bits; the xor
+/// mask is occurrence-unique so two corrupted replicas of the same task
+/// still disagree with each other.
+fn corrupt_run(faults: &FaultInjector, run: &mut EncodedBlock) {
     let Some((FaultKind::CorruptValue, occ)) = faults.draw_with_occurrence(FaultSite::TaskOutput)
     else {
         return;
     };
-    let room = |e: &EncodedBlock| e.bytes.len().saturating_sub(1 + usize::from(e.lead > 0));
-    let n = out.len();
-    let Some(k) = (0..n)
-        .map(|k| (occ as usize + k) % n)
-        .find(|&k| room(&out[k]) > 0)
-    else {
-        return;
-    };
-    let e = &mut out[k];
-    let pos = (occ as usize).wrapping_mul(0x9E37_79B9) % room(e);
-    e.bytes[usize::from(e.lead > 0) + pos] ^= ((occ % 255) + 1) as u8;
+    let skip = usize::from(run.lead > 0);
+    let room = run.bytes.len().saturating_sub(1 + skip);
+    if room > 0 {
+        let pos = (occ as usize).wrapping_mul(0x9E37_79B9) % room;
+        run.bytes[skip + pos] ^= ((occ % 255) + 1) as u8;
+    }
 }
 
 /// Scramble a predicted tree for [`FaultSite::PredictedValue`] injection.
@@ -1302,7 +1296,11 @@ pub fn digest_output(name: &'static str, out: &dyn std::any::Any) -> Option<u64>
     }
     let h = FNV_OFFSET;
     match name {
-        "count" | "reduce" => {
+        "count" => {
+            let slab = out.downcast_ref::<Arc<[BlockCounts]>>()?;
+            Some(slab.iter().flatten().fold(h, |h, &c| word(h, u64::from(c))))
+        }
+        "reduce" => {
             let hists = out.downcast_ref::<Vec<Arc<Histogram>>>()?;
             Some(hists.iter().fold(h, |h, x| hist(h, x)))
         }
@@ -1315,11 +1313,12 @@ pub fn digest_output(name: &'static str, out: &dyn std::any::Any) -> Option<u64>
             Some(lens.iter().fold(word(h, *lo as u64), |h, &l| word(h, l)))
         }
         "encode" => {
-            let (lo, blocks) = out.downcast_ref::<(usize, Vec<EncodedBlock>)>()?;
-            Some(blocks.iter().fold(word(h, *lo as u64), |h, e| {
-                let h = word(word(bytes(h, &e.bytes), e.bit_len), e.src_len as u64);
-                word(h, u64::from(e.lead))
-            }))
+            let (lo, e, n) = out.downcast_ref::<(usize, EncodedBlock, usize)>()?;
+            let h = word(
+                word(bytes(word(h, *lo as u64), &e.bytes), e.bit_len),
+                e.src_len as u64,
+            );
+            Some(word(word(h, u64::from(e.lead)), *n as u64))
         }
         "check" => {
             let (v, r, cand) = out.downcast_ref::<(SpecVersion, CheckResult, Arc<SpecTree>)>()?;
@@ -1370,10 +1369,10 @@ impl Workload for HuffmanWorkload {
         match done.name {
             "count" => {
                 let lo = done.tag as usize;
-                let hists =
-                    expect_payload::<Vec<Arc<Histogram>>>(done.output, "Vec<Arc<Histogram>>");
-                for (block, h) in self.blocks[lo..].iter_mut().zip(hists) {
-                    block.count(h);
+                let slab = expect_payload::<Arc<[BlockCounts]>>(done.output, "Arc<[BlockCounts]>");
+                for (i, block) in self.blocks[lo..lo + slab.len()].iter_mut().enumerate() {
+                    let slab = slab.clone();
+                    block.count(Row { slab, i });
                 }
                 // In a resumed run the reduce chain never starts (see
                 // `resume`): the count only feeds the resumed path.
@@ -1475,25 +1474,29 @@ impl Workload for HuffmanWorkload {
                 self.pump_path(ctx);
             }
             "encode" => {
-                let (lo, encoded) =
-                    expect_payload::<(usize, Vec<EncodedBlock>)>(done.output, "(usize, blocks)");
+                let (lo, run, n) = expect_payload::<(usize, EncodedBlock, usize)>(
+                    done.output,
+                    "(usize, EncodedBlock, usize)",
+                );
                 // Completions of an aborted version never get here, so the
-                // blocks' path — and the offsets it gave the encode — is
+                // chunk's path — and the offsets it gave the encode — is
                 // live, and the task ran to its last block.
-                for (idx, encoded) in (lo..).zip(encoded) {
-                    let path = self.path.as_ref().expect("encode for a live path");
-                    debug_assert_eq!(path.version, done.version);
-                    let out = EncodeOut {
-                        encoded,
-                        bit_off: path.chain.offsets()[idx],
-                        finished: done.finished,
-                    };
-                    match done.version {
-                        Some(v) if self.committed_version != Some(v) => {
-                            self.buffer.push(v, idx as u64, out)
-                        }
-                        _ => self.finalize_block(idx, out),
+                let path = self.path.as_ref().expect("encode for a live path");
+                debug_assert_eq!(path.version, done.version);
+                let at = |i: usize| chain_at(&path.chain, i);
+                let bits: Vec<u64> = (lo..lo + n).map(|i| at(i + 1) - at(i)).collect();
+                debug_assert_eq!(run.bit_len, at(lo + n) - at(lo));
+                let out = EncodeOut {
+                    run,
+                    bit_off: at(lo),
+                    bits,
+                    finished: done.finished,
+                };
+                match done.version {
+                    Some(v) if self.committed_version != Some(v) => {
+                        self.buffer.push(v, lo as u64, out)
                     }
+                    _ => self.finalize_block(lo, out),
                 }
             }
             other => unreachable!("unknown completion '{other}'"),
@@ -1975,7 +1978,7 @@ mod tests {
     fn a_snapshot_cuts_the_stream_inside_a_byte_that_later_blocks_share() {
         // One-byte blocks under a two-symbol table: one bit per block, so
         // eight blocks share a byte. Block 3 is out before blocks 0 and 1
-        // make the prefix that is snapshotted.
+        // — one chunk — make the prefix that is snapshotted.
         let data = b"abababab";
         let dir = std::env::temp_dir().join(format!("tvs-ckpt-{}-seam", std::process::id()));
         let mut cfg = small_cfg(DispatchPolicy::NonSpeculative);
@@ -1984,23 +1987,29 @@ mod tests {
         let tree = Arc::new(SpecTree::exact(&Histogram::from_bytes(data), 2));
         let mut wl = HuffmanWorkload::new(cfg.clone(), data.len());
         wl.committed_tree = Some(tree.clone());
-        for i in [3usize, 0, 1] {
-            let mut encoded = EncodedBlock::default();
-            assert!(encode_block_at(
-                &data[i..=i],
-                &tree.table,
-                i as u8,
-                &mut encoded
-            ));
-            let hist = Arc::new(Histogram::from_bytes(&data[i..=i]));
-            let (data, at) = (data[i..=i].into(), 0);
-            wl.blocks[i] = Block::Counted { data, at, hist };
+        for chunk in [3..4, 0..2] {
+            let blocks: Vec<&[u8]> = chunk.clone().map(|i| &data[i..=i]).collect();
+            let slab: Arc<[BlockCounts]> =
+                blocks.iter().map(|b| Histogram::block_counts(b)).collect();
+            for (i, block) in chunk.clone().enumerate() {
+                let (data, at) = (blocks[i].into(), 0);
+                let counts = Row {
+                    slab: slab.clone(),
+                    i,
+                };
+                wl.blocks[block] = Block::Counted { data, at, counts };
+            }
+            let (lo, n) = (chunk.start, chunk.len());
+            let (run, done) = encode_blocks_at(&blocks, &tree.table, lo as u8, n as u64, || false)
+                .expect("covered");
+            assert_eq!(done, n);
             let out = EncodeOut {
-                encoded,
-                bit_off: i as u64,
+                run,
+                bit_off: lo as u64,
+                bits: vec![1; n],
                 finished: 1,
             };
-            wl.finalize_block(i, out);
+            wl.finalize_block(lo, out);
         }
         assert_eq!(wl.stream, [0b0101_0000], "blocks 1 and 3 are 'b' = 1");
         let snap = wl.snapshot().expect("checkpointed");
@@ -2026,28 +2035,25 @@ mod tests {
     fn a_chunk_encode_stops_at_the_next_block_boundary() {
         let data = stationary_data(4 * 1024);
         let tree = SpecTree::exact(&Histogram::from_bytes(&data), 1);
-        let run: Vec<RunBlock> = data
-            .chunks(1024)
-            .map(|b| RunBlock {
-                data: b.into(),
-                lead: 3,
-            })
+        let blocks: Vec<&[u8]> = data.chunks(1024).collect();
+        let per: Vec<EncodedBlock> = blocks
+            .iter()
+            .map(|b| tvs_huffman::encode_block(b, &tree.table).expect("covered"))
             .collect();
+        let bits = per.iter().map(|e| e.bit_len).sum();
         // The flag goes up while the second block is being encoded.
-        let asked = std::cell::Cell::new(0);
-        let out = encode_run(&run, &tree.table, &Mutex::default(), || {
-            asked.set(asked.get() + 1);
-            asked.get() > 2
-        });
-        assert_eq!(out.len(), 2, "blocks 3 and 4 are left out");
-        let mut whole = EncodedBlock::default();
-        assert!(encode_block_at(
-            &data[1024..2048],
-            &tree.table,
-            3,
-            &mut whole
-        ));
-        assert_eq!(out[1], whole, "what was encoded is whole");
+        let mut asked = 0;
+        let stop = || {
+            asked += 1;
+            asked > 2
+        };
+        let (run, n) = encode_blocks_at(&blocks, &tree.table, 3, bits, stop).expect("covered");
+        assert_eq!(n, 2, "blocks 3 and 4 are left out");
+        assert_eq!(
+            tvs_huffman::concat_blocks([&run]),
+            tvs_huffman::concat_blocks(&per[..2]),
+            "what was encoded is whole"
+        );
     }
 
     #[test]
@@ -2094,10 +2100,58 @@ mod tests {
         assert_eq!((bytes, bits), (whole.bytes, whole.bit_len));
     }
 
-    /// Every block of a finished run is committed, and so holds no bytes.
+    /// Every block of a finished run is committed, and so holds neither
+    /// bytes nor counts.
     fn assert_all_committed(wl: &HuffmanWorkload, what: &str) {
-        let committed = |b: &Block| b.done().is_some() && b.data().is_none();
+        let committed =
+            |b: &Block| b.done().is_some() && b.data().is_none() && b.counts().is_none();
         assert!(wl.blocks.iter().all(committed), "{what}");
+    }
+
+    #[test]
+    fn an_encode_allocates_one_buffer_and_a_finished_run_keeps_nothing() {
+        // 1 MiB in the paper's 4 KB blocks, all at once (a reduce group per
+        // encode) and dribbling in (an encode per block): one exact-size
+        // buffer per encode body that ran, none recycled. The simulator
+        // runs every delivered body and no discarded one.
+        let data = stationary_data(1 << 20);
+        let mut drifting = vec![b'a'; 512 * 1024];
+        drifting.extend((0..512 * 1024u32).map(|i| 180 + (i % 60) as u8));
+        for (data, input) in [(&data, "stationary"), (&drifting, "drifting")] {
+            for policy in [DispatchPolicy::NonSpeculative, DispatchPolicy::Balanced] {
+                for gap in [0, 5] {
+                    let cfg = HuffmanConfig {
+                        block_bytes: 4096,
+                        reduce_ratio: 16,
+                        offset_fanout: 16,
+                        ..small_cfg(policy)
+                    };
+                    let sim = SimConfig::new(x86_smp(2));
+                    let tracer = tvs_sre::Tracer::enabled(2);
+                    let ins = Instruments::traced(tracer.clone());
+                    let wl = HuffmanWorkload::new(cfg.clone(), data.len());
+                    let inputs = blocks_of(data, cfg.block_bytes, gap);
+                    let ran = tvs_sre::exec::sim::run(wl, &sim, policy, &HuffmanCost, inputs, &ins);
+                    let (wl, _) = ran.expect("sim run completes");
+                    let spans = tracer.drain().expect("enabled tracer drains").tasks();
+                    let encodes = spans.iter().filter(|t| t.name == "encode");
+                    let bodies = encodes.filter(|t| !t.discarded).count() as u64;
+                    let what = format!("{input}, {policy:?}, gap {gap}");
+                    assert_all_committed(&wl, &what);
+                    let res = wl.result();
+                    let allocs = AllocStats {
+                        heap_allocs: bodies,
+                        reuses: 0,
+                    };
+                    assert_eq!(res.alloc_stats, allocs, "{what}");
+                    if policy == DispatchPolicy::NonSpeculative {
+                        let per = if gap == 0 { 16 } else { 1 };
+                        assert_eq!(bodies, 256 / per, "{what}: one encode per chunk");
+                    }
+                    decode_output(&res, data);
+                }
+            }
+        }
     }
 
     #[test]
@@ -2155,8 +2209,9 @@ mod tests {
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
         let (mut wl, _) = run(wl, 2, cfg.policy, blocks_of(&data, cfg.block_bytes, 5));
         let out = EncodeOut {
-            encoded: EncodedBlock::default(),
+            run: EncodedBlock::default(),
             bit_off: 0,
+            bits: vec![0],
             finished: 1,
         };
         wl.finalize_block(2, out);

@@ -171,7 +171,7 @@ fn threaded_run_metrics_is_a_registry_view() {
         stats.checks_failed,
         hub.counter_total(Counter::ChecksFailed)
     );
-    // The workload published its encode-pool gauges.
+    // The workload published its encode-buffer gauges.
     let a = out.result.alloc_stats;
     assert_eq!(hub.gauge_get(Gauge::AllocHeap), a.heap_allocs);
     assert_eq!(hub.gauge_get(Gauge::AllocReuse), a.reuses);

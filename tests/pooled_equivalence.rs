@@ -3,11 +3,11 @@
 //!
 //! The hot-path pass replaced per-event allocation in the engine — the
 //! wait buffer and undo journal now recycle their per-version storage
-//! through [`ScratchPool`]s, and the pipeline reuses encode buffers and
-//! action scratch. None of that may change *behaviour*: undo cascades
-//! must replay byte-identically to an unpooled reference, committed
-//! buffer drains must produce the same `(slot, value)` stream, and the
-//! full pipeline must keep the chaos invariant on both executors.
+//! through [`ScratchPool`]s, and the pipeline reuses its action scratch.
+//! None of that may change *behaviour*: undo cascades must replay
+//! byte-identically to an unpooled reference, committed buffer drains must
+//! produce the same `(slot, value)` stream, and the full pipeline must keep
+//! the chaos invariant on both executors.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
