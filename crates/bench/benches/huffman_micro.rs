@@ -140,21 +140,6 @@ fn bench_serial_reference(rows: &mut Vec<Measurement>) {
     ));
 }
 
-fn bench_container(rows: &mut Vec<Measurement>) {
-    let data = tvs_workloads::generate(FileKind::Text, 256 * 1024, 99);
-    let packed = tvs_huffman::compress(&data).unwrap();
-    let opts = Opts {
-        bytes: Some(data.len() as u64),
-        ..Opts::heavy()
-    };
-    rows.push(bench_with("container/compress_256k", opts, || {
-        tvs_huffman::compress(black_box(&data)).unwrap()
-    }));
-    rows.push(bench_with("container/unpack_256k", opts, || {
-        tvs_huffman::unpack(black_box(&packed)).unwrap()
-    }));
-}
-
 fn bench_workload_generation(rows: &mut Vec<Measurement>) {
     for kind in FileKind::ALL {
         rows.push(bench_with(
@@ -179,7 +164,6 @@ fn main() {
     bench_check(&mut rows);
     bench_offsets(&mut rows);
     bench_serial_reference(&mut rows);
-    bench_container(&mut rows);
     bench_workload_generation(&mut rows);
     tvs_bench::microbench::write_csv(&results_dir().join("huffman_micro.csv"), &rows)
         .expect("write csv");

@@ -34,6 +34,7 @@ use tvs_core::{
 use tvs_huffman::{decode_exact, CodeTable};
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
+use tvs_pipelines::huffman::decompress;
 use tvs_pipelines::postmortem;
 use tvs_pipelines::runner::{run_huffman, CheckpointedRun, HuffmanRun, RunFailure, RunOutcome};
 use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite, TraceLog, Tracer};
@@ -308,10 +309,12 @@ fn main() {
 
     // Kill-and-resume matrix: for every seed, halt a checkpointed run at
     // each kill block, require its journal on disk to replay to the halted
-    // snapshot, resume from the journal, and require the resumed
-    // stream to be byte-identical to the uninterrupted run — on both
-    // executors. This is the crash-recovery contract: a kill at any
-    // committed prefix loses no bytes and changes no bytes.
+    // snapshot, resume from the journal, checkpointing into the same
+    // directory, and require the resumed stream to be byte-identical to the
+    // uninterrupted run, and the finished journal to hold that stream and
+    // decompress to the input — on both executors. This is the
+    // crash-recovery contract: a kill at any committed prefix loses no
+    // bytes and changes no bytes.
     let resume_cfg = HuffmanConfig {
         block_bytes: 1024,
         reduce_ratio: 4,
@@ -392,7 +395,10 @@ fn main() {
                         }
                     }
                 }
-                let mut resume = run_on(exec, &rd, &resume_cfg, &arrival);
+                // The resumed run appends to the halted run's journal, and
+                // finishes it: the journal is then the compressed file.
+                kc.checkpoint = Some(CheckpointConfig::new(4, &dir));
+                let mut resume = run_on(exec, &rd, &kc, &arrival);
                 resume.resume = Some(&snap);
                 let prefix = snap.prefix as usize;
                 let replayed = n_blocks - prefix;
@@ -400,11 +406,19 @@ fn main() {
                     Ok(report) => {
                         let out = report.end.into_outcome();
                         let ro = out.result.output.as_ref().expect("output collected");
-                        if (&ro.0, ro.1) == (&base_out.0, base_out.1) {
-                            format!("ok ({prefix}/{replayed})")
-                        } else {
+                        let journal = std::fs::read(dir.join(JOURNAL_FILE)).unwrap_or_default();
+                        let on_disk = StreamSnapshot::replay(&journal).map(|r| r.snapshot);
+                        let durable = on_disk.is_ok_and(|s| {
+                            (&s.stream_bytes, s.stream_bit_len) == (&base_out.0, base_out.1)
+                        });
+                        if (&ro.0, ro.1) != (&base_out.0, base_out.1) {
                             violations += 1;
                             "VIOLATION: resumed stream diverges".into()
+                        } else if !durable || decompress(&journal).as_ref() != Ok(&rd) {
+                            violations += 1;
+                            "VIOLATION: finished journal is not the stream".into()
+                        } else {
+                            format!("ok ({prefix}/{replayed})")
                         }
                     }
                     Err(e) => {

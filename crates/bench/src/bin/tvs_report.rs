@@ -201,10 +201,15 @@ fn resume_audit_mode(path: &str) -> ! {
     };
     println!("== resume audit: {path} ==");
     println!(
-        "committed prefix: {}/{} blocks ({} bytes each), version {}",
+        "source:           {} bytes = {} block(s) of {} bytes",
+        snap.src_len,
+        snap.n_blocks(),
+        snap.block_bytes
+    );
+    println!(
+        "committed prefix: {}/{} blocks, version {}",
         snap.prefix,
-        snap.n_blocks,
-        snap.block_bytes,
+        snap.n_blocks(),
         if snap.committed_version == 0 {
             "none".to_string()
         } else {
@@ -221,7 +226,7 @@ fn resume_audit_mode(path: &str) -> ! {
         snap.cadence
     );
     println!("journal:          {records} record(s), {ignored} tail byte(s) ignored");
-    let at_risk = snap.n_blocks.saturating_sub(snap.prefix);
+    let at_risk = snap.n_blocks().saturating_sub(snap.prefix);
     println!("blocks at risk:   {at_risk} (re-fed and re-encoded on resume)");
     // Replay estimate from the journal's recorded lineage: the mean
     // arrival→finalize span of committed blocks approximates the pipeline

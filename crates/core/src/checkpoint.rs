@@ -15,7 +15,7 @@
 //! The format, integers as little-endian `u64`s:
 //!
 //! ```text
-//! header  magic+schema, config digest, input digest, n_blocks, block_bytes,
+//! header  magic+schema, config digest, input digest, src_len, block_bytes,
 //!         cadence, committed version, 256 one-byte code lengths, checksum
 //! record  new prefix, (arrival, encoded_at, bits) per newly committed block,
 //!         the stream bytes that became whole since the last record, the
@@ -27,7 +27,9 @@
 //! record's folds the digests of its words, its whole stream bytes and its
 //! partial byte. A record's lengths follow from the previous prefix and its
 //! blocks' `bits`; its stream bytes start at the byte the previous record
-//! left partial. A halted run cuts the file after its last record.
+//! left partial. A halted or finished run cuts the file after its last
+//! record, so a finished run's journal holds the code lengths, every stream
+//! byte in order and the exact bit length: it is the compressed file.
 //!
 //! Reading is *total*: [`StreamSnapshot::replay`] applies records up to the
 //! first one that is cut short, fails its checksum or does not advance the
@@ -43,16 +45,11 @@ use std::path::{Path, PathBuf};
 /// File name of the journal inside [`CheckpointConfig::dir`].
 pub const JOURNAL_FILE: &str = "checkpoint.log";
 
-/// The file the next journal is written into, and the name the replaced
-/// journal is held under while the two are swapped.
-const SPARE_FILE: &str = "checkpoint.log.spare";
-const HELD_FILE: &str = "checkpoint.log.held";
-
 /// The header's first seven bytes; the eighth is the schema.
 const MAGIC: &[u8; 7] = b"tvsjrnl";
 
-/// Schema written by this build; readers reject newer schemas.
-const SCHEMA: u8 = 2;
+/// The one schema this build reads and writes.
+const SCHEMA: u8 = 3;
 
 /// Header length: seven words, 256 code lengths, the checksum.
 const HEADER_LEN: usize = 7 * 8 + 256 + 8;
@@ -66,7 +63,7 @@ pub const DEFAULT_CADENCE: usize = 16;
 pub struct CheckpointConfig {
     /// Append a record whenever the committed prefix has advanced by at
     /// least this many blocks since the last one. 0 disables
-    /// cadence-driven writes (a halt still writes).
+    /// cadence-driven writes (a halt and the finish still write).
     pub every_blocks: usize,
     /// Directory the journal lands in (created if missing).
     pub dir: PathBuf,
@@ -104,7 +101,7 @@ pub enum ResumeError {
     Io(String),
     /// The file ends inside the header.
     Truncated,
-    /// The journal's schema is newer than this build understands.
+    /// The journal's schema is not the one this build understands.
     BadSchema(u64),
     /// The header is not a journal's or fails its checksum, or a field is
     /// unusable (bit flips, hand edits).
@@ -119,7 +116,7 @@ impl std::fmt::Display for ResumeError {
         match self {
             ResumeError::Io(e) => write!(f, "checkpoint io error: {e}"),
             ResumeError::Truncated => write!(f, "checkpoint header truncated"),
-            ResumeError::BadSchema(s) => write!(f, "checkpoint schema {s} is newer than supported"),
+            ResumeError::BadSchema(s) => write!(f, "checkpoint schema {s} is not supported"),
             ResumeError::BadField(k) => write!(f, "checkpoint {k} is corrupt"),
             ResumeError::InputMismatch => {
                 write!(f, "checkpoint was taken from different input or config")
@@ -178,14 +175,14 @@ pub fn input_digest(bytes: &[u8]) -> u64 {
 
 /// The exact state needed to resume a committed prefix (see module docs):
 /// what a journal decodes to, and what a halted run reports.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamSnapshot {
     /// FNV-1a digest of the pipeline parameters that shape the output.
     pub config_digest: u64,
     /// [`input_digest`] of the full input byte stream.
     pub input_digest: u64,
-    /// Total blocks in the stream.
-    pub n_blocks: u64,
+    /// Length of the input byte stream.
+    pub src_len: u64,
     /// Block size the stream was cut with, bytes.
     pub block_bytes: u64,
     /// Committed prefix: blocks `0..prefix` are finalized and assembled
@@ -232,35 +229,39 @@ fn word(bytes: &[u8], at: usize) -> Option<u64> {
 }
 
 impl StreamSnapshot {
+    /// Total blocks in the stream. `block_bytes` is not 0 in a snapshot a
+    /// journal decodes to.
+    pub fn n_blocks(&self) -> u64 {
+        self.src_len.div_ceil(self.block_bytes)
+    }
+
     /// Decode a journal: the header, then every record up to the first one
     /// that is cut short, fails its checksum or does not advance the prefix
-    /// within `n_blocks`.
+    /// within `n_blocks()`.
     pub fn replay(bytes: &[u8]) -> Result<Replay, ResumeError> {
         let head = bytes.get(..HEADER_LEN).ok_or(ResumeError::Truncated)?;
         if &head[..7] != MAGIC {
             return Err(ResumeError::BadField("magic"));
         }
-        if head[7] > SCHEMA {
+        if head[7] != SCHEMA {
             return Err(ResumeError::BadSchema(u64::from(head[7])));
         }
         let w = |i: usize| word(head, i * 8).expect("inside the header");
         if input_digest(&head[..HEADER_LEN - 8]) != w(HEADER_LEN / 8 - 1) {
             return Err(ResumeError::BadField("header checksum"));
         }
+        if w(4) == 0 {
+            return Err(ResumeError::BadField("block_bytes"));
+        }
         let mut snapshot = StreamSnapshot {
             config_digest: w(1),
             input_digest: w(2),
-            n_blocks: w(3),
+            src_len: w(3),
             block_bytes: w(4),
-            prefix: 0,
             cadence: w(5),
-            arrivals: Vec::new(),
-            encoded_at: Vec::new(),
-            bits: Vec::new(),
             code_lengths: head[56..56 + 256].to_vec(),
             committed_version: w(6),
-            stream_bytes: Vec::new(),
-            stream_bit_len: 0,
+            ..StreamSnapshot::default()
         };
         let (mut at, mut records) = (HEADER_LEN, 0);
         while let Some(len) = snapshot.apply(&bytes[at..]) {
@@ -278,7 +279,7 @@ impl StreamSnapshot {
     /// return `None` and leave `self` as it is.
     fn apply(&mut self, rec: &[u8]) -> Option<usize> {
         let prefix = word(rec, 0)?;
-        if prefix <= self.prefix || prefix > self.n_blocks {
+        if prefix <= self.prefix || prefix > self.n_blocks() {
             return None;
         }
         let fresh = (prefix - self.prefix) as usize;
@@ -331,7 +332,8 @@ pub struct Journal {
     file: Option<File>,
     /// An I/O error stopped this journal's writes for good.
     stopped: bool,
-    /// Blocks and stream bits the journal holds, and its length in bytes.
+    /// Blocks and stream bits the journal holds, and its length in bytes
+    /// (0 until the header is written).
     prefix: usize,
     bit_len: u64,
     len: u64,
@@ -353,18 +355,37 @@ impl Journal {
         }
     }
 
+    /// The journal of a run resumed from `snap`: the one in `dir`, continued
+    /// from the end of its last applied record, if it holds a record and
+    /// replays to exactly `snap` — its bytes are never rewritten, and a cut
+    /// record past them is overwritten — or else a new one, as
+    /// [`Journal::new`]. A journal without a record pins nothing: its
+    /// header's code table need not be the one the resumed run commits.
+    pub fn resume(dir: &Path, snap: &StreamSnapshot) -> Self {
+        let mut journal = Self::new(dir);
+        let bytes = std::fs::read(dir.join(JOURNAL_FILE)).unwrap_or_default();
+        if let Ok(r) = StreamSnapshot::replay(&bytes) {
+            if r.records > 0 && r.snapshot == *snap {
+                journal.prefix = snap.prefix as usize;
+                journal.bit_len = snap.stream_bit_len;
+                journal.len = (bytes.len() - r.ignored_bytes) as u64;
+            }
+        }
+        journal
+    }
+
     /// Make blocks `..prefix` durable. `lineage(i)` is block `i`'s
     /// `[arrival, encoded_at, bits]`, and `stream` holds at least the
     /// prefix's bits (bits past them are not written).
     ///
-    /// The first write writes the header — `head()`'s digests, shape,
-    /// cadence, committed version and code lengths — plus one record from
-    /// block 0 into the spare file and renames it over the journal, so a
-    /// journal this run was resumed from is replaced only by a complete
-    /// record. Every later write puts one record at the journal's end with
-    /// one vectored write, the stream bytes straight from `stream`. Each
-    /// write is followed by an end mark, which the next one overwrites.
-    /// After an I/O error every write fails.
+    /// The first write of a new journal opens `checkpoint.log` without
+    /// truncating it and writes, from offset 0, the header — `head()`'s
+    /// digests, shape, cadence, committed version and code lengths — plus
+    /// one record from block 0 (none when `prefix` is 0). Every later write,
+    /// and every write of a resumed journal, puts one record at the
+    /// journal's end with one vectored write, the stream bytes straight from
+    /// `stream`. Each write is followed by an end mark, which the next one
+    /// overwrites. After an I/O error every write fails.
     pub fn write(
         &mut self,
         head: impl FnOnce() -> StreamSnapshot,
@@ -389,14 +410,14 @@ impl Journal {
     ) -> std::io::Result<()> {
         let buf = &mut self.buf;
         buf.clear();
-        if self.file.is_none() {
+        if self.len == 0 {
             let h = head();
             buf.extend_from_slice(MAGIC);
             buf.push(SCHEMA);
             for w in [
                 h.config_digest,
                 h.input_digest,
-                h.n_blocks,
+                h.src_len,
                 h.block_bytes,
                 h.cadence,
                 h.committed_version,
@@ -407,39 +428,48 @@ impl Journal {
             buf.resize(HEADER_LEN - 8, 0);
             buf.extend_from_slice(&input_digest(buf).to_le_bytes());
         }
-        let rec = buf.len();
-        buf.extend_from_slice(&(prefix as u64).to_le_bytes());
+        // The record's whole stream bytes; its partial byte and checksum,
+        // then the end mark.
+        let (mut body, mut tail, mut ends) = (&stream[..0], [0u8; 17], 0);
         let mut bit_len = self.bit_len;
-        for i in self.prefix..prefix {
-            let block = lineage(i);
-            for w in block {
-                buf.extend_from_slice(&w.to_le_bytes());
+        if prefix > self.prefix {
+            let rec = buf.len();
+            buf.extend_from_slice(&(prefix as u64).to_le_bytes());
+            for i in self.prefix..prefix {
+                let block = lineage(i);
+                for w in block {
+                    buf.extend_from_slice(&w.to_le_bytes());
+                }
+                bit_len += block[2];
             }
-            bit_len += block[2];
+            let whole = (bit_len / 8) as usize;
+            body = &stream[(self.bit_len / 8) as usize..whole];
+            let partial = match bit_len % 8 {
+                0 => 0,
+                r => {
+                    tail[0] = stream[whole] & !(0xFF >> r);
+                    1
+                }
+            };
+            let sum = record_sum(&buf[rec..], body, &tail[..partial]);
+            tail[partial..partial + 8].copy_from_slice(&sum.to_le_bytes());
+            ends = partial + 8;
         }
-        let whole = (bit_len / 8) as usize;
-        let body = &stream[(self.bit_len / 8) as usize..whole];
-        // The partial byte, the checksum and the end mark.
-        let mut tail = [0u8; 17];
-        let partial = match bit_len % 8 {
-            0 => 0,
-            r => {
-                tail[0] = stream[whole] & !(0xFF >> r);
-                1
-            }
-        };
-        let sum = record_sum(&buf[rec..], body, &tail[..partial]);
-        tail[partial..partial + 8].copy_from_slice(&sum.to_le_bytes());
-        let first = self.file.is_none();
         let file = match &mut self.file {
             Some(f) => f,
-            None => self.file.insert(open_spare(&self.dir)?),
+            None => {
+                std::fs::create_dir_all(&self.dir)?;
+                let mut open = OpenOptions::new();
+                let path = self.dir.join(JOURNAL_FILE);
+                self.file
+                    .insert(open.write(true).create(true).truncate(false).open(path)?)
+            }
         };
         file.seek(SeekFrom::Start(self.len))?;
         let mut parts = [
             IoSlice::new(buf),
             IoSlice::new(body),
-            IoSlice::new(&tail[..partial + 16]),
+            IoSlice::new(&tail[..ends + 8]),
         ];
         let mut parts = &mut parts[..];
         while !parts.is_empty() {
@@ -450,17 +480,14 @@ impl Journal {
                 Err(e) => return Err(e),
             }
         }
-        if first {
-            swap_in_spare(&self.dir)?;
-        }
-        self.len += (buf.len() + body.len() + partial + 8) as u64;
+        self.len += (buf.len() + body.len() + ends) as u64;
         self.prefix = prefix;
         self.bit_len = bit_len;
         Ok(())
     }
 
     /// Cut the file after the last record, dropping the end mark and
-    /// whatever an earlier journal left in the reused file.
+    /// whatever an earlier, longer journal left in the file.
     pub fn trim(&mut self) -> std::io::Result<()> {
         match &self.file {
             Some(f) if !self.stopped => f.set_len(self.len),
@@ -477,31 +504,6 @@ fn record_sum(words: &[u8], body: &[u8], partial: &[u8]) -> u64 {
     })
 }
 
-/// The file a journal's first write goes into: the spare — the journal the
-/// last first write replaced, overwritten in place so that the commit path
-/// neither frees its pages nor allocates new ones — or a new file.
-fn open_spare(dir: &Path) -> std::io::Result<File> {
-    std::fs::create_dir_all(dir)?;
-    OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(dir.join(SPARE_FILE))
-}
-
-/// Rename the spare over the journal and keep the journal it replaces as
-/// the next spare. The journal's name holds a complete journal throughout.
-fn swap_in_spare(dir: &Path) -> std::io::Result<()> {
-    let (journal, held) = (dir.join(JOURNAL_FILE), dir.join(HELD_FILE));
-    let _ = std::fs::remove_file(&held);
-    let kept = std::fs::hard_link(&journal, &held).is_ok();
-    std::fs::rename(dir.join(SPARE_FILE), &journal)?;
-    if kept {
-        std::fs::rename(&held, dir.join(SPARE_FILE))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,7 +515,7 @@ mod tests {
         StreamSnapshot {
             config_digest: 0xDEAD_BEEF,
             input_digest: fnv1a(b"the input"),
-            n_blocks: 10,
+            src_len: 9 * 4096 + 100,
             block_bytes: 4096,
             prefix: 3,
             cadence: 2,
@@ -544,6 +546,16 @@ mod tests {
             stream_bit_len: bits,
             ..s.clone()
         }
+    }
+
+    /// The file names in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
     fn scratch(name: &str) -> PathBuf {
@@ -607,7 +619,7 @@ mod tests {
         assert_eq!(CheckpointConfig::new(1, &dir).journal_path(), path);
         assert_eq!(StreamSnapshot::load(&path).unwrap(), s);
         // A second journal on the same directory leaves the first in place
-        // until its own first record is complete, then starts afresh.
+        // until its first write, which overwrites it from offset 0.
         let mut again = Journal::new(&dir);
         assert_eq!(StreamSnapshot::load(&path).unwrap(), s);
         let lineage = |i: usize| [s.arrivals[i], s.encoded_at[i], s.bits[i]];
@@ -615,26 +627,20 @@ mod tests {
             .write(|| cut(&s, 0), 1, lineage, &s.stream_bytes)
             .unwrap();
         assert_eq!(StreamSnapshot::load(&path).unwrap(), cut(&s, 1));
-        // The replaced journal is kept as the spare; nothing else is left.
-        let mut names: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        names.sort();
-        assert_eq!(names, [JOURNAL_FILE, SPARE_FILE]);
+        // One file, and nothing else.
+        assert_eq!(listing(&dir), [JOURNAL_FILE]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_reused_file_holds_only_its_own_records() {
-        // The third journal on a directory is written over the first one's
-        // file, whose records past its own first one are valid: the end
-        // mark, then the trim, keep them out.
+        // The second journal on a directory is written over the first one,
+        // whose records past the second's are valid: the end mark, then the
+        // trim, keep them out.
         let dir = scratch("reuse");
         let s = sample();
         drop(write(&s, &[1, 2, 3], &dir));
-        drop(write(&s, &[2], &dir));
-        let mut third = write(&s, &[1], &dir);
+        let mut second = write(&s, &[1], &dir);
         let path = dir.join(JOURNAL_FILE);
         let r = StreamSnapshot::replay(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!((&r.snapshot, r.records), (&cut(&s, 1), 1));
@@ -642,11 +648,82 @@ mod tests {
             r.ignored_bytes > 8,
             "the first journal's tail is still there"
         );
-        third.trim().unwrap();
+        second.trim().unwrap();
         let r = StreamSnapshot::replay(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!((r.snapshot, r.records, r.ignored_bytes), (cut(&s, 1), 1, 0));
-        let spare = StreamSnapshot::load(&dir.join(SPARE_FILE)).unwrap();
-        assert_eq!(spare, cut(&s, 2), "the second journal is the spare now");
+        assert_eq!(listing(&dir), [JOURNAL_FILE]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resumed_journal_appends_after_its_last_record() {
+        let dir = scratch("resume");
+        let s = sample();
+        let lineage = |i: usize| [s.arrivals[i], s.encoded_at[i], s.bits[i]];
+        let (whole, ends) = journal();
+        // A kill cut the second record short: the resumed journal writes
+        // over the cut bytes, and its file is the uninterrupted one's.
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(JOURNAL_FILE), &whole[..ends[1] - 3]).unwrap();
+        let mut j = Journal::resume(&dir, &cut(&s, 1));
+        j.write(
+            || unreachable!("the header is there"),
+            3,
+            lineage,
+            &s.stream_bytes,
+        )
+        .unwrap();
+        j.trim().unwrap();
+        assert_eq!(std::fs::read(dir.join(JOURNAL_FILE)).unwrap(), whole);
+        // A snapshot the journal does not replay to starts a new journal.
+        let mut j = Journal::resume(&dir, &cut(&s, 2));
+        j.write(|| cut(&s, 0), 3, lineage, &s.stream_bytes).unwrap();
+        j.trim().unwrap();
+        let r = StreamSnapshot::replay(&std::fs::read(dir.join(JOURNAL_FILE)).unwrap()).unwrap();
+        assert_eq!((r.snapshot, r.records, r.ignored_bytes), (s, 1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_without_a_record_is_not_continued() {
+        // A kill cut the first record: the header pins no tree, so the
+        // resumed run writes its own from offset 0.
+        let dir = scratch("no-record");
+        let s = sample();
+        let lineage = |i: usize| [s.arrivals[i], s.encoded_at[i], s.bits[i]];
+        let (whole, ends) = journal();
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(JOURNAL_FILE), &whole[..ends[0] - 3]).unwrap();
+        let other = StreamSnapshot {
+            code_lengths: (0..=255u8).map(|i| u8::from(i < 2)).collect(),
+            committed_version: 5,
+            ..s.clone()
+        };
+        let mut j = Journal::resume(&dir, &cut(&s, 0));
+        j.write(|| cut(&other, 0), 3, lineage, &s.stream_bytes)
+            .unwrap();
+        j.trim().unwrap();
+        let r = StreamSnapshot::replay(&std::fs::read(dir.join(JOURNAL_FILE)).unwrap()).unwrap();
+        assert_eq!((r.snapshot, r.records, r.ignored_bytes), (other, 1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_header_only_journal_holds_an_empty_stream() {
+        let dir = scratch("header-only");
+        let head = StreamSnapshot {
+            src_len: 0,
+            ..cut(&sample(), 0)
+        };
+        let mut j = Journal::new(&dir);
+        j.write(|| head.clone(), 0, |_| unreachable!(), &[])
+            .unwrap();
+        j.trim().unwrap();
+        let bytes = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        assert_eq!(bytes.len(), HEADER_LEN);
+        let r = StreamSnapshot::replay(&bytes).unwrap();
+        assert_eq!((r.snapshot.n_blocks(), r.records), (0, 0));
+        assert_eq!(r.snapshot, head);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -730,11 +807,13 @@ mod tests {
     #[test]
     fn newer_schema_is_rejected() {
         let (mut bytes, _) = journal();
-        bytes[7] = 99;
-        assert_eq!(
-            StreamSnapshot::replay(&bytes),
-            Err(ResumeError::BadSchema(99))
-        );
+        for schema in [99, 2] {
+            bytes[7] = schema;
+            assert_eq!(
+                StreamSnapshot::replay(&bytes),
+                Err(ResumeError::BadSchema(u64::from(schema)))
+            );
+        }
         bytes[0] ^= 1;
         assert_eq!(
             StreamSnapshot::replay(&bytes),
@@ -745,7 +824,7 @@ mod tests {
     #[test]
     fn structural_inconsistency_is_rejected() {
         // Records that carry a valid checksum but do not advance the
-        // prefix, or advance it past `n_blocks`, are not applied.
+        // prefix, or advance it past `n_blocks()`, are not applied.
         let (bytes, _) = journal();
         for prefix in [3u64, 2, 11] {
             let mut m = bytes.clone();

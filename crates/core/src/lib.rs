@@ -41,7 +41,8 @@
 //! * [`checkpoint`] — committed-prefix checkpointing: the finalized
 //!   blocks' lineage and stream bytes, appended once each to a
 //!   checksummed journal behind a header with the code table, so a killed
-//!   run resumes byte-identically.
+//!   run resumes byte-identically, and a finished run's journal is its
+//!   compressed file.
 //!
 //! The mechanisms these actions rely on (version-tagged tasks, abort flags,
 //! control-class priorities) live in the substrate crate `tvs-sre`.

@@ -53,7 +53,10 @@ impl BitWriter {
     /// Append the low `len` bits of `code`, most significant of those first.
     ///
     /// `len` must be at most 64. `len == 0` is a no-op.
-    #[inline]
+    // Always inlined: the encode loops call it once per symbol, and whether
+    // a plain `#[inline]` hint was taken changed with unrelated code in the
+    // crate (out of line, a 4 MB serial encode ran ~25 % slower).
+    #[inline(always)]
     pub fn push(&mut self, code: u64, len: u8) {
         debug_assert!(len <= 64);
         debug_assert!(len == 64 || code < (1u64 << len) || len == 0);

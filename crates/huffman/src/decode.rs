@@ -65,7 +65,7 @@ impl Decoder {
         let mut first_index = [0u32; 65];
         // u128 accumulator: a Kraft-tight table with depth-64 codes pushes
         // the running code to exactly 2^64, which overflows u64 on the
-        // final iteration (reachable from untrusted containers).
+        // final iteration (reachable from an untrusted journal's lengths).
         let mut code = 0u128;
         let mut index = 0u32;
         for l in 1..=64usize {

@@ -32,10 +32,6 @@
 //! let encoded = tvs_huffman::serial_encode(&data).unwrap();
 //! assert!(encoded.bit_len < data.len() as u64 * 8, "text compresses");
 //! assert_eq!(tvs_huffman::serial_decode(&encoded).unwrap(), data);
-//!
-//! // Or through the standalone container format:
-//! let packed = tvs_huffman::compress(&data).unwrap();
-//! assert_eq!(tvs_huffman::unpack(&packed).unwrap(), data);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,7 +39,6 @@
 
 pub mod bitio;
 pub mod codes;
-pub mod container;
 pub mod decode;
 pub mod encode;
 pub mod estimate;
@@ -54,7 +49,6 @@ pub mod tree;
 
 pub use bitio::{BitReader, BitWriter};
 pub use codes::CodeTable;
-pub use container::{compress, unpack, ContainerError};
 pub use decode::{decode_exact, Decoder};
 pub use encode::{
     concat_blocks, encode_block, encode_block_at, encode_block_into, encode_blocks_at, place,

@@ -331,53 +331,6 @@ fn prop_decoder_total_on_garbage() {
     });
 }
 
-/// Container round-trip for arbitrary inputs, and arbitrary corruption
-/// never panics the parser/decoder.
-#[test]
-fn prop_container_round_trip_and_total() {
-    cases(0x4F09, 128, |rng, _| {
-        let data = bytes(rng, 0..2048);
-        let flip_at: u16 = rng.random();
-        let packed = tvs_huffman::compress(&data).unwrap();
-        assert_eq!(tvs_huffman::unpack(&packed).unwrap(), data);
-        // Corruption: totality (no panic); round-trip integrity is only
-        // guaranteed for untouched containers.
-        let mut bad = packed.clone();
-        let i = flip_at as usize % bad.len();
-        bad[i] ^= 0x5A;
-        let _ = tvs_huffman::unpack(&bad);
-        // Truncation at every header-adjacent point is also total.
-        for cut in [
-            0usize,
-            4,
-            5,
-            20,
-            21,
-            tvs_huffman::container::HEADER_LEN.min(bad.len()),
-        ] {
-            let _ = tvs_huffman::unpack(&packed[..cut.min(packed.len())]);
-        }
-    });
-}
-
-/// Fully random buffers — not corrupted-but-once-valid containers —
-/// through the container parser: every outcome is a structured
-/// `ContainerError` or a decode, never a panic. Half the cases get the
-/// real magic spliced in so parsing proceeds past the first check.
-#[test]
-fn prop_unpack_total_on_random_bytes() {
-    cases(0x4F0B, 256, |rng, i| {
-        let mut buf = bytes(rng, 0..1024);
-        if i % 2 == 0 && buf.len() >= 5 {
-            buf[..5].copy_from_slice(tvs_huffman::container::MAGIC);
-        }
-        if let Ok(back) = tvs_huffman::unpack(&buf) {
-            assert!(back.len() as u64 <= buf.len() as u64 * 8);
-        }
-        let _ = tvs_huffman::container::parse(&buf);
-    });
-}
-
 /// Bit ranges outside the buffer — including offset/length pairs whose
 /// sum overflows a `u64` — are `DecodeError::OutOfBounds`, not a panic.
 #[test]
@@ -406,9 +359,10 @@ fn prop_wild_bit_ranges_are_out_of_bounds() {
 }
 
 /// A Kraft-tight table whose deepest codes are 64 bits long (one symbol
-/// at every length 1..=63 plus two at 64) round-trips through encode,
-/// decode, and the container — the canonical-code accumulators reach
-/// exactly 2^64 on such tables and must not overflow.
+/// at every length 1..=63 plus two at 64) round-trips through encode and
+/// decode — the canonical-code accumulators reach exactly 2^64 on such
+/// tables and must not overflow. (`tvs_pipelines::huffman::decompress`
+/// takes the same table from a journal's header.)
 #[test]
 fn kraft_tight_depth_64_table_round_trips() {
     let mut lens = [0u8; 256];
@@ -429,13 +383,11 @@ fn kraft_tight_depth_64_table_round_trips() {
     let enc = encode_block(&data, &table).unwrap();
     let back = decode_exact(&enc.bytes, 0, enc.bit_len, data.len(), &table).unwrap();
     assert_eq!(back, data);
-
-    let packed = tvs_huffman::container::pack(&lengths, &enc.bytes, enc.bit_len, data.len());
-    assert_eq!(tvs_huffman::unpack(&packed).unwrap(), data);
 }
 
 /// Canonical decode after a canonical re-encode of the *lengths only*
-/// (the container's premise): lengths fully determine the code.
+/// (a checkpoint journal's premise: its header stores the lengths only):
+/// lengths fully determine the code.
 #[test]
 fn prop_lengths_fully_determine_the_code() {
     cases(0x4F0A, 64, |rng, _| {

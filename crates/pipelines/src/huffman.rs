@@ -89,9 +89,10 @@ use tvs_core::{
     Action, AllocStats, CheckResult, Journal, Level, ManagerStats, ResumeError, SpecVersion,
     SpeculationManager, StreamSnapshot, WaitBuffer,
 };
+use tvs_huffman::decode::DecodeError;
 use tvs_huffman::{
-    encode_blocks_at, place, relative_cost_delta, set_bit_len, BlockCounts, CodeLengths, CodeTable,
-    EncodedBlock, Histogram, OffsetChain,
+    decode_exact, encode_blocks_at, place, relative_cost_delta, set_bit_len, BlockCounts,
+    CodeLengths, CodeTable, EncodedBlock, Histogram, OffsetChain,
 };
 use tvs_metrics::{Gauge, MetricsHub};
 use tvs_sre::task::{expect_payload, payload};
@@ -442,7 +443,10 @@ impl HuffmanWorkload {
         input_digest: u64,
         ins: &Instruments,
     ) -> Self {
-        assert!(data_len > 0, "empty input");
+        assert!(
+            data_len > 0 || !cfg.collect_output,
+            "an empty input has no code table to collect"
+        );
         // Build the engine through the paper's four-point interface.
         let mgr = cfg.speculation_plan().manager(cfg.degrade, ins);
         let keeps_stream = cfg.collect_output || cfg.checkpoint.is_some();
@@ -502,21 +506,12 @@ impl HuffmanWorkload {
         ins: &Instruments,
     ) -> Result<Self, ResumeError> {
         let mut wl = Self::instrumented(cfg, data_len, snap.input_digest, ins);
-        if snap.n_blocks as usize != wl.blocks.len()
-            || snap.block_bytes as usize != wl.cfg.block_bytes
-        {
+        if snap.src_len != data_len as u64 || snap.block_bytes as usize != wl.cfg.block_bytes {
             return Err(ResumeError::InputMismatch);
         }
         let k = snap.prefix as usize;
         if k > 0 {
-            let arr: [u8; 256] = snap
-                .code_lengths
-                .as_slice()
-                .try_into()
-                .map_err(|_| ResumeError::BadField("code_lengths"))?;
-            let lengths = CodeLengths::from_lengths(arr)
-                .map_err(|_| ResumeError::BadField("code_lengths"))?;
-            let tree = Arc::new(SpecTree::new(lengths, snap.prefix));
+            let tree = Arc::new(SpecTree::new(committed_lengths(snap)?, snap.prefix));
             wl.committed_tree = Some(tree.clone());
             // The committed stream and the chain of its path pick up where
             // the snapshot's prefix ends. Only the prefix's own bits count:
@@ -543,10 +538,12 @@ impl HuffmanWorkload {
             *block = Block::Committed { done };
         }
         wl.prefix = k;
-        // A resumed run can itself be killed and resumed: its journal starts
-        // afresh, from block 0, at its first write.
-        if let Some(ck) = &mut wl.ckpt {
+        // A resumed run appends to the journal it was loaded from (or, if
+        // that is not `snap`'s, starts one from block 0), so it can itself
+        // be killed and resumed.
+        if let (Some(ck), Some(cc)) = (&mut wl.ckpt, &wl.cfg.checkpoint) {
             ck.last_written = k;
+            ck.journal = Journal::resume(&cc.dir, snap);
         }
         Ok(wl)
     }
@@ -602,8 +599,9 @@ impl HuffmanWorkload {
 
     /// Advance the checkpoint plane after a block commits: append the
     /// committed prefix's new blocks to the journal when the cadence is
-    /// due, the halt block is reached, or the degradation machine sits at
-    /// its paused level, which demands eager durability. Disk failures are
+    /// due, the halt block is reached, the last block commits, or the
+    /// degradation machine sits at its paused level, which demands eager
+    /// durability; a halt or the finish then trims the file. Disk failures are
     /// absorbed — the live state still serves halt and resume, and a
     /// stopped journal only widens the at-risk window.
     fn advance_checkpoint(&mut self) {
@@ -619,11 +617,12 @@ impl HuffmanWorkload {
         let prefix = self.prefix;
         let halt = cc.halt_at_block.is_some_and(|h| h > 0 && prefix >= h);
         let due = cc.every_blocks > 0 && prefix >= ck.last_written + cc.every_blocks;
-        // A run that reaches the final block needs no record — there is
-        // nothing left to resume.
+        // The final record makes the journal the compressed file; an empty
+        // input's is the header alone.
         let finished = prefix == self.blocks.len();
+        let fresh = prefix > ck.last_written || self.blocks.is_empty();
         let eager = self.mgr.level() == Some(Level::Paused);
-        if prefix > ck.last_written && (halt || eager || (due && !finished)) {
+        if fresh && (halt || eager || due || finished) {
             let lineage = |i: usize| {
                 let d = self.blocks[i].done().expect("prefix committed");
                 [d.arrival, d.encoded_at, d.bits]
@@ -632,8 +631,10 @@ impl HuffmanWorkload {
             let _ = ck.journal.write(head, prefix, lineage, &self.stream);
             ck.last_written = prefix;
         }
-        if halt {
+        if halt || finished {
             let _ = ck.journal.trim();
+        }
+        if halt {
             self.halted = Some(prefix);
         }
         self.ckpt = Some(ck);
@@ -658,7 +659,7 @@ impl HuffmanWorkload {
         StreamSnapshot {
             config_digest: self.cfg.digest(),
             input_digest: self.input_digest,
-            n_blocks: self.blocks.len() as u64,
+            src_len: self.src_bytes as u64,
             block_bytes: self.cfg.block_bytes as u64,
             prefix: k as u64,
             cadence: self.cfg.checkpoint.as_ref().map_or(0, |c| c.every_blocks) as u64,
@@ -1213,6 +1214,88 @@ impl HuffmanWorkload {
     }
 }
 
+/// The committed tree's code lengths a snapshot carries, checked.
+fn committed_lengths(snap: &StreamSnapshot) -> Result<CodeLengths, ResumeError> {
+    <[u8; 256]>::try_from(snap.code_lengths.as_slice())
+        .ok()
+        .and_then(|lengths| CodeLengths::from_lengths(lengths).ok())
+        .ok_or(ResumeError::BadField("code_lengths"))
+}
+
+/// Why [`decompress`] could not restore a file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecompressError {
+    /// The journal's header is unreadable, or a field is unusable.
+    Journal(ResumeError),
+    /// The journal holds `prefix` of its `n_blocks` blocks: it is the
+    /// resume state of a run that did not finish, not a compressed file.
+    Incomplete {
+        /// Blocks the journal holds.
+        prefix: u64,
+        /// Blocks in the stream.
+        n_blocks: u64,
+    },
+    /// The stream does not decode with the journal's code lengths.
+    Decode(DecodeError),
+    /// The stream decodes, but not to the input the journal was written
+    /// from: its [`input_digest`](tvs_core::checkpoint::input_digest)
+    /// differs from the header's.
+    Digest,
+}
+
+impl std::fmt::Display for DecompressError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecompressError::Journal(e) => e.fmt(f),
+            DecompressError::Incomplete { prefix, n_blocks } => {
+                write!(f, "journal holds {prefix} of {n_blocks} blocks")
+            }
+            DecompressError::Decode(e) => write!(f, "stream does not decode: {e}"),
+            DecompressError::Digest => write!(f, "stream decodes to other bytes than its input"),
+        }
+    }
+}
+
+impl std::error::Error for DecompressError {}
+
+/// Restore the input from a finished run's checkpoint journal, which holds
+/// the code lengths, every stream byte in order and the exact bit length.
+/// Total: a damaged, cut or unfinished journal is an error, and no
+/// allocation is sized by a header field the stream cannot back. The
+/// output is checked against the input digest the header was bound to.
+pub fn decompress(journal: &[u8]) -> Result<Vec<u8>, DecompressError> {
+    let snap = StreamSnapshot::replay(journal)
+        .map_err(DecompressError::Journal)?
+        .snapshot;
+    let (prefix, n_blocks) = (snap.prefix, snap.n_blocks());
+    if prefix != n_blocks {
+        return Err(DecompressError::Incomplete { prefix, n_blocks });
+    }
+    // Every input byte takes at least one bit of the stream.
+    if snap.src_len > snap.stream_bit_len {
+        return Err(DecompressError::Journal(ResumeError::BadField("src_len")));
+    }
+    let out = match snap.src_len {
+        0 => Vec::new(),
+        n => {
+            let lengths = committed_lengths(&snap).map_err(DecompressError::Journal)?;
+            let table = CodeTable::from_lengths(&lengths);
+            decode_exact(
+                &snap.stream_bytes,
+                0,
+                snap.stream_bit_len,
+                n as usize,
+                &table,
+            )
+            .map_err(DecompressError::Decode)?
+        }
+    };
+    if tvs_core::checkpoint::input_digest(&out) != snap.input_digest {
+        return Err(DecompressError::Digest);
+    }
+    Ok(out)
+}
+
 /// The counts of `blocks`, which are counted.
 fn rows(blocks: &[Block]) -> Vec<Row> {
     blocks
@@ -1334,6 +1417,13 @@ pub fn digest_output(name: &'static str, out: &dyn std::any::Any) -> Option<u64>
 }
 
 impl Workload for HuffmanWorkload {
+    fn on_start(&mut self, _ctx: &mut dyn SchedCtx) {
+        // A run over an empty input is finished before it starts.
+        if self.blocks.is_empty() {
+            self.advance_checkpoint();
+        }
+    }
+
     fn on_input(&mut self, ctx: &mut dyn SchedCtx, block: InputBlock) {
         self.on_input_batch(ctx, vec![block]);
     }

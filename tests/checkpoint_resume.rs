@@ -14,7 +14,7 @@
 //! settles, and a supervised threaded run under duplicate-completion
 //! injection must take the epoch-reject path rather than double-commit.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use tvs_core::checkpoint::JOURNAL_FILE;
 use tvs_core::{
     CheckpointConfig, DegradeConfig, Level, ResumeError, StreamSnapshot, ValidationMode,
@@ -22,6 +22,7 @@ use tvs_core::{
 use tvs_huffman::decode_exact;
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
+use tvs_pipelines::huffman::decompress;
 use tvs_pipelines::runner::{
     run_huffman, Executor, HuffmanReport, HuffmanRun, RunFailure, RunOutcome,
 };
@@ -157,6 +158,16 @@ fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tvs-ckpt-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The file names in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<_> = std::fs::read_dir(dir)
+        .expect("the run wrote its directory")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
 }
 
 fn output_of(out: &RunOutcome) -> (&[u8], u64) {
@@ -405,6 +416,153 @@ fn a_resumed_run_can_be_killed_and_resumed_again() {
         assert_eq!(on_disk, second, "threads: {on_threads}");
         let out = resumed(on(&plain), &on_disk).expect("resumes again");
         assert_eq!(output_of(&out), output_of(&base), "threads: {on_threads}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A kill mid-append. Halt at block 16, resume into the same directory and
+/// halt at 40: the resumed run appends to the journal it loaded, whose
+/// bytes it never rewrites. Every cut inside the first appended record
+/// replays to the first halt's snapshot, and a run resumed from the cut
+/// journal writes over the cut and finishes with a journal that is the
+/// compressed file. A resume whose snapshot is not the directory's journal
+/// writes a new journal from block 0, which resumes too. The directory
+/// holds the journal and nothing else throughout, on both executors.
+#[test]
+fn a_resumed_run_appends_to_the_journal_it_loaded() {
+    let data = stationary(64 * 1024);
+    let mut natural = cfg();
+    natural.policy = DispatchPolicy::NonSpeculative;
+    for (on_threads, plain) in [(false, cfg()), (true, natural)] {
+        let base = outcome(sim(&data, &plain));
+        let on = |c| match on_threads {
+            true => HuffmanRun::threaded(&data, c, 1, &ARRIVAL, 1000),
+            false => sim(&data, c),
+        };
+        let dir = scratch_dir(&format!("append-{on_threads}"));
+        let path = dir.join(JOURNAL_FILE);
+        let checkpointed = |halt_at_block| {
+            let mut c = plain.clone();
+            c.checkpoint = Some(CheckpointConfig {
+                every_blocks: 4,
+                dir: dir.clone(),
+                halt_at_block,
+            });
+            c
+        };
+        let (to_16, to_40, to_end) = (
+            checkpointed(Some(16)),
+            checkpointed(Some(40)),
+            checkpointed(None),
+        );
+        let what = format!("threads: {on_threads}");
+
+        let first = halt_snapshot(on(&to_16));
+        assert_eq!(listing(&dir), [JOURNAL_FILE], "{what}");
+        let loaded = std::fs::read(&path).unwrap();
+        let second = run_huffman(&HuffmanRun {
+            resume: Some(&first),
+            ..on(&to_40)
+        })
+        .expect("resumes")
+        .end
+        .into_snapshot();
+        assert_eq!(listing(&dir), [JOURNAL_FILE], "{what}");
+        let appended = std::fs::read(&path).unwrap();
+        assert_eq!(appended[..loaded.len()], loaded[..], "{what}");
+        assert_eq!(StreamSnapshot::load(&path), Ok(second), "{what}");
+
+        let replay = |bytes: &[u8]| StreamSnapshot::replay(bytes).expect("the header is intact");
+        let records = replay(&loaded).records;
+        let end = (loaded.len() + 1..=appended.len())
+            .find(|&len| replay(&appended[..len]).records > records)
+            .expect("the resumed run appended a record");
+        for len in loaded.len()..end {
+            assert_eq!(
+                replay(&appended[..len]).snapshot,
+                first,
+                "{what}, cut at {len}"
+            );
+        }
+        for len in [loaded.len() + 1, (loaded.len() + end) / 2, end - 1] {
+            std::fs::write(&path, &appended[..len]).unwrap();
+            let cut = StreamSnapshot::load(&path).unwrap();
+            let out = resumed(on(&to_end), &cut).expect("resumes");
+            assert_eq!(output_of(&out), output_of(&base), "{what}, cut at {len}");
+            let finished = std::fs::read(&path).unwrap();
+            assert_eq!(finished[..loaded.len()], loaded[..], "{what}, cut at {len}");
+            assert_eq!(decompress(&finished).as_ref(), Ok(&data), "{what}");
+            assert_eq!(listing(&dir), [JOURNAL_FILE], "{what}");
+        }
+
+        // The directory now holds a finished journal, not `first`'s.
+        let third = run_huffman(&HuffmanRun {
+            resume: Some(&first),
+            ..on(&to_40)
+        })
+        .expect("resumes")
+        .end
+        .into_snapshot();
+        let fresh = std::fs::read(&path).unwrap();
+        let one_record = (0..=fresh.len())
+            .filter_map(|len| StreamSnapshot::replay(&fresh[..len]).ok())
+            .find(|r| r.records == 1)
+            .expect("a record");
+        assert!(
+            one_record.snapshot.prefix > first.prefix,
+            "{what}: the first record starts at block 0"
+        );
+        assert_eq!(StreamSnapshot::load(&path), Ok(third.clone()), "{what}");
+        let out = resumed(on(&plain), &third).expect("resumes");
+        assert_eq!(output_of(&out), output_of(&base), "{what}");
+        assert_eq!(listing(&dir), [JOURNAL_FILE], "{what}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A kill that cuts the first record leaves a header that pins no tree: a
+/// run resumed from it picks its own committed tree, so it must write its
+/// own header too. The header here carries a table no run commits, and the
+/// finished journal must still decompress to the input, on both executors.
+#[test]
+fn a_journal_without_a_record_gets_the_resumed_runs_header() {
+    let data = stationary(64 * 1024);
+    for on_threads in [false, true] {
+        let dir = scratch_dir(&format!("no-record-{on_threads}"));
+        let path = dir.join(JOURNAL_FILE);
+        let mut c = cfg();
+        c.checkpoint = Some(CheckpointConfig::new(4, &dir));
+        let head = StreamSnapshot {
+            config_digest: c.digest(),
+            input_digest: tvs_core::checkpoint::input_digest(&data),
+            src_len: data.len() as u64,
+            block_bytes: c.block_bytes as u64,
+            cadence: 4,
+            code_lengths: vec![8; 256],
+            committed_version: 99,
+            ..StreamSnapshot::default()
+        };
+        let mut journal = tvs_core::Journal::new(&dir);
+        journal.write(|| head, 0, |_| unreachable!(), &[]).unwrap();
+        journal.trim().unwrap();
+        // The first record, cut short.
+        let mut cut = std::fs::read(&path).unwrap();
+        cut.extend_from_slice(&[16, 0, 0, 0, 0]);
+        std::fs::write(&path, &cut).unwrap();
+
+        let snap = StreamSnapshot::load(&path).unwrap();
+        assert_eq!((snap.prefix, &snap.code_lengths[..2]), (0, &[8, 8][..]));
+        let run = match on_threads {
+            true => threaded(&data, &c),
+            false => sim(&data, &c),
+        };
+        resumed(run, &snap).expect("resumes");
+        let finished = std::fs::read(&path).unwrap();
+        let what = format!("threads: {on_threads}");
+        assert_eq!(decompress(&finished).as_ref(), Ok(&data), "{what}");
+        let ours = StreamSnapshot::load(&path).unwrap();
+        assert!(ours.code_lengths != snap.code_lengths, "{what}");
+        assert_eq!(listing(&dir), [JOURNAL_FILE], "{what}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
