@@ -32,7 +32,7 @@ impl Workload for PerBlock {
         ctx.spawn(TaskSpec::regular(
             "w",
             0,
-            b.data.len(),
+            b.bytes.len(),
             b.index as u64,
             move |_| {
                 if !spin.is_zero() {
@@ -94,11 +94,12 @@ fn bench_rollback(rows: &mut Vec<tvs_bench::microbench::Measurement>) {
 
 fn bench_sim_executor(rows: &mut Vec<tvs_bench::microbench::Measurement>) {
     for n_tasks in [1024usize, 8192] {
+        let input = vec![0u8; 16 * n_tasks];
         let inputs: Vec<InputBlock> = (0..n_tasks)
             .map(|i| InputBlock {
                 index: i,
                 arrival: i as u64,
-                data: vec![0u8; 16].into(),
+                bytes: 16 * i..16 * (i + 1),
             })
             .collect();
         let cfg = SimConfig::new(x86_smp(16));
@@ -115,6 +116,7 @@ fn bench_sim_executor(rows: &mut Vec<tvs_bench::microbench::Measurement>) {
                     &cfg,
                     DispatchPolicy::NonSpeculative,
                     &FixedCost(50),
+                    &input,
                     inputs.clone(),
                     &Instruments::default(),
                 );
@@ -170,7 +172,7 @@ fn run_once(exec: Exec, workers: usize, n: usize, spin: Duration, reps: usize) -
     let cfg = ThreadedConfig::new(workers);
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
-            let inputs = blocks_at_once(n, 16);
+            let (input, inputs) = blocks_at_once(n, 16);
             // Tracer and hub live outside the timed region: a cell measures
             // what a run pays for emission, not for draining afterwards.
             let ins = match exec {
@@ -187,16 +189,30 @@ fn run_once(exec: Exec, workers: usize, n: usize, spin: Duration, reps: usize) -
                     Arc::new(unit_digest),
                 );
                 let t = Instant::now();
-                let (w, m) = threaded::run(wl, &cfg, DispatchPolicy::NonSpeculative, inputs, &ins)
-                    .expect("nothing fails");
+                let (w, m) = threaded::run(
+                    wl,
+                    &cfg,
+                    DispatchPolicy::NonSpeculative,
+                    &input,
+                    inputs,
+                    &ins,
+                )
+                .expect("nothing fails");
                 let el = t.elapsed().as_secs_f64();
                 assert_eq!(w.inner().seen, n);
                 assert_eq!(m.replica_dispatches as usize, n);
                 return el;
             }
             let t = Instant::now();
-            let (w, m) = threaded::run(wl, &cfg, DispatchPolicy::NonSpeculative, inputs, &ins)
-                .expect("nothing fails");
+            let (w, m) = threaded::run(
+                wl,
+                &cfg,
+                DispatchPolicy::NonSpeculative,
+                &input,
+                inputs,
+                &ins,
+            )
+            .expect("nothing fails");
             let el = t.elapsed().as_secs_f64();
             drop(ins.tracer.drain());
             assert_eq!(w.seen, n);

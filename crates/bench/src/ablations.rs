@@ -93,7 +93,7 @@ fn ablation_check_cost() {
         let mut cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
         cfg.verification = tvs_core::VerificationPolicy::Full;
         cfg.schedule = tvs_core::SpeculationSchedule::with_step(1);
-        let (blocks, times) = schedule_blocks(&data, cfg.block_bytes, &Disk::default());
+        let (blocks, times) = schedule_blocks(data.len(), cfg.block_bytes, &Disk::default());
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
         let sim = SimConfig::new(platform.clone());
         let (wl, metrics) = sim::run(
@@ -101,6 +101,7 @@ fn ablation_check_cost() {
             &sim,
             cfg.policy,
             &ScaledCheckCost(scale),
+            &data,
             blocks,
             &Instruments::default(),
         )

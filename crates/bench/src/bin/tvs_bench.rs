@@ -185,7 +185,7 @@ impl Workload for PerBlock {
         ctx.spawn(TaskSpec::regular(
             "w",
             0,
-            b.data.len(),
+            b.bytes.len(),
             b.index as u64,
             move |_| payload(()),
         ));
@@ -211,12 +211,13 @@ fn threaded_short_row() -> Row {
     let cfg = ThreadedConfig::new(workers);
     let mut per_task_ns: Vec<f64> = (0..REPS)
         .map(|_| {
-            let inputs = blocks_at_once(N, TASK_BYTES);
+            let (input, inputs) = blocks_at_once(N, TASK_BYTES);
             let t = Instant::now();
             let (w, m) = threaded::run(
                 PerBlock { n: N, seen: 0 },
                 &cfg,
                 DispatchPolicy::NonSpeculative,
+                &input,
                 inputs,
                 &Instruments::default(),
             )
@@ -257,7 +258,7 @@ fn threaded_short_replicated_row() -> Row {
     let digest = |_: &'static str, out: &dyn std::any::Any| out.downcast_ref::<()>().map(|_| 0x5DC);
     let mut per_task_ns: Vec<f64> = (0..REPS)
         .map(|_| {
-            let inputs = blocks_at_once(N, TASK_BYTES);
+            let (input, inputs) = blocks_at_once(N, TASK_BYTES);
             let wl = ReplicatingWorkload::new(
                 PerBlock { n: N, seen: 0 },
                 ValidationMode::Replicate { sample_rate: 1.0 },
@@ -269,6 +270,7 @@ fn threaded_short_replicated_row() -> Row {
                 wl,
                 &cfg,
                 DispatchPolicy::NonSpeculative,
+                &input,
                 inputs,
                 &Instruments::default(),
             )

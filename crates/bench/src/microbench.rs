@@ -124,16 +124,18 @@ impl Measurement {
     }
 }
 
-/// `n` blocks of `bytes` zero bytes, all due at once: the input of the
-/// short-task executor cells, which the feeder hands over in one batch.
-pub fn blocks_at_once(n: usize, bytes: usize) -> Vec<tvs_sre::InputBlock> {
-    (0..n)
+/// An input of `n` blocks of `bytes` zero bytes and its blocks, all due at
+/// once: the input of the short-task executor cells, which the feeder
+/// hands over in one batch.
+pub fn blocks_at_once(n: usize, bytes: usize) -> (Vec<u8>, Vec<tvs_sre::InputBlock>) {
+    let blocks = (0..n)
         .map(|index| tvs_sre::InputBlock {
             index,
             arrival: 0,
-            data: vec![0u8; bytes].into(),
+            bytes: index * bytes..(index + 1) * bytes,
         })
-        .collect()
+        .collect();
+    (vec![0; n * bytes], blocks)
 }
 
 /// Render a nanosecond quantity with an auto-scaled unit.

@@ -30,7 +30,7 @@ impl Workload for PerBlock {
         ctx.spawn(TaskSpec::regular(
             "w",
             0,
-            b.data.len(),
+            b.bytes.len(),
             b.index as u64,
             move |_| {
                 let t = Instant::now();
@@ -58,7 +58,7 @@ fn median_secs(n: usize, metered: bool, reps: usize) -> f64 {
     let cfg = ThreadedConfig::new(4);
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
-            let inputs = blocks_at_once(n, 16);
+            let (input, inputs) = blocks_at_once(n, 16);
             let hub = if metered {
                 MetricsHub::enabled(cfg.workers)
             } else {
@@ -80,9 +80,15 @@ fn median_secs(n: usize, metered: bool, reps: usize) -> f64 {
             };
             let t = Instant::now();
             let ins = Instruments::metered(hub.clone());
-            let (w, metrics) =
-                threaded::run(wl, &cfg, DispatchPolicy::NonSpeculative, inputs, &ins)
-                    .expect("nothing injected, nothing fails");
+            let (w, metrics) = threaded::run(
+                wl,
+                &cfg,
+                DispatchPolicy::NonSpeculative,
+                &input,
+                inputs,
+                &ins,
+            )
+            .expect("nothing injected, nothing fails");
             let el = t.elapsed().as_secs_f64();
             if let Some(s) = sampler {
                 s.stop();

@@ -29,7 +29,7 @@ impl Workload for PerBlock {
         ctx.spawn(TaskSpec::regular(
             "w",
             0,
-            b.data.len(),
+            b.bytes.len(),
             b.index as u64,
             move |_| {
                 let t = Instant::now();
@@ -56,7 +56,7 @@ fn median_secs(n: usize, traced: bool, reps: usize) -> f64 {
     let cfg = ThreadedConfig::new(4);
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
-            let inputs = blocks_at_once(n, 16);
+            let (input, inputs) = blocks_at_once(n, 16);
             let tracer = if traced {
                 Tracer::enabled(cfg.workers)
             } else {
@@ -69,8 +69,15 @@ fn median_secs(n: usize, traced: bool, reps: usize) -> f64 {
             };
             let t = Instant::now();
             let ins = Instruments::traced(tracer.clone());
-            let (w, _) = threaded::run(wl, &cfg, DispatchPolicy::NonSpeculative, inputs, &ins)
-                .expect("nothing injected, nothing fails");
+            let (w, _) = threaded::run(
+                wl,
+                &cfg,
+                DispatchPolicy::NonSpeculative,
+                &input,
+                inputs,
+                &ins,
+            )
+            .expect("nothing injected, nothing fails");
             let el = t.elapsed().as_secs_f64();
             if let Some(log) = tracer.drain() {
                 assert_eq!(log.count("task-end"), n, "every task left a span");

@@ -91,21 +91,25 @@ fn encode_after_lead(block: &[u8], table: &CodeTable, out: &mut EncodedBlock) ->
 /// Encode consecutive `blocks` back to back into one buffer: `lead` zero
 /// bits (0..=7), then every block's bits with no padding between them —
 /// what [`encode_block_at`] per block and [`concat_blocks`] would give.
-/// `bits` is what the blocks encode to, as their offsets say; the buffer
-/// is allocated once, at `(lead + bits).div_ceil(8)` bytes, and never
-/// grows. `stop` is asked before every block; once it says so, the rest
-/// are left out.
+/// The blocks are slices of wherever the input lies — the pipeline passes
+/// `input[chunk].chunks(block_bytes)` — so nothing is copied to encode
+/// them. `bits` is what the blocks encode to, as their offsets say; the
+/// buffer is allocated once, at `(lead + bits).div_ceil(8)` bytes, and
+/// never grows. `stop` is asked before every block; once it says so, the
+/// rest are left out.
 ///
 /// Returns the run and how many blocks it holds, or `None` if some byte
 /// has no code in `table` (see [`encode_block`]).
-pub fn encode_blocks_at(
-    blocks: &[impl AsRef<[u8]>],
+pub fn encode_blocks_at<'a>(
+    blocks: impl IntoIterator<Item = &'a [u8], IntoIter: ExactSizeIterator>,
     table: &CodeTable,
     lead: u8,
     bits: u64,
     mut stop: impl FnMut() -> bool,
 ) -> Option<(EncodedBlock, usize)> {
     assert!(lead < 8, "a run starts inside its first byte");
+    let blocks = blocks.into_iter();
+    let n_blocks = blocks.len();
     let size = (u64::from(lead) + bits).div_ceil(8);
     let size = usize::try_from(size).expect("the run fits in memory");
     let mut w = BitWriter::from_recycled(Vec::with_capacity(size));
@@ -115,7 +119,6 @@ pub fn encode_blocks_at(
         if stop() {
             break;
         }
-        let block = block.as_ref();
         if !encode_symbols(block, table, &mut w) {
             return None;
         }
@@ -125,7 +128,7 @@ pub fn encode_blocks_at(
     let (bytes, total) = w.finish();
     let bit_len = total - u64::from(lead);
     debug_assert!(
-        n < blocks.len() || bit_len == bits,
+        n < n_blocks || bit_len == bits,
         "{bit_len} bits, not {bits}"
     );
     let run = EncodedBlock {

@@ -190,7 +190,8 @@ fn prop_run_equals_concatenated_blocks() {
                 asked += 1;
                 asked > k
             };
-            let (run, n) = encode_blocks_at(&blocks, &table, lead, bits, stop).expect("covered");
+            let (run, n) = encode_blocks_at(blocks.iter().copied(), &table, lead, bits, stop)
+                .expect("covered");
             assert_eq!(n, k, "lead {lead}: stopped before block {k}");
             let size = (u64::from(lead) + bits).div_ceil(8) as usize;
             assert_eq!(
@@ -216,7 +217,8 @@ fn prop_run_equals_concatenated_blocks() {
     });
     // A byte the table has no code for fails the run.
     let table = serial_encode(b"ab").unwrap().table;
-    assert!(encode_blocks_at(&[b"ab", b"az"], &table, 3, 8, || false).is_none());
+    let blocks: [&[u8]; 2] = [b"ab", b"az"];
+    assert!(encode_blocks_at(blocks, &table, 3, 8, || false).is_none());
 }
 
 /// A block's `u32` counts agree with its histogram: widened, folded onto a

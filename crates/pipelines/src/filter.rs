@@ -12,6 +12,7 @@
 //! normalised-L2 comparison within the tolerance.
 
 use crate::config::BLOCK_BYTES;
+use std::ops::Range;
 use std::sync::Arc;
 use tvs_core::validate::{L2Error, Validator};
 use tvs_core::{
@@ -129,7 +130,8 @@ pub struct FilterWorkload {
     n_blocks: usize,
     target: Coeffs,
 
-    data: Vec<Option<Arc<[u8]>>>,
+    /// Where each arrived block lies in the run's input.
+    bytes: Vec<Option<Range<usize>>>,
     arrival: Vec<Time>,
     iter_done: u64,
     current: Coeffs,
@@ -179,7 +181,7 @@ impl FilterWorkload {
         FilterWorkload {
             n_blocks,
             target: Arc::new(target),
-            data: vec![None; n_blocks],
+            bytes: vec![None; n_blocks],
             arrival: vec![0; n_blocks],
             iter_done: 0,
             current: Arc::new(start),
@@ -244,14 +246,18 @@ impl FilterWorkload {
                 Some(_) => &mut self.spec_filtered,
                 None => &mut self.natural_filtered,
             };
-            if filtered[idx] || self.data[idx].is_none() {
+            let Some(span) = self.bytes[idx].clone() else {
+                continue;
+            };
+            if filtered[idx] {
                 continue;
             }
             filtered[idx] = true;
-            let data = self.data[idx].as_ref().expect("arrived").clone();
+            let bytes = span.len();
             let h = h.clone();
-            let body = move |_: &tvs_sre::TaskCtx| payload(fir_checksum(&data, &h));
-            let bytes = self.data[idx].as_ref().map(|d| d.len()).unwrap_or(0);
+            let body = move |task: &tvs_sre::TaskCtx| {
+                payload(fir_checksum(&task.input()[span.clone()], &h))
+            };
             let task = match version {
                 Some(v) => TaskSpec::speculative("filter", 2, bytes, v, idx as u64, body),
                 None => TaskSpec::regular("filter", 2, bytes, idx as u64, body),
@@ -359,7 +365,7 @@ impl Workload for FilterWorkload {
     fn on_input(&mut self, ctx: &mut dyn SchedCtx, block: InputBlock) {
         let idx = block.index;
         self.arrival[idx] = block.arrival;
-        self.data[idx] = Some(block.data);
+        self.bytes[idx] = Some(block.bytes);
         // A newly arrived block joins whichever path is active.
         if let Some((v, h)) = self.spec_coeffs.clone() {
             if self.committed_version.is_none() || self.committed_version == Some(v) {
@@ -455,11 +461,12 @@ pub fn run_filter_sim(
     use tvs_sre::exec::sim::{run, SimConfig};
     let wl = FilterWorkload::new(cfg.clone(), n_blocks);
     let sim = SimConfig::new(tvs_sre::x86_smp(workers));
-    let inputs: Vec<InputBlock> = (0..n_blocks)
+    let input: Vec<u8> = (0..n_blocks).flat_map(make_block).collect();
+    let blocks: Vec<InputBlock> = (0..n_blocks)
         .map(|i| InputBlock {
             index: i,
             arrival: i as Time * arrival_gap_us,
-            data: make_block(i),
+            bytes: i * BLOCK_BYTES..(i + 1) * BLOCK_BYTES,
         })
         .collect();
     let (wl, metrics) = run(
@@ -467,18 +474,19 @@ pub fn run_filter_sim(
         &sim,
         cfg.policy,
         &FilterCost,
-        inputs,
+        &input,
+        blocks,
         &tvs_sre::Instruments::default(),
     )
     .expect("a dark run injects nothing that could fail it");
     (wl.result(), metrics)
 }
 
-fn make_block(i: usize) -> Arc<[u8]> {
+/// Block `i` of the filter's input.
+fn make_block(i: usize) -> Vec<u8> {
     (0..BLOCK_BYTES)
         .map(|j| (((i * 31 + j) as u32).wrapping_mul(2654435761) >> 24) as u8)
-        .collect::<Vec<u8>>()
-        .into()
+        .collect()
 }
 
 #[cfg(test)]

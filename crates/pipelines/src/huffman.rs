@@ -249,21 +249,21 @@ impl Path {
 /// One block's life: `Due` → `Arrived` → `Counted` → `Committed`. Each
 /// state owns exactly the data valid in it, and a transition consumes the
 /// old state: a block is counted once, after it arrived, and committed once,
-/// after its count — nothing leaves `Committed`.
+/// after its count — nothing leaves `Committed`. No state holds the block's
+/// bytes: they stay where the run's input lies, at
+/// [`HuffmanWorkload::span`] of the block, and tasks read them there.
 #[derive(Default)]
 enum Block {
     #[default]
     Due,
     Arrived {
-        data: Arc<[u8]>,
         at: Time,
     },
     Counted {
-        data: Arc<[u8]>,
         at: Time,
         counts: Row,
     },
-    /// Past the side-effect barrier: its bytes and its counts released.
+    /// Past the side-effect barrier: its counts released.
     Committed {
         done: BlockDone,
     },
@@ -287,13 +287,6 @@ impl Deref for Row {
 }
 
 impl Block {
-    fn data(&self) -> Option<&Arc<[u8]>> {
-        match self {
-            Block::Arrived { data, .. } | Block::Counted { data, .. } => Some(data),
-            _ => None,
-        }
-    }
-
     fn counts(&self) -> Option<&Row> {
         match self {
             Block::Counted { counts, .. } => Some(counts),
@@ -309,10 +302,10 @@ impl Block {
     }
 
     fn count(&mut self, counts: Row) {
-        let Block::Arrived { data, at } = std::mem::take(self) else {
+        let Block::Arrived { at } = std::mem::take(self) else {
             panic!("a block is counted once, after it arrived");
         };
-        *self = Block::Counted { data, at, counts };
+        *self = Block::Counted { at, counts };
     }
 
     fn commit(&mut self, encoded_at: Time, bits: u64) {
@@ -726,7 +719,7 @@ impl HuffmanWorkload {
         for run in blocks.chunk_by(|&a, &b| b == a + 1 && joined(a, b)) {
             let (mut lo, mut bytes) = (run[0], 0);
             for &b in run {
-                let len = self.blocks[b].data().map_or(0, |d| d.len());
+                let len = self.span(b..b + 1).len();
                 if b > lo && max_bytes.is_some_and(|max| bytes + len > max) {
                     out.push(lo..b);
                     (lo, bytes) = (b, 0);
@@ -738,22 +731,26 @@ impl HuffmanWorkload {
         out
     }
 
+    /// Where the consecutive `blocks` lie in the run's input: the input cut
+    /// every `block_bytes`, as [`crate::runner::schedule_blocks`] cuts it.
+    fn span(&self, blocks: Range<usize>) -> Range<usize> {
+        let bb = self.cfg.block_bytes;
+        blocks.start * bb..(blocks.end * bb).min(self.src_bytes)
+    }
+
     /// One `count` task over the chunk `blocks`: one slab, a row of counts
-    /// per block.
+    /// per block, read from the input in place.
     fn spawn_count(&mut self, ctx: &mut dyn SchedCtx, blocks: Range<usize>) {
-        let data: Vec<Arc<[u8]>> = self.blocks[blocks.clone()]
-            .iter()
-            .map(|b| b.data().expect("block arrived").clone())
-            .collect();
-        let bytes = data.iter().map(|d| d.len()).sum();
+        let (span, bb) = (self.span(blocks.clone()), self.cfg.block_bytes);
         ctx.spawn(TaskSpec::regular(
             "count",
             0,
-            bytes,
+            span.len(),
             blocks.start as u64,
-            move |_| {
+            move |task| {
+                let data = &task.input()[span.clone()];
                 let slab: Arc<[BlockCounts]> =
-                    data.iter().map(|d| Histogram::block_counts(d)).collect();
+                    data.chunks(bb).map(Histogram::block_counts).collect();
                 payload(slab)
             },
         ));
@@ -1016,12 +1013,11 @@ impl HuffmanWorkload {
                 && groups[a / ratio].coarse
                 && !(b - blocks.start).is_multiple_of(fanout)
         };
+        let bb = self.cfg.block_bytes;
         for blocks in self.chunks(&todo, joined, ctx.max_task_bytes()) {
             let (lo, hi) = (blocks.start, blocks.end);
-            let data: Vec<Arc<[u8]>> = blocks
-                .map(|i| states[i].data().expect("arrived").clone())
-                .collect();
-            let bytes = data.iter().map(|d| d.len()).sum();
+            let span = self.span(blocks);
+            let bytes = span.len();
             let (lead, bits) = ((at(lo) % 8) as u8, at(hi) - at(lo));
             let (table, allocs) = (path.tree.clone(), self.encode_allocs.clone());
             let faults = self.faults.clone();
@@ -1031,9 +1027,11 @@ impl HuffmanWorkload {
                 // be discarded: stop at the next block boundary then.
                 let stop = || versioned && task.aborted();
                 allocs.fetch_add(1, Ordering::Relaxed);
-                let (mut run, n) = encode_blocks_at(&data, &table.table, lead, bits, stop)
+                let blocks = task.input()[span.clone()].chunks(bb);
+                let n_blocks = blocks.len();
+                let (mut run, n) = encode_blocks_at(blocks, &table.table, lead, bits, stop)
                     .expect("covering/exact table encodes all bytes");
-                if n == data.len() {
+                if n == n_blocks {
                     corrupt_run(&faults, &mut run);
                 }
                 payload((lo, run, n))
@@ -1438,9 +1436,13 @@ impl Workload for HuffmanWorkload {
         for block in batch {
             let idx = block.index;
             assert!(idx < self.blocks.len(), "unexpected block index {idx}");
+            assert_eq!(
+                block.bytes,
+                self.span(idx..idx + 1),
+                "block {idx} is cut elsewhere"
+            );
             if self.blocks[idx].done().is_none() {
-                let (data, at) = (block.data, block.arrival);
-                self.blocks[idx] = Block::Arrived { data, at };
+                self.blocks[idx] = Block::Arrived { at: block.arrival };
                 fresh.push(idx);
             }
         }
@@ -1646,23 +1648,22 @@ mod tests {
         wl: W,
         workers: usize,
         policy: DispatchPolicy,
+        data: &[u8],
         inputs: Vec<InputBlock>,
     ) -> (W, RunMetrics) {
         let sim = SimConfig::new(x86_smp(workers));
         let ins = Instruments::default();
-        tvs_sre::exec::sim::run(wl, &sim, policy, &HuffmanCost, inputs, &ins)
+        tvs_sre::exec::sim::run(wl, &sim, policy, &HuffmanCost, data, inputs, &ins)
             .expect("sim run completes")
     }
 
+    /// `data` cut into `block`-byte blocks, block `i` due at `i × gap`.
     fn blocks_of(data: &[u8], block: usize, gap: Time) -> Vec<InputBlock> {
-        data.chunks(block)
-            .enumerate()
-            .map(|(i, c)| InputBlock {
-                index: i,
-                arrival: i as Time * gap,
-                data: c.into(),
-            })
-            .collect()
+        let arrival = tvs_iosim::Uniform {
+            gap_us: gap,
+            start_us: 0,
+        };
+        crate::runner::schedule_blocks(data.len(), block, &arrival).0
     }
 
     fn small_cfg(policy: DispatchPolicy) -> HuffmanConfig {
@@ -1685,7 +1686,7 @@ mod tests {
     fn run_small(data: &[u8], cfg: HuffmanConfig) -> (PipelineResult, tvs_sre::RunMetrics) {
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
         let inputs = blocks_of(data, cfg.block_bytes, 5);
-        let (wl, metrics) = run(wl, 4, cfg.policy, inputs);
+        let (wl, metrics) = run(wl, 4, cfg.policy, data, inputs);
         (wl.result(), metrics)
     }
 
@@ -1819,7 +1820,7 @@ mod tests {
         // instead of going stale behind an early-finished reduce chain.
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
         let inputs = blocks_of(&data, cfg.block_bytes, 100);
-        let (wl, m) = run(wl, 4, cfg.policy, inputs);
+        let (wl, m) = run(wl, 4, cfg.policy, &data, inputs);
         let res = wl.result();
         assert!(m.rollbacks >= 2, "zero tolerance must roll back: {m:?}");
         let s = res.spec_stats.unwrap();
@@ -1854,7 +1855,7 @@ mod tests {
         let wl =
             HuffmanWorkload::instrumented(cfg.clone(), data.len(), 0, &Instruments::faulty(faults));
         let inputs = blocks_of(&data, cfg.block_bytes, 5);
-        let res = run(wl, 4, cfg.policy, inputs).0.result();
+        let res = run(wl, 4, cfg.policy, &data, inputs).0.result();
         let s = res.spec_stats.unwrap();
         assert!(
             s.checks_failed > 0 || res.committed_version.is_none(),
@@ -1955,7 +1956,13 @@ mod tests {
             as_fault,
             lost: None,
         };
-        let (wl, _) = run(lossy(), 4, cfg.policy, blocks_of(data, cfg.block_bytes, 0));
+        let (wl, _) = run(
+            lossy(),
+            4,
+            cfg.policy,
+            data,
+            blocks_of(data, cfg.block_bytes, 0),
+        );
         assert!(wl.lost.is_some(), "the loss point was reached");
         let mut results = vec![wl.inner.result()];
         // On real threads a run can be past the loss point before it gets
@@ -1966,8 +1973,11 @@ mod tests {
             let threaded = ThreadedConfig::new(2);
             let (wl, policy) = (lossy(), cfg.policy);
             let (tx, rx) = std::sync::mpsc::channel();
+            // The runner owns its input: a hung run must not hold a borrow.
+            let input = data.to_vec();
             let runner = std::thread::spawn(move || {
-                let ran = threaded::run(wl, &threaded, policy, inputs, &Instruments::default());
+                let ins = Instruments::default();
+                let ran = threaded::run(wl, &threaded, policy, &input, inputs, &ins);
                 let _ = tx.send(ran.expect("threaded run completes").0);
             });
             let wl = rx
@@ -2047,7 +2057,7 @@ mod tests {
             assert_eq!((bytes, bits), (whole.bytes, whole.bit_len));
         };
         let inputs = blocks_of(&data, cfg.block_bytes, 100);
-        let (wl, m) = run(watched(), 4, cfg.policy, inputs);
+        let (wl, m) = run(watched(), 4, cfg.policy, &data, inputs);
         assert!(m.rollbacks > 0, "drifting data must roll back");
         assert!(
             held_back.load(Ordering::Relaxed) > 0,
@@ -2058,7 +2068,7 @@ mod tests {
             let inputs = blocks_of(&data, cfg.block_bytes, 0);
             let threaded = ThreadedConfig::new(2);
             let ins = Instruments::default();
-            let (wl, _) = threaded::run(watched(), &threaded, cfg.policy, inputs, &ins)
+            let (wl, _) = threaded::run(watched(), &threaded, cfg.policy, &data, inputs, &ins)
                 .expect("threaded run completes");
             check(wl.inner.result());
         }
@@ -2082,15 +2092,14 @@ mod tests {
             let slab: Arc<[BlockCounts]> =
                 blocks.iter().map(|b| Histogram::block_counts(b)).collect();
             for (i, block) in chunk.clone().enumerate() {
-                let (data, at) = (blocks[i].into(), 0);
                 let counts = Row {
                     slab: slab.clone(),
                     i,
                 };
-                wl.blocks[block] = Block::Counted { data, at, counts };
+                wl.blocks[block] = Block::Counted { at: 0, counts };
             }
             let (lo, n) = (chunk.start, chunk.len());
-            let (run, done) = encode_blocks_at(&blocks, &tree.table, lo as u8, n as u64, || false)
+            let (run, done) = encode_blocks_at(blocks, &tree.table, lo as u8, n as u64, || false)
                 .expect("covered");
             assert_eq!(done, n);
             let out = EncodeOut {
@@ -2115,7 +2124,7 @@ mod tests {
             HuffmanWorkload::resume(cfg.clone(), data.len(), &snap, &Instruments::default())
                 .expect("resumes");
         let inputs = blocks_of(data, 1, 1).split_off(2);
-        let res = run(resumed, 4, cfg.policy, inputs).0.result();
+        let res = run(resumed, 4, cfg.policy, data, inputs).0.result();
         let whole = tvs_huffman::encode_block(data, &tree.table).unwrap();
         let (bytes, bits, _) = res.output.expect("collected");
         assert_eq!((bytes, bits), (whole.bytes, whole.bit_len));
@@ -2137,7 +2146,7 @@ mod tests {
             asked += 1;
             asked > 2
         };
-        let (run, n) = encode_blocks_at(&blocks, &tree.table, 3, bits, stop).expect("covered");
+        let (run, n) = encode_blocks_at(blocks, &tree.table, 3, bits, stop).expect("covered");
         assert_eq!(n, 2, "blocks 3 and 4 are left out");
         assert_eq!(
             tvs_huffman::concat_blocks([&run]),
@@ -2162,7 +2171,8 @@ mod tests {
             let ins = Instruments::traced(tracer.clone());
             let wl = HuffmanWorkload::new(cfg.clone(), data.len());
             let inputs = blocks_of(&data, cfg.block_bytes, 0);
-            let ran = tvs_sre::exec::sim::run(wl, &sim, cfg.policy, &HuffmanCost, inputs, &ins);
+            let ran =
+                tvs_sre::exec::sim::run(wl, &sim, cfg.policy, &HuffmanCost, &data, inputs, &ins);
             let (wl, m) = ran.expect("sim run completes");
             (
                 wl,
@@ -2190,11 +2200,9 @@ mod tests {
         assert_eq!((bytes, bits), (whole.bytes, whole.bit_len));
     }
 
-    /// Every block of a finished run is committed, and so holds neither
-    /// bytes nor counts.
+    /// Every block of a finished run is committed, and so holds no counts.
     fn assert_all_committed(wl: &HuffmanWorkload, what: &str) {
-        let committed =
-            |b: &Block| b.done().is_some() && b.data().is_none() && b.counts().is_none();
+        let committed = |b: &Block| b.done().is_some() && b.counts().is_none();
         assert!(wl.blocks.iter().all(committed), "{what}");
     }
 
@@ -2221,7 +2229,8 @@ mod tests {
                     let ins = Instruments::traced(tracer.clone());
                     let wl = HuffmanWorkload::new(cfg.clone(), data.len());
                     let inputs = blocks_of(data, cfg.block_bytes, gap);
-                    let ran = tvs_sre::exec::sim::run(wl, &sim, policy, &HuffmanCost, inputs, &ins);
+                    let ran =
+                        tvs_sre::exec::sim::run(wl, &sim, policy, &HuffmanCost, data, inputs, &ins);
                     let (wl, _) = ran.expect("sim run completes");
                     let spans = tracer.drain().expect("enabled tracer drains").tasks();
                     let encodes = spans.iter().filter(|t| t.name == "encode");
@@ -2245,10 +2254,10 @@ mod tests {
     }
 
     #[test]
-    fn a_finished_run_holds_no_input_block() {
-        // Every block's bytes are released once the block is committed, at
-        // either grain, on the natural path, on a committed version, after a
-        // rollback, and in a resumed run.
+    fn every_policy_grain_rollback_and_resume_commits_every_block() {
+        // Every block is committed, keeps no counts, and the stream decodes:
+        // at either grain, on the natural path, on a committed version,
+        // after a rollback, and in a resumed run.
         let stationary = stationary_data(64 * 1024);
         let mut drifting = vec![b'a'; 32 * 1024];
         drifting.extend((0..32 * 1024u32).map(|i| 180 + (i % 60) as u8));
@@ -2260,7 +2269,13 @@ mod tests {
             ] {
                 let cfg = small_cfg(policy);
                 let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-                let (wl, m) = run(wl, 2, cfg.policy, blocks_of(data, cfg.block_bytes, gap));
+                let (wl, m) = run(
+                    wl,
+                    2,
+                    cfg.policy,
+                    data,
+                    blocks_of(data, cfg.block_bytes, gap),
+                );
                 let what = format!("{policy:?}, gap {gap}, rolls back: {rolls_back}");
                 assert_eq!(m.rollbacks > 0, rolls_back && cfg.speculates(), "{what}");
                 assert_all_committed(&wl, &what);
@@ -2279,14 +2294,14 @@ mod tests {
         });
         let inputs = || blocks_of(data, cfg.block_bytes, 0);
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-        let (wl, _) = run(wl, 2, cfg.policy, inputs());
+        let (wl, _) = run(wl, 2, cfg.policy, data, inputs());
         let snap = wl.snapshot().filter(|_| wl.halted()).expect("halted");
         let _ = std::fs::remove_dir_all(&dir);
         assert!((10..64).contains(&snap.prefix), "{}", snap.prefix);
         cfg.checkpoint = None;
         let ins = Instruments::default();
         let wl = HuffmanWorkload::resume(cfg.clone(), data.len(), &snap, &ins).expect("resumes");
-        let (wl, _) = run(wl, 2, cfg.policy, inputs());
+        let (wl, _) = run(wl, 2, cfg.policy, data, inputs());
         assert_all_committed(&wl, "resumed");
         decode_output(&wl.result(), data);
     }
@@ -2297,7 +2312,13 @@ mod tests {
         let data = stationary_data(4 * 1024);
         let cfg = small_cfg(DispatchPolicy::NonSpeculative);
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-        let (mut wl, _) = run(wl, 2, cfg.policy, blocks_of(&data, cfg.block_bytes, 5));
+        let (mut wl, _) = run(
+            wl,
+            2,
+            cfg.policy,
+            &data,
+            blocks_of(&data, cfg.block_bytes, 5),
+        );
         let out = EncodeOut {
             run: EncodedBlock::default(),
             bit_off: 0,

@@ -55,22 +55,28 @@ impl RunOutcome {
     }
 }
 
-/// Split `data` into blocks with arrival times from `arrival`.
+/// Cut an input of `len` bytes into `block_bytes` blocks — ranges of the
+/// input, every one `block_bytes` long but the last — with arrival times
+/// from `arrival`. The one place a run's input is cut into blocks; no byte
+/// is copied.
 pub fn schedule_blocks(
-    data: &[u8],
+    len: usize,
     block_bytes: usize,
     arrival: &dyn ArrivalModel,
 ) -> (Vec<InputBlock>, Vec<u64>) {
-    let n = data.len().div_ceil(block_bytes);
+    let n = len.div_ceil(block_bytes);
     let times = arrival.schedule(n, block_bytes);
-    let blocks = data
-        .chunks(block_bytes)
-        .zip(&times)
+    let blocks = times
+        .iter()
         .enumerate()
-        .map(|(index, (chunk, &arrival))| InputBlock {
-            index,
-            arrival,
-            data: chunk.into(),
+        .map(|(index, &arrival)| {
+            let start = index * block_bytes;
+            let bytes = start..(start + block_bytes).min(len);
+            InputBlock {
+                index,
+                arrival,
+                bytes,
+            }
         })
         .collect();
     (blocks, times)
@@ -259,10 +265,12 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
 
     // Both executors take the same schedule; the threaded one paces it on
     // the wall clock, compressed.
-    let (mut blocks, arrivals) = schedule_blocks(data, cfg.block_bytes, run.arrival);
+    let (mut blocks, arrivals) = schedule_blocks(data.len(), cfg.block_bytes, run.arrival);
     blocks.retain(|b| b.index >= skip_below);
     let ran = match &run.on {
-        Executor::Sim { cfg: sim } => sim::run(wl, sim, cfg.policy, &HuffmanCost, blocks, ins),
+        Executor::Sim { cfg: sim } => {
+            sim::run(wl, sim, cfg.policy, &HuffmanCost, data, blocks, ins)
+        }
         Executor::Threaded {
             cfg: tcfg,
             time_scale,
@@ -270,7 +278,7 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
             for b in &mut blocks {
                 b.arrival /= (*time_scale).max(1);
             }
-            threaded::run(wl, tcfg, cfg.policy, blocks, ins)
+            threaded::run(wl, tcfg, cfg.policy, data, blocks, ins)
         }
     };
     let (wl, metrics) = ran.map_err(|e| {
@@ -361,6 +369,43 @@ mod tests {
         faults: FaultInjector,
     ) -> (RunOutcome, TraceLog) {
         events(HuffmanRun::sim(d, c, &x86_smp(8), arrival), 8, faults)
+    }
+
+    #[test]
+    fn schedule_blocks_cuts_the_input_into_contiguous_ranges() {
+        // Random lengths, plus 1 and exact multiples of the block size: the
+        // ranges are ascending and contiguous, cover exactly `0..len`, and
+        // every block but the last is `block_bytes` long. No input, no block.
+        tvs_rng::cases(0x5C4E_D01E, 64, |rng, case| {
+            let block_bytes = rng.random_range(1..5000usize);
+            let n = rng.random_range(1..40usize);
+            let lens = [
+                1,
+                block_bytes,
+                n * block_bytes,
+                rng.random_range(1..200_000usize),
+            ];
+            for len in lens {
+                let (blocks, times) = schedule_blocks(len, block_bytes, &GAP_2);
+                let what = format!("case {case}: {len} bytes in {block_bytes}-byte blocks");
+                assert_eq!(blocks.len(), len.div_ceil(block_bytes), "{what}");
+                assert_eq!(times, blocks.iter().map(|b| b.arrival).collect::<Vec<_>>());
+                let mut at = 0;
+                for (i, b) in blocks.iter().enumerate() {
+                    assert_eq!((b.index, b.bytes.start), (i, at), "{what}: block {i}");
+                    let last = i + 1 == blocks.len();
+                    assert!(
+                        !b.bytes.is_empty() && b.bytes.len() <= block_bytes,
+                        "{what}"
+                    );
+                    assert!(last || b.bytes.len() == block_bytes, "{what}: block {i}");
+                    at = b.bytes.end;
+                }
+                assert_eq!(at, len, "{what}: the blocks cover the input");
+            }
+        });
+        let (blocks, times) = schedule_blocks(0, 4096, &GAP_2);
+        assert!(blocks.is_empty() && times.is_empty());
     }
 
     #[test]

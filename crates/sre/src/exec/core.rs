@@ -222,12 +222,25 @@ pub fn into_inner_recover<T>(m: Mutex<T>) -> T {
 /// injected `Stall`): sleeps in small increments, returning early once the
 /// task's version is aborted — which is how the watchdog unsticks a
 /// stalled speculative task.
-fn stall_wall(us: u64, ctx: &TaskCtx) {
+fn stall_wall(us: u64, ctx: &TaskCtx<'_>) {
     let t0 = Instant::now();
     let step = Duration::from_micros((us / 10).clamp(20, 500));
     while (t0.elapsed().as_micros() as u64) < us && !ctx.aborted() {
         std::thread::sleep(step);
     }
+}
+
+/// What both executors' `run` require of their input: `blocks` sorted by
+/// due time, every block a range of `input`.
+pub(crate) fn assert_schedule(input: &[u8], blocks: &[InputBlock]) {
+    assert!(
+        blocks.windows(2).all(|w| w[0].arrival <= w[1].arrival),
+        "blocks must be sorted by due time"
+    );
+    assert!(
+        blocks.iter().all(|b| b.bytes.end <= input.len()),
+        "every block lies in the input"
+    );
 }
 
 /// What a workload callback may learn about its executor, as plain data.
@@ -362,35 +375,40 @@ pub(crate) enum Injection {
 
 /// Run `work`'s body on `worker` under `catch_unwind`, retrying a
 /// panicking non-speculative body up to `max_attempts` attempts in all.
-/// Counts every caught panic and retry, traces each as a task fault, and
-/// closes the span of a body that faulted for good as discarded work.
+/// Every attempt — first call, in-place retry, a replica's run of the
+/// shared body — gets a [`TaskCtx`] over the task's abort flag and the
+/// run's `input`, built here and borrowed for that call only. Counts every
+/// caught panic and retry, traces each as a task fault, and closes the
+/// span of a body that faulted for good as discarded work.
 pub(crate) fn run_body(
     work: &mut Dispatched,
     worker: usize,
     ins: &Instruments,
+    input: &[u8],
     max_attempts: u32,
     injection: Injection,
 ) -> Report {
     let (tracer, hub) = (&ins.tracer, &ins.metrics);
     let mut attempt = 0u32;
     loop {
+        let ctx = TaskCtx::new(&work.abort, input);
         let boom = match injection {
             Injection::Drawn(first) => first && attempt == 0,
             Injection::Live => match ins.faults.draw(FaultSite::TaskBody) {
                 Some(FaultKind::PanicTask) => true,
                 Some(FaultKind::Stall { us }) => {
-                    stall_wall(us, &work.ctx);
+                    stall_wall(us, &ctx);
                     false
                 }
                 _ => false,
             },
         };
-        let (run, ctx) = (&mut work.run, &work.ctx);
+        let run = &mut work.run;
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if boom {
                 panic!("injected task-body fault");
             }
-            (run)(ctx)
+            (run)(&ctx)
         }));
         if let Ok(output) = ran {
             return Report::Ran(output);
@@ -696,8 +714,8 @@ mod tests {
 
     #[test]
     fn stall_exits_early_on_abort() {
-        let ctx = TaskCtx::new();
-        let flag = ctx.abort_flag();
+        let flag = std::sync::atomic::AtomicBool::new(false);
+        let ctx = TaskCtx::new(&flag, &[]);
         TaskCtx::signal_abort(&flag);
         let t0 = Instant::now();
         stall_wall(5_000_000, &ctx); // 5s if the abort were ignored

@@ -16,8 +16,8 @@
 //! schedule — bit-identical faults.
 
 use super::core::{
-    clock_slice, run_body, Core, Env, Injection, Report, RunError, Span, WatchdogConfig,
-    DEFAULT_MAX_ATTEMPTS,
+    assert_schedule, clock_slice, run_body, Core, Env, Injection, Report, RunError, Span,
+    WatchdogConfig, DEFAULT_MAX_ATTEMPTS,
 };
 use crate::instruments::Instruments;
 use crate::metrics::RunMetrics;
@@ -120,15 +120,17 @@ impl ChaosState {
 }
 
 /// Run `workload` under `policy` to completion over the given
-/// pre-scheduled `inputs`, recording lifecycle events into `ins.tracer`,
-/// feeding `ins.metrics` and drawing faults from `ins.faults` (pass
-/// `&Instruments::default()` for a dark run; the resulting [`RunMetrics`]
-/// are identical either way).
+/// pre-scheduled `blocks` of `input`, recording lifecycle events into
+/// `ins.tracer`, feeding `ins.metrics` and drawing faults from `ins.faults`
+/// (pass `&Instruments::default()` for a dark run; the resulting
+/// [`RunMetrics`] are identical either way).
 ///
-/// `inputs` must be sorted by arrival time (as produced by the
-/// `tvs-iosim` models); the blocks that share an arrival instant reach the
-/// workload in one [`Workload::on_input_batch`], as they would from the
-/// threaded executor's feeder. Panics with a diagnostic if the workload
+/// `input` is the run's whole input, borrowed for the run: every block's
+/// `bytes` is a range of it, and every task body reads it through its
+/// [`crate::TaskCtx::input`]. `blocks` must be sorted by arrival time (as
+/// produced by the `tvs-iosim` models); the blocks that share an arrival
+/// instant reach the workload in one [`Workload::on_input_batch`], as they
+/// would from the threaded executor's feeder. Panics with a diagnostic if the workload
 /// deadlocks (events exhausted before [`Workload::is_finished`]) — a
 /// workload bug, not a run failure. A non-speculative task panicking on
 /// every attempt `cfg.max_attempts` allows returns `Err`; everything else —
@@ -153,15 +155,13 @@ pub fn run<W: Workload>(
     cfg: &SimConfig,
     policy: DispatchPolicy,
     cost: &dyn CostModel,
-    inputs: Vec<InputBlock>,
+    input: &[u8],
+    blocks: Vec<InputBlock>,
     ins: &Instruments,
 ) -> Result<(W, RunMetrics), RunError> {
     let ins = ins.for_executor(cfg.platform.workers, policy);
     let (tracer, hub, faults) = (&ins.tracer, &ins.metrics, &ins.faults);
-    assert!(
-        inputs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-        "inputs must be sorted by arrival time"
-    );
+    assert_schedule(input, &blocks);
     let env = |now| Env {
         now,
         workers: cfg.platform.workers,
@@ -180,9 +180,9 @@ pub fn run<W: Workload>(
     let mut events = Events::default();
 
     // One arrival event per distinct instant, carrying every block due then.
-    let n_inputs = inputs.len();
+    let n_inputs = blocks.len();
     let mut batches: Vec<Option<Vec<InputBlock>>> = Vec::new();
-    for b in inputs {
+    for b in blocks {
         match batches.last_mut() {
             Some(Some(batch)) if batch[0].arrival == b.arrival => batch.push(b),
             _ => batches.push(Some(vec![b])),
@@ -252,7 +252,7 @@ pub fn run<W: Workload>(
                     Report::Skipped
                 } else {
                     let drawn = Injection::Drawn(inject_panic);
-                    run_body(&mut work, aux, &ins, cfg.max_attempts, drawn)
+                    run_body(&mut work, aux, &ins, input, cfg.max_attempts, drawn)
                 };
                 match report {
                     Report::Ran(output) => match faults.draw(FaultSite::Completion) {
@@ -294,7 +294,7 @@ pub fn run<W: Workload>(
             EvSlot::Watchdog => {
                 let (wi, id) = chaos.watch.remove(&aux).expect("watchdog recorded");
                 if let Some(a) = workers[wi].assigned.iter().find(|a| a.work.id == id) {
-                    TaskCtx::signal_abort(&a.work.ctx.abort_flag());
+                    TaskCtx::signal_abort(&a.work.abort);
                     let span = Span::of(&a.work, wi, a.start, a.end);
                     core.cancel(env(t), &span, t.saturating_sub(a.start), &ins);
                 }
@@ -431,7 +431,8 @@ mod tests {
         cost: &dyn CostModel,
         inputs: Vec<InputBlock>,
     ) -> (W, RunMetrics) {
-        run(w, cfg, policy, cost, inputs, &Instruments::default()).expect("dark run completes")
+        run(w, cfg, policy, cost, INPUT, inputs, &Instruments::default())
+            .expect("dark run completes")
     }
 
     /// A run under `ins` plus an enabled tracer: its task spans.
@@ -448,17 +449,22 @@ mod tests {
             tracer: tracer.clone(),
             ..ins
         };
-        let (w, m) = run(w, cfg, policy, cost, inputs, &ins).expect("run completes");
+        let (w, m) = run(w, cfg, policy, cost, INPUT, inputs, &ins).expect("run completes");
         let log = tracer.drain().expect("enabled tracer drains");
         assert_eq!(log.dropped, 0);
         (w, m, log.tasks())
     }
 
+    /// The input the blocks of these tests point into.
+    const INPUT: &[u8] = &[0; 4096];
+
+    /// Block `i` of `len` bytes, due at `t`: the `i`-th `len`-byte slice
+    /// of [`INPUT`].
     fn block(i: usize, t: Time, len: usize) -> InputBlock {
         InputBlock {
             index: i,
             arrival: t,
-            data: vec![i as u8; len].into(),
+            bytes: i * len..(i + 1) * len,
         }
     }
 
@@ -482,7 +488,7 @@ mod tests {
             ctx.spawn(TaskSpec::regular(
                 "work",
                 0,
-                b.data.len(),
+                b.bytes.len(),
                 b.index as u64,
                 move |_| payload(()),
             ));
@@ -531,6 +537,22 @@ mod tests {
         ends.sort_unstable();
         assert_eq!(ends, vec![5, 105]);
         assert_eq!(m.makespan, 105);
+    }
+
+    #[test]
+    #[should_panic(expected = "every block lies in the input")]
+    fn a_block_past_the_end_of_the_input_is_refused() {
+        let cfg = SimConfig::new(x86_smp(1));
+        let blocks = vec![block(0, 0, 10)];
+        let _ = run(
+            per_block(1),
+            &cfg,
+            NON_SPEC,
+            &FixedCost(1),
+            &[0; 5],
+            blocks,
+            &Instruments::default(),
+        );
     }
 
     #[test]
@@ -720,6 +742,7 @@ mod tests {
             &cfg,
             NON_SPEC,
             &FixedCost(9),
+            INPUT,
             inputs,
             &Instruments::traced(tracer.clone()),
         )
@@ -819,6 +842,7 @@ mod tests {
                 &cfg,
                 NON_SPEC,
                 &FixedCost(5),
+                INPUT,
                 inputs,
                 &chaos(),
             )
@@ -931,6 +955,7 @@ mod tests {
             &cfg,
             NON_SPEC,
             &FixedCost(3),
+            INPUT,
             vec![],
             &Instruments::default(),
         ) else {
@@ -998,6 +1023,7 @@ mod tests {
             &cfg,
             DispatchPolicy::Aggressive,
             &NameCost,
+            INPUT,
             vec![],
             &Instruments::traced(tracer.clone()),
         )

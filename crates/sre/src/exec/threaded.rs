@@ -70,8 +70,8 @@
 
 use super::commit_log::CommitRing;
 use super::core::{
-    clock_slice, into_inner_recover, lock_recover, run_body, Core, Env, Injection, Report,
-    RunError, Span, SupervisorConfig, WatchdogConfig, DEFAULT_MAX_ATTEMPTS,
+    assert_schedule, clock_slice, into_inner_recover, lock_recover, run_body, Core, Env, Injection,
+    Report, RunError, Span, SupervisorConfig, WatchdogConfig, DEFAULT_MAX_ATTEMPTS,
 };
 use crate::instruments::Instruments;
 use crate::metrics::RunMetrics;
@@ -82,6 +82,7 @@ use crate::workload::{InputBlock, Workload};
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 use tvs_faults::{FaultKind, FaultSite};
 use tvs_metrics::{Counter, Gauge, Hist};
@@ -145,8 +146,8 @@ struct WatchSlot {
 
 /// Lock-free-ish fabric shared by workers: ready lanes, parkers, the commit
 /// log and the counters that let the pump and the policy observe lane state
-/// without the commit lock.
-struct Fabric {
+/// without the commit lock, and the run's input they lend to task bodies.
+struct Fabric<'a> {
     lanes: Vec<Mutex<VecDeque<Ready>>>,
     /// Completion log: workers produce, the commit-lock holder consumes.
     /// Bounded so a stalled commit path back-pressures workers instead of
@@ -202,10 +203,13 @@ struct Fabric {
     /// least [`tvs_metrics::MetricsHub::internal`]): [`RunMetrics`] and live
     /// snapshots read the same cells, and nothing is counted twice.
     ins: Instruments,
+    /// The run's input, borrowed from the caller of [`run`] for the whole
+    /// scope: every body reads its blocks here, in place.
+    input: &'a [u8],
 }
 
-impl Fabric {
-    fn new(cfg: &ThreadedConfig, ins: Instruments) -> Self {
+impl<'a> Fabric<'a> {
+    fn new(cfg: &ThreadedConfig, ins: Instruments, input: &'a [u8]) -> Self {
         let workers = cfg.workers;
         let hw = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -239,6 +243,7 @@ impl Fabric {
             watchdog_enabled: cfg.watchdog.is_some() || cfg.supervisor.is_some(),
             max_attempts: cfg.max_attempts,
             ins,
+            input,
         }
     }
 
@@ -649,7 +654,8 @@ fn locked<W: Workload>(
     }
 }
 
-/// Spawn one worker thread on lane `me` with incarnation `my_epoch`.
+/// Spawn one worker thread on lane `me` with incarnation `my_epoch` into
+/// the run's `scope`.
 ///
 /// Named (rather than inline in [`run`]) because the
 /// supervisor respawns quarantined workers: a replacement runs this same
@@ -658,15 +664,16 @@ fn locked<W: Workload>(
 /// incarnation that lost its lane (it was presumed dead, then woke up)
 /// exits instead of racing its replacement, and its final report is
 /// rejected by the epoch gate.
-fn spawn_worker<W: Workload + Send + 'static>(
+fn spawn_worker<'scope, W: Workload + Send>(
+    scope: &'scope Scope<'scope, '_>,
     me: usize,
     my_epoch: u64,
-    fabric: Arc<Fabric>,
-    commit: Arc<Mutex<Inner<W>>>,
-) -> std::thread::JoinHandle<()> {
+    fabric: &'scope Fabric<'_>,
+    commit: &'scope Mutex<Inner<W>>,
+) -> ScopedJoinHandle<'scope, ()> {
     std::thread::Builder::new()
         .name(format!("tvs-worker-{me}"))
-        .spawn(move || {
+        .spawn_scoped(scope, move || {
             *lock_recover(&fabric.parkers[me].handle) = Some(std::thread::current());
             let (hub, tracer) = (&fabric.ins.metrics, &fabric.ins.tracer);
             let mut spins = 0u32;
@@ -717,8 +724,7 @@ fn spawn_worker<W: Workload + Send + 'static>(
                         // bound before some rollback can be stale,
                         // and only a flagged one is actually dead.
                         let stale = ready.epoch != fabric.abort_epoch.load(Ordering::SeqCst);
-                        let (body, span) = if stale && work.version.is_some() && work.ctx.aborted()
-                        {
+                        let (body, span) = if stale && work.version.is_some() && work.aborted() {
                             let now = fabric.now();
                             hub.add(me, Counter::TimeStealUs, now.saturating_sub(mark));
                             mark = now;
@@ -733,7 +739,7 @@ fn spawn_worker<W: Workload + Send + 'static>(
                             if fabric.watchdog_enabled {
                                 *lock_recover(&fabric.watch[me]) = Some(WatchSlot {
                                     span,
-                                    flag: work.ctx.abort_flag(),
+                                    flag: Arc::clone(&work.abort),
                                     flagged: false,
                                 });
                             }
@@ -741,6 +747,7 @@ fn spawn_worker<W: Workload + Send + 'static>(
                                 &mut work,
                                 me,
                                 &fabric.ins,
+                                fabric.input,
                                 fabric.max_attempts,
                                 Injection::Live,
                             );
@@ -751,7 +758,7 @@ fn spawn_worker<W: Workload + Send + 'static>(
                             clock_slice(hub, me, work.class, span.finished - started);
                             mark = span.finished;
                             if tracer.is_enabled() && matches!(body, Report::Ran(_)) {
-                                tracer.emit(me, span.end_event(work.ctx.aborted()));
+                                tracer.emit(me, span.end_event(work.aborted()));
                             }
                             (body, span)
                         };
@@ -765,7 +772,7 @@ fn spawn_worker<W: Workload + Send + 'static>(
                         if fabric.ring.push(report).is_err() {
                             return;
                         }
-                        mark += combine(&fabric, &commit).commit_us;
+                        mark += combine(fabric, commit).commit_us;
                     }
                     None => {
                         if fabric.done.load(Ordering::SeqCst) {
@@ -774,7 +781,7 @@ fn spawn_worker<W: Workload + Send + 'static>(
                         // Work conservation: take a commit-path turn
                         // ourselves if the lock happens to be free —
                         // route what is pending, refill the lanes.
-                        let turns = combine(&fabric, &commit);
+                        let turns = combine(fabric, commit);
                         mark += turns.commit_us;
                         if turns.pushed {
                             continue;
@@ -829,8 +836,8 @@ fn spawn_worker<W: Workload + Send + 'static>(
 /// thread that called [`run`]: sleep until the next block is due, take
 /// every block due by then, and hand the batch over in one commit-path
 /// turn — the last one together with the end of input.
-fn feed<W: Workload>(fabric: &Fabric, commit: &Mutex<Inner<W>>, inputs: Vec<InputBlock>) {
-    let mut rest = inputs.into_iter().peekable();
+fn feed<W: Workload>(fabric: &Fabric<'_>, commit: &Mutex<Inner<W>>, blocks: Vec<InputBlock>) {
+    let mut rest = blocks.into_iter().peekable();
     loop {
         let mut batch = Vec::new();
         if let Some(first) = rest.next() {
@@ -862,9 +869,9 @@ fn feed<W: Workload>(fabric: &Fabric, commit: &Mutex<Inner<W>>, inputs: Vec<Inpu
 }
 
 /// Run `workload` under `policy` on `cfg.workers` real threads, feeding it
-/// `inputs` — sorted by due time (`arrival`, µs from the start of the run),
-/// the list the simulator takes — from the calling thread, which hands
-/// every block due by the time it wakes over in one
+/// `blocks` of `input` — sorted by due time (`arrival`, µs from the start of
+/// the run), the list the simulator takes — from the calling thread, which
+/// hands every block due by the time it wakes over in one
 /// [`Workload::on_input_batch`] (each block stamped with that moment),
 /// recording lifecycle events into `ins.tracer`, streaming counters, gauges
 /// and histograms into `ins.metrics` as the run executes (so a sampler
@@ -872,6 +879,15 @@ fn feed<W: Workload>(fabric: &Fabric, commit: &Mutex<Inner<W>>, inputs: Vec<Inpu
 /// `ins.faults`. Pass `&Instruments::default()` to run dark — the executor
 /// then keeps its counters in an internal counters-only registry, which
 /// costs the same as the per-lane atomics it replaced.
+///
+/// `input` is borrowed, not copied: every block's `bytes` is a range of it,
+/// and task bodies read it through [`crate::TaskCtx::input`]. The run's
+/// threads — workers, watchdog, supervisor and the workers it respawns —
+/// live in one [`std::thread::scope`] that ends before this returns, which
+/// is what lets them hold the borrow. The calling thread joins the workers
+/// it spawned, then the watchdog and the supervisor; the supervisor joins
+/// the replacements it spawned. Every handle is joined explicitly, so a
+/// thread that died is reported, never re-raised by the scope.
 ///
 /// Returns the finished workload and the run metrics, or a structured
 /// [`RunError`] when the run cannot complete (a non-speculative task
@@ -892,166 +908,166 @@ pub fn run<W>(
     workload: W,
     cfg: &ThreadedConfig,
     policy: DispatchPolicy,
-    inputs: Vec<InputBlock>,
+    input: &[u8],
+    blocks: Vec<InputBlock>,
     ins: &Instruments,
 ) -> Result<(W, RunMetrics), RunError>
 where
-    W: Workload + Send + 'static,
+    W: Workload + Send,
 {
-    assert!(
-        inputs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-        "inputs must be sorted by due time"
-    );
+    assert_schedule(input, &blocks);
     let ins = ins.for_executor(cfg.workers, policy);
-    let commit = Arc::new(Mutex::new(Inner {
+    let commit = Mutex::new(Inner {
         core: Core::new(workload, policy, &ins),
         delayed: Vec::new(),
         batch: Vec::with_capacity(64),
-    }));
-    let fabric = Arc::new(Fabric::new(cfg, ins));
+    });
+    let fabric = Fabric::new(cfg, ins, input);
 
     let now = fabric.now();
     locked(&fabric, &commit, |core| core.start(fabric.env(now)));
 
-    // Worker threads: grab from lanes, run, report, and route the report
-    // themselves when the commit lock is free. The lock is never *waited
-    // on* here — a worker only ever `try_lock`s it.
-    let workers: Vec<_> = (0..cfg.workers)
-        .map(|me| spawn_worker(me, 0, Arc::clone(&fabric), Arc::clone(&commit)))
-        .collect();
+    let lost = std::thread::scope(|scope| {
+        let (fabric, commit) = (&fabric, &commit);
+        // Worker threads: grab from lanes, run, report, and route the
+        // report themselves when the commit lock is free. The lock is never
+        // *waited on* here — a worker only ever `try_lock`s it.
+        let workers: Vec<_> = (0..cfg.workers)
+            .map(|me| spawn_worker(scope, me, 0, fabric, commit))
+            .collect();
 
-    // Watchdog thread: polls the per-worker slots and cancels any task
-    // that has been running past the deadline. A speculative task is
-    // unstuck *under the commit lock*, version first: the worker routes
-    // its own report the moment the body returns, and a report routed
-    // before the abort would deliver the cut-short output instead of
-    // discarding it.
-    let watchdog = cfg.watchdog.map(|wd| {
-        let fabric = Arc::clone(&fabric);
-        let commit = Arc::clone(&commit);
-        std::thread::Builder::new()
-            .name("tvs-watchdog".into())
-            .spawn(move || {
-                while !fabric.done.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_micros(wd.poll_us()));
-                    let now = fabric.now();
-                    for slot in &fabric.watch {
-                        let mut g = lock_recover(slot);
-                        let Some(s) = g.as_mut() else { continue };
-                        let ran_us = now.saturating_sub(s.span.started);
-                        if s.flagged || ran_us < wd.deadline_us {
-                            continue;
-                        }
-                        s.flagged = true;
-                        let (span, flag) = (s.span, Arc::clone(&s.flag));
-                        drop(g);
-                        locked(&fabric, &commit, |core| {
-                            core.cancel(fabric.env(now), &span, ran_us, &fabric.ins);
-                            TaskCtx::signal_abort(&flag);
-                        });
-                    }
-                }
-            })
-            .expect("failed to spawn watchdog thread")
-    });
-
-    // Supervisor thread: polls the per-lane heartbeat clocks and recovers
-    // lanes whose worker went dark — wedged in a body that ignores its
-    // abort flag, or descheduled indefinitely. Quarantine bumps the lane's
-    // epoch (under the commit lock, so the epoch gate and the bump are
-    // ordered), signals the old incarnation's running task, hands its
-    // ready lane to the live workers, and respawns a replacement on the
-    // fresh epoch. Any completion the quarantined incarnation still
-    // reports is rejected by the epoch gate and re-fed — never
-    // double-committed.
-    let supervisor = cfg.supervisor.map(|sv| {
-        let fabric = Arc::clone(&fabric);
-        let commit = Arc::clone(&commit);
-        std::thread::Builder::new()
-            .name("tvs-supervisor".into())
-            .spawn(move || {
-                let mut respawned: Vec<std::thread::JoinHandle<()>> = Vec::new();
-                while !fabric.done.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_micros(sv.poll_us()));
-                    let now = fabric.now();
-                    for me in 0..fabric.lanes.len() {
-                        let hb = fabric.heartbeat[me].load(Ordering::SeqCst);
-                        if now.saturating_sub(hb) < sv.heartbeat_timeout_us.max(1)
-                            || fabric.done.load(Ordering::SeqCst)
-                        {
-                            continue;
-                        }
-                        // Quarantine under the commit lock: the epoch bump
-                        // is ordered against the gate (which reads epochs
-                        // while routing under the same lock) and the
-                        // control-ring emissions keep one writer at a time.
-                        let mut old = 0;
-                        locked(&fabric, &commit, |_| {
-                            old = fabric.worker_epoch[me].fetch_add(1, Ordering::SeqCst);
-                            // Restart the clock so the replacement gets a
-                            // full timeout before it is judged.
-                            fabric.heartbeat[me].store(fabric.now(), Ordering::SeqCst);
-                            fabric.ins.metrics.add_control(Counter::WorkerRespawns, 1);
-                            let worker = me as u32;
-                            let tracer = &fabric.ins.tracer;
-                            tracer.emit_control(EventKind::WorkerQuarantine { worker, epoch: old });
-                            tracer.emit_control(EventKind::WorkerRespawn {
-                                worker,
-                                epoch: old + 1,
+        // Watchdog thread: polls the per-worker slots and cancels any task
+        // that has been running past the deadline. A speculative task is
+        // unstuck *under the commit lock*, version first: the worker routes
+        // its own report the moment the body returns, and a report routed
+        // before the abort would deliver the cut-short output instead of
+        // discarding it.
+        let watchdog = cfg.watchdog.map(|wd| {
+            std::thread::Builder::new()
+                .name("tvs-watchdog".into())
+                .spawn_scoped(scope, move || {
+                    while !fabric.done.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_micros(wd.poll_us()));
+                        let now = fabric.now();
+                        for slot in &fabric.watch {
+                            let mut g = lock_recover(slot);
+                            let Some(s) = g.as_mut() else { continue };
+                            let ran_us = now.saturating_sub(s.span.started);
+                            if s.flagged || ran_us < wd.deadline_us {
+                                continue;
+                            }
+                            s.flagged = true;
+                            let (span, flag) = (s.span, Arc::clone(&s.flag));
+                            drop(g);
+                            locked(fabric, commit, |core| {
+                                core.cancel(fabric.env(now), &span, ran_us, &fabric.ins);
+                                TaskCtx::signal_abort(&flag);
                             });
-                        });
-                        // Unstick whatever the old incarnation is running:
-                        // abort-aware bodies (and injected stalls) return
-                        // early once the flag is up, after which the old
-                        // worker exits at its next epoch check and its
-                        // report dies at the gate.
-                        if let Some(s) = lock_recover(&fabric.watch[me]).as_ref() {
-                            TaskCtx::signal_abort(&s.flag);
                         }
-                        fabric.reassign_lane(me);
-                        let (fabric, commit) = (Arc::clone(&fabric), Arc::clone(&commit));
-                        respawned.push(spawn_worker(me, old + 1, fabric, commit));
                     }
-                }
-                fabric.wake_all();
-                for h in respawned {
-                    let _ = h.join();
-                }
-            })
-            .expect("failed to spawn supervisor thread")
+                })
+                .expect("failed to spawn watchdog thread")
+        });
+
+        // Supervisor thread: polls the per-lane heartbeat clocks and
+        // recovers lanes whose worker went dark — wedged in a body that
+        // ignores its abort flag, or descheduled indefinitely. Quarantine
+        // bumps the lane's epoch (under the commit lock, so the epoch gate
+        // and the bump are ordered), signals the old incarnation's running
+        // task, hands its ready lane to the live workers, and respawns a
+        // replacement on the fresh epoch into the same scope. Any
+        // completion the quarantined incarnation still reports is rejected
+        // by the epoch gate and re-fed — never double-committed.
+        let supervisor = cfg.supervisor.map(|sv| {
+            std::thread::Builder::new()
+                .name("tvs-supervisor".into())
+                .spawn_scoped(scope, move || {
+                    let mut respawned = Vec::new();
+                    while !fabric.done.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_micros(sv.poll_us()));
+                        let now = fabric.now();
+                        for me in 0..fabric.lanes.len() {
+                            let hb = fabric.heartbeat[me].load(Ordering::SeqCst);
+                            if now.saturating_sub(hb) < sv.heartbeat_timeout_us.max(1)
+                                || fabric.done.load(Ordering::SeqCst)
+                            {
+                                continue;
+                            }
+                            // Quarantine under the commit lock: the epoch
+                            // bump is ordered against the gate (which reads
+                            // epochs while routing under the same lock) and
+                            // the control-ring emissions keep one writer at
+                            // a time.
+                            let mut old = 0;
+                            locked(fabric, commit, |_| {
+                                old = fabric.worker_epoch[me].fetch_add(1, Ordering::SeqCst);
+                                // Restart the clock so the replacement gets
+                                // a full timeout before it is judged.
+                                fabric.heartbeat[me].store(fabric.now(), Ordering::SeqCst);
+                                fabric.ins.metrics.add_control(Counter::WorkerRespawns, 1);
+                                let worker = me as u32;
+                                let tracer = &fabric.ins.tracer;
+                                tracer.emit_control(EventKind::WorkerQuarantine {
+                                    worker,
+                                    epoch: old,
+                                });
+                                tracer.emit_control(EventKind::WorkerRespawn {
+                                    worker,
+                                    epoch: old + 1,
+                                });
+                            });
+                            // Unstick whatever the old incarnation is
+                            // running: abort-aware bodies (and injected
+                            // stalls) return early once the flag is up,
+                            // after which the old worker exits at its next
+                            // epoch check and its report dies at the gate.
+                            if let Some(s) = lock_recover(&fabric.watch[me]).as_ref() {
+                                TaskCtx::signal_abort(&s.flag);
+                            }
+                            fabric.reassign_lane(me);
+                            respawned.push(spawn_worker(scope, me, old + 1, fabric, commit));
+                        }
+                    }
+                    fabric.wake_all();
+                    for h in respawned {
+                        let _ = h.join();
+                    }
+                })
+                .expect("failed to spawn supervisor thread")
+        });
+
+        // The calling thread feeds the input: no thread to start before the
+        // first batch goes in. A panic here is a runtime bug (workload
+        // callbacks are caught inside their turn); it shuts the run down so
+        // the threads still join, and is reported as a RunError value, as
+        // is a runtime thread dying outside a task body — not a process
+        // abort.
+        let mut lost: Option<&'static str> = None;
+        let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            feed(fabric, commit, blocks);
+        }));
+        if fed.is_err() {
+            lost = Some("feeder");
+            fabric.shut_down();
+        }
+        for w in workers {
+            if w.join().is_err() {
+                lost = lost.or(Some("worker"));
+            }
+        }
+        // Belt-and-braces: the turn that completes the run sets `done`, but
+        // the watchdog and supervisor must terminate even if every worker
+        // was lost.
+        fabric.done.store(true, Ordering::SeqCst);
+        for (what, thread) in [("watchdog", watchdog), ("supervisor", supervisor)] {
+            if thread.is_some_and(|t| t.join().is_err()) {
+                lost = lost.or(Some(what));
+            }
+        }
+        lost
     });
 
-    // The calling thread feeds the input: no thread to start before the
-    // first batch goes in. A panic here is a runtime bug (workload
-    // callbacks are caught inside their turn); it shuts the run down so
-    // the threads still join, and is reported as a RunError value, as is
-    // a runtime thread dying outside a task body — not a process abort.
-    let mut lost: Option<&'static str> = None;
-    let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        feed(&fabric, &commit, inputs);
-    }));
-    if fed.is_err() {
-        lost = Some("feeder");
-        fabric.shut_down();
-    }
-    for w in workers {
-        if w.join().is_err() {
-            lost = lost.or(Some("worker"));
-        }
-    }
-    // Belt-and-braces: the turn that completes the run sets `done`, but the
-    // watchdog and supervisor must terminate even if every worker was lost.
-    fabric.done.store(true, Ordering::SeqCst);
-    for (what, thread) in [("watchdog", watchdog), ("supervisor", supervisor)] {
-        if thread.is_some_and(|t| t.join().is_err()) {
-            lost = lost.or(Some(what));
-        }
-    }
-
-    let Inner { core, .. } = into_inner_recover(
-        Arc::try_unwrap(commit)
-            .unwrap_or_else(|_| panic!("threads gone, commit state uniquely owned")),
-    );
+    let Inner { core, .. } = into_inner_recover(commit);
     if let Some(e) = core.failed {
         return Err(e);
     }
@@ -1078,23 +1094,35 @@ mod tests {
         workload: W,
         cfg: &ThreadedConfig,
         policy: DispatchPolicy,
-        inputs: Vec<InputBlock>,
+        input: &[u8],
+        blocks: Vec<InputBlock>,
     ) -> (W, RunMetrics)
     where
-        W: Workload + Send + 'static,
+        W: Workload + Send,
     {
-        run(workload, cfg, policy, inputs, &Instruments::default()).expect("dark run completes")
+        run(
+            workload,
+            cfg,
+            policy,
+            input,
+            blocks,
+            &Instruments::default(),
+        )
+        .expect("dark run completes")
     }
 
-    /// `n` blocks of `len` bytes, block `i` filled with `i`, all due at once.
-    fn at_once(n: usize, len: usize) -> Vec<InputBlock> {
-        (0..n)
+    /// An input of `n` blocks of `len` bytes, block `i` filled with `i`,
+    /// and its blocks, all due at once.
+    fn at_once(n: usize, len: usize) -> (Vec<u8>, Vec<InputBlock>) {
+        let input = (0..n).flat_map(|i| vec![i as u8; len]).collect();
+        let blocks = (0..n)
             .map(|i| InputBlock {
                 index: i,
                 arrival: 0,
-                data: vec![i as u8; len].into(),
+                bytes: i * len..(i + 1) * len,
             })
-            .collect()
+            .collect();
+        (input, blocks)
     }
 
     #[test]
@@ -1114,15 +1142,19 @@ mod tests {
         }
         // Eight blocks due now, four 30 ms later: two batches, unless the
         // feeder lost the CPU for that long, when both are due at once.
-        let mut inputs = at_once(12, 8);
-        for b in &mut inputs[8..] {
+        let (input, mut blocks) = at_once(12, 8);
+        for b in &mut blocks[8..] {
             b.arrival = 30_000;
         }
         let cfg = ThreadedConfig::new(2);
-        let (w, _) = dark(Batches(Vec::new()), &cfg, NON_SPEC, inputs);
+        let (w, _) = dark(Batches(Vec::new()), &cfg, NON_SPEC, &input, blocks);
         assert!(w.0.len() <= 2, "{:?}", w.0);
         assert_eq!(w.0.concat(), (0..12).collect::<Vec<_>>());
         assert!(w.0[0].len() >= 8, "blocks due together stay together");
+    }
+
+    fn sum(bytes: &[u8]) -> u64 {
+        bytes.iter().map(|&x| x as u64).sum()
     }
 
     struct Summer {
@@ -1133,13 +1165,13 @@ mod tests {
 
     impl Workload for Summer {
         fn on_input(&mut self, ctx: &mut dyn SchedCtx, b: InputBlock) {
-            let data = b.data.clone();
+            let bytes = b.bytes;
             ctx.spawn(TaskSpec::regular(
                 "sum",
                 0,
-                data.len(),
+                bytes.len(),
                 b.index as u64,
-                move |_| payload(data.iter().map(|&x| x as u64).sum::<u64>()),
+                move |ctx| payload(sum(&ctx.input()[bytes.clone()])),
             ));
         }
         fn on_complete(&mut self, _ctx: &mut dyn SchedCtx, done: Completion) {
@@ -1153,7 +1185,7 @@ mod tests {
 
     #[test]
     fn sums_all_blocks_across_threads() {
-        let blocks = at_once(32, 100);
+        let (input, blocks) = at_once(32, 100);
         let expect: u64 = (0..32u64).map(|i| i * 100).sum();
         let cfg = ThreadedConfig::new(4);
         let (w, m) = dark(
@@ -1164,6 +1196,7 @@ mod tests {
             },
             &cfg,
             NON_SPEC,
+            &input,
             blocks,
         );
         assert_eq!(w.total, expect);
@@ -1182,7 +1215,7 @@ mod tests {
 
     #[test]
     fn traced_run_records_dispatch_and_task_events() {
-        let blocks = at_once(16, 64);
+        let (input, blocks) = at_once(16, 64);
         let cfg = ThreadedConfig::new(3);
         let tracer = Tracer::enabled(3);
         let (w, m) = run(
@@ -1193,6 +1226,7 @@ mod tests {
             },
             &cfg,
             NON_SPEC,
+            &input,
             blocks,
             &Instruments::traced(tracer.clone()),
         )
@@ -1228,7 +1262,7 @@ mod tests {
             }
         }
         let cfg = ThreadedConfig::new(2);
-        let (_w, m) = dark(Nothing, &cfg, NON_SPEC, Vec::new());
+        let (_w, m) = dark(Nothing, &cfg, NON_SPEC, &[], Vec::new());
         assert_eq!(m.tasks_delivered, 0);
     }
 
@@ -1256,9 +1290,15 @@ mod tests {
                 self.stage2_done
             }
         }
-        let inputs = at_once(1, 4);
+        let (input, inputs) = at_once(1, 4);
         let cfg = ThreadedConfig::new(3);
-        let (w, m) = dark(TwoStage { stage2_done: false }, &cfg, NON_SPEC, inputs);
+        let (w, m) = dark(
+            TwoStage { stage2_done: false },
+            &cfg,
+            NON_SPEC,
+            &input,
+            inputs,
+        );
         assert!(w.stage2_done);
         assert_eq!(m.tasks_delivered, 2);
     }
@@ -1318,6 +1358,7 @@ mod tests {
             },
             &cfg,
             DispatchPolicy::Aggressive,
+            &[],
             Vec::new(),
         );
         assert!(w.normal_done);
@@ -1377,6 +1418,7 @@ mod tests {
             },
             &cfg,
             DispatchPolicy::Balanced,
+            &[],
             Vec::new(),
         );
         assert!(w.normal_done);
@@ -1429,6 +1471,7 @@ mod tests {
             },
             &cfg,
             NON_SPEC,
+            &[],
             Vec::new(),
             &Instruments::default(),
         )
@@ -1451,6 +1494,7 @@ mod tests {
             },
             &cfg,
             NON_SPEC,
+            &[],
             Vec::new(),
             &Instruments::default(),
         ) else {
@@ -1502,6 +1546,7 @@ mod tests {
             },
             &cfg,
             DispatchPolicy::Aggressive,
+            &[],
             Vec::new(),
             &Instruments::default(),
         )
@@ -1521,7 +1566,7 @@ mod tests {
     fn injected_panics_and_duplicates_recover_deterministically() {
         // Chaos smoke: inject panics at the task-body site and duplicated
         // completions on the commit path, and require byte-identical results.
-        let blocks = at_once(24, 50);
+        let (input, blocks) = at_once(24, 50);
         let expect: u64 = (0..24u64).map(|i| i * 50).sum();
         let plan = FaultPlan::new(99)
             .with_rule(FaultSite::TaskBody, FaultKind::PanicTask, 0.2)
@@ -1542,6 +1587,7 @@ mod tests {
             },
             &cfg,
             NON_SPEC,
+            &input,
             blocks,
             &Instruments::faulty(faults.clone()),
         )
@@ -1572,7 +1618,7 @@ mod tests {
         // Focused version of the chaos smoke: with *only* duplicate echoes
         // injected, the epoch-reject counter must match the injection count
         // exactly and the output must be unaffected.
-        let blocks = at_once(16, 50);
+        let (input, blocks) = at_once(16, 50);
         let expect: u64 = (0..16u64).map(|i| i * 50).sum();
         let plan = FaultPlan::new(7)
             .with_rule(FaultSite::Completion, FaultKind::DuplicateCompletion, 1.0)
@@ -1586,6 +1632,7 @@ mod tests {
             },
             &cfg,
             NON_SPEC,
+            &input,
             blocks,
             &Instruments::faulty(FaultInjector::new(plan)),
         )
@@ -1610,21 +1657,21 @@ mod tests {
 
     impl Workload for Wedger {
         fn on_input(&mut self, ctx: &mut dyn SchedCtx, b: InputBlock) {
-            let data = b.data.clone();
+            let bytes = b.bytes;
             let wedge = if b.index == 0 { self.wedge_us } else { 0 };
             let wedged = Arc::clone(&self.wedged);
             ctx.spawn(TaskSpec::regular(
                 "sum",
                 0,
-                data.len(),
+                bytes.len(),
                 b.index as u64,
-                move |_| {
+                move |ctx| {
                     if wedge > 0 && wedged.fetch_add(1, Ordering::SeqCst) == 0 {
                         // Not abort-aware: the supervisor must detect the
                         // dark heartbeat, not rely on cooperative cancel.
                         std::thread::sleep(Duration::from_micros(wedge));
                     }
-                    payload(data.iter().map(|&x| x as u64).sum::<u64>())
+                    payload(sum(&ctx.input()[bytes.clone()]))
                 },
             ));
         }
@@ -1648,7 +1695,7 @@ mod tests {
 
     #[test]
     fn supervisor_respawns_a_wedged_worker_without_double_commit() {
-        let blocks = at_once(12, 50);
+        let (input, blocks) = at_once(12, 50);
         let expect: u64 = (0..12u64).map(|i| i * 50).sum();
         let mut cfg = ThreadedConfig::new(3);
         cfg.supervisor = Some(SupervisorConfig {
@@ -1667,6 +1714,7 @@ mod tests {
             },
             &cfg,
             NON_SPEC,
+            &input,
             blocks,
             &Instruments::default(),
         )
@@ -1683,7 +1731,7 @@ mod tests {
 
     #[test]
     fn supervision_is_quiet_on_a_healthy_run() {
-        let blocks = at_once(32, 100);
+        let (input, blocks) = at_once(32, 100);
         let expect: u64 = (0..32u64).map(|i| i * 100).sum();
         let mut cfg = ThreadedConfig::new(4);
         cfg.supervisor = Some(SupervisorConfig::default());
@@ -1695,6 +1743,7 @@ mod tests {
             },
             &cfg,
             NON_SPEC,
+            &input,
             blocks,
         );
         assert_eq!(w.total, expect);
@@ -1739,6 +1788,7 @@ mod tests {
             Stuck { lost: Vec::new() },
             &cfg,
             DispatchPolicy::Aggressive,
+            &[],
             Vec::new(),
             &Instruments::default(),
         )

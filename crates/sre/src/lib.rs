@@ -38,7 +38,9 @@
 //!
 //! Each executor has exactly one entry point, fallible and instrumented:
 //! [`exec::sim::run`] and [`exec::threaded::run`], both taking the dispatch
-//! policy as an argument. A dark run passes `&Instruments::default()`.
+//! policy as an argument and the run's input as one borrowed `&[u8]` with
+//! its blocks as ranges of it ([`InputBlock`]); bodies read it through
+//! [`TaskCtx::input`]. A dark run passes `&Instruments::default()`.
 //!
 //! Speculation *policy* (predictors, tolerance checks, wait buffers,
 //! rollback orchestration) lives one crate up, in `tvs-core`; this crate

@@ -157,7 +157,15 @@ mod tests {
         let cell = crate::exec::sim::SimConfig::new(cell_be(1));
         let run = |bytes| {
             let (policy, ins) = (crate::DispatchPolicy::NonSpeculative, Default::default());
-            crate::exec::sim::run(Spawns(bytes), &cell, policy, &FixedCost(1), vec![], &ins)
+            crate::exec::sim::run(
+                Spawns(bytes),
+                &cell,
+                policy,
+                &FixedCost(1),
+                &[],
+                vec![],
+                &ins,
+            )
         };
         assert!(run(32 * 1024).is_ok(), "a full local store is allowed");
         let _ = run(32 * 1024 + 1);

@@ -700,13 +700,13 @@ mod tests {
 
     impl Workload for Summer {
         fn on_input(&mut self, ctx: &mut dyn SchedCtx, block: InputBlock) {
-            let n = block.data.len() as u64;
+            let bytes = block.bytes;
             ctx.spawn(TaskSpec::regular(
                 "sum",
                 0,
-                block.data.len(),
+                bytes.len(),
                 block.index as u64,
-                move |_| payload(n),
+                move |ctx| payload(ctx.input()[bytes.clone()].len() as u64),
             ));
         }
 
@@ -745,11 +745,14 @@ mod tests {
         }
     }
 
+    /// The input the blocks of these tests point into.
+    const INPUT: &[u8] = &[0; 64];
+
     /// Drive the toy scheduler to quiescence, delivering completions
     /// through the wrapper.
     fn drain<W: Workload>(ctx: &mut MiniCtx, w: &mut ReplicatingWorkload<W>) {
         while let Some(mut d) = ctx.sched.dispatch() {
-            let out = (d.run)(&d.ctx);
+            let out = (d.run)(&TaskCtx::new(&d.abort, INPUT));
             let outcome = ctx.sched.complete(d.id);
             ctx.now += 1;
             if outcome == crate::sched::CompletionOutcome::Discard {
@@ -770,14 +773,16 @@ mod tests {
 
     fn feed(ctx: &mut MiniCtx, w: &mut ReplicatingWorkload<Summer>, blocks: &[usize]) {
         w.on_start(ctx);
+        let mut at = 0;
         for (i, len) in blocks.iter().enumerate() {
-            let data: Arc<[u8]> = vec![0u8; *len].into();
+            let bytes = at..at + len;
+            at += len;
             w.on_input(
                 ctx,
                 InputBlock {
                     index: i,
                     arrival: i as u64,
-                    data,
+                    bytes,
                 },
             );
         }
@@ -838,10 +843,14 @@ mod tests {
         let batch = [10usize, 20, 30]
             .iter()
             .enumerate()
-            .map(|(index, &len)| InputBlock {
-                index,
-                arrival: 0,
-                data: vec![0u8; len].into(),
+            .scan(0, |at, (index, &len)| {
+                let bytes = *at..*at + len;
+                *at += len;
+                Some(InputBlock {
+                    index,
+                    arrival: 0,
+                    bytes,
+                })
             })
             .collect();
         w.on_input_batch(&mut ctx, batch);
@@ -928,13 +937,13 @@ mod tests {
             now: 0,
         };
         w.on_start(&mut ctx);
-        let data: Arc<[u8]> = vec![0u8; 8].into();
+        let bytes = 0..8;
         w.on_input(
             &mut ctx,
             InputBlock {
                 index: 0,
                 arrival: 0,
-                data,
+                bytes,
             },
         );
         drain(&mut ctx, &mut w);
@@ -1014,13 +1023,13 @@ mod tests {
             now: 0,
         };
         w.on_start(&mut ctx);
-        let data: Arc<[u8]> = vec![0u8; 8].into();
+        let bytes = 0..8;
         w.on_input(
             &mut ctx,
             InputBlock {
                 index: 0,
                 arrival: 0,
-                data,
+                bytes,
             },
         );
         drain(&mut ctx, &mut w);
@@ -1106,13 +1115,13 @@ mod tests {
             now: 0,
         };
         w.on_start(&mut ctx);
-        let data: Arc<[u8]> = vec![0u8; 8].into();
+        let bytes = 0..8;
         w.on_input(
             &mut ctx,
             InputBlock {
                 index: 0,
                 arrival: 0,
-                data,
+                bytes,
             },
         );
         drain(&mut ctx, &mut w);
@@ -1151,18 +1160,18 @@ mod tests {
             now: 0,
         };
         w.on_start(&mut ctx);
-        let data: Arc<[u8]> = vec![0u8; 8].into();
+        let bytes = 0..8;
         w.on_input(
             &mut ctx,
             InputBlock {
                 index: 0,
                 arrival: 0,
-                data,
+                bytes,
             },
         );
         // Run only the primary; its completion spawns the replica.
         let mut d = ctx.sched.dispatch().expect("primary ready");
-        let out = (d.run)(&d.ctx);
+        let out = (d.run)(&TaskCtx::new(&d.abort, INPUT));
         assert_eq!(
             ctx.sched.complete(d.id),
             crate::sched::CompletionOutcome::Deliver

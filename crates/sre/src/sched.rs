@@ -14,7 +14,7 @@ use crate::policy::{DispatchPolicy, LaneLoads};
 use crate::queue::ReadyQueue;
 use crate::task::{IdMap, SpecVersion, TaskClass, TaskCtx, TaskFn, TaskId, TaskSpec};
 use std::collections::HashSet;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tvs_metrics::{Counter, Gauge, Hist, MetricsHub};
 use tvs_trace::{EventKind, Tracer};
@@ -36,10 +36,18 @@ pub struct Dispatched {
     /// The primary task this is a replica of, if any (see
     /// [`TaskSpec::replica_of`]).
     pub replica_of: Option<TaskId>,
-    /// Context to pass to `run` (carries the abort flag).
-    pub ctx: TaskCtx,
+    /// The task's abort flag, raised when its version is rolled back; the
+    /// executor lends it to the body in the [`TaskCtx`] of each call.
+    pub abort: Arc<AtomicBool>,
     /// The task body.
     pub run: TaskFn,
+}
+
+impl Dispatched {
+    /// `true` once the task's version has been rolled back.
+    pub fn aborted(&self) -> bool {
+        self.abort.load(Ordering::Relaxed)
+    }
 }
 
 /// What `complete` decided about a finished task.
@@ -184,7 +192,7 @@ impl Scheduler {
             TaskClass::Speculative => self.loads.count_spec += 1,
             TaskClass::Predictor | TaskClass::Check => {}
         }
-        let ctx = TaskCtx::new();
+        let abort = Arc::new(AtomicBool::new(false));
         let dispatched_at = if spec.class == TaskClass::Check && self.metrics.is_live() {
             self.metrics.now_us()
         } else {
@@ -194,7 +202,7 @@ impl Scheduler {
             id,
             Running {
                 version: spec.version,
-                abort: ctx.abort_flag(),
+                abort: Arc::clone(&abort),
                 class: spec.class,
                 dispatched_at,
             },
@@ -207,7 +215,7 @@ impl Scheduler {
             tag: spec.tag,
             bytes: spec.bytes,
             replica_of: spec.replica_of,
-            ctx,
+            abort,
             run: spec.run,
         })
     }
@@ -434,9 +442,9 @@ mod tests {
         let mut s = Scheduler::new(DispatchPolicy::Aggressive);
         let id = s.spawn(spec_task("enc", 9)).unwrap();
         let d = s.dispatch().unwrap();
-        assert!(!d.ctx.aborted());
+        assert!(!d.aborted());
         s.abort_version(9);
-        assert!(d.ctx.aborted(), "in-flight task must see the abort flag");
+        assert!(d.aborted(), "in-flight task must see the abort flag");
         assert_eq!(s.complete(id), CompletionOutcome::Discard);
         assert_eq!(s.stats().discarded, 1);
     }

@@ -8,7 +8,6 @@
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Virtual (or wall-clock-derived) time in microseconds.
 pub type Time = u64;
@@ -92,22 +91,39 @@ impl TaskClass {
 /// The type-erased output of a task.
 pub type Payload = Box<dyn Any + Send>;
 
-/// Handle given to a running task body.
+/// What a running task body is handed: its abort flag and the run's input.
 ///
-/// The only capability a side-effect-free task needs at run time is to learn
-/// that its speculation was aborted while it runs, so it can stop early
-/// ("launched tasks cannot be deleted; the system marks them with an abort
-/// flag"). Honouring the flag is an optimisation, not a correctness
-/// requirement — discarded outputs are dropped either way.
-#[derive(Clone, Debug, Default)]
-pub struct TaskCtx {
-    abort: Arc<AtomicBool>,
+/// Built by the executor for one call of the body and borrowed only for
+/// that call, so a body is still `'static` — it captures *where* its data
+/// lies (a range of the input, a shared histogram), never the input bytes
+/// themselves — while the input itself stays the one buffer the caller of
+/// the executor's `run` owns: nothing is copied per block or per task. A
+/// retried attempt and a replica get a context over the same bytes.
+///
+/// The flag is how a side-effect-free task learns that its speculation
+/// was aborted while it runs, so it can stop early ("launched tasks cannot
+/// be deleted; the system marks them with an abort flag"). Honouring it is
+/// an optimisation, not a correctness requirement — discarded outputs are
+/// dropped either way.
+#[derive(Clone, Copy)]
+pub struct TaskCtx<'a> {
+    abort: &'a AtomicBool,
+    input: &'a [u8],
 }
 
-impl TaskCtx {
-    /// A fresh context with an unset abort flag.
-    pub fn new() -> Self {
-        Self::default()
+impl std::fmt::Debug for TaskCtx<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TaskCtx")
+            .field("aborted", &self.aborted())
+            .field("input_len", &self.input.len())
+            .finish()
+    }
+}
+
+impl<'a> TaskCtx<'a> {
+    /// A context over `abort` and the run's `input`.
+    pub fn new(abort: &'a AtomicBool, input: &'a [u8]) -> Self {
+        TaskCtx { abort, input }
     }
 
     /// `true` once the task's version has been rolled back.
@@ -115,9 +131,10 @@ impl TaskCtx {
         self.abort.load(Ordering::Relaxed)
     }
 
-    /// The shared flag itself (held by the scheduler to signal aborts).
-    pub(crate) fn abort_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.abort)
+    /// The run's whole input: the buffer every [`crate::InputBlock`]'s
+    /// `bytes` range points into.
+    pub fn input(&self) -> &'a [u8] {
+        self.input
     }
 
     /// Raise the abort flag.
@@ -126,14 +143,15 @@ impl TaskCtx {
     }
 }
 
-/// The body of a task: consumes nothing but its captured inputs (tasks are
-/// side-effect free), may poll `ctx.aborted()`, and returns its output.
+/// The body of a task: reads nothing but its captures and the run's input
+/// (`ctx.input()`; tasks are side-effect free), may poll `ctx.aborted()`,
+/// and returns its output.
 ///
 /// `FnMut`, not `FnOnce`: a body that panics is caught by the executor and
 /// — for non-speculative tasks — retried in place with bounded backoff, so
 /// the same closure must be callable again. Bodies stay side-effect free,
 /// so re-running one is always safe.
-pub type TaskFn = Box<dyn FnMut(&TaskCtx) -> Payload + Send>;
+pub type TaskFn = Box<dyn FnMut(&TaskCtx<'_>) -> Payload + Send>;
 
 /// Everything the scheduler needs to know to run a task.
 pub struct TaskSpec {
@@ -184,7 +202,7 @@ impl TaskSpec {
         depth: u32,
         bytes: usize,
         tag: u64,
-        run: impl FnMut(&TaskCtx) -> Payload + Send + 'static,
+        run: impl FnMut(&TaskCtx<'_>) -> Payload + Send + 'static,
     ) -> Self {
         TaskSpec {
             name,
@@ -205,7 +223,7 @@ impl TaskSpec {
         bytes: usize,
         version: SpecVersion,
         tag: u64,
-        run: impl FnMut(&TaskCtx) -> Payload + Send + 'static,
+        run: impl FnMut(&TaskCtx<'_>) -> Payload + Send + 'static,
     ) -> Self {
         TaskSpec {
             name,
@@ -225,7 +243,7 @@ impl TaskSpec {
         bytes: usize,
         version: SpecVersion,
         tag: u64,
-        run: impl FnMut(&TaskCtx) -> Payload + Send + 'static,
+        run: impl FnMut(&TaskCtx<'_>) -> Payload + Send + 'static,
     ) -> Self {
         TaskSpec {
             name,
@@ -247,7 +265,7 @@ impl TaskSpec {
         name: &'static str,
         bytes: usize,
         tag: u64,
-        run: impl FnMut(&TaskCtx) -> Payload + Send + 'static,
+        run: impl FnMut(&TaskCtx<'_>) -> Payload + Send + 'static,
     ) -> Self {
         TaskSpec {
             name,
@@ -293,11 +311,12 @@ mod tests {
 
     #[test]
     fn abort_flag_round_trip() {
-        let ctx = TaskCtx::new();
+        let flag = AtomicBool::new(false);
+        let ctx = TaskCtx::new(&flag, b"input");
         assert!(!ctx.aborted());
-        let flag = ctx.abort_flag();
         TaskCtx::signal_abort(&flag);
         assert!(ctx.aborted());
+        assert_eq!(ctx.input(), b"input");
     }
 
     #[test]
@@ -345,10 +364,14 @@ mod tests {
 
     #[test]
     fn task_bodies_run_and_see_ctx() {
-        let mut spec = TaskSpec::regular("t", 0, 0, 0, |ctx| payload(ctx.aborted()));
-        let ctx = TaskCtx::new();
-        let out = (spec.run)(&ctx);
-        assert!(!expect_payload::<bool>(out, "bool"));
+        let mut spec = TaskSpec::regular("t", 0, 0, 0, |ctx| {
+            payload((ctx.aborted(), ctx.input()[1..3].to_vec()))
+        });
+        let flag = AtomicBool::new(false);
+        let out = (spec.run)(&TaskCtx::new(&flag, b"abcd"));
+        let (aborted, seen) = expect_payload::<(bool, Vec<u8>)>(out, "(bool, Vec<u8>)");
+        assert!(!aborted);
+        assert_eq!(seen, b"bc", "the body reads its range of the run's input");
     }
 
     #[test]
@@ -363,7 +386,8 @@ mod tests {
             }
             payload(calls)
         });
-        let ctx = TaskCtx::new();
+        let flag = AtomicBool::new(false);
+        let ctx = TaskCtx::new(&flag, &[]);
         let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (spec.run)(&ctx)));
         assert!(first.is_err());
         let second = (spec.run)(&ctx);

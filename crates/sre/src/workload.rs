@@ -10,24 +10,27 @@
 //! execution, rather than a static description".
 
 use crate::task::{Payload, SpecVersion, TaskId, TaskSpec, Time};
-use std::sync::Arc;
+use std::ops::Range;
 
-/// A block of input data fed into the system by the I/O thread.
+/// A block of input data fed into the system by the I/O thread: where it
+/// lies in the run's input, not a copy of it.
 ///
-/// Both executors take their input as a list of these sorted by `arrival`:
-/// there it is the block's *due* time, µs from the start of the run (the
-/// simulator's virtual clock, the threaded feeder's wall clock). What the
-/// workload receives carries the moment the block was actually handed over.
+/// Both executors take the run's input — one buffer, owned by their caller
+/// — and a list of these sorted by `arrival`: there it is the block's *due*
+/// time, µs from the start of the run (the simulator's virtual clock, the
+/// threaded feeder's wall clock). What the workload receives carries the
+/// moment the block was actually handed over. A task reads the block's
+/// bytes as `ctx.input()[bytes]` (see [`crate::TaskCtx::input`]), so a
+/// workload's tasks capture ranges and no block is ever copied.
 #[derive(Clone, Debug)]
 pub struct InputBlock {
     /// Sequential block index.
     pub index: usize,
     /// Arrival time, µs.
     pub arrival: Time,
-    /// The block's bytes (shared; tasks capture clones of the `Arc`).
-    pub data: Arc<[u8]>,
+    /// The block's bytes: a range of the run's input.
+    pub bytes: Range<usize>,
 }
-
 /// A delivered task completion.
 pub struct Completion {
     /// Id of the finished task.
@@ -196,13 +199,20 @@ mod tests {
 
     impl Workload for ByteSum {
         fn on_input(&mut self, ctx: &mut dyn SchedCtx, block: InputBlock) {
-            let data = block.data.clone();
+            let bytes = block.bytes;
             ctx.spawn(TaskSpec::regular(
-                "len",
+                "sum",
                 0,
-                data.len(),
+                bytes.len(),
                 block.index as u64,
-                move |_| payload(data.len() as u64),
+                move |ctx| {
+                    payload(
+                        ctx.input()[bytes.clone()]
+                            .iter()
+                            .map(|&b| b as u64)
+                            .sum::<u64>(),
+                    )
+                },
             ));
         }
 
@@ -250,20 +260,22 @@ mod tests {
             now: 0,
         };
         w.on_start(&mut ctx);
-        for i in 0..3usize {
-            let data: Arc<[u8]> = vec![0u8; 10 * (i + 1)].into();
+        // Blocks of 10, 20 and 30 ones, back to back in one input.
+        let input = vec![1u8; 60];
+        for (i, bytes) in [0..10, 10..30, 30..60].into_iter().enumerate() {
+            let arrival = i as u64;
             w.on_input(
                 &mut ctx,
                 InputBlock {
                     index: i,
-                    arrival: i as u64,
-                    data,
+                    arrival,
+                    bytes,
                 },
             );
         }
         w.on_input_done(&mut ctx);
         while let Some(mut d) = ctx.sched.dispatch() {
-            let out = (d.run)(&d.ctx);
+            let out = (d.run)(&crate::TaskCtx::new(&d.abort, &input));
             ctx.sched.complete(d.id);
             ctx.now += 1;
             let completion = Completion {

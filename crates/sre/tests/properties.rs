@@ -7,7 +7,6 @@
 //! has no proptest, and deterministic per-case seeds reproduce failures
 //! exactly.
 
-use std::sync::Arc;
 use tvs_rng::cases;
 use tvs_sre::exec::sim::{self, SimConfig};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
@@ -24,21 +23,23 @@ fn run_sim<W: Workload>(
     w: W,
     cfg: &SimConfig,
     cost: &dyn CostModel,
-    inputs: Vec<InputBlock>,
+    input: &[u8],
+    blocks: Vec<InputBlock>,
     ins: &Instruments,
 ) -> (W, RunMetrics) {
     let policy = DispatchPolicy::NonSpeculative;
-    sim::run(w, cfg, policy, cost, inputs, ins).expect("sim run completes")
+    sim::run(w, cfg, policy, cost, input, blocks, ins).expect("sim run completes")
 }
 
 /// Dark threaded run that must complete.
-fn run_threaded<W: Workload + Send + 'static>(
+fn run_threaded<W: Workload + Send>(
     w: W,
     cfg: &ThreadedConfig,
     policy: DispatchPolicy,
-    inputs: Vec<InputBlock>,
+    input: &[u8],
+    blocks: Vec<InputBlock>,
 ) -> (W, RunMetrics) {
-    threaded::run(w, cfg, policy, inputs, &Instruments::default())
+    threaded::run(w, cfg, policy, input, blocks, &Instruments::default())
         .expect("dark threaded run completes")
 }
 
@@ -282,7 +283,7 @@ fn prop_sim_deterministic_and_exclusive() {
                 seen: 0,
             };
             let ins = Instruments::traced(tracer.clone());
-            let (w, m) = run_sim(fan_out, &cfg, &TagCost, vec![], &ins);
+            let (w, m) = run_sim(fan_out, &cfg, &TagCost, &[], vec![], &ins);
             (w, m, tracer.drain().expect("enabled tracer drains").tasks())
         };
         let (a, am, a_spans) = traced();
@@ -340,15 +341,16 @@ impl TwoStage {
 
 impl Workload for TwoStage {
     fn on_input(&mut self, ctx: &mut dyn SchedCtx, b: InputBlock) {
-        let data = b.data.clone();
+        let bytes = b.bytes;
         ctx.spawn(TaskSpec::regular(
             "digest",
             0,
-            data.len(),
+            bytes.len(),
             b.index as u64,
-            move |_| {
+            move |ctx| {
                 payload(
-                    data.iter()
+                    ctx.input()[bytes.clone()]
+                        .iter()
                         .enumerate()
                         .map(|(i, &x)| (i as u64 + 1) * x as u64)
                         .sum::<u64>(),
@@ -386,9 +388,8 @@ impl Workload for TwoStage {
 fn prop_cross_executor_outputs_identical() {
     cases(0xE9_0A11, 8, |rng, case| {
         let n_blocks = rng.random_range(1..40usize);
-        let data: Vec<Arc<[u8]>> = (0..n_blocks)
-            .map(|_| tvs_rng::bytes(rng, 1..512).into())
-            .collect();
+        let blocks: Vec<Vec<u8>> = (0..n_blocks).map(|_| tvs_rng::bytes(rng, 1..512)).collect();
+        let data = blocks.concat();
 
         let dark = Instruments::default();
         let sorted = |mut v: Vec<(u64, u64)>| {
@@ -396,13 +397,18 @@ fn prop_cross_executor_outputs_identical() {
             v
         };
 
-        let inputs: Vec<InputBlock> = data
+        let inputs: Vec<InputBlock> = blocks
             .iter()
             .enumerate()
-            .map(|(i, d)| InputBlock {
-                index: i,
-                arrival: i as Time,
-                data: d.clone(),
+            .scan(0, |at, (i, d)| {
+                let bytes = *at..*at + d.len();
+                *at += d.len();
+                let arrival = i as Time;
+                Some(InputBlock {
+                    index: i,
+                    arrival,
+                    bytes,
+                })
             })
             .collect();
 
@@ -413,6 +419,7 @@ fn prop_cross_executor_outputs_identical() {
                 TwoStage::new(n_blocks),
                 &sim_cfg,
                 &TagCost,
+                &data,
                 inputs.clone(),
                 &dark,
             )
@@ -429,6 +436,7 @@ fn prop_cross_executor_outputs_identical() {
                     TwoStage::new(n_blocks),
                     &cfg,
                     &TagCost,
+                    &data,
                     inputs.clone(),
                     &dark,
                 )
@@ -440,7 +448,13 @@ fn prop_cross_executor_outputs_identical() {
             // The threaded (work-stealing) executor.
             let tcfg = ThreadedConfig::new(workers);
             let policy = DispatchPolicy::NonSpeculative;
-            let (w, m) = run_threaded(TwoStage::new(n_blocks), &tcfg, policy, inputs.clone());
+            let (w, m) = run_threaded(
+                TwoStage::new(n_blocks),
+                &tcfg,
+                policy,
+                &data,
+                inputs.clone(),
+            );
             assert_eq!(
                 sorted(w.results),
                 reference,
@@ -503,6 +517,7 @@ fn prop_threaded_abort_never_leaks() {
                 },
                 &cfg,
                 DispatchPolicy::Balanced,
+                &[],
                 Vec::new(),
             );
             assert!(w.normal_done);

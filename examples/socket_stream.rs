@@ -25,7 +25,6 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::Duration;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
@@ -122,17 +121,21 @@ fn main() {
         writeln!(jsonl, "{}", snap.to_json_line()).expect("append jsonl");
     });
 
-    // The TCP stream as the executor's input: every block with the moment
-    // it came off the socket, µs from the first read.
+    // The TCP stream as the executor's input: the bytes read into one
+    // buffer, and every block as its range there with the moment it came
+    // off the socket, µs from the first read.
     let mut conn = TcpStream::connect(addr).expect("connect");
-    let mut blocks = Vec::new();
+    let (mut input, mut blocks) = (Vec::with_capacity(data.len()), Vec::new());
     let mut first: Option<std::time::Instant> = None;
     tvs_iosim::tcp::read_blocks(&mut conn, block_bytes, |index, at, block| {
         let t0 = *first.get_or_insert(at);
+        let bytes = input.len()..input.len() + block.len();
+        input.extend_from_slice(block);
+        let arrival = at.duration_since(t0).as_micros() as u64;
         blocks.push(InputBlock {
             index,
-            arrival: at.duration_since(t0).as_micros() as u64,
-            data: Arc::from(block),
+            arrival,
+            bytes,
         });
     })
     .expect("stream read");
@@ -141,8 +144,9 @@ fn main() {
     // The calling thread plays the SRE's input role, at the socket's pace.
     let started = std::time::Instant::now();
     let tcfg = ThreadedConfig::new(WORKERS);
-    let (workload, metrics) = threaded::run(workload, &tcfg, cfg.policy, blocks, &instruments)
-        .expect("nothing injected, nothing fails");
+    let (workload, metrics) =
+        threaded::run(workload, &tcfg, cfg.policy, &input, blocks, &instruments)
+            .expect("nothing injected, nothing fails");
 
     // Self-scrape before shutdown: the exposition path works end to end.
     let response = scrape(metrics_addr);

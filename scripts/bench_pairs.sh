@@ -3,7 +3,7 @@
 # runs on the same seeds, and a verdict per end-to-end metric against the
 # bounds in BENCHMARK.json.
 #
-# Usage: scripts/bench_pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD [PAIRS=10] [SEED=7] [SECONDS=20]
+# Usage: scripts/bench_pairs.sh [--emit PARENT_REV CHANGE_REV] PARENT_BIN CHANGE_BIN WORKLOAD [PAIRS=10] [SEED=7] [SECONDS=20]
 #
 # PARENT_BIN and CHANGE_BIN are `tvs-benchmark` executables built from the
 # two commits' `benchmark/` (`cargo build --release --manifest-path
@@ -26,7 +26,14 @@
 #                 parent's by more than the bound
 #   within bound  otherwise
 #
-# and the failed share of operations on each side. Runs that exit non-zero,
+# and the failed share of operations on each side. With `--emit`, one JSON
+# line follows — the perf-record row `BENCH_e2e.json` keeps, one per
+# workload: `workload`, `pairs`, `seconds`, `seeds` ([first, last]), `nproc`,
+# `parent` and `change` (the PARENT_REV and CHANGE_REV given: the commits
+# the two binaries were built from), `failed` (failed operations per side)
+# and `metrics`, which maps every end-to-end metric of BENCHMARK.json to
+# `{"unit", "better", "parent": {"median", "q1", "q3"}, "change": {...}}`
+# (null for a side with no run). Runs that exit non-zero,
 # print no result or report a failed operation are flagged FAILED, and the
 # script then exits 1; the verdicts do not set the exit status. The script
 # writes no file (each binary keeps its own scratch under the `benchmark/out`
@@ -43,10 +50,16 @@ import statistics
 import subprocess
 import sys
 
-parent, change, workload = sys.argv[1:4]
-pairs = int(sys.argv[4]) if len(sys.argv) > 4 else 10
-seed = int(sys.argv[5]) if len(sys.argv) > 5 else 7
-seconds = sys.argv[6] if len(sys.argv) > 6 else "20"
+args = sys.argv[1:]
+emit = None
+if args[:1] == ["--emit"]:
+    if len(args) < 6:
+        sys.exit("--emit takes PARENT_REV CHANGE_REV before the binaries")
+    emit, args = {"parent": args[1], "change": args[2]}, args[3:]
+parent, change, workload = args[:3]
+pairs = int(args[3]) if len(args) > 3 else 10
+seed = int(args[4]) if len(args) > 4 else 7
+seconds = args[5] if len(args) > 5 else "20"
 with open(os.environ["BENCHMARK_JSON"]) as f:
     metrics = json.load(f)["end_to_end"]
 
@@ -88,6 +101,11 @@ for i in range(pairs):
         flag = "ok" if ok else "FAILED"
         print(f"pair {i} seed {seed + i} {side:<6} {flag:<6} {vals}", flush=True)
 
+def side_values(side, name):
+    return [r["metrics"][name]["value"] for r in runs[side]
+            if r is not None and name in r["metrics"]]
+
+
 print()
 print(f"{workload}: {pairs} pair(s), seeds {seed}..{seed + pairs - 1}, {seconds} s per run")
 head = ("metric", "parent_med", "parent_q1", "parent_q3", "change_med", "wins", "delta_%", "bound", "verdict")
@@ -125,6 +143,21 @@ for side in ("parent", "change"):
     bad = sum(r["failed"] for r in done)
     share = bad / attempted if attempted else float("nan")
     print(f"failed share {side}: {bad} of {attempted} operations ({share:.4f})")
+if emit is not None:
+    row = {"workload": workload, "pairs": pairs, "seconds": float(seconds),
+           "seeds": [seed, seed + pairs - 1], "nproc": os.cpu_count(),
+           "parent": emit["parent"], "change": emit["change"],
+           "failed": {side: sum(r["failed"] for r in runs[side] if r is not None)
+                      for side in ("parent", "change")},
+           "metrics": {}}
+    for m in metrics:
+        entry = {"unit": m["unit"], "better": m["better"]}
+        for side in ("parent", "change"):
+            v = side_values(side, m["name"])
+            q1, med, q3 = quartiles(v) if v else (None, None, None)
+            entry[side] = None if med is None else {"median": med, "q1": q1, "q3": q3}
+        row["metrics"][m["name"]] = entry
+    print(json.dumps(row, separators=(",", ":")))
 if failed:
     print(f"{failed} run(s) FAILED")
     sys.exit(1)

@@ -180,12 +180,21 @@ fn every_grain_on_either_executor_commits_the_same_stream() {
     // block), all at once on 2 workers (one chunk per group) or all at once
     // on 17 (fewer whole groups than workers: per block again). The grain
     // must not reach the output: every run commits the same stream, which
-    // is the serial codec's under the committed code.
+    // is the serial codec's under the committed code. The third input ends
+    // in a short block and a short group; every run borrows it from this
+    // frame, so a run that held on to it could not compile.
     let stationary = tvs_workloads::generate(FileKind::Text, 128 * 1024, 20);
     let mut drifting = vec![b'x'; 64 * 1024];
     drifting.extend((0..64 * 1024u32).map(|i| 128 + (i % 100) as u8));
+    let ragged: Vec<u8> = tvs_workloads::generate(FileKind::Pdf, 97 * 1024 + 333, 21);
+    assert!(!ragged.len().is_multiple_of(2048));
     let grains = [(50, 2), (0, 2), (0, 17)];
-    for (name, data) in [("stationary", &stationary), ("drifting", &drifting)] {
+    let inputs = [
+        ("stationary", &stationary),
+        ("drifting", &drifting),
+        ("ragged", &ragged),
+    ];
+    for (name, data) in inputs {
         for policy in [DispatchPolicy::NonSpeculative, DispatchPolicy::Balanced] {
             let c = HuffmanConfig {
                 block_bytes: 2048,

@@ -202,10 +202,11 @@ fn raw_executor_api_with_custom_feeder() {
         gap_us: 100,
         start_us: 0,
     };
-    let (blocks, _) = schedule_blocks(&data, cfg.block_bytes, &every_100us);
+    let (blocks, _) = schedule_blocks(data.len(), cfg.block_bytes, &every_100us);
     let tcfg = ThreadedConfig::new(4);
-    let (wl, metrics) = threaded::run(wl, &tcfg, cfg.policy, blocks, &Instruments::default())
-        .expect("a dark run cannot fail");
+    let ins = Instruments::default();
+    let (wl, metrics) =
+        threaded::run(wl, &tcfg, cfg.policy, &data, blocks, &ins).expect("a dark run cannot fail");
     let result = wl.result();
     check_output(&data, &result);
     assert!(metrics.tasks_delivered > 0);
@@ -255,13 +256,14 @@ fn rollback_finds_first_version_work_still_outstanding() {
         gap_us: 0,
         start_us: 0,
     };
-    let (blocks, _) = schedule_blocks(&data, cfg.block_bytes, &at_once);
+    let (blocks, _) = schedule_blocks(data.len(), cfg.block_bytes, &at_once);
     let wl = EncodedBlocks {
         inner: HuffmanWorkload::new(cfg.clone(), data.len()),
         by_version: BTreeMap::new(),
     };
     let tcfg = ThreadedConfig::new(workers);
-    let (wl, m) = threaded::run(wl, &tcfg, cfg.policy, blocks, &Instruments::default())
+    let ins = Instruments::default();
+    let (wl, m) = threaded::run(wl, &tcfg, cfg.policy, &data, blocks, &ins)
         .expect("nothing injected, nothing fails");
     assert!(m.rollbacks >= 1, "the input must mispredict");
     let first = *wl
@@ -346,6 +348,7 @@ fn no_completion_report_is_ever_stranded() {
                 chain,
                 &cfg,
                 DispatchPolicy::NonSpeculative,
+                &[],
                 Vec::new(),
                 &Instruments::metered(hub.clone()),
             )
@@ -381,6 +384,7 @@ fn panicking_workload_callback_fails_the_run_with_a_structured_error() {
             chain,
             &cfg,
             DispatchPolicy::NonSpeculative,
+            &[],
             no_input,
             &Instruments::default(),
         ) else {

@@ -193,6 +193,7 @@ fn sim_second_abort_mid_cascade() {
         &cfg,
         DispatchPolicy::Aggressive,
         &FixedCost(10),
+        &[],
         Vec::new(),
         &dark,
     )
@@ -207,6 +208,7 @@ fn threaded_second_abort_mid_cascade() {
         TwoVersionCascade::new(),
         &cfg,
         DispatchPolicy::Aggressive,
+        &[],
         Vec::new(),
         &Instruments::default(),
     )
@@ -300,7 +302,7 @@ fn threaded_abort_lands_during_stalled_replay() {
         fault_seen: false,
     };
     let cfg = ThreadedConfig::new(4);
-    let (w, m) = threaded::run(w, &cfg, DispatchPolicy::Aggressive, Vec::new(), &ins)
+    let (w, m) = threaded::run(w, &cfg, DispatchPolicy::Aggressive, &[], Vec::new(), &ins)
         .expect("a speculative fault never fails the run");
     assert_eq!(
         *lock_recover(&w.cells),
