@@ -129,8 +129,8 @@ fn print_policy(
             .take(3)
             .map(|r| {
                 format!(
-                    "v{} wasted={}us depth<={} replays={}",
-                    r.root, r.wasted_us, r.max_depth, r.replays
+                    "v{} wasted={}us depth<={}",
+                    r.root, r.wasted_us, r.max_depth
                 )
             })
             .collect();
@@ -143,8 +143,8 @@ fn print_policy(
     }
     if h.faults + h.watchdog_cancels > 0 {
         println!(
-            "    faults: {} task fault(s), {} watchdog cancel(s), {} undo replay(s)",
-            h.faults, h.watchdog_cancels, h.undo_replays
+            "    faults: {} task fault(s), {} watchdog cancel(s)",
+            h.faults, h.watchdog_cancels
         );
     }
     if h.steps_down + h.steps_up + h.probes > 0 {

@@ -119,19 +119,17 @@ fn render_frame(snap: &MetricsSnapshot, timeline: &[f64], plain: bool) -> String
         c(Counter::Rollbacks).delta,
     ));
     s.push_str(&format!(
-        "  faults  {:>4} task, {:>3} retries, {:>3} watchdog, {:>4} undo replays\n",
+        "  faults  {:>4} task, {:>3} retries, {:>3} watchdog\n",
         c(Counter::Faults).total,
         c(Counter::Retries).total,
         c(Counter::WatchdogCancels).total,
-        c(Counter::UndoReplays).total,
     ));
     s.push_str(&format!(
-        "  level   {:<9}  cascade max {:>3}  ring occupancy {:>4}  arena {} heap / {} reused\n",
+        "  level   {:<9}  cascade max {:>3}  ring occupancy {:>4}  encode allocs {}\n",
         snap.degradation_name(),
         snap.gauge(Gauge::CascadeMax),
         snap.gauge(Gauge::RingOccupancy),
         snap.gauge(Gauge::AllocHeap),
-        snap.gauge(Gauge::AllocReuse),
     ));
     // Per-lane dispatch/steal rates (deltas this tick).
     s.push_str("  lanes   ");

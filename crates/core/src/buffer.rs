@@ -7,24 +7,21 @@
 //! key (block index for the Huffman encoder), until the version is either
 //! committed (outputs released, in order) or aborted (outputs reclaimed).
 //!
-//! Storage is a small linear map of `version → Vec<(slot, value)>` with the
-//! per-version vectors recycled through a [`ScratchPool`]: at any moment
-//! only a handful of versions are live, appends are push-onto-Vec, and both
-//! the slot ordering the committer needs and replace-on-duplicate are
-//! established by one stable sort at commit time — instead of a B-tree node
-//! allocation, or a scan of everything buffered, per buffered output.
+//! Storage is the crate's one per-version store, with the per-version
+//! vectors recycled: at any moment only a handful of versions are live,
+//! appends are push-onto-Vec, and both the slot ordering the committer
+//! needs and replace-on-duplicate are established by one stable sort at
+//! commit time — instead of a B-tree node allocation, or a scan of
+//! everything buffered, per buffered output.
 
-use crate::arena::{AllocStats, ScratchPool};
+use crate::per_version::{AllocStats, PerVersion};
 use tvs_sre::SpecVersion;
 
 /// Buffered speculative outputs awaiting validation.
 #[derive(Debug)]
 pub struct WaitBuffer<V> {
-    /// Live versions and their buffered `(slot, value)` pairs. Linear — the
-    /// speculation pipeline keeps at most a couple of versions in flight.
-    by_version: Vec<(SpecVersion, Vec<(u64, V)>)>,
-    /// Recycled per-version vectors (capacity survives commit/abort).
-    pool: ScratchPool<(u64, V)>,
+    /// Live versions and their buffered `(slot, value)` pairs.
+    store: PerVersion<(u64, V)>,
     /// Total values ever buffered (metrics).
     buffered: u64,
     /// Total slots discarded by aborts (metrics).
@@ -34,8 +31,7 @@ pub struct WaitBuffer<V> {
 impl<V> Default for WaitBuffer<V> {
     fn default() -> Self {
         WaitBuffer {
-            by_version: Vec::new(),
-            pool: ScratchPool::new(),
+            store: PerVersion::default(),
             buffered: 0,
             discarded: 0,
         }
@@ -48,13 +44,6 @@ impl<V> WaitBuffer<V> {
         Self::default()
     }
 
-    fn entry(&self, version: SpecVersion) -> Option<&Vec<(u64, V)>> {
-        self.by_version
-            .iter()
-            .find(|(v, _)| *v == version)
-            .map(|(_, vals)| vals)
-    }
-
     /// Buffer `value` produced under `version` for slot `slot` (e.g. block
     /// index), in O(1). A later value for the same (version, slot) replaces
     /// the earlier one — resolved when the version commits or aborts, which
@@ -63,27 +52,17 @@ impl<V> WaitBuffer<V> {
     /// values were pushed for it.
     pub fn push(&mut self, version: SpecVersion, slot: u64, value: V) {
         self.buffered += 1;
-        let idx = match self.by_version.iter().position(|(v, _)| *v == version) {
-            Some(i) => i,
-            None => {
-                let vals = self.pool.take();
-                self.by_version.push((version, vals));
-                self.by_version.len() - 1
-            }
-        };
-        self.by_version[idx].1.push((slot, value));
+        self.store.push(version, (slot, value));
     }
 
     /// Release all outputs of a committed version into `out`, ordered by
     /// slot and with only the last value pushed for each slot, recycling
     /// the internal storage. The pooled twin of [`Self::commit`].
     pub fn commit_into(&mut self, version: SpecVersion, out: &mut Vec<(u64, V)>) {
-        if let Some(i) = self.by_version.iter().position(|(v, _)| *v == version) {
-            let (_, mut vals) = self.by_version.swap_remove(i);
-            settle(&mut vals);
-            out.append(&mut vals);
-            self.pool.put(vals);
-        }
+        self.store.release(version, |vals| {
+            settle(vals);
+            out.append(vals);
+        });
     }
 
     /// Release all outputs of a committed version, ordered by slot.
@@ -96,17 +75,15 @@ impl<V> WaitBuffer<V> {
     /// Reclaim (drop) all outputs of an aborted version; returns how many
     /// slots were discarded.
     pub fn abort(&mut self, version: SpecVersion) -> usize {
-        match self.by_version.iter().position(|(v, _)| *v == version) {
-            Some(i) => {
-                let (_, mut vals) = self.by_version.swap_remove(i);
-                settle(&mut vals);
-                let n = vals.len();
-                self.discarded += n as u64;
-                self.pool.put(vals);
-                n
-            }
-            None => 0,
-        }
+        let n = self
+            .store
+            .release(version, |vals| {
+                settle(vals);
+                vals.len()
+            })
+            .unwrap_or(0);
+        self.discarded += n as u64;
+        n
     }
 
     /// Number of slots currently held for `version`.
@@ -116,10 +93,7 @@ impl<V> WaitBuffer<V> {
 
     /// Slots currently buffered for `version`, ascending, each once.
     pub fn slots_of(&self, version: SpecVersion) -> Vec<u64> {
-        let mut slots: Vec<u64> = self
-            .entry(version)
-            .map(|vals| vals.iter().map(|&(s, _)| s).collect())
-            .unwrap_or_default();
+        let mut slots: Vec<u64> = self.store.get(version).iter().map(|&(s, _)| s).collect();
         slots.sort_unstable();
         slots.dedup();
         slots
@@ -127,12 +101,13 @@ impl<V> WaitBuffer<V> {
 
     /// Total slots currently held across versions.
     pub fn len(&self) -> usize {
-        self.by_version.iter().map(|&(v, _)| self.len_of(v)).sum()
+        self.store.versions().map(|v| self.len_of(v)).sum()
     }
 
     /// Whether the buffer is entirely empty.
     pub fn is_empty(&self) -> bool {
-        self.by_version.iter().all(|(_, vals)| vals.is_empty())
+        // A live version holds at least the value that opened it.
+        self.store.versions().next().is_none()
     }
 
     /// `(ever_buffered, ever_discarded)` counters.
@@ -140,14 +115,14 @@ impl<V> WaitBuffer<V> {
         (self.buffered, self.discarded)
     }
 
-    /// Heap-allocation counters of the internal vector pool.
+    /// Heap-allocation counters of the internal store.
     pub fn alloc_stats(&self) -> AllocStats {
-        self.pool.stats()
+        self.store.alloc_stats()
     }
 
-    /// Zero the internal pool's allocation counters (bench warm-up).
+    /// Zero the internal store's allocation counters (bench warm-up).
     pub fn reset_alloc_stats(&mut self) {
-        self.pool.reset_stats();
+        self.store.reset_alloc_stats();
     }
 }
 
@@ -272,7 +247,7 @@ mod tests {
         assert_eq!(out, vec![(u64::MAX, "sentinel"), (0, "a"), (2, "b")]);
         // The freed vector is pooled: the next version reuses it.
         b.push(2, 0, "c");
-        assert_eq!(b.alloc_stats().reuses, 1);
+        assert_eq!(b.alloc_stats().heap_allocs, 1);
     }
 
     #[test]

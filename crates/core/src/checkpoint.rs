@@ -54,8 +54,11 @@ const SCHEMA: u8 = 3;
 /// Header length: seven words, 256 code lengths, the checksum.
 const HEADER_LEN: usize = 7 * 8 + 256 + 8;
 
-/// Default checkpoint cadence in committed blocks — the operating point the
-/// checkpoint-overhead budget (≤3 % wall-clock) is enforced at.
+/// Default checkpoint cadence in committed blocks — the operating point of
+/// the checkpoint-overhead budget (≤3 % wall-clock). The budget is checked
+/// only for disk-paced input, and only under `TVS_CHECKPOINT_STRICT=1`
+/// (`tvs-bench`'s `checkpoint_overhead` test); with every block due at
+/// once (`*_mem`) checkpointing costs more, about 8 %.
 pub const DEFAULT_CADENCE: usize = 16;
 
 /// When and where to checkpoint.

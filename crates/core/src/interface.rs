@@ -7,7 +7,7 @@
 //!
 //! [`SpeculationBuilder`] captures exactly those four details (plus the
 //! frequency knobs of §II-B) and produces a [`SpeculationPlan`] from which
-//! a configured [`SpeculationManager`](crate::manager::SpeculationManager)
+//! a configured [`SpeculationManager`]
 //! is made. The paper notes this interface "can be supported by a compiler
 //! through the introduction of keywords in high-level languages, or simply
 //! through the addition of API functions" — this is the API-function form.

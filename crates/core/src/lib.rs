@@ -28,16 +28,14 @@
 //! * [`manager::SpeculationManager`] — the state machine that turns basis
 //!   progress and check verdicts into actions (predict / check / rollback /
 //!   commit / recompute), which a workload executes through the SRE's
-//!   scheduler, plus user-defined rollback hooks;
+//!   scheduler;
 //! * [`undo`] — the extension the paper proposes for tasks with reversible
-//!   side effects: per-version undo journals and journalled cells, driven
-//!   from the manager's rollback hook;
+//!   side effects: a per-version undo journal (no pipeline journals an
+//!   effect; the benchmark's engine-round cell drives it);
 //! * [`degrade`] — graceful degradation: one machine over windowed
 //!   speculation outcomes and executor faults that walks the service
 //!   level down (full → capped cascade depth → suspended → paused) and
 //!   probes its way back up; the manager asks it before every start;
-//! * [`arena`] — generation-indexed slot/buffer recycling that keeps the
-//!   per-block speculation bookkeeping off the heap in steady state;
 //! * [`checkpoint`] — committed-prefix checkpointing: the finalized
 //!   blocks' lineage and stream bytes, appended once each to a
 //!   checksummed journal behind a header with the code table, so a killed
@@ -75,25 +73,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod buffer;
 pub mod checkpoint;
 pub mod degrade;
 pub mod frequency;
 pub mod interface;
 pub mod manager;
+mod per_version;
 pub mod undo;
 pub mod validate;
 pub mod version;
 
-pub use arena::{AllocStats, Arena, Handle, ScratchPool};
 pub use buffer::WaitBuffer;
 pub use checkpoint::{CheckpointConfig, Journal, ResumeError, StreamSnapshot};
 pub use degrade::{DegradeConfig, Level};
 pub use frequency::{SpeculationSchedule, VerificationPolicy};
 pub use interface::{SpeculationBuilder, SpeculationPlan};
 pub use manager::{Action, ManagerStats, SpeculationManager};
-pub use undo::{JournaledCell, UndoLog};
+pub use per_version::AllocStats;
+pub use undo::UndoLog;
 pub use validate::{CheckResult, Tolerance};
 pub use version::{VersionState, VersionTracker};
 

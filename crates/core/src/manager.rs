@@ -131,7 +131,6 @@ pub struct SpeculationManager<T> {
     last_basis: u64,
     final_seen: bool,
     stats: ManagerStats,
-    rollback_hook: Option<Box<dyn FnMut(SpecVersion) + Send>>,
     tracer: Tracer,
     metrics: MetricsHub,
     degrade: Option<Degrade>,
@@ -187,7 +186,6 @@ impl<T> SpeculationManager<T> {
             last_basis: 0,
             final_seen: false,
             stats: ManagerStats::default(),
-            rollback_hook: None,
             tracer: ins.tracer.clone(),
             metrics: ins.metrics.clone(),
             degrade: degrade.map(Degrade::new),
@@ -244,13 +242,6 @@ impl<T> SpeculationManager<T> {
             self.tracer
                 .emit_control(EventKind::DegradeProbe { version });
         }
-    }
-
-    /// Register a user-defined rollback routine, invoked with each aborted
-    /// version — the extension the paper proposes "to enable more tasks to
-    /// execute speculatively" (tasks with application-reversible effects).
-    pub fn set_rollback_hook(&mut self, hook: impl FnMut(SpecVersion) + Send + 'static) {
-        self.rollback_hook = Some(Box::new(hook));
     }
 
     /// The currently active speculative value, if any.
@@ -346,9 +337,6 @@ impl<T> SpeculationManager<T> {
     fn emit_rollback(&mut self, version: SpecVersion, out: &mut Vec<Action>) {
         self.tracker.abort(version);
         self.stats.rollbacks += 1;
-        if let Some(hook) = &mut self.rollback_hook {
-            hook(version);
-        }
         out.push(Action::Rollback { version });
         self.observe(Outcome::RolledBack);
     }
@@ -542,9 +530,9 @@ impl<T> SpeculationManager<T> {
     /// The executor killed `version` from outside the check path — a
     /// speculative task body panicked or the watchdog cancelled it, and
     /// the executor already aborted the version in the scheduler. Brings
-    /// the manager's phase in line and reuses the rollback funnel (undo
-    /// hooks, stats, degradation, [`Action::Rollback`] — scheduler aborts
-    /// are idempotent, so the host re-executing the abort is harmless).
+    /// the manager's phase in line and reuses the rollback funnel (stats,
+    /// degradation, [`Action::Rollback`] — scheduler aborts are
+    /// idempotent, so the host re-executing the abort is harmless).
     pub fn on_external_abort(&mut self, version: SpecVersion) -> Vec<Action> {
         let mut out = Vec::new();
         self.on_external_abort_into(version, &mut out);
@@ -859,23 +847,6 @@ mod tests {
         let lineage = log.lineage();
         let v3 = lineage.lineage_of(3).expect("v3 joins");
         assert_eq!((v3.root, v3.parent, v3.depth), (1, Some(2), 2));
-    }
-
-    #[test]
-    fn rollback_hook_fires() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        use std::sync::Arc;
-        let seen = Arc::new(AtomicU32::new(0));
-        let seen2 = Arc::clone(&seen);
-        let mut m = mgr(1, VerificationPolicy::Full);
-        m.set_rollback_hook(move |v| {
-            seen2.store(v, Ordering::SeqCst);
-        });
-        m.on_basis(1);
-        m.install_prediction(1, "v1");
-        m.on_basis(2);
-        m.on_check_result(1, CheckResult::fail(0.5), None);
-        assert_eq!(seen.load(Ordering::SeqCst), 1);
     }
 
     /// Step 1, full verification, degrading under `cfg`.

@@ -18,11 +18,11 @@
 //!
 //! What the kinds *mean* is up to the wiring point: executors understand
 //! [`FaultKind::PanicTask`] and [`FaultKind::Stall`] at
-//! [`FaultSite::TaskBody`], completion routers understand delayed and
-//! duplicated completions, the speculation pipeline corrupts predicted
-//! edge values, the undo journal and the iosim feeder stall. A site
-//! ignores kinds it has no sensible interpretation for, so one chaotic
-//! plan can be aimed at every site at once.
+//! [`FaultSite::TaskBody`] and delayed and duplicated completions at
+//! [`FaultSite::Completion`], the speculation pipeline corrupts predicted
+//! edge values, and the iosim feeder stalls. A site ignores kinds it has
+//! no sensible interpretation for, so one chaotic plan can be aimed at
+//! every site at once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,12 +74,11 @@ impl FaultKind {
 pub enum FaultSite {
     /// Executor, immediately before running a task body.
     TaskBody,
-    /// Completion delivery (threaded router / simulator Done event).
+    /// Completion delivery (the threaded commit turn / the simulator's
+    /// Done event).
     Completion,
     /// The predicted edge value, between predictor output and install.
     PredictedValue,
-    /// Undo-journal replay during an abort.
-    UndoJournal,
     /// The input feeder (the simulator's arrivals / the threaded feeder).
     Feeder,
     /// A task body's *output*, after it was computed but before it is
@@ -92,7 +91,7 @@ pub enum FaultSite {
 }
 
 /// Number of distinct sites (occurrence counters are per-site).
-const SITES: usize = 6;
+const SITES: usize = 5;
 
 impl FaultSite {
     fn index(self) -> usize {
@@ -100,9 +99,8 @@ impl FaultSite {
             FaultSite::TaskBody => 0,
             FaultSite::Completion => 1,
             FaultSite::PredictedValue => 2,
-            FaultSite::UndoJournal => 3,
-            FaultSite::Feeder => 4,
-            FaultSite::TaskOutput => 5,
+            FaultSite::Feeder => 3,
+            FaultSite::TaskOutput => 4,
         }
     }
 
@@ -112,7 +110,6 @@ impl FaultSite {
             FaultSite::TaskBody => "task-body",
             FaultSite::Completion => "completion",
             FaultSite::PredictedValue => "predicted-value",
-            FaultSite::UndoJournal => "undo-journal",
             FaultSite::Feeder => "feeder",
             FaultSite::TaskOutput => "task-output",
         }
@@ -121,15 +118,16 @@ impl FaultSite {
     /// Per-site salt folded into the draw RNG so two sites with the same
     /// occurrence index see unrelated streams.
     fn salt(self) -> u64 {
-        // Arbitrary odd constants; stability matters, values don't.
-        [
-            0x9E37_79B9_7F4A_7C15,
-            0xC2B2_AE3D_27D4_EB4F,
-            0x1656_67B1_9E37_79F9,
-            0x2545_F491_4F6C_DD1D,
-            0x9E6C_63D0_876A_68E5,
-            0xD6E8_FEB8_6659_FD93,
-        ][self.index()]
+        // Arbitrary odd constants; stability matters, values don't: each
+        // site keeps its constant, so its draws (and every chaos and SDC
+        // matrix) do not move when a site is added or removed.
+        match self {
+            FaultSite::TaskBody => 0x9E37_79B9_7F4A_7C15,
+            FaultSite::Completion => 0xC2B2_AE3D_27D4_EB4F,
+            FaultSite::PredictedValue => 0x1656_67B1_9E37_79F9,
+            FaultSite::Feeder => 0x9E6C_63D0_876A_68E5,
+            FaultSite::TaskOutput => 0xD6E8_FEB8_6659_FD93,
+        }
     }
 }
 
@@ -195,7 +193,6 @@ impl FaultPlan {
             )
             .with_rule(FaultSite::Completion, FaultKind::DuplicateCompletion, 0.03)
             .with_rule(FaultSite::PredictedValue, FaultKind::CorruptValue, 0.25)
-            .with_rule(FaultSite::UndoJournal, FaultKind::Stall { us: 100 }, 0.10)
             .with_rule(FaultSite::Feeder, FaultKind::Stall { us: 200 }, 0.05)
             .with_max_faults(64)
     }
@@ -417,11 +414,11 @@ mod tests {
     #[test]
     fn max_faults_caps_injection() {
         let plan = FaultPlan::new(5)
-            .with_rule(FaultSite::UndoJournal, FaultKind::Stall { us: 1 }, 1.0)
+            .with_rule(FaultSite::Feeder, FaultKind::Stall { us: 1 }, 1.0)
             .with_max_faults(3);
         let inj = FaultInjector::new(plan);
         let hits = (0..100)
-            .filter(|_| inj.draw(FaultSite::UndoJournal).is_some())
+            .filter(|_| inj.draw(FaultSite::Feeder).is_some())
             .count();
         assert_eq!(hits, 3);
         assert_eq!(inj.injected(), 3);
@@ -462,7 +459,6 @@ mod tests {
                 FaultSite::TaskBody,
                 FaultSite::Completion,
                 FaultSite::PredictedValue,
-                FaultSite::UndoJournal,
                 FaultSite::Feeder,
             ] {
                 if inj.draw(site).is_some() {
@@ -470,7 +466,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(hit.len(), 5, "all sites armed: {hit:?}");
+        assert_eq!(hit.len(), 4, "all sites armed: {hit:?}");
     }
 
     #[test]
@@ -491,7 +487,6 @@ mod tests {
                 FaultSite::TaskBody,
                 FaultSite::Completion,
                 FaultSite::PredictedValue,
-                FaultSite::UndoJournal,
                 FaultSite::Feeder,
             ] {
                 assert_eq!(inj.draw(site), None, "sdc plan must not arm {site:?}");

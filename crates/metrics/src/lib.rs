@@ -3,9 +3,9 @@
 //! Where `tvs-trace` records *events* for post-hoc analysis, this crate
 //! keeps *aggregates* readable mid-run: a lock-free sharded registry of
 //! counters, gauges and log-bucketed histograms that the executors, the
-//! speculation manager, the commit ring and the undo journal all write
-//! into, plus a [`Sampler`] that coalesces the shards
-//! into periodic [`MetricsSnapshot`] deltas for a dashboard (`tvs-top`),
+//! speculation manager and the commit ring all write into, plus a
+//! [`Sampler`] that coalesces the shards into periodic
+//! [`MetricsSnapshot`] deltas for a dashboard (`tvs-top`),
 //! a Prometheus-style `/metrics` endpoint, or a JSONL recorder.
 //!
 //! Design constraints, in order (mirroring the tracer's):
@@ -83,8 +83,6 @@ pub enum Counter {
     BusyUs,
     /// Worker µs wasted on discarded (misspeculated/faulted) work.
     WastedUs,
-    /// Undo-journal entries replayed by aborts.
-    UndoReplays,
     /// Replica tasks spawned for replication-based validation.
     ReplicaDispatches,
     /// Replica vote sets that resolved clean on first comparison.
@@ -121,7 +119,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in stable exposition order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 29] = [
         Counter::LaneDispatch,
         Counter::Steal,
         Counter::TasksDelivered,
@@ -138,7 +136,6 @@ impl Counter {
         Counter::DuplicateCompletions,
         Counter::BusyUs,
         Counter::WastedUs,
-        Counter::UndoReplays,
         Counter::ReplicaDispatches,
         Counter::ReplicaMatches,
         Counter::SdcDetected,
@@ -173,7 +170,6 @@ impl Counter {
             Counter::DuplicateCompletions => "duplicate_completions",
             Counter::BusyUs => "busy_us",
             Counter::WastedUs => "wasted_us",
-            Counter::UndoReplays => "undo_replays",
             Counter::ReplicaDispatches => "replica_dispatches",
             Counter::ReplicaMatches => "replica_matches",
             Counter::SdcDetected => "sdc_detected",
@@ -199,10 +195,9 @@ const N_COUNTERS: usize = Counter::ALL.len();
 pub enum Gauge {
     /// Commit-ring occupancy observed at the last commit-path drain.
     RingOccupancy = 0,
-    /// Arena/pool heap allocations (from `AllocStats::heap_allocs`).
+    /// Encode output buffers allocated so far (a Huffman run's
+    /// `AllocStats::heap_allocs`).
     AllocHeap,
-    /// Arena/pool recycled allocations (from `AllocStats::reuses`).
-    AllocReuse,
     /// Deepest rollback cascade seen so far (monotonic max).
     CascadeMax,
     /// SDC detection recall in permille (`1000 * detected vote sets /
@@ -221,10 +216,9 @@ pub enum Gauge {
 
 impl Gauge {
     /// Every gauge, in stable exposition order.
-    pub const ALL: [Gauge; 8] = [
+    pub const ALL: [Gauge; 7] = [
         Gauge::RingOccupancy,
         Gauge::AllocHeap,
-        Gauge::AllocReuse,
         Gauge::CascadeMax,
         Gauge::SdcRecallPermille,
         Gauge::LineageRoots,
@@ -237,7 +231,6 @@ impl Gauge {
         match self {
             Gauge::RingOccupancy => "ring_occupancy",
             Gauge::AllocHeap => "alloc_heap",
-            Gauge::AllocReuse => "alloc_reuse",
             Gauge::CascadeMax => "cascade_max",
             Gauge::SdcRecallPermille => "sdc_recall_permille",
             Gauge::LineageRoots => "lineage_roots",
@@ -387,7 +380,7 @@ struct VirtSampling {
 
 struct Registry {
     /// `workers + 1` shards; the last is the control shard, written under
-    /// the commit lock (scheduler, speculation manager, undo journal).
+    /// the commit lock (scheduler, speculation manager).
     shards: Vec<Shard>,
     gauges: [AtomicU64; N_GAUGES],
     hists: [LogHist; N_HISTS],

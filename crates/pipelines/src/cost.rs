@@ -2,7 +2,7 @@
 //!
 //! Virtual-µs costs of each task kind on a reference x86 core, calibrated
 //! so the simulated pipeline reproduces the paper's magnitudes: tasks are
-//! coarse (tens of µs to ~1 ms, per the paper's granularity argument [6]),
+//! coarse (tens of µs to ~1 ms, per the paper's granularity argument \[6\]),
 //! a 4 MB/1024-block run completes in tens of ms, per-element latencies
 //! land in the thousands-of-µs range of Fig. 3, and the encode phase
 //! dominates (which is what makes bypassing the tree bottleneck pay).

@@ -187,8 +187,7 @@ pub struct PipelineResult {
     /// `(bytes, bit_len, lengths)` — decodable with the committed table.
     pub output: Option<(Vec<u8>, u64, CodeLengths)>,
     /// Encode output buffers: `heap_allocs` is one per `encode` body that
-    /// ran, each writing its chunk into one exact-size buffer; nothing is
-    /// recycled, so `reuses` is 0.
+    /// ran, each writing its chunk into one exact-size buffer.
     pub alloc_stats: AllocStats,
 }
 
@@ -541,7 +540,8 @@ impl HuffmanWorkload {
         Ok(wl)
     }
 
-    /// True once the run stopped at [`CheckpointConfig::halt_at_block`].
+    /// True once the run stopped at
+    /// [`CheckpointConfig::halt_at_block`](tvs_core::CheckpointConfig::halt_at_block).
     pub fn halted(&self) -> bool {
         self.halted.is_some()
     }
@@ -581,7 +581,6 @@ impl HuffmanWorkload {
             output,
             alloc_stats: AllocStats {
                 heap_allocs: self.encode_allocs.load(Ordering::Relaxed),
-                reuses: 0,
             },
         }
     }
@@ -2240,7 +2239,6 @@ mod tests {
                     let res = wl.result();
                     let allocs = AllocStats {
                         heap_allocs: bodies,
-                        reuses: 0,
                     };
                     assert_eq!(res.alloc_stats, allocs, "{what}");
                     if policy == DispatchPolicy::NonSpeculative {

@@ -11,7 +11,7 @@
 //! | `trace.json`         | Perfetto / Chrome trace-event JSON of the event log |
 //! | `trace_events.csv`   | flat per-event dump ([`TraceLog::to_event_csv`])    |
 //! | `lineage.csv`        | version → lineage cost join ([`LineageTable::to_csv`]) |
-//! | `metrics.jsonl`      | metrics snapshots, one [`MetricsSnapshot`] JSONL line each (optional) |
+//! | `metrics.jsonl`      | metrics snapshots, one [`MetricsSnapshot`](tvs_metrics::MetricsSnapshot) JSONL line each (optional) |
 //!
 //! The write is atomic: members land in a `.tmp` sibling first and the
 //! directory is renamed into place, so a bundle either exists completely
@@ -30,8 +30,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use tvs_trace::{LineageTable, Timebase, TraceLog};
 
-/// Version of the bundle layout and `MANIFEST.json` schema.
-pub const BUNDLE_SCHEMA_VERSION: u64 = 1;
+/// Version of the bundle layout and `MANIFEST.json` schema (2: no
+/// `replays` column in `lineage.csv`).
+pub const BUNDLE_SCHEMA_VERSION: u64 = 2;
 
 /// What fired the capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,11 +244,12 @@ impl BundleMeta {
         s
     }
 
-    /// Parse [`BundleMeta::to_json`] output. Rejects unknown schema
-    /// versions and malformed manifests.
+    /// Parse [`BundleMeta::to_json`] output. Rejects other schema
+    /// versions (an older bundle's members no longer parse) and malformed
+    /// manifests.
     pub fn from_json(line: &str) -> Option<BundleMeta> {
         let schema = json_u64_field(line, "schema")?;
-        if schema > BUNDLE_SCHEMA_VERSION {
+        if schema != BUNDLE_SCHEMA_VERSION {
             return None;
         }
         Some(BundleMeta {
@@ -280,8 +282,9 @@ pub struct Bundle {
 
 impl Bundle {
     /// Conservation check: the reloaded lineage table must account for
-    /// exactly the wasted µs the live [`SpecHealth`] reported at capture
-    /// time. Returns `Err` with a human-readable message on mismatch.
+    /// exactly the wasted µs the live [`SpecHealth`](tvs_trace::SpecHealth)
+    /// reported at capture time. Returns `Err` with a human-readable
+    /// message on mismatch.
     pub fn check(&self) -> Result<(), String> {
         let got = self.lineage.total_wasted_us();
         if got == self.meta.wasted_us {
@@ -334,8 +337,8 @@ impl Bundle {
         for r in &roots {
             let _ = writeln!(
                 out,
-                "  root v{}: {} version(s), max depth {}, {} commit(s), {} rollback(s), wasted={}us replays={}",
-                r.root, r.versions, r.max_depth, r.commits, r.rollbacks, r.wasted_us, r.replays
+                "  root v{}: {} version(s), max depth {}, {} commit(s), {} rollback(s), wasted={}us",
+                r.root, r.versions, r.max_depth, r.commits, r.rollbacks, r.wasted_us
             );
         }
         out.push_str("cascade forest:\n");
@@ -447,7 +450,8 @@ mod tests {
     fn manifest_round_trips_with_awkward_error_strings() {
         let m = meta();
         let line = m.to_json();
-        assert!(line.starts_with("{\"schema\":1,"), "schema leads: {line}");
+        let lead = format!("{{\"schema\":{BUNDLE_SCHEMA_VERSION},");
+        assert!(line.starts_with(&lead), "schema leads: {line}");
         let back = BundleMeta::from_json(&line).expect("manifest parses");
         assert_eq!(back, m);
     }
@@ -465,9 +469,11 @@ mod tests {
 
     #[test]
     fn unknown_future_schema_is_rejected() {
-        let line = meta()
-            .to_json()
-            .replacen("\"schema\":1", "\"schema\":999", 1);
+        let line = meta().to_json().replacen(
+            &format!("\"schema\":{BUNDLE_SCHEMA_VERSION}"),
+            "\"schema\":999",
+            1,
+        );
         assert!(BundleMeta::from_json(&line).is_none());
     }
 

@@ -22,8 +22,8 @@
 //! * Every task body runs under `catch_unwind`. A panicking *speculative*
 //!   body is treated exactly like a detected misspeculation: its slot is
 //!   reclaimed ([`Scheduler::fault`]), the workload is notified
-//!   ([`Workload::on_fault`]) so its speculation manager can replay undo
-//!   journals, and the version is aborted through the regular rollback
+//!   ([`Workload::on_fault`]) so its speculation manager can clear its
+//!   records, and the version is aborted through the regular rollback
 //!   path. A panicking *non-speculative* body is retried in place up to
 //!   the config's `max_attempts` — on threads after a jittered exponential
 //!   backoff, in virtual time instantly — and only then does the run end,
@@ -571,8 +571,8 @@ impl<W: Workload> Core<W> {
     /// is idempotent: a task no longer running is a pure rejection and
     /// returns `None`); a cancelled task keeps its slot, because it still
     /// finishes and is discarded. Then the workload is told — its
-    /// speculation manager replays undo journals, lost non-speculative
-    /// work is re-spawned — and the version is rolled back. Returns the
+    /// speculation manager clears its records, lost non-speculative work
+    /// is re-spawned — and the version is rolled back. Returns the
     /// task's version.
     pub(crate) fn recover(
         &mut self,

@@ -9,7 +9,7 @@
 //! arbitrarily slow I/O without owning any of them.
 //!
 //! Settling, recovery and accounting are the executor core's
-//! ([`super::core`], which also describes the fault handling); this module
+//! (`core`, which also describes the fault handling); this module
 //! is its event heap and virtual clock. Because every draw of the fault
 //! plan happens at a deterministic point of the event order, a chaos
 //! simulation is as replayable as a clean one: same plan, same seed, same

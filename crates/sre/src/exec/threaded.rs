@@ -7,9 +7,8 @@
 //! the measurements), no worker ever *waits* for the global scheduler lock,
 //! and there is no SuperTask thread: the SuperTask role is taken, turn by
 //! turn, by whichever thread holds the commit lock. Settling, recovery and
-//! accounting are the executor core's ([`super::core`], which also
-//! describes the fault handling); this module is its wall clock and
-//! transport.
+//! accounting are the executor core's (`core`, which also describes the
+//! fault handling); this module is its wall clock and transport.
 //!
 //! * **Sharded dispatch.** A *dispatch pump*, run at the end of every
 //!   commit-path turn, batches [`Scheduler::dispatch_with`] pops out of
@@ -43,7 +42,7 @@
 //!   commit log** ([`super::commit_log::CommitRing`]) and then `try_lock`s
 //!   the commit lock. Whoever holds that lock — this worker, another
 //!   worker, an idle worker about to park, the feeder after a batch,
-//!   the watchdog or the supervisor — takes a *turn* ([`turn`]): drain the
+//!   the watchdog or the supervisor — takes a *turn* (`turn`): drain the
 //!   ring, run the worker-epoch gate, charge, settle, pump the lanes and
 //!   evaluate run completion. A successor on the DFG's critical path
 //!   (reduce chain, offset chain, check → rollback) is therefore spawned by
@@ -52,9 +51,9 @@
 //!   nothing, so workload routing code still never blocks a worker.
 //!
 //!   *No report is stranded.* (1) A producer pushes, then `try_lock`s
-//!   ([`combine`]). (2) Every holder, after unlocking, re-checks the ring
+//!   (`combine`). (2) Every holder, after unlocking, re-checks the ring
 //!   and takes another turn if it is non-empty and the lock is still free
-//!   ([`turn`]'s `again`). Both sides put a `SeqCst` fence between their
+//!   (`turn`'s `again`). Both sides put a `SeqCst` fence between their
 //!   write and their read (push → fence → `try_lock`; unlock → fence →
 //!   `is_empty`), so — Dekker again — either the producer finds the lock
 //!   free or the holder finds the report; if the lock was taken by a

@@ -2,8 +2,8 @@
 //!
 //! A run has exactly one event log, one metrics registry and one fault
 //! plan. Every layer that emits, counts or draws — executor, scheduler,
-//! replication plane, speculation manager, undo journal, application
-//! workload — is handed the same [`Instruments`] when it is built, so
+//! replication plane, speculation manager, application workload — is
+//! handed the same [`Instruments`] when it is built, so
 //! "all draws share one budget and log" and "worker- and manager-side
 //! events land in the same trace" hold by construction instead of by
 //! every caller remembering a matching pair of setters.
@@ -26,7 +26,7 @@ pub struct Instruments {
     /// count (`MetricsHub::enabled(workers)`).
     pub metrics: MetricsHub,
     /// Fault-injection plan consulted at every site of the run: task body,
-    /// completion, feeder, predicted value, task output, undo journal.
+    /// completion, feeder, predicted value, task output.
     pub faults: FaultInjector,
 }
 

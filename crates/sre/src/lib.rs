@@ -2,7 +2,7 @@
 //!
 //! This crate reproduces the substrate of *Azuelos, Keidar, Zaks — "Tolerant
 //! Value Speculation in Coarse-Grain Streaming Computations"* (IPPS 2011):
-//! the authors' SRE [5], a task scheduler for streaming programs in which
+//! the authors' SRE \[5\], a task scheduler for streaming programs in which
 //! computation is divided into **side-effect-free tasks** organised in a
 //! dynamic data-flow graph.
 //!

@@ -7,7 +7,7 @@
 //!
 //! The queue is split three ways: a control queue (predictors and checks,
 //! drained before any policy decision), a non-speculative queue and a
-//! speculative queue; a [`DispatchPolicy`](crate::policy::DispatchPolicy)
+//! speculative queue; a [`DispatchPolicy`]
 //! arbitrates between the latter two. Rollback needs to delete all ready
 //! tasks of a version, so entries are indexed by version as well.
 

@@ -33,8 +33,8 @@
 //!   wins and its output is delivered under the primary's identity.
 //! * Vote budget exhausted without a majority: raise [`SdcNotice`]
 //!   (`unresolved: true`). Versioned tasks are rolled back through the
-//!   ordinary abort path (undo journals replay, the speculation manager
-//!   replays non-speculatively); unversioned tasks degrade to delivering
+//!   ordinary abort path (the speculation manager replays
+//!   non-speculatively); unversioned tasks degrade to delivering
 //!   the primary's original output, loudly counted as such.
 //!
 //! Digesting uses an application-supplied [`DigestFn`] because outputs are

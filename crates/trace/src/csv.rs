@@ -83,7 +83,7 @@ impl TraceLog {
     /// task-end, `basis` for
     /// predictor-fire/version-open, `root`/`depth` for lineage-open (whose
     /// `id` column carries the parent version), `margin` for checks, `cascade_depth`
-    /// for rollback, `entries` for undo-replay, `attempt` for task-fault,
+    /// for rollback, `attempt` for task-fault,
     /// `ran_us` for watchdog-cancel, `from`/`to` for degrade-step (whose
     /// `name` column carries the cause), the primary task id (`of`) for
     /// replica-dispatch and `worker`/`epoch` for worker-quarantine/respawn.
@@ -201,14 +201,6 @@ impl TraceLog {
                     String::new(),
                     version.to_string(),
                     cascade_depth.to_string(),
-                    String::new(),
-                ),
-                EventKind::UndoReplay { version, entries } => (
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    version.to_string(),
-                    entries.to_string(),
                     String::new(),
                 ),
                 EventKind::TaskFault {

@@ -188,14 +188,6 @@ pub enum EventKind {
         /// rollback's cascade depth.
         cascade_depth: u64,
     },
-    /// An [`UndoLog`](https://docs.rs/tvs-core) replayed journalled
-    /// side effects for an aborted version.
-    UndoReplay {
-        /// The aborted version.
-        version: u32,
-        /// Journal entries replayed (LIFO).
-        entries: u64,
-    },
     /// A task body panicked; the panic was caught by the executor and
     /// converted into a fault (speculative versions are aborted through
     /// the regular rollback path, non-speculative tasks are retried).
@@ -302,7 +294,6 @@ impl EventKind {
             EventKind::CheckFail { .. } => "check-fail",
             EventKind::Commit { .. } => "commit",
             EventKind::Rollback { .. } => "rollback",
-            EventKind::UndoReplay { .. } => "undo-replay",
             EventKind::TaskFault { .. } => "task-fault",
             EventKind::WatchdogCancel { .. } => "watchdog-cancel",
             EventKind::DegradeStep { .. } => "degrade-step",
@@ -333,7 +324,6 @@ impl EventKind {
             | EventKind::CheckFail { version, .. }
             | EventKind::Commit { version }
             | EventKind::Rollback { version, .. }
-            | EventKind::UndoReplay { version, .. }
             | EventKind::DegradeProbe { version } => Some(version),
             EventKind::Steal { .. }
             | EventKind::Park

@@ -96,8 +96,6 @@ pub struct SpecHealth {
     pub checks_failed: u64,
     /// Lane-bound tasks cancelled by rollback before running.
     pub cancelled_ready: u64,
-    /// Undo-journal replays observed.
-    pub undo_replays: u64,
     /// Tasks stolen across lanes.
     pub steals: u64,
     /// Task bodies that panicked and were caught by an executor.
@@ -225,7 +223,6 @@ impl TraceLog {
                     h.max_cascade = h.max_cascade.max(*cascade_depth);
                     *cascade_counts.entry(*cascade_depth).or_default() += 1;
                 }
-                EventKind::UndoReplay { .. } => h.undo_replays += 1,
                 EventKind::TaskFault { .. } => h.faults += 1,
                 EventKind::WatchdogCancel { .. } => h.watchdog_cancels += 1,
                 EventKind::DegradeStep { cause, .. } if cause.is_down() => h.steps_down += 1,
@@ -502,14 +499,6 @@ mod tests {
             ev(4, 5, EventKind::Commit { version: 1 }),
             ev(5, 6, EventKind::Steal { id: 1, victim: 0 }),
             ev(6, 7, EventKind::CancelReady { id: 2, version: 1 }),
-            ev(
-                7,
-                8,
-                EventKind::UndoReplay {
-                    version: 1,
-                    entries: 2,
-                },
-            ),
         ];
         let h = mk(events).health();
         assert_eq!(h.predictor_fires, 1);
@@ -519,7 +508,6 @@ mod tests {
         assert_eq!(h.commits, 1);
         assert_eq!(h.steals, 1);
         assert_eq!(h.cancelled_ready, 1);
-        assert_eq!(h.undo_replays, 1);
     }
 
     #[test]

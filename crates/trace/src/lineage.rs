@@ -8,7 +8,7 @@
 //! speculation manager emits one [`EventKind::LineageOpen`] per version at
 //! allocation time (root, parent edge, cascade depth), which makes every
 //! later version-carrying event — dispatch, check, commit, rollback,
-//! undo-replay, SDC — joinable to its root. [`LineageTable::from_log`]
+//! SDC — joinable to its root. [`LineageTable::from_log`]
 //! performs that join offline over a drained [`TraceLog`].
 //!
 //! Conservation invariant: summing [`VersionCost::wasted_us`] over every
@@ -69,8 +69,6 @@ pub struct VersionCost {
     pub rollbacks: u64,
     /// Busy µs of this version's tasks that ended discarded.
     pub wasted_us: u64,
-    /// Undo-journal entries replayed aborting this version.
-    pub replays: u64,
     /// Lane-bound tasks of this version cancelled before running.
     pub cancelled_ready: u64,
     /// Ready tasks deleted from the central queue by this version's
@@ -93,8 +91,6 @@ pub struct LineageCost {
     pub rollbacks: u64,
     /// Wasted µs attributed to the line.
     pub wasted_us: u64,
-    /// Undo-journal entries replayed across the line.
-    pub replays: u64,
     /// Ready tasks cancelled or deleted by the line's aborts.
     pub cancelled_ready: u64,
     /// Cascade deletions (ready tasks deleted wholesale) across the line.
@@ -103,7 +99,7 @@ pub struct LineageCost {
 
 /// CSV header written by [`LineageTable::to_csv`].
 pub const LINEAGE_CSV_HEADER: &str =
-    "version,root,parent,depth,commits,rollbacks,wasted_us,replays,cancelled_ready,cascade_deleted";
+    "version,root,parent,depth,commits,rollbacks,wasted_us,cancelled_ready,cascade_deleted";
 
 /// The version → lineage join computed from one drained log, with
 /// per-version and per-root cost attribution.
@@ -192,11 +188,6 @@ impl LineageTable {
                         c.cascade_deleted += cascade_depth;
                     }
                 }
-                EventKind::UndoReplay { version, entries } => {
-                    if let Some(c) = costs.get_mut(version) {
-                        c.replays += entries;
-                    }
-                }
                 EventKind::CancelReady { version, .. } => {
                     if let Some(c) = costs.get_mut(version) {
                         c.cancelled_ready += 1;
@@ -244,7 +235,6 @@ impl LineageTable {
             r.commits += c.commits;
             r.rollbacks += c.rollbacks;
             r.wasted_us += c.wasted_us;
-            r.replays += c.replays;
             r.cancelled_ready += c.cancelled_ready + c.cascade_deleted;
             r.cascade_deleted += c.cascade_deleted;
         }
@@ -300,14 +290,8 @@ impl LineageTable {
         };
         let _ = writeln!(
             out,
-            "{indent}{arrow}v{} depth={} [{}] wasted={}us replays={} cancelled={} cascade={}",
-            c.version,
-            c.depth,
-            outcome,
-            c.wasted_us,
-            c.replays,
-            c.cancelled_ready,
-            c.cascade_deleted
+            "{indent}{arrow}v{} depth={} [{}] wasted={}us cancelled={} cascade={}",
+            c.version, c.depth, outcome, c.wasted_us, c.cancelled_ready, c.cascade_deleted
         );
         if let Some(kids) = children.get(&v) {
             for &k in kids {
@@ -325,7 +309,7 @@ impl LineageTable {
         for c in &self.versions {
             let _ = writeln!(
                 out,
-                "{},{},{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{},{},{}",
                 c.version,
                 c.root,
                 c.parent,
@@ -333,13 +317,12 @@ impl LineageTable {
                 c.commits,
                 c.rollbacks,
                 c.wasted_us,
-                c.replays,
                 c.cancelled_ready,
                 c.cascade_deleted
             );
         }
         if self.unattributed_wasted_us > 0 {
-            let _ = writeln!(out, "0,0,0,0,0,0,{},0,0,0", self.unattributed_wasted_us);
+            let _ = writeln!(out, "0,0,0,0,0,0,{},0,0", self.unattributed_wasted_us);
         }
         out
     }
@@ -354,7 +337,7 @@ impl LineageTable {
         let mut t = LineageTable::default();
         for line in lines {
             let f: Vec<&str> = line.split(',').collect();
-            if f.len() != 10 {
+            if f.len() != 9 {
                 return None;
             }
             let n = |i: usize| -> Option<u64> { f[i].parse().ok() };
@@ -371,9 +354,8 @@ impl LineageTable {
                 commits: n(4)?,
                 rollbacks: n(5)?,
                 wasted_us: n(6)?,
-                replays: n(7)?,
-                cancelled_ready: n(8)?,
-                cascade_deleted: n(9)?,
+                cancelled_ready: n(7)?,
+                cascade_deleted: n(8)?,
             });
         }
         t.versions.sort_unstable_by_key(|c| c.version);
@@ -482,14 +464,6 @@ mod tests {
                 },
             ),
             ev(
-                21,
-                41,
-                EventKind::UndoReplay {
-                    version: 1,
-                    entries: 2,
-                },
-            ),
-            ev(
                 22,
                 45,
                 EventKind::Rollback {
@@ -532,7 +506,6 @@ mod tests {
         assert_eq!(r1.rollbacks, 2);
         assert_eq!(r1.commits, 1, "the line eventually commits at v3");
         assert_eq!(r1.wasted_us, 40 + 30, "v1's 40us + v2's 30us");
-        assert_eq!(r1.replays, 2);
         assert_eq!(r1.cascade_deleted, 4);
         let r4 = &roots[1];
         assert_eq!(r4.root, 4);

@@ -187,11 +187,6 @@ impl TraceLog {
                         json_f64(*margin)
                     ));
                 }
-                EventKind::UndoReplay { version, entries } => {
-                    rows.push(format!(
-                        r#"{{"name":"undo-replay","cat":"rollback","ph":"n","id":{version},"ts":{ts},"pid":1,"tid":{tid},"args":{{"entries":{entries}}}}}"#
-                    ));
-                }
                 EventKind::TaskFault {
                     id,
                     name,
@@ -424,9 +419,9 @@ mod tests {
                 5,
                 2,
                 6,
-                EventKind::UndoReplay {
+                EventKind::Rollback {
                     version: 1,
-                    entries: 3,
+                    cascade_depth: 3,
                 },
             ),
             ev(6, 2, 7, EventKind::Commit { version: 1 }),

@@ -1,13 +1,12 @@
-//! Equivalence of the pooled (arena/scratch-recycled) speculation engine
-//! with a plain Vec/HashMap reference, under the `tvs-chaos` seed matrix.
+//! Equivalence of the pooled (recycled-storage) speculation engine with a
+//! plain Vec/HashMap reference, under the `tvs-chaos` seed matrix.
 //!
-//! The hot-path pass replaced per-event allocation in the engine — the
-//! wait buffer and undo journal now recycle their per-version storage
-//! through [`ScratchPool`]s, and the pipeline reuses its action scratch.
-//! None of that may change *behaviour*: undo cascades must replay
-//! byte-identically to an unpooled reference, committed buffer drains must
-//! produce the same `(slot, value)` stream, and the full pipeline must keep
-//! the chaos invariant on both executors.
+//! The wait buffer and undo journal keep their per-version items in one
+//! store that recycles each released version's vector, and the pipeline
+//! reuses its action scratch. None of that may change *behaviour*: undo
+//! cascades must replay byte-identically to an unpooled reference,
+//! committed buffer drains must produce the same `(slot, value)` stream,
+//! and the full pipeline must keep the chaos invariant on both executors.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -34,9 +33,11 @@ const WARMUP_ROUNDS: usize = 16;
 /// One seeded run: a pooled engine (persistent `UndoLog` + `WaitBuffer`,
 /// storage recycled across versions) and an unpooled reference (fresh
 /// `Vec` journal and `HashMap` buffer per version) are driven through an
-/// identical speculative write/commit/abort schedule. After every round
-/// the two byte states must be identical, and committed outputs must
-/// drain in the same order with the same payloads.
+/// identical speculative write/commit/abort schedule. Each round keeps two
+/// versions live at once — as a candidate promotion does — interleaves
+/// their writes and outputs, and resolves them in seeded-random order.
+/// After every round the two byte states must be identical, and committed
+/// outputs must drain in the same order with the same payloads.
 fn run_engine_equivalence(seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
 
@@ -59,68 +60,87 @@ fn run_engine_equivalence(seed: u64) {
             undo.reset_alloc_stats();
             buffer.reset_alloc_stats();
         }
-        let version = (round + 1) as SpecVersion;
+        let versions = [2 * round + 1, 2 * round + 2].map(|v| v as SpecVersion);
+        // The first write and the first output go to each version in turn,
+        // so both are live in both stores; the rest pick one at random.
+        let pick = |k: usize, rng: &mut SmallRng| {
+            if k < 2 {
+                k
+            } else {
+                rng.random_range(0..2usize)
+            }
+        };
 
         // Speculative writes with journalled undo on both sides.
-        let mut ref_journal: Vec<(usize, u8)> = Vec::new();
-        for _ in 0..rng.random_range(1..24usize) {
+        let mut ref_journal: [Vec<(usize, u8)>; 2] = Default::default();
+        for k in 0..rng.random_range(2..24usize) {
+            let i = pick(k, &mut rng);
             let pos = rng.random_range(0..STATE_BYTES);
             let val = rng.random::<u8>();
             let old = pooled_state.borrow()[pos];
             pooled_state.borrow_mut()[pos] = val;
             let st = Rc::clone(&pooled_state);
-            undo.record(version, Box::new(move || st.borrow_mut()[pos] = old));
+            undo.record(versions[i], Box::new(move || st.borrow_mut()[pos] = old));
 
-            ref_journal.push((pos, ref_state[pos]));
+            ref_journal[i].push((pos, ref_state[pos]));
             ref_state[pos] = val;
         }
 
         // Buffered speculative outputs (slots may repeat: replacement).
-        let mut ref_buf: HashMap<u64, u64> = HashMap::new();
-        for _ in 0..rng.random_range(0..16usize) {
+        let mut ref_buf: [HashMap<u64, u64>; 2] = Default::default();
+        for k in 0..rng.random_range(2..16usize) {
+            let i = pick(k, &mut rng);
             let slot = rng.random_range(0..12u64);
             let val = rng.random::<u64>();
-            buffer.push(version, slot, val);
-            ref_buf.insert(slot, val);
+            buffer.push(versions[i], slot, val);
+            ref_buf[i].insert(slot, val);
             assert_eq!(
-                buffer.len_of(version),
-                ref_buf.len(),
+                buffer.len_of(versions[i]),
+                ref_buf[i].len(),
                 "seed {seed} round {round}: a re-pushed slot must count once"
             );
         }
 
-        if rng.random() {
-            // Commit: journals retire, buffered outputs drain slot-sorted.
-            undo.commit(version);
-            commit_scratch.clear();
-            buffer.commit_into(version, &mut commit_scratch);
-            pooled_commits.extend(commit_scratch.iter().copied());
-            let mut drained: Vec<(u64, u64)> = ref_buf.into_iter().collect();
-            drained.sort_unstable_by_key(|&(slot, _)| slot);
-            ref_commits.extend(drained);
-        } else {
-            // Abort: the undo cascade replays in reverse record order.
-            undo.abort(version);
-            buffer.abort(version);
-            for (pos, old) in ref_journal.into_iter().rev() {
-                ref_state[pos] = old;
+        let order = if rng.random() { [0, 1] } else { [1, 0] };
+        for i in order {
+            let version = versions[i];
+            if rng.random() {
+                // Commit: journals retire, buffered outputs drain slot-sorted.
+                undo.commit(version);
+                commit_scratch.clear();
+                buffer.commit_into(version, &mut commit_scratch);
+                pooled_commits.extend(commit_scratch.iter().copied());
+                let mut drained: Vec<(u64, u64)> = ref_buf[i].drain().collect();
+                drained.sort_unstable_by_key(|&(slot, _)| slot);
+                ref_commits.extend(drained);
+            } else {
+                // Abort: the undo cascade replays in reverse record order.
+                undo.abort(version);
+                buffer.abort(version);
+                for (pos, old) in ref_journal[i].drain(..).rev() {
+                    ref_state[pos] = old;
+                }
             }
-        }
 
-        assert_eq!(
-            *pooled_state.borrow(),
-            ref_state,
-            "seed {seed} round {round}: undo cascade diverged from the Vec reference"
-        );
-        assert_eq!(
-            pooled_commits, ref_commits,
-            "seed {seed} round {round}: committed output stream diverged"
+            assert_eq!(
+                *pooled_state.borrow(),
+                ref_state,
+                "seed {seed} round {round} v{version}: undo cascade diverged from the Vec reference"
+            );
+            assert_eq!(
+                pooled_commits, ref_commits,
+                "seed {seed} round {round} v{version}: committed output stream diverged"
+            );
+        }
+        assert!(
+            buffer.is_empty(),
+            "seed {seed} round {round}: both resolved"
         );
     }
 
     // The pooled engine's whole point: past warm-up it recycles instead
-    // of allocating. One live version at a time means the pools always
-    // have spare storage to hand back.
+    // of allocating. Two live versions at most, both seen in warm-up,
+    // means the stores always have a spare vector to hand back.
     assert_eq!(
         undo.alloc_stats().heap_allocs,
         0,

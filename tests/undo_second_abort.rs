@@ -7,7 +7,7 @@
 //! shared state lands back on its pre-speculation baseline.
 //!
 //! The same synthetic workload runs on both executors (sim, threaded); a
-//! third test uses the `UndoJournal` stall fault to hold a threaded replay
+//! third test journals an entry that sleeps, holding a threaded replay
 //! open while a panicking task on another worker raises the second abort
 //! for real.
 
@@ -17,8 +17,8 @@ use tvs_sre::exec::sim::{self, SimConfig};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::task::payload;
 use tvs_sre::{
-    lock_recover, Completion, DispatchPolicy, FaultInjector, FaultKind, FaultNotice, FaultPlan,
-    FaultSite, FixedCost, InputBlock, Instruments, SchedCtx, SpecVersion, TaskSpec, Workload,
+    lock_recover, Completion, DispatchPolicy, FaultNotice, FixedCost, InputBlock, Instruments,
+    SchedCtx, SpecVersion, TaskSpec, Workload,
 };
 
 const V1: SpecVersion = 1;
@@ -216,9 +216,9 @@ fn threaded_second_abort_mid_cascade() {
     assert_cascade_invariants(&w);
 }
 
-/// The genuinely concurrent variant: an `UndoJournal` stall holds V1's
-/// replay open on the callback thread while a V2 task panics on another
-/// worker. The fault notice — the second abort — arrives while the
+/// The genuinely concurrent variant: a journal entry that sleeps holds
+/// V1's replay open on the callback thread, half-way through, while a V2
+/// task panics on another worker. The fault notice — the second abort — arrives while the
 /// rollback is mid-replay and must queue behind it; whatever the
 /// interleaving, both journals drain exactly once and the baseline state
 /// is restored.
@@ -257,7 +257,11 @@ impl Workload for StalledReplayRace {
             0,
             move |_| {
                 std::thread::sleep(std::time::Duration::from_millis(3));
-                write_and_journal(&cells, &undo, V1, 0, 100, None);
+                // Replayed LIFO, this entry runs after cells 3 and 2 are
+                // restored and before cells 1 and 0 are.
+                let stall: Box<dyn FnOnce() + Send> =
+                    Box::new(|| std::thread::sleep(std::time::Duration::from_millis(20)));
+                write_and_journal(&cells, &undo, V1, 0, 100, Some(stall));
                 payload(())
             },
         ));
@@ -268,9 +272,9 @@ impl Workload for StalledReplayRace {
     fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
         assert_eq!(done.name, "writer");
         ctx.abort_version(V1);
-        // The injected stall keeps this replay open for 20ms; "doomed"
+        // The sleeping entry keeps this replay open for 20ms; "doomed"
         // panics at ~10ms, so its abort lands while we are in here.
-        assert_eq!(lock_recover(&self.undo).abort(V1), 4);
+        assert_eq!(lock_recover(&self.undo).abort(V1), 5);
         self.cascade_done = true;
     }
 
@@ -287,28 +291,22 @@ impl Workload for StalledReplayRace {
 
 #[test]
 fn threaded_abort_lands_during_stalled_replay() {
-    // One injector for journal and executor; its plan only has a rule for
-    // the journal's site.
-    let ins = Instruments::faulty(FaultInjector::new(FaultPlan::new(3).with_rule(
-        FaultSite::UndoJournal,
-        FaultKind::Stall { us: 20_000 },
-        1.0,
-    )));
-    let undo: Journal = Arc::new(Mutex::new(UndoLog::instrumented(&ins)));
     let w = StalledReplayRace {
         cells: Arc::new(Mutex::new(vec![0; CELLS])),
-        undo,
+        undo: Arc::new(Mutex::new(UndoLog::new())),
         cascade_done: false,
         fault_seen: false,
     };
     let cfg = ThreadedConfig::new(4);
-    let (w, m) = threaded::run(w, &cfg, DispatchPolicy::Aggressive, &[], Vec::new(), &ins)
+    let dark = Instruments::default();
+    let (w, m) = threaded::run(w, &cfg, DispatchPolicy::Aggressive, &[], Vec::new(), &dark)
         .expect("a speculative fault never fails the run");
     assert_eq!(
         *lock_recover(&w.cells),
         vec![0i64; CELLS],
         "both replays must restore the baseline"
     );
-    assert_eq!(lock_recover(&w.undo).stats(), (0, 8));
+    // 4 journalled writes per version + the sleeping entry under V1.
+    assert_eq!(lock_recover(&w.undo).stats(), (0, 9));
     assert_eq!(m.faults, 1, "exactly one panicked task");
 }
