@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the SRE runtime — scheduler throughput, version
 //! rollback cost, simulator overhead per task — plus the threaded
 //! executor's throughput matrix: tasks/sec across 1–16 workers, with short
-//! (near-empty) and long (~100 µs) task bodies, and what tracing, live
-//! metrics, replication and checkpointing cost on top.
+//! (near-empty) and long (~100 µs) task bodies, and what the enabled
+//! recorder, replication and checkpointing cost on top.
 //!
 //! Run with `cargo bench --bench runtime_micro`; numbers land in
 //! `results/runtime_micro.csv` and `results/runtime_micro_throughput.csv`.
@@ -16,7 +16,7 @@ use tvs_sre::exec::sim::{self, SimConfig};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::task::{payload, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
-use tvs_sre::{x86_smp, DispatchPolicy, FixedCost, Instruments, MetricsHub, Scheduler, Tracer};
+use tvs_sre::{x86_smp, DispatchPolicy, FixedCost, Instruments, Recorder, Scheduler};
 
 /// One task per input block; each body spins for `spin` wall time
 /// (zero = short body, dominated by runtime overhead).
@@ -131,12 +131,9 @@ fn bench_sim_executor(rows: &mut Vec<tvs_bench::microbench::Measurement>) {
 enum Exec {
     /// Dark.
     WorkStealing,
-    /// Work-stealing with the event tracer enabled — the tracing-overhead
-    /// comparison cells.
-    WorkStealingTraced,
-    /// Work-stealing with the live metrics plane enabled — the
-    /// metrics-overhead comparison cells.
-    WorkStealingMetered,
+    /// Work-stealing with the recorder enabled (event rings, counters,
+    /// gauges, histograms) — the recorder-overhead comparison cells.
+    WorkStealingRecorded,
     /// Work-stealing with replication-based validation at sample rate 1.0
     /// — every task executed twice and digest-compared, the worst-case
     /// replication overhead.
@@ -152,8 +149,7 @@ impl Exec {
     fn label(self) -> &'static str {
         match self {
             Exec::WorkStealing => "work_stealing",
-            Exec::WorkStealingTraced => "work_stealing_traced",
-            Exec::WorkStealingMetered => "work_stealing_metered",
+            Exec::WorkStealingRecorded => "work_stealing_recorded",
             Exec::WorkStealingReplicated => "work_stealing_replicated",
             Exec::HuffmanPlain => "huffman_plain",
             Exec::HuffmanCheckpointed => "huffman_checkpointed",
@@ -173,11 +169,10 @@ fn run_once(exec: Exec, workers: usize, n: usize, spin: Duration, reps: usize) -
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
             let (input, inputs) = blocks_at_once(n, 16);
-            // Tracer and hub live outside the timed region: a cell measures
-            // what a run pays for emission, not for draining afterwards.
+            // The recorder lives outside the timed region: a cell measures
+            // what a run pays for recording, not for draining afterwards.
             let ins = match exec {
-                Exec::WorkStealingTraced => Instruments::traced(Tracer::enabled(workers)),
-                Exec::WorkStealingMetered => Instruments::metered(MetricsHub::enabled(workers)),
+                Exec::WorkStealingRecorded => Instruments::recorded(Recorder::enabled(workers)),
                 _ => Instruments::default(),
             };
             let wl = PerBlock { n, seen: 0, spin };
@@ -214,7 +209,7 @@ fn run_once(exec: Exec, workers: usize, n: usize, spin: Duration, reps: usize) -
             )
             .expect("nothing fails");
             let el = t.elapsed().as_secs_f64();
-            drop(ins.tracer.drain());
+            drop(ins.recorder.drain());
             assert_eq!(w.seen, n);
             assert_eq!(m.tasks_delivered as usize, n);
             el
@@ -267,7 +262,7 @@ fn bench_executor_throughput() -> Vec<Cell> {
 
 /// Overhead cells: work-stealing with `extra` on vs dark, at 4 workers, on
 /// ~100 µs bodies (the coarse-grain regime the paper targets and the
-/// budgets are set for — tracing ≤ 5 %, live metrics ≤ 3 %; replication at
+/// budgets are set for — the enabled recorder ≤ 3 %; replication at
 /// sample rate 1.0 costs ~2× compute but far less than 2× wall-clock while
 /// idle workers absorb replicas) and on short bodies (the worst case, for
 /// the job log only).
@@ -402,8 +397,7 @@ fn main() {
     println!("== executor throughput (tasks/sec, median of 5 runs, {cores} cores) ==");
     let mut cells = bench_executor_throughput();
     for (what, extra) in [
-        ("tracing", Exec::WorkStealingTraced),
-        ("metrics", Exec::WorkStealingMetered),
+        ("recorder", Exec::WorkStealingRecorded),
         ("replication", Exec::WorkStealingReplicated),
     ] {
         println!("== {what} overhead ==");

@@ -37,7 +37,7 @@ use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::decompress;
 use tvs_pipelines::postmortem;
 use tvs_pipelines::runner::{run_huffman, CheckpointedRun, HuffmanRun, RunFailure, RunOutcome};
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite, TraceLog, Tracer};
+use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite, Recorder, TraceLog};
 use tvs_workloads::FileKind;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
@@ -85,9 +85,9 @@ fn run_on<'a>(
 /// outcome and log, or how it failed.
 fn traced(mut run: HuffmanRun, exec: &str) -> Result<(RunOutcome, TraceLog), RunFailure> {
     let workers = if exec == "sim" { SIM_WORKERS } else { WORKERS };
-    run.instruments.tracer = Tracer::enabled(workers);
+    run.instruments.recorder = Recorder::enabled(workers);
     let report = run_huffman(&run)?;
-    let log = report.log.expect("enabled tracer drains");
+    let log = report.log.expect("enabled recorder drains");
     Ok((report.end.into_outcome(), log))
 }
 

@@ -25,7 +25,7 @@ use tvs_iosim::{Disk, Uniform};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::postmortem;
 use tvs_pipelines::runner::{run_huffman, HuffmanRun};
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, Instruments, Tracer};
+use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, Instruments, Recorder};
 use tvs_trace::TraceLog;
 use tvs_workloads::FileKind;
 
@@ -333,13 +333,12 @@ fn main() {
     let disk = Disk::default();
     let mut chaos = HuffmanRun::sim(&data, &cfg, &platform, &disk);
     chaos.instruments = Instruments {
-        tracer: Tracer::enabled(platform.workers),
+        recorder: Recorder::enabled(platform.workers),
         faults: FaultInjector::new(FaultPlan::chaos(2011)),
-        ..Instruments::default()
     };
     match run_huffman(&chaos) {
         Ok(report) => {
-            let log = report.log.expect("enabled tracer drains");
+            let log = report.log.expect("enabled recorder drains");
             let out = report.end.into_outcome();
             violations += print_policy(
                 DispatchPolicy::Aggressive,

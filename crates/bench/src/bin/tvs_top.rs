@@ -31,7 +31,7 @@ use tvs_iosim::Uniform;
 use tvs_metrics::{Counter, Gauge, Hist};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::runner::{run_huffman, HuffmanRun};
-use tvs_sre::{x86_smp, DispatchPolicy, MetricsHub, MetricsSnapshot, Sampler};
+use tvs_sre::{x86_smp, DispatchPolicy, MetricsSnapshot, Recorder, Sampler};
 use tvs_workloads::FileKind;
 
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -173,14 +173,14 @@ fn policy_table(data: &[u8]) {
     for policy in DispatchPolicy::ALL {
         let mut cfg = HuffmanConfig::disk_x86(policy);
         cfg.schedule = tvs_core::SpeculationSchedule::with_step(0);
-        let hub = MetricsHub::enabled(SIM_WORKERS);
+        let hub = Recorder::enabled(SIM_WORKERS);
         hub.enable_virtual_sampling(5_000);
         let arrival = Uniform {
             gap_us: 2,
             start_us: 0,
         };
         let mut run = HuffmanRun::sim(data, &cfg, &x86_smp(SIM_WORKERS), &arrival);
-        run.instruments.metrics = hub.clone();
+        run.instruments.recorder = hub.clone();
         let report = run_huffman(&run).expect("nothing injected, nothing fails");
         let out = report.end.into_outcome();
         let snaps = hub.drain_virtual_snapshots();
@@ -256,7 +256,7 @@ fn live(opts: &Options) {
     println!("\n== live: threaded huffman, {WORKERS} workers, aggressive ==");
     let mut cfg = HuffmanConfig::disk_x86(DispatchPolicy::Aggressive);
     cfg.schedule = tvs_core::SpeculationSchedule::with_step(0);
-    let hub = MetricsHub::enabled(WORKERS);
+    let hub = Recorder::enabled(WORKERS);
 
     let (tx, rx) = mpsc::channel::<MetricsSnapshot>();
     let sampler = Sampler::spawn(
@@ -276,7 +276,7 @@ fn live(opts: &Options) {
             start_us: 0,
         };
         let mut run = HuffmanRun::threaded(&data, &cfg, WORKERS, &arrival, 1);
-        run.instruments.metrics = run_hub;
+        run.instruments.recorder = run_hub;
         let report = run_huffman(&run).expect("nothing injected, nothing fails");
         report.end.into_outcome()
     });

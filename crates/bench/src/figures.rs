@@ -9,7 +9,7 @@ use tvs_iosim::{ArrivalModel, Disk, Socket};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::report::{Figure, Series};
 use tvs_pipelines::runner::{run_huffman, HuffmanRun, RunOutcome};
-use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform, TraceLog, Tracer};
+use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform, Recorder, TraceLog};
 use tvs_workloads::FileKind;
 
 /// Seed for the synthetic paper-sized inputs.
@@ -64,9 +64,9 @@ pub fn sim_events(
     arrival: &dyn ArrivalModel,
 ) -> (RunOutcome, TraceLog) {
     let mut run = HuffmanRun::sim(data, cfg, platform, arrival);
-    run.instruments.tracer = Tracer::enabled(platform.workers);
+    run.instruments.recorder = Recorder::enabled(platform.workers);
     let report = run_huffman(&run).expect("nothing injected, nothing fails");
-    let log = report.log.expect("enabled tracer drains");
+    let log = report.log.expect("enabled recorder drains");
     (report.end.into_outcome(), log)
 }
 

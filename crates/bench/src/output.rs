@@ -75,9 +75,10 @@ mod tests {
 
     #[test]
     fn write_trace_emits_both_formats() {
-        use tvs_trace::{EventKind, Tracer};
-        let tracer = Tracer::enabled(1);
-        tracer.emit(
+        use tvs_metrics::Recorder;
+        use tvs_trace::{ClassTag, EventKind};
+        let rec = Recorder::enabled(1);
+        rec.emit(
             0,
             EventKind::TaskStart {
                 id: 1,
@@ -86,16 +87,19 @@ mod tests {
                 tag: 0,
             },
         );
-        tracer.emit(
+        rec.emit(
             0,
             EventKind::TaskEnd {
                 id: 1,
                 name: "t",
                 version: None,
                 discarded: false,
+                class: ClassTag::Regular,
+                faulted: false,
+                busy_us: 0,
             },
         );
-        let log = tracer.drain().unwrap();
+        let log = rec.drain().unwrap();
         let dir = std::env::temp_dir().join(format!("tvs-trace-test-{}", std::process::id()));
         let (json, csv) = write_trace(&log, &dir, "t").unwrap();
         let j = std::fs::read_to_string(&json).unwrap();

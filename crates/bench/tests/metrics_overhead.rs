@@ -1,22 +1,22 @@
 //! Metrics-overhead guard: with ~100 µs task bodies — the coarse-grain
-//! regime the paper targets — a threaded run with the live metrics plane
-//! enabled (sharded registry, gauges, histograms, plus a 10 ms sampler
-//! thread scraping snapshots) must stay close to a run with metrics
-//! disabled.
+//! regime the paper targets — a threaded run with the recorder enabled
+//! (per-worker shards of counters and event rings, gauges, histograms,
+//! plus a 10 ms sampler thread scraping snapshots) must stay close to a
+//! dark run.
 //!
 //! The lenient default (always on) only guards against a pathological
 //! regression (2× floor — e.g. a lock added to the counter path), since
 //! shared CI boxes are too noisy for a tight bound with other tests
 //! running. Under `TVS_METRICS_STRICT=1` — the CI metrics job, which
 //! times the two runs back to back on a single test thread — the bound is
-//! the design budget: metrics-enabled within 3 % of disabled.
+//! the design budget: recorder-enabled within 3 % of dark.
 
 use std::time::{Duration, Instant};
 use tvs_bench::microbench::blocks_at_once;
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::task::{payload, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
-use tvs_sre::{DispatchPolicy, Instruments, MetricsHub, Sampler};
+use tvs_sre::{DispatchPolicy, Instruments, Recorder, Sampler};
 
 struct PerBlock {
     n: usize,
@@ -60,9 +60,9 @@ fn median_secs(n: usize, metered: bool, reps: usize) -> f64 {
         .map(|_| {
             let (input, inputs) = blocks_at_once(n, 16);
             let hub = if metered {
-                MetricsHub::enabled(cfg.workers)
+                Recorder::enabled(cfg.workers)
             } else {
-                MetricsHub::disabled()
+                Recorder::disabled()
             };
             let sampler = if metered {
                 Some(Sampler::spawn(
@@ -79,7 +79,7 @@ fn median_secs(n: usize, metered: bool, reps: usize) -> f64 {
                 spin: SPIN,
             };
             let t = Instant::now();
-            let ins = Instruments::metered(hub.clone());
+            let ins = Instruments::recorded(hub.clone());
             let (w, metrics) = threaded::run(
                 wl,
                 &cfg,

@@ -1,7 +1,7 @@
 //! Tracing-overhead guard: with ~100 µs task bodies — the coarse-grain
 //! regime the paper targets and the event rings are budgeted for — a
-//! tracing-enabled threaded run must stay close to a tracing-disabled
-//! run of the same workload.
+//! threaded run with the recorder enabled (event rings, counters, gauges
+//! and histograms) must stay close to a dark run of the same workload.
 //!
 //! The lenient default (always on) only guards against a pathological
 //! regression (2× floor — e.g. a lock added to the disabled path), since
@@ -15,7 +15,7 @@ use tvs_bench::microbench::blocks_at_once;
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::task::{payload, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
-use tvs_sre::{DispatchPolicy, Instruments, Tracer};
+use tvs_sre::{DispatchPolicy, Instruments, Recorder};
 
 struct PerBlock {
     n: usize,
@@ -57,10 +57,10 @@ fn median_secs(n: usize, traced: bool, reps: usize) -> f64 {
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
             let (input, inputs) = blocks_at_once(n, 16);
-            let tracer = if traced {
-                Tracer::enabled(cfg.workers)
+            let rec = if traced {
+                Recorder::enabled(cfg.workers)
             } else {
-                Tracer::disabled()
+                Recorder::disabled()
             };
             let wl = PerBlock {
                 n,
@@ -68,7 +68,7 @@ fn median_secs(n: usize, traced: bool, reps: usize) -> f64 {
                 spin: SPIN,
             };
             let t = Instant::now();
-            let ins = Instruments::traced(tracer.clone());
+            let ins = Instruments::recorded(rec.clone());
             let (w, _) = threaded::run(
                 wl,
                 &cfg,
@@ -79,7 +79,7 @@ fn median_secs(n: usize, traced: bool, reps: usize) -> f64 {
             )
             .expect("nothing injected, nothing fails");
             let el = t.elapsed().as_secs_f64();
-            if let Some(log) = tracer.drain() {
+            if let Some(log) = rec.drain() {
                 assert_eq!(log.count("task-end"), n, "every task left a span");
             }
             assert_eq!(w.seen, n);

@@ -16,9 +16,9 @@ use crate::degrade::{Admit, Degrade, DegradeConfig, Level, Outcome, Step};
 use crate::frequency::{SpeculationSchedule, VerificationPolicy};
 use crate::validate::CheckResult;
 use crate::version::{VersionState, VersionTracker};
-use tvs_metrics::{Counter, Gauge, MetricsHub};
+use tvs_metrics::Recorder;
 use tvs_sre::{Instruments, SpecVersion};
-use tvs_trace::{EventKind, Tracer};
+use tvs_trace::EventKind;
 
 /// What the hosting workload must do next.
 #[derive(Debug, PartialEq, Eq)]
@@ -131,8 +131,7 @@ pub struct SpeculationManager<T> {
     last_basis: u64,
     final_seen: bool,
     stats: ManagerStats,
-    tracer: Tracer,
-    metrics: MetricsHub,
+    rec: Recorder,
     degrade: Option<Degrade>,
     /// `(root, depth)` per allocated version, indexed by `version - 1`
     /// (versions are dense from 1). Lets a candidate promotion inherit
@@ -154,19 +153,19 @@ impl<T> std::fmt::Debug for SpeculationManager<T> {
 
 impl<T> SpeculationManager<T> {
     /// A manager with the given speculation and verification frequencies,
-    /// dark (no tracer, no hub) and never degrading.
+    /// dark (no recorder) and never degrading.
     pub fn new(schedule: SpeculationSchedule, verify: VerificationPolicy) -> Self {
         Self::instrumented(schedule, verify, None, &Instruments::default())
     }
 
-    /// [`Self::new`], routing speculation-lifecycle events (predictor
-    /// fires, version opens, check verdicts, commits, degradation steps
-    /// and probes) into `ins.tracer`'s control ring and speculation-outcome
-    /// counters plus the degradation-level gauge into `ins.metrics`'
-    /// control shard. The manager always runs under its host's
-    /// routing/commit lock, so ring and shard stay single-writer. Rollback
-    /// events and counters are *not* fed here — the SRE scheduler owns them
-    /// (one per `abort_version`, with the observed cascade depth attached).
+    /// [`Self::new`], recording each speculation-lifecycle fact (version
+    /// lineage, predictor fire, version open, check verdict, commit,
+    /// degradation step and probe) on `ins.recorder`'s control shard, one
+    /// call per fact — which also charges the counters and gauges it
+    /// implies. The manager always runs under its host's routing/commit
+    /// lock, so the shard stays single-writer. Rollbacks are *not* recorded
+    /// here — the SRE scheduler owns them (one per `abort_version`, with
+    /// the observed cascade depth attached).
     ///
     /// With `degrade` set, every rollback, executor fault, SDC detection,
     /// passed check and commit feeds one [`Degrade`] machine, which is
@@ -186,8 +185,7 @@ impl<T> SpeculationManager<T> {
             last_basis: 0,
             final_seen: false,
             stats: ManagerStats::default(),
-            tracer: ins.tracer.clone(),
-            metrics: ins.metrics.clone(),
+            rec: ins.recorder.clone(),
             degrade: degrade.map(Degrade::new),
             lineage: Vec::new(),
             lineage_roots: 0,
@@ -200,8 +198,9 @@ impl<T> SpeculationManager<T> {
         self.degrade.as_ref().map(Degrade::level)
     }
 
-    /// Count, trace and publish a level change ([`Gauge::DegradationLevel`]
-    /// reads 0 until the first one, which is also what "no machine" reads).
+    /// Count and record a level change (the recorder's degradation-level
+    /// gauge reads 0 until the first one, which is also what "no machine"
+    /// reads).
     fn note_step(&mut self, step: Option<Step>) {
         let Some(Step { from, to, cause }) = step else {
             return;
@@ -211,12 +210,11 @@ impl<T> SpeculationManager<T> {
         } else {
             self.stats.steps_up += 1;
         }
-        self.tracer.emit_control(EventKind::DegradeStep {
+        self.rec.emit_control(EventKind::DegradeStep {
             from: from as u32,
             to: to as u32,
             cause,
         });
-        self.metrics.gauge_set(Gauge::DegradationLevel, to as u64);
     }
 
     /// Feed one speculation outcome to the degradation machine.
@@ -239,8 +237,7 @@ impl<T> SpeculationManager<T> {
     fn note_probe(&mut self, admit: Admit, version: SpecVersion) {
         if admit == Admit::Probe {
             self.stats.probes += 1;
-            self.tracer
-                .emit_control(EventKind::DegradeProbe { version });
+            self.rec.emit_control(EventKind::DegradeProbe { version });
         }
     }
 
@@ -311,11 +308,8 @@ impl<T> SpeculationManager<T> {
         self.lineage[slot] = (root, depth);
         if depth == 0 {
             self.lineage_roots += 1;
-            self.metrics
-                .gauge_set(Gauge::LineageRoots, self.lineage_roots);
         }
-        self.metrics.gauge_max(Gauge::LineageDepthMax, depth as u64);
-        self.tracer.emit_control(EventKind::LineageOpen {
+        self.rec.emit_control(EventKind::LineageOpen {
             version,
             root,
             parent: parent_v,
@@ -398,8 +392,7 @@ impl<T> SpeculationManager<T> {
                     self.open_lineage(version, None);
                     self.phase = Phase::Pending { version };
                     self.stats.predictions += 1;
-                    self.metrics.add_control(Counter::Predictions, 1);
-                    self.tracer
+                    self.rec
                         .emit_control(EventKind::PredictorFire { version, basis });
                     self.note_probe(admit, version);
                     out.push(Action::StartPrediction { version });
@@ -429,7 +422,7 @@ impl<T> SpeculationManager<T> {
                     return false;
                 }
                 let installed_at = self.tracker.basis_of(version).expect("allocated");
-                self.tracer.emit_control(EventKind::VersionOpen {
+                self.rec.emit_control(EventKind::VersionOpen {
                     version,
                     basis: installed_at,
                 });
@@ -477,8 +470,7 @@ impl<T> SpeculationManager<T> {
         }
         if result.valid {
             self.stats.checks_passed += 1;
-            self.metrics.add_control(Counter::ChecksPassed, 1);
-            self.tracer.emit_control(EventKind::CheckPass {
+            self.rec.emit_control(EventKind::CheckPass {
                 version,
                 margin: result.delta,
             });
@@ -486,8 +478,7 @@ impl<T> SpeculationManager<T> {
             return;
         }
         self.stats.checks_failed += 1;
-        self.metrics.add_control(Counter::ChecksFailed, 1);
-        self.tracer.emit_control(EventKind::CheckFail {
+        self.rec.emit_control(EventKind::CheckFail {
             version,
             margin: result.delta,
         });
@@ -505,8 +496,7 @@ impl<T> SpeculationManager<T> {
                     self.open_lineage(v2, Some(version));
                     assert!(self.tracker.activate(v2), "fresh version cannot be aborted");
                     self.stats.predictions += 1;
-                    self.metrics.add_control(Counter::Predictions, 1);
-                    self.tracer.emit_control(EventKind::VersionOpen {
+                    self.rec.emit_control(EventKind::VersionOpen {
                         version: v2,
                         basis: candidate_basis,
                     });
@@ -620,13 +610,11 @@ impl<T> SpeculationManager<T> {
             Phase::FinalChecking { version: v, .. } if v == version => {
                 if result.valid {
                     self.tracker.commit(version);
-                    self.metrics.add_control(Counter::ChecksPassed, 1);
-                    self.metrics.add_control(Counter::Commits, 1);
-                    self.tracer.emit_control(EventKind::CheckPass {
+                    self.rec.emit_control(EventKind::CheckPass {
                         version,
                         margin: result.delta,
                     });
-                    self.tracer.emit_control(EventKind::Commit { version });
+                    self.rec.emit_control(EventKind::Commit { version });
                     self.phase = Phase::Done {
                         committed: Some(version),
                     };
@@ -634,8 +622,7 @@ impl<T> SpeculationManager<T> {
                     out.push(Action::Commit { version });
                 } else {
                     self.stats.checks_failed += 1;
-                    self.metrics.add_control(Counter::ChecksFailed, 1);
-                    self.tracer.emit_control(EventKind::CheckFail {
+                    self.rec.emit_control(EventKind::CheckFail {
                         version,
                         margin: result.delta,
                     });
@@ -660,13 +647,13 @@ mod tests {
         SpeculationManager::new(SpeculationSchedule::with_step(step), verify)
     }
 
-    /// Step 1, full verification, events into `tracer`.
-    fn traced_mgr(tracer: &Tracer) -> SpeculationManager<&'static str> {
+    /// Step 1, full verification, events into `rec`.
+    fn traced_mgr(rec: &Recorder) -> SpeculationManager<&'static str> {
         SpeculationManager::instrumented(
             SpeculationSchedule::with_step(1),
             VerificationPolicy::Full,
             None,
-            &Instruments::traced(tracer.clone()),
+            &Instruments::recorded(rec.clone()),
         )
     }
 
@@ -795,9 +782,9 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_events_reach_the_tracer() {
-        let tracer = Tracer::enabled(1);
-        let mut m = traced_mgr(&tracer);
+    fn lifecycle_events_reach_the_recorder() {
+        let rec = Recorder::enabled(1);
+        let mut m = traced_mgr(&rec);
         m.on_basis(1);
         m.install_prediction(1, "v1");
         m.on_basis(2);
@@ -807,7 +794,7 @@ mod tests {
         m.on_check_result(2, CheckResult::pass(0.01), None);
         m.on_final();
         m.on_final_check_result(2, CheckResult::pass(0.002));
-        let log = tracer.drain().expect("enabled tracer drains");
+        let log = rec.drain().expect("enabled recorder drains");
         assert_eq!(log.count("predictor-fire"), 1);
         assert_eq!(log.count("version-open"), 2, "install + promote");
         assert_eq!(log.count("check-pass"), 2, "intermediate + final");
@@ -818,12 +805,18 @@ mod tests {
             0,
             "rollback events belong to the scheduler, not the manager"
         );
+        // Each recorded fact charged its counter: one call per fact.
+        use tvs_metrics::Counter;
+        assert_eq!(rec.counter_total(Counter::Predictions), 2);
+        assert_eq!(rec.counter_total(Counter::ChecksPassed), 2);
+        assert_eq!(rec.counter_total(Counter::ChecksFailed), 1);
+        assert_eq!(rec.counter_total(Counter::Commits), 1);
     }
 
     #[test]
     fn lineage_declarations_chain_cascades_to_their_root() {
-        let tracer = Tracer::enabled(1);
-        let mut m = traced_mgr(&tracer);
+        let rec = Recorder::enabled(1);
+        let mut m = traced_mgr(&rec);
         // v1 fresh → fails → v2 promoted → fails → v3 promoted.
         m.on_basis(1);
         m.install_prediction(1, "v1");
@@ -842,7 +835,7 @@ mod tests {
         assert_eq!(m.lineage_of(4), Some((4, 0)), "restart opens a new root");
         assert_eq!(m.lineage_roots(), 2);
 
-        let log = tracer.drain().expect("enabled tracer drains");
+        let log = rec.drain().expect("enabled recorder drains");
         assert_eq!(log.count("lineage-open"), 4, "one declaration per version");
         let lineage = log.lineage();
         let v3 = lineage.lineage_of(3).expect("v3 joins");
@@ -894,8 +887,8 @@ mod tests {
 
     #[test]
     fn breaker_trips_on_sustained_rollbacks_and_recovers_via_probe() {
-        let tracer = Tracer::enabled(1);
-        let mut m = degrading_mgr(degrade_cfg(), &Instruments::traced(tracer.clone()));
+        let rec = Recorder::enabled(1);
+        let mut m = degrading_mgr(degrade_cfg(), &Instruments::recorded(rec.clone()));
         assert_eq!(m.level(), Some(Level::Full));
 
         // Four failed speculations in a row: two bad windows.
@@ -921,7 +914,7 @@ mod tests {
         let s = m.stats();
         assert_eq!((s.steps_down, s.steps_up, s.probes), (2, 2, 1));
 
-        let log = tracer.drain().expect("enabled tracer drains");
+        let log = rec.drain().expect("enabled recorder drains");
         assert_eq!(log.count("degrade-step"), 4);
         assert_eq!(log.count("degrade-probe"), 1);
         let h = log.health();
@@ -1002,7 +995,7 @@ mod tests {
 
     #[test]
     fn breaker_trip_steps_the_ladder_down_within_one_window() {
-        let tracer = Tracer::enabled(1);
+        let rec = Recorder::enabled(1);
         // A window far larger than the test: the verdict must land as soon
         // as it is decided, not when the window closes.
         let cfg = DegradeConfig {
@@ -1010,13 +1003,13 @@ mod tests {
             trip_ratio: 2.0 / 64.0,
             ..degrade_cfg()
         };
-        let mut m = degrading_mgr(cfg, &Instruments::traced(tracer.clone()));
+        let mut m = degrading_mgr(cfg, &Instruments::recorded(rec.clone()));
         m.record_fault();
         assert_eq!(m.level(), Some(Level::Full));
         m.record_fault();
         assert_eq!(m.level(), Some(Level::Capped));
         assert_eq!(m.stats().steps_down, 1);
-        let log = tracer.drain().expect("drains");
+        let log = rec.drain().expect("drains");
         assert_eq!(log.count("degrade-step"), 1);
     }
 
@@ -1203,8 +1196,8 @@ mod tests {
 
     #[test]
     fn executor_faults_alone_can_trip_the_breaker() {
-        let tracer = Tracer::enabled(1);
-        let mut m = degrading_mgr(degrade_cfg(), &Instruments::traced(tracer.clone()));
+        let rec = Recorder::enabled(1);
+        let mut m = degrading_mgr(degrade_cfg(), &Instruments::recorded(rec.clone()));
         m.record_fault();
         assert_eq!(m.level(), Some(Level::Full));
         m.record_fault();
@@ -1216,7 +1209,7 @@ mod tests {
         assert_eq!((s.faults, s.sdc_detected), (3, 1));
         assert_eq!(s.steps_down, 2);
         assert_eq!(s.rollbacks, 0, "faults degrade without any rollback");
-        let log = tracer.drain().expect("drains");
+        let log = rec.drain().expect("drains");
         assert_eq!(log.count("degrade-step"), 2);
     }
 

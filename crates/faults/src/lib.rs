@@ -6,7 +6,7 @@
 //! [`FaultPlan`] is a seeded set of [`FaultRule`]s — "at [`FaultSite`] X,
 //! inject [`FaultKind`] Y with probability p" — and a [`FaultInjector`] is
 //! the cheap cloneable handle the runtime threads through its hot paths,
-//! modelled on `tvs_trace::Tracer`: the disabled injector is `None` inside
+//! modelled on `tvs_metrics::Recorder`: the disabled injector is `None` inside
 //! and every query is a single predictable branch.
 //!
 //! Determinism is the whole point: a draw's outcome is a pure function of

@@ -1,16 +1,16 @@
 //! The wall-clock sampler thread.
 //!
 //! [`Sampler::spawn`] parks a background thread on a condvar and wakes it
-//! every `tick` to take one [`MetricsSnapshot`] from the hub and hand it
+//! every `tick` to take one [`MetricsSnapshot`] from the recorder and hand it
 //! to the sink (a JSONL writer, a channel into `tvs-top`, an HTTP
 //! responder's cache, …). [`Sampler::stop`] wakes the thread immediately,
 //! takes one final snapshot so short runs still produce at least one
 //! sample, and joins. Simulator runs don't use this thread at all — they
 //! sample on virtual-time boundaries via
-//! [`crate::MetricsHub::virtual_tick`] to stay deterministic.
+//! [`crate::Recorder::virtual_tick`] to stay deterministic.
 
 use crate::snapshot::MetricsSnapshot;
-use crate::MetricsHub;
+use crate::Recorder;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -27,11 +27,11 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Spawn a sampler over `hub`, snapshotting every `tick` into
-    /// `sink`. The hub must be live ([`MetricsHub::enabled`]) for
-    /// snapshots to be produced; on a non-live hub the thread idles and
+    /// Spawn a sampler over `rec`, snapshotting every `tick` into
+    /// `sink`. The recorder must be enabled ([`Recorder::enabled`]) for
+    /// snapshots to be produced; on any other the thread idles and
     /// the sink is never called.
-    pub fn spawn<F>(hub: MetricsHub, tick: Duration, mut sink: F) -> Sampler
+    pub fn spawn<F>(rec: Recorder, tick: Duration, mut sink: F) -> Sampler
     where
         F: FnMut(MetricsSnapshot) + Send + 'static,
     {
@@ -66,13 +66,13 @@ impl Sampler {
                             break;
                         }
                     }
-                    if let Some(snap) = hub.snapshot() {
+                    if let Some(snap) = rec.snapshot() {
                         sink(snap);
                     }
                 }
                 // Final snapshot on shutdown so short runs still record
                 // at least one sample.
-                if let Some(snap) = hub.snapshot() {
+                if let Some(snap) = rec.snapshot() {
                     sink(snap);
                 }
             })
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn samples_periodically_and_finally() {
-        let hub = MetricsHub::enabled(1);
+        let hub = Recorder::enabled(1);
         hub.add(0, Counter::Commits, 5);
         let (tx, rx) = mpsc::channel();
         let sampler = Sampler::spawn(hub.clone(), Duration::from_millis(5), move |s| {
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn stop_is_prompt_even_with_long_tick() {
-        let hub = MetricsHub::enabled(1);
+        let hub = Recorder::enabled(1);
         let (tx, rx) = mpsc::channel();
         let sampler = Sampler::spawn(hub, Duration::from_secs(3600), move |s| {
             let _ = tx.send(s);
@@ -160,7 +160,7 @@ mod tests {
         // exits its park loop, and the post-loop snapshot runs *after*
         // the signal, so the write is always visible.
         for _ in 0..32 {
-            let hub = MetricsHub::enabled(1);
+            let hub = Recorder::enabled(1);
             let (tx, rx) = mpsc::channel();
             let sampler = Sampler::spawn(hub.clone(), Duration::from_secs(3600), move |s| {
                 let _ = tx.send(s);
@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn drop_also_flushes_exactly_once() {
-        let hub = MetricsHub::enabled(1);
+        let hub = Recorder::enabled(1);
         hub.add(0, Counter::Commits, 9);
         let (tx, rx) = mpsc::channel();
         {
@@ -196,8 +196,8 @@ mod tests {
     }
 
     #[test]
-    fn non_live_hub_never_sinks() {
-        let hub = MetricsHub::internal(1);
+    fn counters_only_recorder_never_sinks() {
+        let hub = Recorder::counters(1);
         let (tx, rx) = mpsc::channel();
         let sampler = Sampler::spawn(hub, Duration::from_millis(2), move |s| {
             let _ = tx.send(s);

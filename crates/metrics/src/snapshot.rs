@@ -1,7 +1,7 @@
 //! Point-in-time views of the registry and their serialised forms.
 //!
 //! A [`MetricsSnapshot`] carries both running totals and per-window
-//! deltas (against the previous snapshot taken from the same hub), so a
+//! deltas (against the previous snapshot taken from the same recorder), so a
 //! consumer can render rates without keeping its own history. Snapshots
 //! serialise to one JSON object per line ([`MetricsSnapshot::to_json_line`],
 //! parsed back by [`MetricsSnapshot::from_json_line`]) and to the
@@ -34,7 +34,7 @@ pub fn prom_escape(s: &str) -> String {
 /// A counter's running total plus its delta since the previous snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CounterWindow {
-    /// Value accumulated since the hub was created.
+    /// Value accumulated since the recorder was created.
     pub total: u64,
     /// Increment since the previous snapshot (equals `total` on the
     /// first snapshot).
@@ -86,11 +86,11 @@ pub struct MetricsSnapshot {
     /// 1-based snapshot sequence number.
     pub tick: u64,
     /// Timestamp, µs — virtual time in simulator runs, wall time since
-    /// hub creation otherwise.
+    /// the run started otherwise.
     pub t_us: u64,
     /// Free-form run label (typically the dispatch policy).
     pub label: String,
-    /// Worker-lane count the registry was sized for.
+    /// Worker-lane count the recorder was sized for.
     pub workers: usize,
     /// One window per [`Counter::ALL`] entry, in that order.
     pub counters: Vec<CounterWindow>,
@@ -377,10 +377,10 @@ fn push_arr(s: &mut String, k: &str, vals: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricsHub;
+    use crate::Recorder;
 
     fn sample() -> MetricsSnapshot {
-        let h = MetricsHub::enabled(2);
+        let h = Recorder::enabled(2);
         h.set_label("Balanced");
         h.add(0, Counter::LaneDispatch, 7);
         h.add(1, Counter::Steal, 2);
@@ -388,7 +388,7 @@ mod tests {
         h.add(0, Counter::BusyUs, 900);
         h.add(1, Counter::WastedUs, 100);
         h.gauge_set(Gauge::DegradationLevel, 1);
-        h.gauge_max(Gauge::CascadeMax, 4);
+        h.gauge_set(Gauge::CascadeMax, 4);
         h.record(Hist::CheckLatencyUs, 17);
         h.record(Hist::CheckLatencyUs, 130);
         h.snapshot().unwrap()
@@ -468,7 +468,7 @@ mod tests {
 
     #[test]
     fn waste_ratio_is_zero_not_nan_when_idle() {
-        let h = MetricsHub::enabled(1);
+        let h = Recorder::enabled(1);
         let snap = h.snapshot().unwrap();
         let r = snap.waste_ratio();
         assert!(!r.is_nan(), "idle snapshot must not yield NaN");
@@ -479,7 +479,7 @@ mod tests {
     #[test]
     fn awkward_labels_escape_and_round_trip() {
         let label = "pol\"icy\\w\nnewline";
-        let h = MetricsHub::enabled(1);
+        let h = Recorder::enabled(1);
         h.set_label(label);
         let snap = h.snapshot().unwrap();
         // JSONL: the writer escapes, the parser restores.
@@ -500,7 +500,7 @@ mod tests {
 
     #[test]
     fn counter_window_delta_survives_u64_wraparound() {
-        let h = MetricsHub::enabled(1);
+        let h = Recorder::enabled(1);
         h.add(0, Counter::BusyUs, u64::MAX - 5);
         let first = h.snapshot().unwrap().counter(Counter::BusyUs);
         assert_eq!(first.total, u64::MAX - 5);

@@ -94,7 +94,7 @@ use tvs_huffman::{
     decode_exact, encode_blocks_at, place, relative_cost_delta, set_bit_len, BlockCounts,
     CodeLengths, CodeTable, EncodedBlock, Histogram, OffsetChain,
 };
-use tvs_metrics::{Gauge, MetricsHub};
+use tvs_metrics::{Gauge, Recorder};
 use tvs_sre::task::{expect_payload, payload};
 use tvs_sre::{
     Completion, FaultInjector, FaultKind, FaultNotice, FaultSite, InputBlock, Instruments,
@@ -397,7 +397,7 @@ pub struct HuffmanWorkload {
     stream: Vec<u8>,
     committed_tree: Option<Arc<SpecTree>>,
     faults: FaultInjector,
-    metrics: MetricsHub,
+    rec: Recorder,
 
     ckpt: Option<Ckpt>,
     /// The committed prefix frozen when the checkpoint plane halted the run.
@@ -413,17 +413,16 @@ pub struct HuffmanWorkload {
 }
 
 impl HuffmanWorkload {
-    /// A dark workload for `data_len` input bytes under `cfg`: no tracer,
-    /// no hub, no fault plan, snapshots (if any) bound to no input.
+    /// A dark workload for `data_len` input bytes under `cfg`: no
+    /// recorder, no fault plan, snapshots (if any) bound to no input.
     pub fn new(cfg: HuffmanConfig, data_len: usize) -> Self {
         Self::instrumented(cfg, data_len, 0, &Instruments::default())
     }
 
     /// A workload for `data_len` input bytes under `cfg`, built on a run's
     /// [`Instruments`] — hand the executor the same value. The speculation
-    /// manager's lifecycle events go to `ins.tracer`; speculation-outcome
-    /// counters, the degradation level and the encode-buffer gauge to `ins.metrics`;
-    /// `ins.faults` arms the workload's own sites
+    /// manager's lifecycle facts and the encode-buffer gauge go to
+    /// `ins.recorder`; `ins.faults` arms the workload's own sites
     /// ([`FaultSite::PredictedValue`] — a scrambled predicted tree, which
     /// the tolerance checks must catch — and [`FaultSite::TaskOutput`]).
     /// `input_digest` binds snapshots to the input:
@@ -467,7 +466,7 @@ impl HuffmanWorkload {
             stream: Vec::with_capacity(if keeps_stream { data_len } else { 0 }),
             committed_tree: None,
             faults: ins.faults.clone(),
-            metrics: ins.metrics.clone(),
+            rec: ins.recorder.clone(),
             ckpt,
             halted: None,
             input_digest,
@@ -1092,9 +1091,9 @@ impl HuffmanWorkload {
         if self.cfg.collect_output || self.ckpt.is_some() {
             place(&mut self.stream, out.bit_off, &out.run);
         }
-        if self.metrics.is_live() {
+        if self.rec.is_enabled() {
             let allocs = self.encode_allocs.load(Ordering::Relaxed);
-            self.metrics.gauge_set(Gauge::AllocHeap, allocs);
+            self.rec.gauge_set(Gauge::AllocHeap, allocs);
         }
         for (idx, bits) in (lo..).zip(out.bits) {
             self.blocks[idx].commit(out.finished, bits);
@@ -2166,18 +2165,14 @@ mod tests {
         let cfg = small_cfg(DispatchPolicy::Balanced);
         let at_once = |workers| {
             let sim = SimConfig::new(x86_smp(workers));
-            let tracer = tvs_sre::Tracer::enabled(workers);
-            let ins = Instruments::traced(tracer.clone());
+            let rec = tvs_sre::Recorder::enabled(workers);
+            let ins = Instruments::recorded(rec.clone());
             let wl = HuffmanWorkload::new(cfg.clone(), data.len());
             let inputs = blocks_of(&data, cfg.block_bytes, 0);
             let ran =
                 tvs_sre::exec::sim::run(wl, &sim, cfg.policy, &HuffmanCost, &data, inputs, &ins);
             let (wl, m) = ran.expect("sim run completes");
-            (
-                wl,
-                m,
-                tracer.drain().expect("enabled tracer drains").tasks(),
-            )
+            (wl, m, rec.drain().expect("enabled recorder drains").tasks())
         };
         let (chunked, m, spans) = at_once(2);
         assert!(m.rollbacks > 0, "drifting data must roll back");
@@ -2224,14 +2219,14 @@ mod tests {
                         ..small_cfg(policy)
                     };
                     let sim = SimConfig::new(x86_smp(2));
-                    let tracer = tvs_sre::Tracer::enabled(2);
-                    let ins = Instruments::traced(tracer.clone());
+                    let rec = tvs_sre::Recorder::enabled(2);
+                    let ins = Instruments::recorded(rec.clone());
                     let wl = HuffmanWorkload::new(cfg.clone(), data.len());
                     let inputs = blocks_of(data, cfg.block_bytes, gap);
                     let ran =
                         tvs_sre::exec::sim::run(wl, &sim, policy, &HuffmanCost, data, inputs, &ins);
                     let (wl, _) = ran.expect("sim run completes");
-                    let spans = tracer.drain().expect("enabled tracer drains").tasks();
+                    let spans = rec.drain().expect("enabled recorder drains").tasks();
                     let encodes = spans.iter().filter(|t| t.name == "encode");
                     let bodies = encodes.filter(|t| !t.discarded).count() as u64;
                     let what = format!("{input}, {policy:?}, gap {gap}");

@@ -141,10 +141,10 @@ pub struct HuffmanRun<'a> {
     pub arrival: &'a dyn ArrivalModel,
     /// The executor.
     pub on: Executor,
-    /// The tracer, hub and fault injector every layer of the run shares;
-    /// size an enabled tracer or hub for the executor's worker count. For
-    /// byte-deterministic snapshots of a simulator run, arm the hub with
-    /// `enable_virtual_sampling` beforehand.
+    /// The recorder and fault injector every layer of the run shares; size
+    /// an enabled recorder for the executor's worker count. For
+    /// byte-deterministic snapshots of a simulator run, arm the recorder
+    /// with `enable_virtual_sampling` beforehand.
     pub instruments: Instruments,
     /// Resume a killed run from its committed-prefix snapshot: it is checked
     /// against `data` and `cfg`, only blocks past the prefix are fed, and
@@ -201,8 +201,8 @@ impl<'a> HuffmanRun<'a> {
 pub struct HuffmanReport {
     /// The outcome, or the snapshot its checkpoint plane halted the run at.
     pub end: CheckpointedRun,
-    /// The speculation-lifecycle event log, drained iff the run's tracer was
-    /// enabled; its label is the policy's.
+    /// The speculation-lifecycle event log, drained iff the run's recorder
+    /// was enabled; its label is the policy's.
     pub log: Option<TraceLog>,
     /// The replication plane's counters (zero under `Tolerance`).
     pub replica: ReplicaStats,
@@ -237,7 +237,7 @@ impl From<ResumeError> for RunFailure {
 
 /// Run the Huffman pipeline as `run` describes. A rejected snapshot or a
 /// run that bounded retries cannot save is a structured [`RunFailure`],
-/// never a panic; the latter, when the tracer is enabled, also leaves a
+/// never a panic; the latter, when the recorder is enabled, also leaves a
 /// post-mortem bundle (see [`postmortem`]).
 pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
     let (data, cfg, ins) = (run.data, run.cfg, &run.instruments);
@@ -257,7 +257,6 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
     };
     // A resumed run's committed prefix is not fed again.
     let skip_below = run.resume.map_or(0, |snap| snap.prefix as usize);
-    ins.tracer.set_label(cfg.policy.label());
     // The replication validation plane, per `cfg.validation`: a strict
     // pass-through under the default `Tolerance`.
     let digest_fn = Arc::new(digest_output);
@@ -284,7 +283,7 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
     let (wl, metrics) = ran.map_err(|e| {
         // Crash hook: dump the flight-recorder state before the structured
         // error propagates.
-        if let Some(log) = ins.tracer.drain() {
+        if let Some(log) = ins.recorder.drain() {
             let seed = ins.faults.seed().unwrap_or(0);
             let (trigger, policy) = (postmortem::Trigger::RunError, cfg.policy.label());
             postmortem::capture(trigger, seed, policy, &log, Some(e.to_string()));
@@ -306,7 +305,7 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
     };
     Ok(HuffmanReport {
         end,
-        log: ins.tracer.drain(),
+        log: ins.recorder.drain(),
         replica,
     })
 }
@@ -315,7 +314,7 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
 mod tests {
     use super::*;
     use tvs_iosim::Uniform;
-    use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, Tracer};
+    use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, Recorder};
 
     fn data() -> Vec<u8> {
         (0..64 * 1024)
@@ -353,12 +352,11 @@ mod tests {
         faults: FaultInjector,
     ) -> (RunOutcome, TraceLog) {
         run.instruments = Instruments {
-            tracer: Tracer::enabled(workers),
+            recorder: Recorder::enabled(workers),
             faults,
-            ..Instruments::default()
         };
         let report = run_huffman(&run).expect("the run recovers");
-        let log = report.log.expect("enabled tracer drains");
+        let log = report.log.expect("enabled recorder drains");
         (report.end.into_outcome(), log)
     }
 

@@ -6,7 +6,7 @@
 use super::{run_huffman, CheckpointedRun, HuffmanRun, RunOutcome};
 use crate::config::HuffmanConfig;
 use tvs_iosim::ArrivalModel;
-use tvs_sre::{MetricsHub, TraceLog, Tracer};
+use tvs_sre::{Recorder, TraceLog};
 
 /// [`run_huffman`] on `workers` threads, dark; panics if the run fails.
 pub fn run_huffman_threaded(
@@ -21,7 +21,8 @@ pub fn run_huffman_threaded(
     report.end.into_outcome()
 }
 
-/// [`run_huffman_threaded`] with an enabled tracer: outcome and event log.
+/// [`run_huffman_threaded`] with an enabled recorder: outcome and event
+/// log.
 pub fn run_huffman_threaded_events(
     data: &[u8],
     cfg: &HuffmanConfig,
@@ -30,23 +31,24 @@ pub fn run_huffman_threaded_events(
     time_scale: u64,
 ) -> (RunOutcome, TraceLog) {
     let mut run = HuffmanRun::threaded(data, cfg, workers, arrival, time_scale);
-    run.instruments.tracer = Tracer::enabled(workers);
+    run.instruments.recorder = Recorder::enabled(workers);
     let report = run_huffman(&run).expect("threaded run failed");
-    let log = report.log.expect("enabled tracer drains");
+    let log = report.log.expect("enabled recorder drains");
     (report.end.into_outcome(), log)
 }
 
-/// [`run_huffman_threaded`] feeding `hub` (`MetricsHub::enabled(workers)`).
+/// [`run_huffman_threaded`] recording into `hub` (`Recorder::enabled(workers)`,
+/// imported by the benchmark as `MetricsHub`).
 pub fn run_huffman_threaded_metered(
     data: &[u8],
     cfg: &HuffmanConfig,
     workers: usize,
     arrival: &dyn ArrivalModel,
     time_scale: u64,
-    hub: MetricsHub,
+    hub: Recorder,
 ) -> RunOutcome {
     let mut run = HuffmanRun::threaded(data, cfg, workers, arrival, time_scale);
-    run.instruments.metrics = hub;
+    run.instruments.recorder = hub;
     let report = run_huffman(&run).expect("threaded run failed");
     report.end.into_outcome()
 }

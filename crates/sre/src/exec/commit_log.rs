@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use super::core::lock_recover;
+use tvs_metrics::lock_recover;
 
 /// One ring slot: an epoch counter plus (uncontended) value storage.
 struct Slot<T> {

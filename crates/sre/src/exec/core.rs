@@ -57,10 +57,10 @@ use crate::sched::{CompletionOutcome, Dispatched, Scheduler};
 use crate::task::{mix64, Payload, SpecVersion, TaskClass, TaskCtx, TaskId, TaskSpec, Time};
 use crate::workload::{Completion, FaultNotice, InputBlock, SchedCtx, Workload};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tvs_faults::{FaultKind, FaultSite};
-use tvs_metrics::{Counter, Hist, MetricsHub};
+use tvs_metrics::{Counter, Recorder};
 use tvs_trace::EventKind;
 
 /// Why a run failed: the error of the executors' `run` entry points.
@@ -201,19 +201,8 @@ impl SupervisorConfig {
     }
 }
 
-/// Lock `m`, recovering the guard when a panicking thread poisoned it.
-///
-/// Every shared structure in the executors is either plain data (lanes,
-/// rings) or guarded state whose invariants are restored by the fault
-/// path itself (scheduler + workload behind the commit lock: the faulting
-/// task is routed through [`Scheduler::fault`] and version rollback).
-/// Dying on the poison flag would turn one recovered panic into a wedged
-/// runtime, which is exactly what this layer exists to prevent.
-pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`Mutex::into_inner`] with the same poison recovery as [`lock_recover`].
+/// [`Mutex::into_inner`] with the same poison recovery as
+/// [`tvs_metrics::lock_recover`].
 pub fn into_inner_recover<T>(m: Mutex<T>) -> T {
     m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
@@ -338,12 +327,16 @@ impl Span {
         }
     }
 
-    pub(crate) fn end_event(&self, discarded: bool) -> EventKind {
+    /// The task-end that settles this span as `end`.
+    fn end_event(&self, end: End) -> EventKind {
         EventKind::TaskEnd {
             id: self.id,
             name: self.name,
+            class: self.class.trace_tag(),
             version: self.version,
-            discarded,
+            discarded: end != End::Delivered,
+            faulted: end == End::Faulted,
+            busy_us: self.busy(),
         }
     }
 }
@@ -362,6 +355,14 @@ pub(crate) enum Report {
     Skipped,
 }
 
+/// How a settled body's occupancy ended.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum End {
+    Delivered,
+    Discarded,
+    Faulted,
+}
+
 /// How the faults injected at a task body are acted out.
 #[derive(Clone, Copy)]
 pub(crate) enum Injection {
@@ -377,9 +378,9 @@ pub(crate) enum Injection {
 /// panicking non-speculative body up to `max_attempts` attempts in all.
 /// Every attempt — first call, in-place retry, a replica's run of the
 /// shared body — gets a [`TaskCtx`] over the task's abort flag and the
-/// run's `input`, built here and borrowed for that call only. Counts every
-/// caught panic and retry, traces each as a task fault, and closes the
-/// span of a body that faulted for good as discarded work.
+/// run's `input`, built here and borrowed for that call only. Records
+/// every caught panic as a task fault and counts every retry; the span of
+/// a body that faulted for good is closed when it is settled.
 pub(crate) fn run_body(
     work: &mut Dispatched,
     worker: usize,
@@ -388,7 +389,7 @@ pub(crate) fn run_body(
     max_attempts: u32,
     injection: Injection,
 ) -> Report {
-    let (tracer, hub) = (&ins.tracer, &ins.metrics);
+    let rec = &ins.recorder;
     let mut attempt = 0u32;
     loop {
         let ctx = TaskCtx::new(&work.abort, input);
@@ -413,8 +414,7 @@ pub(crate) fn run_body(
         if let Ok(output) = ran {
             return Report::Ran(output);
         }
-        hub.add(worker, Counter::Faults, 1);
-        tracer.emit(
+        rec.emit(
             worker,
             EventKind::TaskFault {
                 id: work.id,
@@ -426,37 +426,16 @@ pub(crate) fn run_body(
         // Speculative faults never retry: aborting the version is cheaper
         // and the speculation layer restarts the work.
         if work.version.is_some() || attempt + 1 >= max_attempts.max(1) {
-            tracer.emit(
-                worker,
-                EventKind::TaskEnd {
-                    id: work.id,
-                    name: work.name,
-                    version: work.version,
-                    discarded: true,
-                },
-            );
             return Report::Faulted { attempt };
         }
         attempt += 1;
-        hub.add(worker, Counter::Retries, 1);
+        rec.add(worker, Counter::Retries, 1);
         if let Injection::Live = injection {
             let wait = jittered_backoff_us(attempt, work.id);
-            hub.add(worker, Counter::RetryBackoffUs, wait);
+            rec.add(worker, Counter::RetryBackoffUs, wait);
             std::thread::sleep(Duration::from_micros(wait));
         }
     }
-}
-
-/// Charge `us` of body time on `worker` to the profiler's run or check
-/// clock.
-pub(crate) fn clock_slice(hub: &MetricsHub, worker: usize, class: TaskClass, us: Time) {
-    let clock = if class == TaskClass::Check {
-        Counter::TimeCheckUs
-    } else {
-        Counter::TimeRunUs
-    };
-    hub.add(worker, clock, us);
-    hub.record(Hist::RunSliceUs, us);
 }
 
 /// Scheduler, workload and run outcome: everything a workload callback
@@ -510,59 +489,59 @@ impl<W: Workload> Core<W> {
         self.input_done |= last;
     }
 
-    /// Settle one finished occupancy: account its busy time, then deliver
-    /// a body's output or discard it, recover a faulted body, or delete a
-    /// cancelled one. Returns whether the occupancy was wasted work.
+    /// Settle one finished occupancy: a cancelled one is a ready deletion;
+    /// any other is closed by one task-end on its worker's shard, stamped
+    /// when the body returned and carrying the verdict — which charges its
+    /// busy, wasted and run/check time — before a body's output is
+    /// delivered or discarded, or a faulted body is recovered. A report of
+    /// a task no longer in flight is an echo of one settled before and is
+    /// dropped. Returns whether the occupancy was wasted work.
     pub(crate) fn settle(
         &mut self,
         env: Env<'_>,
         span: &Span,
         report: Report,
-        hub: &MetricsHub,
+        rec: &Recorder,
     ) -> bool {
-        let busy = span.busy();
-        let wasted = match report {
+        let (end, output, fault) = match report {
             Report::Cancelled => {
                 self.sched.cancel_bound(span.id);
                 return false;
             }
             Report::Ran(output) => match self.sched.try_complete(span.id) {
-                None => false,
-                Some(CompletionOutcome::Discard) => true,
-                Some(CompletionOutcome::Deliver) => {
-                    let done = Completion {
-                        id: span.id,
-                        name: span.name,
-                        version: span.version,
-                        tag: span.tag,
-                        started: span.started,
-                        finished: span.finished,
-                        output,
-                    };
-                    self.call(env, |w, ctx| w.on_complete(ctx, done));
-                    false
-                }
+                None => return false,
+                Some(CompletionOutcome::Discard) => (End::Discarded, None, None),
+                Some(CompletionOutcome::Deliver) => (End::Delivered, Some(output), None),
             },
             Report::Skipped => {
                 let _ = self.sched.try_complete(span.id);
-                true
+                (End::Discarded, None, None)
             }
-            Report::Faulted { attempt } => {
-                if let Some(None) = self.recover(env, span, attempt, true) {
-                    self.failed.get_or_insert(RunError::TaskFailed {
-                        name: span.name,
-                        id: span.id,
-                        attempts: attempt + 1,
-                    });
-                }
-                true
-            }
+            Report::Faulted { attempt } => (End::Faulted, None, Some(attempt)),
         };
-        hub.add(span.worker, Counter::BusyUs, busy);
-        if wasted {
-            hub.add(span.worker, Counter::WastedUs, busy);
+        rec.emit_at(span.worker, span.finished, span.end_event(end));
+        if let Some(output) = output {
+            let done = Completion {
+                id: span.id,
+                name: span.name,
+                version: span.version,
+                tag: span.tag,
+                started: span.started,
+                finished: span.finished,
+                output,
+            };
+            self.call(env, |w, ctx| w.on_complete(ctx, done));
         }
-        wasted
+        if let Some(attempt) = fault {
+            if let Some(None) = self.recover(env, span, attempt, true) {
+                self.failed.get_or_insert(RunError::TaskFailed {
+                    name: span.name,
+                    id: span.id,
+                    attempts: attempt + 1,
+                });
+            }
+        }
+        end != End::Delivered
     }
 
     /// The one path from a lost task to the workload: a faulted body, a
@@ -602,12 +581,11 @@ impl<W: Workload> Core<W> {
         Some(version)
     }
 
-    /// The watchdog cancelled `span`'s task after `ran_us`: count and
-    /// trace it; a speculative task is then recovered, keeping its slot.
-    /// (The caller raises the task's abort flag.)
-    pub(crate) fn cancel(&mut self, env: Env<'_>, span: &Span, ran_us: Time, ins: &Instruments) {
-        ins.metrics.add_control(Counter::WatchdogCancels, 1);
-        ins.tracer.emit_control(EventKind::WatchdogCancel {
+    /// The watchdog cancelled `span`'s task after `ran_us`: record it; a
+    /// speculative task is then recovered, keeping its slot. (The caller
+    /// raises the task's abort flag.)
+    pub(crate) fn cancel(&mut self, env: Env<'_>, span: &Span, ran_us: Time, rec: &Recorder) {
+        rec.emit_control(EventKind::WatchdogCancel {
             id: span.id,
             version: span.version,
             ran_us,
@@ -616,37 +594,38 @@ impl<W: Workload> Core<W> {
             self.recover(env, span, 0, false);
         }
     }
+}
 
-    /// The run's [`RunMetrics`]: the scheduler's lifecycle counts and the
-    /// hub's executor counters, each read from its one home.
-    pub(crate) fn metrics(&self, hub: &MetricsHub, makespan: Time) -> RunMetrics {
-        let st = self.sched.stats();
-        RunMetrics {
-            makespan,
-            tasks_delivered: st.delivered,
-            tasks_discarded: st.discarded,
-            tasks_deleted_ready: st.deleted_ready,
-            busy_us: hub.counter_total(Counter::BusyUs),
-            wasted_us: hub.counter_total(Counter::WastedUs),
-            rollbacks: st.rollbacks,
-            workers: hub.workers(),
-            lane_dispatches: hub.lane_counts(Counter::LaneDispatch),
-            steals: hub.counter_total(Counter::Steal),
-            faults: hub.counter_total(Counter::Faults),
-            task_retries: hub.counter_total(Counter::Retries),
-            watchdog_cancels: hub.counter_total(Counter::WatchdogCancels),
-            duplicate_completions: st.duplicate_completions,
-            replica_dispatches: st.replicas_spawned,
-            retry_backoff_us: hub.counter_total(Counter::RetryBackoffUs),
-            stale_completions_rejected: hub.counter_total(Counter::StaleCompletionsRejected),
-            worker_respawns: hub.counter_total(Counter::WorkerRespawns),
-        }
+/// The run's [`RunMetrics`], read from the recorder — the one home of
+/// every count.
+pub(crate) fn run_metrics(rec: &Recorder, makespan: Time) -> RunMetrics {
+    let total = |c| rec.counter_total(c);
+    RunMetrics {
+        makespan,
+        tasks_delivered: total(Counter::TasksDelivered),
+        tasks_discarded: total(Counter::TasksDiscarded),
+        tasks_deleted_ready: total(Counter::DeletedReady),
+        busy_us: total(Counter::BusyUs),
+        wasted_us: total(Counter::WastedUs),
+        rollbacks: total(Counter::Rollbacks),
+        workers: rec.workers(),
+        lane_dispatches: rec.lane_counts(Counter::LaneDispatch),
+        steals: total(Counter::Steal),
+        faults: total(Counter::Faults),
+        task_retries: total(Counter::Retries),
+        watchdog_cancels: total(Counter::WatchdogCancels),
+        duplicate_completions: total(Counter::DuplicateCompletions),
+        replica_dispatches: total(Counter::ReplicaDispatches),
+        retry_backoff_us: total(Counter::RetryBackoffUs),
+        stale_completions_rejected: total(Counter::StaleCompletionsRejected),
+        worker_respawns: total(Counter::WorkerRespawns),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tvs_metrics::lock_recover;
 
     #[test]
     fn backoff_grows_and_caps() {

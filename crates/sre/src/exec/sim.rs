@@ -16,7 +16,7 @@
 //! schedule — bit-identical faults.
 
 use super::core::{
-    assert_schedule, clock_slice, run_body, Core, Env, Injection, Report, RunError, Span,
+    assert_schedule, run_body, run_metrics, Core, Env, Injection, Report, RunError, Span,
     WatchdogConfig, DEFAULT_MAX_ATTEMPTS,
 };
 use crate::instruments::Instruments;
@@ -29,7 +29,6 @@ use crate::workload::{InputBlock, Workload};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use tvs_faults::{FaultKind, FaultSite};
-use tvs_metrics::Counter;
 use tvs_trace::EventKind;
 
 /// Configuration of a simulation run.
@@ -120,10 +119,9 @@ impl ChaosState {
 }
 
 /// Run `workload` under `policy` to completion over the given
-/// pre-scheduled `blocks` of `input`, recording lifecycle events into
-/// `ins.tracer`, feeding `ins.metrics` and drawing faults from `ins.faults`
-/// (pass `&Instruments::default()` for a dark run; the resulting
-/// [`RunMetrics`] are identical either way).
+/// pre-scheduled `blocks` of `input`, recording into `ins.recorder` and
+/// drawing faults from `ins.faults` (pass `&Instruments::default()` for a
+/// dark run; the resulting [`RunMetrics`] are identical either way).
 ///
 /// `input` is the run's whole input, borrowed for the run: every block's
 /// `bytes` is a range of it, and every task body reads it through its
@@ -138,18 +136,16 @@ impl ChaosState {
 /// cancels of speculative tasks — recovers through the rollback machinery
 /// and completes the run.
 ///
-/// The tracer's ambient virtual clock follows the event heap, so every
-/// emitted event — including scheduler rollback/cancel events fired from
-/// inside workload callbacks — is stamped with deterministic virtual time.
-/// Task start/end events are stamped with the exact simulated interval the
-/// task occupied its worker, and a task-end's `discarded` flag is the
-/// settled outcome, so the spans sum to `busy_us` and their discarded part
-/// to `wasted_us`. Metrics snapshots are driven by *virtual* time too: arm
-/// the hub with [`tvs_metrics::MetricsHub::enable_virtual_sampling`]
-/// before the run and drain with
-/// [`tvs_metrics::MetricsHub::drain_virtual_snapshots`] after — the
-/// snapshot stream is then as deterministic as the simulation itself (same
-/// seed → identical JSONL bytes). No sampler thread is involved.
+/// The recorder's clock follows the event heap, so every recorded fact —
+/// including scheduler rollback/cancel events fired from inside workload
+/// callbacks — is stamped with deterministic virtual time. Task start/end
+/// events are stamped with the exact simulated interval the task occupied
+/// its worker. Snapshots are driven by *virtual* time too: arm the
+/// recorder with [`tvs_metrics::Recorder::enable_virtual_sampling`] before
+/// the run and drain with
+/// [`tvs_metrics::Recorder::drain_virtual_snapshots`] after — the snapshot
+/// stream is then as deterministic as the simulation itself (same seed →
+/// identical JSONL bytes). No sampler thread is involved.
 pub fn run<W: Workload>(
     workload: W,
     cfg: &SimConfig,
@@ -160,7 +156,7 @@ pub fn run<W: Workload>(
     ins: &Instruments,
 ) -> Result<(W, RunMetrics), RunError> {
     let ins = ins.for_executor(cfg.platform.workers, policy);
-    let (tracer, hub, faults) = (&ins.tracer, &ins.metrics, &ins.faults);
+    let (rec, faults) = (&ins.recorder, &ins.faults);
     assert_schedule(input, &blocks);
     let env = |now| Env {
         now,
@@ -195,8 +191,7 @@ pub fn run<W: Workload>(
     let mut arrivals_seen = 0usize;
     let mut last_event_time: Time = 0;
 
-    tracer.set_virtual_now(0);
-    hub.set_virtual_now(0);
+    rec.set_virtual_now(0);
     core.start(env(0));
     if n_inputs == 0 {
         core.feed(env(0), Vec::new(), true);
@@ -214,9 +209,8 @@ pub fn run<W: Workload>(
 
     while let Some((t, aux, slot)) = events.pop() {
         last_event_time = t;
-        tracer.set_virtual_now(t);
-        hub.set_virtual_now(t);
-        hub.virtual_tick(t);
+        rec.set_virtual_now(t);
+        rec.virtual_tick(t);
         match slot {
             EvSlot::Arrival => {
                 // An injected feeder stall pushes the batch to a later
@@ -241,11 +235,7 @@ pub fn run<W: Workload>(
                     .expect("Done event for an empty worker queue");
                 debug_assert_eq!(end, t);
                 let span = Span::of(&work, aux, start, end);
-                // Profiler state clocks, in virtual time. The simulator
-                // has no steal scans or parks — a virtual worker is either
-                // occupied or idle — so only the run/check clocks tick.
-                clock_slice(hub, aux, work.class, end - start);
-                tracer.emit_at(aux, start, span.start_event());
+                rec.emit_at(aux, start, span.start_event());
                 // Outputs of discarded tasks are never materialised
                 // ("deleted with their content"): skip the body.
                 let report = if work.version.is_some_and(|v| core.sched.is_aborted(v)) {
@@ -262,21 +252,15 @@ pub fn run<W: Workload>(
                             events.push(t + us.max(1), key, EvSlot::DelayedDone);
                         }
                         drawn => {
-                            tracer.emit(aux, span.end_event(false));
-                            let wasted = core.settle(env(t), &span, Report::Ran(output), hub);
+                            let wasted = core.settle(env(t), &span, Report::Ran(output), rec);
                             debug_assert!(!wasted, "un-aborted completion delivers");
                             if drawn == Some(FaultKind::DuplicateCompletion) {
                                 let _ = core.sched.try_complete(span.id);
                             }
                         }
                     },
-                    // `run_body` closed a faulted body's span.
-                    Report::Faulted { .. } => {
-                        core.settle(env(t), &span, report, hub);
-                    }
                     _ => {
-                        let wasted = core.settle(env(t), &span, report, hub);
-                        tracer.emit(aux, span.end_event(wasted));
+                        core.settle(env(t), &span, report, rec);
                     }
                 }
                 if let Some(e) = core.failed.take() {
@@ -288,15 +272,14 @@ pub fn run<W: Workload>(
                     .delayed
                     .remove(&aux)
                     .expect("delayed completion recorded");
-                let wasted = core.settle(env(t), &span, Report::Ran(output), hub);
-                tracer.emit_at(span.worker, span.finished, span.end_event(wasted));
+                core.settle(env(t), &span, Report::Ran(output), rec);
             }
             EvSlot::Watchdog => {
                 let (wi, id) = chaos.watch.remove(&aux).expect("watchdog recorded");
                 if let Some(a) = workers[wi].assigned.iter().find(|a| a.work.id == id) {
                     TaskCtx::signal_abort(&a.work.abort);
                     let span = Span::of(&a.work, wi, a.start, a.end);
-                    core.cancel(env(t), &span, t.saturating_sub(a.start), &ins);
+                    core.cancel(env(t), &span, t.saturating_sub(a.start), rec);
                 }
             }
         }
@@ -326,15 +309,14 @@ pub fn run<W: Workload>(
         );
     }
     // Flush any virtual-sampling boundary the last event crossed exactly.
-    hub.virtual_tick(last_event_time);
-    let metrics = core.metrics(hub, core.finished_at.unwrap_or(last_event_time));
+    rec.virtual_tick(last_event_time);
+    let metrics = run_metrics(rec, core.finished_at.unwrap_or(last_event_time));
     Ok((core.workload, metrics))
 }
 
 /// Fill worker prefetch queues with dispatchable tasks, scheduling their
-/// completion events. Per-worker dispatch counts go to the hub's lane
-/// shards (the simulator's analogue of the threaded executor's ready
-/// lanes).
+/// completion events. Each dispatch is recorded on its worker's shard (the
+/// simulator's analogue of the threaded executor's ready lanes).
 #[allow(clippy::too_many_arguments)]
 fn dispatch_all(
     sched: &mut Scheduler,
@@ -380,8 +362,7 @@ fn dispatch_all(
             _ => {}
         }
         sched.charge(work.class, c);
-        ins.metrics.add(wi, Counter::LaneDispatch, 1);
-        ins.tracer.emit_at(
+        ins.recorder.emit_at(
             wi,
             now,
             EventKind::Dispatch {
@@ -422,7 +403,8 @@ mod tests {
     use crate::task::{payload, SpecVersion, TaskSpec};
     use crate::workload::{Completion, FaultNotice, SchedCtx};
     use tvs_faults::{FaultInjector, FaultPlan};
-    use tvs_trace::{TaskSpan, Tracer};
+    use tvs_metrics::Recorder;
+    use tvs_trace::TaskSpan;
 
     fn dark<W: Workload>(
         w: W,
@@ -435,7 +417,7 @@ mod tests {
             .expect("dark run completes")
     }
 
-    /// A run under `ins` plus an enabled tracer: its task spans.
+    /// A run under `ins` plus an enabled recorder: its task spans.
     fn with_spans<W: Workload>(
         w: W,
         cfg: &SimConfig,
@@ -444,13 +426,13 @@ mod tests {
         inputs: Vec<InputBlock>,
         ins: Instruments,
     ) -> (W, RunMetrics, Vec<TaskSpan>) {
-        let tracer = Tracer::enabled(cfg.platform.workers);
+        let rec = Recorder::enabled(cfg.platform.workers);
         let ins = Instruments {
-            tracer: tracer.clone(),
+            recorder: rec.clone(),
             ..ins
         };
         let (w, m) = run(w, cfg, policy, cost, INPUT, inputs, &ins).expect("run completes");
-        let log = tracer.drain().expect("enabled tracer drains");
+        let log = rec.drain().expect("enabled recorder drains");
         assert_eq!(log.dropped, 0);
         (w, m, log.tasks())
     }
@@ -736,7 +718,7 @@ mod tests {
     fn traced_run_records_lifecycle_in_virtual_time() {
         let cfg = SimConfig::new(x86_smp(1));
         let inputs = vec![block(0, 0, 10), block(1, 0, 10), block(2, 0, 10)];
-        let tracer = Tracer::enabled(1);
+        let rec = Recorder::enabled(1);
         let (_, m) = run(
             per_block(3),
             &cfg,
@@ -744,11 +726,11 @@ mod tests {
             &FixedCost(9),
             INPUT,
             inputs,
-            &Instruments::traced(tracer.clone()),
+            &Instruments::recorded(rec.clone()),
         )
         .expect("traced run completes");
         assert_eq!(m.makespan, 30);
-        let log = tracer.drain().expect("enabled tracer drains");
+        let log = rec.drain().expect("enabled recorder drains");
         assert_eq!(log.timebase, tvs_trace::Timebase::Virtual);
         assert_eq!(log.count("dispatch"), 3);
         assert_eq!(log.count("task-start"), 3);
@@ -859,77 +841,6 @@ mod tests {
         );
     }
 
-    /// Per block, a regular task and a speculative guess of its own
-    /// version; every odd block's guess is rolled back when its regular
-    /// task delivers.
-    struct Guesses {
-        n: usize,
-        seen: usize,
-    }
-
-    impl Workload for Guesses {
-        fn on_input(&mut self, ctx: &mut dyn SchedCtx, b: InputBlock) {
-            let i = b.index as u64;
-            ctx.spawn(TaskSpec::regular("work", 0, 0, i, |_| payload(())));
-            let v = b.index as SpecVersion + 1;
-            ctx.spawn(TaskSpec::speculative("guess", 0, 0, v, i, |_| payload(())));
-        }
-        fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
-            if done.name == "work" {
-                self.seen += 1;
-                if done.tag % 2 == 1 {
-                    ctx.abort_version(done.tag as SpecVersion + 1);
-                }
-            }
-        }
-        fn is_finished(&self) -> bool {
-            self.seen == self.n
-        }
-    }
-
-    #[test]
-    fn spans_account_for_every_busy_microsecond() {
-        // One clean run and one chaos run (panics, stalls past the
-        // watchdog's deadline, delayed and duplicated completions): the
-        // trace's spans are exactly what RunMetrics charges, and every
-        // span is one delivered, discarded or faulted body.
-        let cfg = SimConfig {
-            watchdog: Some(WatchdogConfig { deadline_us: 20 }),
-            ..SimConfig::new(x86_smp(3))
-        };
-        for faults in [FaultInjector::disabled(), FaultInjector::new(chaos_plan(5))] {
-            let inputs: Vec<InputBlock> = (0..48).map(|i| block(i, (i as u64) * 3, 8)).collect();
-            let ins = Instruments::faulty(faults.clone());
-            let wl = Guesses { n: 48, seen: 0 };
-            let policy = DispatchPolicy::Balanced;
-            let (w, m, spans) = with_spans(wl, &cfg, policy, &FixedCost(5), inputs, ins);
-            assert_eq!(w.seen, 48);
-            let busy: Time = spans.iter().map(TaskSpan::busy_us).sum();
-            let wasted: Time = spans
-                .iter()
-                .filter(|s| s.discarded)
-                .map(TaskSpan::busy_us)
-                .sum();
-            assert_eq!(m.busy_us, busy, "{m:?}");
-            assert_eq!(m.wasted_us, wasted, "{m:?}");
-            let faulted_bodies = m.faults - m.task_retries;
-            assert_eq!(
-                m.tasks_delivered + m.tasks_discarded + faulted_bodies,
-                spans.len() as u64,
-                "{m:?}"
-            );
-            assert!(m.wasted_us > 0, "rolled-back guesses are wasted work");
-            if faults.injected() > 0 {
-                let fired =
-                    |kind: fn(&FaultKind) -> bool| faults.log().iter().any(|f| kind(&f.kind));
-                assert!(fired(|k| matches!(k, FaultKind::PanicTask)));
-                assert!(fired(|k| matches!(k, FaultKind::DelayCompletion { .. })));
-                assert!(m.faults > 0 && m.duplicate_completions > 0, "{m:?}");
-                assert!(m.watchdog_cancels > 0, "{m:?}");
-            }
-        }
-    }
-
     #[test]
     fn exhausted_retries_fail_the_simulated_run() {
         struct AlwaysPanics {
@@ -1014,7 +925,7 @@ mod tests {
             watchdog: Some(WatchdogConfig { deadline_us: 1_000 }),
             ..SimConfig::new(x86_smp(2))
         };
-        let tracer = Tracer::enabled(2);
+        let rec = Recorder::enabled(2);
         let (w, m) = run(
             SpecOnly {
                 fault_free: false,
@@ -1025,7 +936,7 @@ mod tests {
             &NameCost,
             INPUT,
             vec![],
-            &Instruments::traced(tracer.clone()),
+            &Instruments::recorded(rec.clone()),
         )
         .expect("watchdog recovers the run");
         assert_eq!(
@@ -1036,7 +947,7 @@ mod tests {
         assert_eq!(m.watchdog_cancels, 1);
         assert_eq!(m.rollbacks, 1);
         assert_eq!(m.tasks_discarded, 1);
-        let log = tracer.drain().unwrap();
+        let log = rec.drain().unwrap();
         let cancel = log
             .events
             .iter()

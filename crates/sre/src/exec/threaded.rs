@@ -69,8 +69,8 @@
 
 use super::commit_log::CommitRing;
 use super::core::{
-    assert_schedule, clock_slice, into_inner_recover, lock_recover, run_body, Core, Env, Injection,
-    Report, RunError, Span, SupervisorConfig, WatchdogConfig, DEFAULT_MAX_ATTEMPTS,
+    assert_schedule, into_inner_recover, run_body, run_metrics, Core, Env, Injection, Report,
+    RunError, Span, SupervisorConfig, WatchdogConfig, DEFAULT_MAX_ATTEMPTS,
 };
 use crate::instruments::Instruments;
 use crate::metrics::RunMetrics;
@@ -82,9 +82,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::{Scope, ScopedJoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tvs_faults::{FaultKind, FaultSite};
-use tvs_metrics::{Counter, Gauge, Hist};
+use tvs_metrics::{lock_recover, Counter, Gauge, Hist};
 use tvs_trace::EventKind;
 
 /// Configuration of a threaded run.
@@ -188,19 +188,15 @@ struct Fabric<'a> {
     /// and quarantine poll in the worker loop).
     supervised: bool,
     done: AtomicBool,
-    start: Instant,
     /// Per-worker slot describing the currently-running task, for the
     /// watchdog. Only maintained when the watchdog is configured.
     watch: Vec<Mutex<Option<WatchSlot>>>,
     watchdog_enabled: bool,
     /// Body attempts a panicking non-speculative task gets.
     max_attempts: u32,
-    /// The run's tracer, hub and fault plan. Dispatch events go to the
-    /// control ring (the pump always runs under the commit lock, so that
-    /// ring has one writer at a time); worker-side events go to each
-    /// worker's own ring. The hub is *always* backed by a registry here (at
-    /// least [`tvs_metrics::MetricsHub::internal`]): [`RunMetrics`] and live
-    /// snapshots read the same cells, and nothing is counted twice.
+    /// The run's recorder and fault plan. The recorder always has a store
+    /// here (at least [`tvs_metrics::Recorder::counters`]): [`RunMetrics`]
+    /// and live snapshots read the same cells, and its clock is the run's.
     ins: Instruments,
     /// The run's input, borrowed from the caller of [`run`] for the whole
     /// scope: every body reads its blocks here, in place.
@@ -213,6 +209,7 @@ impl<'a> Fabric<'a> {
         let hw = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(workers);
+        ins.recorder.start_clock();
         Fabric {
             lanes: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             ring: CommitRing::with_capacity((64 * workers).max(1024)),
@@ -233,7 +230,6 @@ impl<'a> Fabric<'a> {
             heartbeat: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             supervised: cfg.supervisor.is_some(),
             done: AtomicBool::new(false),
-            start: Instant::now(),
             watch: (0..workers).map(|_| Mutex::new(None)).collect(),
             // The supervisor also needs the watch slots: quarantining a
             // wedged worker signals the abort flag of whatever it was
@@ -246,8 +242,9 @@ impl<'a> Fabric<'a> {
         }
     }
 
+    /// The run's clock: the recorder's, started with the run.
     fn now(&self) -> Time {
-        self.start.elapsed().as_micros() as Time
+        self.ins.recorder.now_us()
     }
 
     /// What a workload callback run at `now` sees of this executor.
@@ -266,11 +263,9 @@ impl<'a> Fabric<'a> {
     /// microsecond a block is handed over late is latency the arrival
     /// schedule did not ask for.
     fn wait_until(&self, due: Time) {
-        let due = Duration::from_micros(due);
-        let spin = Duration::from_micros(FEEDER_SPIN_US);
-        while let Some(left) = due.checked_sub(self.start.elapsed()) {
-            if left > spin {
-                std::thread::sleep(left - spin);
+        while let Some(left) = due.checked_sub(self.now()).filter(|&l| l > 0) {
+            if left > FEEDER_SPIN_US {
+                std::thread::sleep(Duration::from_micros(left - FEEDER_SPIN_US));
             } else {
                 std::thread::yield_now();
             }
@@ -297,16 +292,16 @@ impl<'a> Fabric<'a> {
         if work.class == TaskClass::Regular {
             self.normal_bound.fetch_add(1, Ordering::SeqCst);
         }
-        self.ins.metrics.add(lane, Counter::LaneDispatch, 1);
-        if self.ins.tracer.is_enabled() {
-            self.ins.tracer.emit_control(EventKind::Dispatch {
+        self.ins.recorder.emit(
+            lane,
+            EventKind::Dispatch {
                 id: work.id,
                 name: work.name,
                 class: work.class.trace_tag(),
                 version: work.version,
                 lane: lane as u32,
-            });
-        }
+            },
+        );
         // `in_lanes` rises before the entry is visible so a racing parker's
         // re-check errs towards staying awake, never towards sleeping on
         // available work.
@@ -482,13 +477,13 @@ fn route<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> Option<Time> {
         inner.batch = batch;
         return None;
     }
-    let hub = &fabric.ins.metrics;
-    if hub.is_live() {
+    let rec = &fabric.ins.recorder;
+    if rec.is_enabled() {
         // Occupancy *after* the batch pops: what is still waiting behind
         // this drain.
         let occ = fabric.ring.occupancy();
-        hub.gauge_set(Gauge::RingOccupancy, occ);
-        hub.record(Hist::RingOccupancy, occ);
+        rec.gauge_set(Gauge::RingOccupancy, occ);
+        rec.record(Hist::RingOccupancy, occ);
     }
     let route_from = fabric.now();
     let mut waited_us = 0;
@@ -501,7 +496,7 @@ fn route<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> Option<Time> {
         // or completion routing — the dead incarnation's work must never
         // double-commit — and recover the task through the fault path.
         if f.epoch != fabric.worker_epoch[span.worker].load(Ordering::SeqCst) {
-            hub.add_control(Counter::StaleCompletionsRejected, 1);
+            rec.add_control(Counter::StaleCompletionsRejected, 1);
             core.recover(env, &span, 0, true);
             continue;
         }
@@ -520,7 +515,7 @@ fn route<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> Option<Time> {
         if !matches!(f.body, Report::Cancelled) {
             core.sched.charge(span.class, span.busy());
         }
-        core.settle(env, &span, f.body, hub);
+        core.settle(env, &span, f.body, rec);
         if echo {
             // Deliver the completion a second time, stamped with an epoch
             // no incarnation ever holds: the duplicate flows back through
@@ -538,7 +533,7 @@ fn route<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> Option<Time> {
     inner.batch = batch;
     // How long completions waited for the commit path: per routed report,
     // from the task's `finished` stamp to the start of its batch.
-    hub.add_control(Counter::TimeRouterWaitUs, waited_us);
+    rec.add_control(Counter::TimeRouterWaitUs, waited_us);
     Some(route_from)
 }
 
@@ -561,8 +556,8 @@ struct Turn {
 /// completion; then unlock, wake, and re-check the ring — the holder's half
 /// of the no-stranding argument in the module docs.
 ///
-/// Control-ring trace events and control-shard gauges are only written
-/// from here, so they keep one writer at a time. A panicking workload
+/// Control-shard events and gauges are only written from here, so they
+/// keep one writer at a time. A panicking workload
 /// callback is caught *inside* the lock hold: the lock is not poisoned,
 /// the run fails with a [`RunError`], and shutdown takes the normal path.
 fn turn<W: Workload>(
@@ -594,7 +589,7 @@ fn turn<W: Workload>(
     // (one add per batch, not per task).
     let commit_us = routed.map_or(0, |from| {
         let us = fabric.now().saturating_sub(from);
-        fabric.ins.metrics.add_control(Counter::TimeCommitUs, us);
+        fabric.ins.recorder.add_control(Counter::TimeCommitUs, us);
         us
     });
     if done {
@@ -674,7 +669,7 @@ fn spawn_worker<'scope, W: Workload + Send>(
         .name(format!("tvs-worker-{me}"))
         .spawn_scoped(scope, move || {
             *lock_recover(&fabric.parkers[me].handle) = Some(std::thread::current());
-            let (hub, tracer) = (&fabric.ins.metrics, &fabric.ins.tracer);
+            let rec = &fabric.ins.recorder;
             let mut spins = 0u32;
             // Time-accounting profiler: `mark` is the end of the
             // last charged interval. Work-acquisition time (lane
@@ -704,16 +699,13 @@ fn spawn_worker<'scope, W: Workload + Send>(
                     Some((ready, stolen_from)) => {
                         spins = 0;
                         if let Some(victim) = stolen_from {
-                            hub.add(me, Counter::Steal, 1);
-                            if tracer.is_enabled() {
-                                tracer.emit(
-                                    me,
-                                    EventKind::Steal {
-                                        id: ready.work.id,
-                                        victim: victim as u32,
-                                    },
-                                );
-                            }
+                            rec.emit(
+                                me,
+                                EventKind::Steal {
+                                    id: ready.work.id,
+                                    victim: victim as u32,
+                                },
+                            );
                         }
                         // Wake chain: if backlog remains beyond the
                         // awake set, ramp up one more worker.
@@ -725,16 +717,14 @@ fn spawn_worker<'scope, W: Workload + Send>(
                         let stale = ready.epoch != fabric.abort_epoch.load(Ordering::SeqCst);
                         let (body, span) = if stale && work.version.is_some() && work.aborted() {
                             let now = fabric.now();
-                            hub.add(me, Counter::TimeStealUs, now.saturating_sub(mark));
+                            rec.add(me, Counter::TimeStealUs, now.saturating_sub(mark));
                             mark = now;
                             (Report::Cancelled, Span::of(&work, me, now, now))
                         } else {
                             let started = fabric.now();
                             let mut span = Span::of(&work, me, started, started);
-                            if tracer.is_enabled() {
-                                tracer.emit(me, span.start_event());
-                            }
-                            hub.add(me, Counter::TimeStealUs, started.saturating_sub(mark));
+                            rec.emit_at(me, started, span.start_event());
+                            rec.add(me, Counter::TimeStealUs, started.saturating_sub(mark));
                             if fabric.watchdog_enabled {
                                 *lock_recover(&fabric.watch[me]) = Some(WatchSlot {
                                     span,
@@ -753,12 +743,11 @@ fn spawn_worker<'scope, W: Workload + Send>(
                             if fabric.watchdog_enabled {
                                 *lock_recover(&fabric.watch[me]) = None;
                             }
+                            // The span closes here; its task-end, which
+                            // charges the body time, is recorded when the
+                            // commit path settles it.
                             span.finished = fabric.now();
-                            clock_slice(hub, me, work.class, span.finished - started);
                             mark = span.finished;
-                            if tracer.is_enabled() && matches!(body, Report::Ran(_)) {
-                                tracer.emit(me, span.end_event(work.aborted()));
-                            }
                             (body, span)
                         };
                         // Route it here and now if the commit lock is
@@ -812,15 +801,15 @@ fn spawn_worker<'scope, W: Workload + Send>(
                             && fabric.ring.is_empty()
                             && !fabric.done.load(Ordering::SeqCst)
                         {
-                            tracer.emit(me, EventKind::Park);
+                            rec.emit(me, EventKind::Park);
                             let napped = fabric.now();
-                            hub.add(me, Counter::TimeStealUs, napped.saturating_sub(mark));
+                            rec.add(me, Counter::TimeStealUs, napped.saturating_sub(mark));
                             std::thread::park_timeout(Duration::from_millis(100));
                             mark = fabric.now();
                             let idle = mark.saturating_sub(napped);
-                            hub.add(me, Counter::TimeParkUs, idle);
-                            hub.record(Hist::IdleSliceUs, idle);
-                            tracer.emit(me, EventKind::Unpark);
+                            rec.add(me, Counter::TimeParkUs, idle);
+                            rec.record(Hist::IdleSliceUs, idle);
+                            rec.emit(me, EventKind::Unpark);
                         }
                         p.parked.store(false, Ordering::SeqCst);
                         fabric.parked_count.fetch_sub(1, Ordering::SeqCst);
@@ -872,12 +861,10 @@ fn feed<W: Workload>(fabric: &Fabric<'_>, commit: &Mutex<Inner<W>>, blocks: Vec<
 /// the run), the list the simulator takes — from the calling thread, which
 /// hands every block due by the time it wakes over in one
 /// [`Workload::on_input_batch`] (each block stamped with that moment),
-/// recording lifecycle events into `ins.tracer`, streaming counters, gauges
-/// and histograms into `ins.metrics` as the run executes (so a sampler
-/// thread or `tvs-top` can watch mid-run) and drawing faults from
-/// `ins.faults`. Pass `&Instruments::default()` to run dark — the executor
-/// then keeps its counters in an internal counters-only registry, which
-/// costs the same as the per-lane atomics it replaced.
+/// recording into `ins.recorder` as the run executes (so a sampler thread
+/// or `tvs-top` can watch mid-run) and drawing faults from `ins.faults`.
+/// Pass `&Instruments::default()` to run dark — the executor then keeps
+/// its counters in a counters-only recorder.
 ///
 /// `input` is borrowed, not copied: every block's `bytes` is a range of it,
 /// and task bodies read it through [`crate::TaskCtx::input`]. The run's
@@ -893,16 +880,16 @@ fn feed<W: Workload>(fabric: &Fabric<'_>, commit: &Mutex<Inner<W>>, blocks: Vec<
 /// panicking on every retry, a panicking workload callback, or a runtime
 /// thread dying) — never a process abort.
 ///
-/// Dispatch, predictor/check/commit and rollback events are emitted on the
-/// control ring (their emitters hold the commit lock, keeping that ring
-/// single-writer); steal, task-start/end, task-fault and park/unpark
-/// events land on the emitting worker's own ring. Timestamps are
-/// wall-clock µs from the tracer's epoch. A task-end's `discarded` flag
-/// reflects the abort flag at completion time — a task whose version is
-/// rolled back *after* it finishes but before its report is routed is
-/// counted as wasted in [`RunMetrics`] but not flagged in the trace (the
-/// simulator's virtual trace is exact; this executor's is a per-task
-/// approximation).
+/// Predictor/check/commit and rollback events are recorded on the control
+/// shard (their emitters hold the commit lock, keeping it single-writer);
+/// dispatch events on the lane the task was bound to; steal, task-start,
+/// task-fault and park/unpark events on the emitting worker's own shard.
+/// Stamps are wall-clock µs on the recorder's clock, started with the run.
+/// A task-end is recorded on its worker's shard when the commit path
+/// settles the report, stamped when the body returned and carrying the
+/// settled verdict, so the spans sum to `busy_us` and their discarded part
+/// to `wasted_us` exactly, as on the simulator. A report the worker-epoch
+/// gate rejects settles nothing: its task-start has no task-end.
 pub fn run<W>(
     workload: W,
     cfg: &ThreadedConfig,
@@ -959,7 +946,7 @@ where
                             let (span, flag) = (s.span, Arc::clone(&s.flag));
                             drop(g);
                             locked(fabric, commit, |core| {
-                                core.cancel(fabric.env(now), &span, ran_us, &fabric.ins);
+                                core.cancel(fabric.env(now), &span, ran_us, &fabric.ins.recorder);
                                 TaskCtx::signal_abort(&flag);
                             });
                         }
@@ -1003,14 +990,13 @@ where
                                 // Restart the clock so the replacement gets
                                 // a full timeout before it is judged.
                                 fabric.heartbeat[me].store(fabric.now(), Ordering::SeqCst);
-                                fabric.ins.metrics.add_control(Counter::WorkerRespawns, 1);
                                 let worker = me as u32;
-                                let tracer = &fabric.ins.tracer;
-                                tracer.emit_control(EventKind::WorkerQuarantine {
+                                let rec = &fabric.ins.recorder;
+                                rec.emit_control(EventKind::WorkerQuarantine {
                                     worker,
                                     epoch: old,
                                 });
-                                tracer.emit_control(EventKind::WorkerRespawn {
+                                rec.emit_control(EventKind::WorkerRespawn {
                                     worker,
                                     epoch: old + 1,
                                 });
@@ -1074,7 +1060,7 @@ where
         return Err(RunError::WorkerLost { what });
     }
     let makespan = core.finished_at.unwrap_or_else(|| fabric.now());
-    let metrics = core.metrics(&fabric.ins.metrics, makespan);
+    let metrics = run_metrics(&fabric.ins.recorder, makespan);
     Ok((core.workload, metrics))
 }
 
@@ -1085,7 +1071,7 @@ mod tests {
     use crate::workload::{Completion, FaultNotice, SchedCtx};
     use std::sync::atomic::AtomicU32;
     use tvs_faults::{FaultInjector, FaultPlan};
-    use tvs_trace::Tracer;
+    use tvs_metrics::Recorder;
 
     const NON_SPEC: DispatchPolicy = DispatchPolicy::NonSpeculative;
 
@@ -1216,7 +1202,7 @@ mod tests {
     fn traced_run_records_dispatch_and_task_events() {
         let (input, blocks) = at_once(16, 64);
         let cfg = ThreadedConfig::new(3);
-        let tracer = Tracer::enabled(3);
+        let rec = Recorder::enabled(3);
         let (w, m) = run(
             Summer {
                 n: 16,
@@ -1227,12 +1213,12 @@ mod tests {
             NON_SPEC,
             &input,
             blocks,
-            &Instruments::traced(tracer.clone()),
+            &Instruments::recorded(rec.clone()),
         )
         .expect("traced run completes");
         assert_eq!(w.seen, 16);
         assert_eq!(m.tasks_delivered, 16);
-        let log = tracer.drain().expect("enabled tracer drains");
+        let log = rec.drain().expect("enabled recorder drains");
         assert_eq!(log.timebase, tvs_trace::Timebase::Wall);
         assert_eq!(log.count("dispatch"), 16, "one dispatch per task");
         assert_eq!(log.count("task-start"), 16);
@@ -1242,12 +1228,13 @@ mod tests {
             m.steals,
             "steal events mirror the metrics counter"
         );
-        // Dispatches are pump-side events and live on the control ring.
-        assert!(log
-            .events
-            .iter()
-            .filter(|e| e.kind.label() == "dispatch")
-            .all(|e| e.worker as usize == log.workers));
+        // A dispatch lives on the track of the lane it bound the task to.
+        assert!(log.events.iter().all(|e| match e.kind {
+            EventKind::Dispatch { lane, .. } => e.worker == lane,
+            _ => true,
+        }));
+        let spans = log.tasks();
+        assert_eq!(spans.iter().map(|s| s.busy_us()).sum::<u64>(), m.busy_us);
     }
 
     #[test]
@@ -1782,7 +1769,7 @@ mod tests {
         cfg.watchdog = Some(WatchdogConfig {
             deadline_us: 20_000,
         });
-        let t0 = Instant::now();
+        let t0 = std::time::Instant::now();
         let (w, m) = run(
             Stuck { lost: Vec::new() },
             &cfg,

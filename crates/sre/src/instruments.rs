@@ -1,58 +1,36 @@
 //! The observation-and-chaos context of one run.
 //!
-//! A run has exactly one event log, one metrics registry and one fault
-//! plan. Every layer that emits, counts or draws — executor, scheduler,
-//! replication plane, speculation manager, application workload — is
-//! handed the same [`Instruments`] when it is built, so
-//! "all draws share one budget and log" and "worker- and manager-side
-//! events land in the same trace" hold by construction instead of by
-//! every caller remembering a matching pair of setters.
+//! A run has exactly one recorder and one fault plan. Every layer that
+//! records or draws — executor, scheduler, replication plane, speculation
+//! manager, application workload — is handed the same [`Instruments`] when
+//! it is built, so "all draws share one budget" and "every fact lands in
+//! the one store" hold by construction instead of by every caller
+//! remembering a matching pair of setters.
 
 use crate::policy::DispatchPolicy;
 use tvs_faults::FaultInjector;
-use tvs_metrics::MetricsHub;
-use tvs_trace::Tracer;
+use tvs_metrics::Recorder;
 
-/// Tracer, metrics hub and fault injector of one run. All three are cheap
-/// cloneable handles; the [`Default`] is the dark run: a disabled tracer, a
-/// disabled hub and an injector without a plan, each a single never-taken
-/// branch at its call sites.
-#[derive(Clone, Debug)]
+/// Recorder and fault injector of one run. Both are cheap cloneable
+/// handles; the [`Default`] is the dark run: a disabled recorder and an
+/// injector without a plan, each a single never-taken branch at its call
+/// sites.
+#[derive(Clone, Debug, Default)]
 pub struct Instruments {
-    /// Speculation-lifecycle event sink. Size an enabled tracer for the
-    /// run's worker count (`Tracer::enabled(workers)`).
-    pub tracer: Tracer,
-    /// Live telemetry registry. Size an enabled hub for the run's worker
-    /// count (`MetricsHub::enabled(workers)`).
-    pub metrics: MetricsHub,
+    /// The run's one store of runtime facts: events, counters, gauges and
+    /// histograms. Size an enabled recorder for the run's worker count
+    /// (`Recorder::enabled(workers)`).
+    pub recorder: Recorder,
     /// Fault-injection plan consulted at every site of the run: task body,
     /// completion, feeder, predicted value, task output.
     pub faults: FaultInjector,
 }
 
-impl Default for Instruments {
-    fn default() -> Self {
-        Instruments {
-            tracer: Tracer::disabled(),
-            metrics: MetricsHub::disabled(),
-            faults: FaultInjector::disabled(),
-        }
-    }
-}
-
 impl Instruments {
-    /// Dark but for `tracer`.
-    pub fn traced(tracer: Tracer) -> Self {
+    /// Dark but for `recorder`.
+    pub fn recorded(recorder: Recorder) -> Self {
         Instruments {
-            tracer,
-            ..Self::default()
-        }
-    }
-
-    /// Dark but for `metrics`.
-    pub fn metered(metrics: MetricsHub) -> Self {
-        Instruments {
-            metrics,
+            recorder,
             ..Self::default()
         }
     }
@@ -65,28 +43,27 @@ impl Instruments {
         }
     }
 
-    /// What an executor with `workers` lanes runs on: a caller's hub must
-    /// be sized for those lanes (and is labelled with the policy); without
-    /// one the executor still keeps its own counters, in a counters-only
-    /// registry — the same cost as the per-lane atomics it replaced — so
-    /// `RunMetrics` and live snapshots read the same cells.
+    /// What an executor with `workers` lanes runs on: a caller's recorder
+    /// must be sized for those lanes (and is labelled with the policy);
+    /// without one the executor still keeps its counters, in a
+    /// counters-only recorder, so `RunMetrics` reads one store either way.
     pub(crate) fn for_executor(&self, workers: usize, policy: DispatchPolicy) -> Self {
         assert!(workers > 0, "need at least one worker");
-        let metrics = if self.metrics.has_registry() {
+        let recorder = if self.recorder.has_registry() {
             assert_eq!(
-                self.metrics.workers(),
+                self.recorder.workers(),
                 workers,
-                "metrics hub must be sized for the executor's worker count"
+                "recorder must be sized for the executor's worker count"
             );
-            self.metrics.clone()
+            self.recorder.clone()
         } else {
-            MetricsHub::internal(workers)
+            Recorder::counters(workers)
         };
-        if metrics.is_live() {
-            metrics.set_label(&format!("{policy:?}"));
+        if recorder.is_enabled() {
+            recorder.set_label(policy.label());
         }
         Instruments {
-            metrics,
+            recorder,
             ..self.clone()
         }
     }

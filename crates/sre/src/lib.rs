@@ -33,8 +33,8 @@
 //!   panic-isolated task body, settling, recovery, [`RunError`] and the
 //!   watchdog / supervisor configs;
 //! * [`metrics`] — the aggregate [`RunMetrics`] of a run;
-//! * [`instruments`] — the one tracer / metrics hub / fault injector of a
-//!   run, handed to every layer when it is built.
+//! * [`instruments`] — the one recorder and fault injector of a run,
+//!   handed to every layer when it is built.
 //!
 //! Each executor has exactly one entry point, fallible and instrumented:
 //! [`exec::sim::run`] and [`exec::threaded::run`], both taking the dispatch
@@ -60,9 +60,7 @@ pub mod sched;
 pub mod task;
 pub mod workload;
 
-pub use exec::core::{
-    into_inner_recover, lock_recover, RunError, SupervisorConfig, WatchdogConfig,
-};
+pub use exec::core::{into_inner_recover, RunError, SupervisorConfig, WatchdogConfig};
 pub use instruments::Instruments;
 pub use metrics::RunMetrics;
 pub use platform::{cell_be, x86_smp, CostModel, FixedCost, Platform};
@@ -71,6 +69,6 @@ pub use replica::{DigestFn, ReplicaStats, ReplicatingWorkload, ValidationMode};
 pub use sched::Scheduler;
 pub use task::{Payload, SpecVersion, TaskClass, TaskCtx, TaskId, TaskSpec, Time};
 pub use tvs_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite};
-pub use tvs_metrics::{MetricsHub, MetricsSnapshot, Sampler};
-pub use tvs_trace::{TraceLog, Tracer};
+pub use tvs_metrics::{lock_recover, MetricsSnapshot, Recorder, Sampler};
+pub use tvs_trace::TraceLog;
 pub use workload::{Completion, FaultNotice, InputBlock, SchedCtx, SdcNotice, Workload};

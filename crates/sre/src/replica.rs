@@ -41,7 +41,6 @@
 //! type-erased [`crate::task::Payload`]s; task kinds the application cannot
 //! digest are passed through unreplicated (counted, never silently).
 
-use crate::exec::core::lock_recover;
 use crate::instruments::Instruments;
 use crate::task::{mix64, SpecVersion, TaskClass, TaskCtx, TaskFn, TaskId, TaskSpec};
 use crate::workload::{Completion, FaultNotice, InputBlock, SchedCtx, SdcNotice, Workload};
@@ -49,8 +48,8 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use tvs_faults::{FaultInjector, FaultSite};
-use tvs_metrics::{Counter, Gauge, MetricsHub};
-use tvs_trace::{EventKind, Tracer};
+use tvs_metrics::{lock_recover, Gauge, Recorder};
+use tvs_trace::EventKind;
 
 /// How task outputs are validated.
 ///
@@ -210,8 +209,7 @@ struct Plane {
     flights: HashMap<TaskId, Flight>,
     replica_of: HashMap<TaskId, TaskId>,
     stats: ReplicaStats,
-    tracer: Tracer,
-    hub: MetricsHub,
+    rec: Recorder,
     injector: FaultInjector,
 }
 
@@ -349,14 +347,12 @@ impl Plane {
     ) -> Routing {
         if flight.detected {
             self.stats.sdc_resolved += 1;
-            self.tracer
+            self.rec
                 .emit_control(EventKind::SdcResolved { id: primary });
-            self.hub.add_control(Counter::SdcResolved, 1);
         } else {
             self.stats.replica_matches += 1;
-            self.tracer
+            self.rec
                 .emit_control(EventKind::ReplicaMatch { id: primary });
-            self.hub.add_control(Counter::ReplicaMatches, 1);
         }
         let deliver = if pos == 0 {
             // The primary's own digest won: deliver it untouched.
@@ -398,11 +394,10 @@ impl Plane {
         flight.detected = true;
         if first {
             self.stats.sdc_detected += 1;
-            self.tracer.emit_control(EventKind::SdcDetected {
+            self.rec.emit_control(EventKind::SdcDetected {
                 id: primary,
                 version,
             });
-            self.hub.add_control(Counter::SdcDetected, 1);
             self.update_recall();
         }
         flight.votes.push((d, done));
@@ -475,7 +470,7 @@ impl Plane {
         let recall = (self.stats.sdc_detected.min(injected) * 1000)
             .checked_div(injected)
             .unwrap_or(1000);
-        self.hub.gauge_set(Gauge::SdcRecallPermille, recall);
+        self.rec.gauge_set(Gauge::SdcRecallPermille, recall);
     }
 }
 
@@ -525,10 +520,10 @@ impl<W: Workload> ReplicatingWorkload<W> {
         Self::instrumented(inner, mode, seed, digest, &Instruments::default())
     }
 
-    /// [`Self::new`], recording replication lifecycle events into
-    /// `ins.tracer`, exporting the plane's counters through `ins.metrics`,
-    /// and computing the detection-recall gauge against `ins.faults`' count
-    /// of corruptions actually injected at the task-output site.
+    /// [`Self::new`], recording each vote outcome into `ins.recorder` (one
+    /// call per fact, which also counts it) and computing the
+    /// detection-recall gauge against `ins.faults`' count of corruptions
+    /// actually injected at the task-output site.
     pub fn instrumented(
         inner: W,
         mode: ValidationMode,
@@ -547,8 +542,7 @@ impl<W: Workload> ReplicatingWorkload<W> {
                 flights: HashMap::new(),
                 replica_of: HashMap::new(),
                 stats: ReplicaStats::default(),
-                tracer: ins.tracer.clone(),
-                hub: ins.metrics.clone(),
+                rec: ins.recorder.clone(),
                 injector: ins.faults.clone(),
             },
         }
@@ -802,7 +796,6 @@ mod tests {
         assert!(w.is_finished());
         assert_eq!(w.inner().total, 60);
         assert_eq!(w.stats(), ReplicaStats::default());
-        assert_eq!(ctx.sched.stats().replicas_spawned, 0);
     }
 
     #[test]
@@ -868,8 +861,12 @@ mod tests {
             42,
             u64_digest(),
         );
+        let rec = Recorder::counters(1);
         let mut ctx = MiniCtx {
-            sched: Scheduler::new(DispatchPolicy::NonSpeculative),
+            sched: Scheduler::instrumented(
+                DispatchPolicy::NonSpeculative,
+                &Instruments::recorded(rec.clone()),
+            ),
             now: 0,
         };
         feed(&mut ctx, &mut w, &[10, 20, 30]);
@@ -880,7 +877,10 @@ mod tests {
         assert_eq!(s.replicas_spawned, 3);
         assert_eq!(s.replica_matches, 3);
         assert_eq!(s.sdc_detected, 0);
-        assert_eq!(ctx.sched.stats().replicas_spawned, 3);
+        assert_eq!(
+            rec.counter_total(tvs_metrics::Counter::ReplicaDispatches),
+            3
+        );
     }
 
     /// A workload whose single task returns a corrupt value on its first

@@ -16,8 +16,8 @@ use crate::task::{IdMap, SpecVersion, TaskClass, TaskCtx, TaskFn, TaskId, TaskSp
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use tvs_metrics::{Counter, Gauge, Hist, MetricsHub};
-use tvs_trace::{EventKind, Tracer};
+use tvs_metrics::{Counter, Hist, Recorder};
+use tvs_trace::EventKind;
 
 /// A task handed to an executor for execution.
 pub struct Dispatched {
@@ -59,38 +59,13 @@ pub enum CompletionOutcome {
     Discard,
 }
 
-#[derive(Debug, Default, Clone)]
-/// Scheduler-side counters (merged into [`crate::RunMetrics`] by executors).
-pub struct SchedStats {
-    /// Tasks spawned successfully.
-    pub spawned: u64,
-    /// Spawn attempts rejected because their version was already aborted.
-    pub spawn_rejected: u64,
-    /// Ready tasks deleted by rollbacks before ever running.
-    pub deleted_ready: u64,
-    /// Version aborts performed.
-    pub rollbacks: u64,
-    /// Tasks whose completion was discarded.
-    pub discarded: u64,
-    /// Tasks delivered.
-    pub delivered: u64,
-    /// Tasks whose body panicked (caught by the executor) or that the
-    /// watchdog cancelled; their slot was reclaimed via [`Scheduler::fault`].
-    pub faulted: u64,
-    /// Duplicate completion deliveries tolerated (injected echoes that
-    /// [`Scheduler::try_complete`] absorbed).
-    pub duplicate_completions: u64,
-    /// Replica tasks spawned for replication-based validation
-    /// (`TaskSpec::replica_of` set).
-    pub replicas_spawned: u64,
-}
-
 struct Running {
     version: Option<SpecVersion>,
     abort: Arc<AtomicBool>,
     class: TaskClass,
-    /// Hub clock at dispatch, µs — stamped only for `Check` tasks on a
-    /// live hub (feeds the check-latency histogram at completion).
+    /// The run's clock at dispatch, µs — stamped only for `Check` tasks on
+    /// an enabled recorder (feeds the check-latency histogram at
+    /// completion).
     dispatched_at: u64,
 }
 
@@ -102,24 +77,21 @@ pub struct Scheduler {
     running: IdMap<Running>,
     aborted: HashSet<SpecVersion>,
     next_id: TaskId,
-    stats: SchedStats,
     loads: LaneLoads,
-    tracer: Tracer,
-    metrics: MetricsHub,
+    rec: Recorder,
 }
 
 impl Scheduler {
-    /// A scheduler dispatching under `policy`, dark (no tracer, no hub).
+    /// A scheduler dispatching under `policy`, dark (no recorder).
     pub fn new(policy: DispatchPolicy) -> Self {
         Self::instrumented(policy, &Instruments::default())
     }
 
-    /// A scheduler that records rollback and ready-cancellation lifecycle
-    /// events on `ins.tracer`'s control ring and feeds `ins.metrics`. The
-    /// scheduler is the single feed for the lifecycle counters every
-    /// executor shares (delivered / discarded / deleted-ready / rollbacks /
-    /// duplicates) plus the check-latency and block-service histograms, so
-    /// the counts can't diverge between executors or get double-counted.
+    /// A scheduler that records its facts — a rollback with its cascade
+    /// depth, a ready cancellation, a replica spawn — on `ins.recorder`'s
+    /// control shard, one call each, together with the counters they
+    /// imply, plus the duplicate-completion count and the check-latency
+    /// histogram.
     pub fn instrumented(policy: DispatchPolicy, ins: &Instruments) -> Self {
         Scheduler {
             policy,
@@ -128,10 +100,8 @@ impl Scheduler {
             running: IdMap::default(),
             aborted: HashSet::new(),
             next_id: 1,
-            stats: SchedStats::default(),
             loads: LaneLoads::default(),
-            tracer: ins.tracer.clone(),
-            metrics: ins.metrics.clone(),
+            rec: ins.recorder.clone(),
         }
     }
 
@@ -140,15 +110,11 @@ impl Scheduler {
         self.policy
     }
 
-    /// Add a task. Returns `None` (and counts a rejection) when the task's
-    /// version has already been rolled back — the destroy signal beats the
-    /// spawn.
+    /// Add a task. Returns `None` when the task's version has already been
+    /// rolled back — the destroy signal beats the spawn.
     pub fn spawn(&mut self, spec: TaskSpec) -> Option<TaskId> {
-        if let Some(v) = spec.version {
-            if self.aborted.contains(&v) {
-                self.stats.spawn_rejected += 1;
-                return None;
-            }
+        if spec.version.is_some_and(|v| self.aborted.contains(&v)) {
+            return None;
         }
         if spec.is_speculative() && !self.policy.speculates() {
             // A NonSpeculative run must not receive speculative tasks; this
@@ -161,14 +127,10 @@ impl Scheduler {
         let id = self.next_id;
         self.next_id += 1;
         if let Some(of) = spec.replica_of {
-            self.stats.replicas_spawned += 1;
-            self.metrics.add_control(Counter::ReplicaDispatches, 1);
-            self.tracer
-                .emit_control(EventKind::ReplicaDispatch { id, of });
+            self.rec.emit_control(EventKind::ReplicaDispatch { id, of });
         }
         self.queue.push(id, spec.class, spec.depth, spec.version);
         self.bodies.insert(id, spec);
-        self.stats.spawned += 1;
         Some(id)
     }
 
@@ -193,8 +155,8 @@ impl Scheduler {
             TaskClass::Predictor | TaskClass::Check => {}
         }
         let abort = Arc::new(AtomicBool::new(false));
-        let dispatched_at = if spec.class == TaskClass::Check && self.metrics.is_live() {
-            self.metrics.now_us()
+        let dispatched_at = if spec.class == TaskClass::Check && self.rec.is_enabled() {
+            self.rec.now_us()
         } else {
             0
         };
@@ -247,9 +209,7 @@ impl Scheduler {
             .running
             .remove(&id)
             .expect("cancel_bound() called for a task that is not running");
-        self.stats.deleted_ready += 1;
-        self.metrics.add_control(Counter::DeletedReady, 1);
-        self.tracer.emit_control(EventKind::CancelReady {
+        self.rec.emit_control(EventKind::CancelReady {
             id,
             version: r.version.unwrap_or(0),
         });
@@ -279,9 +239,8 @@ impl Scheduler {
         match class {
             TaskClass::Regular => self.loads.busy_normal_us += busy_us,
             TaskClass::Speculative => self.loads.busy_spec_us += busy_us,
-            TaskClass::Predictor | TaskClass::Check => return,
+            TaskClass::Predictor | TaskClass::Check => {}
         }
-        self.metrics.record(Hist::BlockServiceUs, busy_us);
     }
 
     /// Per-lane charged busy time `(normal, speculative)`, µs.
@@ -311,26 +270,18 @@ impl Scheduler {
         let r = match self.running.remove(&id) {
             Some(r) => r,
             None => {
-                self.stats.duplicate_completions += 1;
-                self.metrics.add_control(Counter::DuplicateCompletions, 1);
+                self.rec.add_control(Counter::DuplicateCompletions, 1);
                 return None;
             }
         };
-        if r.class == TaskClass::Check && self.metrics.is_live() {
-            let lat = self.metrics.now_us().saturating_sub(r.dispatched_at);
-            self.metrics.record(Hist::CheckLatencyUs, lat);
+        if r.class == TaskClass::Check && self.rec.is_enabled() {
+            let lat = self.rec.now_us().saturating_sub(r.dispatched_at);
+            self.rec.record(Hist::CheckLatencyUs, lat);
         }
-        let aborted = r
-            .version
-            .map(|v| self.aborted.contains(&v))
-            .unwrap_or(false);
+        let aborted = r.version.is_some_and(|v| self.aborted.contains(&v));
         Some(if aborted {
-            self.stats.discarded += 1;
-            self.metrics.add_control(Counter::TasksDiscarded, 1);
             CompletionOutcome::Discard
         } else {
-            self.stats.delivered += 1;
-            self.metrics.add_control(Counter::TasksDelivered, 1);
             CompletionOutcome::Deliver
         })
     }
@@ -339,11 +290,9 @@ impl Scheduler {
     /// the executor) or that the watchdog cancelled. Returns the task's
     /// version so the caller can route it through the rollback path; no
     /// output is delivered or discarded. Idempotent against races with
-    /// completion: an unknown id returns `None` without counting.
+    /// completion: an unknown id returns `None`.
     pub fn fault(&mut self, id: TaskId) -> Option<Option<SpecVersion>> {
-        let r = self.running.remove(&id)?;
-        self.stats.faulted += 1;
-        Some(r.version)
+        self.running.remove(&id).map(|r| r.version)
     }
 
     /// Roll back a speculation version: delete its ready tasks, flag its
@@ -354,23 +303,16 @@ impl Scheduler {
         if !self.aborted.insert(version) {
             return 0; // already aborted; idempotent
         }
-        self.stats.rollbacks += 1;
-        self.metrics.add_control(Counter::Rollbacks, 1);
         let victims = self.queue.remove_version(version);
         for id in &victims {
             self.bodies.remove(id);
         }
-        self.stats.deleted_ready += victims.len() as u64;
-        self.metrics
-            .add_control(Counter::DeletedReady, victims.len() as u64);
-        self.metrics
-            .gauge_max(Gauge::CascadeMax, victims.len() as u64);
         for r in self.running.values() {
             if r.version == Some(version) {
                 TaskCtx::signal_abort(&r.abort);
             }
         }
-        self.tracer.emit_control(EventKind::Rollback {
+        self.rec.emit_control(EventKind::Rollback {
             version,
             cascade_depth: victims.len() as u64,
         });
@@ -380,11 +322,6 @@ impl Scheduler {
     /// Whether `version` has been rolled back.
     pub fn is_aborted(&self, version: SpecVersion) -> bool {
         self.aborted.contains(&version)
-    }
-
-    /// Scheduler counters.
-    pub fn stats(&self) -> &SchedStats {
-        &self.stats
     }
 
     /// `true` when no task is ready or running.
@@ -406,6 +343,11 @@ mod tests {
         TaskSpec::speculative(name, 0, 0, v, 0, |_| payload(()))
     }
 
+    /// A scheduler recording into `rec`.
+    fn recorded(policy: DispatchPolicy, rec: &Recorder) -> Scheduler {
+        Scheduler::instrumented(policy, &Instruments::recorded(rec.clone()))
+    }
+
     #[test]
     fn spawn_dispatch_complete_cycle() {
         let mut s = Scheduler::new(DispatchPolicy::Balanced);
@@ -419,22 +361,22 @@ mod tests {
         assert_eq!(s.running_len(), 1);
         assert_eq!(s.complete(id), CompletionOutcome::Deliver);
         assert!(s.is_idle());
-        assert_eq!(s.stats().delivered, 1);
     }
 
     #[test]
     fn abort_deletes_ready_tasks() {
-        let mut s = Scheduler::new(DispatchPolicy::Aggressive);
+        let rec = Recorder::counters(1);
+        let mut s = recorded(DispatchPolicy::Aggressive, &rec);
         s.spawn(spec_task("e1", 5)).unwrap();
         s.spawn(spec_task("e2", 5)).unwrap();
         s.spawn(spec_task("other", 6)).unwrap();
         assert_eq!(s.abort_version(5), 2);
         assert_eq!(s.ready_len(), 1);
-        assert_eq!(s.stats().deleted_ready, 2);
-        assert_eq!(s.stats().rollbacks, 1);
+        assert_eq!(rec.counter_total(Counter::DeletedReady), 2);
+        assert_eq!(rec.counter_total(Counter::Rollbacks), 1);
         // idempotent
         assert_eq!(s.abort_version(5), 0);
-        assert_eq!(s.stats().rollbacks, 1);
+        assert_eq!(rec.counter_total(Counter::Rollbacks), 1);
     }
 
     #[test]
@@ -446,7 +388,6 @@ mod tests {
         s.abort_version(9);
         assert!(d.aborted(), "in-flight task must see the abort flag");
         assert_eq!(s.complete(id), CompletionOutcome::Discard);
-        assert_eq!(s.stats().discarded, 1);
     }
 
     #[test]
@@ -454,7 +395,6 @@ mod tests {
         let mut s = Scheduler::new(DispatchPolicy::Balanced);
         s.abort_version(3);
         assert!(s.spawn(spec_task("late", 3)).is_none());
-        assert_eq!(s.stats().spawn_rejected, 1);
         // Other versions unaffected.
         assert!(s.spawn(spec_task("ok", 4)).is_some());
     }
@@ -485,28 +425,27 @@ mod tests {
 
     #[test]
     fn fault_reclaims_slot_and_reports_version() {
-        let mut s = Scheduler::new(DispatchPolicy::Aggressive);
+        let rec = Recorder::counters(1);
+        let mut s = recorded(DispatchPolicy::Aggressive, &rec);
         let id = s.spawn(spec_task("enc", 4)).unwrap();
         let _d = s.dispatch().unwrap();
         assert_eq!(s.fault(id), Some(Some(4)));
-        assert_eq!(s.stats().faulted, 1);
         assert!(s.is_idle(), "faulted slot was reclaimed");
         // A second fault (or a racing completion echo) is absorbed.
         assert_eq!(s.fault(id), None);
-        assert_eq!(s.stats().faulted, 1);
         assert_eq!(s.try_complete(id), None);
-        assert_eq!(s.stats().duplicate_completions, 1);
+        assert_eq!(rec.counter_total(Counter::DuplicateCompletions), 1);
     }
 
     #[test]
     fn try_complete_absorbs_duplicate_deliveries() {
-        let mut s = Scheduler::new(DispatchPolicy::Balanced);
+        let rec = Recorder::counters(1);
+        let mut s = recorded(DispatchPolicy::Balanced, &rec);
         let id = s.spawn(reg("a", 0)).unwrap();
         let _d = s.dispatch().unwrap();
         assert_eq!(s.try_complete(id), Some(CompletionOutcome::Deliver));
         assert_eq!(s.try_complete(id), None, "echo is absorbed");
-        assert_eq!(s.stats().delivered, 1);
-        assert_eq!(s.stats().duplicate_completions, 1);
+        assert_eq!(rec.counter_total(Counter::DuplicateCompletions), 1);
     }
 
     #[test]
@@ -523,48 +462,41 @@ mod tests {
     }
 
     #[test]
-    fn rollback_and_cancel_bound_emit_trace_events() {
-        use tvs_trace::{EventKind, Tracer};
-        let tracer = Tracer::enabled(1);
-        let mut s = Scheduler::instrumented(
-            DispatchPolicy::Aggressive,
-            &Instruments::traced(tracer.clone()),
-        );
+    fn rollback_and_cancel_bound_record_one_event_each() {
+        let rec = Recorder::enabled(1);
+        let mut s = recorded(DispatchPolicy::Aggressive, &rec);
         s.spawn(spec_task("bound", 5)).unwrap();
         s.spawn(spec_task("queued", 5)).unwrap();
         let d = s.dispatch().unwrap(); // "bound": dispatched into a lane
         s.abort_version(5); // deletes "queued" from the ready queue
         s.cancel_bound(d.id); // lane re-validation kills "bound"
-        let log = tracer.drain().unwrap();
+        let log = rec.drain().unwrap();
         assert!(log.events.iter().any(|e| e.kind
             == EventKind::Rollback {
                 version: 5,
                 cascade_depth: 1
             }));
+        assert_eq!(rec.counter_total(Counter::Rollbacks), 1);
+        assert_eq!(rec.counter_total(Counter::DeletedReady), 2);
+        assert_eq!(rec.gauge_get(tvs_metrics::Gauge::CascadeMax), 1);
         assert!(log.events.iter().any(|e| e.kind
             == EventKind::CancelReady {
                 id: d.id,
                 version: 5
             }));
-        // Idempotent re-abort emits nothing new.
-        let before = s.stats().rollbacks;
+        // Idempotent re-abort records nothing new.
         s.abort_version(5);
-        assert_eq!(s.stats().rollbacks, before);
-        assert_eq!(tracer.drain().unwrap().events.len(), 0);
+        assert_eq!(rec.counter_total(Counter::Rollbacks), 1);
+        assert_eq!(rec.drain().unwrap().events.len(), 0);
     }
 
     #[test]
     fn replica_spawns_are_counted_and_traced() {
-        use tvs_trace::{EventKind, Tracer};
-        let tracer = Tracer::enabled(1);
-        let mut s = Scheduler::instrumented(
-            DispatchPolicy::Balanced,
-            &Instruments::traced(tracer.clone()),
-        );
+        let rec = Recorder::enabled(1);
+        let mut s = recorded(DispatchPolicy::Balanced, &rec);
         let primary = s.spawn(reg("count", 0)).unwrap();
         let replica = s.spawn(reg("count", 0).as_replica_of(primary)).unwrap();
-        assert_eq!(s.stats().replicas_spawned, 1);
-        assert_eq!(s.stats().spawned, 2);
+        assert_eq!(rec.counter_total(Counter::ReplicaDispatches), 1);
         let d1 = s.dispatch().unwrap();
         let d2 = s.dispatch().unwrap();
         let of = [d1, d2]
@@ -572,7 +504,7 @@ mod tests {
             .find(|d| d.id == replica)
             .and_then(|d| d.replica_of);
         assert_eq!(of, Some(primary), "replica_of survives dispatch");
-        let log = tracer.drain().unwrap();
+        let log = rec.drain().unwrap();
         assert!(log.events.iter().any(|e| e.kind
             == EventKind::ReplicaDispatch {
                 id: replica,

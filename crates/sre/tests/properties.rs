@@ -15,7 +15,7 @@ use tvs_sre::queue::ReadyQueue;
 use tvs_sre::task::{payload, TaskClass, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
 use tvs_sre::{
-    x86_smp, CostModel, DispatchPolicy, Instruments, RunMetrics, Scheduler, Time, Tracer,
+    x86_smp, CostModel, DispatchPolicy, Instruments, Recorder, RunMetrics, Scheduler, Time,
 };
 
 /// Simulator run under `ins` that must complete, non-speculatively.
@@ -172,7 +172,9 @@ fn prop_queue_matches_model() {
 #[test]
 fn prop_scheduler_conserves_tasks() {
     cases(0xC0A5E, 64, |rng, case| {
-        let mut s = Scheduler::new(DispatchPolicy::Aggressive);
+        let rec = Recorder::counters(1);
+        let ins = Instruments::recorded(rec.clone());
+        let mut s = Scheduler::instrumented(DispatchPolicy::Aggressive, &ins);
         let mut spawned = 0u64;
         let mut completed = 0u64;
         let n_ops = rng.random_range(1..200usize);
@@ -207,10 +209,8 @@ fn prop_scheduler_conserves_tasks() {
             s.complete(d.id);
             completed += 1;
         }
-        let st = s.stats();
-        assert_eq!(st.spawned, spawned, "case {case}");
-        assert_eq!(completed, st.delivered + st.discarded, "case {case}");
-        assert_eq!(spawned, completed + st.deleted_ready, "case {case}");
+        let deleted_ready = rec.counter_total(tvs_metrics::Counter::DeletedReady);
+        assert_eq!(spawned, completed + deleted_ready, "case {case}");
         assert!(s.is_idle(), "case {case}");
     });
 }
@@ -276,13 +276,13 @@ fn prop_sim_deterministic_and_exclusive() {
         let workers = rng.random_range(1..6usize);
         let cfg = SimConfig::new(x86_smp(workers));
         let traced = || {
-            let tracer = Tracer::enabled(workers);
+            let tracer = Recorder::enabled(workers);
             let fan_out = FanOut {
                 script: script.clone(),
                 spawned: 0,
                 seen: 0,
             };
-            let ins = Instruments::traced(tracer.clone());
+            let ins = Instruments::recorded(tracer.clone());
             let (w, m) = run_sim(fan_out, &cfg, &TagCost, &[], vec![], &ins);
             (w, m, tracer.drain().expect("enabled tracer drains").tasks())
         };

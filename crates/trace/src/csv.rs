@@ -134,6 +134,7 @@ impl TraceLog {
                     name,
                     version,
                     discarded,
+                    ..
                 } => (
                     id.to_string(),
                     csv_escape(name),

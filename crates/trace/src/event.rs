@@ -106,17 +106,27 @@ pub enum EventKind {
         /// The application tag of the task (e.g. its first block).
         tag: u64,
     },
-    /// A task body finished executing.
+    /// A task body's occupancy of a worker was settled: stamped at the
+    /// instant the body returned, recorded once the executor knows the
+    /// verdict. Charges the run's busy, wasted and run/check time.
     TaskEnd {
         /// Task id.
         id: u64,
         /// Task kind name.
         name: &'static str,
+        /// Scheduling class.
+        class: ClassTag,
         /// Speculation version, if any.
         version: Option<u32>,
-        /// Whether the output was (or will be) discarded because the
-        /// version was aborted — wasted work.
+        /// Whether the work was wasted: the output was discarded because
+        /// the version was aborted, or the body faulted for good.
         discarded: bool,
+        /// Whether the body faulted on its last attempt (so it was neither
+        /// delivered nor discarded).
+        faulted: bool,
+        /// µs the body occupied the worker: this event's stamp less its
+        /// task-start's.
+        busy_us: u64,
     },
     /// A lane-bound task was cancelled by rollback before it ever ran
     /// (counted as a ready deletion, like queue victims).
@@ -341,7 +351,7 @@ impl EventKind {
 /// Which clock a drained log is meaningful in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Timebase {
-    /// Wall-clock µs since the tracer was created (threaded executors).
+    /// Wall-clock µs since the run started (threaded executors).
     Wall,
     /// Virtual µs of simulated time (discrete-event executor).
     Virtual,
@@ -355,7 +365,7 @@ pub struct TraceEvent {
     /// Ring index: `0..workers` are worker tracks, `workers` is the
     /// control track (scheduler / speculation manager / dispatch pump).
     pub worker: u32,
-    /// Wall-clock stamp, µs since the tracer was created.
+    /// Wall-clock stamp, µs since the run started.
     pub wall_us: u64,
     /// Virtual-time stamp, µs (zero unless the simulator fed the clock).
     pub virt_us: u64,
@@ -443,6 +453,7 @@ impl TraceLog {
                     name,
                     version,
                     discarded,
+                    ..
                 } => {
                     let (start, tag) = starts.remove(&id).unwrap_or((e, 0));
                     spans.push(TaskSpan {
@@ -543,8 +554,11 @@ mod tests {
         let end = |id, discarded| EventKind::TaskEnd {
             id,
             name: "enc",
+            class: ClassTag::Speculative,
             version: Some(3),
             discarded,
+            faulted: false,
+            busy_us: 0,
         };
         let log = TraceLog {
             workers: 2,

@@ -298,6 +298,9 @@ mod tests {
                     name: "t",
                     version: None,
                     discarded,
+                    class: ClassTag::Regular,
+                    faulted: false,
+                    busy_us: 0,
                 },
             ),
         ]
@@ -387,6 +390,9 @@ mod tests {
                     name: "t",
                     version: Some(1),
                     discarded: true,
+                    class: ClassTag::Regular,
+                    faulted: false,
+                    busy_us: 0,
                 },
             ),
             ev(

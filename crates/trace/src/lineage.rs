@@ -373,7 +373,7 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Timebase, TraceEvent};
+    use crate::event::{ClassTag, Timebase, TraceEvent};
 
     fn ev(seq: u64, ts: u64, kind: EventKind) -> TraceEvent {
         TraceEvent {
@@ -436,6 +436,9 @@ mod tests {
                     name: "t",
                     version: Some(version),
                     discarded: d,
+                    class: ClassTag::Regular,
+                    faulted: false,
+                    busy_us: 0,
                 },
             ),
         ]
@@ -541,6 +544,9 @@ mod tests {
                     name: "t",
                     version: None,
                     discarded: true,
+                    class: ClassTag::Regular,
+                    faulted: false,
+                    busy_us: 0,
                 },
             ),
         ];

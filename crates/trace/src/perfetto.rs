@@ -93,6 +93,7 @@ impl TraceLog {
                     name,
                     version,
                     discarded,
+                    ..
                 } => {
                     let start_ts = open.remove(id).map(|s| s.ts(tb)).unwrap_or(ts);
                     let dur = ts.saturating_sub(start_ts);
@@ -336,6 +337,9 @@ mod tests {
                     name: "encode",
                     version: Some(2),
                     discarded: true,
+                    class: ClassTag::Regular,
+                    faulted: false,
+                    busy_us: 0,
                 },
             ),
         ]);

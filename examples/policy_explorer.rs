@@ -17,7 +17,7 @@ use tvs_core::{SpeculationSchedule, Tolerance, VerificationPolicy};
 use tvs_iosim::{ArrivalModel, Disk, Socket};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::runner::{run_huffman, HuffmanRun};
-use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform, Tracer};
+use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform, Recorder};
 use tvs_workloads::FileKind;
 
 fn parse_kind(s: &str) -> FileKind {
@@ -39,7 +39,7 @@ fn run_row(
     let trace_mode = std::env::var_os("TVS_TRACE").is_some();
     let mut run = HuffmanRun::sim(data, cfg, platform, arrival);
     if trace_mode {
-        run.instruments.tracer = Tracer::enabled(platform.workers);
+        run.instruments.recorder = Recorder::enabled(platform.workers);
     }
     let report = run_huffman(&run).expect("a dark run cannot fail");
     let out = report.end.into_outcome();

@@ -22,8 +22,8 @@ fn main() {
 
     // Baseline: the classic two-pass pipeline, no speculation.
     let base_cfg = HuffmanConfig::disk_x86(DispatchPolicy::NonSpeculative);
-    // One way in: describe the run, run it. A dark run (no tracer, no
-    // metrics hub, no fault plan) cannot fail.
+    // One way in: describe the run, run it. A dark run (no recorder, no
+    // fault plan) cannot fail.
     let sim = |cfg| {
         let report = run_huffman(&HuffmanRun::sim(&data, cfg, &platform, &disk));
         report.expect("a dark run cannot fail").end.into_outcome()

@@ -29,7 +29,7 @@ use std::time::Duration;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
-use tvs_sre::{DispatchPolicy, InputBlock, Instruments, MetricsHub, Sampler};
+use tvs_sre::{DispatchPolicy, InputBlock, Instruments, Recorder, Sampler};
 use tvs_workloads::FileKind;
 
 const WORKERS: usize = 8;
@@ -37,7 +37,7 @@ const WORKERS: usize = 8;
 /// Serve `GET /metrics` (Prometheus text exposition 0.0.4) on a loopback
 /// listener until `hub` is dropped by the caller side — the thread exits
 /// when the listener is closed via the returned shutdown sender.
-fn serve_metrics(hub: MetricsHub) -> (std::net::SocketAddr, mpsc::Sender<()>) {
+fn serve_metrics(hub: Recorder) -> (std::net::SocketAddr, mpsc::Sender<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind metrics listener");
     let addr = listener.local_addr().expect("local addr");
     let (shutdown_tx, shutdown_rx) = mpsc::channel::<()>();
@@ -105,11 +105,11 @@ fn main() {
     let mut cfg = HuffmanConfig::socket_x86(DispatchPolicy::Balanced);
     cfg.collect_output = true;
 
-    // The live metrics plane: one hub into every layer (workload and
+    // The live metrics plane: one recorder into every layer (workload and
     // executor are built on the same `Instruments`), sampler to JSONL,
     // Prometheus exposition on its own loopback listener.
-    let hub = MetricsHub::enabled(WORKERS);
-    let instruments = Instruments::metered(hub.clone());
+    let hub = Recorder::enabled(WORKERS);
+    let instruments = Instruments::recorded(hub.clone());
     let workload = HuffmanWorkload::instrumented(cfg.clone(), data.len(), 0, &instruments);
     let (metrics_addr, http_shutdown) = serve_metrics(hub.clone());
     println!("GET /metrics live at http://{metrics_addr}/metrics");

@@ -27,7 +27,7 @@ use tvs_pipelines::runner::{
     run_huffman, Executor, HuffmanReport, HuffmanRun, RunFailure, RunOutcome,
 };
 use tvs_sre::{
-    x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite, TraceLog, Tracer,
+    x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite, Recorder, TraceLog,
 };
 use tvs_trace::EventKind;
 
@@ -148,9 +148,9 @@ fn events(mut run: HuffmanRun) -> (RunOutcome, TraceLog) {
         Executor::Sim { cfg } => cfg.platform.workers,
         Executor::Threaded { cfg, .. } => cfg.workers,
     };
-    run.instruments.tracer = Tracer::enabled(workers);
+    run.instruments.recorder = Recorder::enabled(workers);
     let report = run_huffman(&run).expect("the run recovers");
-    let log = report.log.expect("enabled tracer drains");
+    let log = report.log.expect("enabled recorder drains");
     (report.end.into_outcome(), log)
 }
 
@@ -270,7 +270,7 @@ fn half_with_events<'a>(
     } else {
         (sim(data, c), 8)
     };
-    run.instruments.tracer = Tracer::enabled(workers);
+    run.instruments.recorder = Recorder::enabled(workers);
     run.resume = resume;
     run_huffman(&run).expect("nothing injected, nothing fails")
 }
@@ -737,8 +737,8 @@ fn degraded_run_climbs_back_to_full_once_the_input_settles() {
     let mut c = degrading_cfg(4);
     c.tolerance = tvs_core::Tolerance::percent(1.0);
     let mut run = HuffmanRun::sim(&data, &c, &x86_smp(8), &SLOW);
-    run.instruments.metrics = tvs_sre::MetricsHub::enabled(8);
-    let hub = run.instruments.metrics.clone();
+    run.instruments.recorder = tvs_sre::Recorder::enabled(8);
+    let hub = run.instruments.recorder.clone();
     let (out, log) = events(run);
     // The whole degradation story of this deterministic run, as the one
     // golden the repository keeps (instead of committed trace artifacts).

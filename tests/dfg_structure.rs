@@ -9,7 +9,7 @@ use tvs_core::{SpeculationSchedule, Tolerance, ValidationMode, VerificationPolic
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::runner::{run_huffman, HuffmanRun, RunOutcome};
-use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform, Tracer};
+use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform, Recorder};
 use tvs_trace::TaskSpan;
 
 /// 64 KB / 1 KB blocks = 64 blocks; reduce 4:1 -> 16 groups; offsets 8:1.
@@ -106,9 +106,9 @@ fn traced_on(
         start_us: 0,
     };
     let mut run = HuffmanRun::sim(data, cfg, &platform, &arrival);
-    run.instruments.tracer = Tracer::enabled(platform.workers);
+    run.instruments.recorder = Recorder::enabled(platform.workers);
     let report = run_huffman(&run).expect("nothing injected, nothing fails");
-    let log = report.log.expect("enabled tracer drains");
+    let log = report.log.expect("enabled recorder drains");
     assert_eq!(log.dropped, 0, "every span is in the log");
     (report.end.into_outcome(), log.tasks())
 }

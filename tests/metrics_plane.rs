@@ -15,7 +15,7 @@ use tvs_iosim::Uniform;
 use tvs_metrics::{Counter, Gauge, Hist};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::runner::{run_huffman, HuffmanRun, RunOutcome};
-use tvs_sre::{x86_smp, DispatchPolicy, MetricsHub, MetricsSnapshot, Sampler};
+use tvs_sre::{x86_smp, DispatchPolicy, MetricsSnapshot, Recorder, Sampler};
 use tvs_workloads::FileKind;
 
 fn data() -> Vec<u8> {
@@ -36,19 +36,19 @@ const ARRIVAL: Uniform = Uniform {
 };
 
 /// `run` feeding `hub` (disabled: dark).
-fn metered(mut run: HuffmanRun, hub: &MetricsHub) -> RunOutcome {
-    run.instruments.metrics = hub.clone();
+fn metered(mut run: HuffmanRun, hub: &Recorder) -> RunOutcome {
+    run.instruments.recorder = hub.clone();
     let report = run_huffman(&run).expect("nothing injected, nothing fails");
     report.end.into_outcome()
 }
 
 /// On the simulator's 8 x86 workers.
-fn sim_metered(d: &[u8], c: &HuffmanConfig, hub: &MetricsHub) -> RunOutcome {
+fn sim_metered(d: &[u8], c: &HuffmanConfig, hub: &Recorder) -> RunOutcome {
     metered(HuffmanRun::sim(d, c, &x86_smp(8), &ARRIVAL), hub)
 }
 
 /// On 4 real threads, arrivals compressed 1000×.
-fn threaded_metered(d: &[u8], c: &HuffmanConfig, hub: &MetricsHub) -> RunOutcome {
+fn threaded_metered(d: &[u8], c: &HuffmanConfig, hub: &Recorder) -> RunOutcome {
     metered(HuffmanRun::threaded(d, c, 4, &ARRIVAL, 1000), hub)
 }
 
@@ -60,7 +60,7 @@ fn concurrent_incrementers_race_sampler_without_loss() {
     // the equality.
     const WRITERS: usize = 4;
     const PER_WRITER: u64 = 200_000;
-    let hub = MetricsHub::enabled(WRITERS);
+    let hub = Recorder::enabled(WRITERS);
     let mut seen_deltas: Vec<u64> = Vec::new();
     let (tx, rx) = std::sync::mpsc::channel::<MetricsSnapshot>();
     let sampler = Sampler::spawn(hub.clone(), Duration::from_millis(1), move |snap| {
@@ -108,7 +108,7 @@ fn sim_virtual_snapshots_are_byte_deterministic() {
     // by the virtual clock, not the wall clock.
     let d = data();
     let run = || -> String {
-        let hub = MetricsHub::enabled(8);
+        let hub = Recorder::enabled(8);
         hub.enable_virtual_sampling(1_000);
         let _ = sim_metered(&d, &cfg(DispatchPolicy::Aggressive), &hub);
         hub.drain_virtual_snapshots()
@@ -137,8 +137,8 @@ fn sim_metering_does_not_perturb_results() {
     let d = data();
     for policy in DispatchPolicy::ALL {
         let c = cfg(policy);
-        let plain = sim_metered(&d, &c, &MetricsHub::disabled());
-        let hub = MetricsHub::enabled(8);
+        let plain = sim_metered(&d, &c, &Recorder::disabled());
+        let hub = Recorder::enabled(8);
         hub.enable_virtual_sampling(1_000);
         let metered = sim_metered(&d, &c, &hub);
         assert_eq!(plain.metrics, metered.metrics, "{}", policy.label());
@@ -151,7 +151,7 @@ fn threaded_run_metrics_is_a_registry_view() {
     // Satellite 3: lane dispatches/steals live in the hub only; RunMetrics
     // reads them back, so the two can never diverge.
     let d = data();
-    let hub = MetricsHub::enabled(4);
+    let hub = Recorder::enabled(4);
     let out = threaded_metered(&d, &cfg(DispatchPolicy::Aggressive), &hub);
     assert_eq!(
         out.metrics.lane_dispatches,
@@ -184,7 +184,7 @@ fn profiler_clocks_and_lineage_gauges_populate() {
     // together they must equal the busy total the executors already
     // report — a cheap conservation invariant over the new counters.
     let d = data();
-    let hub = MetricsHub::enabled(4);
+    let hub = Recorder::enabled(4);
     let _ = threaded_metered(&d, &cfg(DispatchPolicy::Aggressive), &hub);
     assert!(hub.counter_total(Counter::TimeRunUs) > 0, "run clock ticks");
     assert_eq!(
@@ -193,7 +193,7 @@ fn profiler_clocks_and_lineage_gauges_populate() {
         "threaded: body time lands in exactly one state clock"
     );
 
-    let hub2 = MetricsHub::enabled(8);
+    let hub2 = Recorder::enabled(8);
     let _ = sim_metered(&d, &cfg(DispatchPolicy::Aggressive), &hub2);
     assert_eq!(
         hub2.counter_total(Counter::TimeRunUs) + hub2.counter_total(Counter::TimeCheckUs),
@@ -209,7 +209,7 @@ fn profiler_clocks_and_lineage_gauges_populate() {
 #[test]
 fn snapshot_jsonl_round_trips_and_prometheus_exposes_totals() {
     let d = data();
-    let hub = MetricsHub::enabled(8);
+    let hub = Recorder::enabled(8);
     hub.enable_virtual_sampling(1_000);
     let _ = sim_metered(&d, &cfg(DispatchPolicy::Balanced), &hub);
     let snaps = hub.drain_virtual_snapshots();

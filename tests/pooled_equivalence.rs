@@ -17,7 +17,7 @@ use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::runner::{run_huffman, HuffmanReport, HuffmanRun, RunFailure};
 use tvs_rng::SmallRng;
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, Instruments, Tracer};
+use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, Instruments, Recorder};
 use tvs_workloads::FileKind;
 
 /// The `tvs-chaos` gauntlet's seed matrix — keep in sync with
@@ -199,9 +199,8 @@ fn chaos_seeds_decode_byte_identically_on_both_executors() {
     // (draw counters are part of run state).
     let chaos = |run: HuffmanRun, workers: usize, seed: u64| {
         let instruments = Instruments {
-            tracer: Tracer::enabled(workers),
+            recorder: Recorder::enabled(workers),
             faults: FaultInjector::new(FaultPlan::chaos(seed)),
-            ..Instruments::default()
         };
         run_huffman(&HuffmanRun { instruments, ..run })
     };

@@ -18,15 +18,15 @@ use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::postmortem::{self, BundleMeta, Trigger};
 use tvs_pipelines::runner::{run_huffman, Executor, HuffmanRun, RunFailure};
 use tvs_sre::{
-    x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite, Instruments, RunError,
-    TraceLog, Tracer,
+    x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite, Instruments, Recorder,
+    RunError, TraceLog,
 };
 
 /// The event log of a run that must complete.
 fn events(mut run: HuffmanRun, workers: usize) -> TraceLog {
-    run.instruments.tracer = Tracer::enabled(workers);
+    run.instruments.recorder = Recorder::enabled(workers);
     let report = run_huffman(&run).expect("nothing injected, nothing fails");
-    report.log.expect("enabled tracer drains")
+    report.log.expect("enabled recorder drains")
 }
 
 /// The adversarial scenario shared by `tvs-chaos` and `tvs-report`:
@@ -156,9 +156,8 @@ fn quiet_injected_panics() {
 fn assert_dies_with_a_bundle(mut run: HuffmanRun, workers: usize, seed: u64, root: &Path) {
     let plan = FaultPlan::new(seed).with_rule(FaultSite::TaskBody, FaultKind::PanicTask, 1.0);
     run.instruments = Instruments {
-        tracer: Tracer::enabled(workers),
+        recorder: Recorder::enabled(workers),
         faults: FaultInjector::new(plan),
-        ..Instruments::default()
     };
     match &mut run.on {
         Executor::Sim { cfg } => cfg.max_attempts = 1,

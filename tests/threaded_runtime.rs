@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use tvs_huffman::{decode_exact, serial_encode, CodeTable, EncodedBlock};
 use tvs_iosim::{ArrivalModel, Uniform};
-use tvs_metrics::{Counter, Hist, MetricsHub};
+use tvs_metrics::{Counter, Hist, Recorder};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
 use tvs_pipelines::runner::{run_huffman, schedule_blocks, HuffmanRun, RunOutcome};
@@ -342,7 +342,7 @@ fn no_completion_report_is_ever_stranded() {
                 done: 0,
                 panic_at: u64::MAX,
             };
-            let hub = MetricsHub::enabled(workers);
+            let hub = Recorder::enabled(workers);
             let stolen = steal_ticks();
             let (chain, m) = threaded::run(
                 chain,
@@ -350,7 +350,7 @@ fn no_completion_report_is_ever_stranded() {
                 DispatchPolicy::NonSpeculative,
                 &[],
                 Vec::new(),
-                &Instruments::metered(hub.clone()),
+                &Instruments::recorded(hub.clone()),
             )
             .expect("chain completes");
             assert_eq!((chain.done, m.tasks_delivered), (12, 12));
