@@ -339,8 +339,9 @@ pub struct Recorder {
 }
 
 /// The name the end-to-end benchmark imports the recorder under
-/// (`MetricsHub::{enabled, counter_total}`); it goes when the benchmark
-/// is ported to [`Recorder`].
+/// (`MetricsHub::{enabled, counter_total}`). It exists only for that
+/// benchmark and goes when the benchmark is ported to [`Recorder`]
+/// (ROADMAP, "One seam").
 pub type MetricsHub = Recorder;
 
 impl std::fmt::Debug for Recorder {

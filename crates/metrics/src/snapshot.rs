@@ -1,4 +1,4 @@
-//! Point-in-time views of the registry and their serialised forms.
+//! Point-in-time views of the recorder and their serialised forms.
 //!
 //! A [`MetricsSnapshot`] carries both running totals and per-window
 //! deltas (against the previous snapshot taken from the same recorder), so a
