@@ -782,7 +782,7 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_events_reach_the_recorder() {
+    fn lifecycle_events_reach_the_tracer() {
         let rec = Recorder::enabled(1);
         let mut m = traced_mgr(&rec);
         m.on_basis(1);

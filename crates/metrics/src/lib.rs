@@ -41,6 +41,7 @@
 
 pub mod json;
 pub mod recorder;
+mod ring;
 pub mod sampler;
 pub mod snapshot;
 
@@ -217,6 +218,7 @@ pub fn bucket_upper(i: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tvs_trace::EventKind;
 
     #[test]
     fn bucket_math_covers_u64() {
@@ -233,5 +235,99 @@ mod tests {
         for v in [0u64, 1, 2, 5, 100, 1 << 40, u64::MAX] {
             assert!(v <= bucket_upper(bucket_of(v)), "{v}");
         }
+    }
+
+    #[test]
+    fn disabled_hub_is_inert() {
+        let h = Recorder::disabled();
+        h.emit(0, EventKind::Park);
+        h.emit_control(EventKind::Commit { version: 1 });
+        h.add(0, Counter::Steal, 5);
+        h.add_control(Counter::Commits, 1);
+        h.gauge_set(Gauge::DegradationLevel, 2);
+        h.record(Hist::CheckLatencyUs, 10);
+        h.set_virtual_now(99);
+        assert!(!h.has_registry());
+        assert!(!h.is_enabled());
+        assert_eq!(h.counter_total(Counter::Steal), 0);
+        assert!(h.snapshot().is_none() && h.drain().is_none());
+        assert_eq!(h.now_us(), 0);
+    }
+
+    #[test]
+    fn internal_hub_counts_but_stays_dark() {
+        let h = Recorder::counters(2);
+        h.add(0, Counter::LaneDispatch, 3);
+        h.add(1, Counter::LaneDispatch, 4);
+        h.add_control(Counter::Rollbacks, 1);
+        h.gauge_set(Gauge::DegradationLevel, 2);
+        h.record(Hist::CheckLatencyUs, 10);
+        assert!(h.has_registry());
+        assert!(!h.is_enabled());
+        assert_eq!(h.lane_counts(Counter::LaneDispatch), vec![3, 4]);
+        assert_eq!(h.counter_total(Counter::LaneDispatch), 7);
+        assert_eq!(h.counter_total(Counter::Rollbacks), 1);
+        assert_eq!(h.gauge_get(Gauge::DegradationLevel), 0, "gauges off");
+        assert!(h.snapshot().is_none(), "snapshots off");
+    }
+
+    #[test]
+    fn snapshot_deltas_chain() {
+        let r = Recorder::enabled(2);
+        r.set_label("test");
+        r.add(0, Counter::LaneDispatch, 10);
+        r.add_control(Counter::Commits, 2);
+        let s1 = r.snapshot().expect("enabled");
+        assert_eq!((s1.tick, s1.label.as_str()), (1, "test"));
+        assert_eq!(s1.counter(Counter::LaneDispatch).total, 10);
+        assert_eq!(s1.counter(Counter::LaneDispatch).delta, 10);
+        assert_eq!(s1.counter(Counter::Commits).delta, 2);
+        r.add(1, Counter::LaneDispatch, 5);
+        let s2 = r.snapshot().expect("enabled");
+        assert_eq!(s2.tick, 2);
+        assert_eq!(s2.counter(Counter::LaneDispatch).total, 15);
+        assert_eq!(s2.counter(Counter::LaneDispatch).delta, 5);
+        assert_eq!(s2.counter(Counter::Commits).delta, 0);
+        assert_eq!(
+            (s2.lane_dispatch, s2.lane_dispatch_delta),
+            (vec![10, 5], vec![0, 5])
+        );
+    }
+
+    #[test]
+    fn histograms_snapshot_nonzero_buckets() {
+        let r = Recorder::enabled(1);
+        for v in [0u64, 1, 1, 3, 100] {
+            r.record(Hist::BlockServiceUs, v);
+        }
+        let s = r.snapshot().unwrap();
+        let hs = s.hist(Hist::BlockServiceUs);
+        assert_eq!((hs.count, hs.sum), (5, 105));
+        // Buckets: 0 → ub 0 (x1), 1 → ub 1 (x2), 3 → ub 3 (x1), 100 → ub 127.
+        assert_eq!(hs.buckets, vec![(0, 1), (1, 2), (3, 1), (127, 1)]);
+    }
+
+    #[test]
+    fn virtual_sampling_fires_on_boundaries() {
+        let r = Recorder::enabled(1);
+        r.enable_virtual_sampling(100);
+        r.set_virtual_now(40);
+        r.virtual_tick(40);
+        assert!(r.drain_virtual_snapshots().is_empty());
+        r.add(0, Counter::LaneDispatch, 1);
+        r.set_virtual_now(250);
+        r.virtual_tick(250);
+        let snaps = r.drain_virtual_snapshots();
+        assert_eq!(snaps.len(), 2, "boundaries 100 and 200");
+        assert_eq!((snaps[0].t_us, snaps[1].t_us), (100, 200));
+        assert_eq!(snaps[0].counter(Counter::LaneDispatch).delta, 1);
+        assert_eq!(snaps[1].counter(Counter::LaneDispatch).delta, 0);
+    }
+
+    #[test]
+    fn virtual_clock_wins_once_fed() {
+        let h = Recorder::enabled(1);
+        h.set_virtual_now(1234);
+        assert_eq!(h.now_us(), 1234);
     }
 }

@@ -1,10 +1,10 @@
 //! The [`Recorder`]: the one store a run writes its runtime facts to.
 
+use crate::ring::Ring;
 use crate::snapshot::{CounterWindow, HistSnapshot, MetricsSnapshot};
 use crate::{
     bucket_of, bucket_upper, Counter, Gauge, Hist, HIST_BUCKETS, N_COUNTERS, N_GAUGES, N_HISTS,
 };
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -33,9 +33,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 struct Shard {
     counters: [AtomicU64; N_COUNTERS],
     /// Overwrite-oldest event ring; `None` on a counters-only recorder.
-    ring: Option<Mutex<VecDeque<TraceEvent>>>,
-    /// Events this ring lost to overflow.
-    dropped: AtomicU64,
+    ring: Option<Ring>,
 }
 
 /// A log₂-bucketed histogram of relaxed atomics.
@@ -247,12 +245,7 @@ impl Registry {
             virt_us,
             kind,
         };
-        let mut buf = lock_recover(ring);
-        if buf.len() >= self.cap {
-            buf.pop_front();
-            self.shards[shard].dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back(ev);
+        ring.push(ev);
     }
 
     fn totals(&self) -> [u64; N_COUNTERS] {
@@ -379,8 +372,7 @@ impl Recorder {
         let shards = (0..=workers)
             .map(|_| Shard {
                 counters: std::array::from_fn(|_| AtomicU64::new(0)),
-                ring: (cap > 0).then(|| Mutex::new(VecDeque::with_capacity(cap.min(1024)))),
-                dropped: AtomicU64::new(0),
+                ring: (cap > 0).then(|| Ring::new(cap)),
             })
             .collect();
         Recorder {
@@ -590,9 +582,9 @@ impl Recorder {
         let mut dropped_per_worker = Vec::new();
         for s in &r.shards {
             if let Some(ring) = &s.ring {
-                events.extend(lock_recover(ring).drain(..));
+                ring.drain_into(&mut events);
             }
-            dropped_per_worker.push(s.dropped.load(Ordering::Relaxed));
+            dropped_per_worker.push(s.ring.as_ref().map_or(0, Ring::dropped));
         }
         let timebase = if r.virt_used.load(Ordering::Relaxed) {
             Timebase::Virtual
@@ -625,21 +617,6 @@ mod tests {
             faulted,
             busy_us,
         }
-    }
-
-    #[test]
-    fn disabled_recorder_is_inert() {
-        let r = Recorder::disabled();
-        r.emit(0, EventKind::Park);
-        r.emit_control(EventKind::Commit { version: 1 });
-        r.add(0, Counter::Steal, 5);
-        r.gauge_set(Gauge::DegradationLevel, 2);
-        r.record(Hist::CheckLatencyUs, 10);
-        r.set_virtual_now(99);
-        assert!(!r.has_registry() && !r.is_enabled());
-        assert_eq!(r.counter_total(Counter::Steal), 0);
-        assert_eq!(r.now_us(), 0);
-        assert!(r.snapshot().is_none() && r.drain().is_none());
     }
 
     #[test]
@@ -707,41 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_overflow_drops_oldest_and_counts() {
-        let r = Recorder::with_capacity(1, 4);
-        for version in 0..10 {
-            r.emit(0, EventKind::Commit { version });
-        }
-        assert_eq!(r.counter_total(Counter::Commits), 10, "counters see all");
-        let log = r.drain().unwrap();
-        assert_eq!(
-            (log.dropped, log.dropped_per_worker.clone()),
-            (6, vec![6, 0])
-        );
-        let versions: Vec<u32> = log.events.iter().filter_map(|e| e.kind.version()).collect();
-        assert_eq!(versions, vec![6, 7, 8, 9], "oldest events were dropped");
-    }
-
-    #[test]
-    fn one_clock_stamps_events_and_selects_the_timebase() {
-        let r = Recorder::enabled(1);
-        r.set_label("balanced");
-        r.emit(0, EventKind::Park);
-        assert_eq!(r.drain().unwrap().timebase, Timebase::Wall);
-        r.set_virtual_now(100);
-        assert_eq!(r.now_us(), 100);
-        r.emit(0, EventKind::Park);
-        r.emit_at(0, 50, EventKind::Unpark);
-        let log = r.drain().unwrap();
-        assert_eq!(
-            (log.timebase, log.label.as_str()),
-            (Timebase::Virtual, "balanced")
-        );
-        assert_eq!(log.events[0].kind, EventKind::Unpark, "sorted by stamp");
-        assert_eq!((log.events[0].virt_us, log.span_us()), (50, 100));
-    }
-
-    #[test]
     fn explicit_wall_stamps_are_on_the_run_clock() {
         let r = Recorder::enabled(1);
         r.start_clock();
@@ -749,69 +691,5 @@ mod tests {
         let log = r.drain().unwrap();
         assert_eq!(log.events[0].wall_us, 123_456_789);
         assert!(r.now_us() < 123_456_789);
-    }
-
-    #[test]
-    fn snapshot_deltas_chain() {
-        let r = Recorder::enabled(2);
-        r.set_label("test");
-        r.add(0, Counter::LaneDispatch, 10);
-        r.add_control(Counter::Commits, 2);
-        let s1 = r.snapshot().expect("enabled");
-        assert_eq!((s1.tick, s1.label.as_str()), (1, "test"));
-        assert_eq!(s1.counter(Counter::LaneDispatch).delta, 10);
-        assert_eq!(s1.counter(Counter::Commits).delta, 2);
-        r.add(1, Counter::LaneDispatch, 5);
-        let s2 = r.snapshot().expect("enabled");
-        assert_eq!(s2.tick, 2);
-        assert_eq!(s2.counter(Counter::LaneDispatch).total, 15);
-        assert_eq!(s2.counter(Counter::LaneDispatch).delta, 5);
-        assert_eq!(s2.counter(Counter::Commits).delta, 0);
-        assert_eq!(
-            (s2.lane_dispatch, s2.lane_dispatch_delta),
-            (vec![10, 5], vec![0, 5])
-        );
-    }
-
-    #[test]
-    fn histograms_snapshot_nonzero_buckets() {
-        let r = Recorder::enabled(1);
-        for v in [0u64, 1, 1, 3, 100] {
-            r.record(Hist::BlockServiceUs, v);
-        }
-        let s = r.snapshot().unwrap();
-        let hs = s.hist(Hist::BlockServiceUs);
-        assert_eq!((hs.count, hs.sum), (5, 105));
-        assert_eq!(hs.buckets, vec![(0, 1), (1, 2), (3, 1), (127, 1)]);
-    }
-
-    #[test]
-    fn virtual_sampling_fires_on_boundaries() {
-        let r = Recorder::enabled(1);
-        r.enable_virtual_sampling(100);
-        r.set_virtual_now(40);
-        r.virtual_tick(40);
-        assert!(r.drain_virtual_snapshots().is_empty());
-        r.add(0, Counter::LaneDispatch, 1);
-        r.set_virtual_now(250);
-        r.virtual_tick(250);
-        let snaps = r.drain_virtual_snapshots();
-        assert_eq!(snaps.len(), 2, "boundaries 100 and 200");
-        assert_eq!((snaps[0].t_us, snaps[1].t_us), (100, 200));
-        assert_eq!(snaps[0].counter(Counter::LaneDispatch).delta, 1);
-        assert_eq!(snaps[1].counter(Counter::LaneDispatch).delta, 0);
-    }
-
-    #[test]
-    fn clones_share_the_store_and_seq_orders_across_rings() {
-        let r = Recorder::enabled(2);
-        let r2 = r.clone();
-        for version in 0..50u32 {
-            r2.emit((version % 2) as usize, EventKind::Commit { version });
-        }
-        let mut seqs: Vec<u64> = r.drain().unwrap().events.iter().map(|e| e.seq).collect();
-        seqs.sort_unstable();
-        seqs.dedup();
-        assert_eq!(seqs.len(), 50, "sequence numbers are unique");
     }
 }

@@ -196,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_only_recorder_never_sinks() {
+    fn non_live_hub_never_sinks() {
         let hub = Recorder::counters(1);
         let (tx, rx) = mpsc::channel();
         let sampler = Sampler::spawn(hub, Duration::from_millis(2), move |s| {

@@ -955,4 +955,73 @@ mod tests {
             .expect("watchdog-cancel traced");
         assert_eq!(cancel.virt_us, 1_000, "fires at exactly start + deadline");
     }
+
+    /// Per block: the real task, and a speculative guess whose version is
+    /// aborted for every odd block.
+    struct Guesses {
+        n: usize,
+        seen: usize,
+    }
+    impl Workload for Guesses {
+        fn on_input(&mut self, ctx: &mut dyn SchedCtx, b: InputBlock) {
+            let i = b.index as u64;
+            ctx.spawn(TaskSpec::regular("work", 0, 0, i, |_| payload(())));
+            let v = b.index as SpecVersion + 1;
+            ctx.spawn(TaskSpec::speculative("guess", 0, 0, v, i, |_| payload(())));
+        }
+        fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
+            if done.name == "work" {
+                self.seen += 1;
+                if done.tag % 2 == 1 {
+                    ctx.abort_version(done.tag as SpecVersion + 1);
+                }
+            }
+        }
+        fn is_finished(&self) -> bool {
+            self.seen == self.n
+        }
+    }
+
+    #[test]
+    fn spans_account_for_every_busy_microsecond() {
+        // One clean run and one chaos run (panics, stalls past the
+        // watchdog's deadline, delayed and duplicated completions): the
+        // trace's spans are exactly what RunMetrics charges, and every
+        // span is one delivered, discarded or faulted body.
+        let cfg = SimConfig {
+            watchdog: Some(WatchdogConfig { deadline_us: 20 }),
+            ..SimConfig::new(x86_smp(3))
+        };
+        for faults in [FaultInjector::disabled(), FaultInjector::new(chaos_plan(5))] {
+            let inputs: Vec<InputBlock> = (0..48).map(|i| block(i, (i as u64) * 3, 8)).collect();
+            let ins = Instruments::faulty(faults.clone());
+            let wl = Guesses { n: 48, seen: 0 };
+            let policy = DispatchPolicy::Balanced;
+            let (w, m, spans) = with_spans(wl, &cfg, policy, &FixedCost(5), inputs, ins);
+            assert_eq!(w.seen, 48);
+            let busy: Time = spans.iter().map(TaskSpan::busy_us).sum();
+            let wasted: Time = spans
+                .iter()
+                .filter(|s| s.discarded)
+                .map(TaskSpan::busy_us)
+                .sum();
+            assert_eq!(m.busy_us, busy, "{m:?}");
+            assert_eq!(m.wasted_us, wasted, "{m:?}");
+            let faulted_bodies = m.faults - m.task_retries;
+            assert_eq!(
+                m.tasks_delivered + m.tasks_discarded + faulted_bodies,
+                spans.len() as u64,
+                "{m:?}"
+            );
+            assert!(m.wasted_us > 0, "rolled-back guesses are wasted work");
+            if faults.injected() > 0 {
+                let fired =
+                    |kind: fn(&FaultKind) -> bool| faults.log().iter().any(|f| kind(&f.kind));
+                assert!(fired(|k| matches!(k, FaultKind::PanicTask)));
+                assert!(fired(|k| matches!(k, FaultKind::DelayCompletion { .. })));
+                assert!(m.faults > 0 && m.duplicate_completions > 0, "{m:?}");
+                assert!(m.watchdog_cancels > 0, "{m:?}");
+            }
+        }
+    }
 }

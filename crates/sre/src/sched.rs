@@ -462,7 +462,7 @@ mod tests {
     }
 
     #[test]
-    fn rollback_and_cancel_bound_record_one_event_each() {
+    fn rollback_and_cancel_bound_emit_trace_events() {
         let rec = Recorder::enabled(1);
         let mut s = recorded(DispatchPolicy::Aggressive, &rec);
         s.spawn(spec_task("bound", 5)).unwrap();
