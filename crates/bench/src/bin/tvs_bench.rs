@@ -20,7 +20,8 @@
 //!   instead of failing;
 //! * `tvs-bench`         — run once and print, touch nothing.
 //!
-//! The kernel cells (histogram, encode) time a 64 KiB block; the runtime
+//! The kernel cells (histogram, encode) time a 64 KiB block — the chunk
+//! encode cell as the pipeline's 16 blocks of 4 KiB; the runtime
 //! cells time the work-stealing executor on short tasks and the
 //! speculation engine's steady-state commit/abort loop, whose
 //! `allocs_per_block` must be **0**: past warm-up, the wait buffer and
@@ -136,6 +137,28 @@ fn huffman_rows() -> Vec<Row> {
         black_box(out.bit_len)
     });
     rows.push(Row::from_measurement("encode_block_reuse", &m));
+
+    // What an encode task of the pipeline runs: a chunk of 4 KiB blocks
+    // encoded back to back into one buffer of the exact size, under a
+    // covering table predicted from a prefix (longer codes than the final
+    // table's for the bytes the prefix saw rarely or never).
+    let prefix = Histogram::from_bytes(&data[..BLOCK / 4]);
+    let covering = CodeLengths::build_covering(&prefix).expect("non-empty");
+    let covering = CodeTable::from_lengths(&covering);
+    let bits = covering
+        .encoded_bits(&hist)
+        .expect("a covering table codes every byte");
+    let m = bench_with(
+        "encode_chunk_covering",
+        Opts::throughput(BLOCK as u64),
+        || {
+            let blocks = data.chunks(tvs_pipelines::config::BLOCK_BYTES);
+            let (run, n) = tvs_huffman::encode_blocks_at(blocks, &covering, 0, bits, || false)
+                .expect("a covering table codes every byte");
+            black_box((run.bit_len, n))
+        },
+    );
+    rows.push(Row::from_measurement("encode_chunk_covering", &m));
 
     // What the pipeline does with a committed block: 4 KiB blocks encoded
     // with the lead their offset asks for, placed into one stream. Bytes

@@ -74,11 +74,13 @@ pub enum Action {
 pub struct ManagerStats {
     /// Predictor tasks requested.
     pub predictions: u64,
-    /// Intermediate checks requested.
+    /// Checks requested: the intermediate ones and the final one.
     pub checks: u64,
-    /// Intermediate checks that passed.
+    /// Checks that passed, the final one included — what the recorder's
+    /// `ChecksPassed` counts.
     pub checks_passed: u64,
-    /// Intermediate checks that failed (each causes a rollback).
+    /// Checks that failed (each causes a rollback), the final one
+    /// included — what the recorder's `ChecksFailed` counts.
     pub checks_failed: u64,
     /// Rollbacks (intermediate + final).
     pub rollbacks: u64,
@@ -571,6 +573,7 @@ impl<T> SpeculationManager<T> {
         match std::mem::replace(&mut self.phase, Phase::Done { committed: None }) {
             Phase::Active { version, value, .. } => {
                 self.phase = Phase::FinalChecking { version, value };
+                self.stats.checks += 1;
                 out.push(Action::SpawnFinalCheck { version });
             }
             Phase::Pending { version } => {
@@ -610,6 +613,7 @@ impl<T> SpeculationManager<T> {
             Phase::FinalChecking { version: v, .. } if v == version => {
                 if result.valid {
                     self.tracker.commit(version);
+                    self.stats.checks_passed += 1;
                     self.rec.emit_control(EventKind::CheckPass {
                         version,
                         margin: result.delta,
@@ -1242,5 +1246,34 @@ mod tests {
         assert_eq!(s.checks, 4);
         assert_eq!(s.checks_passed, 4);
         assert_eq!(s.checks_failed, 0);
+    }
+
+    /// The stats count every check the recorder counts, the final one
+    /// included, whether it passes or fails.
+    #[test]
+    fn check_stats_agree_with_the_recorder() {
+        use tvs_metrics::Counter;
+        for final_valid in [true, false] {
+            let rec = Recorder::enabled(1);
+            let mut m = traced_mgr(&rec);
+            m.on_basis(1);
+            m.install_prediction(1, "v1");
+            m.on_basis(2);
+            m.on_check_result(1, CheckResult::fail(0.09), Some(("v2", 2)));
+            m.on_basis(3);
+            m.on_check_result(2, CheckResult::pass(0.01), None);
+            m.on_final();
+            let verdict = match final_valid {
+                true => CheckResult::pass(0.002),
+                false => CheckResult::fail(0.2),
+            };
+            m.on_final_check_result(2, verdict);
+            let s = m.stats();
+            assert_eq!(s.checks, 3, "two intermediate checks and the final one");
+            assert_eq!(s.checks_passed, rec.counter_total(Counter::ChecksPassed));
+            assert_eq!(s.checks_failed, rec.counter_total(Counter::ChecksFailed));
+            assert_eq!(s.checks_passed + s.checks_failed, s.checks);
+            assert_eq!(s.checks_passed, 1 + u64::from(final_valid));
+        }
     }
 }

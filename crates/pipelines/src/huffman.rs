@@ -2340,7 +2340,7 @@ mod tests {
         cfg.verification = VerificationPolicy::Optimistic;
         let (res, _m) = run_small(&data, cfg);
         let s = res.spec_stats.unwrap();
-        assert_eq!(s.checks, 0, "optimistic runs no intermediate checks");
+        assert_eq!(s.checks, 1, "optimistic runs the final check alone");
         assert!(res.committed_version.is_some());
         decode_output(&res, &data);
     }

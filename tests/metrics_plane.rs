@@ -168,6 +168,10 @@ fn threaded_run_metrics_is_a_registry_view() {
     let stats = out.result.spec_stats.expect("speculative run");
     assert_eq!(stats.predictions, hub.counter_total(Counter::Predictions));
     assert_eq!(
+        stats.checks_passed,
+        hub.counter_total(Counter::ChecksPassed)
+    );
+    assert_eq!(
         stats.checks_failed,
         hub.counter_total(Counter::ChecksFailed)
     );
