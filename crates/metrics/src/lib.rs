@@ -136,13 +136,6 @@ vocabulary! {
         /// the batch that routed it (threaded executor; the name dates from
         /// when a router thread did the routing).
         TimeRouterWaitUs = "time_router_wait_us",
-        /// Completion reports rejected by the commit path's worker-epoch gate:
-        /// the reporting worker had been quarantined (or the report was a
-        /// duplicated-completion injection), so delivering it could
-        /// double-commit.
-        StaleCompletionsRejected = "stale_completions_rejected",
-        /// Workers respawned by the supervisor after a missed heartbeat.
-        WorkerRespawns = "worker_respawns",
     }
 }
 

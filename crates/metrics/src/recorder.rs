@@ -212,13 +212,12 @@ impl Registry {
             EventKind::ReplicaMatch { .. } => self.add(shard, Counter::ReplicaMatches, 1),
             EventKind::SdcDetected { .. } => self.add(shard, Counter::SdcDetected, 1),
             EventKind::SdcResolved { .. } => self.add(shard, Counter::SdcResolved, 1),
-            EventKind::WorkerRespawn { .. } => self.add(shard, Counter::WorkerRespawns, 1),
             EventKind::DegradeStep { to, .. } if live => {
                 self.gauges[Gauge::DegradationLevel as usize]
                     .store(u64::from(to), Ordering::Relaxed);
             }
             // Park/unpark, task starts, predictor fires, version opens,
-            // probes and quarantines imply no count of their own.
+            // and probes imply no count of their own.
             _ => {}
         }
     }

@@ -519,8 +519,13 @@ mod tests {
 
     #[test]
     fn missing_fields_parse_as_zero() {
-        let line = r#"{"tick":1,"t_us":5,"label":"x","workers":1,"counters":{"commits":[2,2]},"gauges":{},"hists":{}}"#;
+        // Older recordings also carry counters that have since been
+        // retired: they are skipped, so `tvs-top --replay` still reads
+        // those files.
+        let line = r#"{"tick":1,"t_us":5,"label":"x","workers":1,"counters":{"commits":[2,2],"stale_completions_rejected":[1,1],"worker_respawns":[1,1],"undo_replays":[3,3]},"gauges":{},"hists":{}}"#;
         let s = MetricsSnapshot::from_json_line(line).expect("lenient parse");
+        assert_eq!(s.counters.len(), Counter::ALL.len());
+        assert!(!s.to_json_line().contains("undo_replays"));
         assert_eq!(s.counter(Counter::Commits).total, 2);
         assert_eq!(s.counter(Counter::Rollbacks).total, 0);
         assert_eq!(s.gauge(Gauge::DegradationLevel), 0);

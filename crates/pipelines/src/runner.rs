@@ -112,8 +112,8 @@ impl CheckpointedRun {
 }
 
 /// The executor of a [`HuffmanRun`]. Its config's `max_attempts` /
-/// `watchdog` / `supervisor` fields are a chaos run's recovery knobs; the
-/// run dispatches under [`HuffmanConfig::policy`].
+/// `watchdog` fields are a chaos run's recovery knobs; the run dispatches
+/// under [`HuffmanConfig::policy`].
 #[derive(Debug, Clone)]
 pub enum Executor {
     /// The deterministic discrete-event executor, in virtual time.

@@ -2,9 +2,9 @@
 //! a task, written once for both executors.
 //!
 //! [`super::sim`] keeps its event heap and virtual clock;
-//! [`super::threaded`] keeps its lanes, commit ring, parkers, epoch gate,
-//! watchdog and supervisor threads. Both hand what happened to the pieces
-//! here, and differ only in the plain data they pass along:
+//! [`super::threaded`] keeps its lanes, commit ring, parkers and watchdog
+//! thread. Both hand what happened to the pieces here, and differ only in
+//! the plain data they pass along:
 //!
 //! * [`Core`] — scheduler, workload and run outcome: the state behind the
 //!   threaded commit lock, owned outright by the simulator;
@@ -33,22 +33,21 @@
 //!   because the simulated figures depend on it: the simulator draws a
 //!   body's fault at dispatch (a stall inflates its virtual cost, a panic
 //!   fails its first attempt), delays a completion to a later virtual
-//!   instant and lets the scheduler absorb a duplicate; threads draw before
-//!   every attempt (a stall sleeps on the wall clock, returning early once
-//!   the task is aborted), hold a delayed report for the next routing batch
-//!   and send a duplicate back through the worker-epoch gate.
+//!   instant; threads draw before every attempt (a stall sleeps on the wall
+//!   clock, returning early once the task is aborted) and hold a delayed
+//!   report for the next routing batch. On both, a duplicate completion is
+//!   delivered again right after the original settled, and the scheduler
+//!   absorbs it: the task is no longer running, so the echo is counted and
+//!   charges and settles nothing.
 //! * A watchdog cancels a task that runs past its deadline: its abort flag
 //!   goes up and, for a speculative task, the workload hears of it and the
 //!   version is rolled back — the path of a caught speculative panic,
 //!   except that the task still finishes (and is discarded), so its slot
 //!   is not reclaimed. The simulator fires at exactly `start + deadline`
 //!   of virtual time; threads poll.
-//! * Threads only: a supervisor quarantines workers whose heartbeat goes
-//!   stale, and the commit path's epoch gate recovers their straggling
-//!   reports through [`Core::recover`] instead of committing them twice.
-//!   A panic inside a workload callback is caught on the commit path and
-//!   fails the run the same structured way; poisoned locks are recovered,
-//!   not propagated.
+//! * Threads only: a panic inside a workload callback is caught on the
+//!   commit path and fails the run the same structured way; poisoned locks
+//!   are recovered, not propagated.
 
 use crate::instruments::Instruments;
 use crate::metrics::RunMetrics;
@@ -77,10 +76,10 @@ pub enum RunError {
         /// Body attempts made (initial run + retries).
         attempts: u32,
     },
-    /// A runtime service thread (feeder, worker, watchdog, supervisor) died
-    /// outside a task body, or a workload callback panicked on the commit
-    /// path — a bug, but still reported as a value so callers can fail
-    /// their run instead of the process.
+    /// A runtime thread (feeder, worker, watchdog) died outside a task
+    /// body, or a workload callback panicked on the commit path — a bug,
+    /// but still reported as a value so callers can fail their run instead
+    /// of the process.
     WorkerLost {
         /// Which thread was lost.
         what: &'static str,
@@ -136,12 +135,6 @@ fn jittered_backoff_us(attempt: u32, salt: u64) -> u64 {
     (base / 2 + r % base).min(MAX_BACKOFF_US)
 }
 
-/// The interval a polling thread sleeps between looks at what it guards:
-/// a tenth of its deadline, within [100 µs, 10 ms].
-fn poll_us(deadline_us: u64) -> u64 {
-    (deadline_us / 10).clamp(100, 10_000)
-}
-
 /// Watchdog configuration: detect tasks exceeding a deadline and cancel
 /// them (signal their abort flag and, for speculative tasks, abort their
 /// version so the speculation manager restarts the work).
@@ -160,44 +153,10 @@ impl Default for WatchdogConfig {
 }
 
 impl WatchdogConfig {
-    /// Poll interval of the threaded executor's watchdog thread, µs.
+    /// Poll interval of the threaded executor's watchdog thread, µs: a
+    /// tenth of the deadline, within [100 µs, 10 ms].
     pub(crate) fn poll_us(&self) -> u64 {
-        poll_us(self.deadline_us)
-    }
-}
-
-/// Worker supervision configuration (threaded executor only): every worker
-/// stamps a heartbeat clock each loop iteration, and a supervisor thread
-/// quarantines workers whose heartbeat goes stale — bumping their epoch so
-/// in-flight completion reports from the old incarnation are *rejected* at
-/// the commit path's epoch gate instead of double-committed, reassigning
-/// their ready lane, and respawning a replacement on a fresh epoch.
-///
-/// False positives are safe by construction: a merely-slow worker whose
-/// epoch was bumped exits at its next loop iteration, and its straggling
-/// report is recovered through the regular fault path (the task is re-fed,
-/// never committed twice).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// A worker whose heartbeat is older than this is quarantined, µs.
-    /// Must comfortably exceed the worker park timeout (100 ms) plus the
-    /// longest well-behaved task body, or slow workers get churned — safe,
-    /// but wasteful.
-    pub heartbeat_timeout_us: u64,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            heartbeat_timeout_us: 1_000_000,
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// Poll interval of the supervisor thread, µs.
-    pub(crate) fn poll_us(&self) -> u64 {
-        poll_us(self.heartbeat_timeout_us)
+        (self.deadline_us / 10).clamp(100, 10_000)
     }
 }
 
@@ -544,8 +503,8 @@ impl<W: Workload> Core<W> {
         end != End::Delivered
     }
 
-    /// The one path from a lost task to the workload: a faulted body, a
-    /// report the worker-epoch gate rejected, or a watchdog cancel. With
+    /// The one path from a lost task to the workload: a faulted body or a
+    /// watchdog cancel. With
     /// `reclaim`, the task's slot is reclaimed first ([`Scheduler::fault`]
     /// is idempotent: a task no longer running is a pure rejection and
     /// returns `None`); a cancelled task keeps its slot, because it still
@@ -617,8 +576,6 @@ pub(crate) fn run_metrics(rec: &Recorder, makespan: Time) -> RunMetrics {
         duplicate_completions: total(Counter::DuplicateCompletions),
         replica_dispatches: total(Counter::ReplicaDispatches),
         retry_backoff_us: total(Counter::RetryBackoffUs),
-        stale_completions_rejected: total(Counter::StaleCompletionsRejected),
-        worker_respawns: total(Counter::WorkerRespawns),
     }
 }
 
@@ -673,7 +630,7 @@ mod tests {
             2_000
         );
         assert_eq!(WatchdogConfig { deadline_us: 50 }.poll_us(), 100);
-        assert_eq!(SupervisorConfig::default().poll_us(), 10_000);
+        assert_eq!(WatchdogConfig::default().poll_us(), 10_000);
     }
 
     #[test]

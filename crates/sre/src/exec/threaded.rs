@@ -41,14 +41,14 @@
 //!   that finishes a task pushes its report onto a bounded **lock-free
 //!   commit log** ([`super::commit_log::CommitRing`]) and then `try_lock`s
 //!   the commit lock. Whoever holds that lock — this worker, another
-//!   worker, an idle worker about to park, the feeder after a batch,
-//!   the watchdog or the supervisor — takes a *turn* (`turn`): drain the
-//!   ring, run the worker-epoch gate, charge, settle, pump the lanes and
-//!   evaluate run completion. A successor on the DFG's critical path
-//!   (reduce chain, offset chain, check → rollback) is therefore spawned by
-//!   the thread that produced its input, without an OS scheduling round
-//!   trip to a router thread; and a failed `try_lock` costs the worker
-//!   nothing, so workload routing code still never blocks a worker.
+//!   worker, an idle worker about to park, the feeder after a batch or
+//!   the watchdog — takes a *turn* (`turn`): drain the ring, charge,
+//!   settle, pump the lanes and evaluate run completion. A successor on
+//!   the DFG's critical path (reduce chain, offset chain, check → rollback)
+//!   is therefore spawned by the thread that produced its input, without an
+//!   OS scheduling round trip to a router thread; and a failed `try_lock`
+//!   costs the worker nothing, so workload routing code still never blocks
+//!   a worker.
 //!
 //!   *No report is stranded.* (1) A producer pushes, then `try_lock`s
 //!   (`combine`). (2) Every holder, after unlocking, re-checks the ring
@@ -70,7 +70,7 @@
 use super::commit_log::CommitRing;
 use super::core::{
     assert_schedule, into_inner_recover, run_body, run_metrics, Core, Env, Injection, Report,
-    RunError, Span, SupervisorConfig, WatchdogConfig, DEFAULT_MAX_ATTEMPTS,
+    RunError, Span, WatchdogConfig, DEFAULT_MAX_ATTEMPTS,
 };
 use crate::instruments::Instruments;
 use crate::metrics::RunMetrics;
@@ -80,7 +80,7 @@ use crate::task::{TaskClass, TaskCtx, Time};
 use crate::workload::{InputBlock, Workload};
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
 use tvs_faults::{FaultKind, FaultSite};
@@ -97,20 +97,15 @@ pub struct ThreadedConfig {
     pub max_attempts: u32,
     /// Watchdog over long-running tasks; `None` disables it.
     pub watchdog: Option<WatchdogConfig>,
-    /// Worker supervision (heartbeats, quarantine, respawn); `None`
-    /// disables it.
-    pub supervisor: Option<SupervisorConfig>,
 }
 
 impl ThreadedConfig {
-    /// A config with default fault handling: bounded retry, no watchdog,
-    /// no supervision.
+    /// A config with default fault handling: bounded retry, no watchdog.
     pub fn new(workers: usize) -> Self {
         ThreadedConfig {
             workers,
             max_attempts: DEFAULT_MAX_ATTEMPTS,
             watchdog: None,
-            supervisor: None,
         }
     }
 }
@@ -127,10 +122,8 @@ struct Ready {
 }
 
 struct Parker {
-    /// The lane's current worker thread. A mutex (not a `OnceLock`)
-    /// because supervision respawns workers: a replacement installs its
-    /// own handle over the quarantined incarnation's.
-    handle: Mutex<Option<std::thread::Thread>>,
+    /// The lane's worker thread, set when it starts.
+    handle: OnceLock<std::thread::Thread>,
     parked: AtomicBool,
 }
 
@@ -173,20 +166,6 @@ struct Fabric<'a> {
     spin_limit: u32,
     /// Round-robin cursor for lane routing.
     next_lane: AtomicUsize,
-    /// Per-lane worker incarnation. Completion reports are stamped with
-    /// the reporting incarnation's epoch; the commit path rejects reports
-    /// whose epoch no longer matches (the worker was quarantined), so a
-    /// presumed-dead worker's straggling completions are re-fed instead of
-    /// double-committed.
-    worker_epoch: Vec<AtomicU64>,
-    /// Per-lane heartbeat stamp (µs since run start), refreshed at the top
-    /// of every worker loop iteration. Only maintained and consulted when
-    /// supervision is configured — unsupervised runs skip the stamp (and
-    /// the epoch poll) to keep the short-task hot loop free of them.
-    heartbeat: Vec<AtomicU64>,
-    /// Whether a supervisor thread is running (gates the heartbeat stamp
-    /// and quarantine poll in the worker loop).
-    supervised: bool,
     done: AtomicBool,
     /// Per-worker slot describing the currently-running task, for the
     /// watchdog. Only maintained when the watchdog is configured.
@@ -215,7 +194,7 @@ impl<'a> Fabric<'a> {
             ring: CommitRing::with_capacity((64 * workers).max(1024)),
             parkers: (0..workers)
                 .map(|_| Parker {
-                    handle: Mutex::new(None),
+                    handle: OnceLock::new(),
                     parked: AtomicBool::new(false),
                 })
                 .collect(),
@@ -226,16 +205,9 @@ impl<'a> Fabric<'a> {
             target_awake: hw.min(workers).max(1),
             spin_limit: if hw > 1 { 3 } else { 0 },
             next_lane: AtomicUsize::new(0),
-            worker_epoch: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            heartbeat: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            supervised: cfg.supervisor.is_some(),
             done: AtomicBool::new(false),
             watch: (0..workers).map(|_| Mutex::new(None)).collect(),
-            // The supervisor also needs the watch slots: quarantining a
-            // wedged worker signals the abort flag of whatever it was
-            // running, which is what unsticks abort-aware bodies and
-            // injected stalls.
-            watchdog_enabled: cfg.watchdog.is_some() || cfg.supervisor.is_some(),
+            watchdog_enabled: cfg.watchdog.is_some(),
             max_attempts: cfg.max_attempts,
             ins,
             input,
@@ -361,7 +333,7 @@ impl<'a> Fabric<'a> {
         if awake < self.target_awake && self.in_lanes.load(Ordering::SeqCst) > awake {
             for p in &self.parkers {
                 if p.parked.swap(false, Ordering::SeqCst) {
-                    if let Some(t) = lock_recover(&p.handle).as_ref() {
+                    if let Some(t) = p.handle.get() {
                         t.unpark();
                     }
                     return;
@@ -373,7 +345,7 @@ impl<'a> Fabric<'a> {
     /// Unpark everyone, parked flag or not (shutdown path).
     fn wake_all(&self) {
         for p in &self.parkers {
-            if let Some(t) = lock_recover(&p.handle).as_ref() {
+            if let Some(t) = p.handle.get() {
                 t.unpark();
             }
         }
@@ -387,46 +359,23 @@ impl<'a> Fabric<'a> {
         self.ring.close();
         self.wake_all();
     }
-
-    /// Reassign a quarantined worker's ready lane: move its bound entries
-    /// to the other lanes (round-robin), where live workers drain them
-    /// without waiting for the replacement to spin up. The entries stay
-    /// lane-bound throughout, so `in_lanes`/`normal_bound` are untouched
-    /// and nothing is re-counted as a dispatch.
-    fn reassign_lane(&self, from: usize) {
-        let n = self.lanes.len();
-        if n <= 1 {
-            return;
-        }
-        let moved: Vec<Ready> = lock_recover(&self.lanes[from]).drain(..).collect();
-        for (i, r) in moved.into_iter().enumerate() {
-            let to = (from + 1 + (i % (n - 1))) % n;
-            lock_recover(&self.lanes[to]).push_back(r);
-        }
-    }
 }
 
 /// Everything behind the commit lock: the executor core plus the routing
 /// batch. Touched only during a commit-path [`turn`].
 struct Inner<W> {
     core: Core<W>,
-    /// Reports held back by an injected `DelayCompletion`, and
-    /// `DuplicateCompletion` echoes: routed with the next batch, after
-    /// everything that shared their own — the reordering is the fault.
+    /// Reports held back by an injected `DelayCompletion`: routed with the
+    /// next batch, after everything that shared their own — the reordering
+    /// is the fault.
     delayed: Vec<Finished>,
     /// The batch being routed (kept for its capacity between turns).
     batch: Vec<Finished>,
 }
 
-/// A worker's report to the commit path, stamped with the reporting worker
-/// incarnation so the epoch gate can reject reports from quarantined
-/// workers (see [`Fabric::worker_epoch`]).
+/// A worker's report to the commit path.
 struct Finished {
     span: Span,
-    /// Reporting worker's incarnation epoch. `u64::MAX` marks an injected
-    /// duplicate-completion echo, which never matches a live epoch — the
-    /// echo deliberately exercises the reject path end to end.
-    epoch: u64,
     body: Report,
 }
 
@@ -490,16 +439,6 @@ fn route<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> Option<Time> {
     let core = &mut inner.core;
     for f in batch.drain(..) {
         let (span, env) = (f.span, fabric.env(f.span.finished));
-        // Worker-epoch gate: a report whose epoch no longer matches its
-        // lane's current incarnation comes from a quarantined worker (or
-        // is an injected duplicate echo). Reject it *before* any charging
-        // or completion routing — the dead incarnation's work must never
-        // double-commit — and recover the task through the fault path.
-        if f.epoch != fabric.worker_epoch[span.worker].load(Ordering::SeqCst) {
-            rec.add_control(Counter::StaleCompletionsRejected, 1);
-            core.recover(env, &span, 0, true);
-            continue;
-        }
         let mut echo = false;
         if matches!(f.body, Report::Ran(_)) {
             match fabric.ins.faults.draw(FaultSite::Completion) {
@@ -517,17 +456,10 @@ fn route<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> Option<Time> {
         }
         core.settle(env, &span, f.body, rec);
         if echo {
-            // Deliver the completion a second time, stamped with an epoch
-            // no incarnation ever holds: the duplicate flows back through
-            // this loop and the worker-epoch gate rejects it — exercising
-            // the same path that protects against a quarantined worker's
-            // stragglers, instead of quietly absorbing the echo in the
-            // scheduler.
-            inner.delayed.push(Finished {
-                span,
-                epoch: u64::MAX,
-                body: Report::Faulted { attempt: 0 },
-            });
+            // Deliver the completion a second time, as the simulator does:
+            // the task is no longer running, so the scheduler counts the
+            // echo and it charges and settles nothing.
+            let _ = core.sched.try_complete(span.id);
         }
     }
     inner.batch = batch;
@@ -579,11 +511,8 @@ fn turn<W: Workload>(
         }
     };
     let pushed = pump(fabric, &mut inner.core.sched);
-    // Held-back reports (injected delays and duplicate echoes) must flow
-    // through the gate before the run can end, or a last-batch echo would
-    // never exercise the reject path. One more turn drains them.
+    let done = run_complete(fabric, &mut inner.core);
     let held_back = !inner.delayed.is_empty();
-    let done = run_complete(fabric, &mut inner.core) && !held_back;
     drop(guard);
     // Commit-path time: the whole routed batch under one lock acquisition
     // (one add per batch, not per task).
@@ -637,7 +566,7 @@ fn combine<W: Workload>(fabric: &Fabric, commit: &Mutex<Inner<W>>) -> Turn {
 
 /// Run `entry` under the commit lock (waiting for it) as part of a full
 /// [`turn`]: for the threads that bring their own work to the commit path
-/// — feeder, watchdog, supervisor.
+/// — feeder and watchdog.
 fn locked<W: Workload>(
     fabric: &Fabric,
     commit: &Mutex<Inner<W>>,
@@ -648,27 +577,17 @@ fn locked<W: Workload>(
     }
 }
 
-/// Spawn one worker thread on lane `me` with incarnation `my_epoch` into
-/// the run's `scope`.
-///
-/// Named (rather than inline in [`run`]) because the
-/// supervisor respawns quarantined workers: a replacement runs this same
-/// loop on the same lane under a fresh epoch. Every loop iteration stamps
-/// the lane's heartbeat and re-checks the lane's current epoch — an
-/// incarnation that lost its lane (it was presumed dead, then woke up)
-/// exits instead of racing its replacement, and its final report is
-/// rejected by the epoch gate.
+/// Spawn the worker thread of lane `me` into the run's `scope`.
 fn spawn_worker<'scope, W: Workload + Send>(
     scope: &'scope Scope<'scope, '_>,
     me: usize,
-    my_epoch: u64,
     fabric: &'scope Fabric<'_>,
     commit: &'scope Mutex<Inner<W>>,
 ) -> ScopedJoinHandle<'scope, ()> {
     std::thread::Builder::new()
         .name(format!("tvs-worker-{me}"))
         .spawn_scoped(scope, move || {
-            *lock_recover(&fabric.parkers[me].handle) = Some(std::thread::current());
+            let _ = fabric.parkers[me].handle.set(std::thread::current());
             let rec = &fabric.ins.recorder;
             let mut spins = 0u32;
             // Time-accounting profiler: `mark` is the end of the
@@ -682,19 +601,6 @@ fn spawn_worker<'scope, W: Workload + Send>(
             // out by moving `mark` past it.
             let mut mark = fabric.now();
             loop {
-                // Supervision bookkeeping costs one clock read plus two
-                // SeqCst atomics per iteration — real money against µs
-                // tasks — so unsupervised runs skip it entirely. `mark`
-                // is at most a few spin-yields behind the wall clock
-                // (every park and task end refreshes it), which is noise
-                // against the heartbeat timeout's 100 ms floor.
-                if fabric.supervised {
-                    fabric.heartbeat[me].store(mark, Ordering::SeqCst);
-                    if fabric.worker_epoch[me].load(Ordering::SeqCst) != my_epoch {
-                        // Quarantined: a replacement owns this lane now.
-                        return;
-                    }
-                }
                 match fabric.grab(me) {
                     Some((ready, stolen_from)) => {
                         spins = 0;
@@ -752,12 +658,7 @@ fn spawn_worker<'scope, W: Workload + Send>(
                         };
                         // Route it here and now if the commit lock is
                         // free; otherwise its holder picks it up.
-                        let report = Finished {
-                            span,
-                            epoch: my_epoch,
-                            body,
-                        };
-                        if fabric.ring.push(report).is_err() {
+                        if fabric.ring.push(Finished { span, body }).is_err() {
                             return;
                         }
                         mark += combine(fabric, commit).commit_us;
@@ -868,12 +769,11 @@ fn feed<W: Workload>(fabric: &Fabric<'_>, commit: &Mutex<Inner<W>>, blocks: Vec<
 ///
 /// `input` is borrowed, not copied: every block's `bytes` is a range of it,
 /// and task bodies read it through [`crate::TaskCtx::input`]. The run's
-/// threads — workers, watchdog, supervisor and the workers it respawns —
-/// live in one [`std::thread::scope`] that ends before this returns, which
-/// is what lets them hold the borrow. The calling thread joins the workers
-/// it spawned, then the watchdog and the supervisor; the supervisor joins
-/// the replacements it spawned. Every handle is joined explicitly, so a
-/// thread that died is reported, never re-raised by the scope.
+/// threads — workers and watchdog — live in one [`std::thread::scope`]
+/// that ends before this returns, which is what lets them hold the borrow.
+/// The calling thread joins the workers, then the watchdog. Every handle is
+/// joined explicitly, so a thread that died is reported, never re-raised by
+/// the scope.
 ///
 /// Returns the finished workload and the run metrics, or a structured
 /// [`RunError`] when the run cannot complete (a non-speculative task
@@ -888,8 +788,7 @@ fn feed<W: Workload>(fabric: &Fabric<'_>, commit: &Mutex<Inner<W>>, blocks: Vec<
 /// A task-end is recorded on its worker's shard when the commit path
 /// settles the report, stamped when the body returned and carrying the
 /// settled verdict, so the spans sum to `busy_us` and their discarded part
-/// to `wasted_us` exactly, as on the simulator. A report the worker-epoch
-/// gate rejects settles nothing: its task-start has no task-end.
+/// to `wasted_us` exactly, as on the simulator.
 pub fn run<W>(
     workload: W,
     cfg: &ThreadedConfig,
@@ -919,7 +818,7 @@ where
         // report themselves when the commit lock is free. The lock is never
         // *waited on* here — a worker only ever `try_lock`s it.
         let workers: Vec<_> = (0..cfg.workers)
-            .map(|me| spawn_worker(scope, me, 0, fabric, commit))
+            .map(|me| spawn_worker(scope, me, fabric, commit))
             .collect();
 
         // Watchdog thread: polls the per-worker slots and cancels any task
@@ -955,72 +854,6 @@ where
                 .expect("failed to spawn watchdog thread")
         });
 
-        // Supervisor thread: polls the per-lane heartbeat clocks and
-        // recovers lanes whose worker went dark — wedged in a body that
-        // ignores its abort flag, or descheduled indefinitely. Quarantine
-        // bumps the lane's epoch (under the commit lock, so the epoch gate
-        // and the bump are ordered), signals the old incarnation's running
-        // task, hands its ready lane to the live workers, and respawns a
-        // replacement on the fresh epoch into the same scope. Any
-        // completion the quarantined incarnation still reports is rejected
-        // by the epoch gate and re-fed — never double-committed.
-        let supervisor = cfg.supervisor.map(|sv| {
-            std::thread::Builder::new()
-                .name("tvs-supervisor".into())
-                .spawn_scoped(scope, move || {
-                    let mut respawned = Vec::new();
-                    while !fabric.done.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_micros(sv.poll_us()));
-                        let now = fabric.now();
-                        for me in 0..fabric.lanes.len() {
-                            let hb = fabric.heartbeat[me].load(Ordering::SeqCst);
-                            if now.saturating_sub(hb) < sv.heartbeat_timeout_us.max(1)
-                                || fabric.done.load(Ordering::SeqCst)
-                            {
-                                continue;
-                            }
-                            // Quarantine under the commit lock: the epoch
-                            // bump is ordered against the gate (which reads
-                            // epochs while routing under the same lock) and
-                            // the control-ring emissions keep one writer at
-                            // a time.
-                            let mut old = 0;
-                            locked(fabric, commit, |_| {
-                                old = fabric.worker_epoch[me].fetch_add(1, Ordering::SeqCst);
-                                // Restart the clock so the replacement gets
-                                // a full timeout before it is judged.
-                                fabric.heartbeat[me].store(fabric.now(), Ordering::SeqCst);
-                                let worker = me as u32;
-                                let rec = &fabric.ins.recorder;
-                                rec.emit_control(EventKind::WorkerQuarantine {
-                                    worker,
-                                    epoch: old,
-                                });
-                                rec.emit_control(EventKind::WorkerRespawn {
-                                    worker,
-                                    epoch: old + 1,
-                                });
-                            });
-                            // Unstick whatever the old incarnation is
-                            // running: abort-aware bodies (and injected
-                            // stalls) return early once the flag is up,
-                            // after which the old worker exits at its next
-                            // epoch check and its report dies at the gate.
-                            if let Some(s) = lock_recover(&fabric.watch[me]).as_ref() {
-                                TaskCtx::signal_abort(&s.flag);
-                            }
-                            fabric.reassign_lane(me);
-                            respawned.push(spawn_worker(scope, me, old + 1, fabric, commit));
-                        }
-                    }
-                    fabric.wake_all();
-                    for h in respawned {
-                        let _ = h.join();
-                    }
-                })
-                .expect("failed to spawn supervisor thread")
-        });
-
         // The calling thread feeds the input: no thread to start before the
         // first batch goes in. A panic here is a runtime bug (workload
         // callbacks are caught inside their turn); it shuts the run down so
@@ -1041,13 +874,10 @@ where
             }
         }
         // Belt-and-braces: the turn that completes the run sets `done`, but
-        // the watchdog and supervisor must terminate even if every worker
-        // was lost.
+        // the watchdog must terminate even if every worker was lost.
         fabric.done.store(true, Ordering::SeqCst);
-        for (what, thread) in [("watchdog", watchdog), ("supervisor", supervisor)] {
-            if thread.is_some_and(|t| t.join().is_err()) {
-                lost = lost.or(Some(what));
-            }
+        if watchdog.is_some_and(|t| t.join().is_err()) {
+            lost = lost.or(Some("watchdog"));
         }
         lost
     });
@@ -1590,20 +1420,16 @@ mod tests {
             .filter(|f| f.kind == FaultKind::DuplicateCompletion)
             .count() as u64;
         assert_eq!(
-            m.stale_completions_rejected, echoes,
-            "every injected echo must take the epoch-reject path"
-        );
-        assert_eq!(
-            m.duplicate_completions, 0,
-            "echoes are rejected at the gate, never absorbed by the scheduler"
+            m.duplicate_completions, echoes,
+            "every injected echo is absorbed by the scheduler"
         );
     }
 
     #[test]
-    fn duplicated_completion_takes_the_epoch_reject_path() {
+    fn duplicated_completion_is_absorbed_by_the_scheduler() {
         // Focused version of the chaos smoke: with *only* duplicate echoes
-        // injected, the epoch-reject counter must match the injection count
-        // exactly and the output must be unaffected.
+        // injected, the scheduler's duplicate count must match the injection
+        // count exactly and the output must be unaffected.
         let (input, blocks) = at_once(16, 50);
         let expect: u64 = (0..16u64).map(|i| i * 50).sum();
         let plan = FaultPlan::new(7)
@@ -1625,116 +1451,74 @@ mod tests {
         .expect("echoes are recoverable");
         assert_eq!(w.total, expect);
         assert_eq!(w.seen, 16, "every block delivered exactly once");
-        assert_eq!(m.stale_completions_rejected, 8);
-        assert_eq!(m.duplicate_completions, 0);
+        assert_eq!(m.duplicate_completions, 8);
     }
 
-    /// A workload whose tagged tasks are re-spawned when lost: block 0's
-    /// first execution wedges (a sleep that ignores the abort flag long
-    /// enough to trip the supervisor), later executions run normally.
+    /// A workload whose block 0 wedges: its body sleeps `wedge_us`,
+    /// ignoring the abort flag. Records each delivered block's index and
+    /// `finished` stamp.
     struct Wedger {
         n: usize,
-        seen: usize,
-        total: u64,
-        refed: u32,
         wedge_us: u64,
-        wedged: Arc<AtomicU32>,
+        finished: Vec<(u64, Time)>,
     }
 
     impl Workload for Wedger {
         fn on_input(&mut self, ctx: &mut dyn SchedCtx, b: InputBlock) {
             let bytes = b.bytes;
             let wedge = if b.index == 0 { self.wedge_us } else { 0 };
-            let wedged = Arc::clone(&self.wedged);
             ctx.spawn(TaskSpec::regular(
                 "sum",
                 0,
                 bytes.len(),
                 b.index as u64,
                 move |ctx| {
-                    if wedge > 0 && wedged.fetch_add(1, Ordering::SeqCst) == 0 {
-                        // Not abort-aware: the supervisor must detect the
-                        // dark heartbeat, not rely on cooperative cancel.
-                        std::thread::sleep(Duration::from_micros(wedge));
-                    }
+                    std::thread::sleep(Duration::from_micros(wedge));
                     payload(sum(&ctx.input()[bytes.clone()]))
                 },
             ));
         }
         fn on_complete(&mut self, _ctx: &mut dyn SchedCtx, done: Completion) {
-            self.total += *done.output.downcast::<u64>().unwrap();
-            self.seen += 1;
-        }
-        fn on_fault(&mut self, ctx: &mut dyn SchedCtx, fault: FaultNotice) {
-            // The gate re-feeds lost work by (name, tag): re-spawn the block.
-            assert_eq!(fault.name, "sum");
-            self.refed += 1;
-            let idx = fault.tag;
-            ctx.spawn(TaskSpec::regular("sum", 0, 50, idx, move |_| {
-                payload(idx * 50)
-            }));
+            self.finished.push((done.tag, done.finished));
         }
         fn is_finished(&self) -> bool {
-            self.seen == self.n
+            self.finished.len() == self.n
         }
     }
 
     #[test]
-    fn supervisor_respawns_a_wedged_worker_without_double_commit() {
+    fn a_wedged_workers_queued_tasks_are_stolen() {
+        // Block 0 holds its worker for 400 ms; the other worker drains its
+        // own lane and steals what is queued behind the wedged one, so a
+        // stalled lane holds up nothing but its running task.
         let (input, blocks) = at_once(12, 50);
-        let expect: u64 = (0..12u64).map(|i| i * 50).sum();
-        let mut cfg = ThreadedConfig::new(3);
-        cfg.supervisor = Some(SupervisorConfig {
-            // Must exceed the 100 ms park timeout (parked workers stamp
-            // only when they wake) or healthy-but-idle workers churn.
-            heartbeat_timeout_us: 150_000,
-        });
-        let (w, m) = run(
+        let cfg = ThreadedConfig::new(2);
+        let (w, m) = dark(
             Wedger {
                 n: 12,
-                seen: 0,
-                total: 0,
-                refed: 0,
                 wedge_us: 400_000,
-                wedged: Arc::new(AtomicU32::new(0)),
+                finished: Vec::new(),
             },
             &cfg,
             NON_SPEC,
             &input,
             blocks,
-            &Instruments::default(),
-        )
-        .expect("supervision recovers the run");
-        assert_eq!(w.seen, 12, "every block delivered exactly once");
-        assert_eq!(w.total, expect, "re-fed block contributes exactly once");
-        assert!(m.worker_respawns >= 1, "the wedged worker was respawned");
+        );
+        let mut tags: Vec<u64> = w.finished.iter().map(|&(tag, _)| tag).collect();
+        tags.sort_unstable();
+        assert_eq!(
+            tags,
+            (0..12).collect::<Vec<_>>(),
+            "every block delivered once"
+        );
+        assert_eq!(m.tasks_delivered, 12);
+        assert!(m.steals >= 1, "the idle worker stole from the wedged lane");
+        let wedged = w.finished.iter().find(|&&(tag, _)| tag == 0).unwrap().1;
         assert!(
-            m.stale_completions_rejected >= 1,
-            "the wedged incarnation's straggler died at the gate"
+            w.finished.iter().all(|&(tag, at)| tag == 0 || at < wedged),
+            "the other blocks finish while block 0 is wedged: {:?}",
+            w.finished
         );
-        assert_eq!(w.refed as u64, m.stale_completions_rejected);
-    }
-
-    #[test]
-    fn supervision_is_quiet_on_a_healthy_run() {
-        let (input, blocks) = at_once(32, 100);
-        let expect: u64 = (0..32u64).map(|i| i * 100).sum();
-        let mut cfg = ThreadedConfig::new(4);
-        cfg.supervisor = Some(SupervisorConfig::default());
-        let (w, m) = dark(
-            Summer {
-                n: 32,
-                seen: 0,
-                total: 0,
-            },
-            &cfg,
-            NON_SPEC,
-            &input,
-            blocks,
-        );
-        assert_eq!(w.total, expect);
-        assert_eq!(m.worker_respawns, 0, "healthy workers are left alone");
-        assert_eq!(m.stale_completions_rejected, 0);
     }
 
     #[test]

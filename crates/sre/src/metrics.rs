@@ -53,13 +53,6 @@ pub struct RunMetrics {
     /// Total µs spent sleeping in jittered retry backoff (threaded
     /// executors only; the simulator retries instantaneously).
     pub retry_backoff_us: u64,
-    /// Completion reports rejected by the commit path's worker-epoch gate
-    /// (quarantined workers' in-flight reports and duplicated-completion
-    /// injections — threaded executor only).
-    pub stale_completions_rejected: u64,
-    /// Workers the supervisor respawned after a missed heartbeat
-    /// (threaded executor only; zero unless supervision is enabled).
-    pub worker_respawns: u64,
 }
 
 impl RunMetrics {

@@ -85,8 +85,8 @@ impl TraceLog {
     /// `id` column carries the parent version), `margin` for checks, `cascade_depth`
     /// for rollback, `attempt` for task-fault,
     /// `ran_us` for watchdog-cancel, `from`/`to` for degrade-step (whose
-    /// `name` column carries the cause), the primary task id (`of`) for
-    /// replica-dispatch and `worker`/`epoch` for worker-quarantine/respawn.
+    /// `name` column carries the cause) and the primary task id (`of`) for
+    /// replica-dispatch.
     /// Names are RFC-4180 quoted.
     pub fn to_event_csv(&self) -> String {
         let mut out = String::from(EVENT_CSV_HEADER);
@@ -268,15 +268,6 @@ impl TraceLog {
                     fmt_version(*version),
                     String::new(),
                     String::new(),
-                ),
-                EventKind::WorkerQuarantine { worker, epoch }
-                | EventKind::WorkerRespawn { worker, epoch } => (
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    worker.to_string(),
-                    epoch.to_string(),
                 ),
             };
             let _ = writeln!(

@@ -266,24 +266,6 @@ pub enum EventKind {
         /// The primary task id whose vote set resolved.
         id: u64,
     },
-    /// The supervisor quarantined a worker that missed its heartbeat
-    /// deadline: its epoch was advanced so in-flight completions it may
-    /// still report are rejected instead of double-committed.
-    WorkerQuarantine {
-        /// Quarantined worker index.
-        worker: u32,
-        /// The worker's epoch *before* quarantine (reports stamped with
-        /// it are now stale).
-        epoch: u64,
-    },
-    /// The supervisor respawned a quarantined worker's thread under a
-    /// fresh epoch.
-    WorkerRespawn {
-        /// Respawned worker index.
-        worker: u32,
-        /// The fresh epoch the new thread reports under.
-        epoch: u64,
-    },
 }
 
 impl EventKind {
@@ -312,8 +294,6 @@ impl EventKind {
             EventKind::ReplicaMatch { .. } => "replica-match",
             EventKind::SdcDetected { .. } => "sdc-detected",
             EventKind::SdcResolved { .. } => "sdc-resolved",
-            EventKind::WorkerQuarantine { .. } => "worker-quarantine",
-            EventKind::WorkerRespawn { .. } => "worker-respawn",
         }
     }
 
@@ -341,9 +321,7 @@ impl EventKind {
             | EventKind::DegradeStep { .. }
             | EventKind::ReplicaDispatch { .. }
             | EventKind::ReplicaMatch { .. }
-            | EventKind::SdcResolved { .. }
-            | EventKind::WorkerQuarantine { .. }
-            | EventKind::WorkerRespawn { .. } => None,
+            | EventKind::SdcResolved { .. } => None,
         }
     }
 }

@@ -116,10 +116,6 @@ pub struct SpecHealth {
     pub sdc_detected: u64,
     /// Divergent vote sets resolved by a tiebreak re-execution.
     pub sdc_resolved: u64,
-    /// Workers quarantined by the supervisor for missed heartbeats.
-    pub worker_quarantines: u64,
-    /// Workers respawned by the supervisor under a fresh epoch.
-    pub worker_respawns: u64,
     /// Sum of rollback cascade depths (ready tasks deleted from the
     /// central queue).
     pub cascade_total: u64,
@@ -232,8 +228,6 @@ impl TraceLog {
                 EventKind::ReplicaMatch { .. } => h.replica_matches += 1,
                 EventKind::SdcDetected { .. } => h.sdc_detected += 1,
                 EventKind::SdcResolved { .. } => h.sdc_resolved += 1,
-                EventKind::WorkerQuarantine { .. } => h.worker_quarantines += 1,
-                EventKind::WorkerRespawn { .. } => h.worker_respawns += 1,
                 EventKind::Park | EventKind::Unpark | EventKind::LineageOpen { .. } => {}
             }
         }

@@ -253,16 +253,6 @@ impl TraceLog {
                         r#"{{"name":"sdc-resolved","cat":"replication","ph":"i","s":"t","ts":{ts},"pid":1,"tid":{tid},"args":{{"id":{id}}}}}"#
                     ));
                 }
-                EventKind::WorkerQuarantine { worker, epoch } => {
-                    rows.push(format!(
-                        r#"{{"name":"worker-quarantine","cat":"supervision","ph":"i","s":"p","ts":{ts},"pid":1,"tid":{tid},"args":{{"worker":{worker},"epoch":{epoch}}}}}"#
-                    ));
-                }
-                EventKind::WorkerRespawn { worker, epoch } => {
-                    rows.push(format!(
-                        r#"{{"name":"worker-respawn","cat":"supervision","ph":"i","s":"t","ts":{ts},"pid":1,"tid":{tid},"args":{{"worker":{worker},"epoch":{epoch}}}}}"#
-                    ));
-                }
             }
         }
 
