@@ -20,9 +20,9 @@
 //!   instead of failing;
 //! * `tvs-bench`         — run once and print, touch nothing.
 //!
-//! The kernel cells (histogram, encode) time a 64 KiB block — the chunk
-//! encode cell as the pipeline's 16 blocks of 4 KiB; the runtime
-//! cells time the work-stealing executor on short tasks and the
+//! The kernel cells (histogram, encode, decode) time a 64 KiB block — the
+//! chunk encode and decode cells as the pipeline's 16 blocks of 4 KiB; the
+//! runtime cells time the work-stealing executor on short tasks and the
 //! speculation engine's steady-state commit/abort loop, whose
 //! `allocs_per_block` must be **0**: past warm-up, the wait buffer and
 //! undo journal recycle every per-version allocation.
@@ -159,6 +159,23 @@ fn huffman_rows() -> Vec<Row> {
         },
     );
     rows.push(Row::from_measurement("encode_chunk_covering", &m));
+
+    // The same chunk decoded back: the round-trip check every committed
+    // stream gets. The covering table's long codes take the decoder's
+    // bit-at-a-time walk. Bytes are source bytes, as for the encode cells.
+    let blocks = data.chunks(tvs_pipelines::config::BLOCK_BYTES);
+    let (run, _) = tvs_huffman::encode_blocks_at(blocks, &covering, 0, bits, || false)
+        .expect("a covering table codes every byte");
+    let m = bench_with(
+        "decode_chunk_covering",
+        Opts::throughput(BLOCK as u64),
+        || {
+            let back = tvs_huffman::decode_exact(&run.bytes, 0, run.bit_len, BLOCK, &covering)
+                .expect("the chunk decodes");
+            black_box(back.len())
+        },
+    );
+    rows.push(Row::from_measurement("decode_chunk_covering", &m));
 
     // What the pipeline does with a committed block: 4 KiB blocks encoded
     // with the lead their offset asks for, placed into one stream. Bytes

@@ -16,8 +16,14 @@
 //! encodes under a table whose longest code exceeds the 56 bits a packed
 //! entry holds, runs the serial codec's encode (kept apart from the word
 //! kernel, so that the two check each other) and concatenates encoded
-//! blocks ([`crate::encode::append_block`]). The reader reads bits
-//! byte-wise in [`BitReader::read_bits`].
+//! blocks ([`crate::encode::append_block`]).
+//!
+//! [`BitReader`] is the read-side twin of `WordWriter`: its one multi-bit
+//! read is a window, the next eight bytes of the buffer loaded as one
+//! big-endian word and shifted past the bits of its first byte already
+//! read, so that at least 57 of its bits are the stream's. The decoder
+//! looks up several codes in one window; [`BitReader::read_bits`] takes a
+//! field of up to 57 bits from one, and a longer one from two.
 
 use crate::codes::LEN_MASK;
 
@@ -291,22 +297,53 @@ impl<'a> BitReader<'a> {
     /// than `n` remain.
     pub fn read_bits(&mut self, n: u8) -> Option<u64> {
         debug_assert!(n <= 64);
-        if self.remaining() < n as u64 {
+        if self.remaining() < u64::from(n) {
             return None;
         }
-        let mut v = 0u64;
-        let mut need = n;
-        while need > 0 {
-            let byte = self.data[(self.pos / 8) as usize];
-            let avail = 8 - (self.pos % 8) as u8;
-            let take = avail.min(need);
-            let chunk = (byte >> (avail - take)) & (((1u16 << take) - 1) as u8);
-            v = (v << take) | chunk as u64;
-            self.pos += take as u64;
-            need -= take;
+        if n > 57 {
+            // More than one window is sure to hold.
+            let high = self.read_bits(n - 32)?;
+            return Some(high << 32 | self.read_bits(32)?);
         }
+        let v = match n {
+            0 => 0,
+            n => self.window() >> (64 - n),
+        };
+        self.skip(u32::from(n));
         Some(v)
     }
+
+    /// The next 64 bits of the buffer from the cursor, most significant
+    /// first, consuming none: the eight bytes from the cursor's byte on,
+    /// loaded as one big-endian word and shifted past the bits of that byte
+    /// already read. The top `min(57, remaining())` bits are the stream's;
+    /// the ones after them are whatever follows in the buffer, or zero. A
+    /// window with at least 64 bits remaining is one load.
+    #[inline(always)]
+    pub(crate) fn window(&self) -> u64 {
+        let byte = (self.pos / 8) as usize;
+        let word = match self.data.get(byte..byte + 8) {
+            Some(w) => u64::from_be_bytes(w.try_into().expect("8 bytes")),
+            None => tail_word(&self.data[byte..]),
+        };
+        word << (self.pos % 8)
+    }
+
+    /// Consume `n` bits, at most [`Self::remaining`].
+    #[inline(always)]
+    pub(crate) fn skip(&mut self, n: u32) {
+        debug_assert!(u64::from(n) <= self.remaining());
+        self.pos += u64::from(n);
+    }
+}
+
+/// The big-endian word of the fewer than 8 bytes `rest` at a buffer's end,
+/// zero-padded.
+#[cold]
+fn tail_word(rest: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w[..rest.len()].copy_from_slice(rest);
+    u64::from_be_bytes(w)
 }
 
 #[cfg(test)]
@@ -407,6 +444,36 @@ mod tests {
         let mut r = BitReader::at_offset(&bytes, 3, 5);
         assert_eq!(r.read_bits(5), Some(0b01010));
         assert_eq!(r.read_bit(), None);
+    }
+
+    #[test]
+    fn window_and_read_bits_match_bit_reads_at_every_offset() {
+        // Every cursor position of a 12-byte buffer, the last eight bytes
+        // included (where the window is zero-padded), and every field width.
+        let bytes: Vec<u8> = (0..12u8).map(|i| i.wrapping_mul(0x9D) ^ 0x5A).collect();
+        let total = bytes.len() as u64 * 8;
+        for at in 0..=total {
+            let r = BitReader::at_offset(&bytes, at, total - at);
+            let mut bits = r.clone();
+            let mut want = 0u64;
+            for _ in 0..64 {
+                want = want << 1 | u64::from(bits.read_bit().unwrap_or(0));
+            }
+            // The bits of the first byte already read are shifted out.
+            let fresh = at % 8;
+            assert_eq!(r.window(), want >> fresh << fresh, "window at bit {at}");
+            for n in 0..=64u8 {
+                let mut r = r.clone();
+                let got = r.read_bits(n);
+                if u64::from(n) > total - at {
+                    assert_eq!(got, None, "{n} bits at bit {at}");
+                } else {
+                    let want = if n == 0 { 0 } else { want >> (64 - n) };
+                    assert_eq!(got, Some(want), "{n} bits at bit {at}");
+                    assert_eq!(r.remaining(), total - at - u64::from(n));
+                }
+            }
+        }
     }
 
     #[test]

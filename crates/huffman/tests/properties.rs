@@ -2,10 +2,11 @@
 //! loops (`tvs_rng::cases`); the offline build has no proptest, and
 //! deterministic per-case seeds reproduce failures exactly.
 
+use tvs_huffman::decode::DecodeError;
 use tvs_huffman::{
     concat_blocks, decode_exact, encode_block, encode_block_at, encode_blocks_at, place,
-    relative_cost_delta, serial_decode, serial_encode, BitWriter, BlockCounts, CodeLengths,
-    CodeTable, EncodedBlock, Histogram, OffsetChain,
+    relative_cost_delta, serial_decode, serial_encode, BitReader, BitWriter, BlockCounts,
+    CodeLengths, CodeTable, Decoder, EncodedBlock, Histogram, OffsetChain,
 };
 use tvs_rng::{bytes, cases, SmallRng};
 
@@ -341,6 +342,190 @@ fn prop_kernel_equals_bit_at_a_time_reference() {
             }
         }
     });
+}
+
+/// The reference the decoder is held to: codes matched a bit at a time
+/// against every symbol's [`CodeTable::code`] and [`CodeTable::len`].
+struct ReferenceDecoder<'a> {
+    table: &'a CodeTable,
+    /// Per code length, every code of that length and its symbol, by code.
+    codes: Vec<Vec<(u64, u8)>>,
+    decoder: Decoder,
+}
+
+impl<'a> ReferenceDecoder<'a> {
+    fn new(table: &'a CodeTable) -> Self {
+        let mut codes = vec![Vec::new(); 65];
+        for s in (0..=255u8).filter(|&s| table.len(s) > 0) {
+            codes[usize::from(table.len(s))].push((table.code(s), s));
+        }
+        for of_len in &mut codes {
+            of_len.sort_unstable();
+        }
+        ReferenceDecoder {
+            table,
+            codes,
+            decoder: Decoder::new(table),
+        }
+    }
+
+    /// `n` symbols from bit `offset` of `data`, each read up to the
+    /// table's longest code, past which the bits read are an invalid code,
+    /// and no further than `offset + bits`, where the stream is truncated.
+    /// The symbols or the error, and the bit it stopped at.
+    fn decode(
+        &self,
+        data: &[u8],
+        offset: u64,
+        bits: u64,
+        n: usize,
+    ) -> (Result<Vec<u8>, DecodeError>, u64) {
+        let end = offset + bits;
+        let mut pos = offset;
+        let mut out = Vec::new();
+        'symbols: for _ in 0..n {
+            let mut code = 0u64;
+            for len in 1..=self.table.max_len() {
+                if pos == end {
+                    return (Err(DecodeError::Truncated), pos);
+                }
+                let bit = data[(pos / 8) as usize] >> (7 - pos % 8) & 1;
+                code = code << 1 | u64::from(bit);
+                pos += 1;
+                let of_len = &self.codes[usize::from(len)];
+                if let Ok(i) = of_len.binary_search_by_key(&code, |&(c, _)| c) {
+                    out.push(of_len[i].1);
+                    continue 'symbols;
+                }
+            }
+            return (Err(DecodeError::InvalidCode), pos);
+        }
+        (Ok(out), pos)
+    }
+
+    /// `data[offset..offset + bits]` decodes to what [`Self::decode`]
+    /// reads — the same symbols or the same error — through every entry
+    /// point, and a reader stops at the bit the reference stops at.
+    fn check(&self, data: &[u8], offset: u64, bits: u64, n: usize) {
+        let (want, stop) = self.decode(data, offset, bits, n);
+        let what = format!(
+            "longest code {}, bits {offset}+{bits} of {}, {n} symbols",
+            self.table.max_len(),
+            data.len() * 8
+        );
+        assert_eq!(
+            decode_exact(data, offset, bits, n, self.table),
+            want,
+            "{what}"
+        );
+        let end_pos = |r: &BitReader<'_>| offset + bits - r.remaining();
+        let mut r = BitReader::at_offset(data, offset, bits);
+        assert_eq!(self.decoder.decode_n(&mut r, n), want, "{what}: decode_n");
+        assert_eq!(end_pos(&r), stop, "{what}: decode_n stops");
+        let mut r = BitReader::at_offset(data, offset, bits);
+        let one: Result<Vec<u8>, _> = (0..n).map(|_| self.decoder.decode_symbol(&mut r)).collect();
+        assert_eq!(one, want, "{what}: decode_symbol");
+        assert_eq!(end_pos(&r), stop, "{what}: decode_symbol stops");
+    }
+}
+
+/// The table decoder decodes what the bit-at-a-time reference decodes, and
+/// fails where it fails with the same [`DecodeError`] at the same bit. The
+/// tables are final, covering and Kraft-tight ones whose longest code sits
+/// at either side of the 11 bits the decoder looks up at once (11, 12, 13)
+/// or past them (20, 57, 64), and tables that are not Kraft-full, so that
+/// some prefixes are no code: a final table with some codes a bit longer,
+/// Kraft-tight ones without their shortest or their deepest code. Every
+/// stream starts at bit offsets 0–7 and is followed by a few bytes of
+/// garbage the reader must not see; it is decoded whole, as every short
+/// prefix (0–12 symbols, about the five lookups of a window and the ten
+/// symbols they may yield), asking for fewer and more symbols than it holds,
+/// cut short, and a stretch of garbage is decoded as a stream.
+#[test]
+fn prop_table_decoder_equals_bit_at_a_time_reference() {
+    cases(0x4F10, 16, |rng, case| {
+        let mut raw = bytes(rng, 1..600);
+        if case % 2 == 1 {
+            // Skewed towards a few bytes: the shortest codes.
+            for b in &mut raw {
+                *b = b.leading_zeros() as u8 * 3 + *b % 3;
+            }
+        }
+        let serial = serial_encode(&raw).unwrap();
+        let prefix = Histogram::from_bytes(&raw[..raw.len().div_ceil(8)]);
+        let covering = CodeLengths::build_covering(&prefix).unwrap();
+        let mut tables = vec![serial.table.clone(), CodeTable::from_lengths(&covering)];
+        for depth in [11, 12, 13, 20, 57, 64] {
+            tables.push(kraft_tight(depth));
+        }
+        let mut looser = serial.table.lengths_array();
+        for l in looser.iter_mut().filter(|l| (1..64).contains(*l)) {
+            *l += rng.random_range(0..2u8);
+        }
+        looser[usize::from(raw[0])] = serial.table.len(raw[0]) + 1;
+        for lens in [looser, dropped(12, 0), dropped(12, 12), dropped(20, 5)] {
+            tables.push(CodeTable::from_lengths(
+                &CodeLengths::from_lengths(lens).unwrap(),
+            ));
+        }
+        for table in &tables {
+            let reference = ReferenceDecoder::new(table);
+            let coded: Vec<u8> = (0..=255u8).filter(|&s| table.len(s) > 0).collect();
+            // A few thousand bits, however long the codes.
+            let m = raw.len().min(2500 / usize::from(table.max_len()));
+            let data: Vec<u8> = raw[..m]
+                .iter()
+                .map(|&b| coded[usize::from(b) % coded.len()])
+                .collect();
+            for lead in 0..8u8 {
+                let offset = u64::from(lead);
+                let garbage = bytes(rng, 0..10);
+                let stream = |symbols: &[u8]| {
+                    let (mut buf, bits) = reference_encode(&[symbols], table, lead).unwrap();
+                    buf.extend_from_slice(&garbage);
+                    (buf, bits)
+                };
+                let (buf, bits) = stream(&data);
+                assert_eq!(
+                    decode_exact(&buf, offset, bits, data.len(), table).as_deref(),
+                    Ok(&data[..])
+                );
+                reference.check(&buf, offset, bits, data.len());
+                reference.check(&buf, offset, bits, rng.random_range(0..=data.len() + 12));
+                let cut = rng.random_range(1..=bits.min(80));
+                reference.check(&buf, offset, bits - cut, data.len());
+                let k = rng.random_range(0..=12usize).min(data.len());
+                let (buf, bits) = stream(&data[..k]);
+                for n in k.saturating_sub(1)..=k + 1 {
+                    reference.check(&buf, offset, bits, n);
+                }
+            }
+            let noise = bytes(rng, 0..256);
+            let n = rng.random_range(0..=noise.len() * 2);
+            reference.check(&noise, 0, noise.len() as u64 * 8, n);
+        }
+    });
+    // A long code that a window's lookups reach and the stream cuts short:
+    // the walk they fall back to finds it truncated.
+    for depth in [20, 57, 64] {
+        let table = kraft_tight(depth);
+        let reference = ReferenceDecoder::new(&table);
+        let data = [&[0u8; 4][..], &[depth], &[0; 6]].concat();
+        for lead in 0..8u8 {
+            let (buf, bits) = reference_encode(&[&data], &table, lead).unwrap();
+            for cut in 0..=u64::from(depth) + 6 {
+                reference.check(&buf, u64::from(lead), bits - cut, data.len());
+            }
+        }
+    }
+}
+
+/// [`kraft_tight`]`(depth)`'s lengths without symbol `gone`'s code: not
+/// Kraft-full, so the prefixes its code started are no code.
+fn dropped(depth: u8, gone: usize) -> [u8; 256] {
+    let mut lens = kraft_tight(depth).lengths_array();
+    lens[gone] = 0;
+    lens
 }
 
 /// A block's `u32` counts agree with its histogram: widened, folded onto a

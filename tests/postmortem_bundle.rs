@@ -205,8 +205,14 @@ fn run_error_crash_hook_dumps_a_bundle() {
     });
     let checkpointed = || HuffmanRun::threaded(&data, &ckpt, 2, &arrival, 1000);
     assert_dies_with_a_bundle(checkpointed(), 2, 79, &root);
-    let halted = run_huffman(&checkpointed()).expect("clean run halts");
+    // The halt is taken on the simulator: a threaded run may commit every
+    // block in the drain that halts it, leaving its resume nothing to run.
+    // The snapshot's config digest is the `HuffmanConfig`'s alone, so the
+    // simulator's snapshot resumes on threads.
+    let halted = run_huffman(&HuffmanRun::sim(&data, &ckpt, &x86_smp(4), &arrival))
+        .expect("clean run halts");
     let snap = halted.end.into_snapshot();
+    assert!(snap.prefix < snap.n_blocks(), "the resume has blocks left");
     let resumed = HuffmanRun {
         resume: Some(&snap),
         ..checkpointed()
