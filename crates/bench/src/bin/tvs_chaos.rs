@@ -246,63 +246,54 @@ fn main() {
     // Silent-data-corruption recall: FaultPlan::sdc flips bits in encoded
     // blocks *after* a successful encode — no panic, no stall, bit count
     // intact — so retry and the tolerance checks are both blind. Under
-    // Replicate/Both every run must decode byte-identically AND, whenever
+    // Replicate every run must decode byte-identically AND, whenever
     // corruptions actually landed, detect at least one divergence.
-    let mut sdc_cfg = HuffmanConfig {
+    let sdc_cfg = HuffmanConfig {
         block_bytes: 1024,
         reduce_ratio: 4,
         offset_fanout: 4,
         schedule: SpeculationSchedule::with_step(1),
         verification: VerificationPolicy::Full,
+        validation: ValidationMode::Replicate { sample_rate: 1.0 },
         ..cfg()
     };
     let sdc_data = tvs_workloads::generate(FileKind::Text, 32 * 1024, 2011);
-    let sdc_modes = [
-        ("replicate", ValidationMode::Replicate { sample_rate: 1.0 }),
-        ("both", ValidationMode::Both { sample_rate: 1.0 }),
-    ];
     let mut recall_lines: [String; 2] = Default::default();
     println!(
-        "\n== sdc recall: {} seeds x sim+threaded x replicate/both ==",
+        "\n== sdc recall (replicate): {} seeds x sim+threaded ==",
         SEEDS.len()
     );
-    println!(
-        "{:<6} {:<10} {:<10} {:<30}",
-        "seed", "exec", "mode", "injected/detected"
-    );
+    println!("{:<6} {:<10} {:<30}", "seed", "exec", "injected/detected");
     for seed in SEEDS {
-        for (mode_label, mode) in sdc_modes {
-            sdc_cfg.validation = mode;
-            for (lines, exec) in recall_lines.iter_mut().zip(EXECS) {
-                let faults = FaultInjector::new(FaultPlan::sdc(seed));
-                let mut run = run_on(exec, &sdc_data, &sdc_cfg, &arrival);
-                run.instruments.faults = faults.clone();
-                let report = match run_huffman(&run) {
-                    Ok(report) => report,
-                    Err(e) => {
-                        violations += 1;
-                        println!("{seed:<6} {exec:<10} {mode_label:<10} VIOLATION: {e}");
-                        continue;
-                    }
-                };
-                let injected = faults.injected_at(FaultSite::TaskOutput);
-                let detected = report.replica.sdc_detected;
-                let decoded = decode_exactly(&report.end.into_outcome(), &sdc_data);
-                let ok = decoded.is_ok() && (injected == 0 || detected >= 1);
-                lines.push_str(&format!(
-                    "{{\"seed\":{seed},\"exec\":\"{exec}\",\"mode\":\"{mode_label}\",\"injected\":{injected},\"detected\":{detected},\"ok\":{ok}}}\n"
-                ));
-                let cell = if ok {
-                    format!("{injected}/{detected}")
-                } else {
+        for (lines, exec) in recall_lines.iter_mut().zip(EXECS) {
+            let faults = FaultInjector::new(FaultPlan::sdc(seed));
+            let mut run = run_on(exec, &sdc_data, &sdc_cfg, &arrival);
+            run.instruments.faults = faults.clone();
+            let report = match run_huffman(&run) {
+                Ok(report) => report,
+                Err(e) => {
                     violations += 1;
-                    format!(
-                        "VIOLATION: {injected} injected, {detected} detected — {}",
-                        decoded.err().unwrap_or_else(|| "undetected".into())
-                    )
-                };
-                println!("{seed:<6} {exec:<10} {mode_label:<10} {cell:<30}");
-            }
+                    println!("{seed:<6} {exec:<10} VIOLATION: {e}");
+                    continue;
+                }
+            };
+            let injected = faults.injected_at(FaultSite::TaskOutput);
+            let detected = report.replica.sdc_detected;
+            let decoded = decode_exactly(&report.end.into_outcome(), &sdc_data);
+            let ok = decoded.is_ok() && (injected == 0 || detected >= 1);
+            lines.push_str(&format!(
+                "{{\"seed\":{seed},\"exec\":\"{exec}\",\"mode\":\"replicate\",\"injected\":{injected},\"detected\":{detected},\"ok\":{ok}}}\n"
+            ));
+            let cell = if ok {
+                format!("{injected}/{detected}")
+            } else {
+                violations += 1;
+                format!(
+                    "VIOLATION: {injected} injected, {detected} detected — {}",
+                    decoded.err().unwrap_or_else(|| "undetected".into())
+                )
+            };
+            println!("{seed:<6} {exec:<10} {cell:<30}");
         }
     }
     violations += write_matrix("sdc_recall", &recall_lines);

@@ -141,11 +141,8 @@ fn print_policy(
             worst.join(", ")
         );
     }
-    if h.faults + h.watchdog_cancels > 0 {
-        println!(
-            "    faults: {} task fault(s), {} watchdog cancel(s)",
-            h.faults, h.watchdog_cancels
-        );
+    if h.faults > 0 {
+        println!("    faults: {} task fault(s)", h.faults);
     }
     if h.steps_down + h.steps_up + h.probes > 0 {
         println!(

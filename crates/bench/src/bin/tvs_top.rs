@@ -119,10 +119,9 @@ fn render_frame(snap: &MetricsSnapshot, timeline: &[f64], plain: bool) -> String
         c(Counter::Rollbacks).delta,
     ));
     s.push_str(&format!(
-        "  faults  {:>4} task, {:>3} retries, {:>3} watchdog\n",
+        "  faults  {:>4} task, {:>3} retries\n",
         c(Counter::Faults).total,
         c(Counter::Retries).total,
-        c(Counter::WatchdogCancels).total,
     ));
     s.push_str(&format!(
         "  level   {:<9}  cascade max {:>3}  ring occupancy {:>4}  encode allocs {}\n",

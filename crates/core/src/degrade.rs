@@ -77,7 +77,7 @@ pub enum Outcome {
     Committed,
     /// A version was rolled back (failed check or external abort).
     RolledBack,
-    /// The executor recovered a fault (panic, watchdog cancel).
+    /// The executor recovered a fault (a caught task panic).
     Fault,
     /// Replication detected a silent data corruption.
     Sdc,

@@ -87,8 +87,8 @@ pub struct ManagerStats {
     /// Stale verdicts ignored (their version was already gone).
     pub stale_results: u64,
     /// Executor-initiated aborts absorbed via
-    /// [`SpeculationManager::on_external_abort`] (panicked or
-    /// watchdog-cancelled speculative tasks).
+    /// [`SpeculationManager::on_external_abort`] (panicked speculative
+    /// tasks).
     pub external_aborts: u64,
     /// Executor faults reported via [`SpeculationManager::record_fault`].
     pub faults: u64,
@@ -337,8 +337,8 @@ impl<T> SpeculationManager<T> {
         self.observe(Outcome::RolledBack);
     }
 
-    /// An executor caught a fault (panicked task body, watchdog cancel)
-    /// somewhere in this manager's pipeline. Counts as a failed outcome —
+    /// An executor caught a fault (a panicked task body) somewhere in this
+    /// manager's pipeline. Counts as a failed outcome —
     /// repeated machine faults degrade speculation to the natural path
     /// just like repeated mispredictions do.
     pub fn record_fault(&mut self) {
@@ -520,8 +520,8 @@ impl<T> SpeculationManager<T> {
     }
 
     /// The executor killed `version` from outside the check path — a
-    /// speculative task body panicked or the watchdog cancelled it, and
-    /// the executor already aborted the version in the scheduler. Brings
+    /// speculative task body panicked, and the executor already aborted
+    /// the version in the scheduler. Brings
     /// the manager's phase in line and reuses the rollback funnel (stats,
     /// degradation, [`Action::Rollback`] — scheduler aborts are
     /// idempotent, so the host re-executing the abort is harmless).

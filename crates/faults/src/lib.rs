@@ -38,8 +38,8 @@ pub enum FaultKind {
     /// must convert this into a fault, not a process abort).
     PanicTask,
     /// Stall for roughly this many µs before proceeding. Wiring points
-    /// stall abort-aware (poll the task's abort flag) so the watchdog can
-    /// unstick a stalled speculative task.
+    /// stall abort-aware (poll the task's abort flag), so a rollback of its
+    /// version ends a stalled speculative task early.
     Stall {
         /// Stall duration, µs.
         us: u64,

@@ -103,8 +103,6 @@ vocabulary! {
         Faults = "faults",
         /// Non-speculative retry attempts after a caught fault.
         Retries = "retries",
-        /// Watchdog deadline cancellations.
-        WatchdogCancels = "watchdog_cancels",
         /// Duplicate completion reports absorbed by the scheduler.
         DuplicateCompletions = "duplicate_completions",
         /// Worker-busy µs charged to completed tasks.

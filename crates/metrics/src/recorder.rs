@@ -207,7 +207,6 @@ impl Registry {
             EventKind::CheckFail { .. } => self.add(shard, Counter::ChecksFailed, 1),
             EventKind::Commit { .. } => self.add(shard, Counter::Commits, 1),
             EventKind::TaskFault { .. } => self.add(shard, Counter::Faults, 1),
-            EventKind::WatchdogCancel { .. } => self.add(shard, Counter::WatchdogCancels, 1),
             EventKind::ReplicaDispatch { .. } => self.add(shard, Counter::ReplicaDispatches, 1),
             EventKind::ReplicaMatch { .. } => self.add(shard, Counter::ReplicaMatches, 1),
             EventKind::SdcDetected { .. } => self.add(shard, Counter::SdcDetected, 1),

@@ -1612,10 +1612,10 @@ impl Workload for HuffmanWorkload {
     }
 
     fn on_fault(&mut self, ctx: &mut dyn SchedCtx, fault: FaultNotice) {
-        // Executor-recovered faults (caught panics, watchdog cancels) feed
-        // the degradation window; a faulted *speculative* task also
-        // kills its version, so bring the manager's phase in line and let
-        // the regular rollback actions clear the path and wait buffer.
+        // Executor-recovered faults (caught panics) feed the degradation
+        // window; a faulted *speculative* task also kills its version, so
+        // bring the manager's phase in line and let the regular rollback
+        // actions clear the path and wait buffer.
         self.mgr.record_fault();
         if let Some(v) = fault.version {
             self.on_version_lost(ctx, v);

@@ -1,9 +1,9 @@
 //! Post-mortem crash bundles — the flight recorder's black box.
 //!
-//! When a run dies (structured [`tvs_sre::RunError`], degraded run under
-//! test, unresolved SDC, watchdog stall) or a caller asks explicitly, the
-//! full observability state is dumped as one self-contained directory
-//! under `results/postmortem_<rev>_<seed>/`:
+//! When a run dies (structured [`tvs_sre::RunError`]), a degraded run is
+//! under test or a caller asks explicitly, the full observability state is
+//! dumped as one self-contained directory under
+//! `results/postmortem_<rev>_<seed>/`:
 //!
 //! | member               | contents                                            |
 //! |----------------------|-----------------------------------------------------|
@@ -41,10 +41,6 @@ pub enum Trigger {
     RunError,
     /// The degradation machine stepped down.
     Degraded,
-    /// Replication detected a silent corruption that was never resolved.
-    UnresolvedSdc,
-    /// The watchdog cancelled a stalled task.
-    WatchdogStall,
     /// Explicit capture requested by the caller.
     Explicit,
 }
@@ -55,8 +51,6 @@ impl Trigger {
         match self {
             Trigger::RunError => "run-error",
             Trigger::Degraded => "degraded",
-            Trigger::UnresolvedSdc => "unresolved-sdc",
-            Trigger::WatchdogStall => "watchdog-stall",
             Trigger::Explicit => "explicit",
         }
     }
@@ -66,8 +60,6 @@ impl Trigger {
         Some(match s {
             "run-error" => Trigger::RunError,
             "degraded" => Trigger::Degraded,
-            "unresolved-sdc" => Trigger::UnresolvedSdc,
-            "watchdog-stall" => Trigger::WatchdogStall,
             "explicit" => Trigger::Explicit,
             _ => return None,
         })
@@ -479,13 +471,7 @@ mod tests {
 
     #[test]
     fn trigger_names_round_trip() {
-        for t in [
-            Trigger::RunError,
-            Trigger::Degraded,
-            Trigger::UnresolvedSdc,
-            Trigger::WatchdogStall,
-            Trigger::Explicit,
-        ] {
+        for t in [Trigger::RunError, Trigger::Degraded, Trigger::Explicit] {
             assert_eq!(Trigger::parse(t.name()), Some(t));
         }
         assert_eq!(Trigger::parse("nonsense"), None);

@@ -111,9 +111,9 @@ impl CheckpointedRun {
     }
 }
 
-/// The executor of a [`HuffmanRun`]. Its config's `max_attempts` /
-/// `watchdog` fields are a chaos run's recovery knobs; the run dispatches
-/// under [`HuffmanConfig::policy`].
+/// The executor of a [`HuffmanRun`]. Its config's `max_attempts` field is
+/// a chaos run's recovery knob; the run dispatches under
+/// [`HuffmanConfig::policy`].
 #[derive(Debug, Clone)]
 pub enum Executor {
     /// The deterministic discrete-event executor, in virtual time.

@@ -2,9 +2,9 @@
 //! a task, written once for both executors.
 //!
 //! [`super::sim`] keeps its event heap and virtual clock;
-//! [`super::threaded`] keeps its lanes, commit ring, parkers and watchdog
-//! thread. Both hand what happened to the pieces here, and differ only in
-//! the plain data they pass along:
+//! [`super::threaded`] keeps its lanes, commit ring and parkers. Both hand
+//! what happened to the pieces here, and differ only in the plain data they
+//! pass along:
 //!
 //! * [`Core`] — scheduler, workload and run outcome: the state behind the
 //!   threaded commit lock, owned outright by the simulator;
@@ -39,12 +39,10 @@
 //!   delivered again right after the original settled, and the scheduler
 //!   absorbs it: the task is no longer running, so the echo is counted and
 //!   charges and settles nothing.
-//! * A watchdog cancels a task that runs past its deadline: its abort flag
-//!   goes up and, for a speculative task, the workload hears of it and the
-//!   version is rolled back — the path of a caught speculative panic,
-//!   except that the task still finishes (and is discarded), so its slot
-//!   is not reclaimed. The simulator fires at exactly `start + deadline`
-//!   of virtual time; threads poll.
+//! * A running task is cut short one way: its version's rollback raises
+//!   its abort flag ([`Scheduler::abort_version`]). A body (or an injected
+//!   stall) that polls the flag returns early and its output is discarded;
+//!   a non-speculative task carries no version and is never cut short.
 //! * Threads only: a panic inside a workload callback is caught on the
 //!   commit path and fails the run the same structured way; poisoned locks
 //!   are recovered, not propagated.
@@ -76,10 +74,10 @@ pub enum RunError {
         /// Body attempts made (initial run + retries).
         attempts: u32,
     },
-    /// A runtime thread (feeder, worker, watchdog) died outside a task
-    /// body, or a workload callback panicked on the commit path — a bug,
-    /// but still reported as a value so callers can fail their run instead
-    /// of the process.
+    /// A runtime thread (feeder, worker) died outside a task body, or a
+    /// workload callback panicked on the commit path — a bug, but still
+    /// reported as a value so callers can fail their run instead of the
+    /// process.
     WorkerLost {
         /// Which thread was lost.
         what: &'static str,
@@ -135,31 +133,6 @@ fn jittered_backoff_us(attempt: u32, salt: u64) -> u64 {
     (base / 2 + r % base).min(MAX_BACKOFF_US)
 }
 
-/// Watchdog configuration: detect tasks exceeding a deadline and cancel
-/// them (signal their abort flag and, for speculative tasks, abort their
-/// version so the speculation manager restarts the work).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Running time after which a task is cancelled, µs.
-    pub deadline_us: u64,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            deadline_us: 500_000,
-        }
-    }
-}
-
-impl WatchdogConfig {
-    /// Poll interval of the threaded executor's watchdog thread, µs: a
-    /// tenth of the deadline, within [100 µs, 10 ms].
-    pub(crate) fn poll_us(&self) -> u64 {
-        (self.deadline_us / 10).clamp(100, 10_000)
-    }
-}
-
 /// [`Mutex::into_inner`] with the same poison recovery as
 /// [`tvs_metrics::lock_recover`].
 pub fn into_inner_recover<T>(m: Mutex<T>) -> T {
@@ -168,8 +141,8 @@ pub fn into_inner_recover<T>(m: Mutex<T>) -> T {
 
 /// Abort-aware wall-clock stall (the threaded interpretation of an
 /// injected `Stall`): sleeps in small increments, returning early once the
-/// task's version is aborted — which is how the watchdog unsticks a
-/// stalled speculative task.
+/// task's version is aborted — so a rollback releases a stalled
+/// speculative task as it releases any body that polls its abort flag.
 fn stall_wall(us: u64, ctx: &TaskCtx<'_>) {
     let t0 = Instant::now();
     let step = Duration::from_micros((us / 10).clamp(20, 500));
@@ -492,7 +465,7 @@ impl<W: Workload> Core<W> {
             self.call(env, |w, ctx| w.on_complete(ctx, done));
         }
         if let Some(attempt) = fault {
-            if let Some(None) = self.recover(env, span, attempt, true) {
+            if let Some(None) = self.recover(env, span, attempt) {
                 self.failed.get_or_insert(RunError::TaskFailed {
                     name: span.name,
                     id: span.id,
@@ -503,27 +476,14 @@ impl<W: Workload> Core<W> {
         end != End::Delivered
     }
 
-    /// The one path from a lost task to the workload: a faulted body or a
-    /// watchdog cancel. With
-    /// `reclaim`, the task's slot is reclaimed first ([`Scheduler::fault`]
-    /// is idempotent: a task no longer running is a pure rejection and
-    /// returns `None`); a cancelled task keeps its slot, because it still
-    /// finishes and is discarded. Then the workload is told — its
-    /// speculation manager clears its records, lost non-speculative work
-    /// is re-spawned — and the version is rolled back. Returns the
-    /// task's version.
-    pub(crate) fn recover(
-        &mut self,
-        env: Env<'_>,
-        span: &Span,
-        attempt: u32,
-        reclaim: bool,
-    ) -> Option<Option<SpecVersion>> {
-        let version = if reclaim {
-            self.sched.fault(span.id)?
-        } else {
-            span.version
-        };
+    /// The one path from a lost task — a faulted body — to the workload.
+    /// The task's slot is reclaimed first ([`Scheduler::fault`] is
+    /// idempotent: a task no longer running is a pure rejection and returns
+    /// `None`). Then the workload is told — its speculation manager clears
+    /// its records, lost non-speculative work is re-spawned — and the
+    /// version is rolled back. Returns the task's version.
+    fn recover(&mut self, env: Env<'_>, span: &Span, attempt: u32) -> Option<Option<SpecVersion>> {
+        let version = self.sched.fault(span.id)?;
         let notice = FaultNotice {
             id: span.id,
             name: span.name,
@@ -538,20 +498,6 @@ impl<W: Workload> Core<W> {
             }
         });
         Some(version)
-    }
-
-    /// The watchdog cancelled `span`'s task after `ran_us`: record it; a
-    /// speculative task is then recovered, keeping its slot. (The caller
-    /// raises the task's abort flag.)
-    pub(crate) fn cancel(&mut self, env: Env<'_>, span: &Span, ran_us: Time, rec: &Recorder) {
-        rec.emit_control(EventKind::WatchdogCancel {
-            id: span.id,
-            version: span.version,
-            ran_us,
-        });
-        if span.version.is_some() {
-            self.recover(env, span, 0, false);
-        }
     }
 }
 
@@ -572,7 +518,6 @@ pub(crate) fn run_metrics(rec: &Recorder, makespan: Time) -> RunMetrics {
         steals: total(Counter::Steal),
         faults: total(Counter::Faults),
         task_retries: total(Counter::Retries),
-        watchdog_cancels: total(Counter::WatchdogCancels),
         duplicate_completions: total(Counter::DuplicateCompletions),
         replica_dispatches: total(Counter::ReplicaDispatches),
         retry_backoff_us: total(Counter::RetryBackoffUs),
@@ -618,19 +563,6 @@ mod tests {
         let vals: std::collections::HashSet<u64> =
             (0..32).map(|salt| jittered_backoff_us(3, salt)).collect();
         assert!(vals.len() > 1, "jitter must vary across salts");
-    }
-
-    #[test]
-    fn poll_intervals_follow_the_deadline() {
-        assert_eq!(
-            WatchdogConfig {
-                deadline_us: 20_000
-            }
-            .poll_us(),
-            2_000
-        );
-        assert_eq!(WatchdogConfig { deadline_us: 50 }.poll_us(), 100);
-        assert_eq!(WatchdogConfig::default().poll_us(), 10_000);
     }
 
     #[test]

@@ -17,14 +17,14 @@
 
 use super::core::{
     assert_schedule, run_body, run_metrics, Core, Env, Injection, Report, RunError, Span,
-    WatchdogConfig, DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_MAX_ATTEMPTS,
 };
 use crate::instruments::Instruments;
 use crate::metrics::RunMetrics;
 use crate::platform::{CostModel, Platform};
 use crate::policy::DispatchPolicy;
 use crate::sched::{Dispatched, Scheduler};
-use crate::task::{Payload, TaskClass, TaskCtx, TaskId, Time};
+use crate::task::{Payload, TaskClass, Time};
 use crate::workload::{InputBlock, Workload};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -39,18 +39,14 @@ pub struct SimConfig {
     /// Body attempts a panicking non-speculative task gets, initial run
     /// included. Retries are instantaneous in virtual time.
     pub max_attempts: u32,
-    /// Virtual-time watchdog; fires at exactly `start + deadline_us` for
-    /// tasks whose virtual cost exceeds the deadline.
-    pub watchdog: Option<WatchdogConfig>,
 }
 
 impl SimConfig {
-    /// A config with default fault handling: bounded retry, no watchdog.
+    /// A config with default fault handling: bounded retry.
     pub fn new(platform: Platform) -> Self {
         SimConfig {
             platform,
             max_attempts: DEFAULT_MAX_ATTEMPTS,
-            watchdog: None,
         }
     }
 }
@@ -75,7 +71,6 @@ enum EvSlot {
     Arrival,
     Done,
     DelayedDone,
-    Watchdog,
 }
 
 /// The event queue, ordered by (time, push sequence) for determinism.
@@ -101,13 +96,11 @@ impl Events {
 /// Mutable chaos bookkeeping threaded through the event loop.
 #[derive(Default)]
 struct ChaosState {
-    /// Watchdog events in flight: key → (worker, task id).
-    watch: HashMap<usize, (usize, TaskId)>,
     /// Completions held back by an injected `DelayCompletion`: key → the
     /// occupancy and its output, settled at the later instant against the
     /// abort state then.
     delayed: HashMap<usize, (Span, Payload)>,
-    /// Fresh keys for the two maps above.
+    /// Fresh keys for the map above.
     next_key: usize,
 }
 
@@ -132,9 +125,8 @@ impl ChaosState {
 /// deadlocks (events exhausted before [`Workload::is_finished`]) — a
 /// workload bug, not a run failure. A non-speculative task panicking on
 /// every attempt `cfg.max_attempts` allows returns `Err`; everything else —
-/// injected panics, stalls, delayed and duplicated completions, watchdog
-/// cancels of speculative tasks — recovers through the rollback machinery
-/// and completes the run.
+/// injected panics, stalls, delayed and duplicated completions — recovers
+/// through the rollback machinery and completes the run.
 ///
 /// The recorder's clock follows the event heap, so every recorded fact —
 /// including scheduler rollback/cancel events fired from inside workload
@@ -204,7 +196,6 @@ pub fn run<W: Workload>(
         0,
         &mut events,
         &ins,
-        &mut chaos,
     );
 
     while let Some((t, aux, slot)) = events.pop() {
@@ -274,14 +265,6 @@ pub fn run<W: Workload>(
                     .expect("delayed completion recorded");
                 core.settle(env(t), &span, Report::Ran(output), rec);
             }
-            EvSlot::Watchdog => {
-                let (wi, id) = chaos.watch.remove(&aux).expect("watchdog recorded");
-                if let Some(a) = workers[wi].assigned.iter().find(|a| a.work.id == id) {
-                    TaskCtx::signal_abort(&a.work.abort);
-                    let span = Span::of(&a.work, wi, a.start, a.end);
-                    core.cancel(env(t), &span, t.saturating_sub(a.start), rec);
-                }
-            }
         }
         if core.finished_at.is_none() && core.workload.is_finished() {
             core.finished_at = Some(t);
@@ -294,7 +277,6 @@ pub fn run<W: Workload>(
             t,
             &mut events,
             &ins,
-            &mut chaos,
         );
     }
 
@@ -317,7 +299,6 @@ pub fn run<W: Workload>(
 /// Fill worker prefetch queues with dispatchable tasks, scheduling their
 /// completion events. Each dispatch is recorded on its worker's shard (the
 /// simulator's analogue of the threaded executor's ready lanes).
-#[allow(clippy::too_many_arguments)]
 fn dispatch_all(
     sched: &mut Scheduler,
     workers: &mut [WorkerState],
@@ -326,7 +307,6 @@ fn dispatch_all(
     now: Time,
     events: &mut Events,
     ins: &Instruments,
-    chaos: &mut ChaosState,
 ) {
     while sched.has_dispatchable() {
         // Pick the worker with the earliest pipeline end among those with a
@@ -376,15 +356,6 @@ fn dispatch_all(
         let w = &mut workers[wi];
         let start = w.pipeline_end.max(now);
         let end = start + c.max(1);
-        if let Some(wd) = cfg.watchdog {
-            // The cancel instant is known at dispatch: the task's virtual
-            // occupancy exceeds the deadline iff the watchdog fires.
-            if c.max(1) > wd.deadline_us {
-                let key = chaos.key();
-                chaos.watch.insert(key, (wi, work.id));
-                events.push(start + wd.deadline_us, key, EvSlot::Watchdog);
-            }
-        }
         w.pipeline_end = end;
         w.assigned.push_back(Assigned {
             work,
@@ -401,7 +372,7 @@ mod tests {
     use super::*;
     use crate::platform::{x86_smp, FixedCost};
     use crate::task::{payload, SpecVersion, TaskSpec};
-    use crate::workload::{Completion, FaultNotice, SchedCtx};
+    use crate::workload::{Completion, SchedCtx};
     use tvs_faults::{FaultInjector, FaultPlan};
     use tvs_metrics::Recorder;
     use tvs_trace::TaskSpan;
@@ -882,80 +853,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn virtual_watchdog_cancels_overlong_speculative_tasks() {
-        // A speculative task whose virtual cost exceeds the deadline: the
-        // watchdog fires at exactly start + deadline, tells the workload,
-        // aborts the version, and the Done event discards the body un-run.
-        struct SpecOnly {
-            fault_free: bool,
-            lost: Option<SpecVersion>,
-        }
-        impl Workload for SpecOnly {
-            fn on_start(&mut self, ctx: &mut dyn SchedCtx) {
-                ctx.spawn(TaskSpec::speculative("slow-spec", 0, 1 << 12, 9, 0, |_| {
-                    payload(())
-                }));
-                ctx.spawn(TaskSpec::regular("quick", 0, 0, 0, |_| payload(())));
-            }
-            fn on_input(&mut self, _: &mut dyn SchedCtx, _: InputBlock) {}
-            fn on_complete(&mut self, _: &mut dyn SchedCtx, done: Completion) {
-                if done.name == "quick" {
-                    self.fault_free = true;
-                }
-            }
-            fn on_fault(&mut self, _: &mut dyn SchedCtx, fault: FaultNotice) {
-                self.lost = fault.version;
-            }
-            fn is_finished(&self) -> bool {
-                self.fault_free
-            }
-        }
-        struct NameCost;
-        impl CostModel for NameCost {
-            fn cost_us(&self, name: &str, _bytes: usize) -> Time {
-                if name == "slow-spec" {
-                    10_000
-                } else {
-                    5
-                }
-            }
-        }
-        let cfg = SimConfig {
-            watchdog: Some(WatchdogConfig { deadline_us: 1_000 }),
-            ..SimConfig::new(x86_smp(2))
-        };
-        let rec = Recorder::enabled(2);
-        let (w, m) = run(
-            SpecOnly {
-                fault_free: false,
-                lost: None,
-            },
-            &cfg,
-            DispatchPolicy::Aggressive,
-            &NameCost,
-            INPUT,
-            vec![],
-            &Instruments::recorded(rec.clone()),
-        )
-        .expect("watchdog recovers the run");
-        assert_eq!(
-            w.lost,
-            Some(9),
-            "the workload hears of the cancelled version"
-        );
-        assert_eq!(m.watchdog_cancels, 1);
-        assert_eq!(m.rollbacks, 1);
-        assert_eq!(m.tasks_discarded, 1);
-        let log = rec.drain().unwrap();
-        let cancel = log
-            .events
-            .iter()
-            .find(|e| e.kind.label() == "watchdog-cancel")
-            .expect("watchdog-cancel traced");
-        assert_eq!(cancel.virt_us, 1_000, "fires at exactly start + deadline");
-    }
-
     /// Per block: the real task, and a speculative guess whose version is
     /// aborted for every odd block.
     struct Guesses {
@@ -984,14 +881,11 @@ mod tests {
 
     #[test]
     fn spans_account_for_every_busy_microsecond() {
-        // One clean run and one chaos run (panics, stalls past the
-        // watchdog's deadline, delayed and duplicated completions): the
-        // trace's spans are exactly what RunMetrics charges, and every
-        // span is one delivered, discarded or faulted body.
-        let cfg = SimConfig {
-            watchdog: Some(WatchdogConfig { deadline_us: 20 }),
-            ..SimConfig::new(x86_smp(3))
-        };
+        // One clean run and one chaos run (panics, stalls, delayed and
+        // duplicated completions): the trace's spans are exactly what
+        // RunMetrics charges, and every span is one delivered, discarded or
+        // faulted body.
+        let cfg = SimConfig::new(x86_smp(3));
         for faults in [FaultInjector::disabled(), FaultInjector::new(chaos_plan(5))] {
             let inputs: Vec<InputBlock> = (0..48).map(|i| block(i, (i as u64) * 3, 8)).collect();
             let ins = Instruments::faulty(faults.clone());
@@ -1020,7 +914,6 @@ mod tests {
                 assert!(fired(|k| matches!(k, FaultKind::PanicTask)));
                 assert!(fired(|k| matches!(k, FaultKind::DelayCompletion { .. })));
                 assert!(m.faults > 0 && m.duplicate_completions > 0, "{m:?}");
-                assert!(m.watchdog_cancels > 0, "{m:?}");
             }
         }
     }

@@ -30,8 +30,7 @@
 //!   work stealing and completions routed by whichever thread holds the
 //!   commit lock — usually the worker that just finished the task;
 //! * `exec::core` — what both executors share: the one `SchedCtx`, the
-//!   panic-isolated task body, settling, recovery, [`RunError`] and the
-//!   watchdog config;
+//!   panic-isolated task body, settling, recovery and [`RunError`];
 //! * [`metrics`] — the aggregate [`RunMetrics`] of a run;
 //! * [`instruments`] — the one recorder and fault injector of a run,
 //!   handed to every layer when it is built.
@@ -60,7 +59,7 @@ pub mod sched;
 pub mod task;
 pub mod workload;
 
-pub use exec::core::{into_inner_recover, RunError, WatchdogConfig};
+pub use exec::core::{into_inner_recover, RunError};
 pub use instruments::Instruments;
 pub use metrics::RunMetrics;
 pub use platform::{cell_be, x86_smp, CostModel, FixedCost, Platform};

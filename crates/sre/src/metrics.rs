@@ -41,8 +41,6 @@ pub struct RunMetrics {
     pub faults: u64,
     /// Retry attempts spent re-running panicked non-speculative bodies.
     pub task_retries: u64,
-    /// Tasks cancelled by the watchdog for exceeding their deadline.
-    pub watchdog_cancels: u64,
     /// Duplicate completion deliveries the scheduler absorbed (only
     /// non-zero under fault injection).
     pub duplicate_completions: u64,

@@ -55,26 +55,22 @@ use tvs_trace::EventKind;
 ///
 /// `Tolerance` is the paper's scheme (check tasks compare predicted
 /// against realised values); `Replicate` adds redundant execution and
-/// digest comparison on top; `Both` runs the two together — tolerance
-/// checks keep governing speculation while replication guards against
-/// silent corruption of any sampled task's output.
+/// digest comparison on top — tolerance checks keep governing speculation
+/// in either mode, while replication guards against silent corruption of
+/// any sampled task's output.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ValidationMode {
     /// Tolerance checks only (the paper's baseline). The replication
     /// plane is a pass-through: no replicas, no digests, no overhead.
     #[default]
     Tolerance,
-    /// Replication only: check tasks and a seeded, deterministic sample
-    /// of ordinary tasks are executed twice and their digests compared.
+    /// Tolerance checks plus replication: check tasks and a seeded,
+    /// deterministic sample of ordinary tasks are executed twice and their
+    /// digests compared.
     Replicate {
         /// Fraction of ordinary (non-check) tasks to replicate, in
         /// `[0, 1]`. Check tasks are always replicated — they are the
         /// commit gate, so a corrupted check is the worst-case SDC.
-        sample_rate: f64,
-    },
-    /// Tolerance checks *and* replication together.
-    Both {
-        /// See [`ValidationMode::Replicate::sample_rate`].
         sample_rate: f64,
     },
 }
@@ -89,9 +85,7 @@ impl ValidationMode {
     pub fn sample_rate(self) -> f64 {
         match self {
             ValidationMode::Tolerance => 0.0,
-            ValidationMode::Replicate { sample_rate } | ValidationMode::Both { sample_rate } => {
-                sample_rate
-            }
+            ValidationMode::Replicate { sample_rate } => sample_rate,
         }
     }
 }
@@ -1013,7 +1007,7 @@ mod tests {
                 delivered: None,
                 sdc_notices: Vec::new(),
             },
-            ValidationMode::Both { sample_rate: 1.0 },
+            ValidationMode::Replicate { sample_rate: 1.0 },
             1,
             u64_digest(),
         );

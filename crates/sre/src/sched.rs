@@ -287,7 +287,7 @@ impl Scheduler {
     }
 
     /// Reclaim the slot of a running task whose body panicked (caught by
-    /// the executor) or that the watchdog cancelled. Returns the task's
+    /// the executor). Returns the task's
     /// version so the caller can route it through the rollback path; no
     /// output is delivered or discarded. Idempotent against races with
     /// completion: an unknown id returns `None`.

@@ -63,7 +63,7 @@ impl std::fmt::Debug for Completion {
 }
 
 /// Notice of a fault an executor recovered from: a task body panicked
-/// (caught by `catch_unwind`) or the watchdog cancelled a stuck task.
+/// (caught by `catch_unwind`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultNotice {
     /// Id of the faulted task.
@@ -158,7 +158,7 @@ pub trait Workload {
     /// A task completed and its output was *delivered* (not discarded).
     fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion);
 
-    /// A task faulted (panicked or was watchdog-cancelled) and its slot
+    /// A task's body panicked (caught by the executor) and its slot
     /// was reclaimed without an output. If the task carried a version the
     /// executor aborts it immediately after this callback; workloads that
     /// track version state (a speculation manager, wait buffers) should

@@ -83,8 +83,7 @@ impl TraceLog {
     /// task-end, `basis` for
     /// predictor-fire/version-open, `root`/`depth` for lineage-open (whose
     /// `id` column carries the parent version), `margin` for checks, `cascade_depth`
-    /// for rollback, `attempt` for task-fault,
-    /// `ran_us` for watchdog-cancel, `from`/`to` for degrade-step (whose
+    /// for rollback, `attempt` for task-fault, `from`/`to` for degrade-step (whose
     /// `name` column carries the cause) and the primary task id (`of`) for
     /// replica-dispatch.
     /// Names are RFC-4180 quoted.
@@ -215,18 +214,6 @@ impl TraceLog {
                     String::new(),
                     fmt_version(*version),
                     attempt.to_string(),
-                    String::new(),
-                ),
-                EventKind::WatchdogCancel {
-                    id,
-                    version,
-                    ran_us,
-                } => (
-                    id.to_string(),
-                    String::new(),
-                    String::new(),
-                    fmt_version(*version),
-                    ran_us.to_string(),
                     String::new(),
                 ),
                 EventKind::DegradeStep { from, to, cause } => (

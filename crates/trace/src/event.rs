@@ -211,15 +211,6 @@ pub enum EventKind {
         /// Retry attempts already spent on this task (0 on first fault).
         attempt: u32,
     },
-    /// The watchdog cancelled a task that exceeded its deadline.
-    WatchdogCancel {
-        /// Task id.
-        id: u64,
-        /// Speculation version, if any.
-        version: Option<u32>,
-        /// How long the task had been running when cancelled, µs.
-        ran_us: u64,
-    },
     /// The degradation machine changed level: down on a bad outcome
     /// window or a failed probe, up after a cooldown, a passed probe or a
     /// run of clean windows.
@@ -287,7 +278,6 @@ impl EventKind {
             EventKind::Commit { .. } => "commit",
             EventKind::Rollback { .. } => "rollback",
             EventKind::TaskFault { .. } => "task-fault",
-            EventKind::WatchdogCancel { .. } => "watchdog-cancel",
             EventKind::DegradeStep { .. } => "degrade-step",
             EventKind::DegradeProbe { .. } => "degrade-probe",
             EventKind::ReplicaDispatch { .. } => "replica-dispatch",
@@ -304,7 +294,6 @@ impl EventKind {
             | EventKind::TaskStart { version, .. }
             | EventKind::TaskEnd { version, .. }
             | EventKind::TaskFault { version, .. }
-            | EventKind::WatchdogCancel { version, .. }
             | EventKind::SdcDetected { version, .. } => version,
             EventKind::CancelReady { version, .. }
             | EventKind::PredictorFire { version, .. }

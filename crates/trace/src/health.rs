@@ -100,8 +100,6 @@ pub struct SpecHealth {
     pub steals: u64,
     /// Task bodies that panicked and were caught by an executor.
     pub faults: u64,
-    /// Tasks cancelled by the watchdog for exceeding their deadline.
-    pub watchdog_cancels: u64,
     /// Degradation steps toward less speculation.
     pub steps_down: u64,
     /// Degradation steps back toward full speculation.
@@ -220,7 +218,6 @@ impl TraceLog {
                     *cascade_counts.entry(*cascade_depth).or_default() += 1;
                 }
                 EventKind::TaskFault { .. } => h.faults += 1,
-                EventKind::WatchdogCancel { .. } => h.watchdog_cancels += 1,
                 EventKind::DegradeStep { cause, .. } if cause.is_down() => h.steps_down += 1,
                 EventKind::DegradeStep { .. } => h.steps_up += 1,
                 EventKind::DegradeProbe { .. } => h.probes += 1,

@@ -204,20 +204,6 @@ impl TraceLog {
                         attempt
                     ));
                 }
-                EventKind::WatchdogCancel {
-                    id,
-                    version,
-                    ran_us,
-                } => {
-                    rows.push(format!(
-                        r#"{{"name":"watchdog-cancel","cat":"fault","ph":"i","s":"t","ts":{},"pid":1,"tid":{},"args":{{"id":{},"version":{},"ran_us":{}}}}}"#,
-                        ts,
-                        tid,
-                        id,
-                        opt_version(*version),
-                        ran_us
-                    ));
-                }
                 EventKind::DegradeStep { from, to, cause } => {
                     rows.push(format!(
                         r#"{{"name":"degrade-step","cat":"degradation","ph":"i","s":"p","ts":{ts},"pid":1,"tid":{tid},"args":{{"from":{from},"to":{to},"cause":"{}"}}}}"#,

@@ -1,8 +1,8 @@
 //! Replication-based validation end-to-end: silent data corruptions
 //! injected into encode outputs (`FaultSite::TaskOutput`) must be
-//! *detected* — not merely survived — under `ValidationMode::Replicate`
-//! and `ValidationMode::Both`, on both executors, and the recovered
-//! output must stay byte-identical to a clean encode of the input.
+//! *detected* — not merely survived — under `ValidationMode::Replicate`,
+//! on both executors, and the recovered output must stay byte-identical
+//! to a clean encode of the input.
 //!
 //! The corruptions never panic, never stall and keep the bit count
 //! intact, so retry and the tolerance checks are both blind to them:
@@ -62,12 +62,7 @@ fn decoded_matches(out: &RunOutcome, input: &[u8]) -> Result<(), String> {
     }
 }
 
-fn modes() -> [ValidationMode; 2] {
-    [
-        ValidationMode::Replicate { sample_rate: 1.0 },
-        ValidationMode::Both { sample_rate: 1.0 },
-    ]
-}
+const REPLICATE: ValidationMode = ValidationMode::Replicate { sample_rate: 1.0 };
 
 #[test]
 fn sim_detects_injected_corruption_and_recovers() {
@@ -76,32 +71,30 @@ fn sim_detects_injected_corruption_and_recovers() {
         gap_us: 2,
         start_us: 0,
     };
-    for mode in modes() {
-        let mut total_injected = 0;
-        for seed in SEEDS {
-            let faults = FaultInjector::new(FaultPlan::sdc(seed));
-            let c = cfg(mode);
-            let (out, stats) = sdc(HuffmanRun::sim(&data, &c, &x86_smp(4), &arrival), &faults);
-            let injected = faults.injected_at(FaultSite::TaskOutput);
-            total_injected += injected;
-            decoded_matches(&out, &data)
-                .unwrap_or_else(|e| panic!("seed {seed} {mode:?}: corrupted output shipped: {e}"));
-            if injected > 0 {
-                assert!(
-                    stats.sdc_detected >= 1,
-                    "seed {seed} {mode:?}: {injected} corruptions injected, none detected: {stats:?}"
-                );
-            }
+    let c = cfg(REPLICATE);
+    let mut total_injected = 0;
+    for seed in SEEDS {
+        let faults = FaultInjector::new(FaultPlan::sdc(seed));
+        let (out, stats) = sdc(HuffmanRun::sim(&data, &c, &x86_smp(4), &arrival), &faults);
+        let injected = faults.injected_at(FaultSite::TaskOutput);
+        total_injected += injected;
+        decoded_matches(&out, &data)
+            .unwrap_or_else(|e| panic!("seed {seed}: corrupted output shipped: {e}"));
+        if injected > 0 {
             assert!(
-                stats.replicas_spawned > 0,
-                "seed {seed} {mode:?}: replication never engaged"
+                stats.sdc_detected >= 1,
+                "seed {seed}: {injected} corruptions injected, none detected: {stats:?}"
             );
         }
         assert!(
-            total_injected > 0,
-            "{mode:?}: the seed set must actually inject corruptions"
+            stats.replicas_spawned > 0,
+            "seed {seed}: replication never engaged"
         );
     }
+    assert!(
+        total_injected > 0,
+        "the seed set must actually inject corruptions"
+    );
 }
 
 #[test]
@@ -111,29 +104,27 @@ fn threaded_detects_injected_corruption_and_recovers() {
         gap_us: 1,
         start_us: 0,
     };
-    for mode in modes() {
-        let mut total_injected = 0;
-        for seed in SEEDS {
-            let faults = FaultInjector::new(FaultPlan::sdc(seed));
-            let c = cfg(mode);
-            let run = HuffmanRun::threaded(&data, &c, 4, &arrival, 1000);
-            let (out, stats) = sdc(run, &faults);
-            let injected = faults.injected_at(FaultSite::TaskOutput);
-            total_injected += injected;
-            decoded_matches(&out, &data)
-                .unwrap_or_else(|e| panic!("seed {seed} {mode:?}: corrupted output shipped: {e}"));
-            if injected > 0 {
-                assert!(
-                    stats.sdc_detected >= 1,
-                    "seed {seed} {mode:?}: {injected} corruptions injected, none detected: {stats:?}"
-                );
-            }
+    let c = cfg(REPLICATE);
+    let mut total_injected = 0;
+    for seed in SEEDS {
+        let faults = FaultInjector::new(FaultPlan::sdc(seed));
+        let run = HuffmanRun::threaded(&data, &c, 4, &arrival, 1000);
+        let (out, stats) = sdc(run, &faults);
+        let injected = faults.injected_at(FaultSite::TaskOutput);
+        total_injected += injected;
+        decoded_matches(&out, &data)
+            .unwrap_or_else(|e| panic!("seed {seed}: corrupted output shipped: {e}"));
+        if injected > 0 {
+            assert!(
+                stats.sdc_detected >= 1,
+                "seed {seed}: {injected} corruptions injected, none detected: {stats:?}"
+            );
         }
-        assert!(
-            total_injected > 0,
-            "{mode:?}: the seed set must actually inject corruptions"
-        );
     }
+    assert!(
+        total_injected > 0,
+        "the seed set must actually inject corruptions"
+    );
 }
 
 #[test]
@@ -143,7 +134,7 @@ fn sim_replicated_runs_are_deterministic() {
         gap_us: 2,
         start_us: 0,
     };
-    let c = cfg(ValidationMode::Both { sample_rate: 1.0 });
+    let c = cfg(REPLICATE);
     let run = |seed: u64| {
         let faults = FaultInjector::new(FaultPlan::sdc(seed));
         sdc(HuffmanRun::sim(&data, &c, &x86_smp(4), &arrival), &faults)

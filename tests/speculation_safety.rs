@@ -6,9 +6,9 @@ use tvs_core::{SpeculationSchedule, Tolerance, ValidationMode, VerificationPolic
 use tvs_huffman::{decode_exact, serial_encode, CodeTable};
 use tvs_iosim::{ArrivalModel, Custom, Disk, Uniform};
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman, Executor, HuffmanRun, RunOutcome};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun, RunOutcome};
 use tvs_rng::cases;
-use tvs_sre::{x86_smp, DispatchPolicy, Platform, WatchdogConfig};
+use tvs_sre::{x86_smp, DispatchPolicy, Platform};
 
 /// Dark simulator run that must complete.
 fn sim_outcome(
@@ -263,38 +263,4 @@ fn prop_arbitrary_schedules_complete() {
         let decoded = decode_exact(bytes, 0, *bits, data.len(), &table).expect("decodes");
         assert_eq!(decoded, data, "case {case}");
     });
-}
-
-/// A watchdog cancel of a *speculative* task must reach the workload
-/// (`on_fault`, like a caught speculative panic) before its version is
-/// rolled back: otherwise the speculation manager keeps waiting on a
-/// version whose tasks were all discarded and the run never finishes (the
-/// parent deadlocked at every deadline below 200 µs).
-#[test]
-fn watchdog_cancels_of_speculative_tasks_do_not_strand_the_run() {
-    let mut pattern = b"etaoin shrdlu ".repeat(10);
-    pattern.extend_from_slice(b"qzxjkvbw,.!?");
-    let data: Vec<u8> = (0..256 * 1024)
-        .map(|i| pattern[i % pattern.len()])
-        .collect();
-    let mut cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
-    cfg.schedule = SpeculationSchedule::with_step(1);
-    cfg.collect_output = true;
-    let arrival = Uniform {
-        gap_us: 2,
-        start_us: 0,
-    };
-    for deadline_us in [100, 50, 20, 10] {
-        let mut run = HuffmanRun::sim(&data, &cfg, &x86_smp(4), &arrival);
-        if let Executor::Sim { cfg: sim } = &mut run.on {
-            sim.watchdog = Some(WatchdogConfig { deadline_us });
-        }
-        let out = run_huffman(&run)
-            .expect("cancelled speculation is redone, not fatal")
-            .end
-            .into_outcome();
-        decode_and_check(&out, &data);
-        assert!(out.metrics.watchdog_cancels > 0, "deadline {deadline_us}");
-        assert!(out.metrics.rollbacks >= 1, "deadline {deadline_us}");
-    }
 }
