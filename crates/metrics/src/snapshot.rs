@@ -522,10 +522,11 @@ mod tests {
         // Older recordings also carry counters that have since been
         // retired: they are skipped, so `tvs-top --replay` still reads
         // those files.
-        let line = r#"{"tick":1,"t_us":5,"label":"x","workers":1,"counters":{"commits":[2,2],"stale_completions_rejected":[1,1],"worker_respawns":[1,1],"undo_replays":[3,3]},"gauges":{},"hists":{}}"#;
+        let line = r#"{"tick":1,"t_us":5,"label":"x","workers":1,"counters":{"commits":[2,2],"stale_completions_rejected":[1,1],"worker_respawns":[1,1],"undo_replays":[3,3],"watchdog_cancels":[4,4]},"gauges":{},"hists":{}}"#;
         let s = MetricsSnapshot::from_json_line(line).expect("lenient parse");
         assert_eq!(s.counters.len(), Counter::ALL.len());
         assert!(!s.to_json_line().contains("undo_replays"));
+        assert!(!s.to_json_line().contains("watchdog_cancels"));
         assert_eq!(s.counter(Counter::Commits).total, 2);
         assert_eq!(s.counter(Counter::Rollbacks).total, 0);
         assert_eq!(s.gauge(Gauge::DegradationLevel), 0);
