@@ -1,11 +1,12 @@
 //! MSB-first bit-level I/O used by the block encoder and decoder.
 //!
-//! `WordWriter` is the encode kernel's writer. Each symbol's code comes
-//! from one packed table entry (`code << 8 | len`, see [`crate::CodeTable`])
-//! and is shifted into the low end of a 64-bit accumulator, several codes
-//! between stores with no check: four codes of at most 14 bits each (56
-//! bits) per store, or one longer code, so that with the at most 7 bits a
-//! store leaves behind the word never holds more than 64. A store writes
+//! `WordWriter` is the encode kernel's writer. Codes come from packed table
+//! entries (`code << 8 | len`, see [`crate::CodeTable`]) — one symbol's, or
+//! the two codes of a pair of bytes as one — and are shifted into the low
+//! end of a 64-bit accumulator, several between stores with no check: two
+//! pair codes of at most 24 bits each (48 bits) per store, or one longer
+//! code, so that with the at most 7 bits a store leaves behind the word
+//! never holds more than 64. A store writes
 //! the whole word big-endian with one `copy_from_slice`, advances `nb / 8`
 //! bytes and keeps the `nb % 8` bits that do not fill a byte. The
 //! pipeline's buffers are sized to the exact bit count the offsets give;

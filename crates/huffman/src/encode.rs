@@ -9,7 +9,7 @@
 //! shifted into position first.
 
 use crate::bitio::{BitWriter, WordWriter};
-use crate::codes::{CodeTable, LONG_CODE, NO_CODE};
+use crate::codes::{CodeTable, LONG_CODE, NO_CODE, PAIRS};
 use crate::ALPHABET;
 
 /// The encoded form of one input block.
@@ -181,7 +181,7 @@ impl Writer {
     /// Append `block`'s codes; `false` if some byte has no code.
     fn put_block(&mut self, block: &[u8], table: &CodeTable) -> bool {
         match self {
-            Writer::Words { buf, w } => put_symbols(buf, w, block, table.packed()),
+            Writer::Words { buf, w } => put_symbols(buf, w, block, table.pairs(), table.packed()),
             Writer::Bits(w) => block.iter().all(|&b| {
                 let len = table.len(b);
                 w.push(table.code(b), len);
@@ -205,13 +205,15 @@ impl Writer {
     }
 }
 
-/// The encode loop, a quad of bytes at a time: one table load per byte,
-/// then one test of the quad's entries ORed together. Four codes of at most
-/// [`crate::codes::SHORT_CODE_BITS`] bits fill at most 56 bits, which fit
-/// the word next to the at most 7 a store leaves staged, so such a quad
-/// (the common case) is shifted in and stored once; a quad with a longer
-/// code ([`LONG_CODE`]) is stored code by code (at most 56 + 7 bits), and
-/// one with a byte without a code ([`NO_CODE`]) fails the block. Not
+/// The encode loop, a group of 8 bytes at a time: the group is read as
+/// one big-endian word and cut into four two-byte indices into the pair
+/// table, whose entries are ORed together and tested once. Two pair codes
+/// of at most 24 bits each fill at most 48 bits, which fit the word next to
+/// the at most 7 a store leaves staged, so such a group (the common case)
+/// is shifted in two pairs per store. A group with a code longer than
+/// [`crate::codes::PAIR_CODE_BITS`] ([`LONG_CODE`]) is stored code by code
+/// from `packed` (at most 56 + 7 bits), as is the tail of fewer than 8
+/// bytes, and a byte without a code ([`NO_CODE`]) fails the block. Not
 /// inlined, so that what the callers keep live across blocks cannot cost
 /// the loop spills.
 #[inline(never)]
@@ -219,41 +221,55 @@ fn put_symbols(
     buf: &mut Vec<u8>,
     w: &mut WordWriter,
     block: &[u8],
+    pairs: &[u32; PAIRS],
     packed: &[u64; ALPHABET],
 ) -> bool {
     let mut words = *w;
-    let mut quads = block.chunks_exact(4);
-    for quad in &mut quads {
+    let mut groups = block.chunks_exact(8);
+    for group in &mut groups {
+        let x = u64::from_be_bytes(group.try_into().expect("8-byte group"));
         let e = [
-            packed[usize::from(quad[0])],
-            packed[usize::from(quad[1])],
-            packed[usize::from(quad[2])],
-            packed[usize::from(quad[3])],
+            pairs[(x >> 48) as usize],
+            pairs[usize::from((x >> 32) as u16)],
+            pairs[usize::from((x >> 16) as u16)],
+            pairs[usize::from(x as u16)],
         ];
         let any = e[0] | e[1] | e[2] | e[3];
         if any & (LONG_CODE | NO_CODE) == 0 {
-            for e in e {
-                words.put(e);
-            }
+            words.put(u64::from(e[0]));
+            words.put(u64::from(e[1]));
             words.store(buf);
-        } else if any & NO_CODE != 0 {
+            words.put(u64::from(e[2]));
+            words.put(u64::from(e[3]));
+            words.store(buf);
+        } else if any & NO_CODE != 0 || !put_codes(buf, &mut words, group, packed) {
             return false;
-        } else {
-            for e in e {
-                words.put(e);
-                words.store(buf);
-            }
         }
     }
-    for &b in quads.remainder() {
+    if !put_codes(buf, &mut words, groups.remainder(), packed) {
+        return false;
+    }
+    *w = words;
+    true
+}
+
+/// [`put_symbols`]'s code-by-code path: one `packed` entry per byte, one
+/// store per code. `false` if some byte has no code.
+#[inline(always)]
+fn put_codes(
+    buf: &mut Vec<u8>,
+    words: &mut WordWriter,
+    bytes: &[u8],
+    packed: &[u64; ALPHABET],
+) -> bool {
+    for &b in bytes {
         let e = packed[usize::from(b)];
-        if e & NO_CODE != 0 {
+        if e & u64::from(NO_CODE) != 0 {
             return false;
         }
         words.put(e);
         words.store(buf);
     }
-    *w = words;
     true
 }
 
@@ -332,15 +348,20 @@ pub fn place(stream: &mut Vec<u8>, bit_off: u64, b: &EncodedBlock) {
 }
 
 /// [`place`] for bytes whose first encoded bit already sits `bit_off % 8`
-/// bits into `src[0]`.
+/// bits into `src[0]`. The block's bytes the stream already holds are ORed
+/// (the seams) or copied into; those past its end are appended, so that
+/// each byte is written once.
 fn place_aligned(stream: &mut Vec<u8>, bit_off: u64, src: &[u8], bit_len: u64) {
     let start = usize::try_from(bit_off / 8).expect("the stream fits in memory");
     let end_bit = bit_off % 8 + bit_len;
     let n = usize::try_from(end_bit.div_ceil(8)).expect("the block fits in memory");
-    if stream.len() < start + n {
-        stream.resize(start + n, 0);
+    let src = &src[..n];
+    let held = stream.len().saturating_sub(start).min(n);
+    if held < n {
+        stream.resize(stream.len().max(start), 0);
+        stream.extend_from_slice(&src[held..]);
     }
-    let (dst, src) = (&mut stream[start..start + n], &src[..n]);
+    let dst = &mut stream[start..start + n];
     // The bits of the seam bytes that belong to this block.
     let head = 0xFFu8 >> (bit_off % 8);
     let tail = match end_bit % 8 {
@@ -352,16 +373,19 @@ fn place_aligned(stream: &mut Vec<u8>, bit_off: u64, src: &[u8], bit_len: u64) {
     } else {
         (head, tail)
     };
+    // The interior bytes the stream held.
+    let inner = 1..held.min(n - 1).max(1);
     debug_assert!(
-        dst[0] & first == 0
-            && dst[n - 1] & last == 0
-            && dst[1..n.max(2) - 1].iter().all(|&x| x == 0),
+        (held == 0 || dst[0] & first == 0)
+            && (held < n || dst[n - 1] & last == 0)
+            && dst[inner.clone()].iter().all(|&x| x == 0),
         "block placed over bits already written (bit offset {bit_off}, {bit_len} bits)"
     );
-    dst[0] |= src[0] & first;
+    let kept = |there: bool, byte: u8| if there { byte } else { 0 };
+    dst[0] = kept(held > 0, dst[0]) | src[0] & first;
     if n > 1 {
-        dst[n - 1] |= src[n - 1] & last;
-        dst[1..n - 1].copy_from_slice(&src[1..n - 1]);
+        dst[n - 1] = kept(held == n, dst[n - 1]) | src[n - 1] & last;
+        dst[inner.clone()].copy_from_slice(&src[inner]);
     }
 }
 
