@@ -135,7 +135,8 @@ impl Scheduler {
     }
 
     /// Take the next task to run, per class priorities and the dispatch
-    /// policy.
+    /// policy, for a worker that binds one task at a time (the paper's x86
+    /// rule: no non-speculative task waits in a prefetch queue).
     pub fn dispatch(&mut self) -> Option<Dispatched> {
         self.dispatch_with(false)
     }
@@ -180,24 +181,6 @@ impl Scheduler {
             abort,
             run: spec.run,
         })
-    }
-
-    /// Batch form of [`Self::dispatch_with`]: pop up to `limit` tasks in
-    /// dispatch order. Used by the threaded executor's dispatch pump to
-    /// amortise the commit lock over many ready-lane hand-offs.
-    pub fn dispatch_batch(
-        &mut self,
-        limit: usize,
-        normal_pending_elsewhere: bool,
-    ) -> Vec<Dispatched> {
-        let mut out = Vec::new();
-        while out.len() < limit {
-            match self.dispatch_with(normal_pending_elsewhere) {
-                Some(d) => out.push(d),
-                None => break,
-            }
-        }
-        out
     }
 
     /// Cancel a dispatched-but-not-yet-executed task (bound into a worker's
