@@ -2,7 +2,7 @@
 //! a task, written once for both executors.
 //!
 //! [`super::sim`] keeps its event heap and virtual clock;
-//! [`super::threaded`] keeps its lanes, commit ring and parkers. Both hand
+//! [`super::threaded`] keeps its ready slots, commit ring and parkers. Both hand
 //! what happened to the pieces here, and differ only in the plain data they
 //! pass along:
 //!
@@ -173,7 +173,7 @@ pub(crate) struct Env<'a> {
     pub(crate) workers: usize,
     /// The most payload bytes one task may touch (the Cell's local store).
     pub(crate) max_task_bytes: Option<usize>,
-    /// Bumped by every version abort so lane-bound tasks re-validate
+    /// Bumped by every version abort so slot-bound tasks re-validate
     /// (threads only).
     pub(crate) abort_epoch: Option<&'a AtomicU64>,
 }

@@ -25,7 +25,7 @@ pub struct RunMetrics {
     pub rollbacks: u64,
     /// Worker count of the platform that produced this run.
     pub workers: usize,
-    /// Tasks routed into each worker's ready lane by the dispatcher
+    /// Tasks bound into each worker's ready slot by the dispatcher
     /// (threaded executor) or bound to each simulated worker (simulator).
     ///
     /// **Semantics:** always `workers` entries long — never an empty vec —
@@ -34,7 +34,7 @@ pub struct RunMetrics {
     /// [`Self::lane_imbalance`] returns 0.0 for it.
     pub lane_dispatches: Vec<u64>,
     /// Tasks a worker executed after stealing them from another worker's
-    /// lane. Always zero for the simulator.
+    /// ready slot. Always zero for the simulator.
     pub steals: u64,
     /// Task bodies that panicked and were caught by the executor
     /// (speculative fault → version abort; non-speculative → retried).
@@ -71,8 +71,8 @@ impl RunMetrics {
     }
 
     /// Fraction of executed tasks that were stolen from another worker's
-    /// lane, in `[0, 1]`. Zero when nothing ran or the executor has no
-    /// lanes.
+    /// ready slot, in `[0, 1]`. Zero when nothing ran or the executor has
+    /// no slots.
     pub fn steal_ratio(&self) -> f64 {
         let executed = self.tasks_delivered + self.tasks_discarded;
         if executed == 0 {
