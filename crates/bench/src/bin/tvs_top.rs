@@ -124,10 +124,9 @@ fn render_frame(snap: &MetricsSnapshot, timeline: &[f64], plain: bool) -> String
         c(Counter::Retries).total,
     ));
     s.push_str(&format!(
-        "  level   {:<9}  cascade max {:>3}  ring occupancy {:>4}  encode allocs {}\n",
+        "  level   {:<9}  cascade max {:>3}  encode allocs {}\n",
         snap.degradation_name(),
         snap.gauge(Gauge::CascadeMax),
-        snap.gauge(Gauge::RingOccupancy),
         snap.gauge(Gauge::AllocHeap),
     ));
     // Per-lane dispatch/steal rates (deltas this tick).

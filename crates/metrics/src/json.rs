@@ -2,8 +2,10 @@
 //!
 //! The workspace is fully offline (no serde); snapshot JSONL files are
 //! written by hand in [`crate::snapshot`] and read back through this
-//! parser by `tvs-top --replay` and the round-trip tests. It supports
-//! exactly the subset the writer emits: objects, arrays, strings with
+//! parser by `tvs-top --replay` and the round-trip tests, and so are
+//! post-mortem manifests (`tvs-pipelines`). Strings are escaped by
+//! `tvs_trace::perfetto::json_escape`. It supports exactly the subset
+//! the writers emit: objects, arrays, strings with
 //! `\"`/`\\`/`\n`/`\t`/`\u` escapes, unsigned/negative integers, floats,
 //! booleans and null.
 
@@ -88,24 +90,6 @@ pub fn parse(src: &str) -> Option<Value> {
     } else {
         None
     }
-}
-
-/// Escape `s` for embedding in a JSON string literal (no surrounding
-/// quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 struct Parser<'a> {
@@ -266,6 +250,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tvs_trace::perfetto::json_escape as escape;
 
     #[test]
     fn parses_nested_document() {

@@ -79,9 +79,11 @@ macro_rules! vocabulary {
 vocabulary! {
     /// Monotonic counters, one cell per shard (per worker lane + control).
     Counter {
-        /// Tasks bound to a ready lane (per-lane when written to lane shards).
+        /// Tasks bound to a worker's ready slot (per worker when written to
+        /// its shard).
         LaneDispatch = "lane_dispatch",
-        /// Tasks taken from another lane's back (attributed to the thief).
+        /// Tasks taken from another worker's ready slot (attributed to the
+        /// thief).
         Steal = "steal",
         /// Completions delivered to the workload.
         TasksDelivered = "tasks_delivered",
@@ -142,8 +144,6 @@ pub(crate) const N_COUNTERS: usize = Counter::ALL.len();
 vocabulary! {
     /// Last-value gauges (control-side writers only).
     Gauge {
-        /// Commit-ring occupancy observed at the last commit-path drain.
-        RingOccupancy = "ring_occupancy",
         /// Encode output buffers allocated so far (a Huffman run's
         /// `AllocStats::heap_allocs`).
         AllocHeap = "alloc_heap",
@@ -173,8 +173,6 @@ vocabulary! {
         CheckLatencyUs = "check_latency_us",
         /// Block service time (task-body busy time), µs.
         BlockServiceUs = "block_service_us",
-        /// Commit-ring occupancy sampled at each commit-path drain.
-        RingOccupancy = "ring_occupancy",
         /// Profiler: length of each uninterrupted worker run slice, µs.
         RunSliceUs = "run_slice_us",
         /// Profiler: length of each worker idle (steal-scan + park) slice, µs.

@@ -9,6 +9,7 @@
 
 use crate::json::{self, Value};
 use crate::{Counter, Gauge, Hist};
+use tvs_trace::perfetto::json_escape;
 
 /// Version stamped into the `"schema"` field of every JSONL snapshot
 /// line. Bump when the line shape changes incompatibly; readers treat a
@@ -173,7 +174,7 @@ impl MetricsSnapshot {
         push_kv(
             &mut s,
             "label",
-            &format!("\"{}\"", json::escape(&self.label)),
+            &format!("\"{}\"", json_escape(&self.label)),
         );
         s.push(',');
         push_kv(&mut s, "workers", &self.workers.to_string());

@@ -34,8 +34,8 @@
 //! * the serial chains take everything ready in one hop: a `reduce` folds
 //!   the counted coarse groups from the next one on and returns each
 //!   group's running total, an `offset` covers the counted coarse blocks
-//!   from the chain's end on — otherwise a hop waits behind coarse tasks
-//!   bound in the executor's lanes, once per group;
+//!   from the chain's end on — otherwise a hop waits behind the coarse
+//!   tasks ahead of it, once per group;
 //! * one `encode` per chunk ∩ group of `offset_fanout` blocks, writing its
 //!   blocks back to back into one buffer allocated at the exact size the
 //!   offsets give, after the lead its first offset asks for, and placed

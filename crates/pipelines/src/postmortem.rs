@@ -28,6 +28,8 @@
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
+use tvs_metrics::json;
+use tvs_trace::perfetto::json_escape;
 use tvs_trace::{LineageTable, Timebase, TraceLog};
 
 /// Version of the bundle layout and `MANIFEST.json` schema (2: no
@@ -111,81 +113,6 @@ pub fn default_bundle_root() -> PathBuf {
         .join("results")
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(c) => out.push(c),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Extract `"key":"value"` (string) from a flat one-line JSON object.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    // Scan to the closing quote, honouring backslash escapes.
-    let mut end = 0;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            end = i;
-            break;
-        }
-    }
-    Some(json_unescape(&rest[..end]))
-}
-
-/// Extract `"key":<number>` from a flat one-line JSON object.
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
 impl BundleMeta {
     /// Build the manifest for a capture of `log`.
     pub fn for_log(
@@ -240,21 +167,23 @@ impl BundleMeta {
     /// versions (an older bundle's members no longer parse) and malformed
     /// manifests.
     pub fn from_json(line: &str) -> Option<BundleMeta> {
-        let schema = json_u64_field(line, "schema")?;
-        if schema != BUNDLE_SCHEMA_VERSION {
+        let v = json::parse(line)?;
+        let num = |key: &str| v.get(key)?.as_u64();
+        let text = |key: &str| Some(v.get(key)?.as_str()?.to_string());
+        if num("schema")? != BUNDLE_SCHEMA_VERSION {
             return None;
         }
         Some(BundleMeta {
-            rev: json_str_field(line, "rev")?,
-            seed: json_u64_field(line, "seed")?,
-            trigger: Trigger::parse(&json_str_field(line, "trigger")?)?,
-            policy: json_str_field(line, "policy")?,
-            workers: json_u64_field(line, "workers")? as usize,
-            timebase: json_str_field(line, "timebase")?,
-            error: json_str_field(line, "error"),
-            wasted_us: json_u64_field(line, "wasted_us")?,
-            events: json_u64_field(line, "events")?,
-            rollbacks: json_u64_field(line, "rollbacks")?,
+            rev: text("rev")?,
+            seed: num("seed")?,
+            trigger: Trigger::parse(&text("trigger")?)?,
+            policy: text("policy")?,
+            workers: num("workers")? as usize,
+            timebase: text("timebase")?,
+            error: text("error"),
+            wasted_us: num("wasted_us")?,
+            events: num("events")?,
+            rollbacks: num("rollbacks")?,
         })
     }
 }

@@ -2,14 +2,14 @@
 //! a task, written once for both executors.
 //!
 //! [`super::sim`] keeps its event heap and virtual clock;
-//! [`super::threaded`] keeps its ready slots, commit ring and parkers. Both hand
+//! [`super::threaded`] keeps its ready slots, report queue and parkers. Both hand
 //! what happened to the pieces here, and differ only in the plain data they
 //! pass along:
 //!
 //! * [`Core`] — scheduler, workload and run outcome: the state behind the
 //!   threaded commit lock, owned outright by the simulator;
 //! * one [`SchedCtx`] for every workload callback, built from an [`Env`]
-//!   (clock reading, worker count, task-size limit, abort epoch);
+//!   (clock reading, worker count, task-size limit);
 //! * [`run_body`] — one panic-isolated body execution;
 //! * [`Core::settle`] — deliver, discard or recover a finished occupancy;
 //! * [`Core::recover`] — the one path from a lost task to the workload.
@@ -53,7 +53,6 @@ use crate::policy::DispatchPolicy;
 use crate::sched::{CompletionOutcome, Dispatched, Scheduler};
 use crate::task::{mix64, Payload, SpecVersion, TaskClass, TaskCtx, TaskId, TaskSpec, Time};
 use crate::workload::{Completion, FaultNotice, InputBlock, SchedCtx, Workload};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tvs_faults::{FaultKind, FaultSite};
@@ -166,22 +165,19 @@ pub(crate) fn assert_schedule(input: &[u8], blocks: &[InputBlock]) {
 
 /// What a workload callback may learn about its executor, as plain data.
 #[derive(Clone, Copy)]
-pub(crate) struct Env<'a> {
+pub(crate) struct Env {
     /// The executor's clock, µs (virtual or wall).
     pub(crate) now: Time,
     /// Worker count.
     pub(crate) workers: usize,
     /// The most payload bytes one task may touch (the Cell's local store).
     pub(crate) max_task_bytes: Option<usize>,
-    /// Bumped by every version abort so slot-bound tasks re-validate
-    /// (threads only).
-    pub(crate) abort_epoch: Option<&'a AtomicU64>,
 }
 
 /// The [`SchedCtx`] every workload callback of either executor gets.
 struct Ctx<'a> {
     sched: &'a mut Scheduler,
-    env: Env<'a>,
+    env: Env,
 }
 
 impl SchedCtx for Ctx<'_> {
@@ -203,9 +199,6 @@ impl SchedCtx for Ctx<'_> {
 
     fn abort_version(&mut self, version: SpecVersion) {
         self.sched.abort_version(version);
-        if let Some(epoch) = self.env.abort_epoch {
-            epoch.fetch_add(1, Ordering::SeqCst);
-        }
     }
 
     fn workers(&self) -> usize {
@@ -280,7 +273,8 @@ pub(crate) enum Report {
     /// Every body attempt panicked (`attempt` = retries spent; 0 for
     /// speculative tasks, which are never retried).
     Faulted { attempt: u32 },
-    /// Lane re-validation cancelled the task before it ran (threads).
+    /// Its version was rolled back while it sat in a worker's ready slot,
+    /// so the worker cancelled it before it ran (threads).
     Cancelled,
     /// The task's version was aborted before its body ran, so the body was
     /// skipped and the occupancy is wasted (simulator).
@@ -395,7 +389,7 @@ impl<W: Workload> Core<W> {
         }
     }
 
-    fn call(&mut self, env: Env<'_>, f: impl FnOnce(&mut W, &mut dyn SchedCtx)) {
+    fn call(&mut self, env: Env, f: impl FnOnce(&mut W, &mut dyn SchedCtx)) {
         let mut ctx = Ctx {
             sched: &mut self.sched,
             env,
@@ -404,12 +398,12 @@ impl<W: Workload> Core<W> {
     }
 
     /// [`Workload::on_start`].
-    pub(crate) fn start(&mut self, env: Env<'_>) {
+    pub(crate) fn start(&mut self, env: Env) {
         self.call(env, |w, ctx| w.on_start(ctx));
     }
 
     /// Hand over every block that arrived together; `last` ends the input.
-    pub(crate) fn feed(&mut self, env: Env<'_>, batch: Vec<InputBlock>, last: bool) {
+    pub(crate) fn feed(&mut self, env: Env, batch: Vec<InputBlock>, last: bool) {
         self.call(env, |w, ctx| {
             if !batch.is_empty() {
                 w.on_input_batch(ctx, batch);
@@ -428,13 +422,7 @@ impl<W: Workload> Core<W> {
     /// delivered or discarded, or a faulted body is recovered. A report of
     /// a task no longer in flight is an echo of one settled before and is
     /// dropped. Returns whether the occupancy was wasted work.
-    pub(crate) fn settle(
-        &mut self,
-        env: Env<'_>,
-        span: &Span,
-        report: Report,
-        rec: &Recorder,
-    ) -> bool {
+    pub(crate) fn settle(&mut self, env: Env, span: &Span, report: Report, rec: &Recorder) -> bool {
         let (end, output, fault) = match report {
             Report::Cancelled => {
                 self.sched.cancel_bound(span.id);
@@ -482,7 +470,7 @@ impl<W: Workload> Core<W> {
     /// `None`). Then the workload is told — its speculation manager clears
     /// its records, lost non-speculative work is re-spawned — and the
     /// version is rolled back. Returns the task's version.
-    fn recover(&mut self, env: Env<'_>, span: &Span, attempt: u32) -> Option<Option<SpecVersion>> {
+    fn recover(&mut self, env: Env, span: &Span, attempt: u32) -> Option<Option<SpecVersion>> {
         let version = self.sched.fault(span.id)?;
         let notice = FaultNotice {
             id: span.id,

@@ -3,7 +3,6 @@
 //! [`crate::Scheduler`], [`crate::Workload`] callbacks, settling, recovery
 //! and accounting — each through one `run` function.
 
-pub mod commit_log;
 pub(crate) mod core;
 pub mod sim;
 pub mod threaded;

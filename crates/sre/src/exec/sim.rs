@@ -154,7 +154,6 @@ pub fn run<W: Workload>(
         now,
         workers: cfg.platform.workers,
         max_task_bytes: cfg.platform.max_task_bytes,
-        abort_epoch: None,
     };
 
     let mut core = Core::new(workload, policy, &ins);
@@ -298,7 +297,7 @@ pub fn run<W: Workload>(
 
 /// Fill worker prefetch queues with dispatchable tasks, scheduling their
 /// completion events. Each dispatch is recorded on its worker's shard (the
-/// simulator's analogue of the threaded executor's ready lanes).
+/// simulator's analogue of the threaded executor's ready slots).
 fn dispatch_all(
     sched: &mut Scheduler,
     workers: &mut [WorkerState],

@@ -26,14 +26,14 @@
 //!   worker's, whose owner is still running a task or parked. Tasks here
 //!   are coarse-grain (tens of µs to ms), so a `Mutex<Option<_>>` per slot
 //!   is plenty and keeps the crate `forbid(unsafe_code)`-clean.
-//! * **Epoch-checked rollback.** Rollback stays O(1): [`Scheduler::
-//!   abort_version`] never chases entries already bound into slots. Instead
-//!   every batch is stamped with the global abort epoch ([`AtomicU64`]); a
-//!   version abort bumps the epoch, and a worker re-validates any stamped
-//!   task whose epoch is stale against its (already signalled) abort flag
-//!   before running it. Cancelled tasks are routed back to the scheduler as
-//!   ready deletions — the paper's "ready tasks must be deleted" — without
-//!   ever executing.
+//! * **Flag-checked rollback.** Rollback stays O(1): [`Scheduler::
+//!   abort_version`] never chases tasks already bound into slots; it raises
+//!   their abort flags. A worker checks the flag of a speculative task it
+//!   takes from a slot before running it, and a raised one cancels the task:
+//!   it is routed back to the scheduler as a ready deletion — the paper's
+//!   "ready tasks must be deleted" — without ever executing. The scheduler
+//!   never dispatches a task whose version is already aborted, so a raised
+//!   flag on a bound task always means a rollback after the bind.
 //! * **Parker wake-up.** Idle workers park ([`std::thread::park_timeout`])
 //!   instead of polling a condvar every 5 ms, and waking is demand-driven:
 //!   the pump unparks *one* worker only while the slot backlog exceeds
@@ -43,36 +43,37 @@
 //!   a `notify_all` storm does, and an over-provisioned one never turns
 //!   queue depth into futex churn.
 //! * **Completions routed where they finish (flat combining).** A worker
-//!   that finishes a task pushes its report onto a bounded **lock-free
-//!   commit log** ([`super::commit_log::CommitRing`]) and then `try_lock`s
-//!   the commit lock. Whoever holds that lock — this worker, another
-//!   worker, an idle worker about to park or the feeder after a batch —
-//!   takes a *turn* (`turn`): drain the ring, charge, settle, pump the
-//!   slots and evaluate run completion. A successor on
-//!   the DFG's critical path (reduce chain, offset chain, check → rollback)
-//!   is therefore spawned by the thread that produced its input, without an
-//!   OS scheduling round trip to a router thread; and a failed `try_lock`
-//!   costs the worker nothing, so workload routing code still never blocks
-//!   a worker.
+//!   that finishes a task pushes its report onto the *report queue* (one
+//!   `Mutex<Vec<_>>`) and then `try_lock`s the commit lock. Whoever holds
+//!   that lock — this worker, another worker, an idle worker about to park
+//!   or the feeder after a batch — takes a *turn* (`turn`): take every
+//!   queued report, charge, settle, pump the slots and evaluate run
+//!   completion. A successor on the DFG's critical path (reduce chain,
+//!   offset chain, check → rollback) is therefore spawned by the thread
+//!   that produced its input, without an OS scheduling round trip to a
+//!   router thread; and a failed `try_lock` costs the worker nothing, so
+//!   workload routing code still never blocks a worker. The queue's lock
+//!   is held for one push or one `append`, and a run of coarse tasks
+//!   routes a few hundred completions, so it is rarely contended.
 //!
-//!   *No report is stranded.* (1) A producer pushes, then `try_lock`s
-//!   (`combine`). (2) Every holder, after unlocking, re-checks the ring
-//!   and takes another turn if it is non-empty and the lock is still free
-//!   (`turn`'s `again`). Both sides put a `SeqCst` fence between their
-//!   write and their read (push → fence → `try_lock`; unlock → fence →
-//!   `is_empty`), so — Dekker again — either the producer finds the lock
-//!   free or the holder finds the report; if the lock was taken by a
-//!   *third* thread in between, the same argument applies to that holder,
-//!   and the last holder in the chain sees the report. (3) As a backstop
-//!   a worker re-checks the ring after publishing itself parked and does
-//!   not sleep while a report is visible: it goes round and `try_lock`s.
+//!   *No report is stranded.* (1) A producer pushes under the queue's lock,
+//!   then `try_lock`s the commit lock (`combine`). (2) Every holder, after
+//!   unlocking the commit lock, checks the queue under its lock and takes
+//!   another turn if it is non-empty and the commit lock is still free
+//!   (`turn`'s `again`). The queue's lock orders the push and the check:
+//!   if the check comes first, the holder's unlock happens before the push
+//!   and so before the producer's `try_lock`, which then finds the commit
+//!   lock free or held by a *third* thread that locked it after that
+//!   unlock; the same argument applies to that holder, and the last holder
+//!   in the chain sees the report. Otherwise the check sees it. (3) As a
+//!   backstop a worker checks the queue after publishing itself parked and
+//!   does not sleep while a report is queued: it goes round and `try_lock`s.
 //!
 //! The figure benches use the deterministic simulator instead; this
 //! executor exists to run the system end-to-end on real threads and to
 //! cross-validate outputs: both executors run the *same* `Workload`
 //! implementations.
 
-use super::commit_log::CommitRing;
 use super::core::{
     assert_schedule, into_inner_recover, run_body, run_metrics, Core, Env, Injection, Report,
     RunError, Span, DEFAULT_MAX_ATTEMPTS,
@@ -83,12 +84,12 @@ use crate::policy::DispatchPolicy;
 use crate::sched::{Dispatched, Scheduler};
 use crate::task::Time;
 use crate::workload::{InputBlock, Workload};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
 use tvs_faults::{FaultKind, FaultSite};
-use tvs_metrics::{lock_recover, Counter, Gauge, Hist};
+use tvs_metrics::{lock_recover, Counter, Hist};
 use tvs_trace::EventKind;
 
 /// Configuration of a threaded run.
@@ -115,12 +116,12 @@ impl ThreadedConfig {
 /// instead (see [`Fabric::wait_until`]).
 const FEEDER_SPIN_US: u64 = 200;
 
-/// A dispatched task bound into a worker's ready slot, stamped with the
-/// abort epoch current when the pump bound it.
-struct Ready {
-    work: Dispatched,
-    epoch: u64,
-}
+/// Reports the queue holds before it grows: far more than a run has in
+/// flight. The size is measured, not needed: with room for 64 the
+/// benchmark's peak RSS (`VmHWM`) read 0.8 MiB higher on `txt_mem`, the
+/// rise set during the threaded speculative runs (EXPERIMENTS.md, "One
+/// mutexed completion queue").
+const REPORTS_CAPACITY: usize = 1024;
 
 struct Parker {
     /// The slot's worker thread, set when it starts.
@@ -128,21 +129,17 @@ struct Parker {
     parked: AtomicBool,
 }
 
-/// Lock-free-ish fabric shared by workers: ready slots, parkers, the commit
-/// log and the counter that lets the pump and the parkers observe slot
-/// state without the commit lock, and the run's input they lend to task
-/// bodies.
+/// The fabric shared by workers: ready slots, parkers, the report queue
+/// and the counter that lets the pump and the parkers observe slot state
+/// without the commit lock, and the run's input they lend to task bodies.
 struct Fabric<'a> {
     /// One ready slot per worker: the next task it starts.
-    slots: Vec<Mutex<Option<Ready>>>,
-    /// Completion log: workers produce, the commit-lock holder consumes.
-    /// Bounded so a stalled commit path back-pressures workers instead of
-    /// buffering unboundedly; wide enough that a short-task storm rarely
-    /// spins on a full ring.
-    ring: CommitRing<Finished>,
+    slots: Vec<Mutex<Option<Dispatched>>>,
+    /// Report queue: workers push, the commit-lock holder takes them all
+    /// (its capacity stays with it, so a run allocates it once, on the
+    /// calling thread, [`REPORTS_CAPACITY`] reports wide).
+    reports: Mutex<Vec<Finished>>,
     parkers: Vec<Parker>,
-    /// Bumped by every version abort; bound tasks re-validate stale stamps.
-    abort_epoch: AtomicU64,
     /// Tasks currently bound in slots (see [`Fabric::wake_for_work`]).
     in_slots: AtomicUsize,
     /// Workers currently parked (see [`Fabric::wake_for_work`]).
@@ -176,14 +173,13 @@ impl<'a> Fabric<'a> {
         ins.recorder.start_clock();
         Fabric {
             slots: (0..workers).map(|_| Mutex::new(None)).collect(),
-            ring: CommitRing::with_capacity((64 * workers).max(1024)),
+            reports: Mutex::new(Vec::with_capacity(REPORTS_CAPACITY)),
             parkers: (0..workers)
                 .map(|_| Parker {
                     handle: OnceLock::new(),
                     parked: AtomicBool::new(false),
                 })
                 .collect(),
-            abort_epoch: AtomicU64::new(0),
             in_slots: AtomicUsize::new(0),
             parked_count: AtomicUsize::new(0),
             target_awake: hw.min(workers).max(1),
@@ -201,12 +197,11 @@ impl<'a> Fabric<'a> {
     }
 
     /// What a workload callback run at `now` sees of this executor.
-    fn env(&self, now: Time) -> Env<'_> {
+    fn env(&self, now: Time) -> Env {
         Env {
             now,
             workers: self.slots.len(),
             max_task_bytes: None,
-            abort_epoch: Some(&self.abort_epoch),
         }
     }
 
@@ -231,7 +226,7 @@ impl<'a> Fabric<'a> {
     }
 
     /// Bind a dispatched task into worker `slot`'s empty ready slot.
-    fn bind(&self, slot: usize, work: Dispatched, epoch: u64) {
+    fn bind(&self, slot: usize, work: Dispatched) {
         self.ins.recorder.emit(
             slot,
             EventKind::Dispatch {
@@ -246,7 +241,7 @@ impl<'a> Fabric<'a> {
         // re-check errs towards staying awake, never towards sleeping on
         // available work.
         self.in_slots.fetch_add(1, Ordering::SeqCst);
-        let previous = lock_recover(&self.slots[slot]).replace(Ready { work, epoch });
+        let previous = lock_recover(&self.slots[slot]).replace(work);
         debug_assert!(previous.is_none(), "the pump binds empty slots only");
     }
 
@@ -254,12 +249,12 @@ impl<'a> Fabric<'a> {
     /// whose owner is still running the task before it, or parked, and
     /// would start it later. The second element is the victim's slot when
     /// the task was stolen.
-    fn grab(&self, me: usize) -> Option<(Ready, Option<usize>)> {
+    fn grab(&self, me: usize) -> Option<(Dispatched, Option<usize>)> {
         let n = self.slots.len();
         (0..n).map(|off| (me + off) % n).find_map(|slot| {
-            let r = lock_recover(&self.slots[slot]).take()?;
+            let work = lock_recover(&self.slots[slot]).take()?;
             self.in_slots.fetch_sub(1, Ordering::SeqCst);
-            Some((r, (slot != me).then_some(slot)))
+            Some((work, (slot != me).then_some(slot)))
         })
     }
 
@@ -302,12 +297,15 @@ impl<'a> Fabric<'a> {
         }
     }
 
-    /// End the run: close the ring so a worker spinning on a full ring (or
-    /// racing a late push) fails fast instead of waiting for a drain that
-    /// will not come, and wake everyone to exit.
+    /// Whether no report is queued.
+    fn no_reports(&self) -> bool {
+        lock_recover(&self.reports).is_empty()
+    }
+
+    /// End the run: a worker that finishes a task after this drops its
+    /// report, and everyone is woken to exit.
     fn shut_down(&self) {
         self.done.store(true, Ordering::SeqCst);
-        self.ring.close();
         self.wake_all();
     }
 }
@@ -334,13 +332,11 @@ struct Finished {
 /// order: the slot of `caller` (the worker taking this turn, which grabs
 /// next) first, then those of awake workers, then those of parked ones.
 /// Caller holds the commit lock, and only the pump fills slots, so a slot
-/// seen empty stays empty until it is bound; every task is stamped with the
-/// current abort epoch. Returns whether anything was bound (i.e. parked
-/// workers need a wake).
+/// seen empty stays empty until it is bound. Returns whether anything was
+/// bound (i.e. parked workers need a wake).
 fn pump(fabric: &Fabric, sched: &mut Scheduler, caller: Option<usize>) -> bool {
     let n = fabric.slots.len();
     let from = caller.unwrap_or(0);
-    let epoch = fabric.abort_epoch.load(Ordering::SeqCst);
     let mut pushed = false;
     for parked in [false, true] {
         for slot in (from..n).chain(0..from) {
@@ -352,7 +348,7 @@ fn pump(fabric: &Fabric, sched: &mut Scheduler, caller: Option<usize>) -> bool {
             let Some(work) = sched.dispatch() else {
                 return pushed;
             };
-            fabric.bind(slot, work, epoch);
+            fabric.bind(slot, work);
             pushed = true;
         }
     }
@@ -368,32 +364,20 @@ fn run_complete<W: Workload>(fabric: &Fabric, core: &mut Core<W>) -> bool {
     done
 }
 
-/// Route one batch of completion reports: held-back ones first, then up to
-/// 256 opportunistic lock-free pops, all under the caller's single
-/// commit-lock acquisition — on a short-task storm that amortises the
-/// lock/pump/wake cost across the backlog instead of paying it per task.
-/// Returns the stamp routing started at, `None` when nothing was pending.
+/// Route one batch of completion reports: held-back ones first, then every
+/// queued one, all under the caller's single commit-lock acquisition — on a
+/// short-task storm that amortises the lock/pump/wake cost across the
+/// backlog instead of paying it per task. Returns the stamp routing started
+/// at, `None` when nothing was pending.
 fn route<W: Workload>(fabric: &Fabric, inner: &mut Inner<W>) -> Option<Time> {
     let mut batch = std::mem::take(&mut inner.batch);
     batch.append(&mut inner.delayed);
-    while batch.len() < 256 {
-        match fabric.ring.pop() {
-            Some(f) => batch.push(f),
-            None => break,
-        }
-    }
+    batch.append(&mut lock_recover(&fabric.reports));
     if batch.is_empty() {
         inner.batch = batch;
         return None;
     }
     let rec = &fabric.ins.recorder;
-    if rec.is_enabled() {
-        // Occupancy *after* the batch pops: what is still waiting behind
-        // this drain.
-        let occ = fabric.ring.occupancy();
-        rec.gauge_set(Gauge::RingOccupancy, occ);
-        rec.record(Hist::RingOccupancy, occ);
-    }
     let route_from = fabric.now();
     let mut waited_us = 0;
     let core = &mut inner.core;
@@ -445,8 +429,8 @@ struct Turn {
 /// One commit-path turn, by whoever holds the commit lock — worker
 /// `caller`, or the calling thread of [`run`] when `None`: run `entry`
 /// (the feeder's batch, the run's start — nothing for a worker),
-/// route what the commit log holds, pump the slots, evaluate run
-/// completion; then unlock, wake, and re-check the ring — the holder's half
+/// route what the report queue holds, pump the slots, evaluate run
+/// completion; then unlock, wake, and check the queue — the holder's half
 /// of the no-stranding argument in the module docs.
 ///
 /// Control-shard events and gauges are only written from here, so they
@@ -488,30 +472,28 @@ fn turn<W: Workload>(
     } else if pushed {
         fabric.wake_for_work();
     }
-    // Unlock → fence → read the ring; pairs with push → fence → `try_lock`
-    // in [`combine`].
-    fence(Ordering::SeqCst);
+    // Unlock, then check the queue; pairs with push, then `try_lock` in
+    // [`combine`].
     Turn {
         pushed,
         commit_us,
-        again: !done && (held_back || !fabric.ring.is_empty()),
+        again: !done && (held_back || !fabric.no_reports()),
     }
 }
 
 /// Flat combining: take commit-path turns for as long as reports are
 /// pending and the lock is free. Never waits for the lock — when it is
-/// busy, its holder re-checks the ring after unlocking. Called by a worker
-/// right after it pushed a report, and by an idle worker before it parks
-/// (work conservation: a dry spell refills the slots without anyone else's
-/// help). Returns the turns' sum; `again` is left set only when reports
-/// were still pending and the lock was busy.
+/// busy, its holder checks the report queue after unlocking. Called by a
+/// worker right after it pushed a report, and by an idle worker before it
+/// parks (work conservation: a dry spell refills the slots without anyone
+/// else's help). Returns the turns' sum; `again` is left set only when
+/// reports were still pending and the lock was busy.
 fn combine<W: Workload>(fabric: &Fabric, commit: &Mutex<Inner<W>>, caller: Option<usize>) -> Turn {
     let mut sum = Turn {
         pushed: false,
         commit_us: 0,
         again: true,
     };
-    fence(Ordering::SeqCst);
     while sum.again {
         let guard = match commit.try_lock() {
             Ok(guard) => guard,
@@ -564,13 +546,13 @@ fn spawn_worker<'scope, W: Workload + Send>(
             let mut mark = fabric.now();
             loop {
                 match fabric.grab(me) {
-                    Some((ready, stolen_from)) => {
+                    Some((mut work, stolen_from)) => {
                         spins = 0;
                         if let Some(victim) = stolen_from {
                             rec.emit(
                                 me,
                                 EventKind::Steal {
-                                    id: ready.work.id,
+                                    id: work.id,
                                     victim: victim as u32,
                                 },
                             );
@@ -578,12 +560,10 @@ fn spawn_worker<'scope, W: Workload + Send>(
                         // Wake chain: if backlog remains beyond the
                         // awake set, ramp up one more worker.
                         fabric.wake_for_work();
-                        let mut work = ready.work;
-                        // Epoch-checked re-validation: only a task
-                        // bound before some rollback can be stale,
-                        // and only a flagged one is actually dead.
-                        let stale = ready.epoch != fabric.abort_epoch.load(Ordering::SeqCst);
-                        let (body, span) = if stale && work.version.is_some() && work.aborted() {
+                        // Re-validation: a speculative task whose
+                        // version was rolled back after the bind is
+                        // cancelled, not run.
+                        let (body, span) = if work.version.is_some() && work.aborted() {
                             let now = fabric.now();
                             rec.add(me, Counter::TimeStealUs, now.saturating_sub(mark));
                             mark = now;
@@ -609,10 +589,12 @@ fn spawn_worker<'scope, W: Workload + Send>(
                             (body, span)
                         };
                         // Route it here and now if the commit lock is
-                        // free; otherwise its holder picks it up.
-                        if fabric.ring.push(Finished { span, body }).is_err() {
+                        // free; otherwise its holder picks it up. A run
+                        // that has ended routes nothing more.
+                        if fabric.done.load(Ordering::SeqCst) {
                             return;
                         }
+                        lock_recover(&fabric.reports).push(Finished { span, body });
                         mark += combine(fabric, commit, Some(me)).commit_us;
                     }
                     None => {
@@ -643,15 +625,15 @@ fn spawn_worker<'scope, W: Workload + Send>(
                         // SeqCst total order guarantees at least one
                         // side sees the other, so no wake-up is
                         // lost. The timeout is belt-and-braces only.
-                        // The ring re-check is the parker's part of
-                        // the no-stranding argument: never sleep on a
-                        // visible report — go round and `try_lock`
-                        // (if the lock is busy, its holder re-checks
-                        // the ring when it unlocks).
+                        // The queue check is the parker's part of the
+                        // no-stranding argument: never sleep on a
+                        // queued report — go round and `try_lock` (if
+                        // the lock is busy, its holder checks the queue
+                        // when it unlocks).
                         p.parked.store(true, Ordering::SeqCst);
                         fabric.parked_count.fetch_add(1, Ordering::SeqCst);
                         if fabric.in_slots.load(Ordering::SeqCst) == 0
-                            && fabric.ring.is_empty()
+                            && fabric.no_reports()
                             && !fabric.done.load(Ordering::SeqCst)
                         {
                             rec.emit(me, EventKind::Park);
@@ -1182,7 +1164,7 @@ mod tests {
     fn rollback_accounts_for_every_lane_bound_spec_task() {
         // A fast normal task aborts a version with many speculative tasks:
         // some are still in the central ready queue (deleted by the
-        // rollback), some are bound in ready slots (cancelled by epoch
+        // rollback), some are bound in ready slots (cancelled by
         // re-validation, also counted as ready deletions), and any that
         // started running see their abort flag and get discarded. Whatever
         // the interleaving, every spawned spec task must be accounted for
@@ -1237,6 +1219,93 @@ mod tests {
         assert_eq!(m.tasks_delivered, 1);
         assert_eq!(m.tasks_deleted_ready + m.tasks_discarded, 8);
         assert_eq!(m.rollbacks, 1);
+    }
+
+    #[test]
+    fn a_slot_bound_task_of_a_rolled_back_version_is_cancelled_unrun() {
+        // One worker runs `gate` while a batch due at ~50 ms makes the
+        // feeder's turn bind a speculative `victim` into that worker's
+        // ready slot; `gate` then finishes and its completion rolls back
+        // `victim`'s version. The worker takes `victim` from its slot only
+        // after routing `gate`, finds the abort flag raised and cancels the
+        // task: a ready deletion, never a run and never a discard.
+        struct Gated {
+            rec: Recorder,
+            victim_ran: Arc<AtomicBool>,
+            gate_done: bool,
+        }
+        impl Workload for Gated {
+            fn on_start(&mut self, ctx: &mut dyn SchedCtx) {
+                let rec = self.rec.clone();
+                ctx.spawn(TaskSpec::regular("gate", 0, 0, 0, move |_| {
+                    // Hold the worker until `victim` is bound (the second
+                    // dispatch), then a little longer, so the feeder's turn
+                    // has let go of the commit lock and this worker routes
+                    // its own completion before it takes `victim`.
+                    let t0 = std::time::Instant::now();
+                    while rec.counter_total(Counter::LaneDispatch) < 2
+                        && t0.elapsed() < Duration::from_secs(5)
+                    {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                    payload(())
+                }));
+            }
+            fn on_input(&mut self, ctx: &mut dyn SchedCtx, _: InputBlock) {
+                let ran = Arc::clone(&self.victim_ran);
+                ctx.spawn(TaskSpec::speculative("victim", 0, 0, 1, 0, move |_| {
+                    ran.store(true, Ordering::SeqCst);
+                    payload(())
+                }));
+            }
+            fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
+                assert_eq!(done.name, "gate", "only the gate delivers");
+                ctx.abort_version(1);
+                self.gate_done = true;
+            }
+            fn is_finished(&self) -> bool {
+                self.gate_done
+            }
+        }
+        let rec = Recorder::enabled(1);
+        let victim_ran = Arc::new(AtomicBool::new(false));
+        let (input, mut blocks) = at_once(1, 8);
+        blocks[0].arrival = 50_000;
+        let (w, m) = run(
+            Gated {
+                rec: rec.clone(),
+                victim_ran: Arc::clone(&victim_ran),
+                gate_done: false,
+            },
+            &ThreadedConfig::new(1),
+            DispatchPolicy::Aggressive,
+            &input,
+            blocks,
+            &Instruments::recorded(rec.clone()),
+        )
+        .expect("traced run completes");
+        assert!(w.gate_done);
+        assert!(!victim_ran.load(Ordering::SeqCst), "victim's body ran");
+        assert_eq!(m.tasks_delivered, 1);
+        assert_eq!(m.tasks_deleted_ready, 1);
+        assert_eq!(m.tasks_discarded, 0);
+        let events = rec.drain().expect("enabled recorder drains").events;
+        let victim = events
+            .iter()
+            .find_map(|e| match e.kind {
+                EventKind::Dispatch {
+                    id, name: "victim", ..
+                } => Some(id),
+                _ => None,
+            })
+            .expect("victim was bound");
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::CancelReady { id, .. } if id == victim)),
+            "a cancel-ready names victim"
+        );
     }
 
     /// A workload whose single regular task panics `fail_times` times

@@ -26,9 +26,9 @@
 //! * [`exec::sim`] — a deterministic discrete-event executor (virtual µs
 //!   clock) used by every figure-regeneration bench;
 //! * [`exec::threaded`] — a real thread-pool executor running the same
-//!   workloads on wall-clock time, with sharded per-worker ready lanes,
-//!   work stealing and completions routed by whichever thread holds the
-//!   commit lock — usually the worker that just finished the task;
+//!   workloads on wall-clock time, with one ready slot per worker, work
+//!   stealing and completions routed by whichever thread holds the commit
+//!   lock — usually the worker that just finished the task;
 //! * `exec::core` — what both executors share: the one `SchedCtx`, the
 //!   panic-isolated task body, settling, recovery and [`RunError`];
 //! * [`metrics`] — the aggregate [`RunMetrics`] of a run;

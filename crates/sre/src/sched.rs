@@ -184,7 +184,7 @@ impl Scheduler {
     }
 
     /// Cancel a dispatched-but-not-yet-executed task (bound into a worker's
-    /// ready lane when its version was rolled back). The task never ran, so
+    /// ready slot when its version was rolled back). The task never ran, so
     /// it counts as a ready deletion — the paper's "ready tasks must be
     /// deleted" — not as discarded work.
     pub fn cancel_bound(&mut self, id: TaskId) {
