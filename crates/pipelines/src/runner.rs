@@ -248,12 +248,18 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
     } else {
         0
     };
+    // Both executors take the same schedule; the threaded one paces it on
+    // the wall clock, compressed. Whether every block is due at one instant
+    // is read off it unscaled, so the workload's choice of predictor
+    // depends on the schedule alone, not on how fast the run goes.
+    let (mut blocks, arrivals) = schedule_blocks(data.len(), cfg.block_bytes, run.arrival);
+    let at_once = arrivals.windows(2).all(|w| w[0] == w[1]);
     let wl = match run.resume {
         Some(snap) => {
             snap.check_matches(cfg.digest(), digest)?;
-            HuffmanWorkload::resume(cfg.clone(), data.len(), snap, ins)?
+            HuffmanWorkload::resume(cfg.clone(), data.len(), snap, at_once, ins)?
         }
-        None => HuffmanWorkload::instrumented(cfg.clone(), data.len(), digest, ins),
+        None => HuffmanWorkload::instrumented(cfg.clone(), data.len(), digest, at_once, ins),
     };
     // A resumed run's committed prefix is not fed again.
     let skip_below = run.resume.map_or(0, |snap| snap.prefix as usize);
@@ -261,10 +267,6 @@ pub fn run_huffman(run: &HuffmanRun<'_>) -> Result<HuffmanReport, RunFailure> {
     // pass-through under the default `Tolerance`.
     let digest_fn = Arc::new(digest_output);
     let wl = ReplicatingWorkload::instrumented(wl, cfg.validation, SDC_SEED, digest_fn, ins);
-
-    // Both executors take the same schedule; the threaded one paces it on
-    // the wall clock, compressed.
-    let (mut blocks, arrivals) = schedule_blocks(data.len(), cfg.block_bytes, run.arrival);
     blocks.retain(|b| b.index >= skip_below);
     let ran = match &run.on {
         Executor::Sim { cfg: sim } => {

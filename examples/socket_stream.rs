@@ -110,7 +110,7 @@ fn main() {
     // Prometheus exposition on its own loopback listener.
     let hub = Recorder::enabled(WORKERS);
     let instruments = Instruments::recorded(hub.clone());
-    let workload = HuffmanWorkload::instrumented(cfg.clone(), data.len(), 0, &instruments);
+    let workload = HuffmanWorkload::instrumented(cfg.clone(), data.len(), 0, false, &instruments);
     let (metrics_addr, http_shutdown) = serve_metrics(hub.clone());
     println!("GET /metrics live at http://{metrics_addr}/metrics");
     let results = std::path::Path::new("results");
