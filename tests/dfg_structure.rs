@@ -236,9 +236,15 @@ fn speculative_dfg_matches_fig2b() {
 #[test]
 fn rollback_dfg_discards_and_reissues() {
     // Shifting data: version 1's overlay is destroyed and a later version
-    // (or the natural path) re-encodes every block.
+    // (or the natural path) re-encodes every block. The even blocks of the
+    // second half keep the first half's byte: they are what a spread
+    // sample of the 64 blocks takes there, so a run with every block due
+    // at once mispredicts as the prefix does.
     let mut data = vec![b'a'; 32 * 1024];
-    data.extend((0..32 * 1024u32).map(|i| 128 + (i % 100) as u8));
+    data.extend((0..32 * 1024u32).map(|i| match i / 1024 {
+        b if b % 2 == 0 => b'a',
+        _ => 128 + (i % 100) as u8,
+    }));
     for grain in GRAINS {
         let (out, trace) = traced(&data, &cfg(DispatchPolicy::Balanced), grain);
         assert!(out.metrics.rollbacks > 0, "{grain:?}");
